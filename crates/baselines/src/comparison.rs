@@ -4,15 +4,13 @@
 //! Table 1 compares state-of-the-art ways to override the SRAM write
 //! delay along five axes: works for all SRAM blocks, adapts to multiple
 //! Vcc, hardware overhead, IPC impact, and testability. The qualitative
-//! rows reproduce the published table verbatim; [`quantitative_table`]
-//! backs each claim with measured numbers at a chosen voltage.
+//! rows reproduce the published table verbatim; [`technique_configs`]
+//! plus [`rows_from_results`] back each claim with measured numbers at a
+//! chosen voltage, run through whichever grid executor the caller uses.
 
-use lowvcc_core::{
-    run_suite_with, CoreConfig, Mechanism, Parallelism, SimConfig, SimError, SuiteResult,
-};
+use lowvcc_core::{CoreConfig, Mechanism, SimConfig, SuiteResult};
 use lowvcc_energy::{ExtraBypassOverhead, FaultyBitsOverhead, IrawOverhead};
 use lowvcc_sram::{CycleTimeModel, Millivolts};
-use lowvcc_trace::Trace;
 
 use crate::extra_bypass::{ExtraBypassDesign, ExtraBypassScope};
 use crate::faulty_bits::{FaultyBitsDesign, FaultyBitsScope};
@@ -87,9 +85,9 @@ pub struct QuantRow {
 /// One technique of the quantitative comparison: its name, the exact
 /// [`SimConfig`] it runs under, and its bookkept overheads.
 ///
-/// Exposing the configuration (rather than only running it) lets
-/// callers route each suite run through their own executor — the bench
-/// crate's result cache replays Table 1 without re-simulating.
+/// Exposing the configuration (rather than running it) lets callers
+/// route the rows through their own executor — the bench crate's result
+/// cache replays Table 1 without re-simulating.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TechniqueConfig {
     /// Technique name (row label).
@@ -194,51 +192,12 @@ pub fn rows_from_results(configs: &[TechniqueConfig], suites: &[SuiteResult]) ->
         .collect()
 }
 
-/// Measures every technique at `vcc` over `traces`.
-///
-/// Rows: write-limited baseline (reference), realistic Faulty Bits
-/// (caches only), hypothetical all-block Faulty Bits at 4σ, realistic
-/// Extra Bypass (RF only), hypothetical all-block Extra Bypass, and IRAW
-/// avoidance.
-///
-/// # Errors
-///
-/// Propagates simulation failures.
-pub fn quantitative_table(
-    core: CoreConfig,
-    timing: &CycleTimeModel,
-    vcc: Millivolts,
-    traces: &[Trace],
-) -> Result<Vec<QuantRow>, SimError> {
-    quantitative_table_with(core, timing, vcc, traces, Parallelism::sequential())
-}
-
-/// [`quantitative_table`], with each technique's suite fanned out across
-/// `par` worker threads. Output is identical for any `par`.
-///
-/// # Errors
-///
-/// Propagates simulation failures.
-pub fn quantitative_table_with(
-    core: CoreConfig,
-    timing: &CycleTimeModel,
-    vcc: Millivolts,
-    traces: &[Trace],
-    par: Parallelism,
-) -> Result<Vec<QuantRow>, SimError> {
-    let configs = technique_configs(core, timing, vcc);
-    let mut suites = Vec::with_capacity(configs.len());
-    for tc in &configs {
-        suites.push(run_suite_with(&tc.cfg, traces, par)?);
-    }
-    Ok(rows_from_results(&configs, &suites))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use lowvcc_core::{run_suite_batch, Parallelism};
     use lowvcc_sram::voltage::mv;
-    use lowvcc_trace::{TraceSpec, WorkloadFamily};
+    use lowvcc_trace::{Trace, TraceSpec, WorkloadFamily};
 
     #[test]
     fn qualitative_rows_match_the_paper() {
@@ -253,7 +212,7 @@ mod tests {
     }
 
     #[test]
-    fn quantitative_table_tells_the_papers_story() {
+    fn quantitative_rows_tell_the_papers_story() {
         let timing = CycleTimeModel::silverthorne_45nm();
         let traces: Vec<Trace> = vec![
             TraceSpec::new(WorkloadFamily::SpecInt, 0, 12_000)
@@ -263,8 +222,10 @@ mod tests {
                 .build()
                 .unwrap(),
         ];
-        let rows =
-            quantitative_table(CoreConfig::silverthorne(), &timing, mv(475), &traces).unwrap();
+        let configs = technique_configs(CoreConfig::silverthorne(), &timing, mv(475));
+        let cfgs: Vec<SimConfig> = configs.iter().map(|tc| tc.cfg.clone()).collect();
+        let suites = run_suite_batch(&cfgs, &traces, Parallelism::sequential()).unwrap();
+        let rows = rows_from_results(&configs, &suites);
         assert_eq!(rows.len(), 6);
         let by_name = |s: &str| {
             rows.iter()

@@ -27,8 +27,7 @@ pub mod extra_bypass;
 pub mod faulty_bits;
 
 pub use comparison::{
-    qualitative_table, quantitative_table, quantitative_table_with, rows_from_results,
-    technique_configs, QuantRow, Table1Row, TechniqueConfig,
+    qualitative_table, rows_from_results, technique_configs, QuantRow, Table1Row, TechniqueConfig,
 };
 pub use extra_bypass::{ExtraBypassDesign, ExtraBypassScope};
 pub use faulty_bits::{FaultyBitsDesign, FaultyBitsScope};

@@ -1,14 +1,12 @@
-//! Batched sweep engine vs the legacy per-point path — the bench behind
-//! the `perf-trajectory` CI job. One 20k-uop SPEC-int trace replayed
-//! under the paper's full grid (13 voltage points × 3 mechanisms): the
-//! per-point side pays a fresh engine and a fresh decode per
-//! configuration, the batched side one decode and a reset-reused
+//! The batched sweep engine — smoke-run by the `engine-gates` CI job.
+//! One 20k-uop SPEC-int trace replayed under the paper's full grid (13
+//! voltage points × 3 mechanisms): one decode and a reset-reused
 //! workspace for the whole grid.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use std::hint::black_box;
 
-use lowvcc_core::{run_batch, CoreConfig, EngineWorkspace, Mechanism, SimConfig, Simulator};
+use lowvcc_core::{CoreConfig, EngineWorkspace, Mechanism, SimConfig};
 use lowvcc_sram::{CycleTimeModel, PAPER_SWEEP};
 use lowvcc_trace::{TraceArena, TraceSpec, WorkloadFamily};
 
@@ -26,7 +24,7 @@ fn full_grid() -> Vec<SimConfig> {
         .collect()
 }
 
-fn bench_batch_vs_per_point(c: &mut Criterion) {
+fn bench_batched_grid(c: &mut Criterion) {
     let trace = TraceSpec::new(WorkloadFamily::SpecInt, 0, TRACE_LEN)
         .build()
         .expect("preset params");
@@ -35,26 +33,19 @@ fn bench_batch_vs_per_point(c: &mut Criterion) {
     g.throughput(Throughput::Elements((TRACE_LEN * cfgs.len()) as u64));
     g.sample_size(10);
 
-    g.bench_function("per_point", |b| {
-        b.iter(|| {
-            for cfg in &cfgs {
-                let sim = Simulator::new(cfg.clone()).expect("valid config");
-                black_box(sim.run(&trace).expect("simulation completes"));
-            }
-        });
-    });
-
     g.bench_function("batched", |b| {
         let mut ws = EngineWorkspace::new();
         b.iter(|| {
             // Decode-once is part of the measured model: the arena build
             // sits inside the timed region, amortized over the grid.
             let arena = TraceArena::from_trace(&trace);
-            black_box(run_batch(&cfgs, &arena, &mut ws).expect("simulation completes"));
+            for cfg in &cfgs {
+                black_box(ws.run(cfg, &arena).expect("simulation completes"));
+            }
         });
     });
     g.finish();
 }
 
-criterion_group!(batch, bench_batch_vs_per_point);
+criterion_group!(batch, bench_batched_grid);
 criterion_main!(batch);

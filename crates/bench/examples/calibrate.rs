@@ -1,5 +1,5 @@
 //! Sweep calibration: suite speedups at the paper's anchor voltages.
-use lowvcc_core::{compare_mechanisms, CoreConfig};
+use lowvcc_core::{compare_mechanisms, CoreConfig, Parallelism};
 use lowvcc_sram::{voltage::mv, CycleTimeModel};
 use lowvcc_trace::{TraceSpec, WorkloadFamily};
 
@@ -12,7 +12,8 @@ fn main() {
         .flat_map(|&f| (0..2).map(move |s| TraceSpec::new(f, s, len).build().unwrap()))
         .collect();
     for v in [575u32, 500, 450, 400] {
-        let cmp = compare_mechanisms(core, &timing, mv(v), &traces).unwrap();
+        let cmp =
+            compare_mechanisms(core, &timing, mv(v), &traces, Parallelism::sequential()).unwrap();
         let mut stall = (0.0, 0.0, 0.0, 0.0);
         let n = cmp.iraw.per_trace.len() as f64;
         for (_, r) in &cmp.iraw.per_trace {

@@ -4,7 +4,7 @@
 //!
 //! ```text
 //! experiments [--suite quick|standard|paper|NxLEN] [--out DIR]
-//!             [--jobs N] [--json PATH] [--cache DIR] [--bench-json PATH]
+//!             [--jobs N] [--json PATH] [--cache DIR]
 //! ```
 //!
 //! Examples: `experiments`, `experiments --suite quick`,
@@ -21,11 +21,7 @@
 //! content-addressed result store rooted at DIR: a warm re-run answers
 //! every figure from the store (the trailing `cache:` stats line reports
 //! `0 simulated`) yet writes byte-identical CSV artifacts. The same DIR
-//! can back a running `lowvcc-serve` daemon. `--bench-json PATH`
-//! additionally times the batched sweep engine against the legacy
-//! per-point path on the suite (sequentially — the measurement tracks
-//! the engine, not the runner) and appends the measurement to the
-//! machine-readable perf trajectory at PATH (`BENCH_*.json`).
+//! can back a running `lowvcc-serve` daemon.
 
 use std::fmt;
 use std::path::PathBuf;
@@ -33,7 +29,7 @@ use std::process::ExitCode;
 use std::sync::Arc;
 
 use lowvcc_bench::experiments::run_all;
-use lowvcc_bench::{trajectory, ExperimentContext, ExperimentError, ResultStore, SuiteChoice};
+use lowvcc_bench::{ExperimentContext, ExperimentError, ResultStore, SuiteChoice};
 use lowvcc_core::Parallelism;
 
 /// Binary-local error: either a usage problem or a harness failure.
@@ -59,7 +55,7 @@ impl From<ExperimentError> for CliError {
 }
 
 const USAGE: &str = "usage: experiments [--suite quick|standard|paper|NxLEN] [--out DIR] \
-                     [--jobs N] [--json PATH] [--cache DIR] [--bench-json PATH]";
+                     [--jobs N] [--json PATH] [--cache DIR]";
 
 fn usage<T>(msg: impl Into<String>) -> Result<T, CliError> {
     Err(CliError::Usage(msg.into()))
@@ -74,7 +70,6 @@ struct CliOptions {
     out: PathBuf,
     json: Option<PathBuf>,
     cache: Option<PathBuf>,
-    bench_json: Option<PathBuf>,
     jobs: usize,
     help: bool,
 }
@@ -90,7 +85,6 @@ fn parse_args(args: impl IntoIterator<Item = String>) -> Result<CliOptions, CliE
     let mut out = PathBuf::from("results");
     let mut json = None;
     let mut cache = None;
-    let mut bench_json = None;
     let mut jobs = Parallelism::available().count();
     let mut args = args.into_iter();
     while let Some(a) = args.next() {
@@ -111,10 +105,6 @@ fn parse_args(args: impl IntoIterator<Item = String>) -> Result<CliOptions, CliE
                 Some(v) => cache = Some(PathBuf::from(v)),
                 None => return usage("--cache needs a value"),
             },
-            "--bench-json" => match args.next() {
-                Some(v) => bench_json = Some(PathBuf::from(v)),
-                None => return usage("--bench-json needs a value"),
-            },
             "--jobs" => match args.next().map(|v| v.parse::<usize>()) {
                 Some(Ok(n)) if n > 0 => jobs = n,
                 Some(_) => return usage("--jobs needs a positive integer"),
@@ -126,7 +116,6 @@ fn parse_args(args: impl IntoIterator<Item = String>) -> Result<CliOptions, CliE
                     out,
                     json,
                     cache,
-                    bench_json,
                     jobs,
                     help: true,
                 })
@@ -145,7 +134,6 @@ fn parse_args(args: impl IntoIterator<Item = String>) -> Result<CliOptions, CliE
         out,
         json,
         cache,
-        bench_json,
         jobs,
         help: false,
     })
@@ -155,7 +143,6 @@ struct Cli {
     ctx: ExperimentContext,
     out: PathBuf,
     json: Option<PathBuf>,
-    bench_json: Option<PathBuf>,
     jobs: usize,
     store: Option<Arc<ResultStore>>,
 }
@@ -179,7 +166,6 @@ fn build(opts: CliOptions) -> Result<Cli, CliError> {
         ctx,
         out: opts.out,
         json: opts.json,
-        bench_json: opts.bench_json,
         jobs: opts.jobs,
         store,
     })
@@ -254,25 +240,6 @@ fn main() -> ExitCode {
                 }
                 eprintln!("sweep JSON written to {}", path.display());
             }
-            if let Some(path) = cli.bench_json {
-                eprintln!("measuring batched vs per-point engine throughput…");
-                let appended = trajectory::measure(&cli.ctx)
-                    .and_then(|entry| trajectory::append(&path, &entry).map(|()| entry));
-                match appended {
-                    Ok(entry) => eprintln!(
-                        "perf trajectory: ×{:.2} batched over per-point \
-                         ({:.2} vs {:.2} Muops/s), appended to {}",
-                        entry.speedup(),
-                        entry.batched_uops_per_second() / 1e6,
-                        entry.per_point_uops_per_second() / 1e6,
-                        path.display()
-                    ),
-                    Err(e) => {
-                        eprintln!("{}", CliError::Run(e));
-                        return ExitCode::FAILURE;
-                    }
-                }
-            }
             ExitCode::SUCCESS
         }
         Err(e) => {
@@ -305,7 +272,6 @@ mod tests {
         assert_eq!(o.out, PathBuf::from("results"));
         assert_eq!(o.json, None);
         assert_eq!(o.cache, None);
-        assert_eq!(o.bench_json, None);
         assert!(o.jobs >= 1);
         assert!(!o.help);
     }
@@ -313,18 +279,7 @@ mod tests {
     #[test]
     fn full_flag_set_parses() {
         let o = parse(&[
-            "--suite",
-            "3x50000",
-            "--out",
-            "r",
-            "--jobs",
-            "8",
-            "--json",
-            "s.json",
-            "--cache",
-            "c",
-            "--bench-json",
-            "BENCH_custom.json",
+            "--suite", "3x50000", "--out", "r", "--jobs", "8", "--json", "s.json", "--cache", "c",
         ])
         .unwrap();
         assert_eq!(
@@ -337,7 +292,6 @@ mod tests {
         assert_eq!(o.jobs, 8);
         assert_eq!(o.cache, Some(PathBuf::from("c")));
         assert_eq!(o.json, Some(PathBuf::from("s.json")));
-        assert_eq!(o.bench_json, Some(PathBuf::from("BENCH_custom.json")));
     }
 
     #[test]
@@ -375,7 +329,6 @@ mod tests {
     fn dangling_values_and_unknown_flags_rejected() {
         assert!(usage_of(&["--suite"]).contains("--suite needs a value"));
         assert!(usage_of(&["--cache"]).contains("--cache needs a value"));
-        assert!(usage_of(&["--bench-json"]).contains("--bench-json needs a value"));
         assert!(usage_of(&["--jobs"]).contains("--jobs needs a value"));
         assert!(usage_of(&["--frobnicate"]).contains("unknown argument"));
     }

@@ -4,8 +4,8 @@
 use std::sync::Arc;
 
 use lowvcc_core::{
-    run_batch_groups, run_suite_with, sim_key, speedup, CoreConfig, MechanismComparison,
-    Parallelism, SimConfig, SimResult, SuiteResult,
+    run_batch_groups, sim_key, CoreConfig, MechanismComparison, Parallelism, SimConfig, SimResult,
+    SuiteResult,
 };
 
 use crate::error::ExperimentError;
@@ -242,19 +242,29 @@ impl ExperimentContext {
         self.suite.iter().map(Trace::len).sum()
     }
 
-    /// Runs `cfg` over the whole suite, answering from the cache where
-    /// possible and simulating only the misses (which are then stored).
-    /// Output is bit-identical to an uncached [`run_suite_with`] for the
-    /// same inputs — the determinism guarantee of DESIGN.md §6 is what
-    /// makes keyed reuse sound.
+    /// Runs every configuration over the whole suite, batched per trace:
+    /// each trace is decoded once and all of `cfgs` replay it back to
+    /// back through a reused engine workspace. Returns one
+    /// [`SuiteResult`] per configuration, in `cfgs` order —
+    /// byte-identical to one fresh simulation per (config, trace) pair
+    /// (the `batch_vs_perpoint` suite asserts it). This is the one cached
+    /// grid runner every experiment goes through.
+    ///
+    /// With a cache, the call answers from the store where possible and
+    /// simulates only the misses (which are then stored); output is
+    /// bit-identical to the uncached run — the determinism guarantee of
+    /// DESIGN.md §6 is what makes keyed reuse sound. Misses are batched
+    /// **per trace**: one round groups every missing configuration of a
+    /// trace behind a single decode, so a cold 13-point sweep decodes
+    /// each trace once rather than once per (config, trace) pair.
     ///
     /// Misses go through the store's **single-flight** layer: this call
     /// simulates only the keys it claims leadership of (as one parallel
-    /// batch over the work-stealing runner) and *waits* for keys some
+    /// batch over the grid executor) and *waits* for keys some
     /// concurrent caller is already simulating — so N identical
-    /// concurrent suite runs perform each simulation exactly once.
-    /// Waiting happens after our own batch, so concurrent distinct
-    /// workloads overlap instead of serializing.
+    /// concurrent runs perform each simulation exactly once. Waiting
+    /// happens after our own batch, so concurrent distinct workloads
+    /// overlap instead of serializing.
     ///
     /// # Errors
     ///
@@ -269,84 +279,6 @@ impl ExperimentContext {
     /// Panics when a cache is configured and `specs` has drifted out of
     /// alignment with `suite` (both are public fields; keep them
     /// index-aligned).
-    pub fn run_suite(&self, cfg: &SimConfig) -> Result<SuiteResult, ExperimentError> {
-        let Some(store) = &self.cache else {
-            return Ok(run_suite_with(cfg, &self.suite, self.parallelism)?);
-        };
-        // Hard assert, not debug: both fields are public, and a silent
-        // zip truncation here would make the cached path drop the tail
-        // of a misaligned suite — cache on/off changing results.
-        assert_eq!(
-            self.specs.len(),
-            self.suite.len(),
-            "ExperimentContext.specs must stay index-aligned with .suite"
-        );
-        let mut slots: Vec<Option<(String, SimResult)>> = self.suite.iter().map(|_| None).collect();
-        let mut unresolved: Vec<usize> = (0..self.suite.len()).collect();
-        while !unresolved.is_empty() {
-            let mut leaders: Vec<(usize, FlightGuard<'_>)> = Vec::new();
-            let mut pending: Vec<(usize, FlightWaiter)> = Vec::new();
-            for &i in &unresolved {
-                match store.lookup(sim_key(cfg, &self.specs[i])) {
-                    Flight::Hit(result) => slots[i] = Some((self.suite[i].name.clone(), *result)),
-                    Flight::Lead(guard) => leaders.push((i, guard)),
-                    Flight::Pending(waiter) => pending.push((i, waiter)),
-                }
-            }
-            if !leaders.is_empty() {
-                let refs: Vec<&Trace> = leaders.iter().map(|&(i, _)| &self.suite[i]).collect();
-                store.note_simulated_uops(refs.iter().map(|t| t.len() as u64).sum());
-                // On error the guards drop unpublished, waking every
-                // waiter to re-arbitrate; the error propagates here.
-                let fresh = run_suite_with(cfg, &refs, self.parallelism)?;
-                for ((i, guard), (name, result)) in leaders.into_iter().zip(fresh.per_trace) {
-                    store.put(sim_key(cfg, &self.specs[i]), &result);
-                    drop(guard); // publish: retires the flight, wakes waiters
-                    slots[i] = Some((name, result));
-                }
-            }
-            // A retired flight either published (next round hits) or was
-            // abandoned by an erroring leader (next round claims it).
-            unresolved = pending
-                .into_iter()
-                .map(|(i, waiter)| {
-                    waiter.wait();
-                    i
-                })
-                .collect();
-        }
-        Ok(SuiteResult {
-            per_trace: slots
-                .into_iter()
-                .map(|s| s.expect("every slot filled"))
-                .collect(),
-        })
-    }
-
-    /// Runs every configuration over the whole suite, batched per trace:
-    /// each trace is decoded once and all of `cfgs` replay it back to
-    /// back through a reused engine workspace. Returns one
-    /// [`SuiteResult`] per configuration, in `cfgs` order —
-    /// byte-identical to calling [`Self::run_suite`] once per
-    /// configuration (the `batch_vs_perpoint` suite asserts it).
-    ///
-    /// With a cache, store misses are batched **per trace** instead of
-    /// per key: one round groups every missing configuration of a trace
-    /// behind a single decode, so a cold 13-point sweep decodes each
-    /// trace once rather than once per (config, trace) pair. Hits,
-    /// single-flight leadership and waiting behave exactly as in
-    /// [`Self::run_suite`].
-    ///
-    /// # Errors
-    ///
-    /// Propagates simulation failures (the cache never errors a run —
-    /// see [`Self::run_suite`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics when a cache is configured and `specs` has drifted out of
-    /// alignment with `suite` (both are public fields; keep them
-    /// index-aligned).
     pub fn run_suite_batch(&self, cfgs: &[SimConfig]) -> Result<Vec<SuiteResult>, ExperimentError> {
         let Some(store) = &self.cache else {
             return Ok(lowvcc_core::run_suite_batch(
@@ -355,6 +287,9 @@ impl ExperimentContext {
                 self.parallelism,
             )?);
         };
+        // Hard assert, not debug: both fields are public, and a silent
+        // zip truncation here would make the cached path drop the tail
+        // of a misaligned suite — cache on/off changing results.
         assert_eq!(
             self.specs.len(),
             self.suite.len(),
@@ -432,7 +367,7 @@ impl ExperimentContext {
 
     /// Baseline-vs-IRAW comparison at `vcc` over the suite, as one
     /// two-configuration batch through the cache. The cache-aware
-    /// equivalent of [`lowvcc_core::compare_mechanisms_with`].
+    /// equivalent of [`lowvcc_core::compare_mechanisms`].
     ///
     /// # Errors
     ///
@@ -442,24 +377,17 @@ impl ExperimentContext {
         vcc: Millivolts,
     ) -> Result<MechanismComparison, ExperimentError> {
         let (base_cfg, iraw_cfg) = SimConfig::mechanism_pair(self.core, &self.timing, vcc);
-        let mut suites = self.run_suite_batch(&[base_cfg, iraw_cfg])?;
-        let iraw = suites.pop().expect("two configs in, two suites out");
-        let baseline = suites.pop().expect("two configs in, two suites out");
-        let speedup = speedup(&iraw, &baseline);
-        Ok(MechanismComparison {
-            vcc,
-            baseline,
-            iraw,
-            frequency_gain: self.timing.frequency_gain(vcc),
-            speedup,
-        })
+        let [baseline, iraw]: [SuiteResult; 2] = self
+            .run_suite_batch(&[base_cfg, iraw_cfg])?
+            .try_into()
+            .expect("two configs in, two suites out");
+        Ok(MechanismComparison::new(&self.timing, vcc, baseline, iraw))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lowvcc_core::Mechanism;
     use lowvcc_sram::voltage::mv;
 
     #[test]
@@ -496,47 +424,6 @@ mod tests {
     }
 
     #[test]
-    fn cached_suite_runs_match_uncached_bit_for_bit() {
-        let ctx = ExperimentContext::sized(1, 3_000).unwrap();
-        let cfg = SimConfig::at_vcc(ctx.core, &ctx.timing, mv(500), Mechanism::Iraw);
-        let uncached = ctx.run_suite(&cfg).unwrap();
-
-        let store = Arc::new(ResultStore::ephemeral());
-        let ctx = ctx.with_cache(Arc::clone(&store));
-        let cold = ctx.run_suite(&cfg).unwrap();
-        assert_eq!(store.stats().misses, 7, "cold run simulates everything");
-        let warm = ctx.run_suite(&cfg).unwrap();
-        assert_eq!(store.stats().misses, 7, "warm run simulates nothing");
-        assert_eq!(store.stats().hits, 7);
-        assert_eq!(uncached, cold);
-        assert_eq!(cold, warm);
-    }
-
-    #[test]
-    fn concurrent_identical_runs_simulate_each_key_once() {
-        let ctx = ExperimentContext::sized(1, 3_000).unwrap();
-        let cfg = SimConfig::at_vcc(ctx.core, &ctx.timing, mv(500), Mechanism::Iraw);
-        let sequential = ctx.run_suite(&cfg).unwrap();
-        let store = Arc::new(ResultStore::ephemeral());
-        let ctx = ctx.with_cache(Arc::clone(&store));
-        let results: Vec<SuiteResult> = std::thread::scope(|s| {
-            let handles: Vec<_> = (0..4).map(|_| s.spawn(|| ctx.run_suite(&cfg))).collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().unwrap().unwrap())
-                .collect()
-        });
-        // Single-flight: 4 identical cold runs cost exactly 7 engine
-        // invocations (one per trace), and everyone agrees bit-for-bit
-        // with the uncached sequential answer.
-        assert_eq!(store.stats().misses, 7, "one simulation per key");
-        assert_eq!(store.stats().stores, 7);
-        for r in &results {
-            assert_eq!(*r, sequential);
-        }
-    }
-
-    #[test]
     fn batched_cached_suite_matches_per_config_runs() {
         let ctx = ExperimentContext::sized(1, 3_000).unwrap();
         let cfgs: Vec<SimConfig> = [475u32, 500]
@@ -546,7 +433,11 @@ mod tests {
                 [base, iraw]
             })
             .collect();
-        let per_cfg: Vec<SuiteResult> = cfgs.iter().map(|c| ctx.run_suite(c).unwrap()).collect();
+        // Reference: one single-config grid per configuration.
+        let per_cfg: Vec<SuiteResult> = cfgs
+            .iter()
+            .flat_map(|c| ctx.run_suite_batch(std::slice::from_ref(c)).unwrap())
+            .collect();
         let uncached = ctx.run_suite_batch(&cfgs).unwrap();
         assert_eq!(per_cfg, uncached);
 
@@ -590,7 +481,7 @@ mod tests {
     #[test]
     fn cached_comparison_matches_uncached() {
         let ctx = ExperimentContext::sized(1, 3_000).unwrap();
-        let direct = lowvcc_core::compare_mechanisms_with(
+        let direct = lowvcc_core::compare_mechanisms(
             ctx.core,
             &ctx.timing,
             mv(500),

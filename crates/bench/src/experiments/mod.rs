@@ -17,7 +17,7 @@ use crate::error::ExperimentError;
 use crate::report::TextTable;
 
 /// Re-exported for Figure 11b / Figure 12 consumers.
-pub use sweep::{point, point_from, point_json, run_sweep, run_sweep_per_point, SweepPoint};
+pub use sweep::{point, point_from, point_json, run_sweep, SweepPoint};
 
 fn save(table: &TextTable, path: &Path) -> Result<(), ExperimentError> {
     table.write_csv(path).map_err(ExperimentError::io_at(path))
@@ -41,8 +41,8 @@ pub struct RunSummary {
 }
 
 impl RunSummary {
-    /// Simulated uops per wall-clock second over the sweep — the repo's
-    /// perf-trajectory number (BENCH_*.json). Zero-duration sweeps (an
+    /// Simulated uops per wall-clock second over the sweep, as the
+    /// `experiments` binary reports it. Zero-duration sweeps (an
     /// empty suite, a fully-cached warm run on a coarse clock) yield
     /// `0.0`, never `inf`/`NaN` — the JSON writer would otherwise have
     /// nothing valid to emit.

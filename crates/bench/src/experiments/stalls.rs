@@ -10,7 +10,7 @@
 //! total degradation due to IRAW stalls, which the per-block stall-cycle
 //! counters then apportion.
 
-use lowvcc_core::{Mechanism, SimConfig};
+use lowvcc_core::{Mechanism, SimConfig, SuiteResult};
 use lowvcc_sram::Millivolts;
 
 use crate::context::ExperimentContext;
@@ -48,7 +48,9 @@ pub fn measure(ctx: &ExperimentContext) -> Result<StallReport, ExperimentError> 
     measure_at(ctx, STALL_REFERENCE)
 }
 
-/// Measures the attribution at an arbitrary voltage.
+/// Measures the attribution at an arbitrary voltage. The IRAW and
+/// stall-free configurations run as one two-configuration batch, so
+/// each trace is decoded once for both.
 ///
 /// # Errors
 ///
@@ -64,8 +66,10 @@ pub fn measure_at(
     let mut free_cfg = iraw_cfg.clone();
     free_cfg.stabilization_cycles = 0;
 
-    let iraw = ctx.run_suite(&iraw_cfg)?;
-    let free = ctx.run_suite(&free_cfg)?;
+    let [iraw, free]: [SuiteResult; 2] = ctx
+        .run_suite_batch(&[iraw_cfg, free_cfg])?
+        .try_into()
+        .expect("two configs in, two suites out");
     let total_degradation = iraw.total_seconds() / free.total_seconds() - 1.0;
 
     let mut rf = 0u64;
@@ -136,6 +140,8 @@ pub fn table(ctx: &ExperimentContext) -> Result<(TextTable, StallReport), Experi
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::store::ResultStore;
+    use std::sync::Arc;
 
     #[test]
     fn attribution_orders_like_the_paper() {
@@ -151,5 +157,29 @@ mod tests {
         assert!((sum - r.total_degradation).abs() < 1e-9);
         // A meaningful fraction of instructions gets delayed.
         assert!(r.delayed_fraction > 0.03 && r.delayed_fraction < 0.3);
+    }
+
+    #[test]
+    fn cold_measurement_is_one_batch_and_warm_rerun_is_free() {
+        const VCC: Millivolts = Millivolts::literal(575);
+        let ctx = ExperimentContext::sized(1, 2_000).unwrap();
+        let uncached = measure_at(&ctx, VCC).unwrap();
+        let store = Arc::new(ResultStore::ephemeral());
+        let ctx = ctx.with_cache(Arc::clone(&store));
+        let suite_size = ctx.suite.len() as u64;
+
+        let cold = measure_at(&ctx, VCC).unwrap();
+        let s = store.stats();
+        assert_eq!(s.misses, 2 * suite_size, "IRAW + stall-free per trace");
+        assert_eq!(s.coalesced, 0, "one caller, nothing to wait for");
+        assert_eq!(cold, uncached);
+
+        let warm = measure_at(&ctx, VCC).unwrap();
+        assert_eq!(
+            store.stats().misses,
+            2 * suite_size,
+            "warm rerun simulates nothing"
+        );
+        assert_eq!(warm, uncached);
     }
 }

@@ -1,9 +1,9 @@
 //! The Vcc sweep behind Figures 11b and 12: baseline vs IRAW simulation at
 //! every voltage, with the energy model applied on top. Every measurement
-//! goes through [`ExperimentContext::run_suite`]'s result cache when one
-//! is configured, so a warm sweep performs zero simulations.
+//! goes through [`ExperimentContext::run_suite_batch`]'s result cache
+//! when one is configured, so a warm sweep performs zero simulations.
 
-use lowvcc_core::{speedup, MechanismComparison, SimConfig, SuiteResult};
+use lowvcc_core::{MechanismComparison, SimConfig, SuiteResult};
 use lowvcc_energy::{EdpPoint, IrawOverhead};
 use lowvcc_sram::{Millivolts, PAPER_SWEEP};
 
@@ -71,8 +71,8 @@ pub fn point(ctx: &ExperimentContext, vcc: Millivolts) -> Result<SweepPoint, Exp
 }
 
 /// Derives one sweep point's measurements from a completed baseline-vs-
-/// IRAW comparison — the single assembly site shared by the per-point
-/// [`point`] and the batched [`run_sweep`].
+/// IRAW comparison — the single assembly site shared by the single-
+/// voltage [`point`] and the full-grid [`run_sweep`].
 #[must_use]
 pub fn point_from(ctx: &ExperimentContext, cmp: &MechanismComparison) -> SweepPoint {
     let vcc = cmp.vcc;
@@ -127,9 +127,9 @@ pub fn point_from(ctx: &ExperimentContext, cmp: &MechanismComparison) -> SweepPo
 /// one batched pass: all 26 configurations (13 voltages × 2 mechanisms)
 /// go through [`ExperimentContext::run_suite_batch`], so every trace is
 /// decoded once for the whole grid and each worker's engine workspace is
-/// reused across all sweep points. Byte-identical to the legacy
-/// [`run_sweep_per_point`] for any worker count — the `batch_vs_perpoint`
-/// suite asserts it.
+/// reused across all sweep points. Byte-identical to one fresh simulation
+/// per (config, trace) pair for any worker count — the
+/// `batch_vs_perpoint` suite asserts it.
 ///
 /// # Errors
 ///
@@ -143,34 +143,15 @@ pub fn run_sweep(ctx: &ExperimentContext) -> Result<Vec<SweepPoint>, ExperimentE
         })
         .collect();
     let mut suites = ctx.run_suite_batch(&cfgs)?.into_iter();
-    PAPER_SWEEP
+    Ok(PAPER_SWEEP
         .iter()
         .map(|vcc| {
             let baseline = suites.next().expect("one suite per config");
             let iraw = suites.next().expect("one suite per config");
-            let speedup = speedup(&iraw, &baseline);
-            let cmp = MechanismComparison {
-                vcc,
-                baseline,
-                iraw,
-                frequency_gain: ctx.timing.frequency_gain(vcc),
-                speedup,
-            };
-            Ok(point_from(ctx, &cmp))
+            let cmp = MechanismComparison::new(&ctx.timing, vcc, baseline, iraw);
+            point_from(ctx, &cmp)
         })
-        .collect()
-}
-
-/// The legacy per-point sweep: one [`point`] call (two suite runs) per
-/// voltage. Kept as the equivalence reference for the batched
-/// [`run_sweep`], and for callers that want per-voltage incremental
-/// progress over raw throughput.
-///
-/// # Errors
-///
-/// Propagates simulation and cache failures.
-pub fn run_sweep_per_point(ctx: &ExperimentContext) -> Result<Vec<SweepPoint>, ExperimentError> {
-    PAPER_SWEEP.iter().map(|vcc| point(ctx, vcc)).collect()
+        .collect())
 }
 
 /// Renders one sweep point as a JSON object — shared by the `--json`

@@ -71,7 +71,7 @@ pub fn boolean(b: bool) -> String {
 
 /// Renders a parsed [`Value`] back to the same canonical one-line form
 /// the emitters above produce (round-trips with [`parse`]) — how the
-/// perf-trajectory appender rewrites a document's existing entries.
+/// sharded router re-emits merged response bodies.
 #[must_use]
 pub fn render(v: &Value) -> String {
     match v {

@@ -31,7 +31,6 @@ pub mod lockdep;
 pub mod report;
 pub mod store;
 pub mod store_io;
-pub mod trajectory;
 
 pub use admin::{
     BundleExportReport, BundleImportReport, QuarantineEntry, ScrubReport, StoreSummary,
@@ -47,4 +46,3 @@ pub use store::{
     StoreStats, QUARANTINE_DIR,
 };
 pub use store_io::{FaultCounts, FaultKind, FaultPlan, FaultyIo, RealIo, RetryPolicy, StoreIo};
-pub use trajectory::{FamilyThroughput, TrajectoryEntry, TrajectoryFormatError, TRAJECTORY_SCHEMA};

@@ -143,8 +143,9 @@ pub struct StoreStats {
     /// Inserts for keys outside this store's owned slice (sharded
     /// daemons only): kept in memory, never published to disk.
     pub foreign_puts: u64,
-    /// Local misses that consulted the read-through peer hook (sharded
-    /// daemons only) before falling back to simulation.
+    /// Local misses on keys another shard owns that consulted the
+    /// read-through peer hook (sharded daemons only) before falling back
+    /// to simulation. Misses on owned keys never reach the hook.
     pub peer_fetches: u64,
     /// Peer fetches the key's ring owner answered — each one is a
     /// simulation this node did not have to run.
@@ -576,12 +577,23 @@ impl ResultStore {
         self.probe_disk(key)
     }
 
-    /// Asks the read-through hook (if any) for a key both local tiers
-    /// missed. A remote hit is promoted into the LRU: it is a valid
-    /// result, just another shard's to persist, so it never touches
-    /// this store's disk slice.
+    /// Whether this store owns `key`'s disk slot (every key, without a
+    /// [`KeyOwnership`] predicate).
+    fn owns(&self, key: SimKey) -> bool {
+        self.owned.as_ref().map_or(true, |owner| owner(key))
+    }
+
+    /// Asks the read-through hook (if any) for a foreign key both local
+    /// tiers missed. A local miss on an owned key is authoritative — no
+    /// peer holds what the owner lacks — so the hook is never called for
+    /// one. A remote hit is promoted into the LRU: it is a valid result,
+    /// just another shard's to persist, so it never touches this store's
+    /// disk slice.
     fn probe_remote(&self, key: SimKey) -> Option<SimResult> {
         let remote = self.remote.as_ref()?;
+        if self.owns(key) {
+            return None;
+        }
         self.peer_fetches.fetch_add(1, Ordering::Relaxed);
         let result = remote(key)?;
         self.peer_hits.fetch_add(1, Ordering::Relaxed);
@@ -734,14 +746,12 @@ impl ResultStore {
     pub fn put(&self, key: SimKey, result: &SimResult) {
         self.lru.lock().insert(key, result.clone());
         self.stores.fetch_add(1, Ordering::Relaxed);
-        if let Some(owner) = &self.owned {
-            if !owner(key) {
-                // Another shard's slice: the result is still valid (and
-                // cached in memory above), but its disk slot belongs to
-                // the owning shard — publishing here would race it.
-                self.foreign_puts.fetch_add(1, Ordering::Relaxed);
-                return;
-            }
+        if !self.owns(key) {
+            // Another shard's slice: the result is still valid (and
+            // cached in memory above), but its disk slot belongs to the
+            // owning shard — publishing here would race it.
+            self.foreign_puts.fetch_add(1, Ordering::Relaxed);
+            return;
         }
         let Some(path) = self.entry_path(key) else {
             return;
@@ -905,10 +915,12 @@ mod tests {
         let calls = Arc::new(AtomicU64::new(0));
         let hook_calls = Arc::clone(&calls);
         let remote_result = result.clone();
-        let store = ResultStore::ephemeral().with_remote_fetch(Arc::new(move |k| {
-            hook_calls.fetch_add(1, Ordering::Relaxed);
-            (k == key).then(|| remote_result.clone())
-        }));
+        let store = ResultStore::ephemeral()
+            .with_key_owner(Arc::new(|_| false))
+            .with_remote_fetch(Arc::new(move |k| {
+                hook_calls.fetch_add(1, Ordering::Relaxed);
+                (k == key).then(|| remote_result.clone())
+            }));
         // peek_local (what serves peer_get) never consults the hook —
         // the no-cascade rule.
         assert!(store.peek_local(key).is_none());
@@ -926,6 +938,33 @@ mod tests {
         assert_eq!(store.get(other), None);
         let s = store.stats();
         assert_eq!((s.peer_fetches, s.peer_hits, s.misses), (2, 1, 1));
+    }
+
+    #[test]
+    fn peer_fetches_count_only_dials_for_foreign_keys() {
+        let (owned, result) = run_one();
+        let foreign = SimKey::from_value(owned.value() ^ 1);
+        let calls = Arc::new(AtomicU64::new(0));
+        let hook_calls = Arc::clone(&calls);
+        let store = ResultStore::ephemeral()
+            .with_key_owner(Arc::new(move |k| k == owned))
+            .with_remote_fetch(Arc::new(move |_| {
+                hook_calls.fetch_add(1, Ordering::Relaxed);
+                None
+            }));
+        // A miss on an owned key is authoritative: no dial, no count.
+        assert_eq!(store.get(owned), None);
+        assert_eq!(store.stats().peer_fetches, 0);
+        assert_eq!(calls.load(Ordering::Relaxed), 0);
+        // A miss on a foreign key dials its owner exactly once.
+        assert_eq!(store.get(foreign), None);
+        let s = store.stats();
+        assert_eq!((s.peer_fetches, s.peer_hits, s.misses), (1, 0, 2));
+        assert_eq!(calls.load(Ordering::Relaxed), 1);
+        // The counter and the hook agree: each count is one dial.
+        store.put(owned, &result);
+        assert_eq!(store.get(owned), Some(result));
+        assert_eq!(store.stats().peer_fetches, calls.load(Ordering::Relaxed));
     }
 
     #[test]

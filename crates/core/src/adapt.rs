@@ -13,7 +13,7 @@ use lowvcc_trace::Trace;
 
 use crate::config::{CoreConfig, Mechanism};
 use crate::error::SimError;
-use crate::perf::{compare_mechanisms, SuiteResult};
+use crate::perf::{compare_mechanisms, Parallelism, SuiteResult};
 
 /// Objective for the measured selection.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -73,7 +73,7 @@ pub fn adapt_at(
     traces: &[Trace],
     goal: AdaptGoal,
 ) -> Result<AdaptOutcome, SimError> {
-    let cmp = compare_mechanisms(core, timing, vcc, traces)?;
+    let cmp = compare_mechanisms(core, timing, vcc, traces, Parallelism::sequential())?;
     let iraw_overhead = IrawOverhead::silverthorne().dynamic_energy_factor();
 
     let t_base = cmp.baseline.total_seconds();

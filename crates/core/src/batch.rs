@@ -1,14 +1,14 @@
 //! Decode-once/simulate-many batch execution.
 //!
 //! A voltage sweep replays the *same* trace under many configurations
-//! (13 voltage points × up to 3 mechanisms). The per-point path decodes
-//! the trace and rebuilds the whole engine for every run; the batch path
-//! decodes once into a [`TraceArena`](lowvcc_trace::TraceArena) and
-//! reuses one [`EngineWorkspace`] across all points, so the steady state
-//! of a warmed-up sweep allocates nothing (verified by the
-//! counting-allocator test in `tests/zero_alloc.rs`).
+//! (13 voltage points × up to 3 mechanisms). The grid executor
+//! ([`run_batch_groups`](crate::perf::run_batch_groups)) decodes each
+//! trace once into a [`TraceArena`] and reuses one [`EngineWorkspace`]
+//! per worker across all points, so the steady state of a warmed-up
+//! sweep allocates nothing (verified by the counting-allocator test in
+//! `tests/zero_alloc.rs`).
 //!
-//! Batched execution is byte-identical to the per-point path: every
+//! A reused workspace is byte-identical to a fresh engine per run: every
 //! [`Engine::reset`] restores the exact freshly-constructed state, and
 //! the equivalence suites assert it across traces, mechanisms and worker
 //! counts.
@@ -79,26 +79,6 @@ impl EngineWorkspace {
     }
 }
 
-/// Runs every configuration of a sweep over one decoded trace through a
-/// shared workspace — the batch entry point that interleaves a sweep's
-/// voltage points on a single trace for cache locality.
-///
-/// # Errors
-///
-/// Propagates the first (lowest-index) configuration or simulation
-/// error.
-pub fn run_batch(
-    cfgs: &[SimConfig],
-    trace: &TraceArena,
-    ws: &mut EngineWorkspace,
-) -> Result<Vec<SimResult>, SimError> {
-    let mut out = Vec::with_capacity(cfgs.len());
-    for cfg in cfgs {
-        out.push(ws.run(cfg, trace)?);
-    }
-    Ok(out)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -128,10 +108,10 @@ mod tests {
         let arena = TraceArena::from_trace(&trace);
         let cfgs = sweep_cfgs();
         let mut ws = EngineWorkspace::new();
-        let batched = run_batch(&cfgs, &arena, &mut ws).unwrap();
-        for (cfg, b) in cfgs.iter().zip(&batched) {
+        for cfg in &cfgs {
+            let batched = ws.run(cfg, &arena).unwrap();
             let fresh = Simulator::new(cfg.clone()).unwrap().run(&trace).unwrap();
-            assert_eq!(b, &fresh, "{:?} at {:?}", cfg.mechanism, cfg.vcc);
+            assert_eq!(batched, fresh, "{:?} at {:?}", cfg.mechanism, cfg.vcc);
         }
     }
 

@@ -18,7 +18,7 @@
 //! * **IdealLogic** — the unconstrained 24-FO4 reference.
 //!
 //! ```
-//! use lowvcc_core::{compare_mechanisms, CoreConfig};
+//! use lowvcc_core::{compare_mechanisms, CoreConfig, Parallelism};
 //! use lowvcc_sram::{CycleTimeModel, Millivolts};
 //! use lowvcc_trace::{TraceSpec, WorkloadFamily};
 //!
@@ -26,7 +26,13 @@
 //! let timing = CycleTimeModel::silverthorne_45nm();
 //! let vcc = Millivolts::new(500)?;
 //! let traces = vec![TraceSpec::new(WorkloadFamily::SpecInt, 0, 20_000).build()?];
-//! let cmp = compare_mechanisms(CoreConfig::silverthorne(), &timing, vcc, &traces)?;
+//! let cmp = compare_mechanisms(
+//!     CoreConfig::silverthorne(),
+//!     &timing,
+//!     vcc,
+//!     &traces,
+//!     Parallelism::sequential(),
+//! )?;
 //! // The paper's headline: large speedup at 500 mV from the faster clock.
 //! assert!(cmp.speedup.total_time > 1.2);
 //! # Ok(())
@@ -45,7 +51,7 @@ pub mod sim;
 pub mod stats;
 
 pub use adapt::{adapt_at, AdaptGoal, AdaptOutcome};
-pub use batch::{run_batch, EngineWorkspace};
+pub use batch::EngineWorkspace;
 pub use canon::{
     decode_sim_result, encode_sim_result, sim_key, CanonError, SimKey, ENGINE_SEMANTICS_VERSION,
 };
@@ -53,8 +59,8 @@ pub use config::{CoreConfig, Mechanism, SimConfig};
 pub use error::{ConfigError, SimError};
 pub use iraw::{IrawController, IrawSettings};
 pub use perf::{
-    compare_mechanisms, compare_mechanisms_with, run_batch_groups, run_suite, run_suite_batch,
-    run_suite_with, speedup, MechanismComparison, Parallelism, Speedup, SuiteResult,
+    compare_mechanisms, run_batch_groups, run_suite_batch, speedup, MechanismComparison,
+    Parallelism, Speedup, SuiteResult,
 };
 pub use sim::Simulator;
 pub use stats::{BranchStats, SimResult, SimStats, StallBreakdown};

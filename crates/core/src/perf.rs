@@ -1,24 +1,25 @@
-//! Multi-trace aggregation and mechanism comparison (the machinery behind
-//! Figure 11b's "performance gains" series).
+//! Multi-trace aggregation, the grid executor, and mechanism comparison
+//! (the machinery behind Figure 11b's "performance gains" series).
 //!
-//! Suites are embarrassingly parallel — every (config, trace) pair is an
-//! independent, deterministic simulation — so [`run_suite_with`] fans the
-//! work items out over a [`Parallelism`]-sized pool of scoped threads.
-//! Results are reassembled in suite order, making the output byte-
-//! identical for any thread count (including errors: the reported error
-//! is the first in suite order, not the first in wall-clock order).
+//! Every grid the paper reports — the voltage sweep, Table 1's technique
+//! rows, the stall split — is a set of configurations over one trace
+//! suite, and every (config, trace) pair is an independent,
+//! deterministic simulation. [`run_batch_groups`] is the single executor
+//! for all of them: it fans per-trace groups out over a
+//! [`Parallelism`]-sized pool of scoped threads and reassembles results
+//! in suite order, making the output byte-identical for any thread count
+//! (including errors: the reported error is the first in suite order,
+//! not the first in wall-clock order).
 
-use std::borrow::Borrow;
 use std::num::NonZeroUsize;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use lowvcc_sram::{CycleTimeModel, Millivolts};
 use lowvcc_trace::{Trace, TraceArena};
 
-use crate::batch::{run_batch, EngineWorkspace};
+use crate::batch::EngineWorkspace;
 use crate::config::{CoreConfig, SimConfig};
 use crate::error::SimError;
-use crate::sim::Simulator;
 use crate::stats::SimResult;
 
 /// Worker-thread count for suite execution.
@@ -124,97 +125,11 @@ pub struct Speedup {
     pub geomean: f64,
 }
 
-/// Runs `cfg` over every trace in the calling thread.
-///
-/// # Errors
-///
-/// Propagates the first simulation error.
-pub fn run_suite(cfg: &SimConfig, traces: &[Trace]) -> Result<SuiteResult, SimError> {
-    run_suite_with(cfg, traces, Parallelism::sequential())
-}
-
-/// Runs `cfg` over every trace, fanning out across `par` scoped worker
-/// threads. Deterministic: the result (including which error is
-/// reported) is identical for any `par`.
-///
-/// Generic over [`Borrow<Trace>`] so callers can pass owned traces
-/// (`&[Trace]`) or a borrowed subset (`&[&Trace]`) — the result cache
-/// uses the latter to simulate only the suite's cache misses without
-/// cloning multi-megabyte traces.
-///
-/// # Errors
-///
-/// Propagates the suite-order-first simulation error.
-pub fn run_suite_with<T: Borrow<Trace> + Sync>(
-    cfg: &SimConfig,
-    traces: &[T],
-    par: Parallelism,
-) -> Result<SuiteResult, SimError> {
-    let sim = Simulator::new(cfg.clone())?;
-    let workers = par.count().min(traces.len());
-    if workers <= 1 {
-        let mut per_trace = Vec::with_capacity(traces.len());
-        for t in traces {
-            let t = t.borrow();
-            let r = sim.run(t)?;
-            per_trace.push((t.name.clone(), r));
-        }
-        return Ok(SuiteResult { per_trace });
-    }
-    // Work-stealing over the trace list: each worker claims the next
-    // unclaimed index and tags its results with it, so the merged output
-    // is reassembled in suite order regardless of completion order.
-    // `first_err` lets workers stop claiming traces *after* a known
-    // failure — indices below it always complete, so the suite-order
-    // error choice stays deterministic while the tail is cancelled.
-    let next = AtomicUsize::new(0);
-    let first_err = AtomicUsize::new(usize::MAX);
-    let mut tagged: Vec<(usize, Result<SimResult, SimError>)> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers)
-            .map(|_| {
-                scope.spawn(|| {
-                    // Sized once up front: work stealing puts no bound
-                    // below the full suite on one worker's claims, so
-                    // anything smaller can re-grow mid-sweep.
-                    let mut out = Vec::with_capacity(traces.len());
-                    loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        let Some(t) = traces.get(i) else {
-                            break;
-                        };
-                        if i > first_err.load(Ordering::Relaxed) {
-                            // Claims are monotone per worker: everything
-                            // this worker would claim next is even later.
-                            break;
-                        }
-                        let r = sim.run(t.borrow());
-                        if r.is_err() {
-                            first_err.fetch_min(i, Ordering::Relaxed);
-                        }
-                        out.push((i, r));
-                    }
-                    out
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .flat_map(|h| h.join().expect("suite worker panicked"))
-            .collect()
-    });
-    tagged.sort_unstable_by_key(|&(i, _)| i);
-    let mut per_trace = Vec::with_capacity(traces.len());
-    for (i, r) in tagged {
-        per_trace.push((traces[i].borrow().name.clone(), r?));
-    }
-    Ok(SuiteResult { per_trace })
-}
-
-/// Runs each group's configurations over its trace, decoding every trace
-/// once and reusing one [`EngineWorkspace`] per worker — the batched
-/// counterpart of [`run_suite_with`], parallelised over *groups* (one
-/// per trace) instead of (config, trace) pairs so a decoded arena stays
-/// hot in cache across all of its sweep points.
+/// Runs each group's configurations over its trace — the one grid
+/// executor every suite API is built on. Each group decodes its trace
+/// once into a [`TraceArena`] and replays all of its configurations
+/// through the claiming worker's reused [`EngineWorkspace`], so a decoded
+/// arena stays hot in cache across all of its sweep points.
 ///
 /// `groups` pairs an index into `traces` with the configurations to run
 /// on it. Results come back in group order, each `Vec` in config order.
@@ -224,77 +139,72 @@ pub fn run_suite_with<T: Borrow<Trace> + Sync>(
 /// # Errors
 ///
 /// Propagates the first (group-order, then config-order) error.
-pub fn run_batch_groups<T: Borrow<Trace> + Sync>(
+pub fn run_batch_groups(
     groups: &[(usize, Vec<SimConfig>)],
-    traces: &[T],
+    traces: &[Trace],
     par: Parallelism,
 ) -> Result<Vec<Vec<SimResult>>, SimError> {
-    let workers = par.count().min(groups.len());
-    if workers <= 1 {
-        let mut ws = EngineWorkspace::new();
-        let mut out = Vec::with_capacity(groups.len());
-        for (ti, cfgs) in groups {
-            let arena = TraceArena::from_trace(traces[*ti].borrow());
-            out.push(run_batch(cfgs, &arena, &mut ws)?);
-        }
-        return Ok(out);
-    }
-    // The same work-stealing discipline as `run_suite_with`, one claim
-    // per group: workers stop claiming past a known failure, so the
-    // group-order error choice stays deterministic while the tail is
-    // cancelled.
+    // Work stealing over the group list: each worker claims the next
+    // unclaimed index and tags its results with it, so the merged output
+    // is reassembled in group order regardless of completion order.
+    // `first_err` lets workers stop claiming groups *after* a known
+    // failure — indices below it always complete, so the group-order
+    // error choice stays deterministic while the tail is cancelled.
     let next = AtomicUsize::new(0);
     let first_err = AtomicUsize::new(usize::MAX);
-    let mut tagged: Vec<(usize, Result<Vec<SimResult>, SimError>)> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers)
-            .map(|_| {
-                scope.spawn(|| {
-                    let mut ws = EngineWorkspace::new();
-                    let mut out = Vec::with_capacity(groups.len());
-                    loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        let Some((ti, cfgs)) = groups.get(i) else {
-                            break;
-                        };
-                        if i > first_err.load(Ordering::Relaxed) {
-                            break;
-                        }
-                        let arena = TraceArena::from_trace(traces[*ti].borrow());
-                        let r = run_batch(cfgs, &arena, &mut ws);
-                        if r.is_err() {
-                            first_err.fetch_min(i, Ordering::Relaxed);
-                        }
-                        out.push((i, r));
-                    }
-                    out
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .flat_map(|h| h.join().expect("batch worker panicked"))
-            .collect()
-    });
+    let worker = || {
+        let mut ws = EngineWorkspace::new();
+        // Sized once up front: work stealing puts no bound below the
+        // full grid on one worker's claims.
+        let mut out = Vec::with_capacity(groups.len());
+        loop {
+            let i = next.fetch_add(1, Ordering::Relaxed);
+            let Some((ti, cfgs)) = groups.get(i) else {
+                break;
+            };
+            if i > first_err.load(Ordering::Relaxed) {
+                // Claims are monotone per worker: everything this worker
+                // would claim next is even later.
+                break;
+            }
+            let arena = TraceArena::from_trace(&traces[*ti]);
+            let r: Result<Vec<SimResult>, SimError> =
+                cfgs.iter().map(|cfg| ws.run(cfg, &arena)).collect();
+            if r.is_err() {
+                first_err.fetch_min(i, Ordering::Relaxed);
+            }
+            out.push((i, r));
+        }
+        out
+    };
+    let workers = par.count().min(groups.len());
+    let mut tagged = if workers <= 1 {
+        worker()
+    } else {
+        std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..workers).map(|_| scope.spawn(worker)).collect();
+            handles
+                .into_iter()
+                .flat_map(|h| h.join().expect("grid worker panicked"))
+                .collect()
+        })
+    };
     tagged.sort_unstable_by_key(|&(i, _)| i);
-    let mut out = Vec::with_capacity(groups.len());
-    for (_, r) in tagged {
-        out.push(r?);
-    }
-    Ok(out)
+    tagged.into_iter().map(|(_, r)| r).collect()
 }
 
 /// Runs every configuration over every trace, batched per trace: each
 /// trace is decoded once and all of `cfgs` replay it back to back
 /// before the next trace is touched. Returns one [`SuiteResult`] per
-/// configuration, in `cfgs` order — byte-identical to calling
-/// [`run_suite_with`] once per configuration, for any `par`.
+/// configuration, in `cfgs` order — the per-config transpose of
+/// [`run_batch_groups`], byte-identical for any `par`.
 ///
 /// # Errors
 ///
 /// Propagates the first (trace-order, then config-order) error.
-pub fn run_suite_batch<T: Borrow<Trace> + Sync>(
+pub fn run_suite_batch(
     cfgs: &[SimConfig],
-    traces: &[T],
+    traces: &[Trace],
     par: Parallelism,
 ) -> Result<Vec<SuiteResult>, SimError> {
     let groups: Vec<(usize, Vec<SimConfig>)> =
@@ -306,10 +216,9 @@ pub fn run_suite_batch<T: Borrow<Trace> + Sync>(
             per_trace: Vec::with_capacity(traces.len()),
         })
         .collect();
-    for (ti, results) in per_group.into_iter().enumerate() {
-        let name = &traces[ti].borrow().name;
-        for (ci, r) in results.into_iter().enumerate() {
-            suites[ci].per_trace.push((name.clone(), r));
+    for (trace, results) in traces.iter().zip(per_group) {
+        for (suite, r) in suites.iter_mut().zip(results) {
+            suite.per_trace.push((trace.name.clone(), r));
         }
     }
     Ok(suites)
@@ -355,7 +264,34 @@ pub struct MechanismComparison {
     pub speedup: Speedup,
 }
 
-/// Runs both mechanisms over the suite at `vcc` in the calling thread.
+impl MechanismComparison {
+    /// Assembles the comparison from the two suite runs of
+    /// [`SimConfig::mechanism_pair`] at `vcc`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the two suites ran different trace counts.
+    #[must_use]
+    pub fn new(
+        timing: &CycleTimeModel,
+        vcc: Millivolts,
+        baseline: SuiteResult,
+        iraw: SuiteResult,
+    ) -> Self {
+        let speedup = speedup(&iraw, &baseline);
+        Self {
+            vcc,
+            baseline,
+            iraw,
+            frequency_gain: timing.frequency_gain(vcc),
+            speedup,
+        }
+    }
+}
+
+/// Runs both mechanisms over the suite at `vcc` as one two-configuration
+/// batch fanned out across `par` workers. Output is identical for any
+/// `par`.
 ///
 /// # Errors
 ///
@@ -365,41 +301,20 @@ pub fn compare_mechanisms(
     timing: &CycleTimeModel,
     vcc: Millivolts,
     traces: &[Trace],
-) -> Result<MechanismComparison, SimError> {
-    compare_mechanisms_with(core, timing, vcc, traces, Parallelism::sequential())
-}
-
-/// Runs both mechanisms over the suite at `vcc`, each suite fanned out
-/// across `par` workers. Output is identical for any `par`.
-///
-/// # Errors
-///
-/// Propagates simulation errors.
-pub fn compare_mechanisms_with(
-    core: CoreConfig,
-    timing: &CycleTimeModel,
-    vcc: Millivolts,
-    traces: &[Trace],
     par: Parallelism,
 ) -> Result<MechanismComparison, SimError> {
     let (base_cfg, iraw_cfg) = SimConfig::mechanism_pair(core, timing, vcc);
-    let mut suites = run_suite_batch(&[base_cfg, iraw_cfg], traces, par)?;
-    let iraw = suites.pop().expect("two configs in, two suites out");
-    let baseline = suites.pop().expect("two configs in, two suites out");
-    let speedup = speedup(&iraw, &baseline);
-    Ok(MechanismComparison {
-        vcc,
-        baseline,
-        iraw,
-        frequency_gain: timing.frequency_gain(vcc),
-        speedup,
-    })
+    let [baseline, iraw]: [SuiteResult; 2] = run_suite_batch(&[base_cfg, iraw_cfg], traces, par)?
+        .try_into()
+        .expect("two configs in, two suites out");
+    Ok(MechanismComparison::new(timing, vcc, baseline, iraw))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::config::Mechanism;
+    use crate::sim::Simulator;
     use lowvcc_sram::voltage::mv;
     use lowvcc_trace::{TraceSpec, WorkloadFamily};
 
@@ -414,6 +329,15 @@ mod tests {
         .collect()
     }
 
+    fn run_one(cfg: &SimConfig, traces: &[Trace]) -> SuiteResult {
+        let [suite]: [SuiteResult; 1] =
+            run_suite_batch(std::slice::from_ref(cfg), traces, Parallelism::sequential())
+                .unwrap()
+                .try_into()
+                .unwrap();
+        suite
+    }
+
     #[test]
     fn suite_totals_add_up() {
         let timing = CycleTimeModel::silverthorne_45nm();
@@ -423,7 +347,7 @@ mod tests {
             mv(550),
             Mechanism::Baseline,
         );
-        let suite = run_suite(&cfg, &small_suite()).unwrap();
+        let suite = run_one(&cfg, &small_suite());
         assert_eq!(suite.per_trace.len(), 3);
         assert_eq!(suite.total_instructions(), 60_000);
         assert!(suite.total_seconds() > 0.0);
@@ -433,8 +357,14 @@ mod tests {
     #[test]
     fn iraw_beats_baseline_at_low_vcc() {
         let timing = CycleTimeModel::silverthorne_45nm();
-        let cmp = compare_mechanisms(CoreConfig::silverthorne(), &timing, mv(500), &small_suite())
-            .unwrap();
+        let cmp = compare_mechanisms(
+            CoreConfig::silverthorne(),
+            &timing,
+            mv(500),
+            &small_suite(),
+            Parallelism::sequential(),
+        )
+        .unwrap();
         // The paper's central claim, in miniature: substantial speedup,
         // below the raw frequency gain (stalls + constant-time memory).
         assert!(
@@ -455,8 +385,14 @@ mod tests {
     #[test]
     fn geomean_close_to_total_time_for_equal_length_traces() {
         let timing = CycleTimeModel::silverthorne_45nm();
-        let cmp = compare_mechanisms(CoreConfig::silverthorne(), &timing, mv(475), &small_suite())
-            .unwrap();
+        let cmp = compare_mechanisms(
+            CoreConfig::silverthorne(),
+            &timing,
+            mv(475),
+            &small_suite(),
+            Parallelism::threads(2),
+        )
+        .unwrap();
         let diff = (cmp.speedup.total_time - cmp.speedup.geomean).abs();
         assert!(
             diff < 0.3,
@@ -465,24 +401,7 @@ mod tests {
     }
 
     #[test]
-    fn parallel_suite_is_byte_identical_to_sequential() {
-        let timing = CycleTimeModel::silverthorne_45nm();
-        let cfg = SimConfig::at_vcc(
-            CoreConfig::silverthorne(),
-            &timing,
-            mv(500),
-            Mechanism::Iraw,
-        );
-        let traces = small_suite();
-        let sequential = run_suite_with(&cfg, &traces, Parallelism::sequential()).unwrap();
-        for workers in [2, 3, 8] {
-            let parallel = run_suite_with(&cfg, &traces, Parallelism::threads(workers)).unwrap();
-            assert_eq!(sequential, parallel, "{workers} workers");
-        }
-    }
-
-    #[test]
-    fn batched_suite_is_byte_identical_to_per_point() {
+    fn batched_suite_is_byte_identical_to_fresh_per_point_runs() {
         let timing = CycleTimeModel::silverthorne_45nm();
         let core = CoreConfig::silverthorne();
         let cfgs: Vec<SimConfig> = [475u32, 500, 550]
@@ -493,11 +412,20 @@ mod tests {
             })
             .collect();
         let traces = small_suite();
+        // Reference: one fresh engine per (config, trace) pair.
         let per_point: Vec<SuiteResult> = cfgs
             .iter()
-            .map(|cfg| run_suite(cfg, &traces).unwrap())
+            .map(|cfg| {
+                let sim = Simulator::new(cfg.clone()).unwrap();
+                SuiteResult {
+                    per_trace: traces
+                        .iter()
+                        .map(|t| (t.name.clone(), sim.run(t).unwrap()))
+                        .collect(),
+                }
+            })
             .collect();
-        for workers in [1, 2, 5] {
+        for workers in [1, 2, 3, 5, 8] {
             let batched = run_suite_batch(&cfgs, &traces, Parallelism::threads(workers)).unwrap();
             assert_eq!(per_point, batched, "{workers} workers");
         }
@@ -550,7 +478,7 @@ mod tests {
             mv(500),
             Mechanism::Baseline,
         );
-        let b = run_suite(&cfg, &small_suite()).unwrap();
+        let b = run_one(&cfg, &small_suite());
         let _ = speedup(&a, &b);
     }
 }

@@ -57,16 +57,6 @@ impl Simulator {
         Engine::new(self.cfg.clone())?.run(&TraceArena::from_trace(trace))
     }
 
-    /// Replays an already-decoded trace arena to completion — the
-    /// decode-once entry point batched sweeps build on.
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`Simulator::run`].
-    pub fn run_arena(&self, trace: &TraceArena) -> Result<SimResult, SimError> {
-        Engine::new(self.cfg.clone())?.run(trace)
-    }
-
     /// Replays `trace` on the naive cycle-by-cycle reference stepper —
     /// the semantics [`Simulator::run`]'s event-driven fast path must
     /// reproduce bit for bit. Several times slower; exists for the

@@ -12,7 +12,7 @@
 //! path additionally replays every skipped stretch against a cloned
 //! naive engine internally, so a divergence fails twice over.
 
-use lowvcc_core::{run_suite_with, CoreConfig, Mechanism, Parallelism, SimConfig, Simulator};
+use lowvcc_core::{run_suite_batch, CoreConfig, Mechanism, Parallelism, SimConfig, Simulator};
 use lowvcc_sram::voltage::mv;
 use lowvcc_sram::CycleTimeModel;
 use lowvcc_trace::{TraceSpec, WorkloadFamily};
@@ -105,20 +105,22 @@ fn parallel_suite_results_are_byte_identical_for_any_worker_count() {
                 .expect("preset trace params")
         })
         .collect();
-    for mech in [Mechanism::Baseline, Mechanism::Iraw] {
-        let cfg = SimConfig::at_vcc(
-            CoreConfig::silverthorne(),
-            &CycleTimeModel::silverthorne_45nm(),
-            mv(500),
-            mech,
-        );
-        let sequential =
-            run_suite_with(&cfg, &traces, Parallelism::sequential()).expect("suite runs");
-        for workers in [2usize, 5, 16] {
-            let parallel =
-                run_suite_with(&cfg, &traces, Parallelism::threads(workers)).expect("suite runs");
-            // Full structural equality: names, order, every statistic.
-            assert_eq!(sequential, parallel, "{mech:?} with {workers} workers");
-        }
+    let cfgs: Vec<SimConfig> = [Mechanism::Baseline, Mechanism::Iraw]
+        .map(|mech| {
+            SimConfig::at_vcc(
+                CoreConfig::silverthorne(),
+                &CycleTimeModel::silverthorne_45nm(),
+                mv(500),
+                mech,
+            )
+        })
+        .into();
+    let sequential =
+        run_suite_batch(&cfgs, &traces, Parallelism::sequential()).expect("suite runs");
+    for workers in [2usize, 5, 16] {
+        let parallel =
+            run_suite_batch(&cfgs, &traces, Parallelism::threads(workers)).expect("suite runs");
+        // Full structural equality: names, order, every statistic.
+        assert_eq!(sequential, parallel, "{workers} workers");
     }
 }

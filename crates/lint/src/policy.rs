@@ -13,9 +13,8 @@
 //!   connection registry in `conn.rs`) may hash freely: it never
 //!   iterates into an output.
 //! * **Determinism** (`no-wallclock`) binds everything *except* the
-//!   three whitelisted timing modules: the perf trajectory recorder,
-//!   the serve crate (socket timeouts and drain deadlines), and the
-//!   store admin's atime-based LRU.
+//!   whitelisted timing modules: the serve crate (socket timeouts and
+//!   drain deadlines) and the store admin's atime-based LRU.
 //! * **Panic-freedom** (`no-panic`) binds the serve crate and the
 //!   result-store hot path (`store.rs`, `store_io.rs`): a daemon and
 //!   its cache must degrade, never die.
@@ -75,9 +74,8 @@ pub fn policy_for(rel: &str) -> Option<Policy> {
         || rel == "crates/serve/src/shard.rs"
         || rel == "crates/serve/src/router.rs";
 
-    let wallclock_whitelisted = rel.starts_with("crates/serve/src/")
-        || rel == "crates/bench/src/trajectory.rs"
-        || rel == "crates/bench/src/admin.rs";
+    let wallclock_whitelisted =
+        rel.starts_with("crates/serve/src/") || rel == "crates/bench/src/admin.rs";
 
     let no_panic = rel.starts_with("crates/serve/src/")
         || rel == "crates/bench/src/store.rs"
@@ -133,10 +131,15 @@ mod tests {
         let store = policy_for("crates/bench/src/store.rs").unwrap();
         assert!(store.no_panic && !store.no_std_hash);
 
-        let traj = policy_for("crates/bench/src/trajectory.rs").unwrap();
+        let admin = policy_for("crates/bench/src/admin.rs").unwrap();
         assert!(
-            !traj.no_wallclock,
-            "trajectory is a whitelisted timing module"
+            !admin.no_wallclock,
+            "the store admin is a whitelisted timing module"
+        );
+        let context = policy_for("crates/bench/src/context.rs").unwrap();
+        assert!(
+            context.no_wallclock,
+            "the grid runner is not a timing module"
         );
 
         let exp = policy_for("crates/bench/src/experiments/mod.rs").unwrap();

@@ -83,7 +83,7 @@ fn no_std_hash(tokens: &[Token], i: usize, out: &mut Vec<RawDiagnostic>) {
 
 /// Determinism: simulated results must not read the wall clock.
 /// `Instant::now` and `SystemTime` belong only in the whitelisted
-/// timing modules (perf trajectory, serve timeouts, store atime).
+/// timing modules (serve timeouts, store atime).
 fn no_wallclock(tokens: &[Token], i: usize, out: &mut Vec<RawDiagnostic>) {
     let t = &tokens[i];
     if t.text == "SystemTime" {

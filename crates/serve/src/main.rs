@@ -331,7 +331,7 @@ fn run_daemon(opts: &Options) -> Result<(), String> {
                     ring.shards()
                 ));
             }
-            store = store.with_remote_fetch(read_through(ring, index, list, PEER_FETCH_TIMEOUT));
+            store = store.with_remote_fetch(read_through(ring, list, PEER_FETCH_TIMEOUT));
         }
     }
     if let Some(bundle) = &opts.warm_bundle {

@@ -959,7 +959,7 @@ pub fn start_cluster(choice: SuiteChoice, opts: &ClusterOptions) -> Result<Clust
         };
         let store = store
             .with_key_owner(Arc::new(move |key| ring.owns(index, key)))
-            .with_remote_fetch(read_through(ring, index, peers.clone(), PEER_FETCH_TIMEOUT));
+            .with_remote_fetch(read_through(ring, peers.clone(), PEER_FETCH_TIMEOUT));
         if let Some(bundle) = &opts.warm_bundle {
             store
                 .import_bundle(bundle)

@@ -181,20 +181,17 @@ fn fetch_from_peer(addr: &str, key: SimKey, timeout: Duration) -> Option<SimResu
 
 /// Builds the [`RemoteFetch`] hook a sharded daemon installs on its
 /// store: on a local miss, ask the key's ring owner (and only the
-/// owner — `peers` is indexed by shard) before simulating. Keys this
-/// shard owns itself are never fetched: a local miss on an owned key
-/// is authoritative. The no-cascade rule holds by construction — the
+/// owner — `peers` is indexed by shard) before simulating. The store
+/// never calls the hook for keys its own `with_key_owner` predicate
+/// (built from the same ring) accepts: a local miss on an owned key is
+/// authoritative. The no-cascade rule holds by construction — the
 /// owner answers `peer_get` from its local tiers only
 /// ([`lowvcc_bench::ResultStore::peek_local`]), so a probe can never
 /// trigger another probe.
 #[must_use]
-pub fn read_through(ring: Ring, index: u32, peers: Vec<String>, timeout: Duration) -> RemoteFetch {
+pub fn read_through(ring: Ring, peers: Vec<String>, timeout: Duration) -> RemoteFetch {
     Arc::new(move |key| {
-        let owner = ring.owner(key);
-        if owner == index {
-            return None;
-        }
-        let addr = peers.get(owner as usize)?;
+        let addr = peers.get(ring.owner(key) as usize)?;
         fetch_from_peer(addr, key, timeout)
     })
 }

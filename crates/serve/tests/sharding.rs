@@ -208,7 +208,7 @@ fn shards_read_through_to_the_ring_owner() {
     let store = |index: u32| {
         ResultStore::ephemeral()
             .with_key_owner(Arc::new(move |key| ring.owns(index, key)))
-            .with_remote_fetch(read_through(ring, index, peers.clone(), PEER_FETCH_TIMEOUT))
+            .with_remote_fetch(read_through(ring, peers.clone(), PEER_FETCH_TIMEOUT))
     };
     let d_req = Daemon::new(ctx_a.with_cache(Arc::new(store(requester)))).with_shard(requester, 2);
     let d_own =
@@ -380,7 +380,7 @@ fn cluster_fails_over_around_a_dead_shard_and_recovers() {
     let victim_u32 = victim as u32;
     let store = ResultStore::ephemeral()
         .with_key_owner(Arc::new(move |key| ring.owns(victim_u32, key)))
-        .with_remote_fetch(read_through(ring, victim_u32, peers, PEER_FETCH_TIMEOUT));
+        .with_remote_fetch(read_through(ring, peers, PEER_FETCH_TIMEOUT));
     let revived_ctx = ExperimentContext::sized(1, 2_000).expect("suite builds");
     let revived = Daemon::new(revived_ctx.with_cache(Arc::new(store))).with_shard(victim_u32, 3);
     let revived_thread = std::thread::spawn(move || revived.serve(&listener));

@@ -4,7 +4,7 @@
 //! Run with: `cargo run --release --example alternatives_faceoff`
 
 use lowvcc::baselines::{ExtraBypassDesign, ExtraBypassScope, FaultyBitsDesign, FaultyBitsScope};
-use lowvcc::core::{run_suite, CoreConfig, Mechanism, SimConfig};
+use lowvcc::core::{run_suite_batch, CoreConfig, Mechanism, Parallelism, SimConfig, SuiteResult};
 use lowvcc::sram::{CycleTimeModel, VccRange};
 use lowvcc::trace::{TraceSpec, WorkloadFamily};
 
@@ -30,16 +30,18 @@ fn main() -> Result<(), lowvcc::Error> {
     );
     let sweep = VccRange::new(575, 400, 25)?;
     for vcc in sweep.iter() {
-        let base = run_suite(
-            &SimConfig::at_vcc(core, &timing, vcc, Mechanism::Baseline),
-            &traces,
-        )?;
-        let iraw = run_suite(
-            &SimConfig::at_vcc(core, &timing, vcc, Mechanism::Iraw),
-            &traces,
-        )?;
-        let fb_run = run_suite(&fb.sim_config(core, &timing, vcc, 1), &traces)?;
-        let eb_run = run_suite(&eb.sim_config(core, &timing, vcc), &traces)?;
+        // One batch per voltage: each trace is decoded once for all four
+        // designs.
+        let cfgs = [
+            SimConfig::at_vcc(core, &timing, vcc, Mechanism::Baseline),
+            SimConfig::at_vcc(core, &timing, vcc, Mechanism::Iraw),
+            fb.sim_config(core, &timing, vcc, 1),
+            eb.sim_config(core, &timing, vcc),
+        ];
+        let [base, iraw, fb_run, eb_run]: [SuiteResult; 4] =
+            run_suite_batch(&cfgs, &traces, Parallelism::sequential())?
+                .try_into()
+                .expect("four configs in, four suites out");
         let t0 = base.total_seconds();
         println!(
             "{:>7} {:>8.3} {:>22.3} {:>24.3}",

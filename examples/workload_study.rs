@@ -6,7 +6,7 @@
 //!
 //! Run with: `cargo run --release --example workload_study`
 
-use lowvcc::core::{compare_mechanisms, CoreConfig};
+use lowvcc::core::{compare_mechanisms, CoreConfig, Parallelism};
 use lowvcc::sram::{CycleTimeModel, Millivolts};
 use lowvcc::trace::{TraceSpec, TraceStats, WorkloadFamily};
 
@@ -24,7 +24,7 @@ fn main() -> Result<(), lowvcc::Error> {
             .map(|seed| TraceSpec::new(family, seed, 100_000).build())
             .collect::<Result<_, _>>()?;
         let tstats = TraceStats::analyze(&traces[0]);
-        let cmp = compare_mechanisms(core, &timing, vcc, &traces)?;
+        let cmp = compare_mechanisms(core, &timing, vcc, &traces, Parallelism::sequential())?;
         let mut rf = 0.0;
         let mut dl0 = 0.0;
         let mut miss = 0.0;

@@ -3,7 +3,8 @@
 
 use lowvcc_baselines::{ExtraBypassDesign, ExtraBypassScope, FaultyBitsDesign, FaultyBitsScope};
 use lowvcc_core::{
-    adapt_at, compare_mechanisms, run_suite, AdaptGoal, CoreConfig, Mechanism, SimConfig, Simulator,
+    adapt_at, compare_mechanisms, run_suite_batch, AdaptGoal, CoreConfig, Mechanism, Parallelism,
+    SimConfig, Simulator, SuiteResult,
 };
 use lowvcc_energy::EnergyModel;
 use lowvcc_sram::voltage::mv;
@@ -25,26 +26,24 @@ fn traces(len: usize) -> Vec<Trace> {
     .collect()
 }
 
+/// One suite result per config, through the batched grid executor.
+fn run_grid<const N: usize>(cfgs: [SimConfig; N], ts: &[Trace]) -> [SuiteResult; N] {
+    run_suite_batch(&cfgs, ts, Parallelism::sequential())
+        .unwrap()
+        .try_into()
+        .unwrap()
+}
+
 #[test]
 fn mechanism_time_ordering_at_every_low_voltage() {
     let core = CoreConfig::silverthorne();
     let ts = traces(15_000);
     for v in [575, 525, 475, 425] {
-        let base = run_suite(
-            &SimConfig::at_vcc(core, &timing(), mv(v), Mechanism::Baseline),
+        let [base, iraw, ideal] = run_grid(
+            [Mechanism::Baseline, Mechanism::Iraw, Mechanism::IdealLogic]
+                .map(|m| SimConfig::at_vcc(core, &timing(), mv(v), m)),
             &ts,
-        )
-        .unwrap();
-        let iraw = run_suite(
-            &SimConfig::at_vcc(core, &timing(), mv(v), Mechanism::Iraw),
-            &ts,
-        )
-        .unwrap();
-        let ideal = run_suite(
-            &SimConfig::at_vcc(core, &timing(), mv(v), Mechanism::IdealLogic),
-            &ts,
-        )
-        .unwrap();
+        );
         // Wall-clock: ideal ≤ IRAW < baseline. The ideal clock may lose up
         // to ~1% to ceil() quantization of the constant-time DRAM latency
         // (a faster clock rounds the same nanoseconds up to more cycles).
@@ -120,12 +119,13 @@ fn faulty_bits_all_blocks_pays_with_misses() {
     let ts = traces(15_000);
     let v = mv(425);
     let design = FaultyBitsDesign::four_sigma(FaultyBitsScope::AllBlocksHypothetical);
-    let faulty = run_suite(&design.sim_config(core, &timing(), v, 9), &ts).unwrap();
-    let base = run_suite(
-        &SimConfig::at_vcc(core, &timing(), v, Mechanism::Baseline),
+    let [faulty, base] = run_grid(
+        [
+            design.sim_config(core, &timing(), v, 9),
+            SimConfig::at_vcc(core, &timing(), v, Mechanism::Baseline),
+        ],
         &ts,
-    )
-    .unwrap();
+    );
     // Faster clock wins time…
     assert!(faulty.total_seconds() < base.total_seconds());
     // …but the disabled lines cost IPC.
@@ -138,7 +138,7 @@ fn extra_bypass_contention_shows_up_in_stats() {
     let ts = traces(15_000);
     let design = ExtraBypassDesign::two_cycle(ExtraBypassScope::AllBlocksHypothetical);
     let cfg = design.sim_config(core, &timing(), mv(475));
-    let suite = run_suite(&cfg, &ts).unwrap();
+    let [suite] = run_grid([cfg], &ts);
     let port_stalls: u64 = suite
         .per_trace
         .iter()
@@ -150,7 +150,14 @@ fn extra_bypass_contention_shows_up_in_stats() {
 #[test]
 fn iraw_comparison_carries_block_level_evidence() {
     let core = CoreConfig::silverthorne();
-    let cmp = compare_mechanisms(core, &timing(), mv(475), &traces(20_000)).unwrap();
+    let cmp = compare_mechanisms(
+        core,
+        &timing(),
+        mv(475),
+        &traces(20_000),
+        Parallelism::sequential(),
+    )
+    .unwrap();
     let mut full_matches = 0;
     let mut bp_reads = 0;
     for (_, r) in &cmp.iraw.per_trace {
