@@ -17,7 +17,7 @@ use lowvcc_trace::TraceArena;
 
 use crate::config::SimConfig;
 use crate::error::SimError;
-use crate::pipeline::Engine;
+use crate::pipeline::{Engine, EngineProfile};
 use crate::stats::SimResult;
 
 /// A reusable engine slot: scoreboards, timed buffers, pending heaps and
@@ -76,6 +76,17 @@ impl EngineWorkspace {
             .as_mut()
             .expect("engine installed above")
             .run(trace)
+    }
+
+    /// The engine self-profile of the last run (all zeros before the
+    /// first): stepped vs skipped cycles and skip refusals by reason.
+    /// Kept out of [`SimResult`], so it never reaches a result key or a
+    /// stored record.
+    #[must_use]
+    pub fn profile(&self) -> EngineProfile {
+        self.engine
+            .as_ref()
+            .map_or_else(EngineProfile::default, Engine::profile)
     }
 }
 
@@ -157,6 +168,53 @@ mod tests {
         assert_eq!(rb, fresh_b, "rebuilt engine must match fresh");
         let ra2 = ws.run(&a, &arena).unwrap();
         assert_eq!(ra, ra2, "switching back must also match");
+    }
+
+    #[test]
+    fn profile_reconciles_with_the_cycle_count() {
+        let trace = TraceSpec::new(WorkloadFamily::SpecInt, 4, 6_000)
+            .build()
+            .unwrap();
+        let arena = TraceArena::from_trace(&trace);
+        let mut ws = EngineWorkspace::new();
+        assert_eq!(ws.profile(), EngineProfile::default());
+        for cfg in sweep_cfgs() {
+            let result = ws.run(&cfg, &arena).unwrap();
+            let p = ws.profile();
+            assert_eq!(
+                p.stepped_cycles + p.skipped_cycles,
+                result.stats.cycles,
+                "{:?} at {:?}",
+                cfg.mechanism,
+                cfg.vcc
+            );
+            assert!(p.skips > 0 && p.skipped_cycles >= p.skips);
+            // After every stepped cycle the fast path either skips or
+            // refuses for exactly one reason — except after the last,
+            // when the run is finished.
+            assert_eq!(p.skips + p.refusals() + 1, p.stepped_cycles);
+        }
+    }
+
+    #[test]
+    fn naive_runs_never_skip_and_reset_clears_the_profile() {
+        let trace = TraceSpec::new(WorkloadFamily::Office, 5, 3_000)
+            .build()
+            .unwrap();
+        let arena = TraceArena::from_trace(&trace);
+        let cfgs = sweep_cfgs();
+        let mut engine = Engine::new(cfgs[1].clone()).unwrap();
+        let naive = engine.run_naive(&arena).unwrap();
+        let p = engine.profile();
+        assert_eq!(p.skipped_cycles, 0);
+        assert_eq!(p.skips + p.refusals(), 0, "the naive stepper never asks");
+        assert_eq!(p.stepped_cycles, naive.stats.cycles);
+        let fast = Engine::new(cfgs[1].clone()).unwrap().run(&arena).unwrap();
+        assert_eq!(fast, naive);
+        engine.reset(cfgs[1].clone()).unwrap();
+        let fresh = Engine::new(cfgs[1].clone()).unwrap();
+        assert_eq!(engine.profile(), fresh.profile());
+        assert_eq!(fresh.profile(), EngineProfile::default());
     }
 
     #[test]

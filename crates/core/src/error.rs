@@ -11,6 +11,7 @@
 
 use std::fmt;
 
+use lowvcc_trace::{Trace, UopError};
 use lowvcc_uarch::cache::CacheConfigError;
 
 /// Error validating a [`CoreConfig`](crate::config::CoreConfig) or
@@ -112,6 +113,14 @@ impl std::error::Error for ConfigError {
 pub enum SimError {
     /// The run configuration failed validation.
     Config(ConfigError),
+    /// A trace uop failed validation (e.g. a load without an address or
+    /// destination); nothing was simulated.
+    InvalidTrace {
+        /// Position of the first malformed uop in the trace.
+        index: usize,
+        /// What is wrong with it.
+        source: UopError,
+    },
     /// The pipeline stopped making forward progress — a simulator bug
     /// surfaced rather than a hang.
     NoProgress {
@@ -128,6 +137,9 @@ impl fmt::Display for SimError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             Self::Config(e) => write!(f, "invalid configuration: {e}"),
+            Self::InvalidTrace { index, source } => {
+                write!(f, "invalid trace: uop {index}: {source}")
+            }
             Self::NoProgress {
                 cycles,
                 committed,
@@ -145,6 +157,7 @@ impl std::error::Error for SimError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             Self::Config(e) => Some(e),
+            Self::InvalidTrace { source, .. } => Some(source),
             Self::NoProgress { .. } => None,
         }
     }
@@ -154,6 +167,16 @@ impl From<ConfigError> for SimError {
     fn from(e: ConfigError) -> Self {
         Self::Config(e)
     }
+}
+
+/// Validates `trace` at an engine entry point, so a malformed uop is a
+/// typed error instead of silently wrong (or panicking) simulation.
+pub(crate) fn validate_trace(trace: &Trace) -> Result<(), SimError> {
+    for (index, uop) in trace.uops.iter().enumerate() {
+        uop.validate()
+            .map_err(|source| SimError::InvalidTrace { index, source })?;
+    }
+    Ok(())
 }
 
 #[cfg(test)]

@@ -62,5 +62,6 @@ pub use perf::{
     compare_mechanisms, run_batch_groups, run_suite_batch, speedup, MechanismComparison,
     Parallelism, Speedup, SuiteResult,
 };
+pub use pipeline::EngineProfile;
 pub use sim::Simulator;
 pub use stats::{BranchStats, SimResult, SimStats, StallBreakdown};

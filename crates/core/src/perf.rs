@@ -19,7 +19,7 @@ use lowvcc_trace::{Trace, TraceArena};
 
 use crate::batch::EngineWorkspace;
 use crate::config::{CoreConfig, SimConfig};
-use crate::error::SimError;
+use crate::error::{validate_trace, SimError};
 use crate::stats::SimResult;
 
 /// Worker-thread count for suite execution.
@@ -167,9 +167,10 @@ pub fn run_batch_groups(
                 // would claim next is even later.
                 break;
             }
-            let arena = TraceArena::from_trace(&traces[*ti]);
-            let r: Result<Vec<SimResult>, SimError> =
-                cfgs.iter().map(|cfg| ws.run(cfg, &arena)).collect();
+            let r: Result<Vec<SimResult>, SimError> = validate_trace(&traces[*ti]).and_then(|()| {
+                let arena = TraceArena::from_trace(&traces[*ti]);
+                cfgs.iter().map(|cfg| ws.run(cfg, &arena)).collect()
+            });
             if r.is_err() {
                 first_err.fetch_min(i, Ordering::Relaxed);
             }
@@ -453,6 +454,35 @@ mod tests {
                 .expect_err("invalid config must surface");
             assert!(
                 matches!(err, SimError::Config(_)),
+                "unexpected error {err:?} at {workers} workers"
+            );
+        }
+    }
+
+    #[test]
+    fn grid_rejects_a_malformed_trace_with_a_typed_error() {
+        let timing = CycleTimeModel::silverthorne_45nm();
+        let cfgs = [SimConfig::at_vcc(
+            CoreConfig::silverthorne(),
+            &timing,
+            mv(500),
+            Mechanism::Iraw,
+        )];
+        let mut traces = small_suite();
+        // An address-less load in the middle of the second trace.
+        traces[1].uops[10] = lowvcc_trace::Uop::load(
+            traces[1].uops[10].pc,
+            lowvcc_trace::Reg::new(3).unwrap(),
+            None,
+            0,
+            8,
+        );
+        traces[1].uops[10].addr = None;
+        for workers in [1, 2] {
+            let err = run_suite_batch(&cfgs, &traces, Parallelism::threads(workers))
+                .expect_err("a malformed trace must surface");
+            assert!(
+                matches!(err, SimError::InvalidTrace { index: 10, .. }),
                 "unexpected error {err:?} at {workers} workers"
             );
         }

@@ -7,18 +7,23 @@
 //! tracks the frequency of such windows ([`CorruptionTracker`]) instead
 //! of stalling anything.
 
-use std::collections::VecDeque;
-
 use lowvcc_trace::{TraceArena, UopKind};
 use lowvcc_uarch::bpred::{Bimodal, BranchPredictor, Btb, CorruptionTracker};
+use lowvcc_uarch::ring::Ring;
 use lowvcc_uarch::rsb::ReturnStack;
 
 use crate::config::SimConfig;
 use crate::pipeline::memory::MemHierarchy;
 use crate::stats::BranchStats;
 
+/// `last_line` before any fetch: line addresses (`pc >> 6`) never reach it.
+const NO_LINE: u64 = u64::MAX;
+
+/// Depth of the decode queue between fetch and IQ allocation.
+const DECODE_QUEUE_DEPTH: usize = 16;
+
 /// Decoded uop waiting to enter the IQ.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct DecodedUop {
     /// Index into the trace.
     pub trace_idx: usize,
@@ -33,11 +38,11 @@ pub struct FrontEnd {
     btb: Btb,
     rsb: ReturnStack,
     tracker: CorruptionTracker,
-    decode_queue: VecDeque<DecodedUop>,
-    queue_cap: usize,
+    decode_queue: Ring<DecodedUop>,
     cursor: usize,
     stalled_until: u64,
-    last_line: Option<u64>,
+    /// IL0 line of the previous fetch ([`NO_LINE`] before the first).
+    last_line: u64,
     fetch_width: usize,
     front_end_stages: u64,
     mispredict_penalty: u64,
@@ -54,11 +59,10 @@ impl FrontEnd {
             btb: Btb::new(cfg.core.btb_entries),
             rsb: ReturnStack::new(cfg.core.rsb_entries, n),
             tracker: CorruptionTracker::new(cfg.core.bp_entries, n),
-            decode_queue: VecDeque::with_capacity(16),
-            queue_cap: 16,
+            decode_queue: Ring::new(DECODE_QUEUE_DEPTH),
             cursor: 0,
             stalled_until: 0,
-            last_line: None,
+            last_line: NO_LINE,
             fetch_width: cfg.core.fetch_width,
             front_end_stages: u64::from(cfg.core.front_end_stages),
             mispredict_penalty: u64::from(cfg.core.mispredict_penalty),
@@ -78,7 +82,7 @@ impl FrontEnd {
         self.decode_queue.clear();
         self.cursor = 0;
         self.stalled_until = 0;
-        self.last_line = None;
+        self.last_line = NO_LINE;
         self.fetch_width = cfg.core.fetch_width;
         self.front_end_stages = u64::from(cfg.core.front_end_stages);
         self.mispredict_penalty = u64::from(cfg.core.mispredict_penalty);
@@ -86,12 +90,14 @@ impl FrontEnd {
     }
 
     /// Whether every trace uop has been fetched.
+    #[inline]
     #[must_use]
     pub fn trace_exhausted(&self, trace: &TraceArena) -> bool {
         self.cursor >= trace.len()
     }
 
     /// Whether the decode queue is empty.
+    #[inline]
     #[must_use]
     pub fn queue_empty(&self) -> bool {
         self.decode_queue.is_empty()
@@ -100,6 +106,7 @@ impl FrontEnd {
     /// Pops the oldest decode-complete uop for IQ allocation, if any.
     /// Called once per allocation slot — allocation-free on purpose (the
     /// old width-at-a-time API built a `Vec` every cycle).
+    #[inline]
     pub fn pop_decoded(&mut self, now: u64) -> Option<DecodedUop> {
         match self.decode_queue.front() {
             Some(d) if d.ready_at <= now => self.decode_queue.pop_front(),
@@ -115,14 +122,16 @@ impl FrontEnd {
 
     /// Whether the decode queue is at capacity — fetch is a no-op until
     /// allocation drains it.
+    #[inline]
     #[must_use]
     pub fn queue_full(&self) -> bool {
-        self.decode_queue.len() >= self.queue_cap
+        self.decode_queue.is_full()
     }
 
     /// Cycle at which the oldest decoded uop becomes IQ-allocatable
     /// (`ready_at` values are monotone in queue order, so the front is the
     /// earliest). `None` on an empty queue.
+    #[inline]
     #[must_use]
     pub fn next_decode_ready(&self) -> Option<u64> {
         self.decode_queue.front().map(|d| d.ready_at)
@@ -130,6 +139,7 @@ impl FrontEnd {
 
     /// Cycle until which fetch is stalled (miss in flight or mispredict
     /// redirect); fetch is active whenever `now >=` this.
+    #[inline]
     #[must_use]
     pub fn stalled_until(&self) -> u64 {
         self.stalled_until
@@ -142,7 +152,7 @@ impl FrontEnd {
             return;
         }
         for _ in 0..self.fetch_width {
-            if self.cursor >= trace.len() || self.decode_queue.len() >= self.queue_cap {
+            if self.cursor >= trace.len() || self.decode_queue.is_full() {
                 return;
             }
             let pc = trace.pc(self.cursor);
@@ -150,16 +160,17 @@ impl FrontEnd {
             let taken = trace.taken(self.cursor);
             // Instruction-cache access on line change.
             let line = pc >> 6;
-            if self.last_line != Some(line) {
+            if self.last_line != line {
                 let ready = mem.ifetch(pc, now);
-                self.last_line = Some(line);
+                self.last_line = line;
                 if ready > now {
                     // Miss (or guard): the group arrives later; resume then.
                     self.stalled_until = ready;
                     return;
                 }
             }
-            self.decode_queue.push_back(DecodedUop {
+            // Cannot fail: fullness was checked above.
+            let _ = self.decode_queue.push_back(DecodedUop {
                 trace_idx: self.cursor,
                 ready_at: now + self.front_end_stages,
             });

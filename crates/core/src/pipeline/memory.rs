@@ -135,54 +135,42 @@ impl MemHierarchy {
         self.other_fill_stall_cycles = 0;
     }
 
-    /// Reconfigures every guard's `N` (Vcc change).
-    pub fn set_stabilization_cycles(&mut self, n: u32) {
-        for g in [
-            &mut self.il0_guard,
-            &mut self.dl0_guard,
-            &mut self.ul1_guard,
-            &mut self.itlb_guard,
-            &mut self.dtlb_guard,
-            &mut self.wcb_guard,
-        ] {
-            g.set_n(n);
-        }
-    }
-
     /// DL0 set index of a byte address (for the Store Table).
+    #[inline]
     #[must_use]
     pub fn dl0_set_of(&self, addr: u64) -> u64 {
         self.dl0.set_index(addr >> 6)
     }
 
     /// Whether the DL0 port is blocked at `cycle` by a post-fill guard.
+    #[inline]
     #[must_use]
     pub fn dl0_blocked(&self, cycle: u64) -> bool {
         self.dl0_guard.is_stalled(cycle)
     }
 
-    /// First cycle the DL0 port frees.
-    #[must_use]
-    pub fn dl0_free_at(&self) -> u64 {
-        self.dl0_guard.free_at()
-    }
-
     /// First cycle after `now` at which [`MemHierarchy::dl0_blocked`]
     /// changes value absent new fills (the guard window opening or
     /// closing); `None` when settled. Fast-path wake-up bound.
+    #[inline]
     #[must_use]
     pub fn dl0_next_change(&self, now: u64) -> Option<u64> {
         self.dl0_guard.next_change(now)
     }
 
-    /// Frees completed fill-buffer and WCB entries.
+    /// Frees completed fill-buffer and WCB entries. One compare on the
+    /// common cycle in which neither buffer has anything due.
+    #[inline]
     pub fn tick(&mut self, now: u64) {
-        self.fb.expire(now);
-        self.wcb.expire(now);
+        if self.fb.next_ready().min(self.wcb.next_ready()) <= now {
+            self.fb.expire(now);
+            self.wcb.expire(now);
+        }
     }
 
     /// Delays `start` past a guard, charging the pushed cycles to the
     /// "other blocks" stall bucket.
+    #[inline]
     fn guarded_start(&mut self, guard: Guard, start: u64) -> u64 {
         let g = match guard {
             Guard::Il0 => &self.il0_guard,
@@ -237,23 +225,10 @@ impl MemHierarchy {
     /// Returns the cycle at which the FB can accept it (may be pushed by
     /// a full buffer) — FB full events are real pipeline stalls.
     fn fb_admit(&mut self, line: u64, now: u64) -> u64 {
-        if self.fb.contains(line) {
+        if self.fb.contains(line) || !self.fb.is_full() {
             return now;
         }
-        if !self.fb.is_full() {
-            return now;
-        }
-        // Wait for the earliest in-flight fill to complete.
-        let mut earliest = u64::MAX;
-        for probe in 0..64u64 {
-            let t = now + probe;
-            if !self.fb.is_full() {
-                return t;
-            }
-            self.fb.expire(t);
-            earliest = t;
-        }
-        earliest
+        wait_for_free_slot(&mut self.fb, now)
     }
 
     /// Instruction fetch of the line holding `pc`. Returns the cycle at
@@ -356,13 +331,6 @@ impl MemHierarchy {
         self.other_fill_stall_cycles
     }
 
-    /// Cycles by which the DL0 guard is armed (exposed for issue-side
-    /// stall attribution).
-    #[must_use]
-    pub fn dl0_guard_events(&self) -> u64 {
-        self.dl0_guard.stall_events()
-    }
-
     /// IL0 statistics.
     #[must_use]
     pub fn il0_stats(&self) -> lowvcc_uarch::cache::CacheStats {
@@ -394,6 +362,28 @@ impl MemHierarchy {
     }
 }
 
+/// Longest a fill-buffer admission waits for a free slot, in cycles.
+const FB_WAIT_CAP: u64 = 63;
+
+/// The cycle at which a full fill buffer can next admit a line, expiring
+/// what has completed by then. The earliest in-flight fill frees its
+/// slot the cycle after it lands, never before `now + 1`, and the wait
+/// is capped at [`FB_WAIT_CAP`]. Equal, side effects included, to polling
+/// `expire` one cycle at a time from `now`: expiry is monotone in time,
+/// so one call at the last polled cycle frees the same slots.
+fn wait_for_free_slot(fb: &mut TimedBuffer, now: u64) -> u64 {
+    let t = fb
+        .next_ready()
+        .saturating_add(1)
+        .clamp(now + 1, now + FB_WAIT_CAP);
+    fb.expire(t - 1);
+    if fb.is_full() {
+        // Nothing lands before the cap: the poll's last step.
+        fb.expire(t);
+    }
+    t
+}
+
 #[derive(Debug, Clone, Copy)]
 enum Guard {
     Il0,
@@ -409,6 +399,7 @@ mod tests {
     use crate::config::{CoreConfig, Mechanism, SimConfig};
     use lowvcc_sram::voltage::mv;
     use lowvcc_sram::CycleTimeModel;
+    use lowvcc_trace::SimRng;
 
     fn mem(mechanism: Mechanism, vcc: u32) -> MemHierarchy {
         let cfg = SimConfig::at_vcc(
@@ -521,6 +512,43 @@ mod tests {
         assert_eq!(m.il0_stats().accesses, 0);
         // Capacity shrank.
         assert!(m.dl0_stats().accesses == 0);
+    }
+
+    /// The closed-form wait against the 64-step poll it replaced, over
+    /// full buffers whose completions land before, inside and beyond the
+    /// cap.
+    #[test]
+    fn full_buffer_wait_matches_cycle_by_cycle_polling() {
+        fn poll(fb: &mut TimedBuffer, now: u64) -> u64 {
+            let mut earliest = u64::MAX;
+            for probe in 0..=FB_WAIT_CAP {
+                let t = now + probe;
+                if !fb.is_full() {
+                    return t;
+                }
+                fb.expire(t);
+                earliest = t;
+            }
+            earliest
+        }
+        let mut rng = SimRng::seed_from(9);
+        for case in 0..2_000u64 {
+            let now = 1_000 + rng.below(50);
+            let mut fb = TimedBuffer::new(1 + case as usize % 8);
+            let mut line = 0;
+            while !fb.is_full() {
+                // Completions from already due to well past the cap.
+                fb.allocate(line, now - 5 + rng.below(80)).unwrap();
+                line += 1;
+            }
+            let mut polled = fb.clone();
+            assert_eq!(
+                wait_for_free_slot(&mut fb, now),
+                poll(&mut polled, now),
+                "case {case}"
+            );
+            assert_eq!(fb, polled, "case {case}: buffer state");
+        }
     }
 
     #[test]

@@ -29,25 +29,30 @@ use crate::pipeline::memory::MemHierarchy;
 use crate::stats::{SimResult, SimStats};
 
 /// An instruction resident in the IQ.
+///
+/// `addr` is the effective address of a memory uop and 0 otherwise:
+/// every public entry validates its trace first (memory uops carry an
+/// address), so the `Option` need not ride along in the queue.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct IqEntry {
     kind: UopKind,
     dst: Option<Reg>,
     src1: Option<Reg>,
     src2: Option<Reg>,
-    addr: Option<u64>,
+    addr: u64,
     size: u8,
     drain_noop: bool,
 }
 
 impl IqEntry {
+    #[inline]
     fn from_arena(trace: &TraceArena, i: usize) -> Self {
         Self {
             kind: trace.kind(i),
             dst: trace.dst(i),
             src1: trace.src1(i),
             src2: trace.src2(i),
-            addr: trace.addr(i),
+            addr: trace.addr(i).unwrap_or(0),
             size: trace.size(i),
             drain_noop: false,
         }
@@ -55,14 +60,68 @@ impl IqEntry {
 
     fn drain() -> Self {
         Self {
+            drain_noop: true,
+            ..Self::default()
+        }
+    }
+}
+
+impl Default for IqEntry {
+    /// An empty NOP slot (the ring's filler; never issued as such).
+    fn default() -> Self {
+        Self {
             kind: UopKind::Nop,
             dst: None,
             src1: None,
             src2: None,
-            addr: None,
+            addr: 0,
             size: 0,
-            drain_noop: true,
+            drain_noop: false,
         }
+    }
+}
+
+/// Where one engine run's simulated cycles went, and why the fast path
+/// declined to skip after each stepped cycle.
+///
+/// Host-side observability only: it never enters [`SimStats`], the
+/// result key or the canonical record, and a reset engine starts from
+/// zero. For a run on the fast path `stepped_cycles + skipped_cycles`
+/// equals the run's cycle count; [`Engine::run_naive`] never skips.
+/// Refusals are counted by the first reason found, checked in field
+/// order; the cheap reasons come before the head's blocker analysis.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct EngineProfile {
+    /// Cycles executed one at a time by the stepper.
+    pub stepped_cycles: u64,
+    /// Cycles jumped over by the fast path.
+    pub skipped_cycles: u64,
+    /// Skips taken (each covers one or more cycles).
+    pub skips: u64,
+    /// Refused: the IQ is non-empty but its occupancy gate is closed.
+    pub refused_gate_closed: u64,
+    /// Refused: the last issue stage did not stop on a blocked head.
+    pub refused_issued: u64,
+    /// Refused: a long-latency completion is due now.
+    pub refused_pending_due: u64,
+    /// Refused: a decoded uop can be allocated into the IQ now.
+    pub refused_alloc_ready: u64,
+    /// Refused: fetch can run now.
+    pub refused_fetch_active: u64,
+    /// Refused: nothing blocks the IQ head any more.
+    pub refused_head_ready: u64,
+}
+
+impl EngineProfile {
+    /// Skip refusals over every reason.
+    #[must_use]
+    pub fn refusals(&self) -> u64 {
+        self.refused_gate_closed
+            + self.refused_issued
+            + self.refused_pending_due
+            + self.refused_alloc_ready
+            + self.refused_fetch_active
+            + self.refused_head_ready
     }
 }
 
@@ -116,6 +175,7 @@ pub struct Engine {
     issue_blocked: bool,
     now: u64,
     stats: SimStats,
+    profile: EngineProfile,
 }
 
 impl Engine {
@@ -155,6 +215,7 @@ impl Engine {
             issue_blocked: false,
             now: 0,
             stats: SimStats::default(),
+            profile: EngineProfile::default(),
             cfg,
         })
     }
@@ -163,6 +224,12 @@ impl Engine {
     #[must_use]
     pub fn config(&self) -> &SimConfig {
         &self.cfg
+    }
+
+    /// The self-profile of the current (or last) run.
+    #[must_use]
+    pub fn profile(&self) -> EngineProfile {
+        self.profile
     }
 
     /// Restores the freshly-constructed state in place for `cfg` — the
@@ -208,6 +275,7 @@ impl Engine {
         self.issue_blocked = false;
         self.now = 0;
         self.stats = SimStats::default();
+        self.profile = EngineProfile::default();
         self.cfg = cfg;
         Ok(())
     }
@@ -217,6 +285,11 @@ impl Engine {
     /// are skipped in O(1) (see [`Engine::try_skip`]). With
     /// `debug_assertions` the skipped stretches are cross-checked against
     /// the naive stepper cycle by cycle.
+    ///
+    /// The arena is not re-validated here (that would cost a pass per
+    /// run): `Simulator` and the grid executor validate each trace once.
+    /// A malformed uop fed in directly simulates as address 0 or without
+    /// a destination; it never panics.
     ///
     /// # Errors
     ///
@@ -248,6 +321,7 @@ impl Engine {
                 });
             }
             self.step(trace);
+            self.profile.stepped_cycles += 1;
             if fast {
                 self.try_skip(trace, budget);
             }
@@ -359,36 +433,26 @@ impl Engine {
         // an empty IQ waiting on the front end (redirect / IL0 miss).
         // A closed gate over a non-empty IQ is not skippable: its stall
         // attribution depends on the head's would-be blocker each cycle.
-        let head = match self.iq.front().copied() {
-            Some(head) => {
-                // Cheap gate: only cycles whose issue stage just stopped
-                // on a blocked entry are worth analysing.
-                if !self.issue_blocked {
-                    return;
-                }
-                if !self.iq.issue_allowed(
-                    self.cfg.core.issue_width,
-                    self.cfg.core.alloc_width,
-                    self.cfg.stabilization_cycles,
-                ) {
-                    return;
-                }
-                Some(head)
+        // The cheap refusals run first; the head's blocker analysis last.
+        let head = self.iq.front().copied();
+        if head.is_some() {
+            if !self.iq.issue_allowed(
+                self.cfg.core.issue_width,
+                self.cfg.core.alloc_width,
+                self.cfg.stabilization_cycles,
+            ) {
+                self.profile.refused_gate_closed += 1;
+                return;
             }
-            None => {
-                if self.finished(trace) {
-                    return;
-                }
-                None
+            // Only cycles whose issue stage just stopped on a blocked
+            // entry are worth analysing.
+            if !self.issue_blocked {
+                self.profile.refused_issued += 1;
+                return;
             }
-        };
-        let blocker = match head {
-            Some(ref h) => match self.blocker_for(h, now) {
-                Some(b) => Some(b),
-                None => return,
-            },
-            None => None,
-        };
+        } else if self.finished(trace) {
+            return;
+        }
         // `budget + 1` rather than infinity: a head blocked forever (a
         // simulator bug) jumps straight past the budget and the run loop
         // reports NoProgress, exactly like the naive stepper would.
@@ -401,6 +465,7 @@ impl Engine {
         // Long-latency completions land at the head of `pending`.
         if let Some(&Reverse((t, _))) = self.pending.peek() {
             if t <= now {
+                self.profile.refused_pending_due += 1;
                 return;
             }
             bound(&mut wake, t);
@@ -411,6 +476,7 @@ impl Engine {
         if self.iq.occupancy() < self.cfg.core.iq_entries {
             if let Some(t) = self.fe.next_decode_ready() {
                 if t <= now {
+                    self.profile.refused_alloc_ready += 1;
                     return;
                 }
                 bound(&mut wake, t);
@@ -422,10 +488,21 @@ impl Engine {
         if !self.fe.trace_exhausted(trace) && !self.fe.queue_full() {
             let s = self.fe.stalled_until();
             if s <= now {
+                self.profile.refused_fetch_active += 1;
                 return;
             }
             bound(&mut wake, s);
         }
+        let blocker = match head {
+            Some(ref h) => match self.blocker_for(h, now) {
+                Some(b) => Some(b),
+                None => {
+                    self.profile.refused_head_ready += 1;
+                    return;
+                }
+            },
+            None => None,
+        };
         if let Some(ref head) = head {
             // Readiness toggles of the head's sources, on both boards:
             // they drive both the issue decision and the IRAW-vs-data-
@@ -496,6 +573,8 @@ impl Engine {
         self.sb.advance(k);
         self.shadow.advance(k);
         self.now += k;
+        self.profile.skipped_cycles += k;
+        self.profile.skips += 1;
         #[cfg(debug_assertions)]
         self.assert_matches_reference(&reference);
     }
@@ -558,7 +637,7 @@ impl Engine {
             return;
         }
         let mut mem_issued_this_cycle = false;
-        for slot in 0..self.cfg.core.issue_width {
+        for _ in 0..self.cfg.core.issue_width {
             let Some(entry) = self.iq.front().copied() else {
                 break;
             };
@@ -568,11 +647,12 @@ impl Engine {
             }
             match self.blocker_for(&entry, now) {
                 None => {
-                    let mut entry = self.iq.pop_oldest().expect("front exists");
+                    // `entry` is the copy of the front just popped.
+                    let _ = self.iq.pop_oldest();
                     let delayed = self.head_iraw_delayed;
                     self.head_iraw_delayed = false;
                     mem_issued_this_cycle |= entry.kind.is_mem();
-                    self.execute(&mut entry, now);
+                    self.execute(&entry, now);
                     if !entry.drain_noop {
                         self.stats.instructions += 1;
                         self.iq_real_entries -= 1;
@@ -586,7 +666,6 @@ impl Engine {
                     // at most one attribution happens per cycle — whether
                     // the bandwidth was lost at slot 0 (full stall) or a
                     // later slot (partial).
-                    let _ = slot;
                     self.issue_blocked = true;
                     self.attribute_stall(blocker);
                     if blocker == Blocker::IrawWindow {
@@ -613,22 +692,17 @@ impl Engine {
 
     /// Decides whether `entry` can issue at `now`; returns the dominant
     /// blocker otherwise.
+    #[inline]
     fn blocker_for(&self, entry: &IqEntry, now: u64) -> Option<Blocker> {
         // Source readiness on the real board first; the shadow board is
         // only consulted to classify an actual block (hot-path saving:
         // ready sources never touch the shadow).
-        let real_ready = entry
-            .src1
-            .into_iter()
-            .chain(entry.src2)
-            .all(|src| self.sb.is_ready(src));
-        if !real_ready {
-            let shadow_ready = entry
-                .src1
-                .into_iter()
-                .chain(entry.src2)
-                .all(|src| self.shadow.is_ready(src));
-            return Some(if shadow_ready {
+        let sources_ready = |sb: &Scoreboard| {
+            entry.src1.map_or(true, |r| sb.is_ready(r))
+                && entry.src2.map_or(true, |r| sb.is_ready(r))
+        };
+        if !sources_ready(&self.sb) {
+            return Some(if sources_ready(&self.shadow) {
                 Blocker::IrawWindow
             } else {
                 Blocker::DataDependence
@@ -661,7 +735,7 @@ impl Engine {
         None
     }
 
-    fn execute(&mut self, entry: &mut IqEntry, now: u64) {
+    fn execute(&mut self, entry: &IqEntry, now: u64) {
         let window = self.window;
         let latency = self.cfg.core.latency_of(entry.kind);
         // Extra Bypass: reserve the write port for the extended write.
@@ -699,8 +773,8 @@ impl Engine {
         }
     }
 
-    fn execute_load(&mut self, entry: &mut IqEntry, now: u64) {
-        let addr = entry.addr.expect("loads carry addresses");
+    fn execute_load(&mut self, entry: &IqEntry, now: u64) {
+        let addr = entry.addr;
         self.mem_port_free_at = now + 1;
         let outcome = self.mem.data_access(addr, false, now);
         let mut ready_at = outcome.ready_at;
@@ -720,7 +794,10 @@ impl Engine {
                 }
             }
         }
-        let dst = entry.dst.expect("loads have destinations");
+        // Validated traces give every load a destination.
+        let Some(dst) = entry.dst else {
+            return;
+        };
         let hit_lat = u64::from(self.cfg.core.lat_dl0_hit);
         if ready_at <= now + hit_lat {
             let lat = short_producer_latency(ready_at, now);
@@ -732,8 +809,8 @@ impl Engine {
         }
     }
 
-    fn execute_store(&mut self, entry: &mut IqEntry, now: u64) {
-        let addr = entry.addr.expect("stores carry addresses");
+    fn execute_store(&mut self, entry: &IqEntry, now: u64) {
+        let addr = entry.addr;
         self.mem_port_free_at = now + 1;
         let _ = self.mem.data_access(addr, true, now);
         if self.cfg.iraw_active() {

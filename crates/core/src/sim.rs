@@ -3,7 +3,7 @@
 use lowvcc_trace::{Trace, TraceArena};
 
 use crate::config::SimConfig;
-use crate::error::{ConfigError, SimError};
+use crate::error::{validate_trace, ConfigError, SimError};
 use crate::pipeline::Engine;
 use crate::stats::SimResult;
 
@@ -51,9 +51,11 @@ impl Simulator {
     ///
     /// # Errors
     ///
-    /// Returns [`SimError::NoProgress`] if the engine detects a live-lock
-    /// (a simulator bug surfaced rather than a hang).
+    /// Returns [`SimError::InvalidTrace`] for a malformed uop (checked
+    /// before anything runs), and [`SimError::NoProgress`] if the engine
+    /// detects a live-lock (a simulator bug surfaced rather than a hang).
     pub fn run(&self, trace: &Trace) -> Result<SimResult, SimError> {
+        validate_trace(trace)?;
         Engine::new(self.cfg.clone())?.run(&TraceArena::from_trace(trace))
     }
 
@@ -66,6 +68,7 @@ impl Simulator {
     ///
     /// Same contract as [`Simulator::run`].
     pub fn run_naive(&self, trace: &Trace) -> Result<SimResult, SimError> {
+        validate_trace(trace)?;
         Engine::new(self.cfg.clone())?.run_naive(&TraceArena::from_trace(trace))
     }
 }
@@ -112,6 +115,41 @@ mod tests {
         let a = sim.run(&trace).unwrap();
         let b = sim.run(&trace).unwrap();
         assert_eq!(a.stats, b.stats);
+    }
+
+    /// Regression: a load without an address (or destination) used to
+    /// reach an `expect` deep in the engine. Both entry points now reject
+    /// the trace up front with a typed error.
+    #[test]
+    fn malformed_trace_is_an_error_not_a_panic() {
+        use lowvcc_trace::{Reg, Uop, UopError};
+        let timing = CycleTimeModel::silverthorne_45nm();
+        let cfg = SimConfig::at_vcc(
+            CoreConfig::silverthorne(),
+            &timing,
+            mv(500),
+            Mechanism::Iraw,
+        );
+        let sim = Simulator::new(cfg).unwrap();
+        let mut no_addr = Uop::load(0x40, Reg::new(1).unwrap(), None, 0x1000, 8);
+        no_addr.addr = None;
+        let mut no_dst = Uop::load(0x44, Reg::new(2).unwrap(), None, 0x2000, 8);
+        no_dst.dst = None;
+        for (bad, index) in [(no_addr, 1), (no_dst, 1)] {
+            let trace = Trace::new("bad", vec![Uop::nop(0x3c), bad]);
+            for result in [sim.run(&trace), sim.run_naive(&trace)] {
+                match result {
+                    Err(SimError::InvalidTrace { index: i, source }) => {
+                        assert_eq!(i, index);
+                        assert!(matches!(
+                            source,
+                            UopError::MissingAddress { .. } | UopError::MissingDestination { .. }
+                        ));
+                    }
+                    other => panic!("expected InvalidTrace, got {other:?}"),
+                }
+            }
+        }
     }
 
     #[test]

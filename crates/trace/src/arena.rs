@@ -76,66 +76,77 @@ impl TraceArena {
     }
 
     /// Number of uops.
+    #[inline]
     #[must_use]
     pub fn len(&self) -> usize {
         self.pc.len()
     }
 
     /// Whether the trace is empty.
+    #[inline]
     #[must_use]
     pub fn is_empty(&self) -> bool {
         self.pc.is_empty()
     }
 
     /// Program counter of uop `i`.
+    #[inline]
     #[must_use]
     pub fn pc(&self, i: usize) -> u64 {
         self.pc[i]
     }
 
     /// Kind of uop `i`.
+    #[inline]
     #[must_use]
     pub fn kind(&self, i: usize) -> UopKind {
         self.kind[i]
     }
 
     /// Destination register of uop `i`.
+    #[inline]
     #[must_use]
     pub fn dst(&self, i: usize) -> Option<Reg> {
         self.dst[i]
     }
 
     /// First source register of uop `i`.
+    #[inline]
     #[must_use]
     pub fn src1(&self, i: usize) -> Option<Reg> {
         self.src1[i]
     }
 
     /// Second source register of uop `i`.
+    #[inline]
     #[must_use]
     pub fn src2(&self, i: usize) -> Option<Reg> {
         self.src2[i]
     }
 
     /// Memory address of uop `i` (memory uops only).
+    #[inline]
     #[must_use]
     pub fn addr(&self, i: usize) -> Option<u64> {
         self.addr[i]
     }
 
     /// Access size in bytes of uop `i`.
+    #[inline]
     #[must_use]
     pub fn size(&self, i: usize) -> u8 {
         self.size[i]
     }
 
     /// Resolved direction of uop `i` (control uops only).
+    #[inline]
     #[must_use]
     pub fn taken(&self, i: usize) -> bool {
         self.taken[i]
     }
 
     /// Resolved target of uop `i` (control uops only).
+    #[inline]
     #[must_use]
     pub fn target(&self, i: usize) -> u64 {
         self.target[i]

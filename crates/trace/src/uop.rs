@@ -62,6 +62,7 @@ impl Reg {
     }
 
     /// The register index.
+    #[inline]
     #[must_use]
     pub fn index(self) -> u8 {
         self.0
@@ -110,12 +111,14 @@ pub enum UopKind {
 
 impl UopKind {
     /// Whether this uop accesses data memory.
+    #[inline]
     #[must_use]
     pub fn is_mem(self) -> bool {
         matches!(self, Self::Load | Self::Store)
     }
 
     /// Whether this uop redirects control flow.
+    #[inline]
     #[must_use]
     pub fn is_control(self) -> bool {
         matches!(self, Self::Branch | Self::Call | Self::Ret)

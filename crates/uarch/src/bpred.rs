@@ -31,6 +31,7 @@ pub trait BranchPredictor {
     fn table_size(&self) -> usize;
 }
 
+#[inline]
 fn saturating_update(counter: u8, taken: bool) -> u8 {
     if taken {
         (counter + 1).min(3)
@@ -70,6 +71,7 @@ impl Bimodal {
         }
     }
 
+    #[inline]
     fn index(&self, pc: u64) -> usize {
         (pc >> 2) as usize & self.mask
     }
@@ -82,11 +84,13 @@ impl Bimodal {
 }
 
 impl BranchPredictor for Bimodal {
+    #[inline]
     fn predict(&mut self, pc: u64) -> (bool, usize) {
         let idx = self.index(pc);
         (self.counters[idx] >= 2, idx)
     }
 
+    #[inline]
     fn update(&mut self, pc: u64, taken: bool) -> UpdateEffect {
         let idx = self.index(pc);
         let old = self.counters[idx];
@@ -132,6 +136,7 @@ impl Gshare {
         }
     }
 
+    #[inline]
     fn index(&self, pc: u64) -> usize {
         ((pc >> 2) as usize ^ self.history) & self.mask
     }
@@ -145,11 +150,13 @@ impl Gshare {
 }
 
 impl BranchPredictor for Gshare {
+    #[inline]
     fn predict(&mut self, pc: u64) -> (bool, usize) {
         let idx = self.index(pc);
         (self.counters[idx] >= 2, idx)
     }
 
+    #[inline]
     fn update(&mut self, pc: u64, taken: bool) -> UpdateEffect {
         let idx = self.index(pc);
         let old = self.counters[idx];
@@ -190,11 +197,13 @@ impl Btb {
         }
     }
 
+    #[inline]
     fn index(&self, pc: u64) -> usize {
         (pc >> 2) as usize & self.mask
     }
 
     /// Predicted target for the branch at `pc`, if any.
+    #[inline]
     #[must_use]
     pub fn predict(&self, pc: u64) -> Option<u64> {
         match self.entries[self.index(pc)] {
@@ -204,6 +213,7 @@ impl Btb {
     }
 
     /// Installs/updates the target of `pc`.
+    #[inline]
     pub fn update(&mut self, pc: u64, target: u64) {
         let idx = self.index(pc);
         self.entries[idx] = Some((pc, target));
@@ -247,6 +257,7 @@ impl CorruptionTracker {
     }
 
     /// Records an update; only MSB-flipping writes can corrupt.
+    #[inline]
     pub fn on_write(&mut self, effect: UpdateEffect, cycle: u64) {
         if effect.msb_flipped {
             self.last_flip_write[effect.index] = cycle;
@@ -254,6 +265,7 @@ impl CorruptionTracker {
     }
 
     /// Records a read; returns whether it fell in a stabilization window.
+    #[inline]
     pub fn on_read(&mut self, index: usize, cycle: u64) -> bool {
         self.reads += 1;
         let last = self.last_flip_write[index];

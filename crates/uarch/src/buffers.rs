@@ -19,10 +19,31 @@ impl std::fmt::Display for BufferFull {
 
 impl std::error::Error for BufferFull {}
 
+/// Line value marking a free [`TimedBuffer`] slot. Callers pass line
+/// addresses (`addr >> 6`), which never reach it.
+const FREE: u64 = u64::MAX;
+
+/// One [`TimedBuffer`] slot; a free slot holds `(FREE, u64::MAX)`, so it
+/// never matches a line and never expires.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Slot {
+    line: u64,
+    ready_at: u64,
+}
+
+const EMPTY: Slot = Slot {
+    line: FREE,
+    ready_at: u64::MAX,
+};
+
 /// A buffer of in-flight lines, each completing at a known cycle.
 ///
 /// Used for both fill buffers (miss → line arrives) and WCB/EB
 /// (eviction/write-combine → line drains).
+///
+/// Slots are a flat `(line, ready_at)` array with a free sentinel rather
+/// than `Option`s: lookups and expiry are straight compare loops over
+/// 16-byte records. `line` must not be `u64::MAX` (the free marker).
 ///
 /// ```
 /// use lowvcc_uarch::buffers::TimedBuffer;
@@ -36,10 +57,10 @@ impl std::error::Error for BufferFull {}
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TimedBuffer {
-    slots: Vec<Option<(u64, u64)>>, // (line, ready_at)
+    slots: Vec<Slot>,
     /// Earliest `ready_at` among occupied slots (`u64::MAX` when empty):
-    /// lets the per-cycle [`TimedBuffer::take_ready`] poll exit in O(1)
-    /// on the overwhelmingly common nothing-completes cycle.
+    /// lets the per-cycle [`TimedBuffer::expire`] poll exit in O(1) on the
+    /// overwhelmingly common nothing-completes cycle.
     next_ready: u64,
     /// Occupied-slot count, so occupancy/fullness checks on the access
     /// hot path are O(1) instead of slot scans.
@@ -58,7 +79,7 @@ impl TimedBuffer {
     pub fn new(entries: usize) -> Self {
         assert!(entries > 0, "buffer needs at least one entry");
         Self {
-            slots: vec![None; entries],
+            slots: vec![EMPTY; entries],
             next_ready: u64::MAX,
             occupied: 0,
             allocations: 0,
@@ -67,30 +88,43 @@ impl TimedBuffer {
     }
 
     /// Capacity in entries.
+    #[inline]
     #[must_use]
     pub fn capacity(&self) -> usize {
         self.slots.len()
     }
 
     /// Occupied entries.
+    #[inline]
     #[must_use]
     pub fn occupancy(&self) -> usize {
         self.occupied
     }
 
     /// Whether the buffer is full.
+    #[inline]
     #[must_use]
     pub fn is_full(&self) -> bool {
         self.occupied == self.slots.len()
     }
 
+    /// Earliest completion cycle among in-flight lines (`u64::MAX` when
+    /// empty).
+    #[inline]
+    #[must_use]
+    pub fn next_ready(&self) -> u64 {
+        self.next_ready
+    }
+
     /// Whether `line` is already in flight (secondary-miss merge).
+    #[inline]
     #[must_use]
     pub fn contains(&self, line: u64) -> bool {
-        self.occupied > 0 && self.slots.iter().flatten().any(|&(l, _)| l == line)
+        self.occupied > 0 && self.slots.iter().any(|s| s.line == line)
     }
 
     /// Cycle at which `line` completes, if in flight.
+    #[inline]
     #[must_use]
     pub fn ready_at(&self, line: u64) -> Option<u64> {
         if self.occupied == 0 {
@@ -98,9 +132,8 @@ impl TimedBuffer {
         }
         self.slots
             .iter()
-            .flatten()
-            .find(|&&(l, _)| l == line)
-            .map(|&(_, t)| t)
+            .find(|s| s.line == line)
+            .map(|s| s.ready_at)
     }
 
     /// Allocates `line`, completing at `ready_at`. Duplicate lines merge
@@ -109,15 +142,25 @@ impl TimedBuffer {
     /// # Errors
     ///
     /// Returns [`BufferFull`] when no slot is free.
+    #[inline]
     pub fn allocate(&mut self, line: u64, ready_at: u64) -> Result<(), BufferFull> {
-        if let Some(slot) = self.slots.iter_mut().flatten().find(|(l, _)| *l == line) {
-            slot.1 = slot.1.min(ready_at);
-            self.next_ready = self.next_ready.min(slot.1);
-            return Ok(());
+        debug_assert_ne!(line, FREE, "u64::MAX marks a free slot");
+        // One pass: merge into the slot holding `line`, else remember the
+        // first free slot.
+        let mut free = None;
+        for (i, slot) in self.slots.iter_mut().enumerate() {
+            if slot.line == line {
+                slot.ready_at = slot.ready_at.min(ready_at);
+                self.next_ready = self.next_ready.min(slot.ready_at);
+                return Ok(());
+            }
+            if slot.line == FREE && free.is_none() {
+                free = Some(i);
+            }
         }
-        match self.slots.iter_mut().find(|s| s.is_none()) {
-            Some(slot) => {
-                *slot = Some((line, ready_at));
+        match free {
+            Some(i) => {
+                self.slots[i] = Slot { line, ready_at };
                 self.next_ready = self.next_ready.min(ready_at);
                 self.occupied += 1;
                 self.allocations += 1;
@@ -136,20 +179,13 @@ impl TimedBuffer {
         if self.next_ready > now {
             return Vec::new();
         }
-        let mut ready = Vec::new();
-        let mut remaining_min = u64::MAX;
-        for slot in &mut self.slots {
-            if let Some((line, at)) = *slot {
-                if at <= now {
-                    ready.push(line);
-                    *slot = None;
-                    self.occupied -= 1;
-                } else {
-                    remaining_min = remaining_min.min(at);
-                }
-            }
-        }
-        self.next_ready = remaining_min;
+        let ready = self
+            .slots
+            .iter()
+            .filter(|s| s.ready_at <= now)
+            .map(|s| s.line)
+            .collect();
+        self.expire_due(now);
         ready
     }
 
@@ -158,19 +194,24 @@ impl TimedBuffer {
     /// [`TimedBuffer::take_ready`] for callers that only need the slots
     /// recycled (the per-cycle tick). O(1) on cycles where nothing
     /// completes.
+    #[inline]
     pub fn expire(&mut self, now: u64) {
-        if self.next_ready > now {
-            return;
+        if self.next_ready <= now {
+            self.expire_due(now);
         }
+    }
+
+    /// The slot sweep behind [`TimedBuffer::expire`]: free slots carry
+    /// `ready_at == u64::MAX`, so they neither expire nor lower the
+    /// recomputed minimum.
+    fn expire_due(&mut self, now: u64) {
         let mut remaining_min = u64::MAX;
         for slot in &mut self.slots {
-            if let Some((_, at)) = *slot {
-                if at <= now {
-                    *slot = None;
-                    self.occupied -= 1;
-                } else {
-                    remaining_min = remaining_min.min(at);
-                }
+            if slot.ready_at <= now {
+                *slot = EMPTY;
+                self.occupied -= 1;
+            } else {
+                remaining_min = remaining_min.min(slot.ready_at);
             }
         }
         self.next_ready = remaining_min;
@@ -191,9 +232,7 @@ impl TimedBuffer {
 
     /// Drops everything (reset).
     pub fn clear(&mut self) {
-        for s in &mut self.slots {
-            *s = None;
-        }
+        self.slots.fill(EMPTY);
         self.next_ready = u64::MAX;
         self.occupied = 0;
     }
@@ -239,12 +278,6 @@ impl StallGuard {
         }
     }
 
-    /// Reconfigures `N` at a Vcc change (the paper's small per-block
-    /// counter whose initial value the Vcc controller updates).
-    pub fn set_n(&mut self, n: u32) {
-        self.n = n;
-    }
-
     /// Current `N`.
     #[must_use]
     pub fn n(&self) -> u32 {
@@ -254,6 +287,7 @@ impl StallGuard {
     /// Notifies the guard that a fill completed at `cycle`; the port is
     /// busy for the window `[cycle, cycle + N]` while the entry
     /// stabilizes. Earlier fills with shorter windows are superseded.
+    #[inline]
     pub fn on_fill(&mut self, cycle: u64) {
         if self.n == 0 {
             return;
@@ -269,6 +303,7 @@ impl StallGuard {
     /// Whether the port is blocked at `cycle` (inside a stabilization
     /// window). Cycles *before* the fill completes are not blocked by the
     /// guard — the in-flight miss itself covers those.
+    #[inline]
     #[must_use]
     pub fn is_stalled(&self, cycle: u64) -> bool {
         match self.window {
@@ -278,6 +313,7 @@ impl StallGuard {
     }
 
     /// First cycle at which the current window (if any) has passed.
+    #[inline]
     #[must_use]
     pub fn free_at(&self) -> u64 {
         match self.window {
@@ -289,6 +325,7 @@ impl StallGuard {
     /// First cycle after `now` at which [`StallGuard::is_stalled`] changes
     /// value, absent new fills — the window opening (a fill completing in
     /// the future) or closing. `None` when the guard's answer is settled.
+    #[inline]
     #[must_use]
     pub fn next_change(&self, now: u64) -> Option<u64> {
         if self.n == 0 {
@@ -311,6 +348,7 @@ impl StallGuard {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use lowvcc_trace::SimRng;
 
     #[test]
     fn allocate_complete_roundtrip() {
@@ -396,6 +434,102 @@ mod tests {
         assert!(!fb.contains(1));
     }
 
+    /// The pre-flattening model: `Option` slots, scanned in slot order.
+    struct ReferenceBuffer {
+        slots: Vec<Option<(u64, u64)>>,
+        rejections: u64,
+    }
+
+    impl ReferenceBuffer {
+        fn allocate(&mut self, line: u64, ready_at: u64) -> bool {
+            if let Some(slot) = self.slots.iter_mut().flatten().find(|(l, _)| *l == line) {
+                slot.1 = slot.1.min(ready_at);
+                return true;
+            }
+            match self.slots.iter_mut().find(|s| s.is_none()) {
+                Some(slot) => {
+                    *slot = Some((line, ready_at));
+                    true
+                }
+                None => {
+                    self.rejections += 1;
+                    false
+                }
+            }
+        }
+
+        fn take_ready(&mut self, now: u64) -> Vec<u64> {
+            let mut ready = Vec::new();
+            for slot in &mut self.slots {
+                if let Some((line, at)) = *slot {
+                    if at <= now {
+                        ready.push(line);
+                        *slot = None;
+                    }
+                }
+            }
+            ready
+        }
+
+        fn ready_at(&self, line: u64) -> Option<u64> {
+            self.slots
+                .iter()
+                .flatten()
+                .find(|&&(l, _)| l == line)
+                .map(|&(_, t)| t)
+        }
+
+        fn occupancy(&self) -> usize {
+            self.slots.iter().flatten().count()
+        }
+    }
+
+    #[test]
+    fn flat_slots_match_the_option_reference() {
+        for seed in 0..6u64 {
+            let mut rng = SimRng::seed_from(seed);
+            let cap = 1 + (seed as usize % 4) * 2;
+            let mut fb = TimedBuffer::new(cap);
+            let mut reference = ReferenceBuffer {
+                slots: vec![None; cap],
+                rejections: 0,
+            };
+            let mut now = 0u64;
+            for step in 0..3_000 {
+                let ctx = format!("seed {seed} step {step}");
+                // A small line domain makes merges frequent; short
+                // completions against a small buffer make it fill up.
+                let line = rng.below(12);
+                match rng.below(8) {
+                    0..=3 => {
+                        let at = now + rng.below(20);
+                        let ok = fb.allocate(line, at).is_ok();
+                        assert_eq!(ok, reference.allocate(line, at), "{ctx}");
+                    }
+                    4 => {
+                        now += rng.below(6);
+                        fb.expire(now);
+                        reference.take_ready(now);
+                    }
+                    5 => {
+                        now += rng.below(6);
+                        assert_eq!(fb.take_ready(now), reference.take_ready(now), "{ctx}");
+                    }
+                    _ => {
+                        assert_eq!(fb.ready_at(line), reference.ready_at(line), "{ctx}");
+                        assert_eq!(fb.contains(line), reference.ready_at(line).is_some());
+                    }
+                }
+                assert_eq!(fb.occupancy(), reference.occupancy(), "{ctx}");
+                assert_eq!(fb.is_full(), reference.occupancy() == cap, "{ctx}");
+                assert_eq!(fb.full_rejections(), reference.rejections, "{ctx}");
+                let min = reference.slots.iter().flatten().map(|&(_, t)| t).min();
+                assert_eq!(fb.next_ready(), min.unwrap_or(u64::MAX), "{ctx}");
+            }
+            assert!(reference.rejections > 0, "seed {seed}: never filled up");
+        }
+    }
+
     #[test]
     fn stall_guard_blocks_n_cycles_after_fill() {
         let mut g = StallGuard::new(2);
@@ -436,15 +570,6 @@ mod tests {
         g.on_fill(100);
         g.on_fill(98); // earlier fill must not shorten the stall
         assert!(g.is_stalled(103));
-    }
-
-    #[test]
-    fn stall_guard_reconfigures() {
-        let mut g = StallGuard::new(1);
-        g.set_n(2);
-        assert_eq!(g.n(), 2);
-        g.on_fill(10);
-        assert!(g.is_stalled(12));
     }
 
     #[test]

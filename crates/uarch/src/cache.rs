@@ -159,13 +159,13 @@ impl CacheStats {
     }
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct Line {
-    tag: u64,
-    valid: bool,
-    disabled: bool,
-    last_use: u64,
-}
+/// Key of an invalid (empty) way.
+const INVALID: u64 = u64::MAX;
+/// Key of a way disabled by the fault map (never valid, never filled).
+const DISABLED: u64 = u64::MAX - 1;
+/// Keys at or above this are sentinels; real tags
+/// (`line_addr >> log2(sets)`) never reach them.
+const FIRST_SENTINEL: u64 = DISABLED;
 
 /// The set-associative cache.
 ///
@@ -183,7 +183,16 @@ struct Line {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SetAssocCache {
     cfg: CacheConfig,
-    lines: Vec<Line>, // sets × ways, row-major
+    /// Per-way key, sets × ways row-major: the tag of a valid line, or
+    /// [`INVALID`] / [`DISABLED`]. A lookup compares one dense `u64` per
+    /// way, and validity and the fault map need no separate flags.
+    keys: Vec<u64>,
+    /// Per-way last-use stamp, parallel to `keys` (bigger = more recent).
+    last_use: Vec<u64>,
+    /// `sets - 1`: the set index is `line_addr & set_mask`…
+    set_mask: u64,
+    /// …and the tag `line_addr >> set_bits` (sets are a power of two).
+    set_bits: u32,
     policy: PolicyState,
     stats: CacheStats,
     clock: u64,
@@ -201,15 +210,10 @@ impl SetAssocCache {
         let sets = cfg.sets();
         Ok(Self {
             cfg,
-            lines: vec![
-                Line {
-                    tag: 0,
-                    valid: false,
-                    disabled: false,
-                    last_use: 0,
-                };
-                sets * cfg.ways
-            ],
+            keys: vec![INVALID; sets * cfg.ways],
+            last_use: vec![0; sets * cfg.ways],
+            set_mask: sets as u64 - 1,
+            set_bits: sets.trailing_zeros(),
             policy: PolicyState::new(cfg.policy, sets, 0xCAC4E),
             stats: CacheStats::default(),
             clock: 0,
@@ -224,47 +228,58 @@ impl SetAssocCache {
     }
 
     /// Set index of a line address.
+    #[inline]
     #[must_use]
     pub fn set_index(&self, line_addr: u64) -> u64 {
-        line_addr % self.cfg.sets() as u64
+        line_addr & self.set_mask
     }
 
+    #[inline]
     fn tag_of(&self, line_addr: u64) -> u64 {
-        line_addr / self.cfg.sets() as u64
+        line_addr >> self.set_bits
     }
 
+    #[inline]
     fn set_range(&self, set: usize) -> std::ops::Range<usize> {
         let base = set * self.cfg.ways;
         base..base + self.cfg.ways
     }
 
+    /// Index into `keys`/`last_use` of the way holding `line_addr`, if any.
+    #[inline]
+    fn lookup(&self, line_addr: u64) -> Option<usize> {
+        let range = self.set_range(self.set_index(line_addr) as usize);
+        let base = range.start;
+        let tag = self.tag_of(line_addr);
+        self.keys[range]
+            .iter()
+            .position(|&k| k == tag)
+            .map(|w| base + w)
+    }
+
     /// Demand access; returns whether it hit, updating recency and stats.
+    #[inline]
     pub fn access(&mut self, line_addr: u64) -> bool {
         self.clock += 1;
         self.stats.accesses += 1;
-        let set = self.set_index(line_addr) as usize;
-        let tag = self.tag_of(line_addr);
-        let clock = self.clock;
-        let range = self.set_range(set);
-        for line in &mut self.lines[range] {
-            if line.valid && !line.disabled && line.tag == tag {
-                line.last_use = clock;
+        match self.lookup(line_addr) {
+            Some(idx) => {
+                self.last_use[idx] = self.clock;
                 self.stats.hits += 1;
-                return true;
+                true
+            }
+            None => {
+                self.stats.misses += 1;
+                false
             }
         }
-        self.stats.misses += 1;
-        false
     }
 
     /// Non-destructive lookup (no stats, no recency update).
+    #[inline]
     #[must_use]
     pub fn probe(&self, line_addr: u64) -> bool {
-        let set = self.set_index(line_addr) as usize;
-        let tag = self.tag_of(line_addr);
-        self.lines[self.set_range(set)]
-            .iter()
-            .any(|l| l.valid && !l.disabled && l.tag == tag)
+        self.lookup(line_addr).is_some()
     }
 
     /// Fills a line, returning the evicted line address if a valid line
@@ -277,31 +292,34 @@ impl SetAssocCache {
         let tag = self.tag_of(line_addr);
         // Snapshot the set into a stack buffer (ways ≤ MAX_WAYS, enforced
         // at construction): fills must stay allocation-free.
+        let range = self.set_range(set);
         let mut views = [WayView {
             valid: false,
             disabled: false,
             last_use: 0,
         }; MAX_WAYS];
-        for (view, l) in views.iter_mut().zip(&self.lines[self.set_range(set)]) {
+        for (view, (&key, &last_use)) in views.iter_mut().zip(
+            self.keys[range.clone()]
+                .iter()
+                .zip(&self.last_use[range.clone()]),
+        ) {
             *view = WayView {
-                valid: l.valid,
-                disabled: l.disabled,
-                last_use: l.last_use,
+                valid: key < FIRST_SENTINEL,
+                disabled: key == DISABLED,
+                last_use,
             };
         }
         let Some(way) = self.policy.select_victim(set, &views[..self.cfg.ways]) else {
             return Err(());
         };
-        let sets = self.cfg.sets() as u64;
-        let idx = self.set_range(set).start + way;
-        let line = &mut self.lines[idx];
-        let evicted = (line.valid).then(|| line.tag * sets + set as u64);
+        let idx = range.start + way;
+        let old = self.keys[idx];
+        let evicted = (old < FIRST_SENTINEL).then(|| (old << self.set_bits) | set as u64);
         if evicted.is_some() {
             self.stats.evictions += 1;
         }
-        line.tag = tag;
-        line.valid = true;
-        line.last_use = self.clock;
+        self.keys[idx] = tag;
+        self.last_use[idx] = self.clock;
         self.stats.fills += 1;
         Ok(evicted)
     }
@@ -311,9 +329,9 @@ impl SetAssocCache {
         let set = self.set_index(line_addr) as usize;
         let tag = self.tag_of(line_addr);
         let range = self.set_range(set);
-        for line in &mut self.lines[range] {
-            if line.valid && line.tag == tag {
-                line.valid = false;
+        for key in &mut self.keys[range] {
+            if *key == tag {
+                *key = INVALID;
             }
         }
     }
@@ -321,15 +339,14 @@ impl SetAssocCache {
     /// Disables `count` randomly chosen lines (Faulty Bits fault map).
     /// Disabled lines lose their contents and are never refilled.
     pub fn disable_random_lines(&mut self, count: usize, rng: &mut SimRng) {
-        let total = self.lines.len();
+        let total = self.keys.len();
         let mut disabled = 0;
         let mut attempts = 0;
         while disabled < count && attempts < total * 20 {
             attempts += 1;
             let idx = rng.below(total as u64) as usize;
-            if !self.lines[idx].disabled {
-                self.lines[idx].disabled = true;
-                self.lines[idx].valid = false;
+            if self.keys[idx] != DISABLED {
+                self.keys[idx] = DISABLED;
                 disabled += 1;
             }
         }
@@ -361,17 +378,11 @@ impl SetAssocCache {
 
     /// Restores the freshly-constructed state in place — contents,
     /// recency, policy state, statistics, and the disable map — without
-    /// reallocating the line array. Callers modeling faulty lines must
+    /// reallocating the way arrays. Callers modeling faulty lines must
     /// re-apply their fault map afterwards.
     pub fn reset(&mut self) {
-        for line in &mut self.lines {
-            *line = Line {
-                tag: 0,
-                valid: false,
-                disabled: false,
-                last_use: 0,
-            };
-        }
+        self.keys.fill(INVALID);
+        self.last_use.fill(0);
         self.policy.reset();
         self.stats = CacheStats::default();
         self.clock = 0;
@@ -552,6 +563,164 @@ mod tests {
         assert_eq!(used, tiny());
         assert_eq!(used.disabled_lines(), 0);
         assert_eq!(used.stats(), CacheStats::default());
+    }
+
+    /// The pre-rewrite model: per-way records, `%`/`/` indexing, a
+    /// linear tag scan, and the three-pass victim choice.
+    struct ReferenceCache {
+        sets: u64,
+        ways: usize,
+        lines: Vec<(u64, bool, bool, u64)>, // (tag, valid, disabled, last_use)
+        policy: Policy,
+        cursors: Vec<usize>,
+        rng: SimRng,
+        clock: u64,
+        stats: CacheStats,
+    }
+
+    impl ReferenceCache {
+        fn new(cfg: CacheConfig) -> Self {
+            let sets = cfg.sets();
+            Self {
+                sets: sets as u64,
+                ways: cfg.ways,
+                lines: vec![(0, false, false, 0); sets * cfg.ways],
+                policy: cfg.policy,
+                cursors: vec![0; sets],
+                rng: SimRng::seed_from(0xCAC4E),
+                clock: 0,
+                stats: CacheStats::default(),
+            }
+        }
+
+        fn set_of(&self, line: u64) -> std::ops::Range<usize> {
+            let base = (line % self.sets) as usize * self.ways;
+            base..base + self.ways
+        }
+
+        fn access(&mut self, line: u64) -> bool {
+            self.clock += 1;
+            self.stats.accesses += 1;
+            let tag = line / self.sets;
+            let range = self.set_of(line);
+            for l in &mut self.lines[range] {
+                if l.1 && !l.2 && l.0 == tag {
+                    l.3 = self.clock;
+                    self.stats.hits += 1;
+                    return true;
+                }
+            }
+            self.stats.misses += 1;
+            false
+        }
+
+        fn probe(&self, line: u64) -> bool {
+            let tag = line / self.sets;
+            self.lines[self.set_of(line)]
+                .iter()
+                .any(|l| l.1 && !l.2 && l.0 == tag)
+        }
+
+        fn fill(&mut self, line: u64) -> Result<Option<u64>, ()> {
+            self.clock += 1;
+            let set = (line % self.sets) as usize;
+            let range = self.set_of(line);
+            let ways = &self.lines[range.clone()];
+            let free = ways.iter().position(|l| !l.2 && !l.1);
+            let enabled: Vec<usize> = (0..self.ways).filter(|&w| !ways[w].2).collect();
+            let way = match free {
+                Some(w) => w,
+                None if enabled.is_empty() => return Err(()),
+                None => match self.policy {
+                    Policy::Lru => *enabled.iter().min_by_key(|&&w| ways[w].3).unwrap(),
+                    Policy::RoundRobin => {
+                        let c = &mut self.cursors[set];
+                        let pick = enabled[*c % enabled.len()];
+                        *c = (*c + 1) % enabled.len();
+                        pick
+                    }
+                    Policy::Random => enabled[self.rng.below(enabled.len() as u64) as usize],
+                },
+            };
+            let l = &mut self.lines[range.start + way];
+            let evicted = l.1.then(|| l.0 * self.sets + set as u64);
+            if evicted.is_some() {
+                self.stats.evictions += 1;
+            }
+            *l = (line / self.sets, true, l.2, self.clock);
+            self.stats.fills += 1;
+            Ok(evicted)
+        }
+
+        fn invalidate(&mut self, line: u64) {
+            let tag = line / self.sets;
+            let range = self.set_of(line);
+            for l in &mut self.lines[range] {
+                if l.1 && l.0 == tag {
+                    l.1 = false;
+                }
+            }
+        }
+
+        fn disable_random_lines(&mut self, count: usize, rng: &mut SimRng) {
+            let total = self.lines.len();
+            let (mut disabled, mut attempts) = (0, 0);
+            while disabled < count && attempts < total * 20 {
+                attempts += 1;
+                let idx = rng.below(total as u64) as usize;
+                if !self.lines[idx].2 {
+                    self.lines[idx].2 = true;
+                    self.lines[idx].1 = false;
+                    disabled += 1;
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn key_array_matches_the_linear_scan_reference() {
+        for (seed, policy) in [Policy::Lru, Policy::RoundRobin, Policy::Random]
+            .into_iter()
+            .cycle()
+            .take(9)
+            .enumerate()
+        {
+            let cfg = CacheConfig {
+                size_bytes: 8 * 4 * 64, // 8 sets × 4 ways
+                ways: 4,
+                line_bytes: 64,
+                policy,
+            };
+            let mut cache = SetAssocCache::new(cfg).unwrap();
+            let mut reference = ReferenceCache::new(cfg);
+            let seed = seed as u64;
+            // Faulty Bits: from none to most of the cache, whole sets
+            // included, drawn identically for both models.
+            let faults = [0, 3, 9, 20, 28][seed as usize % 5];
+            cache.disable_random_lines(faults, &mut SimRng::seed_from(seed));
+            reference.disable_random_lines(faults, &mut SimRng::seed_from(seed));
+            let mut rng = SimRng::seed_from(100 + seed);
+            for step in 0..5_000 {
+                let ctx = format!("{policy:?} seed {seed} step {step}");
+                let line = rng.below(96);
+                match rng.below(10) {
+                    0..=4 => {
+                        let hit = cache.access(line);
+                        assert_eq!(hit, reference.access(line), "{ctx}");
+                        if !hit {
+                            assert_eq!(cache.fill(line), reference.fill(line), "{ctx}");
+                        }
+                    }
+                    5 | 6 => assert_eq!(cache.fill(line), reference.fill(line), "{ctx}"),
+                    7 => {
+                        cache.invalidate(line);
+                        reference.invalidate(line);
+                    }
+                    _ => assert_eq!(cache.probe(line), reference.probe(line), "{ctx}"),
+                }
+                assert_eq!(cache.stats(), reference.stats, "{ctx}");
+            }
+        }
     }
 
     #[test]

@@ -14,7 +14,7 @@
 //! newest `AI·N` entries are stabilizing, the `ICI` oldest are safe. On a
 //! pipeline drain, `AI·N` NOOPs are injected so the real tail can issue.
 
-use std::collections::VecDeque;
+use crate::ring::Ring;
 
 /// Circular instruction queue.
 ///
@@ -29,9 +29,8 @@ use std::collections::VecDeque;
 /// assert!(iq.issue_allowed(2, 2, 0));
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct InstQueue<T> {
-    entries: VecDeque<T>,
-    capacity: usize,
+pub struct InstQueue<T: Copy + Default> {
+    entries: Ring<T>,
     /// Monotone counters emulating the Figure 9 head/tail registers.
     head: u64,
     tail: u64,
@@ -49,7 +48,7 @@ impl std::fmt::Display for QueueFull {
 
 impl std::error::Error for QueueFull {}
 
-impl<T> InstQueue<T> {
+impl<T: Copy + Default> InstQueue<T> {
     /// Creates a queue of `capacity` entries.
     ///
     /// # Panics
@@ -60,35 +59,38 @@ impl<T> InstQueue<T> {
     pub fn new(capacity: usize) -> Self {
         assert!(capacity > 0 && capacity.is_power_of_two());
         Self {
-            entries: VecDeque::with_capacity(capacity),
-            capacity,
+            entries: Ring::new(capacity),
             head: 0,
             tail: 0,
         }
     }
 
     /// Queue capacity.
+    #[inline]
     #[must_use]
     pub fn capacity(&self) -> usize {
-        self.capacity
+        self.entries.capacity()
     }
 
     /// Current occupancy.
+    #[inline]
     #[must_use]
     pub fn occupancy(&self) -> usize {
         self.entries.len()
     }
 
     /// Whether the queue is empty.
+    #[inline]
     #[must_use]
     pub fn is_empty(&self) -> bool {
         self.entries.is_empty()
     }
 
     /// Whether the queue is full.
+    #[inline]
     #[must_use]
     pub fn is_full(&self) -> bool {
-        self.entries.len() == self.capacity
+        self.entries.is_full()
     }
 
     /// Occupancy computed the way the Figure 9 hardware does: append a
@@ -97,12 +99,12 @@ impl<T> InstQueue<T> {
     /// case. Kept alongside the architectural count for cross-checking.
     #[must_use]
     pub fn hardware_occupancy(&self) -> usize {
-        let size = self.capacity as u64;
+        let size = self.capacity() as u64;
         let tail = self.tail % size;
         let head = self.head % size;
         let raw = ((tail + size) - head) % size;
         if raw == 0 && !self.entries.is_empty() {
-            self.capacity
+            self.capacity()
         } else {
             raw as usize
         }
@@ -113,11 +115,9 @@ impl<T> InstQueue<T> {
     /// # Errors
     ///
     /// Returns [`QueueFull`] when at capacity.
+    #[inline]
     pub fn alloc(&mut self, item: T) -> Result<(), QueueFull> {
-        if self.is_full() {
-            return Err(QueueFull);
-        }
-        self.entries.push_back(item);
+        self.entries.push_back(item).map_err(|_| QueueFull)?;
         self.tail += 1;
         Ok(())
     }
@@ -126,6 +126,7 @@ impl<T> InstQueue<T> {
     ///
     /// With `n = 0` (IRAW disabled — the `stall issue?` signal cleared)
     /// any non-empty queue may issue.
+    #[inline]
     #[must_use]
     pub fn issue_allowed(&self, ici: usize, ai: usize, n: u32) -> bool {
         if n == 0 {
@@ -141,12 +142,14 @@ impl<T> InstQueue<T> {
     }
 
     /// Reference to the oldest entry.
+    #[inline]
     #[must_use]
     pub fn front(&self) -> Option<&T> {
         self.entries.front()
     }
 
     /// Pops the oldest entry (it issued).
+    #[inline]
     pub fn pop_oldest(&mut self) -> Option<T> {
         let item = self.entries.pop_front();
         if item.is_some() {
@@ -163,8 +166,7 @@ impl<T> InstQueue<T> {
 
     /// Restores the freshly-constructed state in place: empty queue *and*
     /// head/tail counters rewound (unlike [`InstQueue::flush`], which
-    /// keeps the monotone counters running). Capacity is retained, so no
-    /// allocation.
+    /// keeps the monotone counters running). No allocation.
     pub fn reset(&mut self) {
         self.entries.clear();
         self.head = 0;

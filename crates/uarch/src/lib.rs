@@ -32,6 +32,7 @@ pub mod cache;
 pub mod iq;
 pub mod ports;
 pub mod replacement;
+pub mod ring;
 pub mod rsb;
 pub mod scoreboard;
 pub mod stable;
@@ -43,6 +44,7 @@ pub use cache::{CacheConfig, CacheConfigError, CacheStats, SetAssocCache};
 pub use iq::InstQueue;
 pub use ports::{Port, PortSet};
 pub use replacement::Policy;
+pub use ring::Ring;
 pub use rsb::ReturnStack;
 pub use scoreboard::{IrawWindow, Scoreboard};
 pub use stable::{StableMatch, StoreTable, TrackedStore};

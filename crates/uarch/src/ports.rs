@@ -25,12 +25,14 @@ impl Port {
     }
 
     /// Whether the port is busy at `cycle`.
+    #[inline]
     #[must_use]
     pub fn is_busy(&self, cycle: u64) -> bool {
         cycle < self.busy_until
     }
 
     /// Reserves the port for `cycles` starting at `cycle` if free.
+    #[inline]
     pub fn try_reserve(&mut self, cycle: u64, cycles: u64) -> bool {
         if self.is_busy(cycle) {
             self.conflicts += 1;
@@ -42,6 +44,7 @@ impl Port {
     }
 
     /// First cycle at which the port is free.
+    #[inline]
     #[must_use]
     pub fn free_at(&self) -> u64 {
         self.busy_until
@@ -93,6 +96,7 @@ impl PortSet {
     }
 
     /// Reserves any free port for `cycles` starting at `cycle`.
+    #[inline]
     pub fn try_reserve(&mut self, cycle: u64, cycles: u64) -> bool {
         for p in &mut self.ports {
             if !p.is_busy(cycle) {
@@ -103,6 +107,7 @@ impl PortSet {
     }
 
     /// Free ports at `cycle`.
+    #[inline]
     #[must_use]
     pub fn free_count(&self, cycle: u64) -> usize {
         self.ports.iter().filter(|p| !p.is_busy(cycle)).count()
@@ -110,6 +115,7 @@ impl PortSet {
 
     /// Earliest cycle at which any port is (or becomes) free — the wake-up
     /// bound for a caller blocked on an all-busy set.
+    #[inline]
     #[must_use]
     pub fn earliest_free(&self) -> u64 {
         self.ports.iter().map(Port::free_at).min().unwrap_or(0)

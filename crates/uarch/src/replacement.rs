@@ -66,15 +66,27 @@ impl PolicyState {
     /// Allocation-free: candidate enumeration walks `ways` directly
     /// (fills run every cycle in miss-heavy phases, so this sits on the
     /// simulator's steady-state hot path).
+    #[inline]
     pub fn select_victim(&mut self, set: usize, ways: &[WayView]) -> Option<usize> {
-        // Free way first.
-        if let Some(idx) = ways.iter().position(|w| !w.disabled && !w.valid) {
-            return Some(idx);
+        // One pass: the first free enabled way wins outright; otherwise
+        // count the enabled (hence valid) ways and track the first
+        // least-recently-used one (min_by_key semantics).
+        let mut enabled = 0;
+        let mut lru: Option<(usize, u64)> = None;
+        for (i, w) in ways.iter().enumerate() {
+            if w.disabled {
+                continue;
+            }
+            if !w.valid {
+                return Some(i);
+            }
+            enabled += 1;
+            if lru.map_or(true, |(_, best)| w.last_use < best) {
+                lru = Some((i, w.last_use));
+            }
         }
-        let enabled = ways.iter().filter(|w| !w.disabled).count();
-        if enabled == 0 {
-            return None;
-        }
+        // `None` when every way is disabled.
+        let (lru_way, _) = lru?;
         // The k-th enabled way, in way order — the same indexing the old
         // materialized candidate list gave.
         let nth_enabled = |k: usize| -> usize {
@@ -86,18 +98,7 @@ impl PolicyState {
                 .expect("k < enabled count")
         };
         let pick = match self.policy {
-            Policy::Lru => {
-                // First-minimal over enabled ways (min_by_key semantics).
-                let mut best = usize::MAX;
-                let mut best_use = u64::MAX;
-                for (i, w) in ways.iter().enumerate() {
-                    if !w.disabled && (best == usize::MAX || w.last_use < best_use) {
-                        best = i;
-                        best_use = w.last_use;
-                    }
-                }
-                best
-            }
+            Policy::Lru => lru_way,
             Policy::RoundRobin => {
                 let cursor = &mut self.cursors[set];
                 let pick = nth_enabled(*cursor % enabled);

@@ -64,6 +64,7 @@ impl ReturnStack {
 
     /// Pushes a return address (on a call). Overflow wraps, overwriting
     /// the oldest entry — standard RSB behaviour.
+    #[inline]
     pub fn push(&mut self, return_addr: u64, cycle: u64) {
         self.top = (self.top + 1) % self.slots.len();
         self.slots[self.top] = (return_addr, cycle);
@@ -77,6 +78,7 @@ impl ReturnStack {
     /// Pops the predicted return address (on a return). Returns `None` on
     /// underflow. Tracks pops landing within the IRAW window of the
     /// matching push.
+    #[inline]
     pub fn pop(&mut self, cycle: u64) -> Option<u64> {
         if self.live == 0 {
             self.underflows += 1;

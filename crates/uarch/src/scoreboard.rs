@@ -53,16 +53,16 @@ struct ShiftReg {
 /// Shifts `bits` left by `delta` cycles, keeping the sticky LSB, within
 /// `width`/`mask`. O(1) for any delta: past `width` shifts the pattern is
 /// saturated by its LSB.
+#[inline]
 fn shift_by(bits: u32, delta: u64, width: u32, mask: u32) -> u32 {
-    if delta == 0 {
-        return bits;
-    }
-    let sticky = bits & 1;
+    // All ones when the sticky LSB is set, all zeros otherwise.
+    let sticky = 0u32.wrapping_sub(bits & 1);
     if delta >= u64::from(width) {
-        return if sticky == 1 { mask } else { 0 };
+        return sticky & mask;
     }
+    // `d < width <= 32`, so neither shift overflows.
     let d = delta as u32;
-    let fill = if sticky == 1 { (1 << d) - 1 } else { 0 };
+    let fill = sticky & ((1u32 << d) - 1);
     ((bits << d) | fill) & mask
 }
 
@@ -133,15 +133,24 @@ impl Scoreboard {
     }
 
     /// The pattern of `reg` as seen this cycle.
+    #[inline]
     fn current_bits(&self, reg: Reg) -> u32 {
         let r = self.regs[usize::from(reg.index())];
         shift_by(r.bits, self.now - r.written_at, self.width, self.mask)
     }
 
     /// Whether a consumer of `reg` may issue this cycle (the MSB).
+    ///
+    /// Branch-free: `k` cycles after the write the MSB holds the stored
+    /// bit `width - 1 - k`, and from `k = width - 1` on the sticky LSB —
+    /// so one clamped shift reads it without materialising the pattern.
+    #[inline]
     #[must_use]
     pub fn is_ready(&self, reg: Reg) -> bool {
-        self.current_bits(reg) >> (self.width - 1) & 1 == 1
+        let r = self.regs[usize::from(reg.index())];
+        let top = self.width - 1;
+        let k = (self.now - r.written_at).min(u64::from(top)) as u32;
+        (r.bits >> (top - k)) & 1 == 1
     }
 
     /// Raw pattern of `reg`'s shift register (LSB-aligned; for tests and
@@ -156,6 +165,7 @@ impl Scoreboard {
     ///
     /// Falls back to all-zeros (long-latency handling, paper §4.1.1) when
     /// the window does not fit the register width.
+    #[inline]
     fn build_pattern(&self, latency: u32, iraw: Option<IrawWindow>) -> u32 {
         let (bypass, bubble) = match iraw {
             Some(w) => (w.bypass_levels, w.bubble),
@@ -185,6 +195,7 @@ impl Scoreboard {
     /// Latencies too long for the register width mark the register
     /// long-latency (all zeros); call [`Scoreboard::complete`] when the
     /// value arrives.
+    #[inline]
     pub fn set_producer(&mut self, reg: Reg, latency: u32, iraw: Option<IrawWindow>) {
         let bits = self.build_pattern(latency, iraw);
         self.regs[usize::from(reg.index())] = ShiftReg {
@@ -194,6 +205,7 @@ impl Scoreboard {
     }
 
     /// Marks `reg` long-latency (all zeros) pending a completion event.
+    #[inline]
     pub fn mark_long_latency(&mut self, reg: Reg) {
         self.regs[usize::from(reg.index())] = ShiftReg {
             bits: 0,
@@ -205,6 +217,7 @@ impl Scoreboard {
     /// divider finish): the value is available *now*, so consumers may use
     /// the bypass immediately, but with IRAW active the register file
     /// entry still stabilizes for `bubble` cycles.
+    #[inline]
     pub fn complete(&mut self, reg: Reg, iraw: Option<IrawWindow>) {
         let bits = self.build_pattern(0, iraw);
         self.regs[usize::from(reg.index())] = ShiftReg {
@@ -215,6 +228,7 @@ impl Scoreboard {
 
     /// Advances one cycle: every register shifts left, keeping its LSB.
     /// With the lazy representation this is a single counter increment.
+    #[inline]
     pub fn tick(&mut self) {
         self.now += 1;
     }
@@ -223,21 +237,20 @@ impl Scoreboard {
     /// The engine's cycle-skipping fast path jumps stalls with this.
     ///
     /// [`tick`]: Scoreboard::tick
+    #[inline]
     pub fn advance(&mut self, cycles: u64) {
         self.now += cycles;
     }
 
-    /// Cycles until `reg` becomes ready, scanning from the MSB
-    /// (`0` when ready now; `width` when all-zero / long-latency).
+    /// Cycles until `reg` becomes ready: the distance of the highest set
+    /// bit from the MSB (`0` when ready now; `width` when all-zero /
+    /// long-latency).
     #[must_use]
     pub fn cycles_until_ready(&self, reg: Reg) -> u32 {
-        let bits = self.current_bits(reg);
-        for k in 0..self.width {
-            if bits >> (self.width - 1 - k) & 1 == 1 {
-                return k;
-            }
+        match self.current_bits(reg) {
+            0 => self.width,
+            bits => bits.leading_zeros() - (32 - self.width),
         }
-        self.width
     }
 
     /// Cycles until the *readiness* of `reg` next changes value, in either
@@ -246,14 +259,17 @@ impl Scoreboard {
     /// absent a new write — all-ones, or all-zeros awaiting a completion
     /// event. The engine's fast path uses this to bound how far it may
     /// skip while the issue decision provably cannot change.
+    #[inline]
     #[must_use]
     pub fn cycles_until_change(&self, reg: Reg) -> Option<u32> {
         let bits = self.current_bits(reg);
         let cur = bits >> (self.width - 1) & 1;
         // The readiness observed k cycles from now is bit width-1-k; from
-        // k = width-1 onwards it is the sticky LSB, so scanning the word
-        // once covers the whole future.
-        (1..self.width).find(|&k| bits >> (self.width - 1 - k) & 1 != cur)
+        // k = width-1 onwards it is the sticky LSB, so the word covers the
+        // whole future. The first change is the highest bit that differs
+        // from the MSB (which never differs from itself).
+        let differ = (bits ^ 0u32.wrapping_sub(cur)) & self.mask;
+        (differ != 0).then(|| differ.leading_zeros() - (32 - self.width))
     }
 
     /// Resets every register to ready (pipeline flush).
@@ -508,6 +524,53 @@ mod tests {
         sb.mark_long_latency(r(2));
         // All zeros: blocked until a completion event, never by shifting.
         assert_eq!(sb.cycles_until_change(r(2)), None);
+    }
+
+    /// Every 7-bit pattern, every elapsed delta up to well past
+    /// saturation: the closed forms of `is_ready`, `cycles_until_change`
+    /// and `cycles_until_ready` must agree with shifting the pattern one
+    /// cycle at a time.
+    #[test]
+    fn closed_forms_match_cycle_by_cycle_shifting_at_width_7() {
+        const W: u32 = 7;
+        let mask = (1u32 << W) - 1;
+        let shift1 = |b: u32| ((b << 1) | (b & 1)) & mask;
+        let ready = |b: u32| b >> (W - 1) & 1 == 1;
+        for pattern in 0..=mask {
+            for delta in 0..3 * u64::from(W) {
+                let mut sb = Scoreboard::new(W);
+                sb.regs[0] = ShiftReg {
+                    bits: pattern,
+                    written_at: 0,
+                };
+                sb.advance(delta);
+                let mut b = pattern;
+                for _ in 0..delta {
+                    b = shift1(b);
+                }
+                let ctx = format!("pattern {pattern:07b} delta {delta}");
+                assert_eq!(sb.pattern(r(0)), b, "{ctx}");
+                assert_eq!(sb.is_ready(r(0)), ready(b), "{ctx}");
+                let mut future = b;
+                let mut change = None;
+                let mut first_ready = if ready(b) { Some(0) } else { None };
+                for k in 1..=2 * W {
+                    future = shift1(future);
+                    if change.is_none() && ready(future) != ready(b) {
+                        change = Some(k);
+                    }
+                    if first_ready.is_none() && ready(future) {
+                        first_ready = Some(k);
+                    }
+                }
+                assert_eq!(sb.cycles_until_change(r(0)), change, "{ctx}");
+                assert_eq!(
+                    sb.cycles_until_ready(r(0)),
+                    first_ready.unwrap_or(W),
+                    "{ctx}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -158,6 +158,7 @@ impl StoreTable {
 
     /// Per-cycle update: the round-robin slot receives the committing
     /// store, or is invalidated when no store commits this cycle.
+    #[inline]
     pub fn cycle_update(&mut self, store: Option<TrackedStore>) {
         if self.enabled == 0 {
             return;
@@ -169,7 +170,7 @@ impl StoreTable {
                 age: self.next_age,
             }
         });
-        self.cursor = (self.cursor + 1) % self.enabled;
+        self.cursor = self.next_slot(self.cursor);
     }
 
     /// Advances `cycles` store-less cycles at once — equivalent to that
@@ -178,6 +179,7 @@ impl StoreTable {
     /// passes (all of them once `cycles` covers a full lap). Used by the
     /// engine's cycle-skipping fast path, which only skips cycles in which
     /// no store can commit.
+    #[inline]
     pub fn advance_idle(&mut self, cycles: u64) {
         if self.enabled == 0 || cycles == 0 {
             return;
@@ -190,14 +192,26 @@ impl StoreTable {
         } else {
             for _ in 0..cycles {
                 self.slots[self.cursor] = None;
-                self.cursor = (self.cursor + 1) % self.enabled;
+                self.cursor = self.next_slot(self.cursor);
             }
             return;
         }
         self.cursor = ((self.cursor as u64 + cycles) % n) as usize;
     }
 
+    /// The round-robin successor of `slot` among the enabled entries
+    /// (a compare, not a division: this runs every simulated cycle).
+    #[inline]
+    fn next_slot(&self, slot: usize) -> usize {
+        if slot + 1 == self.enabled {
+            0
+        } else {
+            slot + 1
+        }
+    }
+
     /// Probes a load against the enabled entries.
+    #[inline]
     pub fn probe(&mut self, addr: u64, size: u8, set: u64) -> StableMatch {
         self.stats.probes += 1;
         if self.enabled == 0 {

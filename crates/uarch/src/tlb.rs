@@ -30,6 +30,21 @@ impl TlbStats {
     }
 }
 
+/// VPN marking a free TLB slot; real VPNs (`addr >> 12`) never reach it.
+const FREE: u64 = u64::MAX;
+
+/// One TLB slot; free slots hold [`FREE`] and never match a lookup.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Entry {
+    vpn: u64,
+    last_use: u64,
+}
+
+const EMPTY: Entry = Entry {
+    vpn: FREE,
+    last_use: 0,
+};
+
 /// A fully-associative TLB.
 ///
 /// ```
@@ -44,7 +59,9 @@ impl TlbStats {
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Tlb {
-    entries: Vec<Option<(u64, u64)>>, // (vpn, last_use)
+    /// Flat `(vpn, last_use)` slots with a free sentinel, so a lookup is
+    /// one compare per slot.
+    entries: Vec<Entry>,
     /// Slot of the most recent hit: page locality makes the next access
     /// overwhelmingly likely to land there, turning the linear scan into
     /// an O(1) probe on the hot path.
@@ -63,7 +80,7 @@ impl Tlb {
     pub fn new(entries: usize) -> Self {
         assert!(entries > 0, "TLB needs at least one entry");
         Self {
-            entries: vec![None; entries],
+            entries: vec![EMPTY; entries],
             mru: 0,
             clock: 0,
             stats: TlbStats::default(),
@@ -77,67 +94,63 @@ impl Tlb {
     }
 
     /// Virtual page number of an address.
+    #[inline]
     #[must_use]
     pub fn vpn(addr: u64) -> u64 {
         addr >> PAGE_SHIFT
     }
 
     /// Looks up the page of `addr`; returns whether it hit.
+    #[inline]
     pub fn access(&mut self, addr: u64) -> bool {
         self.clock += 1;
         self.stats.accesses += 1;
         let vpn = Self::vpn(addr);
-        if let Some(entry) = &mut self.entries[self.mru] {
-            if entry.0 == vpn {
-                entry.1 = self.clock;
+        let slot = if self.entries[self.mru].vpn == vpn {
+            Some(self.mru)
+        } else {
+            self.entries.iter().position(|e| e.vpn == vpn)
+        };
+        match slot {
+            Some(idx) => {
+                self.entries[idx].last_use = self.clock;
+                self.mru = idx;
                 self.stats.hits += 1;
-                return true;
+                true
+            }
+            None => {
+                self.stats.misses += 1;
+                false
             }
         }
-        for (idx, entry) in self.entries.iter_mut().enumerate() {
-            if let Some(entry) = entry {
-                if entry.0 == vpn {
-                    entry.1 = self.clock;
-                    self.mru = idx;
-                    self.stats.hits += 1;
-                    return true;
-                }
-            }
-        }
-        self.stats.misses += 1;
-        false
     }
 
     /// Installs the page of `addr`, evicting the LRU entry if full.
     pub fn fill(&mut self, addr: u64) {
         self.clock += 1;
         let vpn = Self::vpn(addr);
-        if self
-            .entries
-            .iter()
-            .flatten()
-            .any(|&(existing, _)| existing == vpn)
-        {
+        if self.entries.iter().any(|e| e.vpn == vpn) {
             return;
         }
-        let slot = if let Some(idx) = self.entries.iter().position(Option::is_none) {
-            idx
-        } else {
-            self.entries
+        let slot = match self.entries.iter().position(|e| e.vpn == FREE) {
+            Some(idx) => idx,
+            // Full: the first least-recently-used slot.
+            None => self
+                .entries
                 .iter()
                 .enumerate()
-                .min_by_key(|(_, e)| e.map(|(_, t)| t).unwrap_or(0))
-                .map(|(i, _)| i)
-                .expect("TLB non-empty")
+                .min_by_key(|(_, e)| e.last_use)
+                .map_or(0, |(i, _)| i),
         };
-        self.entries[slot] = Some((vpn, self.clock));
+        self.entries[slot] = Entry {
+            vpn,
+            last_use: self.clock,
+        };
     }
 
     /// Flushes all translations.
     pub fn flush(&mut self) {
-        for e in &mut self.entries {
-            *e = None;
-        }
+        self.entries.fill(EMPTY);
     }
 
     /// Restores the freshly-constructed state in place: translations,
@@ -207,6 +220,102 @@ mod tests {
         tlb.fill(0x1000);
         tlb.flush();
         assert!(!tlb.access(0x1000));
+    }
+
+    /// The pre-flattening model: `Option` slots with an MRU probe and
+    /// first-minimal LRU eviction.
+    struct ReferenceTlb {
+        entries: Vec<Option<(u64, u64)>>,
+        mru: usize,
+        clock: u64,
+        stats: TlbStats,
+    }
+
+    impl ReferenceTlb {
+        fn access(&mut self, addr: u64) -> bool {
+            self.clock += 1;
+            self.stats.accesses += 1;
+            let vpn = Tlb::vpn(addr);
+            if let Some(entry) = &mut self.entries[self.mru] {
+                if entry.0 == vpn {
+                    entry.1 = self.clock;
+                    self.stats.hits += 1;
+                    return true;
+                }
+            }
+            for (idx, entry) in self.entries.iter_mut().enumerate() {
+                if let Some(entry) = entry {
+                    if entry.0 == vpn {
+                        entry.1 = self.clock;
+                        self.mru = idx;
+                        self.stats.hits += 1;
+                        return true;
+                    }
+                }
+            }
+            self.stats.misses += 1;
+            false
+        }
+
+        fn fill(&mut self, addr: u64) {
+            self.clock += 1;
+            let vpn = Tlb::vpn(addr);
+            if self.entries.iter().flatten().any(|&(v, _)| v == vpn) {
+                return;
+            }
+            let slot = self
+                .entries
+                .iter()
+                .position(Option::is_none)
+                .unwrap_or_else(|| {
+                    self.entries
+                        .iter()
+                        .enumerate()
+                        .min_by_key(|(_, e)| e.map_or(0, |(_, t)| t))
+                        .map(|(i, _)| i)
+                        .unwrap()
+                });
+            self.entries[slot] = Some((vpn, self.clock));
+        }
+    }
+
+    #[test]
+    fn flat_entries_match_the_option_reference() {
+        for seed in 0..6u64 {
+            let mut rng = lowvcc_trace::SimRng::seed_from(seed);
+            let cap = 1 + seed as usize * 3;
+            let mut tlb = Tlb::new(cap);
+            let mut reference = ReferenceTlb {
+                entries: vec![None; cap],
+                mru: 0,
+                clock: 0,
+                stats: TlbStats::default(),
+            };
+            for step in 0..4_000 {
+                // More pages than slots: misses, refills and evictions.
+                let addr =
+                    (rng.below(3 * cap as u64 + 2) << PAGE_SHIFT) | rng.below(1u64 << PAGE_SHIFT);
+                match rng.below(6) {
+                    0 => {
+                        tlb.flush();
+                        reference.entries.fill(None);
+                    }
+                    1 | 2 => {
+                        tlb.fill(addr);
+                        reference.fill(addr);
+                    }
+                    _ => {
+                        let hit = tlb.access(addr);
+                        assert_eq!(hit, reference.access(addr), "seed {seed} step {step}");
+                        if !hit {
+                            tlb.fill(addr);
+                            reference.fill(addr);
+                        }
+                    }
+                }
+                assert_eq!(tlb.stats(), reference.stats, "seed {seed} step {step}");
+            }
+        }
     }
 
     #[test]
