@@ -42,7 +42,7 @@ pub use error::ExperimentError;
 pub use lockdep::{OrderedCondvar, OrderedGuard, OrderedMutex};
 pub use report::TextTable;
 pub use store::{
-    Flight, FlightGuard, FlightWaiter, KeyOwnership, RemoteFetch, ResultStore, StoreError,
-    StoreStats, QUARANTINE_DIR,
+    Flight, FlightGuard, FlightWaiter, KeyOwnership, ResultStore, StoreError, StoreStats,
+    QUARANTINE_DIR,
 };
 pub use store_io::{FaultCounts, FaultKind, FaultPlan, FaultyIo, RealIo, RetryPolicy, StoreIo};

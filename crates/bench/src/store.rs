@@ -143,13 +143,6 @@ pub struct StoreStats {
     /// Inserts for keys outside this store's owned slice (sharded
     /// daemons only): kept in memory, never published to disk.
     pub foreign_puts: u64,
-    /// Local misses on keys another shard owns that consulted the
-    /// read-through peer hook (sharded daemons only) before falling back
-    /// to simulation. Misses on owned keys never reach the hook.
-    pub peer_fetches: u64,
-    /// Peer fetches the key's ring owner answered — each one is a
-    /// simulation this node did not have to run.
-    pub peer_hits: u64,
     /// Whether the store has latched memory-only (degraded) mode after a
     /// publish exhausted its retries. Sticky until restart.
     pub degraded: bool,
@@ -159,15 +152,6 @@ pub struct StoreStats {
 /// slot — the sharded serve tier's consistent-hash ring, closed over a
 /// shard index. Stores without one (the default) own every key.
 pub type KeyOwnership = Arc<dyn Fn(SimKey) -> bool + Send + Sync>;
-
-/// Read-through hook consulted on a local miss before the caller
-/// simulates: ask the key's ring owner for its copy (the sharded serve
-/// tier dials the owning shard's `peer_get` endpoint). Must be
-/// **non-cascading** — the hook is never invoked while *serving* a peer
-/// request ([`ResultStore::peek_local`] skips it), so two shards missing
-/// the same key cannot chase each other. Any failure maps to `None`:
-/// peer trouble degrades to a local simulation, never to an error.
-pub type RemoteFetch = Arc<dyn Fn(SimKey) -> Option<SimResult> + Send + Sync>;
 
 thread_local! {
     // Per-thread miss tally across all stores. A serve worker handles a
@@ -347,13 +331,9 @@ pub struct ResultStore {
     write_failures: AtomicU64,
     pub(crate) orphans_swept: AtomicU64,
     foreign_puts: AtomicU64,
-    peer_fetches: AtomicU64,
-    peer_hits: AtomicU64,
     degraded: AtomicBool,
     /// `None` = this store owns every key (the single-daemon shape).
     owned: Option<KeyOwnership>,
-    /// `None` = no read-through peer tier (the single-daemon shape).
-    remote: Option<RemoteFetch>,
 }
 
 impl fmt::Debug for ResultStore {
@@ -427,11 +407,8 @@ impl ResultStore {
             write_failures: AtomicU64::new(0),
             orphans_swept: AtomicU64::new(0),
             foreign_puts: AtomicU64::new(0),
-            peer_fetches: AtomicU64::new(0),
-            peer_hits: AtomicU64::new(0),
             degraded: AtomicBool::new(false),
             owned: None,
-            remote: None,
         }
     }
 
@@ -444,19 +421,6 @@ impl ResultStore {
     pub fn with_key_owner(self, owner: KeyOwnership) -> Self {
         Self {
             owned: Some(owner),
-            ..self
-        }
-    }
-
-    /// Installs a read-through peer hook consulted on local (LRU + disk)
-    /// misses before the caller simulates. A remote hit lands in this
-    /// store's memory tier and counts as a hit plus
-    /// [`StoreStats::peer_hits`]; any hook failure is a plain miss. See
-    /// [`RemoteFetch`] for the no-cascade contract.
-    #[must_use]
-    pub fn with_remote_fetch(self, remote: RemoteFetch) -> Self {
-        Self {
-            remote: Some(remote),
             ..self
         }
     }
@@ -490,8 +454,6 @@ impl ResultStore {
             write_failures: self.write_failures.load(Ordering::Relaxed),
             orphans_swept: self.orphans_swept.load(Ordering::Relaxed),
             foreign_puts: self.foreign_puts.load(Ordering::Relaxed),
-            peer_fetches: self.peer_fetches.load(Ordering::Relaxed),
-            peer_hits: self.peer_hits.load(Ordering::Relaxed),
             degraded: self.degraded.load(Ordering::Relaxed),
         }
     }
@@ -554,23 +516,9 @@ impl ResultStore {
         eprintln!("lowvcc-store: quarantined {}: {why}", path.display());
     }
 
-    /// Counter-free lookup: LRU, then disk, then — only here — the
-    /// read-through peer hook. Infallible: every failure mode degrades
-    /// to a miss.
+    /// Counter-free lookup: LRU, then disk (promoting a disk hit into
+    /// the LRU). Infallible: every failure mode degrades to a miss.
     fn probe(&self, key: SimKey) -> Option<SimResult> {
-        if let Some(hit) = self.peek_local(key) {
-            return Some(hit);
-        }
-        self.probe_remote(key)
-    }
-
-    /// Local-tiers-only lookup (LRU, then disk, promoting a disk hit
-    /// into the LRU), counter-free and **never** consulting the
-    /// [`RemoteFetch`] hook. This is what a shard answers `peer_get`
-    /// requests from — the no-cascade rule: serving a peer never
-    /// triggers another peer fetch.
-    #[must_use]
-    pub fn peek_local(&self, key: SimKey) -> Option<SimResult> {
         if let Some(hit) = self.lru.lock().get(key) {
             return Some(hit);
         }
@@ -583,25 +531,7 @@ impl ResultStore {
         self.owned.as_ref().map_or(true, |owner| owner(key))
     }
 
-    /// Asks the read-through hook (if any) for a foreign key both local
-    /// tiers missed. A local miss on an owned key is authoritative — no
-    /// peer holds what the owner lacks — so the hook is never called for
-    /// one. A remote hit is promoted into the LRU: it is a valid result,
-    /// just another shard's to persist, so it never touches this store's
-    /// disk slice.
-    fn probe_remote(&self, key: SimKey) -> Option<SimResult> {
-        let remote = self.remote.as_ref()?;
-        if self.owns(key) {
-            return None;
-        }
-        self.peer_fetches.fetch_add(1, Ordering::Relaxed);
-        let result = remote(key)?;
-        self.peer_hits.fetch_add(1, Ordering::Relaxed);
-        self.lru.lock().insert(key, result.clone());
-        Some(result)
-    }
-
-    /// Disk tier of [`peek_local`](Self::peek_local). Infallible — a
+    /// Disk tier of [`probe`](Self::probe). Infallible — a
     /// record that cannot be read or decoded is quarantined and
     /// reported as a miss.
     fn probe_disk(&self, key: SimKey) -> Option<SimResult> {
@@ -747,9 +677,11 @@ impl ResultStore {
         self.lru.lock().insert(key, result.clone());
         self.stores.fetch_add(1, Ordering::Relaxed);
         if !self.owns(key) {
-            // Another shard's slice: the result is still valid (and
-            // cached in memory above), but its disk slot belongs to the
-            // owning shard — publishing here would race it.
+            // Another shard's slice: the result is valid (and cached in
+            // memory above), but the owning shard pays the fsynced
+            // publish. Publishing here too would be safe — tempfiles are
+            // unique per process and call, the rename is atomic — just
+            // a duplicate write.
             self.foreign_puts.fetch_add(1, Ordering::Relaxed);
             return;
         }
@@ -789,7 +721,9 @@ impl ResultStore {
     }
 
     /// Number of records currently on disk (0 for ephemeral stores,
-    /// quarantined records excluded). Walks the shard directories;
+    /// quarantined records excluded). Counts the whole directory, which
+    /// other stores (every shard of a cluster) may share — so it is not
+    /// this store's own publishes. Walks the shard directories;
     /// best-effort — an unlistable directory counts as empty. Intended
     /// for reporting, not hot paths.
     #[must_use]
@@ -907,64 +841,6 @@ mod tests {
         let s = store.stats();
         assert_eq!((s.hits, s.misses, s.stores), (1, 1, 1));
         assert!(!s.degraded);
-    }
-
-    #[test]
-    fn remote_fetch_fills_local_misses_but_peek_never_cascades() {
-        let (key, result) = run_one();
-        let calls = Arc::new(AtomicU64::new(0));
-        let hook_calls = Arc::clone(&calls);
-        let remote_result = result.clone();
-        let store = ResultStore::ephemeral()
-            .with_key_owner(Arc::new(|_| false))
-            .with_remote_fetch(Arc::new(move |k| {
-                hook_calls.fetch_add(1, Ordering::Relaxed);
-                (k == key).then(|| remote_result.clone())
-            }));
-        // peek_local (what serves peer_get) never consults the hook —
-        // the no-cascade rule.
-        assert!(store.peek_local(key).is_none());
-        assert_eq!(calls.load(Ordering::Relaxed), 0);
-        // A real lookup misses locally, fetches from the peer, and
-        // promotes the result into the memory tier.
-        assert_eq!(store.get(key), Some(result.clone()));
-        let s = store.stats();
-        assert_eq!((s.peer_fetches, s.peer_hits, s.hits), (1, 1, 1));
-        // Promoted: the second lookup answers without dialing again.
-        assert_eq!(store.get(key), Some(result));
-        assert_eq!(calls.load(Ordering::Relaxed), 1);
-        // A hook miss is a plain miss.
-        let other = SimKey::from_value(key.value() ^ 1);
-        assert_eq!(store.get(other), None);
-        let s = store.stats();
-        assert_eq!((s.peer_fetches, s.peer_hits, s.misses), (2, 1, 1));
-    }
-
-    #[test]
-    fn peer_fetches_count_only_dials_for_foreign_keys() {
-        let (owned, result) = run_one();
-        let foreign = SimKey::from_value(owned.value() ^ 1);
-        let calls = Arc::new(AtomicU64::new(0));
-        let hook_calls = Arc::clone(&calls);
-        let store = ResultStore::ephemeral()
-            .with_key_owner(Arc::new(move |k| k == owned))
-            .with_remote_fetch(Arc::new(move |_| {
-                hook_calls.fetch_add(1, Ordering::Relaxed);
-                None
-            }));
-        // A miss on an owned key is authoritative: no dial, no count.
-        assert_eq!(store.get(owned), None);
-        assert_eq!(store.stats().peer_fetches, 0);
-        assert_eq!(calls.load(Ordering::Relaxed), 0);
-        // A miss on a foreign key dials its owner exactly once.
-        assert_eq!(store.get(foreign), None);
-        let s = store.stats();
-        assert_eq!((s.peer_fetches, s.peer_hits, s.misses), (1, 0, 2));
-        assert_eq!(calls.load(Ordering::Relaxed), 1);
-        // The counter and the hook agree: each count is one dial.
-        store.put(owned, &result);
-        assert_eq!(store.get(owned), Some(result));
-        assert_eq!(store.stats().peer_fetches, calls.load(Ordering::Relaxed));
     }
 
     #[test]
@@ -1253,6 +1129,59 @@ mod tests {
         store.put(key, &result);
         assert_eq!(io.ops(), ops_before, "degraded puts must not touch disk");
         assert_eq!(store.stats().write_failures, 1, "and are not failures");
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn stores_reconcile_with_disk_entries_and_foreign_puts() {
+        use crate::store_io::{FaultKind, FaultPlan, FaultyIo};
+        // Twelve distinct keys over one result; the store owns every key
+        // whose index is not a multiple of 3 (8 owned, 4 foreign).
+        let (base, result) = run_one();
+        let keys: Vec<SimKey> = (0..12u128)
+            .map(|i| SimKey::from_value(base.value() ^ i))
+            .collect();
+        let owner: KeyOwnership = Arc::new(move |k| (k.value() ^ base.value()) % 3 != 0);
+
+        // Clean run: every owned put is a publish, every foreign put is
+        // counted instead.
+        let dir = tmpdir("reconcile");
+        let store = ResultStore::open(&dir)
+            .unwrap()
+            .with_key_owner(Arc::clone(&owner));
+        for &k in &keys {
+            store.put(k, &result);
+        }
+        let s = store.stats();
+        assert_eq!((s.stores, s.foreign_puts), (12, 4));
+        assert_eq!(s.stores, store.disk_entries() + s.foreign_puts);
+        let _ = fs::remove_dir_all(&dir);
+
+        // Faulted run: a clean publish is write, rename, dir sync (3
+        // ops); the third owned put fails every one of its attempts.
+        let dir = tmpdir("reconcile_faulted");
+        let attempts = u64::from(RetryPolicy::immediate().attempts);
+        let plan = (6..6 + attempts).fold(FaultPlan::none(), |p, op| {
+            p.with_fault(op, FaultKind::WriteEio)
+        });
+        let store = ResultStore::open_with(
+            &dir,
+            Arc::new(FaultyIo::new(plan)) as Arc<dyn StoreIo>,
+            RetryPolicy::immediate(),
+        )
+        .unwrap()
+        .with_key_owner(Arc::clone(&owner));
+        let mut puts_after_latch = 0;
+        for &k in &keys {
+            puts_after_latch += u64::from(store.degraded() && owner(k));
+            store.put(k, &result);
+        }
+        let s = store.stats();
+        assert!(s.degraded);
+        assert_eq!(s.write_failures, 1);
+        assert_eq!(store.disk_entries(), 2, "two owned puts beat the fault");
+        let missing = s.stores - s.foreign_puts - store.disk_entries();
+        assert_eq!(missing, puts_after_latch + s.write_failures);
         let _ = fs::remove_dir_all(&dir);
     }
 

@@ -353,8 +353,8 @@ impl SimKey {
 
     /// Reconstructs a key from its raw 128-bit value — the inverse of
     /// [`SimKey::value`]. Used when a key round-trips through an
-    /// external representation (a bundle file, a `peer_get` request)
-    /// rather than being derived from simulation inputs.
+    /// external representation (a bundle file) rather than being
+    /// derived from simulation inputs.
     #[must_use]
     pub fn from_value(value: u128) -> Self {
         Self(value)

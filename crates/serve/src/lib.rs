@@ -21,7 +21,6 @@
 //! {"experiment": "sweep", "vcc": 575}      → one operating point
 //! {"experiment": "table1", "vcc": 500}     → quantitative Table 1 rows
 //! {"experiment": "stalls", "vcc": 575}     → §5.2 stall attribution
-//! {"experiment": "peer_get", "key": HEX}   → read-through probe (shards)
 //! {"experiment": "shutdown"}
 //! ```
 //!
@@ -83,7 +82,6 @@ use std::time::Duration;
 
 use lowvcc_bench::experiments::{point, point_json, stalls, sweep, table1};
 use lowvcc_bench::{json, ExperimentContext, ExperimentError, ResultStore};
-use lowvcc_core::{encode_sim_result, SimKey};
 use lowvcc_sram::{Millivolts, VoltageError, PAPER_SWEEP};
 
 use std::fmt;
@@ -113,10 +111,6 @@ pub enum Request {
     Table1(Millivolts),
     /// §5.2 stall attribution at a voltage (default 575 mV).
     Stalls(Millivolts),
-    /// A peer shard's read-through probe for one [`SimKey`]: answered
-    /// from this daemon's local cache tiers only, never by simulating
-    /// and never by asking a further peer (the no-cascade rule).
-    PeerGet(SimKey),
     /// Stop accepting and exit the serve loop.
     Shutdown,
 }
@@ -138,9 +132,6 @@ pub enum RequestError {
     VccNotInteger,
     /// The `"vcc"` field does not fit a millivolt count.
     VccOutOfRange(u64),
-    /// The `"key"` field of a `peer_get` is not a 32-hex-digit
-    /// [`SimKey`] rendering.
-    BadPeerKey,
     /// The voltage is outside the calibrated model range.
     Voltage(VoltageError),
 }
@@ -153,9 +144,6 @@ impl fmt::Display for RequestError {
             Self::UnknownExperiment(other) => write!(f, "unknown experiment {other:?}"),
             Self::VccNotInteger => write!(f, "\"vcc\" must be a whole number of millivolts"),
             Self::VccOutOfRange(mv) => write!(f, "\"vcc\" {mv} out of range"),
-            Self::BadPeerKey => {
-                write!(f, "\"key\" must be a 32-hex-digit simulation key")
-            }
             Self::Voltage(e) => write!(f, "{e}"),
         }
     }
@@ -197,12 +185,6 @@ pub fn parse_request(line: &str) -> Result<Request, RequestError> {
         },
         "table1" => Ok(Request::Table1(parse_vcc(v.get("vcc"), 500)?)),
         "stalls" => Ok(Request::Stalls(parse_vcc(v.get("vcc"), 575)?)),
-        "peer_get" => v
-            .get("key")
-            .and_then(json::Value::as_str)
-            .and_then(SimKey::from_hex)
-            .map(Request::PeerGet)
-            .ok_or(RequestError::BadPeerKey),
         "shutdown" => Ok(Request::Shutdown),
         other => Err(RequestError::UnknownExperiment(other.to_string())),
     }
@@ -220,7 +202,6 @@ pub fn op_of(parsed: &Result<Request, RequestError>) -> Op {
         Ok(Request::Sweep(None)) => Op::SweepFull,
         Ok(Request::Table1(_)) => Op::Table1,
         Ok(Request::Stalls(_)) => Op::Stalls,
-        Ok(Request::PeerGet(_)) => Op::PeerGet,
         Ok(Request::Shutdown) => Op::Shutdown,
         Err(_) => Op::Invalid,
     }
@@ -510,8 +491,6 @@ impl Daemon {
                         ("write_failures", s.write_failures.to_string()),
                         ("orphans_swept", s.orphans_swept.to_string()),
                         ("foreign_puts", s.foreign_puts.to_string()),
-                        ("peer_fetches", s.peer_fetches.to_string()),
-                        ("peer_hits", s.peer_hits.to_string()),
                         ("connections_accepted", c.accepted.to_string()),
                         ("connections_completed", c.completed.to_string()),
                         ("connections_refused", c.refused_busy.to_string()),
@@ -576,29 +555,6 @@ impl Daemon {
                     ]),
                     false,
                 ))
-            }
-            Request::PeerGet(key) => {
-                // Local tiers only (`peek_local`): a peer probe must
-                // never simulate and never cascade into a further peer
-                // fetch — two shards missing the same key would
-                // otherwise chase each other.
-                let fields: Vec<(&str, String)> = match self.store().peek_local(key) {
-                    Some(result) => vec![
-                        ("ok", json::boolean(true)),
-                        ("experiment", json::string("peer_get")),
-                        ("hit", json::boolean(true)),
-                        (
-                            "record",
-                            json::string(&shard::encode_hex(&encode_sim_result(&result))),
-                        ),
-                    ],
-                    None => vec![
-                        ("ok", json::boolean(true)),
-                        ("experiment", json::string("peer_get")),
-                        ("hit", json::boolean(false)),
-                    ],
-                };
-                Ok((json::object(&fields), false))
             }
             Request::Stalls(vcc) => {
                 let r = stalls::measure_at(&self.ctx, vcc)?;
@@ -701,61 +657,18 @@ mod tests {
             parse_request(r#"{"experiment":"shutdown"}"#),
             Ok(Request::Shutdown)
         );
-        let hex = "00112233445566778899aabbccddeeff";
-        assert_eq!(
-            parse_request(&format!(r#"{{"experiment":"peer_get","key":"{hex}"}}"#)),
-            Ok(Request::PeerGet(
-                SimKey::from_hex(hex).expect("valid test key")
-            ))
-        );
-        assert_eq!(
-            parse_request(r#"{"experiment":"peer_get","key":"xyz"}"#),
-            Err(RequestError::BadPeerKey)
-        );
-        assert_eq!(
-            parse_request(r#"{"experiment":"peer_get"}"#),
-            Err(RequestError::BadPeerKey)
-        );
         assert!(parse_request("not json").is_err());
-        assert!(parse_request(r#"{"experiment":"lunch"}"#).is_err());
+        for name in ["lunch", "peer_get"] {
+            let line =
+                format!(r#"{{"experiment":"{name}","key":"00112233445566778899aabbccddeeff"}}"#);
+            assert_eq!(
+                parse_request(&line),
+                Err(RequestError::UnknownExperiment(name.to_string()))
+            );
+        }
         assert!(parse_request(r#"{"experiment":"sweep","vcc":"high"}"#).is_err());
         assert!(parse_request(r#"{"experiment":"sweep","vcc":12345}"#).is_err());
         assert!(parse_request(r#"{"vcc":500}"#).is_err());
-    }
-
-    #[test]
-    fn peer_get_answers_from_local_tiers_without_simulating() {
-        let d = daemon();
-        let (_, _) = d.handle_line(r#"{"experiment":"sweep","vcc":575}"#);
-        // The 575 mV anchor key was just simulated, so a peer probe hits
-        // and ships a decodable LVCR record.
-        let ctx = d.context();
-        let key = shard::voltage_anchor(
-            ctx.core,
-            &ctx.timing,
-            &ctx.specs[0],
-            Millivolts::literal(575),
-        );
-        let (resp, stop) = d.handle_line(&shard::peer_get_line(key));
-        assert!(!stop);
-        let v = json::parse(&resp).unwrap();
-        assert_eq!(v.get("ok").unwrap().as_bool(), Some(true));
-        assert_eq!(v.get("hit").unwrap().as_bool(), Some(true));
-        let record = shard::decode_hex(v.get("record").unwrap().as_str().unwrap()).unwrap();
-        assert!(lowvcc_core::decode_sim_result(&record).is_ok());
-
-        // A cold key answers a miss without simulating or counting one.
-        let misses = d.store().stats().misses;
-        let other = SimKey::from_value(key.value() ^ 0xffff);
-        let (resp, _) = d.handle_line(&shard::peer_get_line(other));
-        let v = json::parse(&resp).unwrap();
-        assert_eq!(v.get("hit").unwrap().as_bool(), Some(false));
-        assert!(v.get("record").is_none());
-        assert_eq!(
-            d.store().stats().misses,
-            misses,
-            "a peer probe is never a miss"
-        );
     }
 
     #[test]
@@ -771,6 +684,13 @@ mod tests {
         let v = json::parse(&resp).unwrap();
         assert_eq!(v.get("ok").unwrap().as_bool(), Some(false));
         assert!(v.get("error").is_some());
+
+        let (resp, stop) = d.handle_line(r#"{"experiment":"peer_get"}"#);
+        assert!(!stop);
+        assert_eq!(
+            resp,
+            r#"{"ok": false, "error": "unknown experiment \"peer_get\""}"#
+        );
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //!              [--jobs N] [--threads N] [--max-connections N]
 //!              [--addr HOST:PORT] [--warm] [--warm-bundle FILE]
 //!              [--shards N] [--ring-seed S]
-//!              [--shard-index I --shard-count N] [--peers HOST:PORT,...]
+//!              [--shard-index I --shard-count N]
 //!              [--route HOST:PORT,HOST:PORT,...] [--local-fallback]
 //! ```
 //!
@@ -33,10 +33,11 @@
 //! `lowvcc-serve router listening on HOST:PORT`; each shard binds an
 //! ephemeral port announced on **stderr** (`lowvcc-serve shard I
 //! listening on HOST:PORT`) — harnesses scrape stdout and always get
-//! the front door. All shards share `--cache DIR` safely: each only
-//! publishes the key slice the deterministic ring (seeded by
-//! `--ring-seed`) assigns to it. With `--warm`, each shard pre-fills
-//! exactly its own slice.
+//! the front door. All shards share one `--cache DIR`; any number of
+//! writers can share a directory (unique tempfiles, atomic rename), and
+//! the deterministic ring (seeded by `--ring-seed`) only decides which
+//! shard pays each key's fsynced publish. With `--warm`, each shard
+//! pre-fills exactly its own slice.
 //!
 //! `--shard-index I --shard-count N` runs one such shard standalone
 //! (for multi-process clusters); `--route a,b,c` runs the router alone
@@ -48,10 +49,7 @@
 //! `--warm-bundle FILE` imports an LVCB warm-cache bundle (produced by
 //! `lowvcc-store export`) into the store before serving — every shard
 //! of a cluster imports it, so a freshly provisioned fleet answers
-//! warm from the first request. `--peers a,b,c` (standalone shard mode
-//! only, index-aligned with the ring, length = `--shard-count`) turns
-//! on read-through peer replication: a key missing locally is fetched
-//! from its ring owner before being simulated. `--local-fallback`
+//! warm from the first request. `--local-fallback`
 //! (router mode only) builds a local simulation context so the router
 //! can answer voltage-routed requests itself when every shard is
 //! unreachable; the in-process `--shards N` cluster always has one.
@@ -64,14 +62,14 @@ use std::sync::Arc;
 use lowvcc_bench::{ResultStore, SuiteChoice};
 use lowvcc_core::{CoreConfig, Parallelism};
 use lowvcc_serve::router::{start_cluster, ClusterOptions, Router};
-use lowvcc_serve::shard::{read_through, Ring, DEFAULT_RING_SEED, PEER_FETCH_TIMEOUT};
+use lowvcc_serve::shard::{Ring, DEFAULT_RING_SEED};
 use lowvcc_serve::{Daemon, ServeOptions};
 use lowvcc_sram::CycleTimeModel;
 
 const USAGE: &str = "usage: lowvcc-serve [--suite quick|standard|paper|NxLEN] [--cache DIR] \
                      [--jobs N] [--threads N] [--max-connections N] [--addr HOST:PORT] [--warm] \
                      [--warm-bundle FILE] [--shards N] [--ring-seed S] \
-                     [--shard-index I --shard-count N] [--peers HOST:PORT,...] \
+                     [--shard-index I --shard-count N] \
                      [--route HOST:PORT,...] [--local-fallback]";
 
 struct Options {
@@ -85,7 +83,6 @@ struct Options {
     shards: Option<u32>,
     shard_index: Option<u32>,
     shard_count: Option<u32>,
-    peers: Option<String>,
     route: Option<String>,
     local_fallback: bool,
     ring_seed: u64,
@@ -104,7 +101,6 @@ fn parse_args(args: impl IntoIterator<Item = String>) -> Result<Options, String>
         shards: None,
         shard_index: None,
         shard_count: None,
-        peers: None,
         route: None,
         local_fallback: false,
         ring_seed: DEFAULT_RING_SEED,
@@ -128,10 +124,6 @@ fn parse_args(args: impl IntoIterator<Item = String>) -> Result<Options, String>
             "--route" => match args.next() {
                 Some(v) => o.route = Some(v),
                 None => return Err("--route needs a comma-separated address list".into()),
-            },
-            "--peers" => match args.next() {
-                Some(v) => o.peers = Some(v),
-                None => return Err("--peers needs a comma-separated address list".into()),
             },
             "--warm-bundle" => match args.next() {
                 Some(v) => o.warm_bundle = Some(PathBuf::from(v)),
@@ -197,9 +189,6 @@ fn parse_args(args: impl IntoIterator<Item = String>) -> Result<Options, String>
                 "--shard-index {i} out of range for --shard-count {n}"
             ));
         }
-    }
-    if o.peers.is_some() && o.shard_index.is_none() {
-        return Err("--peers only applies to --shard-index/--shard-count mode".into());
     }
     if o.local_fallback && o.route.is_none() {
         return Err("--local-fallback only applies to --route mode".into());
@@ -317,22 +306,6 @@ fn run_daemon(opts: &Options) -> Result<(), String> {
     };
     if let Some((index, ring)) = shard {
         store = store.with_key_owner(Arc::new(move |key| ring.owns(index, key)));
-        if let Some(peers) = &opts.peers {
-            let list: Vec<String> = peers
-                .split(',')
-                .map(str::trim)
-                .filter(|s| !s.is_empty())
-                .map(ToString::to_string)
-                .collect();
-            if list.len() as u32 != ring.shards() {
-                return Err(format!(
-                    "--peers lists {} addresses but --shard-count is {}",
-                    list.len(),
-                    ring.shards()
-                ));
-            }
-            store = store.with_remote_fetch(read_through(ring, list, PEER_FETCH_TIMEOUT));
-        }
     }
     if let Some(bundle) = &opts.warm_bundle {
         let report = store.import_bundle(bundle).map_err(|e| e.to_string())?;

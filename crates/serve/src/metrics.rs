@@ -149,16 +149,13 @@ pub enum Op {
     Stalls,
     /// `{"experiment": "shutdown"}`.
     Shutdown,
-    /// `{"experiment": "peer_get", "key": HEX}` — a peer shard's
-    /// read-through probe into this shard's local cache tiers.
-    PeerGet,
     /// Unparsable or unknown request lines.
     Invalid,
 }
 
 impl Op {
     /// Every op, in rendering order.
-    pub const ALL: [Op; 10] = [
+    pub const ALL: [Op; 9] = [
         Op::Ping,
         Op::Stats,
         Op::Metrics,
@@ -167,7 +164,6 @@ impl Op {
         Op::Table1,
         Op::Stalls,
         Op::Shutdown,
-        Op::PeerGet,
         Op::Invalid,
     ];
 
@@ -183,7 +179,6 @@ impl Op {
             Op::Table1 => "table1",
             Op::Stalls => "stalls",
             Op::Shutdown => "shutdown",
-            Op::PeerGet => "peer_get",
             Op::Invalid => "invalid",
         }
     }
@@ -198,8 +193,7 @@ impl Op {
             Op::Table1 => 5,
             Op::Stalls => 6,
             Op::Shutdown => 7,
-            Op::PeerGet => 8,
-            Op::Invalid => 9,
+            Op::Invalid => 8,
         }
     }
 }
@@ -370,8 +364,6 @@ pub fn store_json(s: &StoreStats) -> String {
         ("stores", s.stores.to_string()),
         ("coalesced", s.coalesced.to_string()),
         ("foreign_puts", s.foreign_puts.to_string()),
-        ("peer_fetches", s.peer_fetches.to_string()),
-        ("peer_hits", s.peer_hits.to_string()),
         ("quarantined", s.quarantined.to_string()),
         ("degraded", json::boolean(s.degraded)),
     ])

@@ -25,12 +25,11 @@
 //! (recovery) or re-opens it with a fresh cooldown.
 //!
 //! A request whose owning shard is down **fails over** around the
-//! ring: the next owner simulates the point itself (its read-through
-//! peer hook cannot reach the dead owner, so it recomputes — results
-//! are deterministic, so the bytes match). If *every* shard is
-//! unreachable the router falls back to its own local [`Daemon`]
-//! (see [`Router::with_local_fallback`]), which renders through the
-//! same emitters and therefore stays byte-identical. Only `shutdown`
+//! ring: the next owner answers from the shared cache or simulates the
+//! point itself — results are deterministic, so the bytes match. If
+//! *every* shard is unreachable the router falls back to its own local
+//! [`Daemon`] (see [`Router::with_local_fallback`]), which renders
+//! through the same emitters and therefore stays byte-identical. Only `shutdown`
 //! bypasses the breakers: a restarted shard whose breaker has not yet
 //! re-closed must still hear it.
 //!
@@ -45,8 +44,7 @@
 //!
 //! [`start_cluster`] wires the whole thing up in one process: N shard
 //! daemons on ephemeral ports — each with a store that only publishes
-//! its own key slice (`with_key_owner`) and read-through peer
-//! replication (`with_remote_fetch`) — plus the router, each on its
+//! its own key slice (`with_key_owner`) — plus the router, each on its
 //! own thread. The CLI's `--shards N` flag and the integration tests
 //! both go through it.
 
@@ -65,7 +63,7 @@ use lowvcc_trace::TraceSpec;
 
 use crate::conn;
 use crate::metrics::{op_json, store_json, HistogramSnapshot, Metrics, Op, LATENCY_BUCKETS};
-use crate::shard::{read_through, voltage_anchor, Ring, PEER_FETCH_TIMEOUT};
+use crate::shard::{voltage_anchor, Ring};
 use crate::{op_of, parse_request, Daemon, Request, ServeOptions};
 
 /// How long the router waits on a shard for one relayed response.
@@ -625,8 +623,6 @@ impl Router {
                     store.stores += n("stores");
                     store.coalesced += n("coalesced");
                     store.foreign_puts += n("foreign_puts");
-                    store.peer_fetches += n("peer_fetches");
-                    store.peer_hits += n("peer_hits");
                     store.quarantined += n("quarantined");
                 }
                 store.degraded |= s.get("degraded").and_then(json::Value::as_bool) == Some(true);
@@ -728,13 +724,6 @@ impl Router {
             Request::Sweep(Some(vcc)) | Request::Table1(vcc) | Request::Stalls(vcc) => {
                 (self.relay_to_owner(vcc, raw), false)
             }
-            // Peer probes are shard-to-shard by design: answering one
-            // here would let a router bounce it back into the fleet
-            // and defeat the no-cascade rule.
-            Request::PeerGet(_) => (
-                error_body("peer_get is a shard-to-shard request; ask a shard directly"),
-                false,
-            ),
         }
     }
 }
@@ -837,8 +826,10 @@ pub struct ClusterOptions {
     /// Simulation threads per shard (`--jobs`).
     pub jobs: usize,
     /// Shared on-disk store directory. All shards open the *same*
-    /// directory: key-slice ownership (`with_key_owner`) keeps their
-    /// disk writes disjoint. `None` = per-shard in-memory stores.
+    /// directory — safe for any number of writers (unique tempfiles,
+    /// atomic rename); key-slice ownership (`with_key_owner`) only
+    /// decides which shard pays each key's fsynced publish. `None` =
+    /// per-shard in-memory stores.
     pub cache: Option<PathBuf>,
     /// Pre-fill each shard's slice of the sweep grid (plus the
     /// default-voltage `table1`/`stalls` points) before serving.
@@ -913,10 +904,10 @@ impl Cluster {
 }
 
 /// Builds and starts a full cluster for `choice`: N shard daemons (one
-/// thread each, ephemeral ports, per-slice store ownership, read-
-/// through peer replication, optional per-slice warm-up or bundle
-/// import) and the router (bound to [`ClusterOptions::router_addr`],
-/// with a local fallback daemon for total-fleet failures). Returns
+/// thread each, ephemeral ports, per-slice store ownership, optional
+/// per-slice warm-up or bundle import) and the router (bound to
+/// [`ClusterOptions::router_addr`], with a local fallback daemon for
+/// total-fleet failures). Returns
 /// once every listener is bound — warm-up proceeds on the shard
 /// threads, with early requests queueing in the listen backlog until
 /// their shard is ready.
@@ -927,10 +918,9 @@ impl Cluster {
 pub fn start_cluster(choice: SuiteChoice, opts: &ClusterOptions) -> Result<Cluster, ClusterError> {
     let ring = Ring::new(opts.shards, opts.seed);
     let shards = ring.shards();
-    // Bind every shard listener before building any daemon: each
-    // shard's read-through hook needs the full peer address list.
-    let mut listeners = Vec::with_capacity(shards as usize);
     let mut shard_addrs = Vec::with_capacity(shards as usize);
+    let mut threads = Vec::with_capacity(shards as usize + 1);
+    let mut anchor: Option<(CoreConfig, CycleTimeModel, TraceSpec)> = None;
     for index in 0..shards {
         let listener = TcpListener::bind("127.0.0.1:0")
             .map_err(|e| ClusterError::Start(format!("shard {index}: bind: {e}")))?;
@@ -938,13 +928,6 @@ pub fn start_cluster(choice: SuiteChoice, opts: &ClusterOptions) -> Result<Clust
             .local_addr()
             .map_err(|e| ClusterError::Start(format!("shard {index}: local addr: {e}")))?;
         shard_addrs.push(addr);
-        listeners.push(listener);
-    }
-    let peers: Vec<String> = shard_addrs.iter().map(ToString::to_string).collect();
-    let mut threads = Vec::with_capacity(shards as usize + 1);
-    let mut anchor: Option<(CoreConfig, CycleTimeModel, TraceSpec)> = None;
-    for (index, listener) in listeners.into_iter().enumerate() {
-        let index = index as u32;
         let ctx = choice
             .build()
             .map_err(|e| ClusterError::Start(format!("shard {index}: suite: {e}")))?
@@ -957,9 +940,7 @@ pub fn start_cluster(choice: SuiteChoice, opts: &ClusterOptions) -> Result<Clust
                 .map_err(|e| ClusterError::Start(format!("shard {index}: store: {e}")))?,
             None => ResultStore::ephemeral(),
         };
-        let store = store
-            .with_key_owner(Arc::new(move |key| ring.owns(index, key)))
-            .with_remote_fetch(read_through(ring, peers.clone(), PEER_FETCH_TIMEOUT));
+        let store = store.with_key_owner(Arc::new(move |key| ring.owns(index, key)));
         if let Some(bundle) = &opts.warm_bundle {
             store
                 .import_bundle(bundle)
@@ -983,8 +964,8 @@ pub fn start_cluster(choice: SuiteChoice, opts: &ClusterOptions) -> Result<Clust
         ));
     };
     // The router's last-resort simulator. It reads the shared cache
-    // but never publishes (the shards own every key slice), so the
-    // fallback cannot corrupt the fleet's disk layout.
+    // but never publishes: the shards own every key slice, so each
+    // fsynced publish is paid once, by the owner.
     let local_ctx = choice
         .build()
         .map_err(|e| ClusterError::Start(format!("router: suite: {e}")))?
@@ -1001,7 +982,8 @@ pub fn start_cluster(choice: SuiteChoice, opts: &ClusterOptions) -> Result<Clust
             .map_err(|e| ClusterError::Start(format!("router: bundle: {e}")))?;
     }
     let local = Daemon::new(local_ctx.with_cache(Arc::new(local_store)));
-    let router = Router::new(peers, ring, core, timing, spec).with_local_fallback(local);
+    let addrs = shard_addrs.iter().map(ToString::to_string).collect();
+    let router = Router::new(addrs, ring, core, timing, spec).with_local_fallback(local);
     let listener = TcpListener::bind(&opts.router_addr).map_err(|e| {
         ClusterError::Start(format!("router: cannot bind {}: {e}", opts.router_addr))
     })?;
@@ -1112,6 +1094,16 @@ mod tests {
         // Immediately after, the fresh cooldown refuses again.
         let err = router.relay_guarded(0, &line).expect_err("refused");
         assert!(err.contains("circuit breaker open"), "got: {err}");
+    }
+
+    #[test]
+    fn peer_get_is_an_unknown_experiment() {
+        let reply = conn::Service::call(&test_router(Vec::new()), r#"{"experiment":"peer_get"}"#);
+        assert!(!reply.stop);
+        assert_eq!(
+            reply.body,
+            r#"{"ok": false, "error": "unknown experiment \"peer_get\""}"#
+        );
     }
 
     #[test]

@@ -22,17 +22,13 @@
 //! * **Store ownership** hashes each individual [`SimKey`]: a shard's
 //!   [`lowvcc_bench::ResultStore`] only publishes keys the ring assigns
 //!   to it (misrouted or locally-derived foreign keys stay memory-only,
-//!   counted as `foreign_puts`), so two shards never race on one disk
-//!   slot.
+//!   counted as `foreign_puts`). Ownership only decides which shard pays
+//!   a key's fsynced publish: a shared directory is safe for any number
+//!   of writers, since tempfiles are unique per process and per call and
+//!   the publish is an atomic rename.
 
-use std::io::{BufRead, BufReader, Write};
-use std::net::{SocketAddr, TcpStream};
-use std::sync::Arc;
-use std::time::Duration;
-
-use lowvcc_bench::{json, RemoteFetch};
 use lowvcc_core::canon::fnv1a_64;
-use lowvcc_core::{decode_sim_result, sim_key, CoreConfig, SimConfig, SimKey, SimResult};
+use lowvcc_core::{sim_key, CoreConfig, SimConfig, SimKey};
 use lowvcc_sram::{CycleTimeModel, Millivolts};
 use lowvcc_trace::TraceSpec;
 
@@ -109,93 +105,6 @@ fn jump_hash(mut state: u64, buckets: u32) -> u32 {
     b as u32
 }
 
-/// How long a read-through peer probe waits on connect, send, and
-/// receive. Deliberately short: `peer_get` is answered from the owner's
-/// memory/disk tiers without simulating, so a peer that cannot answer
-/// quickly is treated as a miss and the requester simulates locally —
-/// peer trouble costs latency, never correctness.
-pub const PEER_FETCH_TIMEOUT: Duration = Duration::from_secs(5);
-
-/// Lower-case hex rendering of raw bytes (the `record` field of a
-/// `peer_get` hit carries an LVCR record this way).
-#[must_use]
-pub fn encode_hex(bytes: &[u8]) -> String {
-    const HEX: &[u8; 16] = b"0123456789abcdef";
-    let mut out = String::with_capacity(bytes.len() * 2);
-    for &b in bytes {
-        out.push(HEX[usize::from(b >> 4)] as char);
-        out.push(HEX[usize::from(b & 0x0f)] as char);
-    }
-    out
-}
-
-/// Strict inverse of [`encode_hex`]: rejects odd lengths and non-hex
-/// digits rather than guessing.
-#[must_use]
-pub fn decode_hex(s: &str) -> Option<Vec<u8>> {
-    if s.len() % 2 != 0 {
-        return None;
-    }
-    let mut out = Vec::with_capacity(s.len() / 2);
-    for pair in s.as_bytes().chunks_exact(2) {
-        let hi = char::from(pair[0]).to_digit(16)?;
-        let lo = char::from(pair[1]).to_digit(16)?;
-        out.push((hi << 4 | lo) as u8);
-    }
-    Some(out)
-}
-
-/// The request line a shard sends to a key's ring owner on a local miss.
-#[must_use]
-pub fn peer_get_line(key: SimKey) -> String {
-    json::object(&[
-        ("experiment", json::string("peer_get")),
-        ("key", json::string(&key.to_hex())),
-    ])
-}
-
-/// One read-through probe: dial `addr`, ask for `key`, decode the
-/// returned record. Every failure — bad address, connect refusal,
-/// timeout, protocol garbage, a record that fails LVCR validation —
-/// maps to `None`, degrading to a local simulation.
-fn fetch_from_peer(addr: &str, key: SimKey, timeout: Duration) -> Option<SimResult> {
-    let sockaddr: SocketAddr = addr.parse().ok()?;
-    let stream = TcpStream::connect_timeout(&sockaddr, timeout).ok()?;
-    stream.set_read_timeout(Some(timeout)).ok()?;
-    stream.set_write_timeout(Some(timeout)).ok()?;
-    let mut writer = stream.try_clone().ok()?;
-    let mut line = peer_get_line(key);
-    line.push('\n');
-    writer.write_all(line.as_bytes()).ok()?;
-    writer.flush().ok()?;
-    let mut reply = String::new();
-    BufReader::new(stream).read_line(&mut reply).ok()?;
-    let body = json::parse(reply.trim()).ok()?;
-    if body.get("ok")?.as_bool()? && body.get("hit")?.as_bool()? {
-        let bytes = decode_hex(body.get("record")?.as_str()?)?;
-        decode_sim_result(&bytes).ok()
-    } else {
-        None
-    }
-}
-
-/// Builds the [`RemoteFetch`] hook a sharded daemon installs on its
-/// store: on a local miss, ask the key's ring owner (and only the
-/// owner — `peers` is indexed by shard) before simulating. The store
-/// never calls the hook for keys its own `with_key_owner` predicate
-/// (built from the same ring) accepts: a local miss on an owned key is
-/// authoritative. The no-cascade rule holds by construction — the
-/// owner answers `peer_get` from its local tiers only
-/// ([`lowvcc_bench::ResultStore::peek_local`]), so a probe can never
-/// trigger another probe.
-#[must_use]
-pub fn read_through(ring: Ring, peers: Vec<String>, timeout: Duration) -> RemoteFetch {
-    Arc::new(move |key| {
-        let addr = peers.get(ring.owner(key) as usize)?;
-        fetch_from_peer(addr, key, timeout)
-    })
-}
-
 /// The routing anchor for one operating point: the [`SimKey`] of the
 /// *baseline* configuration at `vcc` on the suite's first trace spec.
 /// Routing by this key sends every request touching an operating point
@@ -216,31 +125,6 @@ pub fn voltage_anchor(
 mod tests {
     use super::*;
     use lowvcc_sram::PAPER_SWEEP;
-
-    #[test]
-    fn hex_codec_round_trips_and_rejects_garbage() {
-        let bytes: Vec<u8> = (0..=255).collect();
-        let hex = encode_hex(&bytes);
-        assert_eq!(decode_hex(&hex), Some(bytes));
-        assert_eq!(decode_hex(""), Some(Vec::new()));
-        assert_eq!(decode_hex("abc"), None, "odd length");
-        assert_eq!(decode_hex("zz"), None, "non-hex digits");
-    }
-
-    #[test]
-    fn peer_get_lines_parse_as_peer_requests() {
-        let key = voltage_anchor(
-            CoreConfig::silverthorne(),
-            &CycleTimeModel::silverthorne_45nm(),
-            &lowvcc_trace::suite(1, 1_000)[0],
-            Millivolts::literal(500),
-        );
-        let line = peer_get_line(key);
-        assert_eq!(
-            crate::parse_request(&line),
-            Ok(crate::Request::PeerGet(key))
-        );
-    }
 
     #[test]
     fn ring_is_deterministic_and_total() {

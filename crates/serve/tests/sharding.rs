@@ -6,14 +6,12 @@
 use std::io::{BufRead, BufReader, Write};
 use std::net::{TcpListener, TcpStream};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use lowvcc_bench::{json, ExperimentContext, ResultStore, SuiteChoice};
 use lowvcc_core::CoreConfig;
 use lowvcc_serve::router::{start_cluster, ClusterOptions};
-use lowvcc_serve::shard::{
-    read_through, voltage_anchor, Ring, DEFAULT_RING_SEED, PEER_FETCH_TIMEOUT,
-};
+use lowvcc_serve::shard::{voltage_anchor, Ring, DEFAULT_RING_SEED};
 use lowvcc_serve::Daemon;
 use lowvcc_sram::{CycleTimeModel, Millivolts, PAPER_SWEEP};
 use lowvcc_trace::suite;
@@ -173,106 +171,6 @@ fn breaker_field(body: &json::Value, shard: u64, field: &str) -> String {
     json::render(row.get(field).expect("breaker field"))
 }
 
-/// Read-through peer replication, end to end: a shard missing a key
-/// locally asks the key's ring owner before simulating; a cold owner
-/// answers a miss without cascading (its probe handler never dials
-/// anyone); a warm owner ships the record and the fetched point
-/// renders byte-identically.
-#[test]
-fn shards_read_through_to_the_ring_owner() {
-    let ring = Ring::new(2, DEFAULT_RING_SEED);
-    let ctx_a = ExperimentContext::sized(1, 2_000).expect("suite builds");
-    let ctx_b = ExperimentContext::sized(1, 2_000).expect("suite builds");
-    let core = ctx_a.core;
-    let timing = ctx_a.timing;
-    let spec = ctx_a.specs[0];
-
-    // Give the "owner" role to whichever shard anchors >= 2 sweep
-    // voltages (by pigeonhole at least one of the two does).
-    let mut per_shard: Vec<Vec<Millivolts>> = vec![Vec::new(), Vec::new()];
-    for vcc in PAPER_SWEEP.iter() {
-        per_shard[ring.owner(voltage_anchor(core, &timing, &spec, vcc)) as usize].push(vcc);
-    }
-    let owner: u32 = u32::from(per_shard[1].len() >= 2);
-    let requester = 1 - owner;
-    let (cold_vcc, warm_vcc) = (per_shard[owner as usize][0], per_shard[owner as usize][1]);
-
-    let listeners = [
-        TcpListener::bind("127.0.0.1:0").expect("bind"),
-        TcpListener::bind("127.0.0.1:0").expect("bind"),
-    ];
-    let peers: Vec<String> = listeners
-        .iter()
-        .map(|l| l.local_addr().expect("addr").to_string())
-        .collect();
-    let store = |index: u32| {
-        ResultStore::ephemeral()
-            .with_key_owner(Arc::new(move |key| ring.owns(index, key)))
-            .with_remote_fetch(read_through(ring, peers.clone(), PEER_FETCH_TIMEOUT))
-    };
-    let d_req = Daemon::new(ctx_a.with_cache(Arc::new(store(requester)))).with_shard(requester, 2);
-    let d_own =
-        Arc::new(Daemon::new(ctx_b.with_cache(Arc::new(store(owner)))).with_shard(owner, 2));
-    let owner_addr = peers[owner as usize].clone();
-    let [l0, l1] = listeners;
-    let owner_listener = if owner == 0 { l0 } else { l1 };
-    let server = {
-        let d_own = Arc::clone(&d_own);
-        std::thread::spawn(move || d_own.serve(&owner_listener))
-    };
-
-    let sweep_line = |vcc: Millivolts| {
-        format!(
-            "{{\"experiment\": \"sweep\", \"vcc\": {}}}",
-            vcc.millivolts()
-        )
-    };
-    let stats_of = |d: &Daemon| {
-        let (body, _) = d.handle_line("{\"experiment\": \"stats\"}");
-        json::parse(&body).expect("stats parse")
-    };
-    let counter = |v: &json::Value, k: &str| v.get(k).and_then(json::Value::as_u64).expect("stat");
-
-    // Cold owner: the probe comes back a miss (no cascade, no hang)
-    // and the requester simulates the point itself.
-    let (resp, _) = d_req.handle_line(&sweep_line(cold_vcc));
-    let v = json::parse(&resp).expect("sweep response parses");
-    assert_eq!(v.get("ok").and_then(json::Value::as_bool), Some(true));
-    let s = stats_of(&d_req);
-    assert!(
-        counter(&s, "peer_fetches") > 0,
-        "the requester must have dialed the ring owner: {s:?}"
-    );
-    assert_eq!(counter(&s, "peer_hits"), 0, "a cold owner cannot hit");
-
-    // Warm the owner, then ask the requester for the same point: the
-    // owned records ship over the wire and the point renders
-    // byte-identically to the owner's own answer.
-    let (owner_resp, _) = d_own.handle_line(&sweep_line(warm_vcc));
-    let (got, _) = d_req.handle_line(&sweep_line(warm_vcc));
-    let want = json::parse(&owner_resp).expect("owner response parses");
-    let have = json::parse(&got).expect("requester response parses");
-    assert_eq!(
-        json::render(have.get("point").expect("point")),
-        json::render(want.get("point").expect("point")),
-        "a peer-fetched point must render byte-identically"
-    );
-    let s = stats_of(&d_req);
-    assert!(
-        counter(&s, "peer_hits") > 0,
-        "a warm owner must serve at least the anchor record: {s:?}"
-    );
-
-    // Stop the owner daemon.
-    let stream = TcpStream::connect(owner_addr.as_str()).expect("connect owner");
-    let mut reader = BufReader::new(&stream);
-    roundtrip(&stream, &mut reader, "{\"experiment\": \"shutdown\"}");
-    server
-        .join()
-        .expect("owner thread")
-        .expect("clean serve exit");
-}
-
 /// The robustness tentpole, end to end: kill one of three shards and
 /// the cluster still answers every request type — the full sweep
 /// byte-identically, via failover — while `stats`/`metrics` report the
@@ -376,11 +274,9 @@ fn cluster_fails_over_around_a_dead_shard_and_recovers() {
             }
         }
     };
-    let peers: Vec<String> = shard_addrs.iter().map(ToString::to_string).collect();
     let victim_u32 = victim as u32;
-    let store = ResultStore::ephemeral()
-        .with_key_owner(Arc::new(move |key| ring.owns(victim_u32, key)))
-        .with_remote_fetch(read_through(ring, peers, PEER_FETCH_TIMEOUT));
+    let store =
+        ResultStore::ephemeral().with_key_owner(Arc::new(move |key| ring.owns(victim_u32, key)));
     let revived_ctx = ExperimentContext::sized(1, 2_000).expect("suite builds");
     let revived = Daemon::new(revived_ctx.with_cache(Arc::new(store))).with_shard(victim_u32, 3);
     let revived_thread = std::thread::spawn(move || revived.serve(&listener));
@@ -414,4 +310,75 @@ fn cluster_fails_over_around_a_dead_shard_and_recovers() {
         .join()
         .expect("revived thread")
         .expect("clean serve exit");
+}
+
+/// A warm cluster answers its first full sweep from the store within
+/// seconds: each shard's warm-up computes its own slice and waits on
+/// no other shard, so the shards together simulate exactly the keys a
+/// single daemon's warm-up does, once each.
+#[test]
+fn warm_cluster_answers_its_first_sweep_cached_within_seconds() {
+    // Generous: the warm start takes well under a second in release
+    // builds, while a warm-up that waits on other shards takes minutes.
+    const BOUND: Duration = Duration::from_secs(30);
+    let choice = SuiteChoice::Sized {
+        per_family: 1,
+        len: 2_000,
+    };
+    // Reference: the distinct keys of a single daemon's warm-up.
+    let single = Daemon::new(choice.build().expect("suite builds"));
+    single.warm().expect("single warm-up");
+    let (stats, _) = single.handle_line("{\"experiment\": \"stats\"}");
+    let distinct = json::parse(&stats)
+        .expect("stats parse")
+        .get("misses")
+        .and_then(json::Value::as_u64)
+        .expect("misses");
+
+    let started = Instant::now();
+    let cluster = start_cluster(
+        choice,
+        &ClusterOptions {
+            shards: 3,
+            jobs: 2,
+            warm: true,
+            ..ClusterOptions::default()
+        },
+    )
+    .expect("cluster starts");
+    let stream = TcpStream::connect(cluster.router_addr()).expect("connect router");
+    stream.set_read_timeout(Some(BOUND)).expect("timeout");
+    let mut reader = BufReader::new(&stream);
+    let sweep = roundtrip(&stream, &mut reader, "{\"experiment\": \"sweep\"}");
+    let elapsed = started.elapsed();
+    let v = json::parse(&sweep).expect("sweep parses");
+    assert_eq!(v.get("ok").and_then(json::Value::as_bool), Some(true));
+    assert_eq!(
+        v.get("cached").and_then(json::Value::as_bool),
+        Some(true),
+        "the warm-up must have filled every point"
+    );
+    assert!(
+        elapsed < BOUND,
+        "warm start plus first sweep took {elapsed:?}"
+    );
+
+    let stats = roundtrip(&stream, &mut reader, "{\"experiment\": \"stats\"}");
+    let v = json::parse(&stats).expect("stats parse");
+    let misses: u64 = v
+        .get("shards")
+        .and_then(json::Value::as_array)
+        .expect("per-shard stats")
+        .iter()
+        .map(|s| {
+            s.get("misses")
+                .and_then(json::Value::as_u64)
+                .expect("misses")
+        })
+        .sum();
+    assert_eq!(misses, distinct, "every warm-up key is simulated once");
+
+    let resp = roundtrip(&stream, &mut reader, "{\"experiment\": \"shutdown\"}");
+    assert!(resp.contains("\"shutdown\": true"), "got: {resp}");
+    cluster.join().expect("clean fan-out shutdown");
 }
