@@ -638,7 +638,7 @@ impl ResultStore {
     /// One publish attempt: fsynced tempfile, atomic rename, directory
     /// fsync — all through the [`StoreIo`] seam.
     pub(crate) fn try_publish(&self, path: &Path, bytes: &[u8]) -> io::Result<()> {
-        // Entry paths are always `<dir>/<shard>/<key>.bin`, so a parent
+        // Entry paths are always `<dir>/<shard>/<key>.sim`, so a parent
         // exists; a path without one degrades like any other publish
         // failure instead of killing the caller.
         let Some(shard) = path.parent() else {

@@ -82,6 +82,7 @@ use std::time::Duration;
 
 use lowvcc_bench::experiments::{point, point_json, stalls, sweep, table1};
 use lowvcc_bench::{json, ExperimentContext, ExperimentError, ResultStore};
+use lowvcc_core::SimConfig;
 use lowvcc_sram::{Millivolts, VoltageError, PAPER_SWEEP};
 
 use std::fmt;
@@ -298,9 +299,10 @@ pub struct Daemon {
     /// is the same store `ctx.cache` carries.
     store: Arc<ResultStore>,
     metrics: Arc<Metrics>,
-    /// `(index, count)` when this daemon is one shard of a cluster;
-    /// echoed by the `metrics` response.
-    shard: Option<(u32, u32)>,
+    /// `(ring, index)` when this daemon is shard `index` of a cluster:
+    /// bounds [`warm`](Self::warm) and is echoed by the `metrics`
+    /// response.
+    slice: Option<(shard::Ring, u32)>,
 }
 
 impl Daemon {
@@ -321,17 +323,28 @@ impl Daemon {
             ctx,
             store,
             metrics: Arc::new(Metrics::new()),
-            shard: None,
+            slice: None,
         }
     }
 
-    /// Marks this daemon as shard `index` of `count` (reported by its
-    /// `metrics` response; the store's key-slice ownership is attached
-    /// to the [`ResultStore`] itself via `with_key_owner`).
+    /// Shard `index` of a cluster partitioned by `ring`: `store` is
+    /// attached to `ctx` and publishes only the keys the ring assigns
+    /// to this shard (the others stay memory-only, counted as
+    /// `foreign_puts`), [`warm`](Self::warm) pre-fills only this
+    /// shard's operating points, and the `metrics` response reports
+    /// the shard's index and the ring's size.
     #[must_use]
-    pub fn with_shard(mut self, index: u32, count: u32) -> Self {
-        self.shard = Some((index, count));
-        self
+    pub fn shard(
+        ctx: ExperimentContext,
+        store: ResultStore,
+        ring: shard::Ring,
+        index: u32,
+    ) -> Self {
+        let store = store.with_key_owner(Arc::new(move |key| ring.owns(index, key)));
+        Self {
+            slice: Some((ring, index)),
+            ..Self::new(ctx.with_cache(Arc::new(store)))
+        }
     }
 
     /// The wrapped context.
@@ -368,8 +381,11 @@ impl Daemon {
         &self.store
     }
 
-    /// Pre-fills the store: the full sweep grid, plus Table 1 and the
-    /// stall study at their protocol-default voltages (500 / 575 mV).
+    /// Pre-fills the store: the sweep grid, plus Table 1 and the stall
+    /// study at their protocol-default voltages (500 / 575 mV) — every
+    /// operating point on a single daemon, only the points whose
+    /// routing anchor the ring assigns to this shard on a shard (the
+    /// shards of a cluster together cover what one daemon covers).
     /// `sweep` queries are then hits at every grid point; a `table1` or
     /// `stalls` query at a *non-default* voltage still simulates its
     /// extra configurations once on first request.
@@ -378,38 +394,35 @@ impl Daemon {
     ///
     /// Propagates simulation and cache failures.
     pub fn warm(&self) -> Result<(), ExperimentError> {
-        // Compile-time-validated grid anchor: the protocol default for
-        // `table1` (500 mV) cannot drift out of the model range.
-        const TABLE1_DEFAULT: Millivolts = Millivolts::literal(500);
-        sweep::run_sweep(&self.ctx)?;
-        table1::quantitative_rows_at(&self.ctx, TABLE1_DEFAULT)?;
-        stalls::measure(&self.ctx)?;
-        Ok(())
-    }
-
-    /// Shard-aware warm-up: pre-fills only the operating points whose
-    /// routing anchor `ring` assigns to shard `index` — each shard of a
-    /// cluster warms its own slice, together covering exactly what
-    /// [`warm`](Self::warm) covers on a single daemon.
-    ///
-    /// # Errors
-    ///
-    /// Propagates simulation and cache failures.
-    pub fn warm_slice(&self, ring: &shard::Ring, index: u32) -> Result<(), ExperimentError> {
+        // Compile-time-validated grid anchors: the protocol defaults
+        // cannot drift out of the model range.
         const TABLE1_DEFAULT: Millivolts = Millivolts::literal(500);
         const STALLS_DEFAULT: Millivolts = Millivolts::literal(575);
-        let anchor =
-            |vcc| shard::voltage_anchor(self.ctx.core, &self.ctx.timing, &self.ctx.specs[0], vcc);
-        for vcc in PAPER_SWEEP.iter() {
-            if ring.owns(index, anchor(vcc)) {
-                point(&self.ctx, vcc)?;
-            }
+        let ctx = &self.ctx;
+        let mine = |vcc| {
+            self.slice.map_or(true, |(ring, index)| {
+                ring.owns(
+                    index,
+                    shard::voltage_anchor(ctx.core, &ctx.timing, &ctx.specs[0], vcc),
+                )
+            })
+        };
+        // One batch over the owned grid points, as `sweep::run_sweep`
+        // runs the whole grid.
+        let grid: Vec<SimConfig> = PAPER_SWEEP
+            .iter()
+            .filter(|&vcc| mine(vcc))
+            .flat_map(|vcc| {
+                let (base, iraw) = SimConfig::mechanism_pair(ctx.core, &ctx.timing, vcc);
+                [base, iraw]
+            })
+            .collect();
+        ctx.run_suite_batch(&grid)?;
+        if mine(TABLE1_DEFAULT) {
+            table1::quantitative_rows_at(ctx, TABLE1_DEFAULT)?;
         }
-        if ring.owns(index, anchor(TABLE1_DEFAULT)) {
-            table1::quantitative_rows_at(&self.ctx, TABLE1_DEFAULT)?;
-        }
-        if ring.owns(index, anchor(STALLS_DEFAULT)) {
-            stalls::measure(&self.ctx)?;
+        if mine(STALLS_DEFAULT) {
+            stalls::measure(ctx)?;
         }
         Ok(())
     }
@@ -466,7 +479,10 @@ impl Daemon {
                 true,
             )),
             Request::Metrics => Ok((
-                self.metrics.to_json(self.shard, &self.store().stats()),
+                self.metrics.to_json(
+                    self.slice.map(|(ring, index)| (index, ring.shards())),
+                    &self.store().stats(),
+                ),
                 false,
             )),
             Request::Stats => {

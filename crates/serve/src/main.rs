@@ -8,7 +8,7 @@
 //!              [--addr HOST:PORT] [--warm] [--warm-bundle FILE]
 //!              [--shards N] [--ring-seed S]
 //!              [--shard-index I --shard-count N]
-//!              [--route HOST:PORT,HOST:PORT,...] [--local-fallback]
+//!              [--route HOST:PORT,HOST:PORT,...]
 //! ```
 //!
 //! Defaults: quick suite, in-memory store, all hardware threads for
@@ -40,19 +40,18 @@
 //! pre-fills exactly its own slice.
 //!
 //! `--shard-index I --shard-count N` runs one such shard standalone
-//! (for multi-process clusters); `--route a,b,c` runs the router alone
-//! over already-running shards, which must have been started with the
-//! same suite, shard count and ring seed.
+//! (for multi-process clusters; `--warm` pre-fills its slice); `--route
+//! a,b,c` runs the router alone over already-running shards, which must
+//! have been started with the same suite, shard count and ring seed.
+//! The router is stateless — no simulator, no store: a request no shard
+//! can answer gets `{"ok": false, "error": "no shard reachable: …"}`.
 //!
-//! ## Resilience flags
+//! ## Warm bundles
 //!
 //! `--warm-bundle FILE` imports an LVCB warm-cache bundle (produced by
 //! `lowvcc-store export`) into the store before serving — every shard
 //! of a cluster imports it, so a freshly provisioned fleet answers
-//! warm from the first request. `--local-fallback`
-//! (router mode only) builds a local simulation context so the router
-//! can answer voltage-routed requests itself when every shard is
-//! unreachable; the in-process `--shards N` cluster always has one.
+//! warm from the first request. It does not apply to `--route`.
 
 use std::net::TcpListener;
 use std::path::PathBuf;
@@ -70,7 +69,7 @@ const USAGE: &str = "usage: lowvcc-serve [--suite quick|standard|paper|NxLEN] [-
                      [--jobs N] [--threads N] [--max-connections N] [--addr HOST:PORT] [--warm] \
                      [--warm-bundle FILE] [--shards N] [--ring-seed S] \
                      [--shard-index I --shard-count N] \
-                     [--route HOST:PORT,...] [--local-fallback]";
+                     [--route HOST:PORT,...]";
 
 struct Options {
     suite: String,
@@ -84,7 +83,6 @@ struct Options {
     shard_index: Option<u32>,
     shard_count: Option<u32>,
     route: Option<String>,
-    local_fallback: bool,
     ring_seed: u64,
     help: bool,
 }
@@ -102,7 +100,6 @@ fn parse_args(args: impl IntoIterator<Item = String>) -> Result<Options, String>
         shard_index: None,
         shard_count: None,
         route: None,
-        local_fallback: false,
         ring_seed: DEFAULT_RING_SEED,
         help: false,
     };
@@ -165,7 +162,6 @@ fn parse_args(args: impl IntoIterator<Item = String>) -> Result<Options, String>
                 None => return Err("--ring-seed needs a value".into()),
             },
             "--warm" => o.warm = true,
-            "--local-fallback" => o.local_fallback = true,
             "--help" | "-h" => o.help = true,
             other => return Err(format!("unknown argument {other}\n{USAGE}")),
         }
@@ -189,9 +185,6 @@ fn parse_args(args: impl IntoIterator<Item = String>) -> Result<Options, String>
                 "--shard-index {i} out of range for --shard-count {n}"
             ));
         }
-    }
-    if o.local_fallback && o.route.is_none() {
-        return Err("--local-fallback only applies to --route mode".into());
     }
     if o.warm_bundle.is_some() && o.route.is_some() {
         return Err("--warm-bundle does not apply to --route (the router owns no store)".into());
@@ -243,33 +236,19 @@ fn run_router(opts: &Options, route: &str) -> Result<(), String> {
     if shards.is_empty() {
         return Err("--route needs at least one shard address".into());
     }
-    // Only the spec identities are needed — no traces are generated
-    // (unless `--local-fallback` asks for a last-resort simulator).
-    let choice = SuiteChoice::parse(&opts.suite).map_err(|e| e.to_string())?;
-    let specs = choice.specs();
+    // Only the spec identities are needed — no traces are generated.
+    let specs = SuiteChoice::parse(&opts.suite)
+        .map_err(|e| e.to_string())?
+        .specs();
     let ring = Ring::new(shards.len() as u32, opts.ring_seed);
     let shard_count = shards.len();
-    let mut router = Router::new(
+    let router = Router::new(
         shards,
         ring,
         CoreConfig::silverthorne(),
         CycleTimeModel::silverthorne_45nm(),
         specs[0],
     );
-    if opts.local_fallback {
-        eprintln!("building the local fallback context…");
-        let ctx = choice
-            .build()
-            .map_err(|e| e.to_string())?
-            .with_parallelism(Parallelism::threads(opts.jobs));
-        let store = match &opts.cache {
-            Some(dir) => ResultStore::open(dir).map_err(|e| e.to_string())?,
-            None => ResultStore::ephemeral(),
-        };
-        // Read-only against a shared cache: the shards own every slice.
-        let store = store.with_key_owner(Arc::new(|_| false));
-        router = router.with_local_fallback(Daemon::new(ctx.with_cache(Arc::new(store))));
-    }
     let listener =
         TcpListener::bind(&opts.addr).map_err(|e| format!("cannot bind {}: {e}", opts.addr))?;
     let local = listener
@@ -291,22 +270,15 @@ fn run_router(opts: &Options, route: &str) -> Result<(), String> {
 /// Default mode (and `--shard-index I --shard-count N`): one daemon.
 fn run_daemon(opts: &Options) -> Result<(), String> {
     // Same grammar and degenerate-input rejections as `experiments`.
-    let mut ctx = SuiteChoice::parse(&opts.suite)
+    let ctx = SuiteChoice::parse(&opts.suite)
         .map_err(|e| e.to_string())?
         .build()
         .map_err(|e| e.to_string())?
         .with_parallelism(Parallelism::threads(opts.jobs));
-    let shard = opts
-        .shard_index
-        .zip(opts.shard_count)
-        .map(|(i, n)| (i, Ring::new(n, opts.ring_seed)));
-    let mut store = match &opts.cache {
+    let store = match &opts.cache {
         Some(dir) => ResultStore::open(dir).map_err(|e| e.to_string())?,
         None => ResultStore::ephemeral(),
     };
-    if let Some((index, ring)) = shard {
-        store = store.with_key_owner(Arc::new(move |key| ring.owns(index, key)));
-    }
     if let Some(bundle) = &opts.warm_bundle {
         let report = store.import_bundle(bundle).map_err(|e| e.to_string())?;
         eprintln!(
@@ -317,22 +289,13 @@ fn run_daemon(opts: &Options) -> Result<(), String> {
             report.quarantined
         );
     }
-    ctx = ctx.with_cache(Arc::new(store));
-    let mut daemon = Daemon::new(ctx);
-    if let Some((index, ring)) = shard {
-        daemon = daemon.with_shard(index, ring.shards());
-    }
+    let daemon = match opts.shard_index.zip(opts.shard_count) {
+        Some((index, count)) => Daemon::shard(ctx, store, Ring::new(count, opts.ring_seed), index),
+        None => Daemon::new(ctx.with_cache(Arc::new(store))),
+    };
     if opts.warm {
-        match shard {
-            Some((index, ring)) => {
-                eprintln!("warming this shard's slice of the sweep grid…");
-                daemon.warm_slice(&ring, index).map_err(|e| e.to_string())?;
-            }
-            None => {
-                eprintln!("warming the store (full sweep grid + Table 1 + stall study)…");
-                daemon.warm().map_err(|e| e.to_string())?;
-            }
-        }
+        eprintln!("warming the store (this daemon's share of the sweep grid, Table 1 and the stall study)…");
+        daemon.warm().map_err(|e| e.to_string())?;
         eprintln!("store warm");
     }
     let listener =
@@ -385,5 +348,67 @@ fn main() -> ExitCode {
             eprintln!("{msg}");
             ExitCode::FAILURE
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(args: &[&str]) -> Result<Options, String> {
+        parse_args(args.iter().map(|s| (*s).to_string()))
+    }
+
+    fn usage_of(args: &[&str]) -> String {
+        match parse(args) {
+            Err(msg) => msg,
+            Ok(_) => panic!("{args:?} accepted"),
+        }
+    }
+
+    #[test]
+    fn cluster_modes_are_mutually_exclusive() {
+        let slot = ["--shard-index", "0", "--shard-count", "2"];
+        for (a, b) in [
+            (&["--shards", "2"][..], &slot[..]),
+            (&["--shards", "2"][..], &["--route", "127.0.0.1:1"][..]),
+            (&["--route", "127.0.0.1:1"][..], &slot[..]),
+        ] {
+            let args = [a, b].concat();
+            let msg = usage_of(&args);
+            assert!(msg.contains("mutually exclusive"), "{args:?}: {msg}");
+        }
+    }
+
+    #[test]
+    fn a_shard_needs_both_halves_of_its_slot_in_range() {
+        for args in [&["--shard-index", "1"][..], &["--shard-count", "3"][..]] {
+            let msg = usage_of(args);
+            assert!(msg.contains("must be given together"), "{args:?}: {msg}");
+        }
+        let msg = usage_of(&["--shard-index", "3", "--shard-count", "3"]);
+        assert!(msg.contains("out of range"), "{msg}");
+        let o = parse(&["--shard-index", "2", "--shard-count", "3", "--warm"])
+            .expect("last slot parses");
+        assert_eq!((o.shard_index, o.shard_count), (Some(2), Some(3)));
+    }
+
+    #[test]
+    fn a_router_takes_no_warm_bundle() {
+        let msg = usage_of(&["--route", "127.0.0.1:1", "--warm-bundle", "b.lvcb"]);
+        assert!(msg.contains("owns no store"), "{msg}");
+        let o = parse(&["--shards", "3", "--warm-bundle", "b.lvcb"]).expect("cluster bundle");
+        assert_eq!(o.warm_bundle, Some(PathBuf::from("b.lvcb")));
+    }
+
+    #[test]
+    fn the_router_fallback_flag_is_gone() {
+        let flag = "--local-fallback";
+        let msg = usage_of(&["--route", "127.0.0.1:1", flag]);
+        assert!(
+            msg.starts_with(&format!("unknown argument {flag}\n")),
+            "{msg}"
+        );
+        assert!(!USAGE.contains(flag));
     }
 }

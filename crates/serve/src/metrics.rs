@@ -241,12 +241,6 @@ impl Metrics {
         self.ops[op.index()].record(latency);
     }
 
-    /// Histogram for one op class.
-    #[must_use]
-    pub fn op_histogram(&self, op: Op) -> &Histogram {
-        &self.ops[op.index()]
-    }
-
     /// Notes a request entering the dispatch queue (gauge up, peak
     /// tracked).
     pub fn job_enqueued(&self) {

@@ -27,11 +27,11 @@
 //! A request whose owning shard is down **fails over** around the
 //! ring: the next owner answers from the shared cache or simulates the
 //! point itself — results are deterministic, so the bytes match. If
-//! *every* shard is unreachable the router falls back to its own local
-//! [`Daemon`] (see [`Router::with_local_fallback`]), which renders
-//! through the same emitters and therefore stays byte-identical. Only `shutdown`
-//! bypasses the breakers: a restarted shard whose breaker has not yet
-//! re-closed must still hear it.
+//! *every* shard is unreachable the request is answered with
+//! `{"ok": false, "error": "no shard reachable: …"}`, naming each
+//! shard's failure; `ping`, `stats` and `metrics` still answer. Only
+//! `shutdown` bypasses the breakers: a restarted shard whose breaker
+//! has not yet re-closed must still hear it.
 //!
 //! `stats` and `metrics` are aggregates, not relays: the router sums
 //! shard histograms element-wise and pools store traffic into a
@@ -43,9 +43,9 @@
 //! itself.
 //!
 //! [`start_cluster`] wires the whole thing up in one process: N shard
-//! daemons on ephemeral ports — each with a store that only publishes
-//! its own key slice (`with_key_owner`) — plus the router, each on its
-//! own thread. The CLI's `--shards N` flag and the integration tests
+//! daemons on ephemeral ports — each built by [`Daemon::shard`], so its
+//! store only publishes its own key slice — plus the router, each on
+//! its own thread. The CLI's `--shards N` flag and the integration tests
 //! both go through it.
 
 use std::io::{self, BufRead, BufReader, Write};
@@ -100,8 +100,7 @@ struct ShardHealth {
     breaker_opens: AtomicU64,
     probes: AtomicU64,
     recoveries: AtomicU64,
-    /// Requests this shard owned that another shard (or the local
-    /// fallback) answered.
+    /// Requests this shard owned that another shard answered.
     failovers: AtomicU64,
 }
 
@@ -115,11 +114,10 @@ enum Admission {
     Refused,
 }
 
-/// The cluster front door. Cheap to construct (no traces, no store):
-/// everything it needs is the shard addresses, the ring, and the anchor
-/// identity (core + timing + first trace spec) that maps a voltage to
-/// its owning shard. An optional local [`Daemon`] (which *does* carry
-/// a context) serves as the last-resort fallback.
+/// The cluster front door. Stateless and cheap to construct (no
+/// traces, no store): everything it needs is the shard addresses, the
+/// ring, and the anchor identity (core + timing + first trace spec)
+/// that maps a voltage to its owning shard.
 pub struct Router {
     shards: Vec<String>,
     ring: Ring,
@@ -131,8 +129,6 @@ pub struct Router {
     probe_after: Duration,
     epoch: Instant,
     health: Vec<ShardHealth>,
-    local: Option<Daemon>,
-    local_fallbacks: AtomicU64,
     metrics_parse_errors: AtomicU64,
     metrics: Arc<Metrics>,
 }
@@ -162,8 +158,6 @@ impl Router {
             probe_after: DEFAULT_PROBE_AFTER,
             epoch: Instant::now(),
             health,
-            local: None,
-            local_fallbacks: AtomicU64::new(0),
             metrics_parse_errors: AtomicU64::new(0),
             metrics: Arc::new(Metrics::new()),
         }
@@ -188,16 +182,6 @@ impl Router {
     #[must_use]
     pub fn with_probe_after(mut self, probe_after: Duration) -> Self {
         self.probe_after = probe_after;
-        self
-    }
-
-    /// Attaches a last-resort local simulator: when no shard can
-    /// answer a voltage-routed request, the router answers it itself.
-    /// The daemon renders through the same emitters as the shards, so
-    /// the fallback body is byte-identical to a healthy relay.
-    #[must_use]
-    pub fn with_local_fallback(mut self, local: Daemon) -> Self {
-        self.local = Some(local);
         self
     }
 
@@ -324,14 +308,20 @@ impl Router {
         stream
             .set_write_timeout(Some(self.relay_timeout))
             .map_err(|e| fail("set timeout", &e))?;
-        {
-            let mut w = &stream;
-            for line in lines {
-                w.write_all(line.as_bytes()).map_err(|e| fail("send", &e))?;
-                w.write_all(b"\n").map_err(|e| fail("send", &e))?;
-            }
-            w.flush().map_err(|e| fail("send", &e))?;
+        // The whole conversation leaves in one write on a no-delay
+        // socket: a line and its newline sent apart make Nagle hold the
+        // newline until the shard's delayed ACK.
+        stream
+            .set_nodelay(true)
+            .map_err(|e| fail("set nodelay", &e))?;
+        let mut conversation = String::with_capacity(lines.iter().map(|l| l.len() + 1).sum());
+        for line in lines {
+            conversation.push_str(line);
+            conversation.push('\n');
         }
+        (&stream)
+            .write_all(conversation.as_bytes())
+            .map_err(|e| fail("send", &e))?;
         let mut reader = BufReader::new(&stream);
         let mut out = Vec::with_capacity(lines.len());
         for _ in lines {
@@ -390,21 +380,11 @@ impl Router {
         }
     }
 
-    /// Answers `raw` from the router's own local daemon, or reports
-    /// every shard's failure when no fallback is attached.
-    fn local_answer(&self, raw: &str, errors: &[String]) -> String {
-        let Some(local) = &self.local else {
-            return error_body(&format!("no shard reachable: {}", errors.join("; ")));
-        };
-        self.local_fallbacks.fetch_add(1, Relaxed);
-        let (body, _) = local.handle_line(raw);
-        body
-    }
-
     /// Relays one line to shard `owner`, failing over around the ring
-    /// (and finally to the local daemon) until someone answers. A
-    /// non-owner shard recomputes the point deterministically, so the
-    /// response bytes match what the owner would have sent.
+    /// until someone answers. A non-owner shard recomputes the point
+    /// deterministically, so the response bytes match what the owner
+    /// would have sent. When no shard answers, the error body names
+    /// every shard's failure.
     fn reroute_line(&self, owner: usize, raw: &str) -> String {
         let request = [raw.to_string()];
         let mut errors = Vec::new();
@@ -422,7 +402,7 @@ impl Router {
                 Err(e) => errors.push(e),
             }
         }
-        self.local_answer(raw, &errors)
+        error_body(&format!("no shard reachable: {}", errors.join("; ")))
     }
 
     /// Relays one raw request line to the shard owning `vcc` — with
@@ -437,8 +417,8 @@ impl Router {
     /// connection per shard, all shards in parallel), then merge the
     /// returned points back into `PAPER_SWEEP` order. A shard whose
     /// whole batch fails gets each of its voltages rerouted
-    /// individually (next ring owner, then the local daemon), so one
-    /// dead shard degrades to failover instead of failing the sweep.
+    /// individually around the ring, so one dead shard degrades to
+    /// failover instead of failing the sweep.
     /// The merged response is byte-identical to a single daemon's
     /// because every point is re-rendered through the same canonical
     /// emitter that produced it, and `cached` is the conjunction over
@@ -658,10 +638,6 @@ impl Router {
             ("router", json::boolean(true)),
             ("shard_count", self.shards.len().to_string()),
             ("metrics_parse_errors", total.to_string()),
-            (
-                "local_fallbacks",
-                self.local_fallbacks.load(Relaxed).to_string(),
-            ),
             ("breakers", self.health_json()),
             ("store", store_json(&store)),
             ("ops", json::array(&rendered_ops)),
@@ -690,10 +666,6 @@ impl Router {
             ("router", json::boolean(true)),
             ("shard_count", self.shards.len().to_string()),
             ("connections", c),
-            (
-                "local_fallbacks",
-                self.local_fallbacks.load(Relaxed).to_string(),
-            ),
             ("breakers", self.health_json()),
             ("shards", json::array(&bodies)),
         ])
@@ -835,8 +807,7 @@ pub struct ClusterOptions {
     /// default-voltage `table1`/`stalls` points) before serving.
     pub warm: bool,
     /// An LVCB bundle (`lowvcc-store export`) imported into every
-    /// shard's store — and the router's fallback store — before
-    /// serving.
+    /// shard's store before serving (the router has no store).
     pub warm_bundle: Option<PathBuf>,
     /// Serve-loop options applied to every shard and the router.
     pub serve: ServeOptions,
@@ -904,93 +875,70 @@ impl Cluster {
 }
 
 /// Builds and starts a full cluster for `choice`: N shard daemons (one
-/// thread each, ephemeral ports, per-slice store ownership, optional
-/// per-slice warm-up or bundle import) and the router (bound to
-/// [`ClusterOptions::router_addr`], with a local fallback daemon for
-/// total-fleet failures). Returns
-/// once every listener is bound — warm-up proceeds on the shard
-/// threads, with early requests queueing in the listen backlog until
-/// their shard is ready.
+/// thread each, ephemeral ports, each built by [`Daemon::shard`], with
+/// optional bundle import and slice warm-up) and the stateless router,
+/// bound to [`ClusterOptions::router_addr`]. Returns once every
+/// listener is bound — warm-up proceeds on the shard threads, with
+/// early requests queueing in the listen backlog until their shard is
+/// ready.
 ///
 /// # Errors
 ///
 /// Reports suite-build, store-open, bundle-import and bind failures.
 pub fn start_cluster(choice: SuiteChoice, opts: &ClusterOptions) -> Result<Cluster, ClusterError> {
     let ring = Ring::new(opts.shards, opts.seed);
-    let shards = ring.shards();
-    let mut shard_addrs = Vec::with_capacity(shards as usize);
-    let mut threads = Vec::with_capacity(shards as usize + 1);
-    let mut anchor: Option<(CoreConfig, CycleTimeModel, TraceSpec)> = None;
-    for index in 0..shards {
-        let listener = TcpListener::bind("127.0.0.1:0")
-            .map_err(|e| ClusterError::Start(format!("shard {index}: bind: {e}")))?;
-        let addr = listener
-            .local_addr()
-            .map_err(|e| ClusterError::Start(format!("shard {index}: local addr: {e}")))?;
-        shard_addrs.push(addr);
+    // Every shard is built before any shard thread starts: opening a
+    // store on a shared directory sweeps orphaned publish tempfiles,
+    // and must not catch another shard's publish in flight.
+    let mut built = Vec::with_capacity(ring.shards() as usize);
+    let mut shard_addrs = Vec::with_capacity(ring.shards() as usize);
+    for index in 0..ring.shards() {
+        let start = |what: &str, e: &dyn std::fmt::Display| {
+            ClusterError::Start(format!("shard {index}: {what}: {e}"))
+        };
+        let listener = TcpListener::bind("127.0.0.1:0").map_err(|e| start("bind", &e))?;
+        shard_addrs.push(listener.local_addr().map_err(|e| start("local addr", &e))?);
         let ctx = choice
             .build()
-            .map_err(|e| ClusterError::Start(format!("shard {index}: suite: {e}")))?
+            .map_err(|e| start("suite", &e))?
             .with_parallelism(Parallelism::threads(opts.jobs));
-        if anchor.is_none() {
-            anchor = Some((ctx.core, ctx.timing, ctx.specs[0]));
-        }
         let store = match &opts.cache {
-            Some(dir) => ResultStore::open(dir)
-                .map_err(|e| ClusterError::Start(format!("shard {index}: store: {e}")))?,
+            Some(dir) => ResultStore::open(dir).map_err(|e| start("store", &e))?,
             None => ResultStore::ephemeral(),
         };
-        let store = store.with_key_owner(Arc::new(move |key| ring.owns(index, key)));
         if let Some(bundle) = &opts.warm_bundle {
             store
                 .import_bundle(bundle)
-                .map_err(|e| ClusterError::Start(format!("shard {index}: bundle: {e}")))?;
+                .map_err(|e| start("bundle", &e))?;
         }
-        let daemon = Daemon::new(ctx.with_cache(Arc::new(store))).with_shard(index, shards);
-        let serve = opts.serve;
-        let warm = opts.warm;
-        threads.push(std::thread::spawn(move || {
-            if warm {
-                daemon
-                    .warm_slice(&ring, index)
-                    .map_err(|e| io::Error::other(e.to_string()))?;
-            }
-            daemon.serve_with(&listener, serve)
-        }));
+        built.push((listener, Daemon::shard(ctx, store, ring, index)));
     }
-    let Some((core, timing, spec)) = anchor else {
+    let Some((_, first)) = built.first() else {
         return Err(ClusterError::Start(
             "cluster needs at least one shard".to_string(),
         ));
     };
-    // The router's last-resort simulator. It reads the shared cache
-    // but never publishes: the shards own every key slice, so each
-    // fsynced publish is paid once, by the owner.
-    let local_ctx = choice
-        .build()
-        .map_err(|e| ClusterError::Start(format!("router: suite: {e}")))?
-        .with_parallelism(Parallelism::threads(opts.jobs));
-    let local_store = match &opts.cache {
-        Some(dir) => ResultStore::open(dir)
-            .map_err(|e| ClusterError::Start(format!("router: store: {e}")))?,
-        None => ResultStore::ephemeral(),
-    };
-    let local_store = local_store.with_key_owner(Arc::new(|_| false));
-    if let Some(bundle) = &opts.warm_bundle {
-        local_store
-            .import_bundle(bundle)
-            .map_err(|e| ClusterError::Start(format!("router: bundle: {e}")))?;
-    }
-    let local = Daemon::new(local_ctx.with_cache(Arc::new(local_store)));
+    let ctx = first.context();
     let addrs = shard_addrs.iter().map(ToString::to_string).collect();
-    let router = Router::new(addrs, ring, core, timing, spec).with_local_fallback(local);
+    let router = Router::new(addrs, ring, ctx.core, ctx.timing, ctx.specs[0]);
     let listener = TcpListener::bind(&opts.router_addr).map_err(|e| {
         ClusterError::Start(format!("router: cannot bind {}: {e}", opts.router_addr))
     })?;
     let router_addr = listener
         .local_addr()
         .map_err(|e| ClusterError::Start(format!("router: local addr: {e}")))?;
-    let serve = opts.serve;
+    let (serve, warm) = (opts.serve, opts.warm);
+    let mut threads: Vec<JoinHandle<io::Result<()>>> = built
+        .into_iter()
+        .map(|(listener, daemon)| {
+            std::thread::spawn(move || {
+                if warm {
+                    daemon.warm().map_err(|e| io::Error::other(e.to_string()))?;
+                }
+                daemon.serve_with(&listener, serve)
+            })
+        })
+        .collect();
     threads.push(std::thread::spawn(move || {
         router.serve_with(&listener, serve)
     }));
@@ -1010,9 +958,10 @@ mod tests {
         let spec = SuiteChoice::parse("quick")
             .expect("quick suite parses")
             .specs()[0];
+        let ring = Ring::new(shards.len() as u32, crate::shard::DEFAULT_RING_SEED);
         Router::new(
             shards,
-            Ring::new(1, crate::shard::DEFAULT_RING_SEED),
+            ring,
             CoreConfig::silverthorne(),
             CycleTimeModel::silverthorne_45nm(),
             spec,
@@ -1022,26 +971,38 @@ mod tests {
     }
 
     /// A one-shot shard stand-in: accepts one connection, reads one
-    /// line, answers `{"ok": true}`.
+    /// line, answers `{"ok": true}`. The relay sends its conversation
+    /// in one write, so the first `read` must already end the line.
     fn one_shot_shard(listener: TcpListener) -> std::thread::JoinHandle<()> {
         std::thread::spawn(move || {
             if let Ok((stream, _)) = listener.accept() {
-                let mut reader = BufReader::new(&stream);
-                let mut line = String::new();
-                let _ = reader.read_line(&mut line);
-                let mut w = &stream;
-                let _ = w.write_all(b"{\"ok\": true}\n");
-                let _ = w.flush();
+                let mut buf = [0u8; 256];
+                let n = io::Read::read(&mut &stream, &mut buf).expect("read the relayed line");
+                assert!(
+                    buf[..n].ends_with(b"\n"),
+                    "first read is not a whole line: {:?}",
+                    String::from_utf8_lossy(&buf[..n])
+                );
+                let _ = (&stream).write_all(b"{\"ok\": true}\n");
             }
         })
     }
 
+    /// Addresses nobody listens on: reserved, then freed, so relays to
+    /// them are refused fast.
+    fn parked_addrs(n: usize) -> Vec<String> {
+        let parked: Vec<TcpListener> = (0..n)
+            .map(|_| TcpListener::bind("127.0.0.1:0").expect("bind"))
+            .collect();
+        parked
+            .iter()
+            .map(|l| l.local_addr().expect("addr").to_string())
+            .collect()
+    }
+
     #[test]
     fn breaker_opens_after_strikes_refuses_then_probes_and_recovers() {
-        // Reserve a port, then free it: relays to it are refused fast.
-        let parked = TcpListener::bind("127.0.0.1:0").expect("bind");
-        let addr = parked.local_addr().expect("addr").to_string();
-        drop(parked);
+        let addr = parked_addrs(1).remove(0);
         let router = test_router(vec![addr.clone()]).with_probe_after(Duration::from_millis(30));
         let line = ["{\"experiment\": \"ping\"}".to_string()];
 
@@ -1077,10 +1038,7 @@ mod tests {
 
     #[test]
     fn failed_probes_reopen_the_breaker() {
-        let parked = TcpListener::bind("127.0.0.1:0").expect("bind");
-        let addr = parked.local_addr().expect("addr").to_string();
-        drop(parked);
-        let router = test_router(vec![addr]).with_probe_after(Duration::from_millis(10));
+        let router = test_router(parked_addrs(1)).with_probe_after(Duration::from_millis(10));
         let line = ["{\"experiment\": \"ping\"}".to_string()];
         for _ in 0..BREAKER_STRIKES {
             assert!(router.relay_guarded(0, &line).is_err());
@@ -1094,6 +1052,41 @@ mod tests {
         // Immediately after, the fresh cooldown refuses again.
         let err = router.relay_guarded(0, &line).expect_err("refused");
         assert!(err.contains("circuit breaker open"), "got: {err}");
+    }
+
+    #[test]
+    fn with_every_shard_down_routed_requests_fail_and_aggregates_answer() {
+        let router = test_router(parked_addrs(2));
+        for line in [
+            r#"{"experiment": "sweep", "vcc": 575}"#,
+            r#"{"experiment": "sweep"}"#,
+            r#"{"experiment": "table1"}"#,
+        ] {
+            let reply = conn::Service::call(&router, line);
+            assert!(!reply.stop);
+            let v = json::parse(&reply.body).expect("error body parses");
+            assert_eq!(v.get("ok").and_then(json::Value::as_bool), Some(false));
+            let error = v.get("error").and_then(json::Value::as_str).unwrap_or("");
+            assert!(error.contains("no shard reachable"), "{line}: {error}");
+        }
+        let ping = conn::Service::call(&router, r#"{"experiment": "ping"}"#);
+        assert_eq!(ping.body, r#"{"ok": true, "pong": true}"#);
+        for line in [r#"{"experiment": "stats"}"#, r#"{"experiment": "metrics"}"#] {
+            let v = json::parse(&conn::Service::call(&router, line).body).expect("parses");
+            assert_eq!(v.get("ok").and_then(json::Value::as_bool), Some(true));
+            let breakers = v
+                .get("breakers")
+                .and_then(json::Value::as_array)
+                .expect("breakers array");
+            assert_eq!(breakers.len(), 2);
+            for b in breakers {
+                assert_eq!(
+                    b.get("state").and_then(json::Value::as_str),
+                    Some("open"),
+                    "{line}"
+                );
+            }
+        }
     }
 
     #[test]

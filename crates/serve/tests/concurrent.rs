@@ -267,6 +267,11 @@ fn concurrent_hammer_matches_sequential_byte_for_byte() {
     assert_eq!(c.refused_busy, 0);
     assert_eq!(c.connection_errors, 0);
     assert_eq!(c.worker_panics, 0);
+    assert_eq!(
+        c.accepted,
+        c.completed + c.connection_errors + c.timeouts + c.worker_panics + c.force_closed,
+        "every accepted connection ends in exactly one terminal bucket: {c:?}"
+    );
 }
 
 #[test]

@@ -117,5 +117,10 @@ fn two_workers_survive_two_hundred_idle_and_loris_connections() {
         let c = daemon.serve_counters();
         assert_eq!(c.idle_reaped, (IDLE + LORIS) as u64);
         assert!(c.timeouts >= c.idle_reaped);
+        assert_eq!(
+            c.accepted,
+            c.completed + c.connection_errors + c.timeouts + c.worker_panics + c.force_closed,
+            "every accepted connection ends in exactly one terminal bucket: {c:?}"
+        );
     });
 }

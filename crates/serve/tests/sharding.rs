@@ -5,7 +5,6 @@
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::{TcpListener, TcpStream};
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use lowvcc_bench::{json, ExperimentContext, ResultStore, SuiteChoice};
@@ -274,11 +273,12 @@ fn cluster_fails_over_around_a_dead_shard_and_recovers() {
             }
         }
     };
-    let victim_u32 = victim as u32;
-    let store =
-        ResultStore::ephemeral().with_key_owner(Arc::new(move |key| ring.owns(victim_u32, key)));
-    let revived_ctx = ExperimentContext::sized(1, 2_000).expect("suite builds");
-    let revived = Daemon::new(revived_ctx.with_cache(Arc::new(store))).with_shard(victim_u32, 3);
+    let revived = Daemon::shard(
+        ExperimentContext::sized(1, 2_000).expect("suite builds"),
+        ResultStore::ephemeral(),
+        ring,
+        victim as u32,
+    );
     let revived_thread = std::thread::spawn(move || revived.serve(&listener));
 
     // Once the cooldown elapses, routed traffic becomes the half-open
@@ -315,7 +315,9 @@ fn cluster_fails_over_around_a_dead_shard_and_recovers() {
 /// A warm cluster answers its first full sweep from the store within
 /// seconds: each shard's warm-up computes its own slice and waits on
 /// no other shard, so the shards together simulate exactly the keys a
-/// single daemon's warm-up does, once each.
+/// single daemon's warm-up does, once each. Over a shared on-disk
+/// cache, every shard's store is open before any shard publishes, so
+/// no store's orphan sweep deletes another shard's in-flight publish.
 #[test]
 fn warm_cluster_answers_its_first_sweep_cached_within_seconds() {
     // Generous: the warm start takes well under a second in release
@@ -335,50 +337,70 @@ fn warm_cluster_answers_its_first_sweep_cached_within_seconds() {
         .and_then(json::Value::as_u64)
         .expect("misses");
 
-    let started = Instant::now();
-    let cluster = start_cluster(
-        choice,
-        &ClusterOptions {
-            shards: 3,
-            jobs: 2,
-            warm: true,
-            ..ClusterOptions::default()
-        },
-    )
-    .expect("cluster starts");
-    let stream = TcpStream::connect(cluster.router_addr()).expect("connect router");
-    stream.set_read_timeout(Some(BOUND)).expect("timeout");
-    let mut reader = BufReader::new(&stream);
-    let sweep = roundtrip(&stream, &mut reader, "{\"experiment\": \"sweep\"}");
-    let elapsed = started.elapsed();
-    let v = json::parse(&sweep).expect("sweep parses");
-    assert_eq!(v.get("ok").and_then(json::Value::as_bool), Some(true));
-    assert_eq!(
-        v.get("cached").and_then(json::Value::as_bool),
-        Some(true),
-        "the warm-up must have filled every point"
-    );
-    assert!(
-        elapsed < BOUND,
-        "warm start plus first sweep took {elapsed:?}"
-    );
+    let dir = std::env::temp_dir().join(format!("lowvcc_warm_cluster_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    for cache in [None, Some(dir.clone())] {
+        let shared = cache.is_some();
+        let started = Instant::now();
+        let cluster = start_cluster(
+            choice,
+            &ClusterOptions {
+                shards: 3,
+                jobs: 2,
+                cache,
+                warm: true,
+                ..ClusterOptions::default()
+            },
+        )
+        .expect("cluster starts");
+        let stream = TcpStream::connect(cluster.router_addr()).expect("connect router");
+        stream.set_read_timeout(Some(BOUND)).expect("timeout");
+        let mut reader = BufReader::new(&stream);
+        let sweep = roundtrip(&stream, &mut reader, "{\"experiment\": \"sweep\"}");
+        let elapsed = started.elapsed();
+        let v = json::parse(&sweep).expect("sweep parses");
+        assert_eq!(v.get("ok").and_then(json::Value::as_bool), Some(true));
+        assert_eq!(
+            v.get("cached").and_then(json::Value::as_bool),
+            Some(true),
+            "the warm-up must have filled every point (shared disk: {shared})"
+        );
+        assert!(
+            elapsed < BOUND,
+            "warm start plus first sweep took {elapsed:?} (shared disk: {shared})"
+        );
 
-    let stats = roundtrip(&stream, &mut reader, "{\"experiment\": \"stats\"}");
-    let v = json::parse(&stats).expect("stats parse");
-    let misses: u64 = v
-        .get("shards")
-        .and_then(json::Value::as_array)
-        .expect("per-shard stats")
-        .iter()
-        .map(|s| {
-            s.get("misses")
-                .and_then(json::Value::as_u64)
-                .expect("misses")
-        })
-        .sum();
-    assert_eq!(misses, distinct, "every warm-up key is simulated once");
+        let stats = roundtrip(&stream, &mut reader, "{\"experiment\": \"stats\"}");
+        let v = json::parse(&stats).expect("stats parse");
+        let shards = v
+            .get("shards")
+            .and_then(json::Value::as_array)
+            .expect("per-shard stats");
+        let sum = |field: &str| -> u64 {
+            shards
+                .iter()
+                .map(|s| s.get(field).and_then(json::Value::as_u64).expect(field))
+                .sum()
+        };
+        assert_eq!(
+            sum("misses"),
+            distinct,
+            "every warm-up key is simulated once (shared disk: {shared})"
+        );
+        for field in ["retries", "write_failures", "orphans_swept"] {
+            assert_eq!(sum(field), 0, "{field} (shared disk: {shared})");
+        }
+        for s in shards {
+            assert_eq!(
+                s.get("store_degraded").and_then(json::Value::as_bool),
+                Some(false),
+                "shared disk: {shared}"
+            );
+        }
 
-    let resp = roundtrip(&stream, &mut reader, "{\"experiment\": \"shutdown\"}");
-    assert!(resp.contains("\"shutdown\": true"), "got: {resp}");
-    cluster.join().expect("clean fan-out shutdown");
+        let resp = roundtrip(&stream, &mut reader, "{\"experiment\": \"shutdown\"}");
+        assert!(resp.contains("\"shutdown\": true"), "got: {resp}");
+        cluster.join().expect("clean fan-out shutdown");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
 }
