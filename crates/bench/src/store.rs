@@ -720,12 +720,12 @@ impl ResultStore {
         }
     }
 
-    /// Number of records currently on disk (0 for ephemeral stores,
-    /// quarantined records excluded). Counts the whole directory, which
-    /// other stores (every shard of a cluster) may share — so it is not
-    /// this store's own publishes. Walks the shard directories;
-    /// best-effort — an unlistable directory counts as empty. Intended
-    /// for reporting, not hot paths.
+    /// Number of records on disk that this store owns (every record
+    /// without a [`KeyOwnership`] predicate; 0 for ephemeral stores,
+    /// quarantined records excluded). Shards sharing one directory each
+    /// count their own slice, so their sum is the directory's total.
+    /// Walks the shard directories; best-effort — an unlistable directory
+    /// counts as empty. Intended for reporting, not hot paths.
     #[must_use]
     pub fn disk_entries(&self) -> u64 {
         let Some(dir) = &self.dir else { return 0 };
@@ -742,7 +742,13 @@ impl ResultStore {
                 continue;
             };
             for entry in entries.flatten() {
-                if entry.path().extension().is_some_and(|e| e == "sim") {
+                let p = entry.path();
+                let owned = p.extension().is_some_and(|e| e == "sim")
+                    && p.file_stem()
+                        .and_then(|s| s.to_str())
+                        .and_then(SimKey::from_hex)
+                        .is_some_and(|key| self.owns(key));
+                if owned {
                     n += 1;
                 }
             }
@@ -752,8 +758,10 @@ impl ResultStore {
 }
 
 /// Removes `*.tmp.*` leftovers a killed process abandoned mid-publish
-/// from every shard directory (quarantine excluded). Best-effort by
-/// design — startup must succeed on a half-broken disk.
+/// from every shard directory (quarantine excluded). A tempfile whose
+/// writer is still alive (see [`tmp_writer_alive`]) is an in-flight
+/// publish of another store sharing the directory, and is kept.
+/// Best-effort by design — startup must succeed on a half-broken disk.
 fn sweep_orphan_tmps(io: &dyn StoreIo, dir: &Path) -> u64 {
     let Ok(shards) = fs::read_dir(dir) else {
         return 0;
@@ -769,16 +777,28 @@ fn sweep_orphan_tmps(io: &dyn StoreIo, dir: &Path) -> u64 {
         };
         for entry in entries.flatten() {
             let p = entry.path();
-            let is_tmp = p
+            let orphan = p
                 .file_name()
                 .and_then(|n| n.to_str())
-                .is_some_and(|n| n.contains(".tmp."));
-            if is_tmp && io.remove_file(&p).is_ok() {
+                .is_some_and(|n| n.contains(".tmp.") && !tmp_writer_alive(n));
+            if orphan && io.remove_file(&p).is_ok() {
                 swept += 1;
             }
         }
     }
     swept
+}
+
+/// Whether the process that named a publish tempfile
+/// `.<key>.tmp.<pid>.<seq>` is still running (`/proc/<pid>` exists; this
+/// process included). A name without a parsable pid, or a host without
+/// `/proc`, reads as dead. A reused pid only keeps a stray file around:
+/// tempfiles are never read, so the store stays correct.
+fn tmp_writer_alive(name: &str) -> bool {
+    name.rsplit_once(".tmp.")
+        .and_then(|(_, rest)| rest.split_once('.'))
+        .and_then(|(pid, _)| pid.parse::<u32>().ok())
+        .is_some_and(|pid| Path::new("/proc").join(pid.to_string()).exists())
 }
 
 #[cfg(test)]
@@ -1059,14 +1079,21 @@ mod tests {
         // Simulate a crash mid-publish: leftover tempfiles in a shard.
         let hex = key.to_hex();
         let shard = dir.join(&hex[..2]);
-        fs::write(shard.join(format!(".{hex}.tmp.999.0")), b"partial").unwrap();
-        fs::write(shard.join(format!(".{hex}.tmp.999.1")), b"x").unwrap();
+        // u32::MAX is above any Linux pid_max, so its writer is dead.
+        let dead = u32::MAX;
+        fs::write(shard.join(format!(".{hex}.tmp.{dead}.0")), b"partial").unwrap();
+        fs::write(shard.join(format!(".{hex}.tmp.{dead}.1")), b"x").unwrap();
+        // An in-flight publish of a live process sharing the directory
+        // (this one) is not an orphan.
+        let live = shard.join(format!(".{hex}.tmp.{}.0", std::process::id()));
+        fs::write(&live, b"partial").unwrap();
 
         let store = ResultStore::open(&dir).unwrap();
         assert_eq!(store.stats().orphans_swept, 2);
         assert_eq!(store.disk_entries(), 1, "the real record survives");
         assert_eq!(store.get(key), Some(result));
-        assert!(!shard.join(format!(".{hex}.tmp.999.0")).exists());
+        assert!(!shard.join(format!(".{hex}.tmp.{dead}.0")).exists());
+        assert!(live.exists(), "a live writer's tempfile survives");
         let _ = fs::remove_dir_all(&dir);
     }
 

@@ -39,25 +39,21 @@
 //! # }
 //! ```
 
-pub mod adapt;
 pub mod batch;
 pub mod canon;
 pub mod config;
 pub mod error;
-pub mod iraw;
 pub mod perf;
 pub mod pipeline;
 pub mod sim;
 pub mod stats;
 
-pub use adapt::{adapt_at, AdaptGoal, AdaptOutcome};
 pub use batch::EngineWorkspace;
 pub use canon::{
     decode_sim_result, encode_sim_result, sim_key, CanonError, SimKey, ENGINE_SEMANTICS_VERSION,
 };
 pub use config::{CoreConfig, Mechanism, SimConfig};
 pub use error::{ConfigError, SimError};
-pub use iraw::{IrawController, IrawSettings};
 pub use perf::{
     compare_mechanisms, run_batch_groups, run_suite_batch, speedup, MechanismComparison,
     Parallelism, Speedup, SuiteResult,

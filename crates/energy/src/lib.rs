@@ -15,8 +15,7 @@
 //! This crate implements that model with the leakage-power curve anchored
 //! to the paper's published fractions (see [`model::EnergyModel`]), plus the
 //! extra-hardware overhead accounting that reproduces the paper's "<1%
-//! energy, ~0.03% area" claims ([`overhead`]), and the per-Vcc operating
-//! point selection of Section 4.1.3 ([`dvfs`]).
+//! energy, ~0.03% area" claims ([`overhead`]).
 //!
 //! ```
 //! use lowvcc_energy::{EnergyModel, Joules};
@@ -30,13 +29,11 @@
 //! # Ok::<(), lowvcc_sram::VoltageError>(())
 //! ```
 
-pub mod dvfs;
 pub mod edp;
 pub mod interp;
 pub mod model;
 pub mod overhead;
 
-pub use dvfs::{DvfsController, Objective, OperatingPoint};
 pub use edp::{EdpPoint, EnergyBreakdown, Joules, Watts};
 pub use interp::MonotoneCubic;
 pub use model::EnergyModel;

@@ -7,7 +7,7 @@ use std::io::{BufRead, BufReader, Write};
 use std::net::{TcpListener, TcpStream};
 use std::time::{Duration, Instant};
 
-use lowvcc_bench::{json, ExperimentContext, ResultStore, SuiteChoice};
+use lowvcc_bench::{json, ExperimentContext, ResultStore, SuiteChoice, QUARANTINE_DIR};
 use lowvcc_core::CoreConfig;
 use lowvcc_serve::router::{start_cluster, ClusterOptions};
 use lowvcc_serve::shard::{voltage_anchor, Ring, DEFAULT_RING_SEED};
@@ -318,6 +318,23 @@ fn cluster_fails_over_around_a_dead_shard_and_recovers() {
 /// single daemon's warm-up does, once each. Over a shared on-disk
 /// cache, every shard's store is open before any shard publishes, so
 /// no store's orphan sweep deletes another shard's in-flight publish.
+/// `*.sim` records in a store directory's shard subdirectories
+/// (quarantine excluded).
+fn sim_files(dir: &std::path::Path) -> u64 {
+    let mut n = 0;
+    for shard in std::fs::read_dir(dir).expect("cache dir lists").flatten() {
+        if shard.path().is_dir() && shard.file_name() != QUARANTINE_DIR {
+            for entry in std::fs::read_dir(shard.path())
+                .expect("shard lists")
+                .flatten()
+            {
+                n += u64::from(entry.path().extension().is_some_and(|e| e == "sim"));
+            }
+        }
+    }
+    n
+}
+
 #[test]
 fn warm_cluster_answers_its_first_sweep_cached_within_seconds() {
     // Generous: the warm start takes well under a second in release
@@ -390,6 +407,10 @@ fn warm_cluster_answers_its_first_sweep_cached_within_seconds() {
         for field in ["retries", "write_failures", "orphans_swept"] {
             assert_eq!(sum(field), 0, "{field} (shared disk: {shared})");
         }
+        // Each shard counts only the records it owns, so the sum is the
+        // directory's record count, not shards × records.
+        let records = if shared { sim_files(&dir) } else { 0 };
+        assert_eq!(sum("disk_entries"), records, "shared disk: {shared}");
         for s in shards {
             assert_eq!(
                 s.get("store_degraded").and_then(json::Value::as_bool),

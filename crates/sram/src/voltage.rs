@@ -16,7 +16,7 @@ pub const MIN_MODEL_MV: u32 = 350;
 /// Highest supply voltage the delay models accept.
 ///
 /// The paper's data stops at 700 mV; we allow head-room up to a nominal
-/// 45 nm supply so DVFS examples can include a "high" operating point.
+/// 45 nm supply so a caller can model a "high" operating point.
 pub const MAX_MODEL_MV: u32 = 1100;
 
 /// A supply voltage in millivolts.

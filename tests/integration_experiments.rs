@@ -82,6 +82,21 @@ fn figure12_shape_holds() {
     assert!(at(400).relative_edp < at(450).relative_edp, "paper 0.33");
     assert!(at(400).relative_edp > 0.2, "not implausibly low");
 
+    // The paper's per-Vcc adaptivity (§4.1.3), read off the sweep: below
+    // 600 mV IRAW is both faster and lower-EDP, so it is the mechanism to
+    // run; at and above 600 mV it ties on time and pays its hardware in
+    // EDP, so the baseline is.
+    for p in &points {
+        let mv = p.vcc.millivolts();
+        if mv < 600 {
+            assert!(p.speedup > 1.0, "IRAW faster at {mv} mV");
+            assert!(p.relative_edp < 1.0, "IRAW lower EDP at {mv} mV");
+        } else {
+            assert!((p.speedup - 1.0).abs() < 0.01, "tie at {mv} mV");
+            assert!(p.relative_edp > 1.0, "baseline lower EDP at {mv} mV");
+        }
+    }
+
     // Baseline leakage share grows as Vcc falls (the energy mechanism
     // behind the EDP wins).
     for pair in points.windows(2) {

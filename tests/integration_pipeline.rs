@@ -1,12 +1,13 @@
-//! Cross-crate pipeline integration: mechanism orderings, determinism,
-//! adaptation and baseline designs on real synthetic workloads.
+//! Cross-crate pipeline integration: mechanism orderings, determinism
+//! and baseline designs on real synthetic workloads. The per-Vcc choice
+//! between IRAW and the baseline is read off the sweep in
+//! `integration_experiments.rs`.
 
 use lowvcc_baselines::{ExtraBypassDesign, ExtraBypassScope, FaultyBitsDesign, FaultyBitsScope};
 use lowvcc_core::{
-    adapt_at, compare_mechanisms, run_suite_batch, AdaptGoal, CoreConfig, Mechanism, Parallelism,
-    SimConfig, Simulator, SuiteResult,
+    compare_mechanisms, run_suite_batch, CoreConfig, Mechanism, Parallelism, SimConfig, Simulator,
+    SuiteResult,
 };
-use lowvcc_energy::EnergyModel;
 use lowvcc_sram::voltage::mv;
 use lowvcc_sram::CycleTimeModel;
 use lowvcc_trace::{Trace, TraceSpec, WorkloadFamily};
@@ -86,31 +87,6 @@ fn whole_stack_is_deterministic() {
         .build()
         .unwrap();
     assert_eq!(t.uops, t2.uops);
-}
-
-#[test]
-fn measured_adaptation_matches_predictive_controller() {
-    // The energy crate's predictive DVFS controller and the measured
-    // adaptation must agree on the on/off boundary (600 mV).
-    let energy = EnergyModel::silverthorne_45nm();
-    let core = CoreConfig::silverthorne();
-    let ts = traces(10_000);
-    let low = adapt_at(core, &timing(), &energy, mv(500), &ts, AdaptGoal::MinEdp).unwrap();
-    assert_eq!(low.chosen, Mechanism::Iraw);
-    assert!(low.iraw_edp_ratio < 0.85);
-    let high = adapt_at(
-        core,
-        &timing(),
-        &energy,
-        mv(625),
-        &ts,
-        AdaptGoal::Performance,
-    )
-    .unwrap();
-    assert!(
-        (high.iraw_speedup - 1.0).abs() < 0.01,
-        "tie above the boundary"
-    );
 }
 
 #[test]
