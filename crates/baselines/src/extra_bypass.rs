@@ -165,7 +165,7 @@ mod tests {
         let cfg = d.sim_config(CoreConfig::silverthorne(), &t, mv(500));
         assert_eq!(cfg.extra_write_port_cycles, 1);
         assert_eq!(cfg.core.bypass_levels, 2);
-        assert!(!cfg.iraw_active());
+        assert!(!cfg.cycle_config().iraw_active());
         cfg.validate().unwrap();
         assert!(!d.testing_indeterminism());
     }

@@ -184,7 +184,10 @@ mod tests {
         let t = timing();
         let cfg = d.sim_config(CoreConfig::silverthorne(), &t, mv(425), 7);
         assert!(cfg.cycle_time < t.baseline_cycle(mv(425)));
-        assert!(!cfg.iraw_active(), "Faulty Bits needs no IRAW stalls");
+        assert!(
+            !cfg.cycle_config().iraw_active(),
+            "Faulty Bits needs no IRAW stalls"
+        );
         assert_eq!(cfg.fault_seed, 7);
         cfg.validate().unwrap();
         assert!(d.testing_indeterminism());

@@ -4,8 +4,8 @@
 use std::sync::Arc;
 
 use lowvcc_core::{
-    run_batch_groups, sim_key, CoreConfig, MechanismComparison, Parallelism, SimConfig, SimResult,
-    SuiteResult,
+    run_batch_groups, same_projection_as, sim_key, CoreConfig, MechanismComparison, Parallelism,
+    SimConfig, SimResult, SuiteResult,
 };
 
 use crate::error::ExperimentError;
@@ -258,6 +258,12 @@ impl ExperimentContext {
     /// trace behind a single decode, so a cold 13-point sweep decodes
     /// each trace once rather than once per (config, trace) pair.
     ///
+    /// Configurations with equal cycle-level projections share a key
+    /// ([`same_projection_as`]), so each distinct `(trace, key)` is
+    /// looked up and simulated once per call; every copy handed back
+    /// carries its own config's `cycle_time`, which overwrites the
+    /// stored record's (a shared record keeps its first writer's).
+    ///
     /// Misses go through the store's **single-flight** layer: this call
     /// simulates only the keys it claims leadership of (as one parallel
     /// batch over the grid executor) and *waits* for keys some
@@ -299,19 +305,36 @@ impl ExperimentContext {
             .iter()
             .map(|_| self.suite.iter().map(|_| None).collect())
             .collect();
+        // One lookup per distinct projection: `c` stands for every
+        // config whose `firsts` entry is `c`, and `fill` hands each of
+        // them the result stamped with its own cycle time.
+        let firsts = same_projection_as(cfgs);
+        let mut fill = |t: usize, c: usize, result: &SimResult| {
+            for (i, _) in firsts.iter().enumerate().filter(|&(_, &f)| f == c) {
+                let stamped = SimResult {
+                    cycle_time: cfgs[i].cycle_time,
+                    ..result.clone()
+                };
+                slots[i][t] = Some((self.suite[t].name.clone(), stamped));
+            }
+        };
         // Trace-major order, so one round's leaders arrive grouped by
         // trace and each group below shares a single decode.
         let mut unresolved: Vec<(usize, usize)> = (0..self.suite.len())
-            .flat_map(|t| (0..cfgs.len()).map(move |c| (t, c)))
+            .flat_map(|t| {
+                firsts
+                    .iter()
+                    .enumerate()
+                    .filter(|&(c, &f)| c == f)
+                    .map(move |(c, _)| (t, c))
+            })
             .collect();
         while !unresolved.is_empty() {
             let mut leaders: Vec<(usize, usize, FlightGuard<'_>)> = Vec::new();
             let mut pending: Vec<(usize, usize, FlightWaiter)> = Vec::new();
             for &(t, c) in &unresolved {
                 match store.lookup(sim_key(&cfgs[c], &self.specs[t])) {
-                    Flight::Hit(result) => {
-                        slots[c][t] = Some((self.suite[t].name.clone(), *result));
-                    }
+                    Flight::Hit(result) => fill(t, c, &result),
                     Flight::Lead(guard) => leaders.push((t, c, guard)),
                     Flight::Pending(waiter) => pending.push((t, c, waiter)),
                 }
@@ -341,7 +364,7 @@ impl ExperimentContext {
                 for ((t, c, guard), result) in leaders.into_iter().zip(results) {
                     store.put(sim_key(&cfgs[c], &self.specs[t]), &result);
                     drop(guard); // publish: retires the flight, wakes waiters
-                    slots[c][t] = Some((self.suite[t].name.clone(), result));
+                    fill(t, c, &result);
                 }
             }
             // A retired flight either published (next round hits) or was

@@ -34,9 +34,10 @@ pub struct RunSummary {
     /// Wall-clock time of the sweep alone.
     pub sweep_elapsed: Duration,
     /// Dynamic uops the *engine actually simulated* during the sweep
-    /// (all voltages × both mechanisms), the numerator of the
-    /// throughput figure. Cache hits contribute nothing: a fully warm
-    /// cached sweep reports 0, not a fictitious engine throughput.
+    /// (every distinct simulation of the voltage × mechanism grid), the
+    /// numerator of the throughput figure. Cache hits contribute
+    /// nothing: a fully warm cached sweep reports 0, not a fictitious
+    /// engine throughput.
     pub sweep_uops: u64,
 }
 
@@ -115,14 +116,15 @@ pub fn run_all(ctx: &ExperimentContext, out_dir: &Path) -> Result<RunSummary, Ex
     let points = sweep::run_sweep(ctx)?;
     let sweep_elapsed = sweep_started.elapsed();
     // Throughput numerator: engine work only. With a cache, the store
-    // counted exactly what was simulated; without one, every committed
-    // instruction came from the engine.
+    // counted exactly what was simulated; without one, the executor ran
+    // each distinct projection of the grid once over the whole suite.
     let sweep_uops: u64 = match (&ctx.cache, cached_uops_before) {
         (Some(store), Some(before)) => store.stats().simulated_uops - before,
-        _ => points
-            .iter()
-            .map(|p| p.baseline_instructions + p.iraw_instructions)
-            .sum(),
+        _ => {
+            let firsts = lowvcc_core::same_projection_as(&sweep::configs(ctx));
+            let distinct = firsts.iter().enumerate().filter(|&(i, &f)| i == f).count();
+            distinct as u64 * ctx.total_uops() as u64
+        }
     };
 
     report.push_str("## Figure 11b — frequency increase and performance gains\n");

@@ -37,10 +37,6 @@ pub struct SweepPoint {
     pub bp_corruption_rate: f64,
     /// Potential RSB corruptions (paper §4.5: expected 0).
     pub rsb_corruptions: u64,
-    /// Instructions committed by the baseline suite run.
-    pub baseline_instructions: u64,
-    /// Instructions committed by the IRAW suite run.
-    pub iraw_instructions: u64,
 }
 
 fn suite_energy(
@@ -118,31 +114,36 @@ pub fn point_from(ctx: &ExperimentContext, cmp: &MechanismComparison) -> SweepPo
             bp_corrupt as f64 / bp_reads as f64
         },
         rsb_corruptions: rsb_corrupt,
-        baseline_instructions: cmp.baseline.total_instructions(),
-        iraw_instructions: cmp.iraw.total_instructions(),
     }
 }
 
-/// Runs the full baseline-vs-IRAW sweep over the paper's voltage grid in
-/// one batched pass: all 26 configurations (13 voltages × 2 mechanisms)
-/// go through [`ExperimentContext::run_suite_batch`], so every trace is
-/// decoded once for the whole grid and each worker's engine workspace is
-/// reused across all sweep points. Byte-identical to one fresh simulation
-/// per (config, trace) pair for any worker count — the
-/// `batch_vs_perpoint` suite asserts it.
-///
-/// # Errors
-///
-/// Propagates simulation and cache failures.
-pub fn run_sweep(ctx: &ExperimentContext) -> Result<Vec<SweepPoint>, ExperimentError> {
-    let cfgs: Vec<SimConfig> = PAPER_SWEEP
+/// The sweep grid: (baseline, IRAW) at every voltage of the paper's
+/// grid, in voltage order — 26 configurations, of which 21 are distinct
+/// simulations (at ≥600 mV the IRAW run is the baseline run).
+#[must_use]
+pub fn configs(ctx: &ExperimentContext) -> Vec<SimConfig> {
+    PAPER_SWEEP
         .iter()
         .flat_map(|vcc| {
             let (base, iraw) = SimConfig::mechanism_pair(ctx.core, &ctx.timing, vcc);
             [base, iraw]
         })
-        .collect();
-    let mut suites = ctx.run_suite_batch(&cfgs)?.into_iter();
+        .collect()
+}
+
+/// Runs the full baseline-vs-IRAW sweep over the paper's voltage grid in
+/// one batched pass: all of [`configs`] go through
+/// [`ExperimentContext::run_suite_batch`], so every trace is decoded once
+/// for the whole grid, each distinct simulation runs once, and each
+/// worker's engine workspace is reused across all sweep points.
+/// Byte-identical to one fresh simulation per (config, trace) pair for
+/// any worker count — the `batch_vs_perpoint` suite asserts it.
+///
+/// # Errors
+///
+/// Propagates simulation and cache failures.
+pub fn run_sweep(ctx: &ExperimentContext) -> Result<Vec<SweepPoint>, ExperimentError> {
+    let mut suites = ctx.run_suite_batch(&configs(ctx))?.into_iter();
     Ok(PAPER_SWEEP
         .iter()
         .map(|vcc| {
@@ -226,6 +227,24 @@ pub fn at(points: &[SweepPoint], mv: u32) -> Option<&SweepPoint> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::store::ResultStore;
+    use std::sync::Arc;
+
+    #[test]
+    fn cold_sweep_simulates_each_distinct_projection_once() {
+        let store = Arc::new(ResultStore::ephemeral());
+        let ctx = ExperimentContext::sized(1, 2_000)
+            .unwrap()
+            .with_cache(Arc::clone(&store));
+        assert_eq!(configs(&ctx).len(), 26);
+        run_sweep(&ctx).unwrap();
+        // At ≥600 mV the IRAW run is the baseline run: 26 configs, 21
+        // simulations per trace, each looked up once.
+        let traces = ctx.suite.len() as u64;
+        assert_eq!(store.stats().misses, 21 * traces);
+        assert_eq!(store.stats().hits + store.stats().coalesced, 0);
+        assert_eq!(store.stats().simulated_uops, 21 * ctx.total_uops() as u64);
+    }
 
     #[test]
     fn sweep_reproduces_paper_shape_on_quick_suite() {

@@ -9,11 +9,15 @@
 
 use std::fs;
 use std::path::PathBuf;
+use std::sync::Arc;
 
 use lowvcc_baselines::{rows_from_results, technique_configs};
 use lowvcc_bench::experiments::{fig11a, sweep, table1, SweepPoint};
-use lowvcc_bench::{ExperimentContext, TextTable};
-use lowvcc_core::{MechanismComparison, Parallelism, SimConfig, Simulator, SuiteResult};
+use lowvcc_bench::{ExperimentContext, ResultStore, TextTable};
+use lowvcc_core::{
+    run_batch_groups, Mechanism, MechanismComparison, Parallelism, SimConfig, Simulator,
+    SuiteResult,
+};
 use lowvcc_sram::{Millivolts, PAPER_SWEEP};
 
 fn ctx_with(jobs: usize) -> ExperimentContext {
@@ -101,5 +105,65 @@ fn batched_table1_matches_per_config_runs() {
         let batched_rows = table1::quantitative_rows_at(&ctx, vcc).expect("batched rows");
         let b = csv_bytes(&table1::rows_table(&batched_rows), "t1_batched");
         assert_eq!(b, reference, "Table 1 CSV diverged at jobs={jobs}");
+    }
+}
+
+/// The grid executor collapses configurations with equal cycle-level
+/// projections into one simulation per group and copies the result
+/// with each config's own cycle time. One group holding repeated
+/// configs, all five ≥600 mV (baseline, IRAW) pairs, the 575 mV
+/// stall-free / ideal-logic pair and a retimed baseline (a different
+/// clock with the same memory latency in cycles) must still equal one
+/// fresh simulator per config — through the bare executor and through
+/// the context, cached and uncached.
+#[test]
+fn duplicate_projections_match_per_config_runs() {
+    let ctx = ctx_with(1);
+    let at = |mv: u32, mech| {
+        SimConfig::at_vcc(ctx.core, &ctx.timing, Millivolts::new(mv).unwrap(), mech)
+    };
+    let mut cfgs: Vec<SimConfig> = [600u32, 625, 650, 675, 700]
+        .into_iter()
+        .flat_map(|mv| [at(mv, Mechanism::Baseline), at(mv, Mechanism::Iraw)])
+        .collect();
+    let mut free = at(575, Mechanism::Iraw);
+    free.stabilization_cycles = 0;
+    let mut retimed = at(500, Mechanism::Baseline);
+    retimed.cycle_time = retimed.cycle_time * 1.001;
+    cfgs.extend([
+        at(500, Mechanism::Iraw),
+        at(575, Mechanism::IdealLogic),
+        free,
+        at(500, Mechanism::Baseline),
+        retimed,
+        at(500, Mechanism::Iraw),
+        cfgs[0].clone(),
+    ]);
+    let firsts = lowvcc_core::same_projection_as(&cfgs);
+    let collapsed = firsts.iter().enumerate().filter(|&(i, &f)| i != f);
+    assert_eq!(collapsed.clone().count(), 9, "{firsts:?}");
+    assert!(
+        collapsed
+            .clone()
+            .any(|(i, &f)| cfgs[i].cycle_time != cfgs[f].cycle_time),
+        "some collapsed pair must differ in cycle time"
+    );
+
+    let reference: Vec<SuiteResult> = cfgs.iter().map(|c| per_point(&ctx, c)).collect();
+    for jobs in [1, 2] {
+        let ctx = ctx_with(jobs);
+        let groups: Vec<(usize, Vec<SimConfig>)> =
+            (0..ctx.suite.len()).map(|t| (t, cfgs.clone())).collect();
+        let per_group =
+            run_batch_groups(&groups, &ctx.suite, Parallelism::threads(jobs)).expect("grid");
+        for (t, results) in per_group.iter().enumerate() {
+            for (c, r) in results.iter().enumerate() {
+                assert_eq!(*r, reference[c].per_trace[t].1, "trace {t} config {c}");
+            }
+        }
+        assert_eq!(ctx.run_suite_batch(&cfgs).expect("uncached"), reference);
+        let cached = ctx.with_cache(Arc::new(ResultStore::ephemeral()));
+        assert_eq!(cached.run_suite_batch(&cfgs).expect("cold"), reference);
+        assert_eq!(cached.run_suite_batch(&cfgs).expect("warm"), reference);
     }
 }

@@ -62,8 +62,14 @@ fn chaos_runs_stay_byte_identical_and_scrub_clean() {
 
     // Phase 1 — cold run under an aggressive seeded fault schedule.
     // Rate 400/1024 ≈ 39% of every disk operation faults; the retry
-    // policy sleeps zero so the suite stays fast.
-    let io = Arc::new(FaultyIo::new(FaultPlan::seeded(0xC4A05, 400)));
+    // policy sleeps zero so the suite stays fast. Fates are drawn per op
+    // index, and the store latches memory-only after its first
+    // exhausted publish, so only a handful of writes ever fault: the
+    // seed is one whose schedule reaches every fault kind and leaves
+    // records on disk for the suite's current op sequence. A change to
+    // the number of store operations can move it (the gate's assertions
+    // below say which precondition was missed).
+    let io = Arc::new(FaultyIo::new(FaultPlan::seeded(0xC4A06, 400)));
     let cold_store = Arc::new(
         ResultStore::open_with(
             &store_dir,

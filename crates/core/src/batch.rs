@@ -62,20 +62,29 @@ impl EngineWorkspace {
     /// Runs `cfg` over an already-decoded trace, reusing the previous
     /// run's engine storage when the core geometry matches (the common
     /// sweep case — only Vcc/mechanism parameters change) and falling
-    /// back to a fresh construction otherwise.
+    /// back to a fresh construction otherwise. The engine runs on
+    /// [`SimConfig::cycle_config`]; the result carries `cfg`'s own cycle
+    /// time.
     ///
     /// # Errors
     ///
     /// Propagates configuration validation and simulation errors.
     pub fn run(&mut self, cfg: &SimConfig, trace: &TraceArena) -> Result<SimResult, SimError> {
+        cfg.validate()?;
+        let projection = cfg.cycle_config();
         match &mut self.engine {
-            Some(engine) if engine.config().core == cfg.core => engine.reset(cfg.clone())?,
-            slot => *slot = Some(Engine::new(cfg.clone())?),
+            Some(engine) if engine.config().core == cfg.core => engine.reset(projection)?,
+            slot => *slot = Some(Engine::new(projection)?),
         }
-        self.engine
+        let stats = self
+            .engine
             .as_mut()
             .expect("engine installed above")
-            .run(trace)
+            .run(trace)?;
+        Ok(SimResult {
+            stats,
+            cycle_time: cfg.cycle_time,
+        })
     }
 
     /// The engine self-profile of the last run (all zeros before the
@@ -203,16 +212,17 @@ mod tests {
             .unwrap();
         let arena = TraceArena::from_trace(&trace);
         let cfgs = sweep_cfgs();
-        let mut engine = Engine::new(cfgs[1].clone()).unwrap();
+        let cfg = cfgs[1].cycle_config();
+        let mut engine = Engine::new(cfg.clone()).unwrap();
         let naive = engine.run_naive(&arena).unwrap();
         let p = engine.profile();
         assert_eq!(p.skipped_cycles, 0);
         assert_eq!(p.skips + p.refusals(), 0, "the naive stepper never asks");
-        assert_eq!(p.stepped_cycles, naive.stats.cycles);
-        let fast = Engine::new(cfgs[1].clone()).unwrap().run(&arena).unwrap();
+        assert_eq!(p.stepped_cycles, naive.cycles);
+        let fast = Engine::new(cfg.clone()).unwrap().run(&arena).unwrap();
         assert_eq!(fast, naive);
-        engine.reset(cfgs[1].clone()).unwrap();
-        let fresh = Engine::new(cfgs[1].clone()).unwrap();
+        engine.reset(cfg.clone()).unwrap();
+        let fresh = Engine::new(cfg).unwrap();
         assert_eq!(engine.profile(), fresh.profile());
         assert_eq!(fresh.profile(), EngineProfile::default());
     }

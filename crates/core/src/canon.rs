@@ -1,14 +1,20 @@
 //! Canonical byte encodings, the content-addressed [`SimKey`], and the
 //! on-disk [`SimResult`] codec behind the result cache.
 //!
-//! The simulator is deterministic (DESIGN.md §6): a run is a pure
-//! function of `(SimConfig, TraceSpec)`. That makes keyed reuse sound —
-//! two runs with the same canonical encoding of their inputs produce
+//! The simulator is deterministic (DESIGN.md §6): a run's [`SimStats`]
+//! are a pure function of `(CycleConfig, TraceSpec)`, where
+//! [`CycleConfig`] is the cycle-level projection of a [`SimConfig`]
+//! ([`SimConfig::cycle_config`]). That makes keyed reuse sound — two runs
+//! with the same canonical encoding of their projected inputs produce
 //! bit-identical [`SimStats`]. This module defines
 //!
-//! * a **canonical encoding** of every simulation input (fixed field
-//!   order, fixed-width little-endian integers, `f64` as IEEE-754 bits,
-//!   length-prefixed strings) — no `Hash`-derive, no layout dependence;
+//! * a **canonical encoding** of every engine input (fixed field order,
+//!   fixed-width little-endian integers, `f64` as IEEE-754 bits,
+//!   length-prefixed strings) — no `Hash`-derive, no layout dependence.
+//!   Supply voltage, mechanism and cycle time are not engine inputs, so
+//!   they are not encoded: configs that differ only there (the IRAW and
+//!   baseline runs at ≥600 mV, where `N = 0` and the clocks agree) share
+//!   one key and one simulation;
 //! * [`SimKey`] — a hand-rolled 128-bit FNV-1a over that encoding,
 //!   further covering [`ENGINE_SEMANTICS_VERSION`] so a change to what
 //!   the engine *means* invalidates every cached result at once;
@@ -17,7 +23,11 @@
 //!   atomic-rename persistence. Decoding is strict: bad magic, an
 //!   unknown format, a stale engine version, a checksum mismatch or
 //!   trailing bytes all surface a typed [`CanonError`] rather than
-//!   garbage statistics.
+//!   garbage statistics. The record keeps a `cycle_time` field, but a
+//!   key is shared by every config with the same projection, so a
+//!   stored record's cycle time is that of whichever config published
+//!   first. Readers stamp the requesting config's own cycle time over
+//!   it (`ExperimentContext::run_suite_batch` is the one read site).
 
 use std::fmt;
 
@@ -26,16 +36,17 @@ use lowvcc_trace::TraceSpec;
 use lowvcc_uarch::cache::CacheConfig;
 use lowvcc_uarch::replacement::Policy;
 
-use crate::config::{CoreConfig, Mechanism, SimConfig};
+use crate::config::{CoreConfig, CycleConfig, SimConfig};
 use crate::stats::{BranchStats, SimResult, SimStats, StallBreakdown};
 
-/// Version of the engine's *semantics* — what a `(SimConfig, TraceSpec)`
+/// Version of the engine's *semantics* — what a `(CycleConfig, TraceSpec)`
 /// pair means in cycles and stall attribution. Bump this whenever a
 /// change alters simulation output for some input (a new stall source, a
-/// fixed latency, a different replacement decision…); every [`SimKey`]
-/// covers it, so persisted results from older semantics silently miss
-/// instead of being served stale.
-pub const ENGINE_SEMANTICS_VERSION: u32 = 1;
+/// fixed latency, a different replacement decision…) or what a key
+/// covers; every [`SimKey`] covers it, so persisted results from older
+/// semantics silently miss instead of being served stale. Version 2 keys
+/// the cycle-level projection instead of the full `SimConfig`.
+pub const ENGINE_SEMANTICS_VERSION: u32 = 2;
 
 /// Format version of the [`encode_sim_result`] byte layout (bumped when
 /// the *serialization* changes, independent of engine semantics).
@@ -284,25 +295,21 @@ fn encode_core_config(w: &mut CanonWriter, c: &CoreConfig) {
     w.f64(c.memory_latency_ns);
 }
 
-/// Canonically encodes every simulation input of `cfg` — including the
-/// derived cycle time, the stabilization count and the baseline-specific
-/// knobs, so e.g. the stall-free reference run (same clock, `N = 0`)
-/// keys differently from the IRAW run it shadows.
-pub fn encode_sim_config(w: &mut CanonWriter, cfg: &SimConfig) {
+/// Canonically encodes the engine's input: every field of the
+/// [`CycleConfig`] projection — the machine, the stabilization count,
+/// the baseline-specific knobs and the memory latency in cycles. The
+/// clock enters only through that latency, so e.g. the stall-free
+/// reference run (`N = 0`) keys apart from the IRAW run it shadows, but
+/// equal to any run with the same `N = 0` and memory latency.
+pub fn encode_cycle_config(w: &mut CanonWriter, cfg: &CycleConfig) {
     encode_core_config(w, &cfg.core);
-    w.u32(cfg.vcc.millivolts());
-    w.u8(match cfg.mechanism {
-        Mechanism::Baseline => 0,
-        Mechanism::Iraw => 1,
-        Mechanism::IdealLogic => 2,
-    });
-    w.f64(cfg.cycle_time.picos());
     w.u32(cfg.stabilization_cycles);
     w.u32(cfg.extra_write_port_cycles);
     w.usize(cfg.disabled_lines.0);
     w.usize(cfg.disabled_lines.1);
     w.usize(cfg.disabled_lines.2);
     w.u64(cfg.fault_seed);
+    w.u64(cfg.memory_latency_cycles);
 }
 
 /// Canonically encodes a trace *specification* (family, seed, length) —
@@ -317,7 +324,7 @@ pub fn encode_trace_spec(w: &mut CanonWriter, spec: &TraceSpec) {
 // --- SimKey ---------------------------------------------------------------
 
 /// Content address of one simulation: a 128-bit FNV-1a over the
-/// canonical encoding of `(engine semantics version, SimConfig,
+/// canonical encoding of `(engine semantics version, CycleConfig,
 /// TraceSpec)`.
 ///
 /// ```
@@ -384,13 +391,15 @@ impl fmt::Display for SimKey {
     }
 }
 
-/// Computes the [`SimKey`] of running `spec` under `cfg`.
+/// Computes the [`SimKey`] of running `spec` under `cfg`: a function of
+/// `cfg`'s cycle-level projection only, so configs that behave the same
+/// share a key.
 #[must_use]
 pub fn sim_key(cfg: &SimConfig, spec: &TraceSpec) -> SimKey {
     let mut w = CanonWriter::new();
     w.str("lowvcc-simkey");
     w.u32(ENGINE_SEMANTICS_VERSION);
-    encode_sim_config(&mut w, cfg);
+    encode_cycle_config(&mut w, &cfg.cycle_config());
     encode_trace_spec(&mut w, spec);
     SimKey(fnv1a_128(w.bytes()))
 }
@@ -561,6 +570,7 @@ pub fn decode_sim_result(bytes: &[u8]) -> Result<SimResult, CanonError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::Mechanism;
     use lowvcc_sram::voltage::mv;
     use lowvcc_sram::CycleTimeModel;
     use lowvcc_trace::WorkloadFamily;
@@ -609,6 +619,14 @@ mod tests {
         assert_ne!(
             sim_key(&cfg(575, Mechanism::Iraw), &spec()),
             sim_key(&free, &spec())
+        );
+
+        // Only the cycle-level projection counts: at ≥600 mV the IRAW
+        // run has `N = 0` and the baseline clock, so it *is* the
+        // baseline run.
+        assert_eq!(
+            sim_key(&cfg(600, Mechanism::Iraw), &spec()),
+            sim_key(&cfg(600, Mechanism::Baseline), &spec())
         );
     }
 

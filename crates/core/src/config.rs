@@ -256,28 +256,76 @@ impl SimConfig {
         )
     }
 
-    /// Off-chip memory latency in cycles at this clock.
+    /// The cycle-level projection: everything the engine reads of this
+    /// configuration. The one rule for "same behaviour" — two configs
+    /// with equal projections produce equal [`SimStats`] on any trace,
+    /// so the result key, the grid executor's dedup and the engine
+    /// itself all go through this.
+    ///
+    /// [`SimStats`]: crate::stats::SimStats
     #[must_use]
-    pub fn memory_latency_cycles(&self) -> u64 {
-        (self.core.memory_latency_ns * 1000.0 / self.cycle_time.picos()).ceil() as u64
-    }
-
-    /// Whether any IRAW avoidance hardware is active.
-    #[must_use]
-    pub fn iraw_active(&self) -> bool {
-        self.stabilization_cycles > 0
+    pub fn cycle_config(&self) -> CycleConfig {
+        CycleConfig {
+            core: self.core,
+            stabilization_cycles: self.stabilization_cycles,
+            extra_write_port_cycles: self.extra_write_port_cycles,
+            disabled_lines: self.disabled_lines,
+            fault_seed: self.fault_seed,
+            memory_latency_cycles: (self.core.memory_latency_ns * 1000.0 / self.cycle_time.picos())
+                .ceil() as u64,
+        }
     }
 
     /// Validates the composite configuration.
     ///
     /// # Errors
     ///
-    /// Propagates [`CoreConfig::validate`] and checks the cycle time.
+    /// Checks the cycle time, then propagates [`CycleConfig::validate`].
     pub fn validate(&self) -> Result<(), ConfigError> {
-        self.core.validate()?;
         if self.cycle_time.picos() <= 0.0 {
             return Err(ConfigError::NonPositiveCycleTime);
         }
+        self.cycle_config().validate()
+    }
+}
+
+/// What one simulation *is*, in cycles: the projection of a [`SimConfig`]
+/// the engine runs on ([`SimConfig::cycle_config`]). Supply voltage,
+/// mechanism and cycle time are not here — the clock reaches the engine
+/// only as `memory_latency_cycles` — so, e.g., the IRAW run at ≥600 mV
+/// (`N = 0`, baseline clock) projects equal to the baseline run.
+#[derive(Debug, Clone, PartialEq)]
+pub struct CycleConfig {
+    /// Machine parameters.
+    pub core: CoreConfig,
+    /// Stabilization cycles `N` (0 disables every IRAW mechanism).
+    pub stabilization_cycles: u32,
+    /// Extra cycles each register-file write occupies its write port.
+    pub extra_write_port_cycles: u32,
+    /// Cache lines disabled per cache, as `(il0, dl0, ul1)` line counts.
+    pub disabled_lines: (usize, usize, usize),
+    /// Seed for fault-map placement.
+    pub fault_seed: u64,
+    /// Off-chip memory latency in cycles at the run's clock (the
+    /// constant-time `core.memory_latency_ns`, rounded up to cycles).
+    pub memory_latency_cycles: u64,
+}
+
+impl CycleConfig {
+    /// Whether any IRAW avoidance hardware is active.
+    #[must_use]
+    pub fn iraw_active(&self) -> bool {
+        self.stabilization_cycles > 0
+    }
+
+    /// Validates the machine and the stabilization window.
+    ///
+    /// # Errors
+    ///
+    /// Propagates [`CoreConfig::validate`] and checks that every
+    /// short-latency producer pattern fits the scoreboard.
+    pub fn validate(&self) -> Result<(), ConfigError> {
+        self.core.validate()?;
         // Every short-latency producer pattern must fit the shift register
         // with a trailing ready bit: latency + bypass + N < width. Longer
         // producers (divides, load misses) use completion events instead.
@@ -350,8 +398,8 @@ mod tests {
         assert!(iraw.cycle_time > ideal.cycle_time);
         assert_eq!(base.stabilization_cycles, 0);
         assert_eq!(iraw.stabilization_cycles, 1);
-        assert!(iraw.iraw_active());
-        assert!(!base.iraw_active());
+        assert!(iraw.cycle_config().iraw_active());
+        assert!(!base.cycle_config().iraw_active());
         base.validate().unwrap();
     }
 
@@ -372,7 +420,7 @@ mod tests {
         let core = CoreConfig::silverthorne();
         let fast = SimConfig::at_vcc(core, &timing, mv(700), Mechanism::IdealLogic);
         let slow = SimConfig::at_vcc(core, &timing, mv(400), Mechanism::Baseline);
-        assert!(fast.memory_latency_cycles() > 100);
-        assert!(slow.memory_latency_cycles() < 10);
+        assert!(fast.cycle_config().memory_latency_cycles > 100);
+        assert!(slow.cycle_config().memory_latency_cycles < 10);
     }
 }

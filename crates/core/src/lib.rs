@@ -52,11 +52,11 @@ pub use batch::EngineWorkspace;
 pub use canon::{
     decode_sim_result, encode_sim_result, sim_key, CanonError, SimKey, ENGINE_SEMANTICS_VERSION,
 };
-pub use config::{CoreConfig, Mechanism, SimConfig};
+pub use config::{CoreConfig, CycleConfig, Mechanism, SimConfig};
 pub use error::{ConfigError, SimError};
 pub use perf::{
-    compare_mechanisms, run_batch_groups, run_suite_batch, speedup, MechanismComparison,
-    Parallelism, Speedup, SuiteResult,
+    compare_mechanisms, run_batch_groups, run_suite_batch, same_projection_as, speedup,
+    MechanismComparison, Parallelism, Speedup, SuiteResult,
 };
 pub use pipeline::EngineProfile;
 pub use sim::Simulator;

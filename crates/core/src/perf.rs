@@ -9,7 +9,9 @@
 //! [`Parallelism`]-sized pool of scoped threads and reassembles results
 //! in suite order, making the output byte-identical for any thread count
 //! (including errors: the reported error is the first in suite order,
-//! not the first in wall-clock order).
+//! not the first in wall-clock order). Within a group, configurations
+//! with equal cycle-level projections ([`SimConfig::cycle_config`]) are
+//! simulated once.
 
 use std::num::NonZeroUsize;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -18,7 +20,7 @@ use lowvcc_sram::{CycleTimeModel, Millivolts};
 use lowvcc_trace::{Trace, TraceArena};
 
 use crate::batch::EngineWorkspace;
-use crate::config::{CoreConfig, SimConfig};
+use crate::config::{CoreConfig, CycleConfig, SimConfig};
 use crate::error::{validate_trace, SimError};
 use crate::stats::SimResult;
 
@@ -125,16 +127,35 @@ pub struct Speedup {
     pub geomean: f64,
 }
 
+/// For each configuration, the index of the first one in `cfgs` with an
+/// equal cycle-level projection ([`SimConfig::cycle_config`]) — its own
+/// index when it is the first. Configurations sharing an index run the
+/// same simulation; they differ at most in the cycle time stamped on
+/// the result.
+#[must_use]
+pub fn same_projection_as(cfgs: &[SimConfig]) -> Vec<usize> {
+    let projections: Vec<CycleConfig> = cfgs.iter().map(SimConfig::cycle_config).collect();
+    projections
+        .iter()
+        .enumerate()
+        .map(|(i, p)| projections[..i].iter().position(|q| q == p).unwrap_or(i))
+        .collect()
+}
+
 /// Runs each group's configurations over its trace — the one grid
 /// executor every suite API is built on. Each group decodes its trace
-/// once into a [`TraceArena`] and replays all of its configurations
+/// once into a [`TraceArena`] and replays its distinct configurations
 /// through the claiming worker's reused [`EngineWorkspace`], so a decoded
-/// arena stays hot in cache across all of its sweep points.
+/// arena stays hot in cache across all of its sweep points. A config
+/// whose projection equals an earlier one's in the same group is not
+/// simulated again: it gets a copy of that result with its own
+/// `cycle_time` (see [`same_projection_as`]).
 ///
 /// `groups` pairs an index into `traces` with the configurations to run
 /// on it. Results come back in group order, each `Vec` in config order.
 /// Deterministic for any `par`, including which error is reported: the
-/// lowest group index, then the lowest config index within it.
+/// lowest group index, then the lowest config index within it (every
+/// config is validated before any is collapsed into another).
 ///
 /// # Errors
 ///
@@ -168,8 +189,22 @@ pub fn run_batch_groups(
                 break;
             }
             let r: Result<Vec<SimResult>, SimError> = validate_trace(&traces[*ti]).and_then(|()| {
+                // The projection drops `cycle_time`, which `validate`
+                // checks, so validate every config before collapsing.
+                cfgs.iter().try_for_each(SimConfig::validate)?;
                 let arena = TraceArena::from_trace(&traces[*ti]);
-                cfgs.iter().map(|cfg| ws.run(cfg, &arena)).collect()
+                let mut results: Vec<SimResult> = Vec::with_capacity(cfgs.len());
+                for (cfg, first) in cfgs.iter().zip(same_projection_as(cfgs)) {
+                    let r = match results.get(first) {
+                        Some(done) => SimResult {
+                            cycle_time: cfg.cycle_time,
+                            ..done.clone()
+                        },
+                        None => ws.run(cfg, &arena)?,
+                    };
+                    results.push(r);
+                }
+                Ok(results)
             });
             if r.is_err() {
                 first_err.fetch_min(i, Ordering::Relaxed);
@@ -315,6 +350,7 @@ pub fn compare_mechanisms(
 mod tests {
     use super::*;
     use crate::config::Mechanism;
+    use crate::error::ConfigError;
     use crate::sim::Simulator;
     use lowvcc_sram::voltage::mv;
     use lowvcc_trace::{TraceSpec, WorkloadFamily};
@@ -447,7 +483,7 @@ mod tests {
         let groups = vec![
             (0usize, vec![good.clone()]),
             (1, vec![bad.clone(), good.clone()]),
-            (2, vec![bad]),
+            (2, vec![bad.clone()]),
         ];
         for workers in [1, 3] {
             let err = run_batch_groups(&groups, &traces, Parallelism::threads(workers))
@@ -457,6 +493,51 @@ mod tests {
                 "unexpected error {err:?} at {workers} workers"
             );
         }
+
+        // Dedup never hides an invalid config. A zero cycle time and a
+        // (valid) 1e-300 ps clock both saturate the memory latency to
+        // `u64::MAX` cycles, so the two project equal; only validating
+        // every config before collapsing still reports the copy as the
+        // lowest invalid index of its group.
+        let mut instant = good.clone();
+        instant.cycle_time = lowvcc_sram::Picoseconds::new(1e-300);
+        let mut stopped = good.clone();
+        stopped.cycle_time = lowvcc_sram::Picoseconds::new(0.0);
+        assert_eq!(instant.cycle_config(), stopped.cycle_config());
+        let groups = vec![
+            (0usize, vec![good.clone()]),
+            (1, vec![good.clone(), instant, stopped.clone(), bad.clone()]),
+            (2, vec![bad.clone()]),
+        ];
+        for workers in [1, 3] {
+            let err = run_batch_groups(&groups, &traces, Parallelism::threads(workers))
+                .expect_err("a zero cycle time must surface");
+            assert!(
+                matches!(err, SimError::Config(ConfigError::NonPositiveCycleTime)),
+                "unexpected error {err:?} at {workers} workers"
+            );
+        }
+        let groups = vec![(0usize, vec![good.clone(), bad, stopped])];
+        let err = run_batch_groups(&groups, &traces, Parallelism::sequential())
+            .expect_err("invalid config must surface");
+        assert!(
+            matches!(
+                err,
+                SimError::Config(ConfigError::IqNotPowerOfTwo { entries: 33 })
+            ),
+            "unexpected error {err:?}"
+        );
+    }
+
+    #[test]
+    fn same_projection_as_collapses_only_equal_behaviour() {
+        let timing = CycleTimeModel::silverthorne_45nm();
+        let core = CoreConfig::silverthorne();
+        let (base600, iraw600) = SimConfig::mechanism_pair(core, &timing, mv(600));
+        let (base500, iraw500) = SimConfig::mechanism_pair(core, &timing, mv(500));
+        let cfgs = [base500, iraw600, iraw500.clone(), base600, iraw500];
+        assert_eq!(same_projection_as(&cfgs), vec![0, 1, 2, 1, 2]);
+        assert_eq!(same_projection_as(&[]), Vec::<usize>::new());
     }
 
     #[test]

@@ -12,7 +12,7 @@ use lowvcc_uarch::bpred::{Bimodal, BranchPredictor, Btb, CorruptionTracker};
 use lowvcc_uarch::ring::Ring;
 use lowvcc_uarch::rsb::ReturnStack;
 
-use crate::config::SimConfig;
+use crate::config::CycleConfig;
 use crate::pipeline::memory::MemHierarchy;
 use crate::stats::BranchStats;
 
@@ -52,7 +52,7 @@ pub struct FrontEnd {
 impl FrontEnd {
     /// Builds the front end for a run.
     #[must_use]
-    pub fn new(cfg: &SimConfig) -> Self {
+    pub fn new(cfg: &CycleConfig) -> Self {
         let n = cfg.stabilization_cycles;
         Self {
             bp: Bimodal::new(cfg.core.bp_entries),
@@ -73,7 +73,7 @@ impl FrontEnd {
     /// Restores the freshly-constructed state in place for `cfg` — the
     /// exact state [`FrontEnd::new`] would build — reusing the predictor
     /// tables and the decode queue's storage. No allocation.
-    pub fn reset(&mut self, cfg: &SimConfig) {
+    pub fn reset(&mut self, cfg: &CycleConfig) {
         let n = cfg.stabilization_cycles;
         self.bp.reset();
         self.btb.reset();
@@ -265,7 +265,8 @@ mod tests {
             &CycleTimeModel::silverthorne_45nm(),
             mv(500),
             mechanism,
-        );
+        )
+        .cycle_config();
         (FrontEnd::new(&cfg), MemHierarchy::new(&cfg).unwrap())
     }
 

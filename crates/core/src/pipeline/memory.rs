@@ -13,7 +13,7 @@ use lowvcc_uarch::buffers::{StallGuard, TimedBuffer};
 use lowvcc_uarch::cache::SetAssocCache;
 use lowvcc_uarch::tlb::Tlb;
 
-use crate::config::SimConfig;
+use crate::config::CycleConfig;
 use crate::error::ConfigError;
 
 /// Outcome of a data-side access.
@@ -60,7 +60,7 @@ impl MemHierarchy {
     /// # Errors
     ///
     /// Propagates cache-geometry validation failures.
-    pub fn new(cfg: &SimConfig) -> Result<Self, ConfigError> {
+    pub fn new(cfg: &CycleConfig) -> Result<Self, ConfigError> {
         let cache = |which| move |source| ConfigError::Cache { which, source };
         let mut il0 = SetAssocCache::new(cfg.core.il0).map_err(cache("IL0"))?;
         let mut dl0 = SetAssocCache::new(cfg.core.dl0).map_err(cache("DL0"))?;
@@ -90,7 +90,7 @@ impl MemHierarchy {
             lat_ul1: u64::from(cfg.core.lat_ul1),
             lat_dl0: u64::from(cfg.core.lat_dl0_hit),
             page_walk: u64::from(cfg.core.page_walk_cycles),
-            mem_latency: cfg.memory_latency_cycles(),
+            mem_latency: cfg.memory_latency_cycles,
             prefetch_next_line: cfg.core.il0_next_line_prefetch,
             memory_accesses: 0,
             other_fill_stall_cycles: 0,
@@ -103,7 +103,7 @@ impl MemHierarchy {
     /// reallocating the cache, TLB or buffer storage. The caller must
     /// keep the cache geometry (`cfg.core`) unchanged; batch reuse falls
     /// back to a fresh construction otherwise.
-    pub fn reset(&mut self, cfg: &SimConfig) {
+    pub fn reset(&mut self, cfg: &CycleConfig) {
         self.il0.reset();
         self.dl0.reset();
         self.ul1.reset();
@@ -129,7 +129,7 @@ impl MemHierarchy {
         self.lat_ul1 = u64::from(cfg.core.lat_ul1);
         self.lat_dl0 = u64::from(cfg.core.lat_dl0_hit);
         self.page_walk = u64::from(cfg.core.page_walk_cycles);
-        self.mem_latency = cfg.memory_latency_cycles();
+        self.mem_latency = cfg.memory_latency_cycles;
         self.prefetch_next_line = cfg.core.il0_next_line_prefetch;
         self.memory_accesses = 0;
         self.other_fill_stall_cycles = 0;
@@ -408,7 +408,7 @@ mod tests {
             mv(vcc),
             mechanism,
         );
-        MemHierarchy::new(&cfg).unwrap()
+        MemHierarchy::new(&cfg.cycle_config()).unwrap()
     }
 
     #[test]
@@ -508,7 +508,7 @@ mod tests {
         );
         cfg.disabled_lines = (10, 10, 100);
         cfg.fault_seed = 7;
-        let m = MemHierarchy::new(&cfg).unwrap();
+        let m = MemHierarchy::new(&cfg.cycle_config()).unwrap();
         assert_eq!(m.il0_stats().accesses, 0);
         // Capacity shrank.
         assert!(m.dl0_stats().accesses == 0);

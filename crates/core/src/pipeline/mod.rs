@@ -22,11 +22,11 @@ use lowvcc_uarch::ports::PortSet;
 use lowvcc_uarch::scoreboard::{IrawWindow, Scoreboard};
 use lowvcc_uarch::stable::{StableMatch, StoreTable, TrackedStore};
 
-use crate::config::SimConfig;
+use crate::config::CycleConfig;
 use crate::error::SimError;
 use crate::pipeline::frontend::FrontEnd;
 use crate::pipeline::memory::MemHierarchy;
-use crate::stats::{SimResult, SimStats};
+use crate::stats::SimStats;
 
 /// An instruction resident in the IQ.
 ///
@@ -143,12 +143,15 @@ enum Blocker {
     WritePort,
 }
 
-/// The simulation engine for one configuration. The trace is not owned:
-/// every run method borrows a decoded [`TraceArena`], so one arena can
-/// feed many engines (and one engine, via [`Engine::reset`], many runs).
+/// The simulation engine for one cycle-level configuration. The trace is
+/// not owned: every run method borrows a decoded [`TraceArena`], so one
+/// arena can feed many engines (and one engine, via [`Engine::reset`],
+/// many runs). The engine sees only the [`CycleConfig`] projection —
+/// never the supply voltage, mechanism or cycle time — so it returns
+/// cycle-level [`SimStats`] and callers attach the clock.
 #[derive(Debug, Clone)]
 pub struct Engine {
-    cfg: SimConfig,
+    cfg: CycleConfig,
     fe: FrontEnd,
     mem: MemHierarchy,
     iq: InstQueue<IqEntry>,
@@ -184,7 +187,7 @@ impl Engine {
     /// # Errors
     ///
     /// Propagates configuration validation failures.
-    pub fn new(cfg: SimConfig) -> Result<Self, SimError> {
+    pub fn new(cfg: CycleConfig) -> Result<Self, SimError> {
         cfg.validate()?;
         let mem = MemHierarchy::new(&cfg)?;
         let fe = FrontEnd::new(&cfg);
@@ -222,7 +225,7 @@ impl Engine {
 
     /// The configuration in force.
     #[must_use]
-    pub fn config(&self) -> &SimConfig {
+    pub fn config(&self) -> &CycleConfig {
         &self.cfg
     }
 
@@ -238,15 +241,15 @@ impl Engine {
     /// allocates nothing.
     ///
     /// The core geometry (`cfg.core`) must match the one this engine was
-    /// built with: only sweep parameters (Vcc, mechanism, stabilization
-    /// cycles, fault map) may change between runs. Callers reusing an
+    /// built with: only sweep parameters (stabilization cycles, memory
+    /// latency, fault map) may change between runs. Callers reusing an
     /// engine across configurations check that precondition and fall back
     /// to a fresh construction (see `EngineWorkspace`).
     ///
     /// # Errors
     ///
     /// Propagates configuration validation failures.
-    pub fn reset(&mut self, cfg: SimConfig) -> Result<(), SimError> {
+    pub fn reset(&mut self, cfg: CycleConfig) -> Result<(), SimError> {
         cfg.validate()?;
         debug_assert_eq!(
             cfg.core, self.cfg.core,
@@ -295,7 +298,7 @@ impl Engine {
     ///
     /// Returns an error on invalid configuration or if the pipeline stops
     /// making progress (a simulator bug, surfaced rather than hung).
-    pub fn run(&mut self, trace: &TraceArena) -> Result<SimResult, SimError> {
+    pub fn run(&mut self, trace: &TraceArena) -> Result<SimStats, SimError> {
         self.run_inner(trace, true)
     }
 
@@ -306,11 +309,11 @@ impl Engine {
     /// # Errors
     ///
     /// Same contract as [`Engine::run`].
-    pub fn run_naive(&mut self, trace: &TraceArena) -> Result<SimResult, SimError> {
+    pub fn run_naive(&mut self, trace: &TraceArena) -> Result<SimStats, SimError> {
         self.run_inner(trace, false)
     }
 
-    fn run_inner(&mut self, trace: &TraceArena, fast: bool) -> Result<SimResult, SimError> {
+    fn run_inner(&mut self, trace: &TraceArena, fast: bool) -> Result<SimStats, SimError> {
         let budget = 1_000 * trace.len() as u64 + 100_000;
         while !self.finished(trace) {
             if self.now > budget {
@@ -337,10 +340,7 @@ impl Engine {
         self.stats.stalls.other_fill = self.mem.other_fill_stall_cycles();
         self.stats.memory_accesses = self.mem.memory_accesses();
         debug_assert_eq!(self.stats.instructions, trace.len() as u64);
-        Ok(SimResult {
-            stats: self.stats.clone(),
-            cycle_time: self.cfg.cycle_time,
-        })
+        Ok(self.stats.clone())
     }
 
     fn finished(&self, trace: &TraceArena) -> bool {
@@ -835,23 +835,19 @@ fn short_producer_latency(ready_at: u64, now: u64) -> u32 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::{CoreConfig, Mechanism};
+    use crate::config::{CoreConfig, Mechanism, SimConfig};
+    use crate::sim::Simulator;
+    use crate::stats::SimResult;
     use lowvcc_sram::voltage::mv;
     use lowvcc_sram::CycleTimeModel;
     use lowvcc_trace::{Trace, Uop};
 
     fn run_on(cfg: SimConfig, trace: &Trace) -> SimResult {
-        Engine::new(cfg)
-            .unwrap()
-            .run(&TraceArena::from_trace(trace))
-            .unwrap()
+        Simulator::new(cfg).unwrap().run(trace).unwrap()
     }
 
     fn run_naive_on(cfg: SimConfig, trace: &Trace) -> SimResult {
-        Engine::new(cfg)
-            .unwrap()
-            .run_naive(&TraceArena::from_trace(trace))
-            .unwrap()
+        Simulator::new(cfg).unwrap().run_naive(trace).unwrap()
     }
 
     fn cfg(mechanism: Mechanism, vcc: u32) -> SimConfig {

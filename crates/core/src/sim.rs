@@ -5,7 +5,7 @@ use lowvcc_trace::{Trace, TraceArena};
 use crate::config::SimConfig;
 use crate::error::{validate_trace, ConfigError, SimError};
 use crate::pipeline::Engine;
-use crate::stats::SimResult;
+use crate::stats::{SimResult, SimStats};
 
 /// A configured simulator, ready to replay traces.
 ///
@@ -56,7 +56,8 @@ impl Simulator {
     /// detects a live-lock (a simulator bug surfaced rather than a hang).
     pub fn run(&self, trace: &Trace) -> Result<SimResult, SimError> {
         validate_trace(trace)?;
-        Engine::new(self.cfg.clone())?.run(&TraceArena::from_trace(trace))
+        let stats = Engine::new(self.cfg.cycle_config())?.run(&TraceArena::from_trace(trace))?;
+        Ok(self.result(stats))
     }
 
     /// Replays `trace` on the naive cycle-by-cycle reference stepper —
@@ -69,7 +70,16 @@ impl Simulator {
     /// Same contract as [`Simulator::run`].
     pub fn run_naive(&self, trace: &Trace) -> Result<SimResult, SimError> {
         validate_trace(trace)?;
-        Engine::new(self.cfg.clone())?.run_naive(&TraceArena::from_trace(trace))
+        let stats =
+            Engine::new(self.cfg.cycle_config())?.run_naive(&TraceArena::from_trace(trace))?;
+        Ok(self.result(stats))
+    }
+
+    fn result(&self, stats: SimStats) -> SimResult {
+        SimResult {
+            stats,
+            cycle_time: self.cfg.cycle_time,
+        }
     }
 }
 

@@ -306,3 +306,100 @@ fn any_workload_simulates_cleanly() {
         }
     }
 }
+
+/// The one rule for "same behaviour": configurations with equal
+/// cycle-level projections produce equal `SimStats` from fresh
+/// simulators, and unequal projections never share a key. Pairs are
+/// drawn from the paper's voltage grid × every mechanism plus the §5.2
+/// stall-free reference (IRAW clock, `N = 0`); half the cases pick a
+/// partner with the same projection when one exists, so the collisions
+/// are exercised and not only the (common) distinct pairs.
+#[test]
+fn equal_projection_means_equal_stats() {
+    use lowvcc_core::{sim_key, CoreConfig, Mechanism, SimConfig, SimStats, Simulator};
+    use lowvcc_sram::PAPER_SWEEP;
+    let mut rng = case_rng("equal_projection_means_equal_stats");
+    let timing = CycleTimeModel::silverthorne_45nm();
+    let core = CoreConfig::silverthorne();
+    let mut cfgs = Vec::new();
+    for vcc in PAPER_SWEEP.iter() {
+        for mech in [Mechanism::Baseline, Mechanism::Iraw, Mechanism::IdealLogic] {
+            cfgs.push(SimConfig::at_vcc(core, &timing, vcc, mech));
+        }
+        let mut free = SimConfig::at_vcc(core, &timing, vcc, Mechanism::Iraw);
+        free.stabilization_cycles = 0;
+        cfgs.push(free);
+    }
+    let specs: Vec<TraceSpec> = [
+        WorkloadFamily::SpecInt,
+        WorkloadFamily::Multimedia,
+        WorkloadFamily::Server,
+    ]
+    .into_iter()
+    .map(|family| TraceSpec::new(family, rng.below(5000), 1_500))
+    .collect();
+    let traces: Vec<_> = specs.iter().map(|s| s.build().unwrap()).collect();
+
+    // The collisions the paper grid relies on: IRAW is the baseline run
+    // at ≥600 mV, and the stall-free reference is the ideal-logic run at
+    // 575 and 550 mV (same `N = 0`, memory latency 91 / 83 cycles).
+    // `cfgs` holds (baseline, IRAW, ideal logic, stall-free) per voltage.
+    let at = |mv: u32, slot: usize| {
+        4 * PAPER_SWEEP
+            .iter()
+            .position(|v| v.millivolts() == mv)
+            .unwrap()
+            + slot
+    };
+    for mv in [600, 625, 650, 675, 700] {
+        let (base, iraw) = (&cfgs[at(mv, 0)], &cfgs[at(mv, 1)]);
+        assert_eq!(base.cycle_config(), iraw.cycle_config(), "{mv} mV");
+    }
+    for mv in [550, 575] {
+        let (ideal, free) = (&cfgs[at(mv, 2)], &cfgs[at(mv, 3)]);
+        assert_eq!(ideal.cycle_config(), free.cycle_config(), "{mv} mV");
+        assert_ne!(
+            ideal.cycle_config(),
+            cfgs[at(mv, 1)].cycle_config(),
+            "{mv} mV"
+        );
+    }
+
+    let mut memo: Vec<Option<SimStats>> = vec![None; cfgs.len() * specs.len()];
+    let mut stats = |c: usize, s: usize| {
+        memo[c * specs.len() + s]
+            .get_or_insert_with(|| {
+                let sim = Simulator::new(cfgs[c].clone()).unwrap();
+                sim.run(&traces[s]).unwrap().stats
+            })
+            .clone()
+    };
+    let mut collisions = 0;
+    for _ in 0..CASES {
+        let a = rng.below(cfgs.len() as u64) as usize;
+        let s = rng.below(specs.len() as u64) as usize;
+        let partners: Vec<usize> = (0..cfgs.len())
+            .filter(|&b| b != a && cfgs[b].cycle_config() == cfgs[a].cycle_config())
+            .collect();
+        let b = if !partners.is_empty() && rng.below(2) == 0 {
+            partners[rng.below(partners.len() as u64) as usize]
+        } else {
+            rng.below(cfgs.len() as u64) as usize
+        };
+        let (ka, kb) = (sim_key(&cfgs[a], &specs[s]), sim_key(&cfgs[b], &specs[s]));
+        let what = format!(
+            "{:?} vs {:?} on {}",
+            (cfgs[a].vcc, cfgs[a].mechanism, cfgs[a].stabilization_cycles),
+            (cfgs[b].vcc, cfgs[b].mechanism, cfgs[b].stabilization_cycles),
+            specs[s].name()
+        );
+        if cfgs[a].cycle_config() == cfgs[b].cycle_config() {
+            assert_eq!(ka, kb, "{what}");
+            assert_eq!(stats(a, s), stats(b, s), "{what}");
+            collisions += usize::from(a != b);
+        } else {
+            assert_ne!(ka, kb, "{what}");
+        }
+    }
+    assert!(collisions > 0, "no colliding pair was drawn");
+}
