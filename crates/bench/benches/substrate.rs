@@ -7,7 +7,7 @@ use std::hint::black_box;
 use lowvcc_sram::variation::cell_fail_probability;
 use lowvcc_sram::{voltage::mv, Bitcell8T, CycleTimeModel, Figure1Series};
 use lowvcc_trace::{Reg, SimRng, TraceSpec, WorkloadFamily};
-use lowvcc_uarch::bpred::{Bimodal, BranchPredictor};
+use lowvcc_uarch::bpred::Bimodal;
 use lowvcc_uarch::cache::{CacheConfig, SetAssocCache};
 use lowvcc_uarch::scoreboard::{IrawWindow, Scoreboard};
 

@@ -1,5 +1,10 @@
 //! S1/S3/S4 — the paper's scalar results: delayed-instruction fraction,
 //! prediction-only corruption rates, and hardware overheads.
+//!
+//! Each headline row measured on the sweep has a band in [`BANDS`]: the
+//! standard suite's value today, in the row's display unit. The bands
+//! pin the reproduction, not the paper; CI's `claims` job fails when a
+//! standard-suite row leaves its band.
 
 use lowvcc_energy::{ExtraBypassOverhead, FaultyBitsOverhead, IrawOverhead};
 
@@ -7,6 +12,83 @@ use crate::context::ExperimentContext;
 use crate::error::ExperimentError;
 use crate::experiments::sweep::{at, SweepPoint};
 use crate::report::TextTable;
+
+/// A headline row measured on the sweep.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Measured {
+    /// The row's `quantity` cell.
+    pub quantity: &'static str,
+    /// The value in the row's display unit (a percentage or a ratio).
+    pub value: f64,
+    /// The rendered `measured` cell.
+    pub cell: String,
+    /// The paper's value (the `paper` cell).
+    pub paper: &'static str,
+}
+
+/// The standard suite's value of each [`measured`] row, as an inclusive
+/// `(quantity, low, high)` band in the row's display unit.
+pub const BANDS: [(&str, f64, f64); 7] = [
+    ("frequency increase @500 mV", 58.0, 60.0),
+    ("frequency increase @400 mV", 96.0, 98.0),
+    ("performance gain @500 mV", 38.0, 40.0),
+    ("performance gain @400 mV", 81.0, 83.0),
+    ("relative EDP @500 mV", 0.63, 0.65),
+    ("relative EDP @400 mV", 0.33, 0.35),
+    ("instructions delayed @575 mV", 10.0, 11.0),
+];
+
+/// The band [`BANDS`] declares for `quantity`, if any.
+#[must_use]
+pub fn band(quantity: &str) -> Option<(f64, f64)> {
+    BANDS
+        .iter()
+        .find(|(q, _, _)| *q == quantity)
+        .map(|&(_, low, high)| (low, high))
+}
+
+/// The headline rows of the scalar table: frequency gain, performance
+/// gain and relative EDP at 500 and 400 mV, and the delayed fraction
+/// at 575 mV.
+///
+/// # Errors
+///
+/// Returns an error if the sweep lacks the anchor voltages.
+pub fn measured(points: &[SweepPoint]) -> Result<Vec<Measured>, ExperimentError> {
+    let p500 = at(points, 500).ok_or(ExperimentError::MissingSweepPoint { mv: 500 })?;
+    let p400 = at(points, 400).ok_or(ExperimentError::MissingSweepPoint { mv: 400 })?;
+    let p575 = at(points, 575).ok_or(ExperimentError::MissingSweepPoint { mv: 575 })?;
+    let gain = |quantity, ratio: f64, paper| {
+        let value = (ratio - 1.0) * 100.0;
+        Measured {
+            quantity,
+            value,
+            cell: format!("+{value:.0}%"),
+            paper,
+        }
+    };
+    let edp = |quantity, value: f64, paper| Measured {
+        quantity,
+        value,
+        cell: format!("{value:.2}"),
+        paper,
+    };
+    let delayed = p575.delayed_fraction * 100.0;
+    Ok(vec![
+        gain("frequency increase @500 mV", p500.frequency_gain, "+57%"),
+        gain("frequency increase @400 mV", p400.frequency_gain, "+99%"),
+        gain("performance gain @500 mV", p500.speedup, "+48%"),
+        gain("performance gain @400 mV", p400.speedup, "+90%"),
+        edp("relative EDP @500 mV", p500.relative_edp, "0.61"),
+        edp("relative EDP @400 mV", p400.relative_edp, "0.33"),
+        Measured {
+            quantity: "instructions delayed @575 mV",
+            value: delayed,
+            cell: format!("{delayed:.1}%"),
+            paper: "13.2%",
+        },
+    ])
+}
 
 /// Builds the scalar-results table from an already-run sweep.
 ///
@@ -17,8 +99,6 @@ pub fn table(
     _ctx: &ExperimentContext,
     points: &[SweepPoint],
 ) -> Result<TextTable, ExperimentError> {
-    let p500 = at(points, 500).ok_or(ExperimentError::MissingSweepPoint { mv: 500 })?;
-    let p400 = at(points, 400).ok_or(ExperimentError::MissingSweepPoint { mv: 400 })?;
     let p575 = at(points, 575).ok_or(ExperimentError::MissingSweepPoint { mv: 575 })?;
 
     let iraw = IrawOverhead::silverthorne();
@@ -26,41 +106,9 @@ pub fn table(
     let eb = ExtraBypassOverhead::silverthorne();
 
     let mut t = TextTable::new(vec!["quantity", "measured", "paper"]);
-    t.row(vec![
-        "frequency increase @500 mV".into(),
-        format!("+{:.0}%", (p500.frequency_gain - 1.0) * 100.0),
-        "+57%".into(),
-    ]);
-    t.row(vec![
-        "frequency increase @400 mV".into(),
-        format!("+{:.0}%", (p400.frequency_gain - 1.0) * 100.0),
-        "+99%".into(),
-    ]);
-    t.row(vec![
-        "performance gain @500 mV".into(),
-        format!("+{:.0}%", (p500.speedup - 1.0) * 100.0),
-        "+48%".into(),
-    ]);
-    t.row(vec![
-        "performance gain @400 mV".into(),
-        format!("+{:.0}%", (p400.speedup - 1.0) * 100.0),
-        "+90%".into(),
-    ]);
-    t.row(vec![
-        "relative EDP @500 mV".into(),
-        format!("{:.2}", p500.relative_edp),
-        "0.61".into(),
-    ]);
-    t.row(vec![
-        "relative EDP @400 mV".into(),
-        format!("{:.2}", p400.relative_edp),
-        "0.33".into(),
-    ]);
-    t.row(vec![
-        "instructions delayed @575 mV".into(),
-        format!("{:.1}%", p575.delayed_fraction * 100.0),
-        "13.2%".into(),
-    ]);
+    for row in measured(points)? {
+        t.row(vec![row.quantity.into(), row.cell, row.paper.into()]);
+    }
     t.row(vec![
         "BP potential corruption rate".into(),
         format!("{:.5}%", p575.bp_corruption_rate * 100.0),
@@ -108,5 +156,18 @@ mod tests {
         let s = t.render();
         assert!(s.contains("13.2%"));
         assert!(s.contains("0.61"));
+    }
+
+    #[test]
+    fn every_measured_row_has_a_band() {
+        let ctx = ExperimentContext::sized(1, 2_000).unwrap();
+        let rows = measured(&run_sweep(&ctx).unwrap()).unwrap();
+        for row in &rows {
+            let (low, high) =
+                band(row.quantity).unwrap_or_else(|| panic!("{} declares no band", row.quantity));
+            assert!(low < high, "{}: empty band", row.quantity);
+        }
+        // …and no band outlives its row.
+        assert_eq!(rows.len(), BANDS.len());
     }
 }

@@ -191,8 +191,9 @@ fn mix(seed: u64, op: u64) -> u64 {
 ///
 /// Two layers, both deterministic:
 ///
-/// * **explicit** injections pin one [`FaultKind`] to one operation
-///   index (unit tests that know the exact op sequence);
+/// * **explicit** pins fix one operation index's fate — one
+///   [`FaultKind`], or a clean run — overriding the seeded schedule
+///   (tests that know the exact op sequence);
 /// * a **seeded** schedule faults roughly `rate_per_1024 / 1024` of all
 ///   operations, picking a kind compatible with each operation from a
 ///   hash of `(seed, op_index)` — aggressive chaos runs that replay
@@ -201,7 +202,8 @@ fn mix(seed: u64, op: u64) -> u64 {
 pub struct FaultPlan {
     seed: u64,
     rate_per_1024: u32,
-    explicit: HashMap<u64, FaultKind>,
+    /// Pinned fates: `Some(kind)` faults, `None` runs clean.
+    explicit: HashMap<u64, Option<FaultKind>>,
 }
 
 impl FaultPlan {
@@ -226,7 +228,15 @@ impl FaultPlan {
     /// actually lands on that index is skipped.
     #[must_use]
     pub fn with_fault(mut self, op: u64, kind: FaultKind) -> Self {
-        self.explicit.insert(op, kind);
+        self.explicit.insert(op, Some(kind));
+        self
+    }
+
+    /// Pins operation index `op` to run without a fault, whatever the
+    /// seeded schedule would draw for it.
+    #[must_use]
+    pub fn with_clean_op(mut self, op: u64) -> Self {
+        self.explicit.insert(op, None);
         self
     }
 
@@ -235,8 +245,10 @@ impl FaultPlan {
     /// truncation lengths).
     fn decide(&self, op: u64, class: OpClass) -> Option<(FaultKind, u64)> {
         let h = mix(self.seed, op);
-        if let Some(&kind) = self.explicit.get(&op) {
-            return class.kinds().contains(&kind).then_some((kind, h));
+        if let Some(&pinned) = self.explicit.get(&op) {
+            return pinned
+                .filter(|kind| class.kinds().contains(kind))
+                .map(|kind| (kind, h));
         }
         if u64::from(self.rate_per_1024) > h % 1024 {
             let kinds = class.kinds();
@@ -546,6 +558,15 @@ mod tests {
         io.write_sync(&p, b"abc").unwrap();
         assert_eq!(io.injected().total(), 0);
         let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn clean_pins_override_the_seeded_schedule() {
+        // Rate 1024/1024: every unpinned operation faults.
+        let plan = FaultPlan::seeded(7, 1024).with_clean_op(1);
+        assert!(plan.decide(0, OpClass::Write).is_some());
+        assert_eq!(plan.decide(1, OpClass::Write), None);
+        assert!(plan.decide(2, OpClass::Read).is_some());
     }
 
     #[test]

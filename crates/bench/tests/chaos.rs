@@ -7,16 +7,19 @@
 //! without a panic or a store error, produce CSVs **byte-identical** to
 //! a fault-free run, and `verify` + `vacuum` must leave the store
 //! scrub-clean within the byte budget. The fault schedule is seeded, so
-//! a failure here replays exactly.
+//! a failure here replays exactly; one fault of each kind is pinned on
+//! top of it, so the gate's coverage does not depend on the seed.
 
 use std::collections::BTreeMap;
 use std::fs;
+use std::io;
 use std::path::{Path, PathBuf};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use lowvcc_bench::experiments::run_all;
 use lowvcc_bench::{
-    ExperimentContext, FaultCounts, FaultPlan, FaultyIo, ResultStore, RetryPolicy, StoreIo,
+    ExperimentContext, FaultCounts, FaultKind, FaultPlan, FaultyIo, ResultStore, RetryPolicy,
+    StoreIo,
 };
 
 fn tmpdir(name: &str) -> PathBuf {
@@ -46,6 +49,93 @@ fn ctx() -> ExperimentContext {
     ExperimentContext::sized(1, 2_000).expect("tiny suite builds")
 }
 
+/// Forwards to a [`FaultyIo`], remembering the op index of the first
+/// `write_sync`: where a cold run's first publish begins.
+#[derive(Debug)]
+struct FirstWrite {
+    io: FaultyIo,
+    at: OnceLock<u64>,
+}
+
+impl StoreIo for FirstWrite {
+    fn read(&self, path: &Path) -> io::Result<Vec<u8>> {
+        self.io.read(path)
+    }
+
+    fn write_sync(&self, path: &Path, bytes: &[u8]) -> io::Result<()> {
+        let _ = self.at.set(self.io.ops());
+        self.io.write_sync(path, bytes)
+    }
+
+    fn rename(&self, from: &Path, to: &Path) -> io::Result<()> {
+        self.io.rename(from, to)
+    }
+
+    fn sync_dir(&self, dir: &Path) -> io::Result<()> {
+        self.io.sync_dir(dir)
+    }
+
+    fn create_dir_all(&self, dir: &Path) -> io::Result<()> {
+        self.io.create_dir_all(dir)
+    }
+
+    fn remove_file(&self, path: &Path) -> io::Result<()> {
+        self.io.remove_file(path)
+    }
+}
+
+/// Runs the suite once, cold, under `plan` in a throwaway store at
+/// `dir`. Returns the op index of the run's first write and its total
+/// op count. The suite runs sequentially, so a real run under a plan
+/// that pins nothing before an index replays these ops exactly.
+fn dry_cold_run(dir: &Path, plan: FaultPlan) -> (u64, u64) {
+    let io = Arc::new(FirstWrite {
+        io: FaultyIo::new(plan),
+        at: OnceLock::new(),
+    });
+    let store = Arc::new(
+        ResultStore::open_with(
+            dir.join("store"),
+            Arc::clone(&io) as Arc<dyn StoreIo>,
+            RetryPolicy::immediate(),
+        )
+        .expect("dry-run store opens"),
+    );
+    run_all(&ctx().with_cache(store), &dir.join("out")).expect("dry run completes");
+    let _ = fs::remove_dir_all(dir);
+    let first_write = *io.at.get().expect("a cold run publishes");
+    (first_write, io.io.ops())
+}
+
+/// The gate's fault plan: the seeded schedule (rate 400/1024 ≈ 39% of
+/// every disk operation) plus pins that reach every fault kind whatever
+/// the seed draws. Two dry runs locate the pins.
+fn chaos_plan(root: &Path, seed: u64) -> FaultPlan {
+    let seeded = FaultPlan::seeded(seed, 400);
+    // The cold run's first publish starts at op `w`. Its first three
+    // attempts fail, one per write kind, while retries remain (the
+    // rename fails after a clean tempfile write); its fourth attempt
+    // and the next two publishes land clean, so the warm run finds
+    // three records on disk.
+    let (w, _) = dry_cold_run(&root.join("dry_seeded"), seeded.clone());
+    let cold = (w + 4..w + 13).fold(
+        seeded
+            .with_fault(w, FaultKind::TornWrite)
+            .with_fault(w + 1, FaultKind::WriteEnospc)
+            .with_clean_op(w + 2)
+            .with_fault(w + 3, FaultKind::RenameFail),
+        FaultPlan::with_clean_op,
+    );
+    // The warm run starts at op `s` by reading those records in publish
+    // order, and each failed read costs one quarantine rename: flip a
+    // bit in the first, fail the second with EIO, and read the third
+    // clean so a record survives both runs.
+    let (_, s) = dry_cold_run(&root.join("dry_pinned"), cold.clone());
+    cold.with_fault(s, FaultKind::ReadBitFlip)
+        .with_fault(s + 2, FaultKind::ReadEio)
+        .with_clean_op(s + 4)
+}
+
 /// The whole gate in one scenario, because its phases feed each other:
 /// fault-free baseline → cold+warm chaos runs (byte-identical CSVs,
 /// every fault kind injected) → scrub and collect the mauled store back
@@ -60,16 +150,10 @@ fn chaos_runs_stay_byte_identical_and_scrub_clean() {
     let clean = run_all(&ctx(), &out_clean).expect("fault-free run");
     let clean_files = dir_bytes(&out_clean);
 
-    // Phase 1 — cold run under an aggressive seeded fault schedule.
-    // Rate 400/1024 ≈ 39% of every disk operation faults; the retry
-    // policy sleeps zero so the suite stays fast. Fates are drawn per op
-    // index, and the store latches memory-only after its first
-    // exhausted publish, so only a handful of writes ever fault: the
-    // seed is one whose schedule reaches every fault kind and leaves
-    // records on disk for the suite's current op sequence. A change to
-    // the number of store operations can move it (the gate's assertions
-    // below say which precondition was missed).
-    let io = Arc::new(FaultyIo::new(FaultPlan::seeded(0xC4A06, 400)));
+    // Phase 1 — cold run under an aggressive fault schedule (see
+    // `chaos_plan`); the retry policy sleeps zero so the suite stays
+    // fast.
+    let io = Arc::new(FaultyIo::new(chaos_plan(&root, 0xC4A06)));
     let cold_store = Arc::new(
         ResultStore::open_with(
             &store_dir,

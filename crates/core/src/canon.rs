@@ -34,7 +34,6 @@ use std::fmt;
 use lowvcc_sram::Picoseconds;
 use lowvcc_trace::TraceSpec;
 use lowvcc_uarch::cache::CacheConfig;
-use lowvcc_uarch::replacement::Policy;
 
 use crate::config::{CoreConfig, CycleConfig, SimConfig};
 use crate::stats::{BranchStats, SimResult, SimStats, StallBreakdown};
@@ -255,11 +254,8 @@ fn encode_cache_config(w: &mut CanonWriter, c: &CacheConfig) {
     w.usize(c.size_bytes);
     w.usize(c.ways);
     w.usize(c.line_bytes);
-    w.u8(match c.policy {
-        Policy::Lru => 0,
-        Policy::RoundRobin => 1,
-        Policy::Random => 2,
-    });
+    // The retired replacement-policy tag (LRU = 0): keeps every `SimKey` unchanged.
+    w.u8(0);
 }
 
 fn encode_core_config(w: &mut CanonWriter, c: &CoreConfig) {
@@ -291,7 +287,8 @@ fn encode_core_config(w: &mut CanonWriter, c: &CoreConfig) {
     w.u32(c.lat_ul1);
     w.u32(c.page_walk_cycles);
     w.u32(c.mispredict_penalty);
-    w.bool(c.il0_next_line_prefetch);
+    // The retired IL0 next-line prefetch switch: keeps every `SimKey` unchanged.
+    w.bool(true);
     w.f64(c.memory_latency_ns);
 }
 
@@ -628,6 +625,31 @@ mod tests {
             sim_key(&cfg(600, Mechanism::Iraw), &spec()),
             sim_key(&cfg(600, Mechanism::Baseline), &spec())
         );
+    }
+
+    /// Pins key bytes. A refactor that changes what a key encodes
+    /// silently orphans every cached record and bundle, so a deliberate
+    /// key change must update these values (and say why).
+    #[test]
+    fn golden_keys_are_pinned() {
+        let spec = TraceSpec::new(WorkloadFamily::SpecInt, 1, 10_000);
+        let mut knobs = cfg(500, Mechanism::Baseline);
+        knobs.disabled_lines = (3, 5, 7);
+        knobs.extra_write_port_cycles = 1;
+        let golden = [
+            (
+                cfg(500, Mechanism::Baseline),
+                "98e194c584aaa0b34d3817599455612c",
+            ),
+            (
+                cfg(500, Mechanism::Iraw),
+                "1fb4e2969d08087758eaa8ba071a87c0",
+            ),
+            (knobs, "c2d3538e954b69113971b007cc33e65c"),
+        ];
+        for (config, hex) in golden {
+            assert_eq!(sim_key(&config, &spec).to_hex(), hex, "{config:?}");
+        }
     }
 
     #[test]

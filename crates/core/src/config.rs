@@ -66,9 +66,6 @@ pub struct CoreConfig {
     pub page_walk_cycles: u32,
     /// Front-end redirect penalty on a mispredicted branch (cycles).
     pub mispredict_penalty: u32,
-    /// Next-line instruction prefetch into the IL0 (the production core
-    /// has one; without it straight-line code is compulsory-miss bound).
-    pub il0_next_line_prefetch: bool,
     /// Off-chip memory latency in nanoseconds — **constant in time**, so
     /// its cycle count grows with frequency (paper §5.2 observation (i)).
     pub memory_latency_ns: f64,
@@ -109,7 +106,6 @@ impl CoreConfig {
             lat_ul1: 9,
             page_walk_cycles: 30,
             mispredict_penalty: 11,
-            il0_next_line_prefetch: true,
             memory_latency_ns: 90.0,
         }
     }

@@ -8,7 +8,7 @@
 //! of stalling anything.
 
 use lowvcc_trace::{TraceArena, UopKind};
-use lowvcc_uarch::bpred::{Bimodal, BranchPredictor, Btb, CorruptionTracker};
+use lowvcc_uarch::bpred::{Bimodal, Btb, CorruptionTracker};
 use lowvcc_uarch::ring::Ring;
 use lowvcc_uarch::rsb::ReturnStack;
 

@@ -48,7 +48,6 @@ pub struct MemHierarchy {
     lat_dl0: u64,
     page_walk: u64,
     mem_latency: u64,
-    prefetch_next_line: bool,
     memory_accesses: u64,
     other_fill_stall_cycles: u64,
 }
@@ -91,7 +90,6 @@ impl MemHierarchy {
             lat_dl0: u64::from(cfg.core.lat_dl0_hit),
             page_walk: u64::from(cfg.core.page_walk_cycles),
             mem_latency: cfg.memory_latency_cycles,
-            prefetch_next_line: cfg.core.il0_next_line_prefetch,
             memory_accesses: 0,
             other_fill_stall_cycles: 0,
         })
@@ -130,7 +128,6 @@ impl MemHierarchy {
         self.lat_dl0 = u64::from(cfg.core.lat_dl0_hit);
         self.page_walk = u64::from(cfg.core.page_walk_cycles);
         self.mem_latency = cfg.memory_latency_cycles;
-        self.prefetch_next_line = cfg.core.il0_next_line_prefetch;
         self.memory_accesses = 0;
         self.other_fill_stall_cycles = 0;
     }
@@ -259,14 +256,12 @@ impl MemHierarchy {
             arrival
         };
         // Next-line instruction prefetch (background; no stall).
-        if self.prefetch_next_line {
-            let next = line + 1;
-            if !self.il0.probe(next) && !self.fb.contains(next) && !self.fb.is_full() {
-                let arrival = self.ul1_request(next, ready);
-                let _ = self.fb.allocate(next, arrival);
-                if self.il0.fill(next).is_ok() {
-                    self.il0_guard.on_fill(arrival);
-                }
+        let next = line + 1;
+        if !self.il0.probe(next) && !self.fb.contains(next) && !self.fb.is_full() {
+            let arrival = self.ul1_request(next, ready);
+            let _ = self.fb.allocate(next, arrival);
+            if self.il0.fill(next).is_ok() {
+                self.il0_guard.on_fill(arrival);
             }
         }
         ready

@@ -6,7 +6,7 @@
 //! lowvcc-serve [--suite quick|standard|paper|NxLEN] [--cache DIR]
 //!              [--jobs N] [--threads N] [--max-connections N]
 //!              [--addr HOST:PORT] [--warm] [--warm-bundle FILE]
-//!              [--shards N] [--ring-seed S]
+//!              [--shards N]
 //!              [--shard-index I --shard-count N]
 //!              [--route HOST:PORT,HOST:PORT,...]
 //! ```
@@ -35,14 +35,14 @@
 //! listening on HOST:PORT`) — harnesses scrape stdout and always get
 //! the front door. All shards share one `--cache DIR`; any number of
 //! writers can share a directory (unique tempfiles, atomic rename), and
-//! the deterministic ring (seeded by `--ring-seed`) only decides which
+//! the deterministic ring only decides which
 //! shard pays each key's fsynced publish. With `--warm`, each shard
 //! pre-fills exactly its own slice.
 //!
 //! `--shard-index I --shard-count N` runs one such shard standalone
 //! (for multi-process clusters; `--warm` pre-fills its slice); `--route
 //! a,b,c` runs the router alone over already-running shards, which must
-//! have been started with the same suite, shard count and ring seed.
+//! have been started with the same suite and shard count.
 //! The router is stateless — no simulator, no store: a request no shard
 //! can answer gets `{"ok": false, "error": "no shard reachable: …"}`.
 //!
@@ -61,13 +61,13 @@ use std::sync::Arc;
 use lowvcc_bench::{ResultStore, SuiteChoice};
 use lowvcc_core::{CoreConfig, Parallelism};
 use lowvcc_serve::router::{start_cluster, ClusterOptions, Router};
-use lowvcc_serve::shard::{Ring, DEFAULT_RING_SEED};
+use lowvcc_serve::shard::Ring;
 use lowvcc_serve::{Daemon, ServeOptions};
 use lowvcc_sram::CycleTimeModel;
 
 const USAGE: &str = "usage: lowvcc-serve [--suite quick|standard|paper|NxLEN] [--cache DIR] \
                      [--jobs N] [--threads N] [--max-connections N] [--addr HOST:PORT] [--warm] \
-                     [--warm-bundle FILE] [--shards N] [--ring-seed S] \
+                     [--warm-bundle FILE] [--shards N] \
                      [--shard-index I --shard-count N] \
                      [--route HOST:PORT,...]";
 
@@ -83,7 +83,6 @@ struct Options {
     shard_index: Option<u32>,
     shard_count: Option<u32>,
     route: Option<String>,
-    ring_seed: u64,
     help: bool,
 }
 
@@ -100,7 +99,6 @@ fn parse_args(args: impl IntoIterator<Item = String>) -> Result<Options, String>
         shard_index: None,
         shard_count: None,
         route: None,
-        ring_seed: DEFAULT_RING_SEED,
         help: false,
     };
     let mut args = args.into_iter();
@@ -156,11 +154,6 @@ fn parse_args(args: impl IntoIterator<Item = String>) -> Result<Options, String>
                 Some(_) => return Err("--shard-count needs a positive integer".into()),
                 None => return Err("--shard-count needs a value".into()),
             },
-            "--ring-seed" => match args.next().map(|v| v.parse::<u64>()) {
-                Some(Ok(s)) => o.ring_seed = s,
-                Some(Err(_)) => return Err("--ring-seed needs an unsigned integer".into()),
-                None => return Err("--ring-seed needs a value".into()),
-            },
             "--warm" => o.warm = true,
             "--help" | "-h" => o.help = true,
             other => return Err(format!("unknown argument {other}\n{USAGE}")),
@@ -199,7 +192,6 @@ fn run_cluster(opts: &Options, shards: u32) -> Result<(), String> {
         choice,
         &ClusterOptions {
             shards,
-            seed: opts.ring_seed,
             jobs: opts.jobs,
             cache: opts.cache.clone(),
             warm: opts.warm,
@@ -216,9 +208,9 @@ fn run_cluster(opts: &Options, shards: u32) -> Result<(), String> {
     // cannot pick up a shard by mistake.
     println!("lowvcc-serve router listening on {}", cluster.router_addr());
     eprintln!(
-        "cluster of {shards} shards (ring seed {}), {} jobs each; \
+        "cluster of {shards} shards, {} jobs each; \
          send {{\"experiment\":\"shutdown\"}} to the router to stop",
-        opts.ring_seed, opts.jobs,
+        opts.jobs,
     );
     cluster.join().map_err(|e| e.to_string())?;
     eprintln!("shutdown requested; cluster exited cleanly");
@@ -240,7 +232,7 @@ fn run_router(opts: &Options, route: &str) -> Result<(), String> {
     let specs = SuiteChoice::parse(&opts.suite)
         .map_err(|e| e.to_string())?
         .specs();
-    let ring = Ring::new(shards.len() as u32, opts.ring_seed);
+    let ring = Ring::new(shards.len() as u32);
     let shard_count = shards.len();
     let router = Router::new(
         shards,
@@ -256,9 +248,8 @@ fn run_router(opts: &Options, route: &str) -> Result<(), String> {
         .map_err(|e| format!("no local address: {e}"))?;
     println!("lowvcc-serve router listening on {local}");
     eprintln!(
-        "routing over {shard_count} shards (ring seed {}); \
-         send {{\"experiment\":\"shutdown\"}} to stop the whole cluster",
-        opts.ring_seed,
+        "routing over {shard_count} shards; \
+         send {{\"experiment\":\"shutdown\"}} to stop the whole cluster"
     );
     router
         .serve_with(&listener, opts.serve)
@@ -290,7 +281,7 @@ fn run_daemon(opts: &Options) -> Result<(), String> {
         );
     }
     let daemon = match opts.shard_index.zip(opts.shard_count) {
-        Some((index, count)) => Daemon::shard(ctx, store, Ring::new(count, opts.ring_seed), index),
+        Some((index, count)) => Daemon::shard(ctx, store, Ring::new(count), index),
         None => Daemon::new(ctx.with_cache(Arc::new(store))),
     };
     if opts.warm {
@@ -409,6 +400,20 @@ mod tests {
             msg.starts_with(&format!("unknown argument {flag}\n")),
             "{msg}"
         );
+        assert!(!USAGE.contains(flag));
+    }
+
+    #[test]
+    fn the_ring_seed_flag_is_gone() {
+        let flag = "--ring-seed";
+        for mode in [&["--shards", "2"][..], &["--route", "127.0.0.1:1"][..]] {
+            let args = [mode, &[flag, "7"][..]].concat();
+            let msg = usage_of(&args);
+            assert!(
+                msg.starts_with(&format!("unknown argument {flag}\n")),
+                "{args:?}: {msg}"
+            );
+        }
         assert!(!USAGE.contains(flag));
     }
 }

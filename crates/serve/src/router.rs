@@ -793,8 +793,6 @@ impl std::error::Error for ClusterError {}
 pub struct ClusterOptions {
     /// Number of shard daemons (clamped up to 1 by the ring).
     pub shards: u32,
-    /// Ring seed — every shard and the router must agree on it.
-    pub seed: u64,
     /// Simulation threads per shard (`--jobs`).
     pub jobs: usize,
     /// Shared on-disk store directory. All shards open the *same*
@@ -819,7 +817,6 @@ impl Default for ClusterOptions {
     fn default() -> Self {
         Self {
             shards: 2,
-            seed: crate::shard::DEFAULT_RING_SEED,
             jobs: Parallelism::available().count(),
             cache: None,
             warm: false,
@@ -886,7 +883,7 @@ impl Cluster {
 ///
 /// Reports suite-build, store-open, bundle-import and bind failures.
 pub fn start_cluster(choice: SuiteChoice, opts: &ClusterOptions) -> Result<Cluster, ClusterError> {
-    let ring = Ring::new(opts.shards, opts.seed);
+    let ring = Ring::new(opts.shards);
     // Every shard is built before any shard thread starts: opening a
     // store on a shared directory sweeps orphaned publish tempfiles,
     // and must not catch another shard's publish in flight.
@@ -958,7 +955,7 @@ mod tests {
         let spec = SuiteChoice::parse("quick")
             .expect("quick suite parses")
             .specs()[0];
-        let ring = Ring::new(shards.len() as u32, crate::shard::DEFAULT_RING_SEED);
+        let ring = Ring::new(shards.len() as u32);
         Router::new(
             shards,
             ring,

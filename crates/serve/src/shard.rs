@@ -2,11 +2,11 @@
 //!
 //! The sharded serve tier splits the result store's key space across N
 //! shard daemons. The split must be a pure function of `(key, shard
-//! count, seed)` — no wall-clock, no per-process randomness, no
+//! count)` — no wall-clock, no per-process randomness, no
 //! `std::hash` iteration-order leaks — so every router instance, every
 //! shard, and every test partitions identically, forever. The
 //! [`Ring`] uses Lamping–Veach **jump consistent hash** seeded through
-//! the store's canonical FNV-1a: stateless (two integers of
+//! the store's canonical FNV-1a: stateless (the shard count is its only
 //! configuration), perfectly balanced in expectation, and minimally
 //! disruptive when the shard count changes (keys only move onto the new
 //! shard, never between old ones).
@@ -32,26 +32,24 @@ use lowvcc_core::{sim_key, CoreConfig, SimConfig, SimKey};
 use lowvcc_sram::{CycleTimeModel, Millivolts};
 use lowvcc_trace::TraceSpec;
 
-/// Default ring seed (`fnv1a_64("lowvcc-ring-v1")`, precomputed as a
-/// literal so the partition is stable by construction, not by code
-/// path). Every shard and router in one cluster must share a seed.
-pub const DEFAULT_RING_SEED: u64 = 0x7f3a_e5c1_9d24_6b08;
+/// The ring's hash seed (`fnv1a_64("lowvcc-ring-v1")`, precomputed as
+/// a literal so the partition is stable by construction, not by code
+/// path). One constant, so a router and its shards cannot disagree.
+const RING_SEED: u64 = 0x7f3a_e5c1_9d24_6b08;
 
-/// A deterministic consistent-hash ring: `(shard count, seed)` is its
-/// entire state.
+/// A deterministic consistent-hash ring: the shard count is its entire
+/// state.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Ring {
     shards: u32,
-    seed: u64,
 }
 
 impl Ring {
-    /// A ring over `shards` shards (clamped up to 1) under `seed`.
+    /// A ring over `shards` shards (clamped up to 1).
     #[must_use]
-    pub fn new(shards: u32, seed: u64) -> Self {
+    pub fn new(shards: u32) -> Self {
         Self {
             shards: shards.max(1),
-            seed,
         }
     }
 
@@ -61,18 +59,12 @@ impl Ring {
         self.shards
     }
 
-    /// The seed the ring was built with.
-    #[must_use]
-    pub fn seed(&self) -> u64 {
-        self.seed
-    }
-
     /// The shard index (`0..shards`) owning `key`. Pure: identical for
-    /// any ring constructed with the same `(shards, seed)`.
+    /// any ring over the same number of shards.
     #[must_use]
     pub fn owner(&self, key: SimKey) -> u32 {
         let mut bytes = [0u8; 24];
-        bytes[..8].copy_from_slice(&self.seed.to_le_bytes());
+        bytes[..8].copy_from_slice(&RING_SEED.to_le_bytes());
         bytes[8..].copy_from_slice(&key.value().to_le_bytes());
         jump_hash(fnv1a_64(&bytes), self.shards)
     }
@@ -128,8 +120,8 @@ mod tests {
 
     #[test]
     fn ring_is_deterministic_and_total() {
-        let a = Ring::new(4, DEFAULT_RING_SEED);
-        let b = Ring::new(4, DEFAULT_RING_SEED);
+        let a = Ring::new(4);
+        let b = Ring::new(4);
         let core = CoreConfig::silverthorne();
         let timing = CycleTimeModel::silverthorne_45nm();
         let specs = lowvcc_trace::suite(1, 1_000);
@@ -145,42 +137,21 @@ mod tests {
     }
 
     #[test]
-    fn different_seeds_move_keys() {
-        let a = Ring::new(8, DEFAULT_RING_SEED);
-        let b = Ring::new(8, DEFAULT_RING_SEED ^ 0xdead_beef);
-        let core = CoreConfig::silverthorne();
-        let timing = CycleTimeModel::silverthorne_45nm();
-        let specs = lowvcc_trace::suite(2, 1_000);
-        let moved = PAPER_SWEEP
-            .iter()
-            .flat_map(|vcc| specs.iter().map(move |s| (vcc, s)))
-            .filter(|(vcc, spec)| {
-                let key = voltage_anchor(core, &timing, spec, *vcc);
-                a.owner(key) != b.owner(key)
-            })
-            .count();
-        assert!(
-            moved > 0,
-            "a different seed must produce a different partition"
-        );
-    }
-
-    #[test]
     fn single_shard_owns_everything() {
-        let ring = Ring::new(1, 12345);
+        let ring = Ring::new(1);
         let core = CoreConfig::silverthorne();
         let timing = CycleTimeModel::silverthorne_45nm();
         let specs = lowvcc_trace::suite(1, 1_000);
         let key = voltage_anchor(core, &timing, &specs[0], Millivolts::literal(500));
         assert_eq!(ring.owner(key), 0);
         // Degenerate construction clamps instead of panicking.
-        assert_eq!(Ring::new(0, 1).shards(), 1);
+        assert_eq!(Ring::new(0).shards(), 1);
     }
 
     #[test]
     fn growing_the_ring_only_moves_keys_to_the_new_shard() {
-        let small = Ring::new(3, DEFAULT_RING_SEED);
-        let big = Ring::new(4, DEFAULT_RING_SEED);
+        let small = Ring::new(3);
+        let big = Ring::new(4);
         let core = CoreConfig::silverthorne();
         let timing = CycleTimeModel::silverthorne_45nm();
         let specs = lowvcc_trace::suite(3, 1_000);

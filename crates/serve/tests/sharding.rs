@@ -1,5 +1,5 @@
 //! Sharding guarantees, end to end: the ring partition of the paper
-//! grid is a pure function of `(shard count, seed)`, and a router
+//! grid is a pure function of the shard count, and a router
 //! fronting N shard daemons answers every request type byte-identically
 //! to the single-process daemon.
 
@@ -10,7 +10,7 @@ use std::time::{Duration, Instant};
 use lowvcc_bench::{json, ExperimentContext, ResultStore, SuiteChoice, QUARANTINE_DIR};
 use lowvcc_core::CoreConfig;
 use lowvcc_serve::router::{start_cluster, ClusterOptions};
-use lowvcc_serve::shard::{voltage_anchor, Ring, DEFAULT_RING_SEED};
+use lowvcc_serve::shard::{voltage_anchor, Ring};
 use lowvcc_serve::Daemon;
 use lowvcc_sram::{CycleTimeModel, Millivolts, PAPER_SWEEP};
 use lowvcc_trace::suite;
@@ -26,8 +26,8 @@ fn paper_grid_partition_is_deterministic() {
     let specs = &specs[..3];
 
     for shards in [2u32, 3, 5] {
-        let a = Ring::new(shards, DEFAULT_RING_SEED);
-        let b = Ring::new(shards, DEFAULT_RING_SEED);
+        let a = Ring::new(shards);
+        let b = Ring::new(shards);
         let mut per_shard = vec![0usize; shards as usize];
         for vcc in PAPER_SWEEP.iter() {
             for spec in specs {
@@ -207,7 +207,7 @@ fn cluster_fails_over_around_a_dead_shard_and_recovers() {
 
     // The victim is the shard owning the 575 mV anchor, so every
     // single-point request above crosses the hole it leaves.
-    let ring = Ring::new(3, DEFAULT_RING_SEED);
+    let ring = Ring::new(3);
     let ctx = single.context();
     let victim = ring.owner(voltage_anchor(
         ctx.core,

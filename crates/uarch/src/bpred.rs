@@ -1,4 +1,5 @@
-//! Branch predictors and the IRAW corruption tracker (paper §4.5).
+//! The bimodal branch predictor, the BTB and the IRAW corruption tracker
+//! (paper §4.5).
 //!
 //! The BP is a *prediction-only* block: the paper lets reads hit
 //! not-yet-stabilized entries freely, because a corrupted counter can only
@@ -20,17 +21,6 @@ pub struct UpdateEffect {
     pub msb_flipped: bool,
 }
 
-/// A direction predictor.
-pub trait BranchPredictor {
-    /// Predicts the direction of the branch at `pc` and returns the table
-    /// index consulted.
-    fn predict(&mut self, pc: u64) -> (bool, usize);
-    /// Trains with the resolved direction.
-    fn update(&mut self, pc: u64, taken: bool) -> UpdateEffect;
-    /// Number of table entries.
-    fn table_size(&self) -> usize;
-}
-
 #[inline]
 fn saturating_update(counter: u8, taken: bool) -> u8 {
     if taken {
@@ -43,7 +33,7 @@ fn saturating_update(counter: u8, taken: bool) -> u8 {
 /// Bimodal predictor: a table of 2-bit saturating counters indexed by pc.
 ///
 /// ```
-/// use lowvcc_uarch::bpred::{Bimodal, BranchPredictor};
+/// use lowvcc_uarch::bpred::Bimodal;
 ///
 /// let mut bp = Bimodal::new(1024);
 /// for _ in 0..4 { bp.update(0x40, true); }
@@ -76,102 +66,32 @@ impl Bimodal {
         (pc >> 2) as usize & self.mask
     }
 
+    /// Predicts the direction of the branch at `pc` and returns the table
+    /// index consulted.
+    #[inline]
+    #[must_use]
+    pub fn predict(&self, pc: u64) -> (bool, usize) {
+        let idx = self.index(pc);
+        (self.counters[idx] >= 2, idx)
+    }
+
+    /// Trains with the resolved direction.
+    #[inline]
+    pub fn update(&mut self, pc: u64, taken: bool) -> UpdateEffect {
+        let idx = self.index(pc);
+        let old = self.counters[idx];
+        let new = saturating_update(old, taken);
+        self.counters[idx] = new;
+        UpdateEffect {
+            index: idx,
+            msb_flipped: (old >= 2) != (new >= 2),
+        }
+    }
+
     /// Restores the freshly-constructed state in place (all counters
     /// weakly not-taken). No allocation.
     pub fn reset(&mut self) {
         self.counters.fill(1);
-    }
-}
-
-impl BranchPredictor for Bimodal {
-    #[inline]
-    fn predict(&mut self, pc: u64) -> (bool, usize) {
-        let idx = self.index(pc);
-        (self.counters[idx] >= 2, idx)
-    }
-
-    #[inline]
-    fn update(&mut self, pc: u64, taken: bool) -> UpdateEffect {
-        let idx = self.index(pc);
-        let old = self.counters[idx];
-        let new = saturating_update(old, taken);
-        self.counters[idx] = new;
-        UpdateEffect {
-            index: idx,
-            msb_flipped: (old >= 2) != (new >= 2),
-        }
-    }
-
-    fn table_size(&self) -> usize {
-        self.counters.len()
-    }
-}
-
-/// Gshare predictor: counters indexed by `pc ⊕ global history`.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Gshare {
-    counters: Vec<u8>,
-    mask: usize,
-    history: usize,
-    history_bits: u32,
-}
-
-impl Gshare {
-    /// Creates a gshare with `entries` counters and `history_bits` of
-    /// global history.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `entries` is a positive power of two and the history
-    /// fits the index width.
-    #[must_use]
-    pub fn new(entries: usize, history_bits: u32) -> Self {
-        assert!(entries > 0 && entries.is_power_of_two());
-        assert!((1usize << history_bits) <= entries);
-        Self {
-            counters: vec![1; entries],
-            mask: entries - 1,
-            history: 0,
-            history_bits,
-        }
-    }
-
-    #[inline]
-    fn index(&self, pc: u64) -> usize {
-        ((pc >> 2) as usize ^ self.history) & self.mask
-    }
-
-    /// Restores the freshly-constructed state in place (counters weakly
-    /// not-taken, history cleared). No allocation.
-    pub fn reset(&mut self) {
-        self.counters.fill(1);
-        self.history = 0;
-    }
-}
-
-impl BranchPredictor for Gshare {
-    #[inline]
-    fn predict(&mut self, pc: u64) -> (bool, usize) {
-        let idx = self.index(pc);
-        (self.counters[idx] >= 2, idx)
-    }
-
-    #[inline]
-    fn update(&mut self, pc: u64, taken: bool) -> UpdateEffect {
-        let idx = self.index(pc);
-        let old = self.counters[idx];
-        let new = saturating_update(old, taken);
-        self.counters[idx] = new;
-        self.history =
-            ((self.history << 1) | usize::from(taken)) & ((1usize << self.history_bits) - 1);
-        UpdateEffect {
-            index: idx,
-            msb_flipped: (old >= 2) != (new >= 2),
-        }
-    }
-
-    fn table_size(&self) -> usize {
-        self.counters.len()
     }
 }
 
@@ -355,31 +275,10 @@ mod tests {
 
     #[test]
     fn bimodal_aliases_by_index_mask() {
-        let mut bp = Bimodal::new(16);
+        let bp = Bimodal::new(16);
         let (_, i1) = bp.predict(0x40);
         let (_, i2) = bp.predict(0x40 + 16 * 4); // same index after masking
         assert_eq!(i1, i2);
-    }
-
-    #[test]
-    fn gshare_distinguishes_history_contexts() {
-        let mut bp = Gshare::new(1024, 8);
-        // Alternating pattern TNTN… at one pc: bimodal would stay ~50%,
-        // gshare learns it once history separates the contexts.
-        let mut correct = 0;
-        let total = 400;
-        for i in 0..total {
-            let taken = i % 2 == 0;
-            let (pred, _) = bp.predict(0x80);
-            if pred == taken {
-                correct += 1;
-            }
-            bp.update(0x80, taken);
-        }
-        assert!(
-            correct * 100 / total > 80,
-            "gshare should learn alternation ({correct}/{total})"
-        );
     }
 
     #[test]

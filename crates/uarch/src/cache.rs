@@ -13,12 +13,6 @@ use std::fmt;
 
 use lowvcc_trace::SimRng;
 
-use crate::replacement::{Policy, PolicyState, WayView};
-
-/// Maximum supported associativity: lets the fill path snapshot a set
-/// into a stack buffer instead of heap-allocating per fill.
-pub const MAX_WAYS: usize = 16;
-
 /// Error validating a [`CacheConfig`] geometry.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CacheConfigError {
@@ -31,11 +25,6 @@ pub enum CacheConfigError {
         /// The offending set count.
         sets: usize,
     },
-    /// Associativity exceeds [`MAX_WAYS`].
-    TooManyWays {
-        /// The offending way count.
-        ways: usize,
-    },
 }
 
 impl fmt::Display for CacheConfigError {
@@ -46,16 +35,13 @@ impl fmt::Display for CacheConfigError {
             Self::SetsNotPowerOfTwo { sets } => {
                 write!(f, "set count {sets} must be a power of two")
             }
-            Self::TooManyWays { ways } => {
-                write!(f, "way count {ways} exceeds the supported {MAX_WAYS}")
-            }
         }
     }
 }
 
 impl std::error::Error for CacheConfigError {}
 
-/// Geometry and policy of a cache.
+/// Geometry of a cache (replacement is always LRU).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CacheConfig {
     /// Total capacity in bytes.
@@ -64,8 +50,6 @@ pub struct CacheConfig {
     pub ways: usize,
     /// Line size in bytes.
     pub line_bytes: usize,
-    /// Replacement policy.
-    pub policy: Policy,
 }
 
 impl CacheConfig {
@@ -89,9 +73,6 @@ impl CacheConfig {
         if self.size_bytes % (self.ways * self.line_bytes) != 0 {
             return Err(CacheConfigError::Indivisible);
         }
-        if self.ways > MAX_WAYS {
-            return Err(CacheConfigError::TooManyWays { ways: self.ways });
-        }
         if !self.sets().is_power_of_two() {
             return Err(CacheConfigError::SetsNotPowerOfTwo { sets: self.sets() });
         }
@@ -105,7 +86,6 @@ impl CacheConfig {
             size_bytes: 32 * 1024,
             ways: 8,
             line_bytes: 64,
-            policy: Policy::Lru,
         }
     }
 
@@ -116,7 +96,6 @@ impl CacheConfig {
             size_bytes: 24 * 1024,
             ways: 6,
             line_bytes: 64,
-            policy: Policy::Lru,
         }
     }
 
@@ -127,7 +106,6 @@ impl CacheConfig {
             size_bytes: 512 * 1024,
             ways: 8,
             line_bytes: 64,
-            policy: Policy::Lru,
         }
     }
 }
@@ -193,7 +171,6 @@ pub struct SetAssocCache {
     set_mask: u64,
     /// …and the tag `line_addr >> set_bits` (sets are a power of two).
     set_bits: u32,
-    policy: PolicyState,
     stats: CacheStats,
     clock: u64,
     disabled_lines: usize,
@@ -214,7 +191,6 @@ impl SetAssocCache {
             last_use: vec![0; sets * cfg.ways],
             set_mask: sets as u64 - 1,
             set_bits: sets.trailing_zeros(),
-            policy: PolicyState::new(cfg.policy, sets, 0xCAC4E),
             stats: CacheStats::default(),
             clock: 0,
             disabled_lines: 0,
@@ -290,29 +266,28 @@ impl SetAssocCache {
         self.clock += 1;
         let set = self.set_index(line_addr) as usize;
         let tag = self.tag_of(line_addr);
-        // Snapshot the set into a stack buffer (ways ≤ MAX_WAYS, enforced
-        // at construction): fills must stay allocation-free.
-        let range = self.set_range(set);
-        let mut views = [WayView {
-            valid: false,
-            disabled: false,
-            last_use: 0,
-        }; MAX_WAYS];
-        for (view, (&key, &last_use)) in views.iter_mut().zip(
-            self.keys[range.clone()]
-                .iter()
-                .zip(&self.last_use[range.clone()]),
-        ) {
-            *view = WayView {
-                valid: key < FIRST_SENTINEL,
-                disabled: key == DISABLED,
-                last_use,
-            };
+        // One pass over the set: the first invalid way wins outright;
+        // otherwise the first least-recently-used enabled way.
+        let mut victim: Option<(usize, u64)> = None;
+        for idx in self.set_range(set) {
+            match self.keys[idx] {
+                INVALID => {
+                    victim = Some((idx, 0));
+                    break;
+                }
+                DISABLED => {}
+                _ => {
+                    let last_use = self.last_use[idx];
+                    if victim.map_or(true, |(_, oldest)| last_use < oldest) {
+                        victim = Some((idx, last_use));
+                    }
+                }
+            }
         }
-        let Some(way) = self.policy.select_victim(set, &views[..self.cfg.ways]) else {
+        // `None` when every way is disabled.
+        let Some((idx, _)) = victim else {
             return Err(());
         };
-        let idx = range.start + way;
         let old = self.keys[idx];
         let evicted = (old < FIRST_SENTINEL).then(|| (old << self.set_bits) | set as u64);
         if evicted.is_some() {
@@ -377,13 +352,12 @@ impl SetAssocCache {
     }
 
     /// Restores the freshly-constructed state in place — contents,
-    /// recency, policy state, statistics, and the disable map — without
+    /// recency, statistics, and the disable map — without
     /// reallocating the way arrays. Callers modeling faulty lines must
     /// re-apply their fault map afterwards.
     pub fn reset(&mut self) {
         self.keys.fill(INVALID);
         self.last_use.fill(0);
-        self.policy.reset();
         self.stats = CacheStats::default();
         self.clock = 0;
         self.disabled_lines = 0;
@@ -400,7 +374,6 @@ mod tests {
             size_bytes: 512,
             ways: 2,
             line_bytes: 64,
-            policy: Policy::Lru,
         })
         .unwrap()
     }
@@ -470,7 +443,6 @@ mod tests {
             size_bytes: 0,
             ways: 1,
             line_bytes: 64,
-            policy: Policy::Lru
         }
         .validate()
         .is_err());
@@ -478,7 +450,6 @@ mod tests {
             size_bytes: 3 * 64 * 3,
             ways: 3,
             line_bytes: 64,
-            policy: Policy::Lru
         }
         .validate()
         .is_err()); // 3 sets: not a power of two
@@ -566,14 +537,11 @@ mod tests {
     }
 
     /// The pre-rewrite model: per-way records, `%`/`/` indexing, a
-    /// linear tag scan, and the three-pass victim choice.
+    /// linear tag scan, and the two-pass LRU victim choice.
     struct ReferenceCache {
         sets: u64,
         ways: usize,
         lines: Vec<(u64, bool, bool, u64)>, // (tag, valid, disabled, last_use)
-        policy: Policy,
-        cursors: Vec<usize>,
-        rng: SimRng,
         clock: u64,
         stats: CacheStats,
     }
@@ -585,9 +553,6 @@ mod tests {
                 sets: sets as u64,
                 ways: cfg.ways,
                 lines: vec![(0, false, false, 0); sets * cfg.ways],
-                policy: cfg.policy,
-                cursors: vec![0; sets],
-                rng: SimRng::seed_from(0xCAC4E),
                 clock: 0,
                 stats: CacheStats::default(),
             }
@@ -631,16 +596,7 @@ mod tests {
             let way = match free {
                 Some(w) => w,
                 None if enabled.is_empty() => return Err(()),
-                None => match self.policy {
-                    Policy::Lru => *enabled.iter().min_by_key(|&&w| ways[w].3).unwrap(),
-                    Policy::RoundRobin => {
-                        let c = &mut self.cursors[set];
-                        let pick = enabled[*c % enabled.len()];
-                        *c = (*c + 1) % enabled.len();
-                        pick
-                    }
-                    Policy::Random => enabled[self.rng.below(enabled.len() as u64) as usize],
-                },
+                None => *enabled.iter().min_by_key(|&&w| ways[w].3).unwrap(),
             };
             let l = &mut self.lines[range.start + way];
             let evicted = l.1.then(|| l.0 * self.sets + set as u64);
@@ -679,62 +635,45 @@ mod tests {
 
     #[test]
     fn key_array_matches_the_linear_scan_reference() {
-        for (seed, policy) in [Policy::Lru, Policy::RoundRobin, Policy::Random]
-            .into_iter()
-            .cycle()
-            .take(9)
-            .enumerate()
-        {
+        // 8 sets × 4 ways, and 4 sets × 32 ways (there is no way limit).
+        for (sets, ways) in [(8, 4), (4, 32)] {
             let cfg = CacheConfig {
-                size_bytes: 8 * 4 * 64, // 8 sets × 4 ways
-                ways: 4,
+                size_bytes: sets * ways * 64,
+                ways,
                 line_bytes: 64,
-                policy,
             };
-            let mut cache = SetAssocCache::new(cfg).unwrap();
-            let mut reference = ReferenceCache::new(cfg);
-            let seed = seed as u64;
-            // Faulty Bits: from none to most of the cache, whole sets
-            // included, drawn identically for both models.
-            let faults = [0, 3, 9, 20, 28][seed as usize % 5];
-            cache.disable_random_lines(faults, &mut SimRng::seed_from(seed));
-            reference.disable_random_lines(faults, &mut SimRng::seed_from(seed));
-            let mut rng = SimRng::seed_from(100 + seed);
-            for step in 0..5_000 {
-                let ctx = format!("{policy:?} seed {seed} step {step}");
-                let line = rng.below(96);
-                match rng.below(10) {
-                    0..=4 => {
-                        let hit = cache.access(line);
-                        assert_eq!(hit, reference.access(line), "{ctx}");
-                        if !hit {
-                            assert_eq!(cache.fill(line), reference.fill(line), "{ctx}");
+            let lines = sets * ways;
+            for seed in 0..10u64 {
+                let mut cache = SetAssocCache::new(cfg).unwrap();
+                let mut reference = ReferenceCache::new(cfg);
+                // Faulty Bits: from none to most of the cache, whole sets
+                // included, drawn identically for both models.
+                let faults = lines * [0, 3, 9, 20, 28][seed as usize % 5] / 32;
+                cache.disable_random_lines(faults, &mut SimRng::seed_from(seed));
+                reference.disable_random_lines(faults, &mut SimRng::seed_from(seed));
+                let mut rng = SimRng::seed_from(100 + seed);
+                for step in 0..5_000 {
+                    let ctx = format!("{ways} ways seed {seed} step {step}");
+                    let line = rng.below(3 * lines as u64);
+                    match rng.below(10) {
+                        0..=4 => {
+                            let hit = cache.access(line);
+                            assert_eq!(hit, reference.access(line), "{ctx}");
+                            if !hit {
+                                assert_eq!(cache.fill(line), reference.fill(line), "{ctx}");
+                            }
                         }
+                        5 | 6 => assert_eq!(cache.fill(line), reference.fill(line), "{ctx}"),
+                        7 => {
+                            cache.invalidate(line);
+                            reference.invalidate(line);
+                        }
+                        _ => assert_eq!(cache.probe(line), reference.probe(line), "{ctx}"),
                     }
-                    5 | 6 => assert_eq!(cache.fill(line), reference.fill(line), "{ctx}"),
-                    7 => {
-                        cache.invalidate(line);
-                        reference.invalidate(line);
-                    }
-                    _ => assert_eq!(cache.probe(line), reference.probe(line), "{ctx}"),
+                    assert_eq!(cache.stats(), reference.stats, "{ctx}");
                 }
-                assert_eq!(cache.stats(), reference.stats, "{ctx}");
             }
         }
-    }
-
-    #[test]
-    fn too_many_ways_rejected() {
-        let cfg = CacheConfig {
-            size_bytes: 32 * 64 * 2,
-            ways: 32,
-            line_bytes: 64,
-            policy: Policy::Lru,
-        };
-        assert_eq!(
-            cfg.validate(),
-            Err(CacheConfigError::TooManyWays { ways: 32 })
-        );
     }
 
     #[test]

@@ -1,5 +1,5 @@
 //! Microarchitecture building blocks for the low-Vcc in-order core
-//! reproduction (HPCA 2010): caches, TLBs, branch predictors, the
+//! reproduction (HPCA 2010): caches, TLBs, the branch predictor, the
 //! shift-register scoreboard, the instruction queue, the Store Table, and
 //! fill/eviction buffers.
 //!
@@ -31,19 +31,17 @@ pub mod buffers;
 pub mod cache;
 pub mod iq;
 pub mod ports;
-pub mod replacement;
 pub mod ring;
 pub mod rsb;
 pub mod scoreboard;
 pub mod stable;
 pub mod tlb;
 
-pub use bpred::{Bimodal, BranchPredictor, Btb, CorruptionTracker, Gshare};
+pub use bpred::{Bimodal, Btb, CorruptionTracker};
 pub use buffers::{StallGuard, TimedBuffer};
 pub use cache::{CacheConfig, CacheConfigError, CacheStats, SetAssocCache};
 pub use iq::InstQueue;
 pub use ports::{Port, PortSet};
-pub use replacement::Policy;
 pub use ring::Ring;
 pub use rsb::ReturnStack;
 pub use scoreboard::{IrawWindow, Scoreboard};

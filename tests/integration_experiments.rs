@@ -6,8 +6,9 @@
 
 use std::sync::Arc;
 
-use lowvcc_bench::experiments::{fig1, fig11a, run_all, stalls, sweep, table1};
+use lowvcc_bench::experiments::{fig1, fig11a, run_all, scalars, stalls, sweep, table1};
 use lowvcc_bench::{json, ExperimentContext, ResultStore};
+use lowvcc_core::Parallelism;
 
 fn ctx() -> ExperimentContext {
     ExperimentContext::quick().expect("quick suite builds")
@@ -347,4 +348,27 @@ fn corrupt_store_entries_quarantine_and_self_heal() {
         "healed store is scrub-clean"
     );
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The reproduction's headline numbers on the standard suite stay in
+/// the bands `experiments::scalars` declares beside them. It runs the
+/// standard suite (~30 s in release on two threads), so it is ignored
+/// by default; CI's `claims` job runs it with `--release -- --ignored`.
+#[test]
+#[ignore = "runs the standard suite; CI's claims job runs it in release"]
+fn standard_suite_scalars_stay_in_band() {
+    let ctx = ExperimentContext::standard()
+        .expect("standard suite builds")
+        .with_parallelism(Parallelism::threads(2));
+    let points = sweep::run_sweep(&ctx).expect("sweep runs");
+    for row in scalars::measured(&points).expect("anchor voltages swept") {
+        let (low, high) = scalars::band(row.quantity).expect("every measured row has a band");
+        assert!(
+            (low..=high).contains(&row.value),
+            "{} left its band: {} ({}) is outside [{low}, {high}]",
+            row.quantity,
+            row.value,
+            row.cell
+        );
+    }
 }

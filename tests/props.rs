@@ -10,7 +10,6 @@ use lowvcc_sram::{Bitcell8T, CycleTimeModel, TimingLimiter};
 use lowvcc_trace::{Reg, SimRng, TraceSpec, WorkloadFamily};
 use lowvcc_uarch::cache::{CacheConfig, SetAssocCache};
 use lowvcc_uarch::iq::InstQueue;
-use lowvcc_uarch::replacement::Policy;
 use lowvcc_uarch::scoreboard::{IrawWindow, Scoreboard};
 use lowvcc_uarch::stable::{StableMatch, StoreTable, TrackedStore};
 
@@ -147,7 +146,6 @@ fn cache_tag_store_is_truthful() {
             size_bytes: 1024,
             ways: 2,
             line_bytes: 64,
-            policy: Policy::Lru,
         })
         .unwrap();
         let mut resident = std::collections::HashSet::new();
