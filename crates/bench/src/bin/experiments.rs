@@ -74,7 +74,7 @@ struct CliOptions {
     help: bool,
 }
 
-/// Parses and validates the argument list (everything after argv[0]).
+/// Parses and validates the argument list (everything after `argv[0]`).
 ///
 /// Degenerate inputs are rejected *here*, before any work starts:
 /// `--suite 0x200000` (zero traces per family), `--suite 3x0` (empty

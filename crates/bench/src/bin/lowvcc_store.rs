@@ -116,7 +116,7 @@ fn parse_bytes(arg: &str) -> Result<u64, CliError> {
     }
 }
 
-/// Parses the argument list (everything after argv[0]).
+/// Parses the argument list (everything after `argv[0]`).
 fn parse_args(args: impl IntoIterator<Item = String>) -> Result<Command, CliError> {
     let args: Vec<String> = args.into_iter().collect();
     if args.iter().any(|a| a == "--help" || a == "-h") {

@@ -2,8 +2,8 @@
 //!
 //! Every fallible public API of this crate returns [`ExperimentError`];
 //! `From` impls lift the upstream crates' typed errors
-//! ([`TraceError`](lowvcc_trace::TraceError) from workload generation,
-//! [`SimError`](lowvcc_core::SimError) from simulation) so experiment code
+//! ([`TraceError`] from workload generation,
+//! [`SimError`] from simulation) so experiment code
 //! can use `?` at each seam, and CSV emission failures carry the offending
 //! path.
 

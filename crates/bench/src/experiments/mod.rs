@@ -2,8 +2,6 @@
 
 pub mod fig1;
 pub mod fig11a;
-pub mod fig11b;
-pub mod fig12;
 pub mod scalars;
 pub mod stalls;
 pub mod sweep;
@@ -59,7 +57,7 @@ impl RunSummary {
 
     /// Machine-readable sweep results: suite metadata, throughput, and
     /// one record per voltage point. Always a single line of valid JSON:
-    /// every float goes through [`json::number`], which renders
+    /// every float goes through [`json::number`](crate::json::number), which renders
     /// non-finite values as `null` instead of emitting them verbatim.
     #[must_use]
     pub fn to_json(&self, suite_label: &str, suite_uops: usize, jobs: usize) -> String {

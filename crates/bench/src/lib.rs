@@ -10,15 +10,15 @@
 //! |----|--------|----------------|
 //! | F1 | [`experiments::fig1`] | Figure 1 — delay vs Vcc |
 //! | F11a | [`experiments::fig11a`] | Figure 11a — cycle time vs Vcc |
-//! | F11b | [`experiments::fig11b`] | Figure 11b — frequency & performance gains |
-//! | F12 | [`experiments::fig12`] | Figure 12 — energy / delay / EDP |
+//! | F11b | [`experiments::sweep`] ([`fig11b_table`](experiments::sweep::fig11b_table)) | Figure 11b — frequency & performance gains |
+//! | F12 | [`experiments::sweep`] ([`fig12_table`](experiments::sweep::fig12_table)) | Figure 12 — energy / delay / EDP |
 //! | T1 | [`experiments::table1`] | Table 1 — technique comparison |
 //! | S2 | [`experiments::stalls`] | §5.2 stall attribution at 575 mV |
 //! | S1/S3/S4 | [`experiments::scalars`] | §5.2/§4.5/§5.3 scalar results |
 //!
-//! Figure 11b and Figure 12 share one measurement (a single baseline-vs-
-//! IRAW sweep in [`experiments::sweep`]); their modules are thin aliases
-//! over it. Every fallible API returns the typed [`ExperimentError`].
+//! Figure 11b and Figure 12 share one measurement, a single baseline-vs-
+//! IRAW sweep in [`experiments::sweep`], which formats both tables.
+//! Every fallible API returns the typed [`ExperimentError`].
 //! See the repository README for how to run the `experiments` binary.
 
 pub mod admin;

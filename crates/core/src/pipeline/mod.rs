@@ -285,7 +285,7 @@ impl Engine {
 
     /// Runs the simulation to completion on the event-driven fast path:
     /// cycles in which issue, allocation and fetch are all provably idle
-    /// are skipped in O(1) (see [`Engine::try_skip`]). With
+    /// are skipped in O(1) (see `Engine::try_skip`). With
     /// `debug_assertions` the skipped stretches are cross-checked against
     /// the naive stepper cycle by cycle.
     ///

@@ -51,7 +51,8 @@
 //! `--warm-bundle FILE` imports an LVCB warm-cache bundle (produced by
 //! `lowvcc-store export`) into the store before serving — every shard
 //! of a cluster imports it, so a freshly provisioned fleet answers
-//! warm from the first request. It does not apply to `--route`.
+//! warm from the first request. It does not apply to `--route`, and
+//! neither do `--cache` and `--warm`: the router owns no store.
 
 use std::net::TcpListener;
 use std::path::PathBuf;
@@ -179,8 +180,17 @@ fn parse_args(args: impl IntoIterator<Item = String>) -> Result<Options, String>
             ));
         }
     }
-    if o.warm_bundle.is_some() && o.route.is_some() {
-        return Err("--warm-bundle does not apply to --route (the router owns no store)".into());
+    if o.route.is_some() {
+        let store_flags = [
+            ("--cache", o.cache.is_some()),
+            ("--warm", o.warm),
+            ("--warm-bundle", o.warm_bundle.is_some()),
+        ];
+        if let Some((flag, _)) = store_flags.iter().find(|(_, given)| *given) {
+            return Err(format!(
+                "{flag} does not apply to --route (the router owns no store)"
+            ));
+        }
     }
     Ok(o)
 }
@@ -386,8 +396,18 @@ mod tests {
 
     #[test]
     fn a_router_takes_no_warm_bundle() {
-        let msg = usage_of(&["--route", "127.0.0.1:1", "--warm-bundle", "b.lvcb"]);
-        assert!(msg.contains("owns no store"), "{msg}");
+        for flag in [
+            &["--warm-bundle", "b.lvcb"][..],
+            &["--cache", "dir"],
+            &["--warm"],
+        ] {
+            let msg = usage_of(&[&["--route", "127.0.0.1:1"][..], flag].concat());
+            assert!(
+                msg.starts_with(&format!("{} does not apply to --route", flag[0])),
+                "{msg}"
+            );
+            assert!(msg.contains("owns no store"), "{msg}");
+        }
         let o = parse(&["--shards", "3", "--warm-bundle", "b.lvcb"]).expect("cluster bundle");
         assert_eq!(o.warm_bundle, Some(PathBuf::from("b.lvcb")));
     }

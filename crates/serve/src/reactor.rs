@@ -5,7 +5,7 @@
 //! and be woken from another thread — and this module provides them
 //! over direct `epoll(7)`/`eventfd(2)` syscalls declared by hand, so
 //! the serve tier stays free of external runtimes. The FFI surface is
-//! confined to the [`sys`] submodule, which carries the one scoped
+//! confined to the `sys` submodule, which carries the one scoped
 //! waiver of the workspace-wide `unsafe_code` deny (see the root
 //! manifest): seven syscalls, each wrapped in a safe function that
 //! translates `-1` into [`io::Error::last_os_error`].

@@ -407,10 +407,24 @@ fn warm_cluster_answers_its_first_sweep_cached_within_seconds() {
         for field in ["retries", "write_failures", "orphans_swept"] {
             assert_eq!(sum(field), 0, "{field} (shared disk: {shared})");
         }
+        // Fleet-wide reconciliation: every miss is one simulation of one
+        // 2,000-uop trace, and its result is stored exactly once.
+        assert_eq!(sum("stores"), sum("misses"), "shared disk: {shared}");
+        assert_eq!(
+            sum("simulated_uops"),
+            sum("misses") * 2_000,
+            "shared disk: {shared}"
+        );
         // Each shard counts only the records it owns, so the sum is the
         // directory's record count, not shards × records.
         let records = if shared { sim_files(&dir) } else { 0 };
         assert_eq!(sum("disk_entries"), records, "shared disk: {shared}");
+        if shared {
+            // A stored record either landed in the owner's disk slot or
+            // stayed in memory as a foreign put. Ephemeral stores have no
+            // disk slot, so the identity applies to the shared disk only.
+            assert_eq!(sum("stores"), sum("disk_entries") + sum("foreign_puts"));
+        }
         for s in shards {
             assert_eq!(
                 s.get("store_degraded").and_then(json::Value::as_bool),

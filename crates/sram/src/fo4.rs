@@ -258,59 +258,6 @@ impl Default for AlphaPowerModel {
     }
 }
 
-/// A combinational path expressed as a number of FO4 stages.
-///
-/// ```
-/// use lowvcc_sram::{AlphaPowerModel, LogicPath, Millivolts};
-///
-/// let model = AlphaPowerModel::silverthorne_45nm();
-/// let phase = LogicPath::clock_phase();
-/// let d = phase.delay(&model, Millivolts::new(700)?);
-/// assert!((d.picos() - 360.0).abs() < 1e-9); // 12 × 30 ps
-/// # Ok::<(), lowvcc_sram::VoltageError>(())
-/// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct LogicPath {
-    stages: u32,
-}
-
-impl LogicPath {
-    /// A path of `stages` FO4 inverter delays.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `stages` is zero.
-    #[must_use]
-    pub fn new(stages: u32) -> Self {
-        assert!(stages > 0, "logic path must have at least one stage");
-        Self { stages }
-    }
-
-    /// The paper's 12-FO4 clock phase.
-    #[must_use]
-    pub fn clock_phase() -> Self {
-        Self { stages: PHASE_FO4 }
-    }
-
-    /// The paper's 24-FO4 full clock cycle.
-    #[must_use]
-    pub fn clock_cycle() -> Self {
-        Self { stages: CYCLE_FO4 }
-    }
-
-    /// Number of FO4 stages in the path.
-    #[must_use]
-    pub fn stages(&self) -> u32 {
-        self.stages
-    }
-
-    /// Path delay at the given supply voltage under `model`.
-    #[must_use]
-    pub fn delay(&self, model: &AlphaPowerModel, v: Millivolts) -> Picoseconds {
-        model.fo4_delay(v) * f64::from(self.stages)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -361,22 +308,6 @@ mod tests {
         assert!((m.cycle_delay(mv(700)).picos() - 720.0).abs() < 1e-9);
         let f = m.cycle_delay(mv(700)).as_frequency();
         assert!((f.gigahertz() - 1.3889).abs() < 1e-3);
-    }
-
-    #[test]
-    fn logic_path_scales_with_stages() {
-        let m = AlphaPowerModel::silverthorne_45nm();
-        let v = mv(600);
-        let p1 = LogicPath::new(1).delay(&m, v);
-        let p24 = LogicPath::clock_cycle().delay(&m, v);
-        assert!((p24.picos() - 24.0 * p1.picos()).abs() < 1e-9);
-        assert_eq!(LogicPath::clock_phase().stages(), 12);
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one stage")]
-    fn zero_stage_path_rejected() {
-        let _ = LogicPath::new(0);
     }
 
     #[test]

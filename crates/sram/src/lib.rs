@@ -50,7 +50,7 @@
 //! * [`variation`] — Gaussian Vth variation, σ margins, write-fail
 //!   probabilities (used by the Faulty Bits baseline).
 //! * [`wordline`] — array geometry and wordline activation delay.
-//! * [`array`] — descriptors for every SRAM block of the Silverthorne core.
+//! * [`array`](mod@array) — descriptors for every SRAM block of the Silverthorne core.
 //! * [`cycle`] — baseline vs IRAW cycle time, frequency gain, stabilization
 //!   cycle count (the quantitative heart of Figures 11a/11b).
 //! * [`figure1`] — the five delay-vs-Vcc series of the paper's Figure 1.
@@ -68,7 +68,6 @@ pub use array::{ArrayKind, SramArray, SramPorts};
 pub use bitcell::Bitcell8T;
 pub use cycle::{CycleTimeModel, TimingLimiter};
 pub use figure1::{Figure1Row, Figure1Series};
-pub use fo4::{AlphaPowerModel, LogicPath, Megahertz, Picoseconds};
-pub use variation::VthVariation;
+pub use fo4::{AlphaPowerModel, Megahertz, Picoseconds};
 pub use voltage::{Millivolts, VccRange, VoltageError, PAPER_SWEEP};
 pub use wordline::{ArrayGeometry, WordlineModel};

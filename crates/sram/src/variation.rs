@@ -72,71 +72,6 @@ pub fn normal_cdf(k: f64) -> f64 {
     1.0 - normal_tail(k)
 }
 
-/// Gaussian threshold-voltage variation of minimum-size SRAM transistors.
-///
-/// ```
-/// use lowvcc_sram::VthVariation;
-///
-/// let var = VthVariation::silverthorne_45nm();
-/// assert_eq!(var.vth_at_sigma(6.0), 470.0); // 350 + 6·20 mV
-/// ```
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct VthVariation {
-    nominal_mv: f64,
-    sigma_mv: f64,
-}
-
-impl VthVariation {
-    /// The calibrated 45 nm SRAM-cell variation (σ = 20 mV on a 350 mV
-    /// nominal Vth; minimum-size cell transistors vary far more than the
-    /// wide logic devices).
-    #[must_use]
-    pub fn silverthorne_45nm() -> Self {
-        Self {
-            nominal_mv: 350.0,
-            sigma_mv: 20.0,
-        }
-    }
-
-    /// Creates a custom variation model.
-    ///
-    /// # Panics
-    ///
-    /// Panics if either parameter is non-positive.
-    #[must_use]
-    pub fn new(nominal_mv: f64, sigma_mv: f64) -> Self {
-        assert!(nominal_mv > 0.0 && sigma_mv > 0.0);
-        Self {
-            nominal_mv,
-            sigma_mv,
-        }
-    }
-
-    /// Nominal (0σ) threshold voltage in millivolts.
-    #[must_use]
-    pub fn nominal_mv(&self) -> f64 {
-        self.nominal_mv
-    }
-
-    /// Per-device σ in millivolts.
-    #[must_use]
-    pub fn sigma_mv(&self) -> f64 {
-        self.sigma_mv
-    }
-
-    /// Effective Vth of a device `k` standard deviations from nominal.
-    #[must_use]
-    pub fn vth_at_sigma(&self, k: f64) -> f64 {
-        self.nominal_mv + k * self.sigma_mv
-    }
-}
-
-impl Default for VthVariation {
-    fn default() -> Self {
-        Self::silverthorne_45nm()
-    }
-}
-
 /// Finds the σ-offset at which a cell's write delay exactly equals `budget`.
 ///
 /// Returns a value in \[-10, 14\]; cells above this σ fail the budget. The
@@ -301,19 +236,5 @@ mod tests {
         // For small p: p_line ≈ 512 · p_cell.
         assert!((p_line / (512.0 * p_cell) - 1.0).abs() < 0.02);
         assert!(expected_faulty_bits(&cell, v, budget, 1_000_000) > 1.0);
-    }
-
-    #[test]
-    fn vth_variation_accessors() {
-        let var = VthVariation::new(330.0, 25.0);
-        assert_eq!(var.nominal_mv(), 330.0);
-        assert_eq!(var.sigma_mv(), 25.0);
-        assert_eq!(var.vth_at_sigma(-2.0), 280.0);
-    }
-
-    #[test]
-    #[should_panic]
-    fn vth_variation_rejects_nonpositive() {
-        let _ = VthVariation::new(0.0, 20.0);
     }
 }

@@ -1,6 +1,6 @@
 //! Typed errors for trace validation and synthesis.
 //!
-//! The crate exposes three error layers: [`DistError`](crate::dist::DistError)
+//! The crate exposes three error layers: [`DistError`]
 //! for raw distribution parameters, [`UopError`] for a single malformed
 //! micro-op, and [`TraceError`] — the crate's boundary type — for anything
 //! that can go wrong validating [`SynthParams`](crate::synth::SynthParams)

@@ -365,23 +365,6 @@ pub fn suite(per_family: u32, len: usize) -> Vec<TraceSpec> {
     specs
 }
 
-/// The default evaluation suite: 49 traces (7 per family) of 200k uops —
-/// small enough to sweep 13 voltages × several mechanisms in seconds.
-#[must_use]
-pub fn default_suite() -> Vec<TraceSpec> {
-    suite(7, 200_000)
-}
-
-/// A paper-scale suite: 531 traces cycling through the families, 10 M uops
-/// each (the paper's exact workload volume; hours of simulation).
-#[must_use]
-pub fn paper_scale_suite() -> Vec<TraceSpec> {
-    let families = WorkloadFamily::all();
-    (0..531u64)
-        .map(|i| TraceSpec::new(families[(i % 7) as usize], i / 7, 10_000_000))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -404,21 +387,16 @@ mod tests {
     }
 
     #[test]
-    fn default_suite_shape() {
-        let s = default_suite();
-        assert_eq!(s.len(), 49);
-        assert!(s.iter().all(|t| t.len == 200_000));
-        // 7 of each family.
-        for family in WorkloadFamily::all() {
-            assert_eq!(s.iter().filter(|t| t.family == family).count(), 7);
+    fn suite_shape() {
+        for (per_family, len) in [(1, 1_000), (7, 200_000)] {
+            let s = suite(per_family, len);
+            assert_eq!(s.len(), 7 * per_family as usize);
+            assert!(s.iter().all(|t| t.len == len));
+            for family in WorkloadFamily::all() {
+                let n = s.iter().filter(|t| t.family == family).count();
+                assert_eq!(n, per_family as usize);
+            }
         }
-    }
-
-    #[test]
-    fn paper_scale_suite_is_531_by_10m() {
-        let s = paper_scale_suite();
-        assert_eq!(s.len(), 531);
-        assert!(s.iter().all(|t| t.len == 10_000_000));
     }
 
     #[test]

@@ -23,16 +23,14 @@ pub mod dist;
 pub mod error;
 pub mod families;
 pub mod rng;
-pub mod schedule;
 pub mod stats;
 pub mod synth;
 pub mod uop;
 
 pub use arena::TraceArena;
 pub use error::{TraceError, UopError};
-pub use families::{default_suite, paper_scale_suite, suite, TraceSpec, WorkloadFamily};
+pub use families::{suite, TraceSpec, WorkloadFamily};
 pub use rng::SimRng;
-pub use schedule::{schedule_trace, verify_reorder, ScheduleConfig, ScheduleStats};
 pub use stats::TraceStats;
 pub use synth::{Generator, SynthParams};
 pub use uop::{Reg, RegError, Trace, Uop, UopKind, NUM_REGS};

@@ -51,8 +51,9 @@ const EMPTY: Slot = Slot {
 /// let mut fb = TimedBuffer::new(8);
 /// fb.allocate(0x40, 100).unwrap();
 /// assert!(fb.contains(0x40));
-/// assert_eq!(fb.take_ready(99), vec![]);
-/// assert_eq!(fb.take_ready(100), vec![0x40]);
+/// fb.expire(99);
+/// assert!(fb.contains(0x40));
+/// fb.expire(100);
 /// assert!(!fb.contains(0x40));
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -65,8 +66,6 @@ pub struct TimedBuffer {
     /// Occupied-slot count, so occupancy/fullness checks on the access
     /// hot path are O(1) instead of slot scans.
     occupied: usize,
-    allocations: u64,
-    full_rejections: u64,
 }
 
 impl TimedBuffer {
@@ -82,8 +81,6 @@ impl TimedBuffer {
             slots: vec![EMPTY; entries],
             next_ready: u64::MAX,
             occupied: 0,
-            allocations: 0,
-            full_rejections: 0,
         }
     }
 
@@ -158,42 +155,15 @@ impl TimedBuffer {
                 free = Some(i);
             }
         }
-        match free {
-            Some(i) => {
-                self.slots[i] = Slot { line, ready_at };
-                self.next_ready = self.next_ready.min(ready_at);
-                self.occupied += 1;
-                self.allocations += 1;
-                Ok(())
-            }
-            None => {
-                self.full_rejections += 1;
-                Err(BufferFull)
-            }
-        }
+        let i = free.ok_or(BufferFull)?;
+        self.slots[i] = Slot { line, ready_at };
+        self.next_ready = self.next_ready.min(ready_at);
+        self.occupied += 1;
+        Ok(())
     }
 
-    /// Removes and returns every line whose completion cycle has arrived.
-    /// O(1) on cycles where nothing completes.
-    pub fn take_ready(&mut self, now: u64) -> Vec<u64> {
-        if self.next_ready > now {
-            return Vec::new();
-        }
-        let ready = self
-            .slots
-            .iter()
-            .filter(|s| s.ready_at <= now)
-            .map(|s| s.line)
-            .collect();
-        self.expire_due(now);
-        ready
-    }
-
-    /// Drops every line whose completion cycle has arrived, without
-    /// returning them — the allocation-free twin of
-    /// [`TimedBuffer::take_ready`] for callers that only need the slots
-    /// recycled (the per-cycle tick). O(1) on cycles where nothing
-    /// completes.
+    /// Frees every slot whose completion cycle has arrived (the per-cycle
+    /// tick). O(1) on cycles where nothing completes.
     #[inline]
     pub fn expire(&mut self, now: u64) {
         if self.next_ready <= now {
@@ -217,32 +187,12 @@ impl TimedBuffer {
         self.next_ready = remaining_min;
     }
 
-    /// Total successful allocations.
-    #[must_use]
-    pub fn allocations(&self) -> u64 {
-        self.allocations
-    }
-
-    /// Allocation attempts rejected because the buffer was full
-    /// (each one is a pipeline stall source).
-    #[must_use]
-    pub fn full_rejections(&self) -> u64 {
-        self.full_rejections
-    }
-
-    /// Drops everything (reset).
-    pub fn clear(&mut self) {
+    /// Restores the freshly-constructed state in place, without
+    /// reallocating the slot storage.
+    pub fn reset(&mut self) {
         self.slots.fill(EMPTY);
         self.next_ready = u64::MAX;
         self.occupied = 0;
-    }
-
-    /// Restores the freshly-constructed state in place (contents *and*
-    /// statistics), without reallocating the slot storage.
-    pub fn reset(&mut self) {
-        self.clear();
-        self.allocations = 0;
-        self.full_rejections = 0;
     }
 }
 
@@ -264,18 +214,13 @@ pub struct StallGuard {
     n: u32,
     /// Stabilization window `[start, end]` of the most recent fill, if any.
     window: Option<(u64, u64)>,
-    stall_events: u64,
 }
 
 impl StallGuard {
     /// Creates a guard enforcing `n` stabilization cycles (0 = disabled).
     #[must_use]
     pub fn new(n: u32) -> Self {
-        Self {
-            n,
-            window: None,
-            stall_events: 0,
-        }
+        Self { n, window: None }
     }
 
     /// Current `N`.
@@ -297,7 +242,6 @@ impl StallGuard {
             Some((_, old_end)) if old_end >= end => {}
             _ => self.window = Some((cycle, end)),
         }
-        self.stall_events += 1;
     }
 
     /// Whether the port is blocked at `cycle` (inside a stabilization
@@ -337,12 +281,6 @@ impl StallGuard {
             _ => None,
         }
     }
-
-    /// Number of fills that armed the guard.
-    #[must_use]
-    pub fn stall_events(&self) -> u64 {
-        self.stall_events
-    }
 }
 
 #[cfg(test)]
@@ -357,19 +295,19 @@ mod tests {
         fb.allocate(2, 5).unwrap();
         assert_eq!(fb.occupancy(), 2);
         assert!(fb.is_full());
-        let mut ready = fb.take_ready(10);
-        ready.sort_unstable();
-        assert_eq!(ready, vec![1, 2]);
+        fb.expire(10);
         assert_eq!(fb.occupancy(), 0);
+        assert!(!fb.contains(1) && !fb.contains(2));
     }
 
     #[test]
-    fn full_buffer_rejects_and_counts() {
+    fn full_buffer_rejects_new_lines_but_merges() {
         let mut fb = TimedBuffer::new(1);
         fb.allocate(1, 10).unwrap();
         assert_eq!(fb.allocate(2, 10), Err(BufferFull));
-        assert_eq!(fb.full_rejections(), 1);
-        assert_eq!(fb.allocations(), 1);
+        assert!(!fb.contains(2), "a rejected line is not in flight");
+        assert_eq!(fb.allocate(1, 8), Ok(()), "a full buffer still merges");
+        assert_eq!(fb.ready_at(1), Some(8));
     }
 
     #[test]
@@ -388,29 +326,17 @@ mod tests {
         let mut fb = TimedBuffer::new(4);
         fb.allocate(1, 10).unwrap();
         fb.allocate(2, 20).unwrap();
-        assert_eq!(fb.take_ready(15), vec![1]);
+        fb.allocate(3, 15).unwrap();
+        fb.expire(15);
+        assert!(!fb.contains(1) && !fb.contains(3));
         assert!(fb.contains(2));
-        assert_eq!(fb.take_ready(25), vec![2]);
-    }
-
-    #[test]
-    fn expire_matches_take_ready_effects() {
-        let mut taken = TimedBuffer::new(4);
-        let mut expired = TimedBuffer::new(4);
-        for fb in [&mut taken, &mut expired] {
-            fb.allocate(1, 10).unwrap();
-            fb.allocate(2, 20).unwrap();
-            fb.allocate(3, 15).unwrap();
-        }
-        let _ = taken.take_ready(15);
-        expired.expire(15);
-        assert_eq!(taken, expired);
-        assert!(!expired.contains(1));
-        assert!(expired.contains(2));
-        // Nothing-ready cycles are no-ops for both.
-        let _ = taken.take_ready(16);
-        expired.expire(16);
-        assert_eq!(taken, expired);
+        assert_eq!(fb.next_ready(), 20);
+        // Nothing-ready cycles are no-ops.
+        let before = fb.clone();
+        fb.expire(16);
+        assert_eq!(fb, before);
+        fb.expire(25);
+        assert_eq!(fb.occupancy(), 0);
     }
 
     #[test]
@@ -421,16 +347,6 @@ mod tests {
         let _ = fb.allocate(3, 10); // rejection
         fb.reset();
         assert_eq!(fb, TimedBuffer::new(2));
-        assert_eq!(fb.allocations(), 0);
-        assert_eq!(fb.full_rejections(), 0);
-    }
-
-    #[test]
-    fn clear_empties() {
-        let mut fb = TimedBuffer::new(2);
-        fb.allocate(1, 10).unwrap();
-        fb.clear();
-        assert_eq!(fb.occupancy(), 0);
         assert!(!fb.contains(1));
     }
 
@@ -458,17 +374,12 @@ mod tests {
             }
         }
 
-        fn take_ready(&mut self, now: u64) -> Vec<u64> {
-            let mut ready = Vec::new();
+        fn expire(&mut self, now: u64) {
             for slot in &mut self.slots {
-                if let Some((line, at)) = *slot {
-                    if at <= now {
-                        ready.push(line);
-                        *slot = None;
-                    }
+                if slot.is_some_and(|(_, at)| at <= now) {
+                    *slot = None;
                 }
             }
-            ready
         }
 
         fn ready_at(&self, line: u64) -> Option<u64> {
@@ -506,14 +417,10 @@ mod tests {
                         let ok = fb.allocate(line, at).is_ok();
                         assert_eq!(ok, reference.allocate(line, at), "{ctx}");
                     }
-                    4 => {
+                    4 | 5 => {
                         now += rng.below(6);
                         fb.expire(now);
-                        reference.take_ready(now);
-                    }
-                    5 => {
-                        now += rng.below(6);
-                        assert_eq!(fb.take_ready(now), reference.take_ready(now), "{ctx}");
+                        reference.expire(now);
                     }
                     _ => {
                         assert_eq!(fb.ready_at(line), reference.ready_at(line), "{ctx}");
@@ -522,7 +429,6 @@ mod tests {
                 }
                 assert_eq!(fb.occupancy(), reference.occupancy(), "{ctx}");
                 assert_eq!(fb.is_full(), reference.occupancy() == cap, "{ctx}");
-                assert_eq!(fb.full_rejections(), reference.rejections, "{ctx}");
                 let min = reference.slots.iter().flatten().map(|&(_, t)| t).min();
                 assert_eq!(fb.next_ready(), min.unwrap_or(u64::MAX), "{ctx}");
             }
@@ -539,7 +445,6 @@ mod tests {
         assert!(g.is_stalled(102));
         assert!(!g.is_stalled(103));
         assert_eq!(g.free_at(), 103);
-        assert_eq!(g.stall_events(), 1);
     }
 
     #[test]
@@ -561,7 +466,7 @@ mod tests {
         let mut g = StallGuard::new(0);
         g.on_fill(100);
         assert!(!g.is_stalled(100));
-        assert_eq!(g.stall_events(), 0);
+        assert_eq!(g.free_at(), 0, "a disabled guard never arms");
     }
 
     #[test]

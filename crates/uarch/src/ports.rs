@@ -1,4 +1,4 @@
-//! Port arbitration: busy-until reservations with stall accounting.
+//! Port arbitration: busy-until reservations.
 
 /// A single structural port.
 ///
@@ -13,8 +13,6 @@
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct Port {
     busy_until: u64, // first free cycle
-    grants: u64,
-    conflicts: u64,
 }
 
 impl Port {
@@ -35,11 +33,9 @@ impl Port {
     #[inline]
     pub fn try_reserve(&mut self, cycle: u64, cycles: u64) -> bool {
         if self.is_busy(cycle) {
-            self.conflicts += 1;
             return false;
         }
         self.busy_until = cycle + cycles;
-        self.grants += 1;
         true
     }
 
@@ -48,18 +44,6 @@ impl Port {
     #[must_use]
     pub fn free_at(&self) -> u64 {
         self.busy_until
-    }
-
-    /// Successful reservations.
-    #[must_use]
-    pub fn grants(&self) -> u64 {
-        self.grants
-    }
-
-    /// Rejected reservations (structural-hazard stalls).
-    #[must_use]
-    pub fn conflicts(&self) -> u64 {
-        self.conflicts
     }
 }
 
@@ -121,8 +105,8 @@ impl PortSet {
         self.ports.iter().map(Port::free_at).min().unwrap_or(0)
     }
 
-    /// Restores the freshly-constructed state in place: every port free
-    /// with zeroed grant/conflict counters. No allocation.
+    /// Restores the freshly-constructed state in place: every port free.
+    /// No allocation.
     pub fn reset(&mut self) {
         for p in &mut self.ports {
             *p = Port::new();
@@ -145,12 +129,12 @@ mod tests {
     }
 
     #[test]
-    fn conflicts_counted() {
+    fn busy_port_refuses_without_moving_its_window() {
         let mut p = Port::new();
         assert!(p.try_reserve(0, 5));
         assert!(!p.try_reserve(3, 1));
-        assert_eq!(p.grants(), 1);
-        assert_eq!(p.conflicts(), 1);
+        assert_eq!(p.free_at(), 5, "a refused reservation changes nothing");
+        assert!(p.try_reserve(5, 1));
     }
 
     #[test]

@@ -22,10 +22,7 @@ pub struct ReturnStack {
     top: usize,
     live: usize,
     window: u64,
-    pops: u64,
     potential_corruptions: u64,
-    overflows: u64,
-    underflows: u64,
 }
 
 impl ReturnStack {
@@ -43,10 +40,7 @@ impl ReturnStack {
             top: 0,
             live: 0,
             window: u64::from(n),
-            pops: 0,
             potential_corruptions: 0,
-            overflows: 0,
-            underflows: 0,
         }
     }
 
@@ -68,9 +62,7 @@ impl ReturnStack {
     pub fn push(&mut self, return_addr: u64, cycle: u64) {
         self.top = (self.top + 1) % self.slots.len();
         self.slots[self.top] = (return_addr, cycle);
-        if self.live == self.slots.len() {
-            self.overflows += 1;
-        } else {
+        if self.live < self.slots.len() {
             self.live += 1;
         }
     }
@@ -81,10 +73,8 @@ impl ReturnStack {
     #[inline]
     pub fn pop(&mut self, cycle: u64) -> Option<u64> {
         if self.live == 0 {
-            self.underflows += 1;
             return None;
         }
-        self.pops += 1;
         let (addr, pushed_at) = self.slots[self.top];
         if cycle.saturating_sub(pushed_at) <= self.window && cycle != pushed_at {
             self.potential_corruptions += 1;
@@ -107,24 +97,6 @@ impl ReturnStack {
         self.potential_corruptions
     }
 
-    /// Total successful pops.
-    #[must_use]
-    pub fn pops(&self) -> u64 {
-        self.pops
-    }
-
-    /// Overflow count (oldest entries overwritten).
-    #[must_use]
-    pub fn overflows(&self) -> u64 {
-        self.overflows
-    }
-
-    /// Underflow count (pop on empty).
-    #[must_use]
-    pub fn underflows(&self) -> u64 {
-        self.underflows
-    }
-
     /// Clears the stack (pipeline flush does *not* normally do this — the
     /// RSB is speculative state — but tests and resets need it).
     pub fn clear(&mut self) {
@@ -133,17 +105,14 @@ impl ReturnStack {
     }
 
     /// Restores the freshly-constructed state in place for a window of
-    /// `n` cycles: contents, depth and every counter (unlike
-    /// [`ReturnStack::clear`], which keeps the statistics). No allocation.
+    /// `n` cycles: contents, depth and the corruption count (unlike
+    /// [`ReturnStack::clear`], which keeps the count). No allocation.
     pub fn reset(&mut self, n: u32) {
         self.slots.fill((0, 0));
         self.top = 0;
         self.live = 0;
         self.window = u64::from(n);
-        self.pops = 0;
         self.potential_corruptions = 0;
-        self.overflows = 0;
-        self.underflows = 0;
     }
 }
 
@@ -161,7 +130,9 @@ mod tests {
         assert_eq!(rsb.pop(11), Some(0xB));
         assert_eq!(rsb.pop(12), Some(0xA));
         assert_eq!(rsb.pop(13), None);
-        assert_eq!(rsb.underflows(), 1);
+        assert_eq!(rsb.depth(), 0, "an underflowing pop leaves the stack empty");
+        rsb.push(0xD, 14);
+        assert_eq!(rsb.pop(15), Some(0xD));
     }
 
     #[test]
@@ -170,7 +141,6 @@ mod tests {
         rsb.push(0x1, 1);
         rsb.push(0x2, 2);
         rsb.push(0x3, 3); // overwrites 0x1
-        assert_eq!(rsb.overflows(), 1);
         assert_eq!(rsb.depth(), 2);
         assert_eq!(rsb.pop(10), Some(0x3));
         assert_eq!(rsb.pop(11), Some(0x2));
@@ -184,9 +154,10 @@ mod tests {
         let _ = rsb.pop(101); // within N=1 of the push
         assert_eq!(rsb.potential_corruptions(), 1);
         rsb.push(0xCD, 200);
-        let _ = rsb.pop(205); // far outside
+        assert_eq!(rsb.pop(205), Some(0xCD)); // far outside
         assert_eq!(rsb.potential_corruptions(), 1);
-        assert_eq!(rsb.pops(), 2);
+        assert_eq!(rsb.pop(206), None);
+        assert_eq!(rsb.potential_corruptions(), 1, "underflows are not pops");
     }
 
     #[test]

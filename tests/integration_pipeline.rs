@@ -145,38 +145,3 @@ fn iraw_comparison_carries_block_level_evidence() {
     assert!(full_matches > 0, "stack spills must hit the Store Table");
     assert!(bp_reads > 1000, "branches flow through the predictor");
 }
-
-#[test]
-fn iraw_aware_scheduling_reduces_rf_stalls() {
-    // The paper's §5.2 future-work claim, demonstrated: reordering the
-    // trace to widen producer→consumer distances removes register-file
-    // IRAW stalls without changing semantics.
-    use lowvcc_trace::{schedule_trace, verify_reorder, ScheduleConfig};
-    let core = CoreConfig::silverthorne();
-    let cfg = SimConfig::at_vcc(core, &timing(), mv(475), Mechanism::Iraw);
-    let sim = Simulator::new(cfg).unwrap();
-
-    let original = TraceSpec::new(WorkloadFamily::SpecInt, 33, 40_000)
-        .build()
-        .unwrap();
-    let (scheduled, stats) = schedule_trace(&original, ScheduleConfig::silverthorne_iraw());
-    verify_reorder(&original, &scheduled).unwrap();
-    assert!(
-        stats.hoisted > 0,
-        "scheduler must find hoisting opportunities"
-    );
-
-    let before = sim.run(&original).unwrap();
-    let after = sim.run(&scheduled).unwrap();
-    assert_eq!(after.stats.instructions, before.stats.instructions);
-    assert!(
-        after.stats.stalls.rf_iraw < before.stats.stalls.rf_iraw,
-        "RF IRAW stalls: {} → {}",
-        before.stats.stalls.rf_iraw,
-        after.stats.stalls.rf_iraw
-    );
-    assert!(
-        after.stats.iraw_delayed_instructions < before.stats.iraw_delayed_instructions,
-        "delayed instructions must drop"
-    );
-}
