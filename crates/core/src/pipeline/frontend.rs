@@ -7,9 +7,8 @@
 //! tracks the frequency of such windows ([`CorruptionTracker`]) instead
 //! of stalling anything.
 
-use lowvcc_trace::{TraceArena, UopKind};
+use lowvcc_trace::{FetchRecord, TraceArena, UopKind};
 use lowvcc_uarch::bpred::{Bimodal, Btb, CorruptionTracker};
-use lowvcc_uarch::ring::Ring;
 use lowvcc_uarch::rsb::ReturnStack;
 
 use crate::config::CycleConfig;
@@ -19,26 +18,29 @@ use crate::stats::BranchStats;
 /// `last_line` before any fetch: line addresses (`pc >> 6`) never reach it.
 const NO_LINE: u64 = u64::MAX;
 
-/// Depth of the decode queue between fetch and IQ allocation.
+/// Depth of the decode queue between fetch and IQ allocation (a power
+/// of two: trace index `i` keeps its decode-ready cycle in slot
+/// `i % DECODE_QUEUE_DEPTH`).
 const DECODE_QUEUE_DEPTH: usize = 16;
 
-/// Decoded uop waiting to enter the IQ.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct DecodedUop {
-    /// Index into the trace.
-    pub trace_idx: usize,
-    /// Cycle at which decode completes (IQ-allocatable).
-    pub ready_at: u64,
-}
-
 /// The fetch/decode front end.
+///
+/// The decode queue is a window over the trace: uops `[alloc, cursor)`
+/// have been fetched but not yet allocated into the IQ, in trace order,
+/// so the queue stores no uops — only each one's decode-ready cycle, in
+/// a ring indexed by trace index.
 #[derive(Debug, Clone)]
 pub struct FrontEnd {
     bp: Bimodal,
     btb: Btb,
     rsb: ReturnStack,
     tracker: CorruptionTracker,
-    decode_queue: Ring<DecodedUop>,
+    /// Cycle at which uop `i` of the window becomes IQ-allocatable, at
+    /// slot `i % DECODE_QUEUE_DEPTH`.
+    decode_ready: [u64; DECODE_QUEUE_DEPTH],
+    /// Next uop to allocate into the IQ (the decode queue's head).
+    alloc: usize,
+    /// Next uop to fetch (the decode queue's tail).
     cursor: usize,
     stalled_until: u64,
     /// IL0 line of the previous fetch ([`NO_LINE`] before the first).
@@ -59,7 +61,8 @@ impl FrontEnd {
             btb: Btb::new(cfg.core.btb_entries),
             rsb: ReturnStack::new(cfg.core.rsb_entries, n),
             tracker: CorruptionTracker::new(cfg.core.bp_entries, n),
-            decode_queue: Ring::new(DECODE_QUEUE_DEPTH),
+            decode_ready: [0; DECODE_QUEUE_DEPTH],
+            alloc: 0,
             cursor: 0,
             stalled_until: 0,
             last_line: NO_LINE,
@@ -72,14 +75,15 @@ impl FrontEnd {
 
     /// Restores the freshly-constructed state in place for `cfg` — the
     /// exact state [`FrontEnd::new`] would build — reusing the predictor
-    /// tables and the decode queue's storage. No allocation.
+    /// tables. No allocation.
     pub fn reset(&mut self, cfg: &CycleConfig) {
         let n = cfg.stabilization_cycles;
         self.bp.reset();
         self.btb.reset();
         self.rsb.reset(n);
         self.tracker.reset(n);
-        self.decode_queue.clear();
+        self.decode_ready = [0; DECODE_QUEUE_DEPTH];
+        self.alloc = 0;
         self.cursor = 0;
         self.stalled_until = 0;
         self.last_line = NO_LINE;
@@ -100,24 +104,36 @@ impl FrontEnd {
     #[inline]
     #[must_use]
     pub fn queue_empty(&self) -> bool {
-        self.decode_queue.is_empty()
+        self.alloc == self.cursor
     }
 
-    /// Pops the oldest decode-complete uop for IQ allocation, if any.
-    /// Called once per allocation slot — allocation-free on purpose (the
-    /// old width-at-a-time API built a `Vec` every cycle).
+    /// Trace index of the next uop to allocate: every uop before it has
+    /// entered the IQ. The engine's IQ window ends here.
     #[inline]
-    pub fn pop_decoded(&mut self, now: u64) -> Option<DecodedUop> {
-        match self.decode_queue.front() {
-            Some(d) if d.ready_at <= now => self.decode_queue.pop_front(),
-            _ => None,
-        }
+    #[must_use]
+    pub fn allocated(&self) -> usize {
+        self.alloc
     }
 
-    /// Returns the allocated-but-not-popped count (for drain decisions).
+    /// Hands up to `max` decode-complete uops to the IQ, oldest first,
+    /// and returns how many. They are the next trace indices, so the IQ
+    /// window grows by moving [`FrontEnd::allocated`]; nothing is copied.
+    #[inline]
+    pub fn allocate(&mut self, max: usize, now: u64) -> usize {
+        let start = self.alloc;
+        while self.alloc - start < max
+            && self.alloc < self.cursor
+            && self.decode_ready[self.alloc % DECODE_QUEUE_DEPTH] <= now
+        {
+            self.alloc += 1;
+        }
+        self.alloc - start
+    }
+
+    /// Number of fetched uops not yet allocated.
     #[must_use]
     pub fn queue_len(&self) -> usize {
-        self.decode_queue.len()
+        self.cursor - self.alloc
     }
 
     /// Whether the decode queue is at capacity — fetch is a no-op until
@@ -125,16 +141,16 @@ impl FrontEnd {
     #[inline]
     #[must_use]
     pub fn queue_full(&self) -> bool {
-        self.decode_queue.is_full()
+        self.cursor - self.alloc == DECODE_QUEUE_DEPTH
     }
 
     /// Cycle at which the oldest decoded uop becomes IQ-allocatable
-    /// (`ready_at` values are monotone in queue order, so the front is the
-    /// earliest). `None` on an empty queue.
+    /// (decode-ready cycles are monotone in trace order, so the oldest is
+    /// the earliest). `None` on an empty queue.
     #[inline]
     #[must_use]
     pub fn next_decode_ready(&self) -> Option<u64> {
-        self.decode_queue.front().map(|d| d.ready_at)
+        (self.alloc < self.cursor).then(|| self.decode_ready[self.alloc % DECODE_QUEUE_DEPTH])
     }
 
     /// Cycle until which fetch is stalled (miss in flight or mispredict
@@ -152,12 +168,15 @@ impl FrontEnd {
             return;
         }
         for _ in 0..self.fetch_width {
-            if self.cursor >= trace.len() || self.decode_queue.is_full() {
+            if self.cursor >= trace.len() || self.queue_full() {
                 return;
             }
-            let pc = trace.pc(self.cursor);
-            let kind = trace.kind(self.cursor);
-            let taken = trace.taken(self.cursor);
+            let &FetchRecord {
+                pc,
+                target,
+                kind,
+                taken,
+            } = trace.fetch(self.cursor);
             // Instruction-cache access on line change.
             let line = pc >> 6;
             if self.last_line != line {
@@ -169,15 +188,10 @@ impl FrontEnd {
                     return;
                 }
             }
-            // Cannot fail: fullness was checked above.
-            let _ = self.decode_queue.push_back(DecodedUop {
-                trace_idx: self.cursor,
-                ready_at: now + self.front_end_stages,
-            });
+            self.decode_ready[self.cursor % DECODE_QUEUE_DEPTH] = now + self.front_end_stages;
             self.cursor += 1;
 
             if kind.is_control() {
-                let target = trace.target(self.cursor - 1);
                 let mispredicted = self.predict_and_train(pc, kind, taken, target, now);
                 if mispredicted {
                     self.stalled_until = now + self.mispredict_penalty;
@@ -270,12 +284,6 @@ mod tests {
         (FrontEnd::new(&cfg), MemHierarchy::new(&cfg).unwrap())
     }
 
-    /// Test helper: the old width-at-a-time allocation API, expressed
-    /// over `pop_decoded`.
-    fn take_decoded(fe: &mut FrontEnd, width: usize, now: u64) -> Vec<DecodedUop> {
-        (0..width).map_while(|_| fe.pop_decoded(now)).collect()
-    }
-
     fn straight_line_trace(n: usize) -> TraceArena {
         let uops = (0..n).map(|i| Uop::nop(0x40_0000 + 4 * i as u64)).collect();
         TraceArena::from_trace(&Trace::new("straight", uops))
@@ -307,11 +315,40 @@ mod tests {
             now += 1;
         }
         // Nothing allocatable before the decode depth elapses.
-        assert!(take_decoded(&mut fe, 2, now).is_empty());
+        assert_eq!(fe.allocate(2, now), 0);
         let later = now + 6;
-        let got = take_decoded(&mut fe, 2, later);
-        assert_eq!(got.len(), 2);
-        assert_eq!(got[0].trace_idx, 0);
+        assert_eq!(fe.allocate(2, later), 2);
+        assert_eq!(fe.queue_len(), 0);
+    }
+
+    #[test]
+    fn decode_queue_fills_at_sixteen_and_wraps() {
+        let (mut fe, mut mem) = setup(Mechanism::Iraw);
+        let trace = straight_line_trace(40);
+        let mut now = 0;
+        // Fetch without allocating: the window stops growing at 16.
+        while !fe.queue_full() {
+            fe.fetch_cycle(&trace, &mut mem, now);
+            now += 1;
+        }
+        assert_eq!(fe.queue_len(), DECODE_QUEUE_DEPTH);
+        fe.fetch_cycle(&trace, &mut mem, now);
+        assert_eq!(
+            fe.queue_len(),
+            DECODE_QUEUE_DEPTH,
+            "a full queue fetches nothing"
+        );
+        // Allocate 5, then refill across the ring's wrap point.
+        let ready = fe.next_decode_ready().unwrap();
+        assert_eq!(fe.allocate(5, ready - 1), 0, "nothing is decoded yet");
+        assert_eq!(fe.allocate(5, u64::MAX), 5);
+        while !fe.queue_full() {
+            fe.fetch_cycle(&trace, &mut mem, now);
+            now += 1;
+        }
+        assert_eq!(fe.allocate(usize::MAX, u64::MAX), DECODE_QUEUE_DEPTH);
+        assert!(fe.queue_empty());
+        assert_eq!(fe.next_decode_ready(), None);
     }
 
     #[test]
@@ -326,7 +363,7 @@ mod tests {
         let trace = TraceArena::from_trace(&Trace::new("loop", uops));
         for now in 0..5000u64 {
             fe.fetch_cycle(&trace, &mut mem, now);
-            let _ = take_decoded(&mut fe, 2, now);
+            let _ = fe.allocate(2, now);
             if fe.trace_exhausted(&trace) {
                 break;
             }
@@ -364,7 +401,7 @@ mod tests {
         let trace = TraceArena::from_trace(&Trace::new("callret", uops));
         for now in 0..5000u64 {
             fe.fetch_cycle(&trace, &mut mem, now);
-            let _ = take_decoded(&mut fe, 2, now);
+            let _ = fe.allocate(2, now);
             if fe.trace_exhausted(&trace) {
                 break;
             }
@@ -391,7 +428,7 @@ mod tests {
         let mut now = 0;
         while !fe.trace_exhausted(&trace) && now < 10_000 {
             fe.fetch_cycle(&trace, &mut mem, now);
-            let _ = take_decoded(&mut fe, 2, now);
+            let _ = fe.allocate(2, now);
             now += 1;
         }
         assert_eq!(fe.stats().bp_potential_corruptions, 0);

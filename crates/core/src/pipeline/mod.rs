@@ -9,6 +9,9 @@
 //! construction, a cycle lost to IRAW avoidance, which is exactly how the
 //! paper's §5.2 attribution (8.52% RF / 0.30% DL0 / 0.04% rest at
 //! 575 mV) is measured here.
+//!
+//! The IQ and the decode queue hold no uops: both are windows of trace
+//! indices over the [`TraceArena`], which every stage reads in place.
 
 pub mod frontend;
 pub mod memory;
@@ -16,8 +19,8 @@ pub mod memory;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-use lowvcc_trace::{Reg, TraceArena, UopKind};
-use lowvcc_uarch::iq::InstQueue;
+use lowvcc_trace::{IssueRecord, Reg, TraceArena, UopKind};
+use lowvcc_uarch::iq::issue_allowed;
 use lowvcc_uarch::ports::PortSet;
 use lowvcc_uarch::scoreboard::{IrawWindow, Scoreboard};
 use lowvcc_uarch::stable::{StableMatch, StoreTable, TrackedStore};
@@ -28,57 +31,26 @@ use crate::pipeline::frontend::FrontEnd;
 use crate::pipeline::memory::MemHierarchy;
 use crate::stats::SimStats;
 
-/// An instruction resident in the IQ.
-///
-/// `addr` is the effective address of a memory uop and 0 otherwise:
-/// every public entry validates its trace first (memory uops carry an
-/// address), so the `Option` need not ride along in the queue.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct IqEntry {
-    kind: UopKind,
-    dst: Option<Reg>,
-    src1: Option<Reg>,
-    src2: Option<Reg>,
-    addr: u64,
-    size: u8,
-    drain_noop: bool,
-}
+/// The paper's drain NOOP (§4.2): no operands, no destination, no
+/// memory access — it never blocks and its execution changes nothing.
+static DRAIN_NOOP: IssueRecord = IssueRecord {
+    addr: 0,
+    kind: UopKind::Nop,
+    dst: None,
+    src1: None,
+    src2: None,
+    size: 0,
+};
 
-impl IqEntry {
-    #[inline]
-    fn from_arena(trace: &TraceArena, i: usize) -> Self {
-        Self {
-            kind: trace.kind(i),
-            dst: trace.dst(i),
-            src1: trace.src1(i),
-            src2: trace.src2(i),
-            addr: trace.addr(i).unwrap_or(0),
-            size: trace.size(i),
-            drain_noop: false,
-        }
-    }
-
-    fn drain() -> Self {
-        Self {
-            drain_noop: true,
-            ..Self::default()
-        }
-    }
-}
-
-impl Default for IqEntry {
-    /// An empty NOP slot (the ring's filler; never issued as such).
-    fn default() -> Self {
-        Self {
-            kind: UopKind::Nop,
-            dst: None,
-            src1: None,
-            src2: None,
-            addr: 0,
-            size: 0,
-            drain_noop: false,
-        }
-    }
+/// The IQ as a window over the trace: the real uops `[head,
+/// FrontEnd::allocated())` in program order, then `pad` drain NOOPs.
+/// NOOPs are injected only once the whole trace has been allocated, so
+/// they always sit behind every real uop and a count describes them.
+/// Allocation moves the front end's allocation point; nothing is copied.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+struct IqWindow {
+    head: usize,
+    pad: usize,
 }
 
 /// Where one engine run's simulated cycles went, and why the fast path
@@ -154,7 +126,7 @@ pub struct Engine {
     cfg: CycleConfig,
     fe: FrontEnd,
     mem: MemHierarchy,
-    iq: InstQueue<IqEntry>,
+    iq: IqWindow,
     sb: Scoreboard,
     shadow: Scoreboard,
     stable: StoreTable,
@@ -168,7 +140,6 @@ pub struct Engine {
     repair_until: u64,
     write_ports: PortSet,
     store_this_cycle: Option<TrackedStore>,
-    iq_real_entries: usize,
     /// The current IQ head has been blocked by the IRAW window at least
     /// once (consumed into `iraw_delayed_instructions` when it issues).
     head_iraw_delayed: bool,
@@ -202,7 +173,7 @@ impl Engine {
             window,
             fe,
             mem,
-            iq: InstQueue::new(cfg.core.iq_entries),
+            iq: IqWindow::default(),
             sb: Scoreboard::new(cfg.core.scoreboard_width),
             shadow: Scoreboard::new(cfg.core.scoreboard_width),
             stable,
@@ -213,7 +184,6 @@ impl Engine {
             repair_until: 0,
             write_ports: PortSet::new(2),
             store_this_cycle: None,
-            iq_real_entries: 0,
             head_iraw_delayed: false,
             issue_blocked: false,
             now: 0,
@@ -257,7 +227,7 @@ impl Engine {
         );
         self.mem.reset(&cfg);
         self.fe.reset(&cfg);
-        self.iq.reset();
+        self.iq = IqWindow::default();
         self.sb.reset();
         self.shadow.reset();
         self.stable.reset();
@@ -273,7 +243,6 @@ impl Engine {
         self.repair_until = 0;
         self.write_ports.reset();
         self.store_this_cycle = None;
-        self.iq_real_entries = 0;
         self.head_iraw_delayed = false;
         self.issue_blocked = false;
         self.now = 0;
@@ -346,8 +315,37 @@ impl Engine {
     fn finished(&self, trace: &TraceArena) -> bool {
         self.fe.trace_exhausted(trace)
             && self.fe.queue_empty()
-            && self.iq.is_empty()
+            && self.iq_occupancy() == 0
             && self.pending.is_empty()
+    }
+
+    /// IQ entries: the real uops allocated but not issued, plus padding.
+    #[inline]
+    fn iq_occupancy(&self) -> usize {
+        self.fe.allocated() - self.iq.head + self.iq.pad
+    }
+
+    /// The IQ's oldest entry, if any.
+    #[inline]
+    fn iq_front<'t>(&self, trace: &'t TraceArena) -> Option<&'t IssueRecord> {
+        if self.iq.head < self.fe.allocated() {
+            Some(trace.issue(self.iq.head))
+        } else if self.iq.pad > 0 {
+            Some(&DRAIN_NOOP)
+        } else {
+            None
+        }
+    }
+
+    /// The Figure 9 gate at the current IQ occupancy.
+    #[inline]
+    fn gate_open(&self) -> bool {
+        issue_allowed(
+            self.iq_occupancy(),
+            self.cfg.core.issue_width,
+            self.cfg.core.alloc_width,
+            self.cfg.stabilization_cycles,
+        )
     }
 
     /// One cycle.
@@ -365,7 +363,7 @@ impl Engine {
         // 2. Memory buffers.
         self.mem.tick(now);
         // 3. Issue.
-        self.issue_stage(now);
+        self.issue_stage(trace, now);
         // 4. Store Table per-cycle update (after this cycle's probes).
         if self.cfg.iraw_active() {
             let committed = self.store_this_cycle.take();
@@ -373,35 +371,27 @@ impl Engine {
         } else {
             self.store_this_cycle = None;
         }
-        // 5. Allocate into the IQ.
-        let room = self.cfg.core.iq_entries - self.iq.occupancy();
+        // 5. Allocate into the IQ: the decode queue's oldest uops are the
+        //    next trace indices, so the IQ window just grows.
+        let room = self.cfg.core.iq_entries - self.iq_occupancy();
         let width = self.cfg.core.alloc_width.min(room);
-        for _ in 0..width {
-            let Some(d) = self.fe.pop_decoded(now) else {
-                break;
-            };
-            let entry = IqEntry::from_arena(trace, d.trace_idx);
-            self.iq.alloc(entry).expect("room reserved above");
-            self.iq_real_entries += 1;
-        }
+        self.fe.allocate(width, now);
         // 6. Fetch.
         self.fe.fetch_cycle(trace, &mut self.mem, now);
         // 7. End-of-trace drain: real instructions stuck under the gate
         //    get NOOP padding (paper §4.2); once only padding remains,
         //    the queue is architecturally empty and can be dropped.
-        if self.fe.trace_exhausted(trace) && self.fe.queue_empty() && !self.iq.is_empty() {
-            if self.iq_real_entries == 0 {
-                self.iq.flush();
+        if self.fe.trace_exhausted(trace) && self.fe.queue_empty() && self.iq_occupancy() > 0 {
+            if self.iq.head == self.fe.allocated() {
+                self.iq.pad = 0;
                 self.head_iraw_delayed = false;
-            } else if !self.iq.issue_allowed(
-                self.cfg.core.issue_width,
-                self.cfg.core.alloc_width,
-                self.cfg.stabilization_cycles,
-            ) {
+            } else if !self.gate_open() {
+                // Padding beyond capacity is dropped: a full queue needs
+                // none to issue.
                 let pad = self.cfg.core.alloc_width * self.cfg.stabilization_cycles as usize;
-                let before = self.iq.occupancy();
-                self.iq.inject_drain(pad, IqEntry::drain);
-                self.stats.drain_noops += (self.iq.occupancy() - before) as u64;
+                let added = pad.min(self.cfg.core.iq_entries - self.iq_occupancy());
+                self.iq.pad += added;
+                self.stats.drain_noops += added as u64;
             }
         }
         // 8. Shift the ready registers.
@@ -434,13 +424,9 @@ impl Engine {
         // A closed gate over a non-empty IQ is not skippable: its stall
         // attribution depends on the head's would-be blocker each cycle.
         // The cheap refusals run first; the head's blocker analysis last.
-        let head = self.iq.front().copied();
+        let head = self.iq_front(trace);
         if head.is_some() {
-            if !self.iq.issue_allowed(
-                self.cfg.core.issue_width,
-                self.cfg.core.alloc_width,
-                self.cfg.stabilization_cycles,
-            ) {
+            if !self.gate_open() {
                 self.profile.refused_gate_closed += 1;
                 return;
             }
@@ -473,7 +459,7 @@ impl Engine {
         // IQ allocation: active the moment a decoded uop is ready while
         // the IQ has room (issue being blocked or absent, room cannot
         // grow mid-skip).
-        if self.iq.occupancy() < self.cfg.core.iq_entries {
+        if self.iq_occupancy() < self.cfg.core.iq_entries {
             if let Some(t) = self.fe.next_decode_ready() {
                 if t <= now {
                     self.profile.refused_alloc_ready += 1;
@@ -494,7 +480,7 @@ impl Engine {
             bound(&mut wake, s);
         }
         let blocker = match head {
-            Some(ref h) => match self.blocker_for(h, now) {
+            Some(h) => match self.blocker_for(h, now) {
                 Some(b) => Some(b),
                 None => {
                     self.profile.refused_head_ready += 1;
@@ -503,7 +489,7 @@ impl Engine {
             },
             None => None,
         };
-        if let Some(ref head) = head {
+        if let Some(head) = head {
             // Readiness toggles of the head's sources, on both boards:
             // they drive both the issue decision and the IRAW-vs-data-
             // dependence classification. All-zero (long-latency) registers
@@ -586,7 +572,11 @@ impl Engine {
         assert_eq!(self.now, r.now, "fast path diverged: now");
         assert_eq!(self.stats, r.stats, "fast path diverged: stats");
         assert_eq!(self.iq, r.iq, "fast path diverged: IQ");
-        assert_eq!(self.iq_real_entries, r.iq_real_entries);
+        assert_eq!(
+            self.fe.allocated(),
+            r.fe.allocated(),
+            "fast path diverged: IQ"
+        );
         assert_eq!(self.head_iraw_delayed, r.head_iraw_delayed);
         assert_eq!(self.div_free_at, r.div_free_at);
         assert_eq!(self.fpdiv_free_at, r.fpdiv_free_at);
@@ -619,18 +609,13 @@ impl Engine {
         );
     }
 
-    fn issue_stage(&mut self, now: u64) {
+    fn issue_stage(&mut self, trace: &TraceArena, now: u64) {
         self.issue_blocked = false;
-        let gate_open = self.iq.issue_allowed(
-            self.cfg.core.issue_width,
-            self.cfg.core.alloc_width,
-            self.cfg.stabilization_cycles,
-        );
-        if !gate_open {
+        if !self.gate_open() {
             // Attribute the cycle to the IQ gate only if the head would
             // otherwise issue (occupancy exists but is below threshold).
-            if let Some(head) = self.iq.front().copied() {
-                if self.blocker_for(&head, now).is_none() {
+            if let Some(head) = self.iq_front(trace) {
+                if self.blocker_for(head, now).is_none() {
                     self.stats.stalls.iq_iraw += 1;
                 }
             }
@@ -638,27 +623,31 @@ impl Engine {
         }
         let mut mem_issued_this_cycle = false;
         for _ in 0..self.cfg.core.issue_width {
-            let Some(entry) = self.iq.front().copied() else {
-                break;
-            };
+            if self.iq.head == self.fe.allocated() {
+                // Only drain NOOPs (if any) remain: one never blocks, and
+                // issuing it changes nothing but the queue.
+                if self.iq.pad == 0 {
+                    break;
+                }
+                self.iq.pad -= 1;
+                self.head_iraw_delayed = false;
+                continue;
+            }
+            let entry = trace.issue(self.iq.head);
             // Enforce one memory op per cycle across the whole group.
             if entry.kind.is_mem() && mem_issued_this_cycle {
                 break;
             }
-            match self.blocker_for(&entry, now) {
+            match self.blocker_for(entry, now) {
                 None => {
-                    // `entry` is the copy of the front just popped.
-                    let _ = self.iq.pop_oldest();
+                    self.iq.head += 1;
                     let delayed = self.head_iraw_delayed;
                     self.head_iraw_delayed = false;
                     mem_issued_this_cycle |= entry.kind.is_mem();
-                    self.execute(&entry, now);
-                    if !entry.drain_noop {
-                        self.stats.instructions += 1;
-                        self.iq_real_entries -= 1;
-                        if delayed {
-                            self.stats.iraw_delayed_instructions += 1;
-                        }
+                    self.execute(entry, now);
+                    self.stats.instructions += 1;
+                    if delayed {
+                        self.stats.iraw_delayed_instructions += 1;
                     }
                 }
                 Some(blocker) => {
@@ -693,7 +682,7 @@ impl Engine {
     /// Decides whether `entry` can issue at `now`; returns the dominant
     /// blocker otherwise.
     #[inline]
-    fn blocker_for(&self, entry: &IqEntry, now: u64) -> Option<Blocker> {
+    fn blocker_for(&self, entry: &IssueRecord, now: u64) -> Option<Blocker> {
         // Source readiness on the real board first; the shadow board is
         // only consulted to classify an actual block (hot-path saving:
         // ready sources never touch the shadow).
@@ -735,7 +724,7 @@ impl Engine {
         None
     }
 
-    fn execute(&mut self, entry: &IqEntry, now: u64) {
+    fn execute(&mut self, entry: &IssueRecord, now: u64) {
         let window = self.window;
         let latency = self.cfg.core.latency_of(entry.kind);
         // Extra Bypass: reserve the write port for the extended write.
@@ -773,7 +762,7 @@ impl Engine {
         }
     }
 
-    fn execute_load(&mut self, entry: &IqEntry, now: u64) {
+    fn execute_load(&mut self, entry: &IssueRecord, now: u64) {
         let addr = entry.addr;
         self.mem_port_free_at = now + 1;
         let outcome = self.mem.data_access(addr, false, now);
@@ -809,7 +798,7 @@ impl Engine {
         }
     }
 
-    fn execute_store(&mut self, entry: &IqEntry, now: u64) {
+    fn execute_store(&mut self, entry: &IssueRecord, now: u64) {
         let addr = entry.addr;
         self.mem_port_free_at = now + 1;
         let _ = self.mem.data_access(addr, true, now);
@@ -1016,6 +1005,34 @@ mod tests {
         let result = run_on(cfg(Mechanism::Iraw, 500), &trace);
         assert_eq!(result.stats.instructions, 3);
         assert!(result.stats.drain_noops > 0, "gate needs NOOP padding");
+        // Exact accounting. With ICI = AI = 2 the gate needs 2 + 2N
+        // entries. Uops 0 and 1 allocate together and uop 2 a cycle
+        // later, so the queue holds 3 < 2 + 2N: AI·N = 2N NOOPs are
+        // padded. The gate opens, uops 0 and 1 issue, and the 1 + 2N left
+        // sit under it again: 2N more. Uop 2 then issues and the
+        // leftover padding is dropped — 4N NOOPs in all.
+        for n in [1, 2] {
+            let mut c = cfg(Mechanism::Iraw, 500);
+            c.stabilization_cycles = n;
+            // A 4-cycle producer plus bypass plus the bubble must fit.
+            c.core.scoreboard_width = 8;
+            let fast = run_on(c.clone(), &trace);
+            let naive = run_naive_on(c, &trace);
+            assert_eq!(fast.stats, naive.stats, "N = {n}");
+            assert_eq!(fast.stats.instructions, 3, "N = {n}");
+            assert_eq!(fast.stats.drain_noops, 4 * u64::from(n), "N = {n}");
+        }
+        // Padding beyond capacity is dropped. In a 4-entry IQ at N = 1
+        // the 3 queued uops leave room for 1 of the AI·N = 2 NOOPs, which
+        // opens the gate; after uops 0 and 1 issue, 2 more fit. 3 in all.
+        let mut c = cfg(Mechanism::Iraw, 500);
+        c.stabilization_cycles = 1;
+        c.core.iq_entries = 4;
+        let fast = run_on(c.clone(), &trace);
+        let naive = run_naive_on(c, &trace);
+        assert_eq!(fast.stats, naive.stats);
+        assert_eq!(fast.stats.instructions, 3);
+        assert_eq!(fast.stats.drain_noops, 3);
     }
 
     #[test]

@@ -1,16 +1,51 @@
-//! Structure-of-arrays trace layout for decode-once/simulate-many sweeps.
+//! Packed trace layout for decode-once/simulate-many sweeps.
 //!
 //! A voltage sweep re-runs the *same* trace at every (Vcc, mechanism)
-//! point. [`TraceArena`] is the [`Trace`] decoded once into parallel
-//! column vectors and then shared immutably across every sweep point: the
-//! engine indexes exactly the fields a pipeline stage needs (the fetch
-//! stage touches `pc`/`kind`/`taken`/`target`, issue touches the operand
-//! columns), so the hot loops walk dense homogeneous arrays instead of
-//! striding over 48-byte [`Uop`] records.
+//! point. [`TraceArena`] is the [`Trace`] decoded once into two packed
+//! per-uop records and then shared immutably across every sweep point.
+//! Each record holds exactly what one pipeline stage reads: fetch loads
+//! one 24-byte [`FetchRecord`] (`pc`, `target`, `kind`, `taken`), issue
+//! one 16-byte [`IssueRecord`] (operands, address, size). That is 40
+//! bytes per uop instead of the 48-byte [`Uop`], and one load per stage
+//! instead of one per field.
 
 use crate::uop::{Reg, Trace, Uop, UopKind};
 
-/// A [`Trace`] decoded into structure-of-arrays columns.
+/// What the issue stage reads of one uop: 16 bytes.
+///
+/// `addr` is the effective address of a memory uop and 0 otherwise:
+/// every valid trace gives memory uops an address and no other uop one,
+/// so the `Option` need not be stored.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct IssueRecord {
+    /// Effective data address (memory uops), else 0.
+    pub addr: u64,
+    /// Operation class.
+    pub kind: UopKind,
+    /// Destination register.
+    pub dst: Option<Reg>,
+    /// First source register.
+    pub src1: Option<Reg>,
+    /// Second source register.
+    pub src2: Option<Reg>,
+    /// Access size in bytes (memory uops).
+    pub size: u8,
+}
+
+/// What the fetch stage reads of one uop: 24 bytes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct FetchRecord {
+    /// Program counter.
+    pub pc: u64,
+    /// Resolved next-pc (control uops).
+    pub target: u64,
+    /// Operation class.
+    pub kind: UopKind,
+    /// Resolved direction (control uops).
+    pub taken: bool,
+}
+
+/// A [`Trace`] decoded into packed per-stage records.
 ///
 /// Construction is the only copy; afterwards the arena is read-only and
 /// freely shareable across threads (`&TraceArena` is `Sync`).
@@ -21,52 +56,47 @@ use crate::uop::{Reg, Trace, Uop, UopKind};
 /// let trace = Trace::new("t", vec![Uop::nop(0x0), Uop::nop(0x4)]);
 /// let arena = TraceArena::from_trace(&trace);
 /// assert_eq!(arena.len(), 2);
-/// assert_eq!(arena.pc(1), 0x4);
+/// assert_eq!(arena.fetch(1).pc, 0x4);
 /// assert_eq!(arena.name(), "t");
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct TraceArena {
     name: String,
-    pc: Vec<u64>,
-    kind: Vec<UopKind>,
-    dst: Vec<Option<Reg>>,
-    src1: Vec<Option<Reg>>,
-    src2: Vec<Option<Reg>>,
-    addr: Vec<Option<u64>>,
-    size: Vec<u8>,
-    taken: Vec<bool>,
-    target: Vec<u64>,
+    issue: Vec<IssueRecord>,
+    fetch: Vec<FetchRecord>,
 }
 
 impl TraceArena {
-    /// Decodes `trace` into columns. O(len); done once per sweep batch.
+    /// Decodes `trace` into records. O(len); done once per sweep batch.
     #[must_use]
     pub fn from_trace(trace: &Trace) -> Self {
-        let n = trace.uops.len();
-        let mut arena = Self {
+        let issue = trace
+            .uops
+            .iter()
+            .map(|u| IssueRecord {
+                addr: u.addr.unwrap_or(0),
+                kind: u.kind,
+                dst: u.dst,
+                src1: u.src1,
+                src2: u.src2,
+                size: u.size,
+            })
+            .collect();
+        let fetch = trace
+            .uops
+            .iter()
+            .map(|u| FetchRecord {
+                pc: u.pc,
+                target: u.target,
+                kind: u.kind,
+                taken: u.taken,
+            })
+            .collect();
+        Self {
             name: trace.name.clone(),
-            pc: Vec::with_capacity(n),
-            kind: Vec::with_capacity(n),
-            dst: Vec::with_capacity(n),
-            src1: Vec::with_capacity(n),
-            src2: Vec::with_capacity(n),
-            addr: Vec::with_capacity(n),
-            size: Vec::with_capacity(n),
-            taken: Vec::with_capacity(n),
-            target: Vec::with_capacity(n),
-        };
-        for u in &trace.uops {
-            arena.pc.push(u.pc);
-            arena.kind.push(u.kind);
-            arena.dst.push(u.dst);
-            arena.src1.push(u.src1);
-            arena.src2.push(u.src2);
-            arena.addr.push(u.addr);
-            arena.size.push(u.size);
-            arena.taken.push(u.taken);
-            arena.target.push(u.target);
+            issue,
+            fetch,
         }
-        arena
     }
 
     /// Trace name.
@@ -79,93 +109,47 @@ impl TraceArena {
     #[inline]
     #[must_use]
     pub fn len(&self) -> usize {
-        self.pc.len()
+        self.issue.len()
     }
 
     /// Whether the trace is empty.
     #[inline]
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.pc.is_empty()
+        self.issue.is_empty()
     }
 
-    /// Program counter of uop `i`.
+    /// The issue record of uop `i`.
     #[inline]
     #[must_use]
-    pub fn pc(&self, i: usize) -> u64 {
-        self.pc[i]
+    pub fn issue(&self, i: usize) -> &IssueRecord {
+        &self.issue[i]
     }
 
-    /// Kind of uop `i`.
+    /// The fetch record of uop `i`.
     #[inline]
     #[must_use]
-    pub fn kind(&self, i: usize) -> UopKind {
-        self.kind[i]
-    }
-
-    /// Destination register of uop `i`.
-    #[inline]
-    #[must_use]
-    pub fn dst(&self, i: usize) -> Option<Reg> {
-        self.dst[i]
-    }
-
-    /// First source register of uop `i`.
-    #[inline]
-    #[must_use]
-    pub fn src1(&self, i: usize) -> Option<Reg> {
-        self.src1[i]
-    }
-
-    /// Second source register of uop `i`.
-    #[inline]
-    #[must_use]
-    pub fn src2(&self, i: usize) -> Option<Reg> {
-        self.src2[i]
-    }
-
-    /// Memory address of uop `i` (memory uops only).
-    #[inline]
-    #[must_use]
-    pub fn addr(&self, i: usize) -> Option<u64> {
-        self.addr[i]
-    }
-
-    /// Access size in bytes of uop `i`.
-    #[inline]
-    #[must_use]
-    pub fn size(&self, i: usize) -> u8 {
-        self.size[i]
-    }
-
-    /// Resolved direction of uop `i` (control uops only).
-    #[inline]
-    #[must_use]
-    pub fn taken(&self, i: usize) -> bool {
-        self.taken[i]
-    }
-
-    /// Resolved target of uop `i` (control uops only).
-    #[inline]
-    #[must_use]
-    pub fn target(&self, i: usize) -> u64 {
-        self.target[i]
+    pub fn fetch(&self, i: usize) -> &FetchRecord {
+        &self.fetch[i]
     }
 
     /// Reassembles uop `i` (diagnostics and equivalence tests; the hot
-    /// paths use the column accessors directly).
+    /// paths read the records). Exact for every uop that passes
+    /// [`Uop::validate`]: only memory uops carry an address.
     #[must_use]
     pub fn uop(&self, i: usize) -> Uop {
+        let is = &self.issue[i];
+        let f = &self.fetch[i];
         Uop {
-            pc: self.pc[i],
-            kind: self.kind[i],
-            dst: self.dst[i],
-            src1: self.src1[i],
-            src2: self.src2[i],
-            addr: self.addr[i],
-            size: self.size[i],
-            taken: self.taken[i],
-            target: self.target[i],
+            pc: f.pc,
+            kind: is.kind,
+            dst: is.dst,
+            src1: is.src1,
+            src2: is.src2,
+            addr: is.kind.is_mem().then_some(is.addr),
+            size: is.size,
+            taken: f.taken,
+            target: f.target,
         }
     }
 }
@@ -173,18 +157,25 @@ impl TraceArena {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::families::{TraceSpec, WorkloadFamily};
+    use crate::families::suite;
+
+    #[test]
+    fn records_are_sixteen_and_twenty_four_bytes() {
+        assert_eq!(std::mem::size_of::<IssueRecord>(), 16);
+        assert_eq!(std::mem::size_of::<FetchRecord>(), 24);
+    }
 
     #[test]
     fn round_trips_every_uop() {
-        let trace = TraceSpec::new(WorkloadFamily::SpecInt, 7, 5_000)
-            .build()
-            .unwrap();
-        let arena = TraceArena::from_trace(&trace);
-        assert_eq!(arena.len(), trace.uops.len());
-        assert_eq!(arena.name(), trace.name);
-        for (i, u) in trace.uops.iter().enumerate() {
-            assert_eq!(arena.uop(i), *u, "uop {i} must round-trip");
+        // Every family, so every uop kind's address rule is exercised.
+        for spec in suite(1, 3_000) {
+            let trace = spec.build().unwrap();
+            let arena = TraceArena::from_trace(&trace);
+            assert_eq!(arena.len(), trace.uops.len());
+            assert_eq!(arena.name(), trace.name);
+            for (i, u) in trace.uops.iter().enumerate() {
+                assert_eq!(arena.uop(i), *u, "{}: uop {i} must round-trip", trace.name);
+            }
         }
     }
 
@@ -197,18 +188,44 @@ mod tests {
     }
 
     #[test]
-    fn column_accessors_match_fields() {
+    fn records_match_fields() {
         let u = Uop::load(0x40, Reg::new(1).unwrap(), None, 0x1000, 8);
-        let trace = Trace::new("one", vec![u]);
+        let b = Uop::branch(0x44, None, true, 0x80);
+        let trace = Trace::new("two", vec![u, b]);
         let arena = TraceArena::from_trace(&trace);
-        assert_eq!(arena.pc(0), u.pc);
-        assert_eq!(arena.kind(0), u.kind);
-        assert_eq!(arena.dst(0), u.dst);
-        assert_eq!(arena.src1(0), u.src1);
-        assert_eq!(arena.src2(0), u.src2);
-        assert_eq!(arena.addr(0), u.addr);
-        assert_eq!(arena.size(0), u.size);
-        assert_eq!(arena.taken(0), u.taken);
-        assert_eq!(arena.target(0), u.target);
+        assert_eq!(
+            *arena.issue(0),
+            IssueRecord {
+                addr: 0x1000,
+                kind: u.kind,
+                dst: u.dst,
+                src1: u.src1,
+                src2: u.src2,
+                size: u.size,
+            }
+        );
+        assert_eq!(
+            *arena.fetch(1),
+            FetchRecord {
+                pc: 0x44,
+                target: 0x80,
+                kind: UopKind::Branch,
+                taken: true,
+            }
+        );
+        // Non-memory uops store address 0 and rebuild `None`.
+        assert_eq!(arena.issue(1).addr, 0);
+        assert_eq!(arena.uop(1).addr, None);
+    }
+
+    #[test]
+    fn a_malformed_load_decodes_to_address_zero() {
+        // `from_trace` is infallible: a load without an address (which
+        // `Uop::validate` rejects) still decodes, as address 0.
+        let mut bad = Uop::load(0, Reg::new(1).unwrap(), None, 0x40, 8);
+        bad.addr = None;
+        let arena = TraceArena::from_trace(&Trace::new("bad", vec![bad]));
+        assert_eq!(arena.issue(0).addr, 0);
+        assert_eq!(arena.uop(0).addr, Some(0));
     }
 }

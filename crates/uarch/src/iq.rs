@@ -16,6 +16,33 @@
 
 use crate::ring::Ring;
 
+/// The Figure 9 issue gate over a queue holding `occupancy` entries:
+/// `occupancy ≥ ICI + AI·N`.
+///
+/// With `n = 0` (IRAW disabled — the `stall issue?` signal cleared) any
+/// non-empty queue may issue. The one statement of the gate: both
+/// [`InstQueue::issue_allowed`] and the engine's IQ call it.
+///
+/// ```
+/// use lowvcc_uarch::iq::issue_allowed;
+///
+/// // ICI = 2, AI = 2, N = 1: the threshold is 4 (the paper's example).
+/// assert!(!issue_allowed(3, 2, 2, 1));
+/// assert!(issue_allowed(4, 2, 2, 1));
+/// // IRAW off: one entry suffices, none never does.
+/// assert!(issue_allowed(1, 2, 2, 0));
+/// assert!(!issue_allowed(0, 2, 2, 0));
+/// ```
+#[inline]
+#[must_use]
+pub fn issue_allowed(occupancy: usize, ici: usize, ai: usize, n: u32) -> bool {
+    if n == 0 {
+        occupancy > 0
+    } else {
+        occupancy >= ici + ai * n as usize
+    }
+}
+
 /// Circular instruction queue.
 ///
 /// ```
@@ -122,18 +149,12 @@ impl<T: Copy + Default> InstQueue<T> {
         Ok(())
     }
 
-    /// The Figure 9 issue gate: `occupancy ≥ ICI + AI·N`.
-    ///
-    /// With `n = 0` (IRAW disabled — the `stall issue?` signal cleared)
-    /// any non-empty queue may issue.
+    /// The Figure 9 issue gate ([`issue_allowed`]) at this queue's
+    /// occupancy.
     #[inline]
     #[must_use]
     pub fn issue_allowed(&self, ici: usize, ai: usize, n: u32) -> bool {
-        if n == 0 {
-            !self.is_empty()
-        } else {
-            self.occupancy() >= ici + ai * n as usize
-        }
+        issue_allowed(self.occupancy(), ici, ai, n)
     }
 
     /// The `ICI` oldest entries, oldest first.

@@ -1,13 +1,12 @@
-//! Fixed-capacity FIFO ring: the storage behind the instruction queue and
-//! the engine's decode queue.
+//! Fixed-capacity FIFO ring: the storage behind the instruction queue
+//! model ([`InstQueue`](crate::iq::InstQueue)).
 //!
-//! Both queues are tiny (16–32 entries), power-of-two sized, and pushed
-//! or popped every simulated cycle. A flat slot array indexed by
-//! `(head + i) & mask` keeps those operations to one masked load or
-//! store, with no growth path and no wrap-around branch. Equality
-//! compares *logical* contents (oldest to newest), never the raw slots,
-//! so two rings holding the same queue at different physical offsets
-//! compare equal — the engine's debug shadow replay relies on that.
+//! The queue is tiny (16–32 entries) and power-of-two sized, as in
+//! Figure 9. A flat slot array indexed by `(head + i) & mask` keeps push
+//! and pop to one masked load or store, with no growth path and no
+//! wrap-around branch. Equality compares *logical* contents (oldest to
+//! newest), never the raw slots, so two rings holding the same queue at
+//! different physical offsets compare equal.
 
 use std::fmt;
 
