@@ -156,7 +156,7 @@ pub fn run_all(ctx: &ExperimentContext, out_dir: &Path) -> Result<RunSummary, Ex
     report.push('\n');
 
     report.push_str("## Scalar results (paper §5.2, §4.5, §5.3)\n");
-    let t = scalars::table(ctx, &points)?;
+    let t = scalars::table(&points)?;
     save(&t, &out_dir.join("scalars.csv"))?;
     report.push_str(&t.render());
     report.push('\n');

@@ -8,7 +8,6 @@
 
 use lowvcc_energy::{ExtraBypassOverhead, FaultyBitsOverhead, IrawOverhead};
 
-use crate::context::ExperimentContext;
 use crate::error::ExperimentError;
 use crate::experiments::sweep::{at, SweepPoint};
 use crate::report::TextTable;
@@ -95,10 +94,7 @@ pub fn measured(points: &[SweepPoint]) -> Result<Vec<Measured>, ExperimentError>
 /// # Errors
 ///
 /// Returns an error if the sweep lacks the anchor voltages.
-pub fn table(
-    _ctx: &ExperimentContext,
-    points: &[SweepPoint],
-) -> Result<TextTable, ExperimentError> {
+pub fn table(points: &[SweepPoint]) -> Result<TextTable, ExperimentError> {
     let p575 = at(points, 575).ok_or(ExperimentError::MissingSweepPoint { mv: 575 })?;
 
     let iraw = IrawOverhead::silverthorne();
@@ -145,13 +141,14 @@ pub fn table(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::context::ExperimentContext;
     use crate::experiments::sweep::run_sweep;
 
     #[test]
     fn scalar_table_builds_from_sweep() {
         let ctx = ExperimentContext::quick().unwrap();
         let points = run_sweep(&ctx).unwrap();
-        let t = table(&ctx, &points).unwrap();
+        let t = table(&points).unwrap();
         assert!(t.len() >= 12);
         let s = t.render();
         assert!(s.contains("13.2%"));

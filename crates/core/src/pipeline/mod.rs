@@ -1036,6 +1036,46 @@ mod tests {
     }
 
     #[test]
+    fn iq_never_holds_more_than_its_entries() {
+        // The divide's consumer blocks the IQ head for the divide's
+        // latency while ten independent uops queue up behind it, so a
+        // 4-entry IQ fills and allocation must stop at its capacity.
+        let mut div = Uop::alu(loop_pc(0), Some(reg(20)), Some(reg(0)), None);
+        div.kind = UopKind::IntDiv;
+        let mut uops = vec![
+            div,
+            Uop::alu(loop_pc(1), Some(reg(21)), Some(reg(20)), None),
+        ];
+        uops.extend(
+            (0..10).map(|i| Uop::alu(loop_pc(2 + i), Some(reg(22 + i as u8)), Some(reg(0)), None)),
+        );
+        let arena = TraceArena::from_trace(&Trace::new("div-fill", uops));
+        let mut c = cfg(Mechanism::Iraw, 500);
+        c.stabilization_cycles = 1;
+        c.core.iq_entries = 4;
+        let cycle = c.cycle_config();
+        for fast in [false, true] {
+            let mut engine = Engine::new(cycle.clone()).unwrap();
+            let mut peak = 0;
+            while !engine.finished(&arena) {
+                assert!(engine.now < 10_000, "no progress");
+                engine.step(&arena);
+                assert!(engine.iq_occupancy() <= 4, "cycle {}", engine.now);
+                peak = peak.max(engine.iq_occupancy());
+                if fast {
+                    engine.try_skip(&arena, 10_000);
+                }
+            }
+            assert_eq!(peak, 4, "the blocked head must fill the IQ");
+            assert_eq!(engine.stats.instructions, arena.len() as u64);
+        }
+        let fast = Engine::new(cycle.clone()).unwrap().run(&arena).unwrap();
+        let naive = Engine::new(cycle).unwrap().run_naive(&arena).unwrap();
+        assert_eq!(fast, naive);
+        assert_eq!(fast.instructions, arena.len() as u64);
+    }
+
+    #[test]
     fn long_latency_divide_blocks_consumers_until_event() {
         let mut uops = vec![
             {

@@ -7,7 +7,15 @@
 //! provides the analogous inventories for the two Table 1 comparators
 //! (Faulty Bits fault maps, Extra Bypass latches/wires).
 
-use lowvcc_sram::array::total_core_sram_bits;
+/// SRAM bits of the whole Silverthorne core (paper Figure 3), the
+/// denominator of every area fraction here. Every cache-like block stores
+/// 64-byte lines plus 26 tag/state bits: IL0 (512 lines), DL0 (384),
+/// UL1 (8192), the write-combining/eviction and fill buffers (8 each).
+/// Then the two 16 × 64-bit TLBs, the 32 × 80-bit IQ, the 64 × 64-bit
+/// register file, the 4K × 2-bit predictor and the 8 × 32-bit return
+/// stack. The caches dominate: UL1 alone is over 80% of the total.
+const CORE_SRAM_BITS: u64 =
+    (512 + 384 + 8192 + 8 + 8) * (512 + 26) + 2 * 16 * 64 + 32 * 80 + 64 * 64 + 4096 * 2 + 8 * 32;
 
 /// Area of a latch bit relative to an 8-T SRAM bitcell.
 pub const LATCH_AREA_FACTOR: f64 = 4.0;
@@ -72,15 +80,14 @@ impl IrawOverhead {
     /// (latch bits weighted by [`LATCH_AREA_FACTOR`]).
     #[must_use]
     pub fn area_fraction(&self) -> f64 {
-        self.total_bits() as f64 * LATCH_AREA_FACTOR / total_core_sram_bits() as f64
+        self.total_bits() as f64 * LATCH_AREA_FACTOR / CORE_SRAM_BITS as f64
     }
 
     /// Multiplier on core dynamic energy from the extra hardware, using the
     /// paper's pessimistic 20× activity factor.
     #[must_use]
     pub fn dynamic_energy_factor(&self) -> f64 {
-        1.0 + self.total_bits() as f64 * LATCH_AREA_FACTOR * ACTIVITY_FACTOR
-            / total_core_sram_bits() as f64
+        1.0 + self.total_bits() as f64 * LATCH_AREA_FACTOR * ACTIVITY_FACTOR / CORE_SRAM_BITS as f64
     }
 }
 
@@ -124,7 +131,7 @@ impl FaultyBitsOverhead {
     /// no latch factor applies).
     #[must_use]
     pub fn area_fraction(&self) -> f64 {
-        self.total_bits() as f64 / total_core_sram_bits() as f64
+        self.total_bits() as f64 / CORE_SRAM_BITS as f64
     }
 }
 
@@ -177,7 +184,7 @@ impl ExtraBypassOverhead {
     /// caches dominate the denominator.
     #[must_use]
     pub fn area_fraction(&self) -> f64 {
-        self.total_bits() as f64 * LATCH_AREA_FACTOR / total_core_sram_bits() as f64
+        self.total_bits() as f64 * LATCH_AREA_FACTOR / CORE_SRAM_BITS as f64
     }
 
     /// Extra area relative to the execution datapath itself — the paper's
@@ -193,8 +200,7 @@ impl ExtraBypassOverhead {
     /// Table 1 "does not adapt to multiple Vcc" row).
     #[must_use]
     pub fn dynamic_energy_factor(&self) -> f64 {
-        1.0 + self.total_bits() as f64 * LATCH_AREA_FACTOR * ACTIVITY_FACTOR
-            / total_core_sram_bits() as f64
+        1.0 + self.total_bits() as f64 * LATCH_AREA_FACTOR * ACTIVITY_FACTOR / CORE_SRAM_BITS as f64
     }
 
     /// Extra FO4 stages the deeper bypass mux adds to the 24-FO4 cycle.
@@ -258,6 +264,11 @@ mod tests {
         assert!(eb.datapath_area_fraction() > 0.5);
         assert_eq!(eb.extra_fo4_stages(), 1);
         assert!(eb.dynamic_energy_factor() > 1.0);
+    }
+
+    #[test]
+    fn core_sram_inventory_total() {
+        assert_eq!(CORE_SRAM_BITS, 4_915_104);
     }
 
     #[test]

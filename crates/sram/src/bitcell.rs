@@ -51,8 +51,11 @@ pub struct Bitcell8T {
 }
 
 impl Bitcell8T {
-    /// Bitcell write fraction of a 12-FO4 phase at 600 mV (`1 − κ`, so that
-    /// write+wordline exactly meets the phase at 600 mV).
+    /// Bitcell write fraction of a 12-FO4 phase at 600 mV: `1 −`
+    /// [`WORDLINE_KAPPA`], so that write+wordline exactly meets the phase
+    /// at 600 mV.
+    ///
+    /// [`WORDLINE_KAPPA`]: crate::cycle::WORDLINE_KAPPA
     pub const C0: f64 = 0.415;
 
     /// Linear coefficient of the calibrated write-delay exponent
@@ -227,7 +230,7 @@ mod tests {
 
     #[test]
     fn write_fraction_paper_anchors() {
-        // Derived in DESIGN.md from the paper's 77% @ 550 mV and 24% @
+        // Derived in DESIGN.md §1 from the paper's 77% @ 550 mV and 24% @
         // 450 mV write-limited frequencies (with κ = 0.585 wordline share):
         // c(550) = 1/0.77 − 0.585, c(450) = 1/0.24 − 0.585.
         let c = cell();

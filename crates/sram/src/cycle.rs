@@ -19,7 +19,6 @@
 use crate::bitcell::Bitcell8T;
 use crate::fo4::{AlphaPowerModel, Megahertz, Picoseconds};
 use crate::voltage::Millivolts;
-use crate::wordline::WordlineModel;
 
 /// Which path is allowed to limit the clock.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -49,8 +48,21 @@ pub enum TimingLimiter {
 pub struct CycleTimeModel {
     logic: AlphaPowerModel,
     cell: Bitcell8T,
-    wordline: WordlineModel,
 }
+
+/// Wordline activation delay as a share `κ` of the 12-FO4 clock phase, at
+/// every voltage: the decoder buffer and wordline RC behave like a short
+/// logic path, so the delay tracks the FO4 chain's slope (the paper: "its
+/// slope resembles that of the 12 FO4 chain").
+///
+/// The paper's Figure 1 anchors fix the value. The bitcell write fraction
+/// of a phase at 600 mV is [`Bitcell8T::C0`] `= 1 − κ`, which puts
+/// write+wordline exactly on the phase at 600 mV. Given `κ`, the write
+/// curve's two exponent coefficients follow from the 77% / 24%
+/// write-limited frequencies at 550 / 450 mV. The bitcell-only write must
+/// then cross the phase at 525 mV, and `κ = 0.585` is the share for which
+/// it does (DESIGN.md §1).
+pub const WORDLINE_KAPPA: f64 = 0.585;
 
 impl CycleTimeModel {
     /// The calibrated model used throughout the reproduction.
@@ -59,17 +71,6 @@ impl CycleTimeModel {
         Self {
             logic: AlphaPowerModel::silverthorne_45nm(),
             cell: Bitcell8T::silverthorne_45nm(),
-            wordline: WordlineModel::silverthorne_45nm(),
-        }
-    }
-
-    /// Creates a model from custom components.
-    #[must_use]
-    pub fn new(logic: AlphaPowerModel, cell: Bitcell8T, wordline: WordlineModel) -> Self {
-        Self {
-            logic,
-            cell,
-            wordline,
         }
     }
 
@@ -85,22 +86,16 @@ impl CycleTimeModel {
         &self.cell
     }
 
-    /// The wordline model.
-    #[must_use]
-    pub fn wordline(&self) -> &WordlineModel {
-        &self.wordline
-    }
-
     /// One 12-FO4 clock phase.
     #[must_use]
     pub fn phase(&self, v: Millivolts) -> Picoseconds {
         self.logic.phase_delay(v)
     }
 
-    /// Wordline activation delay.
+    /// Wordline activation delay: [`WORDLINE_KAPPA`] of a phase.
     #[must_use]
     pub fn wordline_delay(&self, v: Millivolts) -> Picoseconds {
-        self.wordline.delay(&self.logic, v)
+        self.phase(v) * WORDLINE_KAPPA
     }
 
     /// Full write path: wordline activation + complete bitcell write.
@@ -315,6 +310,17 @@ mod tests {
         assert!(c4 < c6, "4σ margin must clock faster");
         // But still slower than the logic-only ideal.
         assert!(c4 >= m.cycle_time(v, TimingLimiter::Logic));
+    }
+
+    #[test]
+    fn wordline_is_a_fixed_share_of_the_phase() {
+        // κ constant ⇒ the wordline/phase ratio is voltage-independent,
+        // which is the paper's "slope resembles the 12 FO4 chain".
+        let m = model();
+        for v in PAPER_SWEEP.iter() {
+            let ratio = m.wordline_delay(v) / m.phase(v);
+            assert!((ratio - WORDLINE_KAPPA).abs() < 1e-12, "{v}: {ratio}");
+        }
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! 525 mV — anchor the whole calibration (see DESIGN.md).
 
 use crate::cycle::CycleTimeModel;
-use crate::voltage::{Millivolts, VccRange, PAPER_SWEEP};
+use crate::voltage::{Millivolts, PAPER_SWEEP};
 
 /// One voltage point of Figure 1. All delays are normalized to the 12-FO4
 /// phase at 700 mV (the paper's "a.u." axis).
@@ -46,16 +46,10 @@ impl Figure1Series {
     /// Generates the series over the paper's 700→400 mV sweep.
     #[must_use]
     pub fn generate(model: &CycleTimeModel) -> Self {
-        Self::generate_over(model, PAPER_SWEEP)
-    }
-
-    /// Generates the series over a custom sweep.
-    #[must_use]
-    pub fn generate_over(model: &CycleTimeModel, sweep: VccRange) -> Self {
         const ANCHOR: Millivolts = Millivolts::literal(700);
         let anchor = ANCHOR;
         let unit = model.phase(anchor).picos();
-        let rows = sweep
+        let rows = PAPER_SWEEP
             .iter()
             .map(|v| Figure1Row {
                 vcc: v,
@@ -148,12 +142,5 @@ mod tests {
         for pair in s.rows().windows(2) {
             assert!(pair[0].vcc > pair[1].vcc);
         }
-    }
-
-    #[test]
-    fn custom_sweep_supported() {
-        let sweep = VccRange::new(600, 500, 50).unwrap();
-        let s = Figure1Series::generate_over(&CycleTimeModel::silverthorne_45nm(), sweep);
-        assert_eq!(s.rows().len(), 3);
     }
 }

@@ -191,28 +191,6 @@ impl AlphaPowerModel {
         }
     }
 
-    /// Creates a model with custom parameters (for other process nodes).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `vth_mv` is not in (0, 349\] (the model's minimum supply is
-    /// 350 mV and delay diverges at `V == Vth`), if `alpha` is not in
-    /// \[1.0, 2.0\], or if the anchor delay is not positive.
-    #[must_use]
-    pub fn new(vth_mv: f64, alpha: f64, fo4_at_700mv: Picoseconds) -> Self {
-        assert!(
-            vth_mv > 0.0 && vth_mv < 350.0,
-            "threshold voltage must lie in (0, 350) mV"
-        );
-        assert!((1.0..=2.0).contains(&alpha), "alpha must lie in [1, 2]");
-        assert!(fo4_at_700mv.picos() > 0.0, "anchor delay must be positive");
-        Self {
-            vth_mv,
-            alpha,
-            fo4_at_700mv,
-        }
-    }
-
     /// Unit-less alpha-power kernel `V / (V − Vth)^α` (mV domain).
     fn kernel(&self, v: Millivolts) -> f64 {
         let v_mv = f64::from(v.millivolts());
@@ -308,12 +286,6 @@ mod tests {
         assert!((m.cycle_delay(mv(700)).picos() - 720.0).abs() < 1e-9);
         let f = m.cycle_delay(mv(700)).as_frequency();
         assert!((f.gigahertz() - 1.3889).abs() < 1e-3);
-    }
-
-    #[test]
-    #[should_panic(expected = "threshold voltage")]
-    fn bad_vth_rejected() {
-        let _ = AlphaPowerModel::new(400.0, 1.4, Picoseconds::new(30.0));
     }
 
     #[test]

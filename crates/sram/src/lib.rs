@@ -49,25 +49,20 @@
 //! * [`bitcell`] — 8-T bitcell read/write/interrupted-write delays.
 //! * [`variation`] — Gaussian Vth variation, σ margins, write-fail
 //!   probabilities (used by the Faulty Bits baseline).
-//! * [`wordline`] — array geometry and wordline activation delay.
-//! * [`array`](mod@array) — descriptors for every SRAM block of the Silverthorne core.
-//! * [`cycle`] — baseline vs IRAW cycle time, frequency gain, stabilization
+//! * [`cycle`] — wordline activation delay ([`cycle::WORDLINE_KAPPA`] of
+//!   a phase), baseline vs IRAW cycle time, frequency gain, stabilization
 //!   cycle count (the quantitative heart of Figures 11a/11b).
 //! * [`figure1`] — the five delay-vs-Vcc series of the paper's Figure 1.
 
-pub mod array;
 pub mod bitcell;
 pub mod cycle;
 pub mod figure1;
 pub mod fo4;
 pub mod variation;
 pub mod voltage;
-pub mod wordline;
 
-pub use array::{ArrayKind, SramArray, SramPorts};
 pub use bitcell::Bitcell8T;
 pub use cycle::{CycleTimeModel, TimingLimiter};
 pub use figure1::{Figure1Row, Figure1Series};
 pub use fo4::{AlphaPowerModel, Megahertz, Picoseconds};
 pub use voltage::{Millivolts, VccRange, VoltageError, PAPER_SWEEP};
-pub use wordline::{ArrayGeometry, WordlineModel};

@@ -1,12 +1,13 @@
 //! Microarchitecture building blocks for the low-Vcc in-order core
 //! reproduction (HPCA 2010): caches, TLBs, the branch predictor, the
-//! shift-register scoreboard, the instruction queue, the Store Table, and
-//! fill/eviction buffers.
+//! shift-register scoreboard, the instruction queue's occupancy gate, the
+//! Store Table, and fill/eviction buffers.
 //!
 //! Three modules implement the paper's IRAW-avoidance hardware verbatim:
 //!
 //! * [`scoreboard`] — the extended ready shift registers (Figures 6 & 8);
-//! * [`iq`] — the occupancy-gated instruction queue (Figure 9);
+//! * [`iq`] — the instruction queue's occupancy gate, [`iq::issue_allowed`]
+//!   (Figure 9);
 //! * [`stable`] — the DL0 Store Table (Figure 10);
 //!
 //! while [`buffers::StallGuard`] provides the post-fill port stalls of the
@@ -31,7 +32,6 @@ pub mod buffers;
 pub mod cache;
 pub mod iq;
 pub mod ports;
-pub mod ring;
 pub mod rsb;
 pub mod scoreboard;
 pub mod stable;
@@ -40,9 +40,7 @@ pub mod tlb;
 pub use bpred::{Bimodal, Btb, CorruptionTracker};
 pub use buffers::{StallGuard, TimedBuffer};
 pub use cache::{CacheConfig, CacheConfigError, CacheStats, SetAssocCache};
-pub use iq::InstQueue;
 pub use ports::{Port, PortSet};
-pub use ring::Ring;
 pub use rsb::ReturnStack;
 pub use scoreboard::{IrawWindow, Scoreboard};
 pub use stable::{StableMatch, StoreTable, TrackedStore};

@@ -3,9 +3,10 @@
 //!
 //! Run with: `cargo run --release --example mechanism_tour`
 
+use lowvcc::core::{CoreConfig, Mechanism, SimConfig, Simulator};
 use lowvcc::sram::{CycleTimeModel, Millivolts};
-use lowvcc::trace::Reg;
-use lowvcc::uarch::iq::InstQueue;
+use lowvcc::trace::{Reg, Trace, Uop};
+use lowvcc::uarch::iq::issue_allowed;
 use lowvcc::uarch::scoreboard::{IrawWindow, Scoreboard};
 use lowvcc::uarch::stable::{StableMatch, StoreTable, TrackedStore};
 
@@ -39,17 +40,36 @@ fn main() {
 
     // --- Instruction queue: the Figure 9 occupancy gate --------------
     println!("Instruction queue gate (paper Figure 9, ICI=2, AI=2):");
-    let mut iq: InstQueue<u32> = InstQueue::new(32);
     for occupancy in 1..=5 {
-        iq.alloc(occupancy).expect("queue has room");
         println!(
             "  occupancy {occupancy}: issue allowed = {}",
-            iq.issue_allowed(2, 2, n)
+            issue_allowed(occupancy, 2, 2, n)
         );
     }
     println!(
-        "  → issue requires occupancy ≥ ICI + AI·N = {}.\n",
+        "  → issue requires occupancy ≥ ICI + AI·N = {}.",
         2 + 2 * n as usize
+    );
+    // A 3-uop program never reaches that occupancy by itself: at the end
+    // of the trace the core pads the queue with NOOPs (paper §4.2).
+    let uops = (0..3u8)
+        .map(|i| {
+            let dst = Reg::new(16 + i).expect("valid register");
+            let src = Reg::new(0).expect("valid register");
+            Uop::alu(0x40_0000 + 4 * u64::from(i), Some(dst), Some(src), None)
+        })
+        .collect();
+    let tail = Trace::new("tail", uops);
+    let cfg = SimConfig::at_vcc(CoreConfig::silverthorne(), &timing, vcc, Mechanism::Iraw);
+    let result = Simulator::new(cfg)
+        .expect("calibrated config is valid")
+        .run(&tail)
+        .expect("the drain lets every uop issue");
+    println!(
+        "  a {}-uop trace commits {} uops after {} drain NOOP(s).\n",
+        tail.len(),
+        result.stats.instructions,
+        result.stats.drain_noops
     );
 
     // --- DL0 Store Table: the Figure 10 flow -------------------------

@@ -9,7 +9,6 @@ use lowvcc_sram::voltage::mv;
 use lowvcc_sram::{Bitcell8T, CycleTimeModel, TimingLimiter};
 use lowvcc_trace::{Reg, SimRng, TraceSpec, WorkloadFamily};
 use lowvcc_uarch::cache::{CacheConfig, SetAssocCache};
-use lowvcc_uarch::iq::InstQueue;
 use lowvcc_uarch::scoreboard::{IrawWindow, Scoreboard};
 use lowvcc_uarch::stable::{StableMatch, StoreTable, TrackedStore};
 
@@ -94,43 +93,6 @@ fn scoreboard_ready_is_sticky() {
         for _ in 0..extra_ticks {
             sb.tick();
             assert!(sb.is_ready(r), "latency {latency}");
-        }
-    }
-}
-
-/// The IQ behaves exactly like a FIFO, and the Figure 9 hardware
-/// occupancy always agrees with the architectural count.
-#[test]
-fn iq_matches_reference_fifo() {
-    let mut rng = case_rng("iq_matches_reference_fifo");
-    for case in 0..CASES {
-        let ops = draw(&mut rng, 1, 200);
-        let mut iq: InstQueue<u32> = InstQueue::new(16);
-        let mut reference = std::collections::VecDeque::new();
-        let mut next = 0u32;
-        for _ in 0..ops {
-            match rng.below(3) {
-                0 => {
-                    let ok = iq.alloc(next).is_ok();
-                    if reference.len() < 16 {
-                        assert!(ok, "case {case}");
-                        reference.push_back(next);
-                    } else {
-                        assert!(!ok, "case {case}");
-                    }
-                    next += 1;
-                }
-                1 => {
-                    assert_eq!(iq.pop_oldest(), reference.pop_front(), "case {case}");
-                }
-                _ => {
-                    iq.flush();
-                    reference.clear();
-                }
-            }
-            assert_eq!(iq.occupancy(), reference.len(), "case {case}");
-            assert_eq!(iq.hardware_occupancy(), reference.len(), "case {case}");
-            assert_eq!(iq.front(), reference.front(), "case {case}");
         }
     }
 }
