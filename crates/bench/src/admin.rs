@@ -1,12 +1,17 @@
 //! Operator surface of the result store: summaries, a full checksum
-//! scrub, byte-budget garbage collection and quarantine management.
+//! scrub, byte-budget garbage collection, bundle export/import and
+//! quarantine management.
 //!
 //! Everything here backs the `lowvcc-store` admin binary. Unlike the
 //! lookup/publish hot path (which is infallible by design — see
 //! `store.rs`), admin operations return [`StoreError`]: an operator
 //! running a scrub wants to *hear* that the root is unlistable, not have
-//! it papered over.
+//! it papered over. Like the store's integrity checks, every operation
+//! here works on whole segments: `verify` scans each one, `vacuum`
+//! rewrites the survivors into a fresh one, and `quarantine` holds the
+//! segments that failed.
 
+use std::collections::{BTreeMap, HashSet};
 use std::fs;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::Ordering;
@@ -14,19 +19,19 @@ use std::time::{Duration, SystemTime};
 
 use lowvcc_core::{decode_sim_result, SimKey};
 
-use crate::bundle::{decode_bundle, encode_bundle, BundleRecord};
-use crate::store::{ResultStore, StoreError, QUARANTINE_DIR};
+use crate::bundle::{decode_bundle, encode_bundle, BundleRecord, ENVELOPE_LEN, RECORD_OVERHEAD};
+use crate::store::{decode_records, ResultStore, SegmentFault, StoreError, QUARANTINE_DIR};
 
 /// A point-in-time picture of what is on disk under a store root.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct StoreSummary {
-    /// Live `.sim` records across all shards.
+    /// Live segment files.
     pub entries: u64,
-    /// Bytes held by live records.
+    /// Bytes held by live segments.
     pub entry_bytes: u64,
-    /// Records currently sitting in `quarantine/`.
+    /// Files currently sitting in `quarantine/`.
     pub quarantined_entries: u64,
-    /// Bytes held by quarantined records.
+    /// Bytes held by quarantined files.
     pub quarantined_bytes: u64,
     /// Stale `*.tmp.*` publish leftovers swept when this handle opened.
     pub orphans_swept: u64,
@@ -34,30 +39,38 @@ pub struct StoreSummary {
     pub degraded: bool,
 }
 
-/// Outcome of a full checksum scrub ([`ResultStore::verify`]).
+/// Outcome of a full checksum scrub ([`ResultStore::verify`]), counted
+/// in segments — the integrity unit.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ScrubReport {
-    /// Records examined.
+    /// Segments examined.
     pub scanned: u64,
-    /// Records that read and decoded cleanly.
+    /// Segments whose envelope, digest and every record checked out.
     pub ok: u64,
-    /// Records that failed and were moved to `quarantine/`.
+    /// Segments that failed and were moved to `quarantine/`.
     pub quarantined: u64,
-    /// Bytes held by the clean records.
+    /// Bytes held by the clean segments.
     pub ok_bytes: u64,
+    /// Records held by the clean segments.
+    pub ok_records: u64,
 }
 
 /// Outcome of a byte-budget collection ([`ResultStore::vacuum`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct VacuumReport {
-    /// Records kept.
+    /// Segments left on disk.
     pub kept: u64,
-    /// Records removed (least recently used first).
+    /// Segments removed (their surviving records rewritten into a
+    /// fresh one).
     pub removed: u64,
     /// Bytes remaining after the collection.
     pub kept_bytes: u64,
     /// Bytes reclaimed.
     pub removed_bytes: u64,
+    /// Records left on disk.
+    pub kept_records: u64,
+    /// Records dropped (least recently used first, plus duplicates).
+    pub removed_records: u64,
 }
 
 /// Outcome of packing a store into an `LVCB` bundle
@@ -68,8 +81,8 @@ pub struct BundleExportReport {
     pub records: u64,
     /// Size of the written bundle file.
     pub bytes: u64,
-    /// Live records skipped because they failed to read, decode, or
-    /// carry a parsable key — export never ships damage.
+    /// Segments skipped because they failed to read or check — export
+    /// never ships damage.
     pub skipped_corrupt: u64,
     /// Records filtered out by the `--since` window.
     pub skipped_stale: u64,
@@ -80,15 +93,15 @@ pub struct BundleExportReport {
 pub struct BundleImportReport {
     /// Records newly landed in this store.
     pub imported: u64,
-    /// Records whose disk slot was already filled (re-import is
-    /// idempotent: same key, deterministically the same bytes).
+    /// Records some segment already held (re-import is idempotent:
+    /// same key, deterministically the same bytes).
     pub already_present: u64,
     /// Records that failed LVCR validation and were parked in
     /// `quarantine/` instead of entering the store.
     pub quarantined: u64,
 }
 
-/// One record in `quarantine/`.
+/// One file in `quarantine/`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct QuarantineEntry {
     /// Full path of the quarantined file.
@@ -97,9 +110,9 @@ pub struct QuarantineEntry {
     pub bytes: u64,
 }
 
-/// A live on-disk record: path, size, and the recency used for LRU
+/// A live segment file: path, size, and the recency used for LRU
 /// collection.
-struct DiskRecord {
+struct SegmentFile {
     path: PathBuf,
     bytes: u64,
     touched: SystemTime,
@@ -112,54 +125,47 @@ fn io_err(path: &Path, source: std::io::Error) -> StoreError {
     }
 }
 
-/// Lists every live `.sim` record under `dir` (quarantine excluded).
-fn disk_records(dir: &Path) -> Result<Vec<DiskRecord>, StoreError> {
-    let mut records = Vec::new();
-    for shard in fs::read_dir(dir).map_err(|e| io_err(dir, e))? {
-        let shard = shard.map_err(|e| io_err(dir, e))?.path();
-        if !shard.is_dir() || shard.file_name().is_some_and(|f| f == QUARANTINE_DIR) {
-            continue;
-        }
-        for entry in fs::read_dir(&shard).map_err(|e| io_err(&shard, e))? {
-            let entry = entry.map_err(|e| io_err(&shard, e))?;
-            let path = entry.path();
-            if !path.extension().is_some_and(|e| e == "sim") {
-                continue;
-            }
-            let meta = entry.metadata().map_err(|e| io_err(&path, e))?;
-            // Access time where the filesystem tracks it (noatime and
-            // relatime mounts are common), else modification time —
-            // either way "least recently useful" for the vacuum order.
+impl ResultStore {
+    /// Lists the live segments, least recently used first (access time
+    /// where the filesystem tracks it, else modification time; the
+    /// segment name breaks ties, so coarse clocks still order stably).
+    fn segment_files(&self) -> Result<Vec<SegmentFile>, StoreError> {
+        let segdir = self.segments_dir().unwrap_or_default();
+        let mut files = Vec::new();
+        for (id, path) in self.list_segments().map_err(|e| io_err(&segdir, e))? {
+            let meta = fs::metadata(&path).map_err(|e| io_err(&path, e))?;
             let touched = meta
                 .accessed()
                 .or_else(|_| meta.modified())
                 .unwrap_or(SystemTime::UNIX_EPOCH);
-            records.push(DiskRecord {
+            let file = SegmentFile {
                 path,
                 bytes: meta.len(),
                 touched,
-            });
+            };
+            files.push((touched, id, file));
         }
+        files.sort_by_key(|(touched, id, _)| (*touched, *id));
+        Ok(files.into_iter().map(|(_, _, f)| f).collect())
     }
-    Ok(records)
-}
 
-impl ResultStore {
-    /// Sizes up the store root: live entries, quarantine, sweep count,
-    /// degradation flag. Ephemeral stores summarize as all-zero.
+    /// Sizes up the store root: live segments, quarantine, sweep count,
+    /// degradation flag — from the directory listing alone, so it never
+    /// reads (or quarantines) a segment. Ephemeral stores summarize as
+    /// all-zero.
     ///
     /// # Errors
     ///
     /// [`StoreError::Io`] if a directory cannot be listed.
     pub fn summary(&self) -> Result<StoreSummary, StoreError> {
-        let Some(dir) = self.dir() else {
+        if self.dir().is_none() {
             return Ok(StoreSummary::default());
-        };
-        let live = disk_records(dir)?;
+        }
+        let live = self.segment_files()?;
         let quarantine = self.quarantine_list()?;
         Ok(StoreSummary {
             entries: live.len() as u64,
-            entry_bytes: live.iter().map(|r| r.bytes).sum(),
+            entry_bytes: live.iter().map(|f| f.bytes).sum(),
             quarantined_entries: quarantine.len() as u64,
             quarantined_bytes: quarantine.iter().map(|q| q.bytes).sum(),
             orphans_swept: self.orphans_swept.load(Ordering::Relaxed),
@@ -167,132 +173,153 @@ impl ResultStore {
         })
     }
 
-    /// Full checksum scrub: reads and decodes every live record through
-    /// the I/O seam, quarantining each failure. A second `verify` right
+    /// Full checksum scrub: reads every segment through the I/O seam,
+    /// checks its envelope and digest and decodes each record,
+    /// quarantining every segment that fails. A second `verify` right
     /// after therefore reports zero new quarantines — scrub-clean.
     ///
     /// # Errors
     ///
-    /// [`StoreError::Io`] if a directory cannot be listed (individual
-    /// record failures are quarantined, not errors).
+    /// [`StoreError::Io`] if the segment directory cannot be listed
+    /// (individual segment failures are quarantined, not errors).
     pub fn verify(&self) -> Result<ScrubReport, StoreError> {
-        let Some(dir) = self.dir() else {
-            return Ok(ScrubReport::default());
-        };
         let mut report = ScrubReport::default();
-        for record in disk_records(dir)? {
-            report.scanned += 1;
-            let healthy = match self.io.read(&record.path) {
-                Ok(bytes) => decode_sim_result(&bytes)
-                    .map(|_| ())
-                    .map_err(|e| e.to_string()),
-                Err(e) => Err(e.to_string()),
-            };
-            match healthy {
-                Ok(()) => {
+        for file in self.segment_files()? {
+            let checked = self
+                .read_segment(&file.path)
+                .and_then(|records| decode_records(&records).map(|r| r.len() as u64));
+            match checked {
+                Ok(records) => {
                     report.ok += 1;
-                    report.ok_bytes += record.bytes;
+                    report.ok_bytes += file.bytes;
+                    report.ok_records += records;
                 }
-                Err(why) => {
-                    self.quarantine(&record.path, &format!("scrub failed: {why}"));
+                // Gone since the listing (another handle's vacuum).
+                Err(SegmentFault::Missing) => continue,
+                Err(SegmentFault::Bad(why)) => {
+                    self.quarantine(&file.path, &format!("scrub failed: {why}"));
                     report.quarantined += 1;
                 }
             }
+            report.scanned += 1;
         }
         Ok(report)
     }
 
-    /// Collects the store down to `max_bytes` of live records, removing
-    /// the least recently used (by access time, falling back to mtime)
-    /// first. Quarantined records are not counted against the budget —
-    /// purge them separately.
+    /// Collects the store down to `max_bytes` of live segments. When the
+    /// segments exceed the budget, their records are rewritten — newest
+    /// first, one copy per key — into a single fresh segment that fits,
+    /// and every old segment is removed: the least recently used
+    /// records are the ones dropped. Segments that fail their check on
+    /// the way are quarantined. Quarantined files are not counted
+    /// against the budget — purge them separately.
     ///
     /// # Errors
     ///
-    /// [`StoreError::Io`] if a directory cannot be listed or a victim
-    /// cannot be removed.
+    /// [`StoreError::Io`] if the segment directory cannot be listed, the
+    /// fresh segment cannot be published, or an old one cannot be
+    /// removed.
     pub fn vacuum(&self, max_bytes: u64) -> Result<VacuumReport, StoreError> {
-        let Some(dir) = self.dir() else {
-            return Ok(VacuumReport::default());
-        };
-        let mut records = disk_records(dir)?;
-        // Oldest first; path as a tiebreak so equal timestamps (coarse
-        // filesystem clocks) still collect in a stable order.
-        records.sort_by(|a, b| (a.touched, &a.path).cmp(&(b.touched, &b.path)));
-        let total: u64 = records.iter().map(|r| r.bytes).sum();
+        let mut live = Vec::new();
+        for file in self.segment_files()? {
+            match self.read_segment(&file.path) {
+                Ok(records) => live.push((file, records)),
+                Err(SegmentFault::Missing) => {}
+                Err(SegmentFault::Bad(why)) => {
+                    self.quarantine(&file.path, &format!("vacuum: {why}"));
+                }
+            }
+        }
+        let total_bytes: u64 = live.iter().map(|(f, _)| f.bytes).sum();
+        let total_records = live.iter().map(|(_, r)| r.len() as u64).sum();
+        if total_bytes <= max_bytes {
+            return Ok(VacuumReport {
+                kept: live.len() as u64,
+                kept_bytes: total_bytes,
+                kept_records: total_records,
+                ..VacuumReport::default()
+            });
+        }
+        let mut seen = HashSet::new();
+        let mut survivors = Vec::new();
+        let mut size = ENVELOPE_LEN as u64;
+        'fill: for (_, records) in live.iter().rev() {
+            for r in records {
+                if !seen.insert(r.key) {
+                    continue;
+                }
+                let grown = size + (RECORD_OVERHEAD + r.bytes.len()) as u64;
+                if grown > max_bytes {
+                    break 'fill;
+                }
+                size = grown;
+                survivors.push(r.clone());
+            }
+        }
         let mut report = VacuumReport {
-            kept: records.len() as u64,
-            kept_bytes: total,
+            removed: live.len() as u64,
+            removed_records: total_records - survivors.len() as u64,
             ..VacuumReport::default()
         };
-        let mut over = total.saturating_sub(max_bytes);
-        for victim in &records {
-            if over == 0 {
-                break;
-            }
-            self.io
-                .remove_file(&victim.path)
-                .map_err(|e| io_err(&victim.path, e))?;
-            over = over.saturating_sub(victim.bytes);
-            report.removed += 1;
-            report.removed_bytes += victim.bytes;
-            report.kept -= 1;
-            report.kept_bytes -= victim.bytes;
+        if !survivors.is_empty() {
+            survivors.sort_by_key(|r| r.key);
+            let image = encode_bundle(&survivors);
+            let keys = survivors.iter().map(|r| SimKey::from_value(r.key));
+            self.publish_segment(self.next_segment(), &image, keys)
+                .map_err(|e| io_err(&self.segments_dir().unwrap_or_default(), e))?;
+            report.kept = 1;
+            report.kept_bytes = image.len() as u64;
+            report.kept_records = survivors.len() as u64;
         }
+        for (file, _) in &live {
+            self.io
+                .remove_file(&file.path)
+                .map_err(|e| io_err(&file.path, e))?;
+            self.forget_segment(&file.path);
+        }
+        report.removed_bytes = total_bytes - report.kept_bytes;
         Ok(report)
     }
 
-    /// Packs this store's live records into an `LVCB` bundle at `out`,
-    /// written atomically (fsynced sibling tempfile, rename). Records
-    /// are sorted by key, so two exports of identical content are
-    /// byte-identical files. `since` keeps only records touched within
-    /// that window (access time, falling back to mtime — the same
-    /// recency the vacuum uses). Records that fail to read or decode
-    /// are skipped and counted, never shipped. Ephemeral stores export
-    /// an empty (but valid) bundle.
+    /// Merges the valid records of every live segment into one `LVCB`
+    /// bundle at `out`, one copy per key, sorted by key — so two exports
+    /// of identical content are byte-identical files — and written
+    /// atomically (fsynced sibling tempfile, rename). `since` keeps only
+    /// records whose segment was touched within that window (access
+    /// time, falling back to mtime — the same recency the vacuum uses).
+    /// Segments that fail to read or check are skipped and counted,
+    /// never shipped. Ephemeral stores export an empty (but valid)
+    /// bundle.
     ///
     /// # Errors
     ///
-    /// [`StoreError::Io`] if the root cannot be listed or the bundle
-    /// cannot be written.
+    /// [`StoreError::Io`] if the segment directory cannot be listed or
+    /// the bundle cannot be written.
     pub fn export_bundle(
         &self,
         out: &Path,
         since: Option<Duration>,
     ) -> Result<BundleExportReport, StoreError> {
         let mut report = BundleExportReport::default();
-        let mut shipped = Vec::new();
-        if let Some(dir) = self.dir() {
-            let cutoff = since.and_then(|window| SystemTime::now().checked_sub(window));
-            for record in disk_records(dir)? {
-                if cutoff.is_some_and(|c| record.touched < c) {
-                    report.skipped_stale += 1;
-                    continue;
-                }
-                let key = record
-                    .path
-                    .file_stem()
-                    .and_then(|s| s.to_str())
-                    .and_then(SimKey::from_hex);
-                let Some(key) = key else {
-                    report.skipped_corrupt += 1;
-                    continue;
-                };
-                let Ok(bytes) = self.io.read(&record.path) else {
-                    report.skipped_corrupt += 1;
-                    continue;
-                };
-                if decode_sim_result(&bytes).is_err() {
-                    report.skipped_corrupt += 1;
-                    continue;
-                }
-                shipped.push(BundleRecord {
-                    key: key.value(),
-                    bytes,
-                });
+        let mut merged = BTreeMap::new();
+        let cutoff = since.and_then(|window| SystemTime::now().checked_sub(window));
+        for file in self.segment_files()? {
+            let checked = self
+                .read_segment(&file.path)
+                .and_then(|records| decode_records(&records).map(|_| records));
+            let Ok(records) = checked else {
+                report.skipped_corrupt += 1;
+                continue;
+            };
+            if cutoff.is_some_and(|c| file.touched < c) {
+                report.skipped_stale += records.len() as u64;
+                continue;
+            }
+            for r in records {
+                merged.entry(r.key).or_insert(r);
             }
         }
-        shipped.sort_by_key(|r| r.key);
+        let shipped: Vec<BundleRecord> = merged.into_values().collect();
         report.records = shipped.len() as u64;
         let image = encode_bundle(&shipped);
         report.bytes = image.len() as u64;
@@ -320,16 +347,16 @@ impl ResultStore {
     /// Unpacks an `LVCB` bundle into this store. The bundle envelope is
     /// verified fail-closed first (digest, magic, versions) — a damaged
     /// or foreign-engine bundle imports nothing. Each record is then
-    /// LVCR-decoded: valid ones are published atomically into their
-    /// disk slot (skipping slots already filled, so re-import after a
-    /// partial failure is idempotent), invalid ones are parked in
-    /// `quarantine/` and counted rather than aborting the rest.
-    /// Ephemeral stores import into the memory tier.
+    /// LVCR-decoded: invalid ones are parked in `quarantine/` and
+    /// counted rather than aborting the rest, and the valid ones no
+    /// segment holds yet are published atomically as **one** segment
+    /// (so re-import after a partial failure is idempotent). Ephemeral
+    /// stores import into the memory tier.
     ///
     /// # Errors
     ///
     /// [`StoreError::Corrupt`] if the bundle envelope fails validation;
-    /// [`StoreError::Io`] if the bundle cannot be read or a record
+    /// [`StoreError::Io`] if the bundle cannot be read or the segment
     /// cannot be published.
     pub fn import_bundle(&self, file: &Path) -> Result<BundleImportReport, StoreError> {
         let image = self.io.read(file).map_err(|e| io_err(file, e))?;
@@ -337,7 +364,10 @@ impl ResultStore {
             path: file.to_path_buf(),
             source,
         })?;
+        self.refresh_index(None);
         let mut report = BundleImportReport::default();
+        let mut fresh = Vec::new();
+        let mut seen = HashSet::new();
         for rec in records {
             let key = SimKey::from_value(rec.key);
             match decode_sim_result(&rec.bytes) {
@@ -355,27 +385,25 @@ impl ResultStore {
                     self.quarantined.fetch_add(1, Ordering::Relaxed);
                     report.quarantined += 1;
                 }
-                Ok(result) => match self.entry_path(key) {
-                    Some(path) => {
-                        if path.exists() {
-                            report.already_present += 1;
-                        } else {
-                            self.try_publish(&path, &rec.bytes)
-                                .map_err(|e| io_err(&path, e))?;
-                            report.imported += 1;
-                        }
-                    }
-                    None => {
-                        self.insert_memory(key, &result);
-                        report.imported += 1;
-                    }
-                },
+                Ok(result) if self.dir().is_none() => {
+                    self.insert_memory(key, &result);
+                    report.imported += 1;
+                }
+                Ok(_) if self.indexed(key) || !seen.insert(key) => report.already_present += 1,
+                Ok(_) => fresh.push(rec),
             }
+        }
+        if !fresh.is_empty() {
+            let keys = fresh.iter().map(|r| SimKey::from_value(r.key));
+            self.publish_segment(self.next_segment(), &encode_bundle(&fresh), keys)
+                .map_err(|e| io_err(&self.segments_dir().unwrap_or_default(), e))?;
+            report.imported = fresh.len() as u64;
         }
         Ok(report)
     }
 
-    /// Lists the records currently in `quarantine/`, sorted by path.
+    /// Lists the files currently in `quarantine/` (whole segments, and
+    /// bundle records that failed import), sorted by path.
     ///
     /// # Errors
     ///
@@ -404,12 +432,12 @@ impl ResultStore {
         Ok(entries)
     }
 
-    /// Deletes everything in `quarantine/`, returning how many records
+    /// Deletes everything in `quarantine/`, returning how many files
     /// were purged.
     ///
     /// # Errors
     ///
-    /// [`StoreError::Io`] if a quarantined record cannot be removed.
+    /// [`StoreError::Io`] if a quarantined file cannot be removed.
     pub fn quarantine_purge(&self) -> Result<u64, StoreError> {
         let entries = self.quarantine_list()?;
         for entry in &entries {
@@ -452,6 +480,21 @@ mod tests {
         d
     }
 
+    /// The segment file under `dir` that holds `key`, found by decoding.
+    fn segment_holding(dir: &Path, key: SimKey) -> PathBuf {
+        fs::read_dir(dir.join(crate::store::SEGMENTS_DIR))
+            .unwrap()
+            .flatten()
+            .map(|e| e.path())
+            .find(|p| {
+                decode_bundle(&fs::read(p).unwrap())
+                    .unwrap()
+                    .iter()
+                    .any(|r| r.key == key.value())
+            })
+            .expect("a segment holds the key")
+    }
+
     #[test]
     fn verify_quarantines_exactly_the_corrupt_records() {
         let dir = tmpdir("verify");
@@ -464,9 +507,8 @@ mod tests {
                 key
             })
             .collect();
-        // Corrupt one of the three on disk.
-        let hex = keys[1].to_hex();
-        let victim = dir.join(&hex[..2]).join(format!("{hex}.sim"));
+        // Corrupt the segment holding the second of the three.
+        let victim = segment_holding(&dir, keys[1]);
         let mut bytes = fs::read(&victim).unwrap();
         let last = bytes.len() - 1;
         bytes[last] ^= 0x80;
@@ -476,6 +518,7 @@ mod tests {
         assert_eq!(report.scanned, 3);
         assert_eq!(report.ok, 2);
         assert_eq!(report.quarantined, 1);
+        assert_eq!(report.ok_records, 2);
         // Scrub-clean: a second pass finds nothing left to quarantine.
         let again = store.verify().unwrap();
         assert_eq!(again.scanned, 2);
@@ -490,29 +533,45 @@ mod tests {
     }
 
     #[test]
-    fn vacuum_collects_down_to_the_byte_budget() {
+    fn vacuum_rewrites_the_newest_records_into_one_segment_within_budget() {
         let dir = tmpdir("vacuum");
         let store = ResultStore::open(&dir).unwrap();
-        let mut per_entry = 0;
-        for v in [450u32, 475, 500, 525, 550] {
-            let (key, result) = run_at(v);
-            store.put(key, &result);
-            per_entry = lowvcc_core::encode_sim_result(&result).len() as u64;
+        let puts: Vec<(SimKey, SimResult)> = [450u32, 475, 500, 525, 550].map(run_at).into();
+        for (key, result) in &puts {
+            store.put(*key, result);
         }
         let before = store.summary().unwrap();
-        assert_eq!(before.entries, 5);
-        // Budget for two records: three oldest go.
-        let report = store.vacuum(2 * per_entry).unwrap();
-        assert_eq!(report.removed, 3);
-        assert_eq!(report.kept, 2);
-        assert!(report.kept_bytes <= 2 * per_entry);
-        assert_eq!(store.summary().unwrap().entries, 2);
+        assert_eq!(before.entries, 5, "one segment per put");
+        // Budget for one segment holding the two newest records: the
+        // three oldest go.
+        let newest: Vec<BundleRecord> = puts[3..]
+            .iter()
+            .map(|(k, r)| BundleRecord {
+                key: k.value(),
+                bytes: lowvcc_core::encode_sim_result(r),
+            })
+            .collect();
+        let budget = encode_bundle(&newest).len() as u64;
+        let report = store.vacuum(budget).unwrap();
+        assert_eq!((report.removed, report.kept), (5, 1));
+        assert_eq!((report.removed_records, report.kept_records), (3, 2));
+        assert_eq!(report.kept_bytes, budget);
+        assert_eq!(report.kept_bytes + report.removed_bytes, before.entry_bytes);
+        assert_eq!(store.summary().unwrap().entries, 1);
+        // The survivors are the two newest keys.
+        let cold = ResultStore::open(&dir).unwrap();
+        assert_eq!(cold.get(puts[0].0), None);
+        assert_eq!(cold.get(puts[3].0).as_ref(), Some(&puts[3].1));
+        assert_eq!(cold.get(puts[4].0).as_ref(), Some(&puts[4].1));
         // A roomy budget removes nothing.
         let noop = store.vacuum(u64::MAX).unwrap();
-        assert_eq!(noop.removed, 0);
+        assert_eq!((noop.removed, noop.kept, noop.kept_records), (0, 1, 2));
         // The survivors still verify clean.
         let scrub = store.verify().unwrap();
-        assert_eq!((scrub.scanned, scrub.quarantined), (2, 0));
+        assert_eq!(
+            (scrub.scanned, scrub.quarantined, scrub.ok_records),
+            (1, 0, 2)
+        );
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -575,6 +634,30 @@ mod tests {
         for d in [&src, &out, &dst] {
             let _ = fs::remove_dir_all(d);
         }
+    }
+
+    #[test]
+    fn export_merges_one_copy_per_key_across_segments() {
+        let src = tmpdir("bundle_merge");
+        let store = ResultStore::open(&src).unwrap();
+        let (a, ra) = run_at(450);
+        let (b, rb) = run_at(500);
+        store.put_batch(&[(a, ra.clone()), (b, rb)]);
+        // A second writer publishes `a` again: two segments hold it.
+        ResultStore::open(&src).unwrap().with_writer(1).put(a, &ra);
+        assert_eq!(store.summary().unwrap().entries, 2);
+        let out = src.join("merged.lvcb");
+        let report = store.export_bundle(&out, None).unwrap();
+        assert_eq!(report.records, 2, "one copy per key");
+        let keys: Vec<u128> = decode_bundle(&fs::read(&out).unwrap())
+            .unwrap()
+            .iter()
+            .map(|r| r.key)
+            .collect();
+        let mut sorted = keys.clone();
+        sorted.sort_unstable();
+        assert_eq!(keys, sorted, "sorted by key");
+        let _ = fs::remove_dir_all(&src);
     }
 
     #[test]

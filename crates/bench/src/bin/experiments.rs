@@ -209,16 +209,17 @@ fn main() -> ExitCode {
             if let Some(store) = &cli.store {
                 let s = store.stats();
                 eprintln!(
-                    "cache: {} hits, {} misses ({} simulated), {} entries on disk",
+                    "cache: {} hits, {} misses ({} simulated), {} records in {} segments on disk",
                     s.hits,
                     s.misses,
                     s.misses,
-                    store.disk_entries()
+                    store.disk_entries(),
+                    store.disk_segments()
                 );
                 if s.quarantined + s.retries + s.write_failures + s.orphans_swept > 0 || s.degraded
                 {
                     eprintln!(
-                        "cache health: {} quarantined, {} retries, {} write failures, \
+                        "cache health: {} segments quarantined, {} retries, {} write failures, \
                          {} orphans swept{}",
                         s.quarantined,
                         s.retries,

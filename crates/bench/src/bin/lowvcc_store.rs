@@ -12,20 +12,26 @@
 //! lowvcc-store import FILE DIR
 //! ```
 //!
-//! `stats` sizes up the store (live entries/bytes, quarantine, orphan
-//! sweep count). `verify` is a full checksum scrub: every record is read
-//! and decoded, failures are moved to `quarantine/` — exit code 1 flags
-//! that something was quarantined, so a cron'd scrub alerts on bit rot.
-//! `vacuum` collects the store down to a byte budget, least recently
-//! used records first. `quarantine list`/`purge` inspect and empty the
-//! quarantine directory. `export` packs the store's live records into a
-//! checksummed `LVCB` bundle (optionally only those touched within the
-//! last `--since SECS`); `import` unpacks a bundle into a store root —
-//! atomically, idempotently, quarantining bad records, exit code 1 if
-//! any record was quarantined.
+//! A store root keeps its records in segments (`DIR/segments/*.lvcb`,
+//! one per publish), and every command works on whole segments.
+//! `stats` sizes up the store (live segments/bytes, quarantine, orphan
+//! sweep count). `verify` is a full checksum scrub: every segment is
+//! read, its digest checked and its records decoded, and failing
+//! segments are moved to `quarantine/` — exit code 1 flags that
+//! something was quarantined, so a cron'd scrub alerts on bit rot.
+//! `vacuum` collects the store down to a byte budget: the newest records
+//! that fit are rewritten into one fresh segment and the old segments
+//! removed, so the least recently used records go first. `quarantine
+//! list`/`purge` inspect and empty the quarantine directory. `export`
+//! merges the store's segments into one checksummed `LVCB` bundle
+//! (optionally only records touched within the last `--since SECS`);
+//! `import` publishes a bundle's new records into a store root as one
+//! segment — atomically, idempotently, quarantining bad records, exit
+//! code 1 if any record was quarantined.
 //!
-//! Exit codes: 0 clean, 1 `verify` quarantined at least one record (or
-//! `import` quarantined a bundle record), 2 usage or I/O errors.
+//! Exit codes: 0 clean, 1 `verify` quarantined at least one segment (or
+//! `import` quarantined a bundle record), 2 usage or I/O errors (a root
+//! still in the per-record layout of earlier releases is one).
 
 use std::fmt;
 use std::path::PathBuf;
@@ -185,9 +191,9 @@ fn run(cmd: Command) -> Result<ExitCode, CliError> {
         Command::Stats(dir) => {
             let store = ResultStore::open(dir)?;
             let s = store.summary()?;
-            println!("entries:             {}", s.entries);
-            println!("entry bytes:         {}", s.entry_bytes);
-            println!("quarantined entries: {}", s.quarantined_entries);
+            println!("segments:            {}", s.entries);
+            println!("segment bytes:       {}", s.entry_bytes);
+            println!("quarantined files:   {}", s.quarantined_entries);
             println!("quarantined bytes:   {}", s.quarantined_bytes);
             println!("orphans swept:       {}", s.orphans_swept);
             println!("degraded:            {}", s.degraded);
@@ -197,8 +203,8 @@ fn run(cmd: Command) -> Result<ExitCode, CliError> {
             let store = ResultStore::open(dir)?;
             let r = store.verify()?;
             println!(
-                "scanned {} records: {} ok ({} bytes), {} quarantined",
-                r.scanned, r.ok, r.ok_bytes, r.quarantined
+                "scanned {} segments: {} ok ({} records, {} bytes), {} quarantined",
+                r.scanned, r.ok, r.ok_records, r.ok_bytes, r.quarantined
             );
             Ok(if r.quarantined == 0 {
                 ExitCode::SUCCESS
@@ -210,8 +216,9 @@ fn run(cmd: Command) -> Result<ExitCode, CliError> {
             let store = ResultStore::open(dir)?;
             let r = store.vacuum(max_bytes)?;
             println!(
-                "kept {} records ({} bytes), removed {} ({} bytes) to fit {max_bytes} bytes",
-                r.kept, r.kept_bytes, r.removed, r.removed_bytes
+                "kept {} records in {} segments ({} bytes), dropped {} records and removed {} \
+                 segments ({} bytes) to fit {max_bytes} bytes",
+                r.kept_records, r.kept, r.kept_bytes, r.removed_records, r.removed, r.removed_bytes
             );
             Ok(ExitCode::SUCCESS)
         }
@@ -221,20 +228,21 @@ fn run(cmd: Command) -> Result<ExitCode, CliError> {
             for e in &entries {
                 println!("{}\t{}", e.bytes, e.path.display());
             }
-            println!("{} quarantined record(s)", entries.len());
+            println!("{} quarantined file(s)", entries.len());
             Ok(ExitCode::SUCCESS)
         }
         Command::QuarantinePurge(dir) => {
             let store = ResultStore::open(dir)?;
             let purged = store.quarantine_purge()?;
-            println!("purged {purged} quarantined record(s)");
+            println!("purged {purged} quarantined file(s)");
             Ok(ExitCode::SUCCESS)
         }
         Command::Export { dir, out, since } => {
             let store = ResultStore::open(dir)?;
             let r = store.export_bundle(&out, since)?;
             println!(
-                "bundled {} record(s) ({} bytes) into {} ({} corrupt skipped, {} outside --since)",
+                "bundled {} record(s) ({} bytes) into {} ({} corrupt segments skipped, \
+                 {} records outside --since)",
                 r.records,
                 r.bytes,
                 out.display(),

@@ -1,12 +1,14 @@
-//! `LVCB` warm-cache bundle codec: a single-file, checksummed shipping
-//! container for result-store records.
+//! `LVCB` bundle codec: a single-file, checksummed container for
+//! result-store records.
 //!
-//! A bundle is how a warm cache travels between machines: `lowvcc-store
-//! export` walks a store root into one file, `import` (or `lowvcc-serve
-//! --warm-bundle`) unpacks it into another store — after which a full
-//! paper-artefact run reports zero simulations. The codec here is pure
-//! and deterministic; all filesystem work lives in the admin layer
-//! (`ResultStore::export_bundle` / `import_bundle`).
+//! A bundle is the store's one on-disk format. Every segment a store
+//! publishes (`<root>/segments/*.lvcb`, see `store.rs`) is a bundle, and
+//! so is the file a warm cache travels between machines in:
+//! `lowvcc-store export` merges a store's segments into one bundle,
+//! `import` (or `lowvcc-serve --warm-bundle`) publishes it into another
+//! store as a segment — after which a full paper-artefact run reports
+//! zero simulations. The codec here is pure and deterministic; all
+//! filesystem work lives in the store and admin layers.
 //!
 //! Layout (all integers little-endian, mirroring `canon.rs`):
 //!
@@ -28,8 +30,9 @@
 //! typed errors (a bundle produced under different engine semantics
 //! must never seed a cache — its keys would alias fresh simulations
 //! with stale physics), and trailing bytes are rejected. Individual
-//! records are deliberately opaque at this layer; the importer decodes
-//! each one and quarantines failures without abandoning the rest.
+//! records are deliberately opaque at this layer: the store decodes a
+//! segment's records when it reads them, and the importer decodes each
+//! one and quarantines failures without abandoning the rest.
 
 use lowvcc_core::canon::{fnv1a_128, CanonError, ENGINE_SEMANTICS_VERSION};
 
@@ -46,8 +49,15 @@ const DIGEST_LEN: usize = 16;
 /// + engine version + record count.
 const HEADER_LEN: usize = 4 + 4 + 4 + 8;
 
-/// One shipped store record: the key's raw value and its encoded LVCR
-/// bytes, exactly as they sit in a store's disk slot.
+/// Bytes a bundle spends outside its records: header plus digest.
+pub(crate) const ENVELOPE_LEN: usize = HEADER_LEN + DIGEST_LEN;
+
+/// Bytes a bundle spends on each record besides its LVCR bytes: the
+/// key and the length field.
+pub(crate) const RECORD_OVERHEAD: usize = 16 + 8;
+
+/// One store record: the key's raw value and its encoded LVCR bytes,
+/// exactly as they sit in a store segment.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BundleRecord {
     /// Raw [`lowvcc_core::SimKey`] value.
@@ -61,8 +71,11 @@ pub struct BundleRecord {
 /// exporter sorts by key so two exports of one store compare equal).
 #[must_use]
 pub fn encode_bundle(records: &[BundleRecord]) -> Vec<u8> {
-    let payload: usize = records.iter().map(|r| 16 + 8 + r.bytes.len()).sum();
-    let mut out = Vec::with_capacity(HEADER_LEN + payload + DIGEST_LEN);
+    let payload: usize = records
+        .iter()
+        .map(|r| RECORD_OVERHEAD + r.bytes.len())
+        .sum();
+    let mut out = Vec::with_capacity(ENVELOPE_LEN + payload);
     out.extend_from_slice(BUNDLE_MAGIC);
     out.extend_from_slice(&BUNDLE_FORMAT_VERSION.to_le_bytes());
     out.extend_from_slice(&ENGINE_SEMANTICS_VERSION.to_le_bytes());

@@ -5,7 +5,7 @@ use std::sync::Arc;
 
 use lowvcc_core::{
     run_batch_groups, same_projection_as, sim_key, CoreConfig, MechanismComparison, Parallelism,
-    SimConfig, SimResult, SuiteResult,
+    SimConfig, SimKey, SimResult, SuiteResult,
 };
 
 use crate::error::ExperimentError;
@@ -251,7 +251,8 @@ impl ExperimentContext {
     /// grid runner every experiment goes through.
     ///
     /// With a cache, the call answers from the store where possible and
-    /// simulates only the misses (which are then stored); output is
+    /// simulates only the misses, which each round publishes as one
+    /// segment ([`ResultStore::put_batch`]); output is
     /// bit-identical to the uncached run — the determinism guarantee of
     /// DESIGN.md §6 is what makes keyed reuse sound. Misses are batched
     /// **per trace**: one round groups every missing configuration of a
@@ -360,11 +361,17 @@ impl ExperimentContext {
                 // On error the guards drop unpublished, waking every
                 // waiter to re-arbitrate; the error propagates here.
                 let fresh = run_batch_groups(&groups, &self.suite, self.parallelism)?;
-                let results = fresh.into_iter().flatten();
-                for ((t, c, guard), result) in leaders.into_iter().zip(results) {
-                    store.put(sim_key(&cfgs[c], &self.specs[t]), &result);
-                    drop(guard); // publish: retires the flight, wakes waiters
-                    fill(t, c, &result);
+                let batch: Vec<(SimKey, SimResult)> = leaders
+                    .iter()
+                    .zip(fresh.into_iter().flatten())
+                    .map(|((t, c, _), result)| (sim_key(&cfgs[*c], &self.specs[*t]), result))
+                    .collect();
+                // The whole round is one segment: one fsync, however
+                // many misses it filled.
+                store.put_batch(&batch);
+                for ((t, c, guard), (_, result)) in leaders.into_iter().zip(&batch) {
+                    drop(guard); // published: retires the flight, wakes waiters
+                    fill(t, c, result);
                 }
             }
             // A retired flight either published (next round hits) or was

@@ -112,11 +112,11 @@ fn dry_cold_run(dir: &Path, plan: FaultPlan) -> (u64, u64) {
 /// the seed draws. Two dry runs locate the pins.
 fn chaos_plan(root: &Path, seed: u64) -> FaultPlan {
     let seeded = FaultPlan::seeded(seed, 400);
-    // The cold run's first publish starts at op `w`. Its first three
-    // attempts fail, one per write kind, while retries remain (the
-    // rename fails after a clean tempfile write); its fourth attempt
-    // and the next two publishes land clean, so the warm run finds
-    // three records on disk.
+    // The cold run's first publish (one segment) starts at op `w`. Its
+    // first three attempts fail, one per write kind, while retries
+    // remain (the rename fails after a clean tempfile write); its
+    // fourth attempt and the next two publishes land clean, so the warm
+    // run finds three segments on disk.
     let (w, _) = dry_cold_run(&root.join("dry_seeded"), seeded.clone());
     let cold = (w + 4..w + 13).fold(
         seeded
@@ -126,10 +126,10 @@ fn chaos_plan(root: &Path, seed: u64) -> FaultPlan {
             .with_fault(w + 3, FaultKind::RenameFail),
         FaultPlan::with_clean_op,
     );
-    // The warm run starts at op `s` by reading those records in publish
-    // order, and each failed read costs one quarantine rename: flip a
-    // bit in the first, fail the second with EIO, and read the third
-    // clean so a record survives both runs.
+    // The warm run starts at op `s` by indexing those segments in
+    // publish order, and each failed read costs one quarantine rename:
+    // flip a bit in the first, fail the second with EIO, and read the
+    // third clean so a segment survives both runs.
     let (_, s) = dry_cold_run(&root.join("dry_pinned"), cold.clone());
     cold.with_fault(s, FaultKind::ReadBitFlip)
         .with_fault(s + 2, FaultKind::ReadEio)
@@ -230,25 +230,20 @@ fn chaos_runs_stay_byte_identical_and_scrub_clean() {
     );
 
     // Phase 3 — operability: take a clean handle to the mauled store,
-    // corrupt a few surviving records by hand (injected read faults
+    // corrupt a few surviving segments by hand (injected read faults
     // never corrupt the disk — torn writes always fail before their
     // rename), then scrub and collect.
     let admin = ResultStore::open(&store_dir).expect("clean handle opens");
     let mut flipped = 0u64;
-    for shard in fs::read_dir(&store_dir).expect("store listable") {
-        let shard = shard.expect("entry").path();
-        if !shard.is_dir() || shard.ends_with(lowvcc_bench::QUARANTINE_DIR) {
-            continue;
-        }
-        for entry in fs::read_dir(&shard).expect("shard listable") {
-            let p = entry.expect("entry").path();
-            if flipped < 3 && p.extension().is_some_and(|e| e == "sim") {
-                let mut bytes = fs::read(&p).expect("record readable");
-                let mid = bytes.len() / 2;
-                bytes[mid] ^= 0x40;
-                fs::write(&p, bytes).expect("record writable");
-                flipped += 1;
-            }
+    let segments = store_dir.join(lowvcc_bench::SEGMENTS_DIR);
+    for entry in fs::read_dir(&segments).expect("segments listable") {
+        let p = entry.expect("entry").path();
+        if flipped < 3 && p.extension().is_some_and(|e| e == "lvcb") {
+            let mut bytes = fs::read(&p).expect("segment readable");
+            let mid = bytes.len() / 2;
+            bytes[mid] ^= 0x40;
+            fs::write(&p, bytes).expect("segment writable");
+            flipped += 1;
         }
     }
     assert!(flipped > 0, "chaos runs left records to corrupt");
@@ -257,7 +252,7 @@ fn chaos_runs_stay_byte_identical_and_scrub_clean() {
     assert_eq!(scrub.scanned, before.entries);
     assert_eq!(
         scrub.quarantined, flipped,
-        "exactly the hand-flipped records"
+        "exactly the hand-flipped segments"
     );
     let rescrub = admin.verify().expect("second scrub");
     assert_eq!(rescrub.quarantined, 0, "scrub-clean after one pass");
@@ -265,7 +260,7 @@ fn chaos_runs_stay_byte_identical_and_scrub_clean() {
 
     // Phase 4 — after all that violence, a plain cached run over the
     // same directory still reproduces the baseline byte-for-byte (and
-    // heals the store back to full population).
+    // heals the store back to full population, in fresh segments).
     let out_final = root.join("out_final");
     let final_store = Arc::new(ResultStore::open(&store_dir).expect("store reopens"));
     let healed = run_all(&ctx().with_cache(final_store), &out_final).expect("final run");
@@ -275,7 +270,7 @@ fn chaos_runs_stay_byte_identical_and_scrub_clean() {
     // Phase 5 — collect the repopulated store down to half its bytes;
     // the result must respect the budget and still verify clean.
     let full = admin.verify().expect("post-heal scrub");
-    assert_eq!(full.quarantined, 0, "healed records are valid");
+    assert_eq!(full.quarantined, 0, "healed segments are valid");
     assert!(full.scanned > 1, "healing repopulated the store");
     let budget = full.ok_bytes / 2;
     let vacuumed = admin.vacuum(budget).expect("vacuum");
@@ -285,7 +280,10 @@ fn chaos_runs_stay_byte_identical_and_scrub_clean() {
     );
     assert!(vacuumed.removed > 0, "half budget must evict something");
     let final_scrub = admin.verify().expect("post-vacuum scrub");
-    assert_eq!(final_scrub.quarantined, 0, "vacuum left only clean records");
+    assert_eq!(
+        final_scrub.quarantined, 0,
+        "vacuum left only clean segments"
+    );
     assert_eq!(final_scrub.ok, vacuumed.kept);
 
     let _ = fs::remove_dir_all(&root);

@@ -7,27 +7,23 @@ use std::fs;
 use std::path::Path;
 use std::sync::Arc;
 
+use lowvcc_bench::bundle::decode_bundle;
 use lowvcc_bench::experiments::run_all;
-use lowvcc_bench::{ExperimentContext, ResultStore, QUARANTINE_DIR};
+use lowvcc_bench::{ExperimentContext, ResultStore, SEGMENTS_DIR};
 
 /// Distinct cycle-level projections `run_all` simulates per trace: the
 /// sweep's 21, Table 1's 4 and the stall split's stall-free reference.
 const DISTINCT_CONFIGS_PER_TRACE: u64 = 26;
 
-/// Counts the published records (`*.sim`) under a store directory by
-/// walking it, independently of the store's own bookkeeping.
+/// Counts the published records under a store directory by decoding
+/// every segment file, independently of the store's own bookkeeping.
 fn records_on_disk(dir: &Path) -> u64 {
     let mut n = 0;
-    for shard in fs::read_dir(dir).expect("store listable") {
-        let shard = shard.expect("entry").path();
-        if !shard.is_dir() || shard.ends_with(QUARANTINE_DIR) {
-            continue;
-        }
-        for entry in fs::read_dir(&shard).expect("shard listable") {
-            let p = entry.expect("entry").path();
-            if p.extension().is_some_and(|e| e == "sim") {
-                n += 1;
-            }
+    for entry in fs::read_dir(dir.join(SEGMENTS_DIR)).expect("segments listable") {
+        let p = entry.expect("entry").path();
+        if p.extension().is_some_and(|e| e == "lvcb") {
+            let bytes = fs::read(&p).expect("segment readable");
+            n += decode_bundle(&bytes).expect("segment decodes").len() as u64;
         }
     }
     n
@@ -50,9 +46,11 @@ fn store_misses_equal_engine_invocations() {
     assert_eq!(s.simulated_uops % LEN as u64, 0, "{s:?}");
     assert_eq!(s.misses, s.simulated_uops / LEN as u64, "{s:?}");
     assert_eq!(s.misses, DISTINCT_CONFIGS_PER_TRACE * traces, "{s:?}");
-    // …and each one was published: one record on disk per miss.
+    // …and each one was published: one record on disk per miss, by the
+    // segments' contents and by the store's own count.
     assert_eq!(records_on_disk(&root.join("store")), s.misses, "{s:?}");
     assert_eq!(s.stores, s.misses, "{s:?}");
+    assert_eq!(s.stores, store.disk_entries(), "{s:?}");
 
     let _ = fs::remove_dir_all(&root);
 }

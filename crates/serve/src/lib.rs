@@ -72,9 +72,10 @@
 //! ## Sharding
 //!
 //! `--shards N` runs N such daemons, each owning a deterministic slice
-//! of the key space via the [`shard`] consistent-hash ring, behind a
-//! [`router`] that forwards each request to the owning shard and merges
-//! full-grid sweeps byte-identically with the single-process daemon.
+//! of the operating points via the [`shard`] consistent-hash ring,
+//! behind a [`router`] that forwards each request to the owning shard
+//! and merges full-grid sweeps byte-identically with the single-process
+//! daemon. Each shard persists exactly what it computes.
 
 use std::io;
 use std::net::TcpListener;
@@ -328,11 +329,11 @@ impl Daemon {
     }
 
     /// Shard `index` of a cluster partitioned by `ring`: `store` is
-    /// attached to `ctx` and publishes only the keys the ring assigns
-    /// to this shard (the others stay memory-only, counted as
-    /// `foreign_puts`), [`warm`](Self::warm) pre-fills only this
-    /// shard's operating points, and the `metrics` response reports
-    /// the shard's index and the ring's size.
+    /// attached to `ctx` and names its segments for writer `index`, so
+    /// it persists exactly what this shard computes and its
+    /// `disk_entries` counts only those records; [`warm`](Self::warm)
+    /// pre-fills only this shard's operating points, and the `metrics`
+    /// response reports the shard's index and the ring's size.
     #[must_use]
     pub fn shard(
         ctx: ExperimentContext,
@@ -340,7 +341,7 @@ impl Daemon {
         ring: shard::Ring,
         index: u32,
     ) -> Self {
-        let store = store.with_key_owner(Arc::new(move |key| ring.owns(index, key)));
+        let store = store.with_writer(index);
         Self {
             slice: Some((ring, index)),
             ..Self::new(ctx.with_cache(Arc::new(store)))
@@ -506,7 +507,6 @@ impl Daemon {
                         ("retries", s.retries.to_string()),
                         ("write_failures", s.write_failures.to_string()),
                         ("orphans_swept", s.orphans_swept.to_string()),
-                        ("foreign_puts", s.foreign_puts.to_string()),
                         ("connections_accepted", c.accepted.to_string()),
                         ("connections_completed", c.completed.to_string()),
                         ("connections_refused", c.refused_busy.to_string()),
@@ -748,7 +748,6 @@ mod tests {
         assert_eq!(v.get("retries").unwrap().as_u64(), Some(0));
         assert_eq!(v.get("write_failures").unwrap().as_u64(), Some(0));
         assert_eq!(v.get("orphans_swept").unwrap().as_u64(), Some(0));
-        assert_eq!(v.get("foreign_puts").unwrap().as_u64(), Some(0));
 
         let (resp, stop) = d.handle_line(r#"{"experiment":"shutdown"}"#);
         assert!(stop);

@@ -35,9 +35,8 @@
 //! listening on HOST:PORT`) — harnesses scrape stdout and always get
 //! the front door. All shards share one `--cache DIR`; any number of
 //! writers can share a directory (unique tempfiles, atomic rename), and
-//! the deterministic ring only decides which
-//! shard pays each key's fsynced publish. With `--warm`, each shard
-//! pre-fills exactly its own slice.
+//! each shard persists what it computes in segments named for its
+//! index. With `--warm`, each shard pre-fills exactly its own slice.
 //!
 //! `--shard-index I --shard-count N` runs one such shard standalone
 //! (for multi-process clusters; `--warm` pre-fills its slice); `--route
@@ -279,7 +278,9 @@ fn run_daemon(opts: &Options) -> Result<(), String> {
     let store = match &opts.cache {
         Some(dir) => ResultStore::open(dir).map_err(|e| e.to_string())?,
         None => ResultStore::ephemeral(),
-    };
+    }
+    // Before the import, so an imported segment is named for this shard.
+    .with_writer(opts.shard_index.unwrap_or(0));
     if let Some(bundle) = &opts.warm_bundle {
         let report = store.import_bundle(bundle).map_err(|e| e.to_string())?;
         eprintln!(

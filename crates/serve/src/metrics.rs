@@ -357,7 +357,6 @@ pub fn store_json(s: &StoreStats) -> String {
         ("hit_rate", json::number(hit_rate)),
         ("stores", s.stores.to_string()),
         ("coalesced", s.coalesced.to_string()),
-        ("foreign_puts", s.foreign_puts.to_string()),
         ("quarantined", s.quarantined.to_string()),
         ("degraded", json::boolean(s.degraded)),
     ])

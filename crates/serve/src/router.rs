@@ -44,8 +44,8 @@
 //!
 //! [`start_cluster`] wires the whole thing up in one process: N shard
 //! daemons on ephemeral ports — each built by [`Daemon::shard`], so its
-//! store only publishes its own key slice — plus the router, each on
-//! its own thread. The CLI's `--shards N` flag and the integration tests
+//! store names its segments for its shard index — plus the router, each
+//! on its own thread. The CLI's `--shards N` flag and the integration tests
 //! both go through it.
 
 use std::io::{self, BufRead, BufReader, Write};
@@ -602,7 +602,6 @@ impl Router {
                     store.misses += n("misses");
                     store.stores += n("stores");
                     store.coalesced += n("coalesced");
-                    store.foreign_puts += n("foreign_puts");
                     store.quarantined += n("quarantined");
                 }
                 store.degraded |= s.get("degraded").and_then(json::Value::as_bool) == Some(true);
@@ -796,10 +795,10 @@ pub struct ClusterOptions {
     /// Simulation threads per shard (`--jobs`).
     pub jobs: usize,
     /// Shared on-disk store directory. All shards open the *same*
-    /// directory — safe for any number of writers (unique tempfiles,
-    /// atomic rename); key-slice ownership (`with_key_owner`) only
-    /// decides which shard pays each key's fsynced publish. `None` =
-    /// per-shard in-memory stores.
+    /// directory — safe for any number of writers: each shard publishes
+    /// what it computes as segments named for its index, with unique
+    /// tempfiles and an atomic rename. `None` = per-shard in-memory
+    /// stores.
     pub cache: Option<PathBuf>,
     /// Pre-fill each shard's slice of the sweep grid (plus the
     /// default-voltage `table1`/`stalls` points) before serving.
@@ -903,12 +902,14 @@ pub fn start_cluster(choice: SuiteChoice, opts: &ClusterOptions) -> Result<Clust
             Some(dir) => ResultStore::open(dir).map_err(|e| start("store", &e))?,
             None => ResultStore::ephemeral(),
         };
+        let daemon = Daemon::shard(ctx, store, ring, index);
         if let Some(bundle) = &opts.warm_bundle {
-            store
+            daemon
+                .store()
                 .import_bundle(bundle)
                 .map_err(|e| start("bundle", &e))?;
         }
-        built.push((listener, Daemon::shard(ctx, store, ring, index)));
+        built.push((listener, daemon));
     }
     let Some((_, first)) = built.first() else {
         return Err(ClusterError::Start(

@@ -11,21 +11,19 @@
 //! disruptive when the shard count changes (keys only move onto the new
 //! shard, never between old ones).
 //!
-//! Two granularities share one ring:
-//!
-//! * **Request routing** hashes a *voltage anchor* — the [`SimKey`] of
-//!   the baseline configuration at the request's voltage on the
-//!   suite's first trace — so a whole operating point (all mechanisms
-//!   × all traces) lands on one shard and its single-flight layer
-//!   dedups concurrent identical queries exactly as in the
-//!   single-process daemon.
-//! * **Store ownership** hashes each individual [`SimKey`]: a shard's
-//!   [`lowvcc_bench::ResultStore`] only publishes keys the ring assigns
-//!   to it (misrouted or locally-derived foreign keys stay memory-only,
-//!   counted as `foreign_puts`). Ownership only decides which shard pays
-//!   a key's fsynced publish: a shared directory is safe for any number
-//!   of writers, since tempfiles are unique per process and per call and
-//!   the publish is an atomic rename.
+//! One granularity: **request routing** hashes a *voltage anchor* — the
+//! [`SimKey`] of the baseline configuration at the request's voltage on
+//! the suite's first trace — so a whole operating point (all mechanisms
+//! × all traces) lands on one shard and its single-flight layer dedups
+//! concurrent identical queries exactly as in the single-process
+//! daemon. Routing alone decides who persists what: a shard's
+//! [`lowvcc_bench::ResultStore`] publishes every key it computes, as
+//! segments named for the shard's index. A request sent straight to a
+//! shard that does not own its voltage only writes a duplicate record —
+//! the bytes are identical, and every store's index deduplicates — and
+//! a shared directory is safe for any number of writers, since
+//! tempfiles are unique per process and per call and the publish is an
+//! atomic rename.
 
 use lowvcc_core::canon::fnv1a_64;
 use lowvcc_core::{sim_key, CoreConfig, SimConfig, SimKey};
@@ -69,8 +67,8 @@ impl Ring {
         jump_hash(fnv1a_64(&bytes), self.shards)
     }
 
-    /// Whether shard `index` owns `key` — the closure shape
-    /// [`lowvcc_bench::ResultStore::with_key_owner`] takes.
+    /// Whether shard `index` owns `key` (for an anchor: whether the
+    /// shard serves that operating point).
     #[must_use]
     pub fn owns(&self, index: u32, key: SimKey) -> bool {
         self.owner(key) == index

@@ -7,7 +7,8 @@ use std::io::{BufRead, BufReader, Write};
 use std::net::{TcpListener, TcpStream};
 use std::time::{Duration, Instant};
 
-use lowvcc_bench::{json, ExperimentContext, ResultStore, SuiteChoice, QUARANTINE_DIR};
+use lowvcc_bench::bundle::decode_bundle;
+use lowvcc_bench::{json, ExperimentContext, ResultStore, SuiteChoice, SEGMENTS_DIR};
 use lowvcc_core::CoreConfig;
 use lowvcc_serve::router::{start_cluster, ClusterOptions};
 use lowvcc_serve::shard::{voltage_anchor, Ring};
@@ -16,8 +17,8 @@ use lowvcc_sram::{CycleTimeModel, Millivolts, PAPER_SWEEP};
 use lowvcc_trace::suite;
 
 /// The paper grid partitions identically on every independently
-/// constructed ring: 13 sweep voltages × 3 trace specs, anchored and
-/// keyed exactly as the router and store ownership hook do it.
+/// constructed ring: 13 sweep voltages × 3 trace specs, anchored
+/// exactly as the router does it.
 #[test]
 fn paper_grid_partition_is_deterministic() {
     let core = CoreConfig::silverthorne();
@@ -318,21 +319,20 @@ fn cluster_fails_over_around_a_dead_shard_and_recovers() {
 /// single daemon's warm-up does, once each. Over a shared on-disk
 /// cache, every shard's store is open before any shard publishes, so
 /// no store's orphan sweep deletes another shard's in-flight publish.
-/// `*.sim` records in a store directory's shard subdirectories
-/// (quarantine excluded).
-fn sim_files(dir: &std::path::Path) -> u64 {
-    let mut n = 0;
-    for shard in std::fs::read_dir(dir).expect("cache dir lists").flatten() {
-        if shard.path().is_dir() && shard.file_name() != QUARANTINE_DIR {
-            for entry in std::fs::read_dir(shard.path())
-                .expect("shard lists")
-                .flatten()
-            {
-                n += u64::from(entry.path().extension().is_some_and(|e| e == "sim"));
-            }
-        }
-    }
-    n
+/// Records in a store directory, counted by decoding its segment files
+/// (quarantine excluded) — independently of the stores' bookkeeping.
+fn segment_records(dir: &std::path::Path) -> u64 {
+    let Ok(listing) = std::fs::read_dir(dir.join(SEGMENTS_DIR)) else {
+        return 0;
+    };
+    listing
+        .flatten()
+        .filter(|e| e.path().extension().is_some_and(|x| x == "lvcb"))
+        .map(|e| {
+            let bytes = std::fs::read(e.path()).expect("segment reads");
+            decode_bundle(&bytes).expect("segment decodes").len() as u64
+        })
+        .sum()
 }
 
 #[test]
@@ -415,22 +415,25 @@ fn warm_cluster_answers_its_first_sweep_cached_within_seconds() {
             sum("misses") * 2_000,
             "shared disk: {shared}"
         );
-        // Each shard counts only the records it owns, so the sum is the
-        // directory's record count, not shards × records.
-        let records = if shared { sim_files(&dir) } else { 0 };
+        // Each shard counts only the records in its own segments, so the
+        // sum is the directory's record count, not shards × records.
+        let records = if shared { segment_records(&dir) } else { 0 };
         assert_eq!(sum("disk_entries"), records, "shared disk: {shared}");
-        if shared {
-            // A stored record either landed in the owner's disk slot or
-            // stayed in memory as a foreign put. Ephemeral stores have no
-            // disk slot, so the identity applies to the shared disk only.
-            assert_eq!(sum("stores"), sum("disk_entries") + sum("foreign_puts"));
-        }
         for s in shards {
             assert_eq!(
                 s.get("store_degraded").and_then(json::Value::as_bool),
                 Some(false),
                 "shared disk: {shared}"
             );
+            if shared {
+                // Every shard persists exactly what it computes. Ephemeral
+                // stores have no disk, so this applies to the shared one.
+                assert_eq!(
+                    s.get("stores").and_then(json::Value::as_u64),
+                    s.get("disk_entries").and_then(json::Value::as_u64),
+                    "per shard: {s:?}"
+                );
+            }
         }
 
         let resp = roundtrip(&stream, &mut reader, "{\"experiment\": \"shutdown\"}");
@@ -438,4 +441,99 @@ fn warm_cluster_answers_its_first_sweep_cached_within_seconds() {
         cluster.join().expect("clean fan-out shutdown");
     }
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Sends `lines` through a cluster's router, returning each answer.
+fn answers(router: std::net::SocketAddr, lines: &[&str]) -> Vec<String> {
+    let stream = TcpStream::connect(router).expect("connect router");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(120)))
+        .expect("timeout");
+    let mut reader = BufReader::new(&stream);
+    lines
+        .iter()
+        .map(|line| roundtrip(&stream, &mut reader, line))
+        .collect()
+}
+
+/// Per-shard `(misses, stores, disk_entries)` from the router's stats.
+fn shard_store_counts(router: std::net::SocketAddr) -> Vec<(u64, u64, u64)> {
+    let stats = answers(router, &["{\"experiment\": \"stats\"}"]).remove(0);
+    let v = json::parse(&stats).expect("stats parse");
+    let n = |s: &json::Value, k: &str| s.get(k).and_then(json::Value::as_u64).expect(k);
+    v.get("shards")
+        .and_then(json::Value::as_array)
+        .expect("per-shard stats")
+        .iter()
+        .map(|s| (n(s, "misses"), n(s, "stores"), n(s, "disk_entries")))
+        .collect()
+}
+
+/// Whatever a cluster computes survives a restart: a cold 3-shard pass
+/// over a fresh cache dir (full sweep, `table1` at 450 mV, `stalls` at
+/// 525 mV), a shutdown, and a new cluster over the same dir answers the
+/// same lines byte-identically (up to the `cached` flag) without
+/// simulating anything.
+#[test]
+fn restarted_cluster_resimulates_nothing() {
+    const LINES: [&str; 3] = [
+        "{\"experiment\": \"sweep\"}",
+        "{\"experiment\": \"table1\", \"vcc\": 450}",
+        "{\"experiment\": \"stalls\", \"vcc\": 525}",
+    ];
+    let choice = SuiteChoice::Sized {
+        per_family: 1,
+        len: 2_000,
+    };
+    let dir = std::env::temp_dir().join(format!("lowvcc_restart_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let opts = ClusterOptions {
+        shards: 3,
+        jobs: 2,
+        cache: Some(dir.clone()),
+        ..ClusterOptions::default()
+    };
+    let shutdown = |router| {
+        let resp = answers(router, &["{\"experiment\": \"shutdown\"}"]).remove(0);
+        assert!(resp.contains("\"shutdown\": true"), "got: {resp}");
+    };
+
+    let cluster = start_cluster(choice, &opts).expect("cold cluster starts");
+    let cold = answers(cluster.router_addr(), &LINES);
+    let counts = shard_store_counts(cluster.router_addr());
+    assert!(
+        counts.iter().map(|c| c.0).sum::<u64>() > 0,
+        "the cold pass simulates"
+    );
+    for (i, &(_, stores, disk_entries)) in counts.iter().enumerate() {
+        assert_eq!(stores, disk_entries, "shard {i} persists what it computes");
+    }
+    assert_eq!(
+        counts.iter().map(|c| c.2).sum::<u64>(),
+        segment_records(&dir),
+        "shard counts sum to the directory's records"
+    );
+    shutdown(cluster.router_addr());
+    cluster.join().expect("cold cluster exits");
+
+    let cluster = start_cluster(choice, &opts).expect("restarted cluster starts");
+    let warm = answers(cluster.router_addr(), &LINES);
+    let counts = shard_store_counts(cluster.router_addr());
+    shutdown(cluster.router_addr());
+    cluster.join().expect("restarted cluster exits");
+    let _ = std::fs::remove_dir_all(&dir);
+
+    for ((line, cold), warm) in LINES.iter().zip(&cold).zip(&warm) {
+        assert!(cold.contains("\"ok\": true"), "{line}: {cold}");
+        assert_eq!(
+            *warm,
+            cold.replace("\"cached\": false", "\"cached\": true"),
+            "{line} after the restart"
+        );
+    }
+    assert_eq!(
+        counts.iter().map(|c| c.0).sum::<u64>(),
+        0,
+        "a restarted cluster re-simulates nothing: {counts:?}"
+    );
 }

@@ -288,10 +288,11 @@ fn concurrent_shared_store_single_flights_and_stays_bit_identical() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// Flipped bytes in store entries self-heal: every corrupt record is
-/// quarantined (never read as garbage statistics — the checksum fails
-/// closed), the experiment re-simulates and re-publishes, and the
-/// answer is bit-identical to the uncorrupted one.
+/// Flipped bytes in store segments self-heal: every corrupt segment is
+/// quarantined whole (never read as garbage statistics — the digest
+/// fails closed), the experiment re-simulates and re-publishes every
+/// record it held, and the answer is bit-identical to the uncorrupted
+/// one.
 #[test]
 fn corrupt_store_entries_quarantine_and_self_heal() {
     let dir = std::env::temp_dir().join(format!("lowvcc_it_corrupt_{}", std::process::id()));
@@ -304,8 +305,9 @@ fn corrupt_store_entries_quarantine_and_self_heal() {
     let published = store.disk_entries();
     assert_eq!(published, 14, "2 mechanisms × 7 traces persisted");
 
-    // Flip one byte in every record; no read may ever trust them again.
-    let mut flipped = 0;
+    // Flip one byte in every segment; no read may ever trust them again.
+    // The records they hold are counted by decoding them first.
+    let (mut segments, mut flipped) = (0, 0);
     for shard in std::fs::read_dir(&dir).unwrap() {
         let shard = shard.unwrap().path();
         if !shard.is_dir() {
@@ -314,16 +316,17 @@ fn corrupt_store_entries_quarantine_and_self_heal() {
         for entry in std::fs::read_dir(&shard).unwrap() {
             let p = entry.unwrap().path();
             let mut bytes = std::fs::read(&p).unwrap();
+            flipped += lowvcc_bench::bundle::decode_bundle(&bytes).unwrap().len() as u64;
             let mid = bytes.len() / 2;
             bytes[mid] ^= 0x20;
             std::fs::write(&p, bytes).unwrap();
-            flipped += 1;
+            segments += 1;
         }
     }
     assert_eq!(flipped, published, "every record corrupted");
 
     // A fresh handle (cold LRU) hits the corrupt bytes, quarantines
-    // every record, re-simulates, and still answers identically.
+    // every segment, re-simulates, and still answers identically.
     let fresh = Arc::new(ResultStore::open(&dir).expect("store reopens"));
     let base2 = ExperimentContext::sized(1, 2_000).expect("suite rebuilds");
     let ctx2 = base2.with_cache(Arc::clone(&fresh));
@@ -331,8 +334,8 @@ fn corrupt_store_entries_quarantine_and_self_heal() {
     assert_eq!(healed, clean, "re-simulation is bit-identical");
     let stats = fresh.stats();
     assert_eq!(
-        stats.quarantined, flipped,
-        "every corrupt record quarantined ({stats:?})"
+        stats.quarantined, segments,
+        "every corrupt segment quarantined ({stats:?})"
     );
     assert_eq!(stats.misses, flipped, "every key re-simulated");
     assert_eq!(
@@ -343,7 +346,7 @@ fn corrupt_store_entries_quarantine_and_self_heal() {
     // And the healed records verify scrub-clean.
     let scrub = fresh.verify().expect("scrub");
     assert_eq!(
-        (scrub.scanned, scrub.quarantined),
+        (scrub.ok_records, scrub.quarantined),
         (published, 0),
         "healed store is scrub-clean"
     );
