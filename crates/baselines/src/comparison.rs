@@ -195,9 +195,9 @@ pub fn rows_from_results(configs: &[TechniqueConfig], suites: &[SuiteResult]) ->
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lowvcc_core::{run_suite_batch, Parallelism};
+    use lowvcc_core::{run_suite_batch, sim_key, Parallelism};
     use lowvcc_sram::voltage::mv;
-    use lowvcc_trace::{Trace, TraceSpec, WorkloadFamily};
+    use lowvcc_trace::{TraceArena, TraceSpec, WorkloadFamily};
 
     #[test]
     fn qualitative_rows_match_the_paper() {
@@ -214,12 +214,12 @@ mod tests {
     #[test]
     fn quantitative_rows_tell_the_papers_story() {
         let timing = CycleTimeModel::silverthorne_45nm();
-        let traces: Vec<Trace> = vec![
+        let traces: Vec<TraceArena> = vec![
             TraceSpec::new(WorkloadFamily::SpecInt, 0, 12_000)
-                .build()
+                .build_arena()
                 .unwrap(),
             TraceSpec::new(WorkloadFamily::Multimedia, 1, 12_000)
-                .build()
+                .build_arena()
                 .unwrap(),
         ];
         let configs = technique_configs(CoreConfig::silverthorne(), &timing, mv(475));
@@ -244,5 +244,22 @@ mod tests {
         assert!(eb.relative_ipc < 1.0, "write-port contention costs IPC");
         // Overheads ordered as the paper argues: IRAW ≪ fault maps.
         assert!(iraw.area_fraction < by_name("faulty bits").area_fraction);
+    }
+
+    #[test]
+    fn the_realistic_faulty_bits_row_is_the_baseline_run_where_it_disables_nothing() {
+        let timing = CycleTimeModel::silverthorne_45nm();
+        let spec = TraceSpec::new(WorkloadFamily::Kernel, 0, 1_000);
+        for v in [500, 450, 425, 400] {
+            let configs = technique_configs(CoreConfig::silverthorne(), &timing, mv(v));
+            let (baseline, realistic) = (&configs[0].cfg, &configs[1].cfg);
+            assert_eq!(realistic.disabled_lines, (0, 0, 0), "{v} mV");
+            assert_ne!(realistic.fault_seed, baseline.fault_seed, "{v} mV");
+            assert_eq!(
+                sim_key(realistic, &spec),
+                sim_key(baseline, &spec),
+                "{v} mV: one simulation for both rows"
+            );
+        }
     }
 }

@@ -1,5 +1,10 @@
 //! Shared experiment context: models, machine configuration, the trace
 //! suite, and the optional result cache every experiment runs through.
+//!
+//! The suite is synthesized straight into [`TraceArena`]s once, when the
+//! context is built, and held behind an `Arc`: every clone of a context
+//! (each shard of an in-process cluster, say) shares that one decoded
+//! copy, and no grid run decodes or validates a trace again.
 
 use std::sync::Arc;
 
@@ -12,7 +17,7 @@ use crate::error::ExperimentError;
 use crate::store::{Flight, FlightGuard, FlightWaiter, ResultStore};
 use lowvcc_energy::EnergyModel;
 use lowvcc_sram::{CycleTimeModel, Millivolts};
-use lowvcc_trace::{suite, Trace, TraceSpec};
+use lowvcc_trace::{suite, TraceArena, TraceSpec};
 
 /// A parsed suite choice — the one grammar behind the `--suite` flag of
 /// both the `experiments` binary and `lowvcc-serve`.
@@ -137,8 +142,8 @@ pub struct ExperimentContext {
     pub energy: EnergyModel,
     /// Machine configuration.
     pub core: CoreConfig,
-    /// The workload suite.
-    pub suite: Vec<Trace>,
+    /// The workload suite, decoded once and shared by every clone.
+    pub suite: Arc<[TraceArena]>,
     /// The specs the suite was built from, index-aligned with `suite`.
     /// Content addressing hashes these (family, seed, length) rather
     /// than megabytes of generated uops.
@@ -161,15 +166,15 @@ impl ExperimentContext {
     ///
     /// Propagates trace-generation failures.
     pub fn from_specs(specs: &[TraceSpec], label: &str) -> Result<Self, ExperimentError> {
-        let mut traces = Vec::with_capacity(specs.len());
-        for s in specs {
-            traces.push(s.build()?);
-        }
+        let suite = specs
+            .iter()
+            .map(TraceSpec::build_arena)
+            .collect::<Result<Vec<_>, _>>()?;
         Ok(Self {
             timing: CycleTimeModel::silverthorne_45nm(),
             energy: EnergyModel::silverthorne_45nm(),
             core: CoreConfig::silverthorne(),
-            suite: traces,
+            suite: suite.into(),
             specs: specs.to_vec(),
             suite_label: label.to_string(),
             parallelism: Parallelism::sequential(),
@@ -239,16 +244,22 @@ impl ExperimentContext {
     /// Total dynamic uops in the suite.
     #[must_use]
     pub fn total_uops(&self) -> usize {
-        self.suite.iter().map(Trace::len).sum()
+        self.suite.iter().map(TraceArena::len).sum()
+    }
+
+    /// Bytes of decoded trace records the suite holds (40 per uop).
+    #[must_use]
+    pub fn decoded_bytes(&self) -> usize {
+        self.suite.iter().map(TraceArena::record_bytes).sum()
     }
 
     /// Runs every configuration over the whole suite, batched per trace:
-    /// each trace is decoded once and all of `cfgs` replay it back to
-    /// back through a reused engine workspace. Returns one
-    /// [`SuiteResult`] per configuration, in `cfgs` order —
-    /// byte-identical to one fresh simulation per (config, trace) pair
-    /// (the `batch_vs_perpoint` suite asserts it). This is the one cached
-    /// grid runner every experiment goes through.
+    /// all of `cfgs` replay one trace's arena back to back through a
+    /// reused engine workspace. Returns one [`SuiteResult`] per
+    /// configuration, in `cfgs` order — byte-identical to one fresh
+    /// simulation per (config, trace) pair (the `batch_vs_perpoint` suite
+    /// asserts it). This is the one cached grid runner every experiment
+    /// goes through.
     ///
     /// With a cache, the call answers from the store where possible and
     /// simulates only the misses, which each round publishes as one
@@ -256,8 +267,8 @@ impl ExperimentContext {
     /// bit-identical to the uncached run — the determinism guarantee of
     /// DESIGN.md §6 is what makes keyed reuse sound. Misses are batched
     /// **per trace**: one round groups every missing configuration of a
-    /// trace behind a single decode, so a cold 13-point sweep decodes
-    /// each trace once rather than once per (config, trace) pair.
+    /// trace into one group of the grid executor, so a worker replays
+    /// that trace for all of them while it is hot in cache.
     ///
     /// Configurations with equal cycle-level projections share a key
     /// ([`same_projection_as`]), so each distinct `(trace, key)` is
@@ -316,11 +327,11 @@ impl ExperimentContext {
                     cycle_time: cfgs[i].cycle_time,
                     ..result.clone()
                 };
-                slots[i][t] = Some((self.suite[t].name.clone(), stamped));
+                slots[i][t] = Some((self.suite[t].name().to_string(), stamped));
             }
         };
         // Trace-major order, so one round's leaders arrive grouped by
-        // trace and each group below shares a single decode.
+        // trace and form one executor group per trace below.
         let mut unresolved: Vec<(usize, usize)> = (0..self.suite.len())
             .flat_map(|t| {
                 firsts
@@ -343,8 +354,8 @@ impl ExperimentContext {
             if !leaders.is_empty() {
                 // Group this round's misses per *trace* (leaders are
                 // trace-major, so consecutive runs share an index):
-                // `run_batch_groups` then decodes each trace once for
-                // all of its missing configurations.
+                // `run_batch_groups` then replays each trace once per
+                // missing configuration, back to back.
                 let mut groups: Vec<(usize, Vec<SimConfig>)> = Vec::new();
                 for (t, c, _) in &leaders {
                     match groups.last_mut() {
@@ -427,9 +438,19 @@ mod tests {
         assert_eq!(ctx.specs.len(), 7);
         assert_eq!(ctx.total_uops(), 70_000);
         assert!(ctx.suite_label.contains("quick"));
-        for (spec, trace) in ctx.specs.iter().zip(&ctx.suite) {
-            assert_eq!(spec.name(), trace.name, "specs track traces");
+        for (spec, trace) in ctx.specs.iter().zip(ctx.suite.iter()) {
+            assert_eq!(spec.name(), trace.name(), "specs track traces");
         }
+        assert_eq!(ctx.decoded_bytes(), 40 * 70_000);
+    }
+
+    #[test]
+    fn clones_share_one_decoded_suite() {
+        let ctx = ExperimentContext::sized(1, 1_000).unwrap();
+        let cached = ctx.clone().with_cache(Arc::new(ResultStore::ephemeral()));
+        let threaded = ctx.clone().with_parallelism(Parallelism::threads(2));
+        assert!(Arc::ptr_eq(&ctx.suite, &cached.suite));
+        assert!(Arc::ptr_eq(&ctx.suite, &threaded.suite));
     }
 
     #[test]

@@ -50,7 +50,7 @@ pub fn measure(ctx: &ExperimentContext) -> Result<StallReport, ExperimentError> 
 
 /// Measures the attribution at an arbitrary voltage. The IRAW and
 /// stall-free configurations run as one two-configuration batch, so
-/// each trace is decoded once for both.
+/// each trace is replayed for both back to back.
 ///
 /// # Errors
 ///

@@ -133,8 +133,8 @@ pub fn configs(ctx: &ExperimentContext) -> Vec<SimConfig> {
 
 /// Runs the full baseline-vs-IRAW sweep over the paper's voltage grid in
 /// one batched pass: all of [`configs`] go through
-/// [`ExperimentContext::run_suite_batch`], so every trace is decoded once
-/// for the whole grid, each distinct simulation runs once, and each
+/// [`ExperimentContext::run_suite_batch`], so each trace is replayed for
+/// the whole grid back to back, each distinct simulation runs once, and each
 /// worker's engine workspace is reused across all sweep points.
 /// Byte-identical to one fresh simulation per (config, trace) pair for
 /// any worker count — the `batch_vs_perpoint` suite asserts it.

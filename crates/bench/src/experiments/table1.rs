@@ -37,7 +37,7 @@ pub fn qualitative() -> TextTable {
 }
 
 /// Measured rows at `vcc` over the context suite, as **one batch**: all
-/// technique configurations replay each trace behind a single decode via
+/// technique configurations replay each trace back to back via
 /// [`ExperimentContext::run_suite_batch`]. Through the result cache each
 /// technique's `SimConfig` still keys its own suite run, so a warm
 /// Table 1 performs zero simulations (and shares the baseline run with

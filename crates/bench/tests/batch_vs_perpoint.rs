@@ -36,14 +36,20 @@ fn csv_bytes(table: &TextTable, name: &str) -> Vec<u8> {
     bytes
 }
 
-/// The reference: `cfg` over the suite, one fresh engine per trace.
+/// The reference: `cfg` over the suite, one fresh engine per trace,
+/// each trace built as a `Trace` from its spec (not the context's
+/// arenas).
 fn per_point(ctx: &ExperimentContext, cfg: &SimConfig) -> SuiteResult {
     let sim = Simulator::new(cfg.clone()).expect("valid config");
     SuiteResult {
         per_trace: ctx
-            .suite
+            .specs
             .iter()
-            .map(|t| (t.name.clone(), sim.run(t).expect("simulation completes")))
+            .map(|spec| {
+                let t = spec.build().expect("preset trace");
+                let r = sim.run(&t).expect("simulation completes");
+                (t.name, r)
+            })
             .collect(),
     }
 }

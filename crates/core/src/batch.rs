@@ -2,23 +2,41 @@
 //!
 //! A voltage sweep replays the *same* trace under many configurations
 //! (13 voltage points × up to 3 mechanisms). The grid executor
-//! ([`run_batch_groups`](crate::perf::run_batch_groups)) decodes each
-//! trace once into a [`TraceArena`] and reuses one [`EngineWorkspace`]
-//! per worker across all points, so the steady state of a warmed-up
-//! sweep allocates nothing (verified by the counting-allocator test in
-//! `tests/zero_alloc.rs`).
+//! ([`run_batch_groups`](crate::perf::run_batch_groups)) runs on
+//! [`TraceArena`]s decoded before it is called — a suite is synthesized
+//! straight into arenas once per process and shared by every grid after
+//! that — and reuses one [`EngineWorkspace`] per worker across all
+//! points, so the steady state of a warmed-up sweep neither decodes nor
+//! allocates (verified by the counting-allocator test in
+//! `tests/zero_alloc.rs`). A [`Trace`] built some other way enters
+//! through [`decode_trace`], the one place its uops are validated.
 //!
 //! A reused workspace is byte-identical to a fresh engine per run: every
 //! [`Engine::reset`] restores the exact freshly-constructed state, and
 //! the equivalence suites assert it across traces, mechanisms and worker
 //! counts.
 
-use lowvcc_trace::TraceArena;
+use lowvcc_trace::{Trace, TraceArena};
 
 use crate::config::SimConfig;
 use crate::error::SimError;
 use crate::pipeline::{Engine, EngineProfile};
 use crate::stats::SimResult;
+
+/// Validates `trace` and decodes it into a [`TraceArena`], so a
+/// malformed uop is a typed error instead of a silently wrong (or
+/// panicking) simulation.
+///
+/// # Errors
+///
+/// [`SimError::InvalidTrace`] for the first malformed uop.
+pub fn decode_trace(trace: &Trace) -> Result<TraceArena, SimError> {
+    for (index, uop) in trace.uops.iter().enumerate() {
+        uop.validate()
+            .map_err(|source| SimError::InvalidTrace { index, source })?;
+    }
+    Ok(TraceArena::from_trace(trace))
+}
 
 /// A reusable engine slot: scoreboards, timed buffers, pending heaps and
 /// stall-guard state live across runs and are `reset()` between them
@@ -225,6 +243,24 @@ mod tests {
         let fresh = Engine::new(cfg).unwrap();
         assert_eq!(engine.profile(), fresh.profile());
         assert_eq!(fresh.profile(), EngineProfile::default());
+    }
+
+    #[test]
+    fn decoding_reports_a_malformed_uop_by_its_index() {
+        use lowvcc_trace::{Reg, Uop};
+        let mut trace = TraceSpec::new(WorkloadFamily::SpecFp, 1, 20_000)
+            .build()
+            .unwrap();
+        // An address-less load in the middle of the trace.
+        trace.uops[10] = Uop::load(trace.uops[10].pc, Reg::new(3).unwrap(), None, 0, 8);
+        trace.uops[10].addr = None;
+        let err = decode_trace(&trace).expect_err("a malformed trace must surface");
+        assert!(
+            matches!(err, SimError::InvalidTrace { index: 10, .. }),
+            "unexpected error {err:?}"
+        );
+        trace.uops[10].addr = Some(0x40);
+        assert_eq!(decode_trace(&trace), Ok(TraceArena::from_trace(&trace)));
     }
 
     #[test]

@@ -653,6 +653,22 @@ mod tests {
     }
 
     #[test]
+    fn the_fault_seed_keys_only_configs_that_disable_lines() {
+        let spec = spec();
+        let mut seeded = cfg(500, Mechanism::Baseline);
+        seeded.fault_seed = 1;
+        assert_eq!(
+            sim_key(&seeded, &spec),
+            sim_key(&cfg(500, Mechanism::Baseline), &spec),
+            "no line is disabled, so the seed places nothing"
+        );
+        seeded.disabled_lines = (3, 5, 7);
+        let mut reseeded = seeded.clone();
+        reseeded.fault_seed = 2;
+        assert_ne!(sim_key(&seeded, &spec), sim_key(&reseeded, &spec));
+    }
+
+    #[test]
     fn hex_rendering_is_stable() {
         let k = sim_key(&cfg(500, Mechanism::Iraw), &spec());
         assert_eq!(k.to_hex().len(), 32);

@@ -258,15 +258,19 @@ impl SimConfig {
     /// so the result key, the grid executor's dedup and the engine
     /// itself all go through this.
     ///
+    /// `fault_seed` only places disabled lines, so a config that
+    /// disables none projects with seed 0.
+    ///
     /// [`SimStats`]: crate::stats::SimStats
     #[must_use]
     pub fn cycle_config(&self) -> CycleConfig {
+        let places_lines = self.disabled_lines != (0, 0, 0);
         CycleConfig {
             core: self.core,
             stabilization_cycles: self.stabilization_cycles,
             extra_write_port_cycles: self.extra_write_port_cycles,
             disabled_lines: self.disabled_lines,
-            fault_seed: self.fault_seed,
+            fault_seed: if places_lines { self.fault_seed } else { 0 },
             memory_latency_cycles: (self.core.memory_latency_ns * 1000.0 / self.cycle_time.picos())
                 .ceil() as u64,
         }

@@ -11,7 +11,7 @@
 
 use std::fmt;
 
-use lowvcc_trace::{Trace, UopError};
+use lowvcc_trace::UopError;
 use lowvcc_uarch::cache::CacheConfigError;
 
 /// Error validating a [`CoreConfig`](crate::config::CoreConfig) or
@@ -167,16 +167,6 @@ impl From<ConfigError> for SimError {
     fn from(e: ConfigError) -> Self {
         Self::Config(e)
     }
-}
-
-/// Validates `trace` at an engine entry point, so a malformed uop is a
-/// typed error instead of silently wrong (or panicking) simulation.
-pub(crate) fn validate_trace(trace: &Trace) -> Result<(), SimError> {
-    for (index, uop) in trace.uops.iter().enumerate() {
-        uop.validate()
-            .map_err(|source| SimError::InvalidTrace { index, source })?;
-    }
-    Ok(())
 }
 
 #[cfg(test)]

@@ -25,7 +25,7 @@
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
 //! let timing = CycleTimeModel::silverthorne_45nm();
 //! let vcc = Millivolts::new(500)?;
-//! let traces = vec![TraceSpec::new(WorkloadFamily::SpecInt, 0, 20_000).build()?];
+//! let traces = vec![TraceSpec::new(WorkloadFamily::SpecInt, 0, 20_000).build_arena()?];
 //! let cmp = compare_mechanisms(
 //!     CoreConfig::silverthorne(),
 //!     &timing,
@@ -48,7 +48,7 @@ pub mod pipeline;
 pub mod sim;
 pub mod stats;
 
-pub use batch::EngineWorkspace;
+pub use batch::{decode_trace, EngineWorkspace};
 pub use canon::{
     decode_sim_result, encode_sim_result, sim_key, CanonError, SimKey, ENGINE_SEMANTICS_VERSION,
 };

@@ -11,17 +11,19 @@
 //! (including errors: the reported error is the first in suite order,
 //! not the first in wall-clock order). Within a group, configurations
 //! with equal cycle-level projections ([`SimConfig::cycle_config`]) are
-//! simulated once.
+//! simulated once. The executor takes the suite as [`TraceArena`]s,
+//! decoded and validated where they were built, and neither validates
+//! nor decodes a trace itself.
 
 use std::num::NonZeroUsize;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use lowvcc_sram::{CycleTimeModel, Millivolts};
-use lowvcc_trace::{Trace, TraceArena};
+use lowvcc_trace::TraceArena;
 
 use crate::batch::EngineWorkspace;
 use crate::config::{CoreConfig, CycleConfig, SimConfig};
-use crate::error::{validate_trace, SimError};
+use crate::error::SimError;
 use crate::stats::SimResult;
 
 /// Worker-thread count for suite execution.
@@ -143,26 +145,30 @@ pub fn same_projection_as(cfgs: &[SimConfig]) -> Vec<usize> {
 }
 
 /// Runs each group's configurations over its trace — the one grid
-/// executor every suite API is built on. Each group decodes its trace
-/// once into a [`TraceArena`] and replays its distinct configurations
-/// through the claiming worker's reused [`EngineWorkspace`], so a decoded
-/// arena stays hot in cache across all of its sweep points. A config
-/// whose projection equals an earlier one's in the same group is not
-/// simulated again: it gets a copy of that result with its own
-/// `cycle_time` (see [`same_projection_as`]).
+/// executor every suite API is built on. Each group replays its
+/// distinct configurations over its [`TraceArena`] through the claiming
+/// worker's reused [`EngineWorkspace`], so the arena stays hot in cache
+/// across all of its sweep points. A config whose projection equals an
+/// earlier one's in the same group is not simulated again: it gets a
+/// copy of that result with its own `cycle_time` (see
+/// [`same_projection_as`]).
 ///
 /// `groups` pairs an index into `traces` with the configurations to run
-/// on it. Results come back in group order, each `Vec` in config order.
-/// Deterministic for any `par`, including which error is reported: the
-/// lowest group index, then the lowest config index within it (every
-/// config is validated before any is collapsed into another).
+/// on it. The arenas are taken as valid: build them with
+/// [`TraceSpec::build_arena`](lowvcc_trace::TraceSpec::build_arena) or
+/// [`decode_trace`](crate::batch::decode_trace), which validate each uop
+/// ([`TraceArena::from_trace`] does not). Results come back in group
+/// order, each `Vec` in config order. Deterministic for any `par`,
+/// including which error is reported: the lowest group index, then the
+/// lowest config index within it (every config is validated before any
+/// is collapsed into another).
 ///
 /// # Errors
 ///
 /// Propagates the first (group-order, then config-order) error.
 pub fn run_batch_groups(
     groups: &[(usize, Vec<SimConfig>)],
-    traces: &[Trace],
+    traces: &[TraceArena],
     par: Parallelism,
 ) -> Result<Vec<Vec<SimResult>>, SimError> {
     // Work stealing over the group list: each worker claims the next
@@ -188,11 +194,10 @@ pub fn run_batch_groups(
                 // would claim next is even later.
                 break;
             }
-            let r: Result<Vec<SimResult>, SimError> = validate_trace(&traces[*ti]).and_then(|()| {
-                // The projection drops `cycle_time`, which `validate`
-                // checks, so validate every config before collapsing.
-                cfgs.iter().try_for_each(SimConfig::validate)?;
-                let arena = TraceArena::from_trace(&traces[*ti]);
+            // The projection drops `cycle_time`, which `validate` checks,
+            // so validate every config before collapsing.
+            let valid = cfgs.iter().try_for_each(SimConfig::validate);
+            let r = valid.map_err(SimError::from).and_then(|()| {
                 let mut results: Vec<SimResult> = Vec::with_capacity(cfgs.len());
                 for (cfg, first) in cfgs.iter().zip(same_projection_as(cfgs)) {
                     let r = match results.get(first) {
@@ -200,7 +205,7 @@ pub fn run_batch_groups(
                             cycle_time: cfg.cycle_time,
                             ..done.clone()
                         },
-                        None => ws.run(cfg, &arena)?,
+                        None => ws.run(cfg, &traces[*ti])?,
                     };
                     results.push(r);
                 }
@@ -229,18 +234,18 @@ pub fn run_batch_groups(
     tagged.into_iter().map(|(_, r)| r).collect()
 }
 
-/// Runs every configuration over every trace, batched per trace: each
-/// trace is decoded once and all of `cfgs` replay it back to back
-/// before the next trace is touched. Returns one [`SuiteResult`] per
-/// configuration, in `cfgs` order — the per-config transpose of
-/// [`run_batch_groups`], byte-identical for any `par`.
+/// Runs every configuration over every trace, batched per trace: all of
+/// `cfgs` replay one trace back to back before the next trace is
+/// touched. Returns one [`SuiteResult`] per configuration, in `cfgs`
+/// order — the per-config transpose of [`run_batch_groups`],
+/// byte-identical for any `par`.
 ///
 /// # Errors
 ///
 /// Propagates the first (trace-order, then config-order) error.
 pub fn run_suite_batch(
     cfgs: &[SimConfig],
-    traces: &[Trace],
+    traces: &[TraceArena],
     par: Parallelism,
 ) -> Result<Vec<SuiteResult>, SimError> {
     let groups: Vec<(usize, Vec<SimConfig>)> =
@@ -254,7 +259,7 @@ pub fn run_suite_batch(
         .collect();
     for (trace, results) in traces.iter().zip(per_group) {
         for (suite, r) in suites.iter_mut().zip(results) {
-            suite.per_trace.push((trace.name.clone(), r));
+            suite.per_trace.push((trace.name().to_string(), r));
         }
     }
     Ok(suites)
@@ -336,7 +341,7 @@ pub fn compare_mechanisms(
     core: CoreConfig,
     timing: &CycleTimeModel,
     vcc: Millivolts,
-    traces: &[Trace],
+    traces: &[TraceArena],
     par: Parallelism,
 ) -> Result<MechanismComparison, SimError> {
     let (base_cfg, iraw_cfg) = SimConfig::mechanism_pair(core, timing, vcc);
@@ -355,18 +360,23 @@ mod tests {
     use lowvcc_sram::voltage::mv;
     use lowvcc_trace::{TraceSpec, WorkloadFamily};
 
-    fn small_suite() -> Vec<Trace> {
+    fn small_specs() -> [TraceSpec; 3] {
         [
             (WorkloadFamily::SpecInt, 0u64),
             (WorkloadFamily::SpecFp, 1),
             (WorkloadFamily::Multimedia, 2),
         ]
-        .iter()
-        .map(|&(f, s)| TraceSpec::new(f, s, 20_000).build().unwrap())
-        .collect()
+        .map(|(f, s)| TraceSpec::new(f, s, 20_000))
     }
 
-    fn run_one(cfg: &SimConfig, traces: &[Trace]) -> SuiteResult {
+    fn small_suite() -> Vec<TraceArena> {
+        small_specs()
+            .iter()
+            .map(|s| s.build_arena().unwrap())
+            .collect()
+    }
+
+    fn run_one(cfg: &SimConfig, traces: &[TraceArena]) -> SuiteResult {
         let [suite]: [SuiteResult; 1] =
             run_suite_batch(std::slice::from_ref(cfg), traces, Parallelism::sequential())
                 .unwrap()
@@ -449,13 +459,14 @@ mod tests {
             })
             .collect();
         let traces = small_suite();
+        let built: Vec<_> = small_specs().iter().map(|s| s.build().unwrap()).collect();
         // Reference: one fresh engine per (config, trace) pair.
         let per_point: Vec<SuiteResult> = cfgs
             .iter()
             .map(|cfg| {
                 let sim = Simulator::new(cfg.clone()).unwrap();
                 SuiteResult {
-                    per_trace: traces
+                    per_trace: built
                         .iter()
                         .map(|t| (t.name.clone(), sim.run(t).unwrap()))
                         .collect(),
@@ -538,35 +549,6 @@ mod tests {
         let cfgs = [base500, iraw600, iraw500.clone(), base600, iraw500];
         assert_eq!(same_projection_as(&cfgs), vec![0, 1, 2, 1, 2]);
         assert_eq!(same_projection_as(&[]), Vec::<usize>::new());
-    }
-
-    #[test]
-    fn grid_rejects_a_malformed_trace_with_a_typed_error() {
-        let timing = CycleTimeModel::silverthorne_45nm();
-        let cfgs = [SimConfig::at_vcc(
-            CoreConfig::silverthorne(),
-            &timing,
-            mv(500),
-            Mechanism::Iraw,
-        )];
-        let mut traces = small_suite();
-        // An address-less load in the middle of the second trace.
-        traces[1].uops[10] = lowvcc_trace::Uop::load(
-            traces[1].uops[10].pc,
-            lowvcc_trace::Reg::new(3).unwrap(),
-            None,
-            0,
-            8,
-        );
-        traces[1].uops[10].addr = None;
-        for workers in [1, 2] {
-            let err = run_suite_batch(&cfgs, &traces, Parallelism::threads(workers))
-                .expect_err("a malformed trace must surface");
-            assert!(
-                matches!(err, SimError::InvalidTrace { index: 10, .. }),
-                "unexpected error {err:?} at {workers} workers"
-            );
-        }
     }
 
     #[test]

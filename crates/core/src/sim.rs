@@ -1,9 +1,10 @@
 //! The public simulator facade.
 
-use lowvcc_trace::{Trace, TraceArena};
+use lowvcc_trace::Trace;
 
+use crate::batch::decode_trace;
 use crate::config::SimConfig;
-use crate::error::{validate_trace, ConfigError, SimError};
+use crate::error::{ConfigError, SimError};
 use crate::pipeline::Engine;
 use crate::stats::{SimResult, SimStats};
 
@@ -55,8 +56,8 @@ impl Simulator {
     /// before anything runs), and [`SimError::NoProgress`] if the engine
     /// detects a live-lock (a simulator bug surfaced rather than a hang).
     pub fn run(&self, trace: &Trace) -> Result<SimResult, SimError> {
-        validate_trace(trace)?;
-        let stats = Engine::new(self.cfg.cycle_config())?.run(&TraceArena::from_trace(trace))?;
+        let arena = decode_trace(trace)?;
+        let stats = Engine::new(self.cfg.cycle_config())?.run(&arena)?;
         Ok(self.result(stats))
     }
 
@@ -69,9 +70,8 @@ impl Simulator {
     ///
     /// Same contract as [`Simulator::run`].
     pub fn run_naive(&self, trace: &Trace) -> Result<SimResult, SimError> {
-        validate_trace(trace)?;
-        let stats =
-            Engine::new(self.cfg.cycle_config())?.run_naive(&TraceArena::from_trace(trace))?;
+        let arena = decode_trace(trace)?;
+        let stats = Engine::new(self.cfg.cycle_config())?.run_naive(&arena)?;
         Ok(self.result(stats))
     }
 

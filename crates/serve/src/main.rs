@@ -33,10 +33,12 @@
 //! `lowvcc-serve router listening on HOST:PORT`; each shard binds an
 //! ephemeral port announced on **stderr** (`lowvcc-serve shard I
 //! listening on HOST:PORT`) — harnesses scrape stdout and always get
-//! the front door. All shards share one `--cache DIR`; any number of
-//! writers can share a directory (unique tempfiles, atomic rename), and
-//! each shard persists what it computes in segments named for its
-//! index. With `--warm`, each shard pre-fills exactly its own slice.
+//! the front door. The suite is built once and shared by every shard;
+//! stderr's `suite …: … one copy shared by N shards` line says so. All
+//! shards share one `--cache DIR`; any number of writers can share a
+//! directory (unique tempfiles, atomic rename), and each shard persists
+//! what it computes in segments named for its index. With `--warm`,
+//! each shard pre-fills exactly its own slice.
 //!
 //! `--shard-index I --shard-count N` runs one such shard standalone
 //! (for multi-process clusters; `--warm` pre-fills its slice); `--route
@@ -58,7 +60,7 @@ use std::path::PathBuf;
 use std::process::ExitCode;
 use std::sync::Arc;
 
-use lowvcc_bench::{ResultStore, SuiteChoice};
+use lowvcc_bench::{ExperimentContext, ResultStore, SuiteChoice};
 use lowvcc_core::{CoreConfig, Parallelism};
 use lowvcc_serve::router::{start_cluster, ClusterOptions, Router};
 use lowvcc_serve::shard::Ring;
@@ -194,6 +196,19 @@ fn parse_args(args: impl IntoIterator<Item = String>) -> Result<Options, String>
     Ok(o)
 }
 
+/// The startup line a serving process prints about its suite: size,
+/// decoded bytes, and how many shards share that one decoded copy.
+fn suite_line(ctx: &ExperimentContext, shards: usize) -> String {
+    format!(
+        "suite {}: {} traces, {} uops, {} decoded bytes, one copy shared by {shards} shard{}",
+        ctx.suite_label,
+        ctx.suite.len(),
+        ctx.total_uops(),
+        ctx.decoded_bytes(),
+        if shards == 1 { "" } else { "s" },
+    )
+}
+
 /// `--shards N`: in-process cluster — N shard daemons plus the router.
 fn run_cluster(opts: &Options, shards: u32) -> Result<(), String> {
     let choice = SuiteChoice::parse(&opts.suite).map_err(|e| e.to_string())?;
@@ -210,6 +225,15 @@ fn run_cluster(opts: &Options, shards: u32) -> Result<(), String> {
         },
     )
     .map_err(|e| e.to_string())?;
+    if let Some(first) = cluster.shards().first() {
+        let suite = &first.context().suite;
+        let sharing = cluster
+            .shards()
+            .iter()
+            .filter(|d| Arc::ptr_eq(&d.context().suite, suite))
+            .count();
+        eprintln!("{}", suite_line(first.context(), sharing));
+    }
     for (i, addr) in cluster.shard_addrs().iter().enumerate() {
         eprintln!("lowvcc-serve shard {i} listening on {addr}");
     }
@@ -306,11 +330,10 @@ fn run_daemon(opts: &Options) -> Result<(), String> {
         .local_addr()
         .map_err(|e| format!("no local address: {e}"))?;
     println!("lowvcc-serve listening on {local}");
+    eprintln!("{}", suite_line(daemon.context(), 1));
     eprintln!(
-        "suite {} ({} uops), store {}, {} jobs, {} workers (max {} connections); \
+        "store {}, {} jobs, {} workers (max {} connections); \
          send {{\"experiment\":\"shutdown\"}} to stop",
-        daemon.context().suite_label,
-        daemon.context().total_uops(),
         daemon
             .context()
             .cache

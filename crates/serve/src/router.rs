@@ -831,6 +831,7 @@ impl Default for ClusterOptions {
 pub struct Cluster {
     router_addr: SocketAddr,
     shard_addrs: Vec<SocketAddr>,
+    shards: Vec<Arc<Daemon>>,
     threads: Vec<JoinHandle<io::Result<()>>>,
 }
 
@@ -845,6 +846,12 @@ impl Cluster {
     #[must_use]
     pub fn shard_addrs(&self) -> &[SocketAddr] {
         &self.shard_addrs
+    }
+
+    /// The shard daemons, index-aligned with the ring.
+    #[must_use]
+    pub fn shards(&self) -> &[Arc<Daemon>] {
+        &self.shards
     }
 
     /// Waits for the whole cluster to exit (a client's `shutdown`
@@ -873,16 +880,21 @@ impl Cluster {
 /// Builds and starts a full cluster for `choice`: N shard daemons (one
 /// thread each, ephemeral ports, each built by [`Daemon::shard`], with
 /// optional bundle import and slice warm-up) and the stateless router,
-/// bound to [`ClusterOptions::router_addr`]. Returns once every
-/// listener is bound — warm-up proceeds on the shard threads, with
-/// early requests queueing in the listen backlog until their shard is
-/// ready.
+/// bound to [`ClusterOptions::router_addr`]. The suite is built once:
+/// every shard's context is a clone sharing the same arenas. Returns
+/// once every listener is bound — warm-up proceeds on the shard
+/// threads, with early requests queueing in the listen backlog until
+/// their shard is ready.
 ///
 /// # Errors
 ///
 /// Reports suite-build, store-open, bundle-import and bind failures.
 pub fn start_cluster(choice: SuiteChoice, opts: &ClusterOptions) -> Result<Cluster, ClusterError> {
     let ring = Ring::new(opts.shards);
+    let ctx = choice
+        .build()
+        .map_err(|e| ClusterError::Start(format!("suite: {e}")))?
+        .with_parallelism(Parallelism::threads(opts.jobs));
     // Every shard is built before any shard thread starts: opening a
     // store on a shared directory sweeps orphaned publish tempfiles,
     // and must not catch another shard's publish in flight.
@@ -894,15 +906,11 @@ pub fn start_cluster(choice: SuiteChoice, opts: &ClusterOptions) -> Result<Clust
         };
         let listener = TcpListener::bind("127.0.0.1:0").map_err(|e| start("bind", &e))?;
         shard_addrs.push(listener.local_addr().map_err(|e| start("local addr", &e))?);
-        let ctx = choice
-            .build()
-            .map_err(|e| start("suite", &e))?
-            .with_parallelism(Parallelism::threads(opts.jobs));
         let store = match &opts.cache {
             Some(dir) => ResultStore::open(dir).map_err(|e| start("store", &e))?,
             None => ResultStore::ephemeral(),
         };
-        let daemon = Daemon::shard(ctx, store, ring, index);
+        let daemon = Arc::new(Daemon::shard(ctx.clone(), store, ring, index));
         if let Some(bundle) = &opts.warm_bundle {
             daemon
                 .store()
@@ -911,14 +919,14 @@ pub fn start_cluster(choice: SuiteChoice, opts: &ClusterOptions) -> Result<Clust
         }
         built.push((listener, daemon));
     }
-    let Some((_, first)) = built.first() else {
+    if built.is_empty() {
         return Err(ClusterError::Start(
             "cluster needs at least one shard".to_string(),
         ));
-    };
-    let ctx = first.context();
+    }
     let addrs = shard_addrs.iter().map(ToString::to_string).collect();
     let router = Router::new(addrs, ring, ctx.core, ctx.timing, ctx.specs[0]);
+    let shards = built.iter().map(|(_, d)| Arc::clone(d)).collect();
     let listener = TcpListener::bind(&opts.router_addr).map_err(|e| {
         ClusterError::Start(format!("router: cannot bind {}: {e}", opts.router_addr))
     })?;
@@ -943,6 +951,7 @@ pub fn start_cluster(choice: SuiteChoice, opts: &ClusterOptions) -> Result<Clust
     Ok(Cluster {
         router_addr,
         shard_addrs,
+        shards,
         threads,
     })
 }

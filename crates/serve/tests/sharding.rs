@@ -5,6 +5,7 @@
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::{TcpListener, TcpStream};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use lowvcc_bench::bundle::decode_bundle;
@@ -108,6 +109,15 @@ fn router_matches_single_daemon_byte_for_byte() {
     let router_addr = cluster.router_addr();
     let shard_addrs = cluster.shard_addrs().to_vec();
     assert_eq!(shard_addrs.len(), 2);
+    // The suite is built once per process: both shards hold it.
+    let suite = &cluster.shards()[0].context().suite;
+    assert!(
+        cluster
+            .shards()
+            .iter()
+            .all(|d| Arc::ptr_eq(&d.context().suite, suite)),
+        "every shard shares the one decoded suite"
+    );
 
     let stream = TcpStream::connect(router_addr).expect("connect to router");
     stream

@@ -1,14 +1,21 @@
-//! Packed trace layout for decode-once/simulate-many sweeps.
+//! Packed trace layout: the one form a synthesized suite takes.
 //!
-//! A voltage sweep re-runs the *same* trace at every (Vcc, mechanism)
-//! point. [`TraceArena`] is the [`Trace`] decoded once into two packed
-//! per-uop records and then shared immutably across every sweep point.
-//! Each record holds exactly what one pipeline stage reads: fetch loads
-//! one 24-byte [`FetchRecord`] (`pc`, `target`, `kind`, `taken`), issue
-//! one 16-byte [`IssueRecord`] (operands, address, size). That is 40
-//! bytes per uop instead of the 48-byte [`Uop`], and one load per stage
-//! instead of one per field.
+//! A grid re-runs the *same* trace at every (Vcc, mechanism) point.
+//! [`TraceArena`] holds a trace as two packed per-uop records, shared
+//! immutably across every point. Each record holds exactly what one
+//! pipeline stage reads: fetch loads one 24-byte [`FetchRecord`] (`pc`,
+//! `target`, `kind`, `taken`), issue one 16-byte [`IssueRecord`]
+//! (operands, address, size). That is 40 bytes per uop instead of the
+//! 48-byte [`Uop`], and one load per stage instead of one per field.
+//!
+//! A suite is synthesized straight into arenas
+//! ([`TraceSpec::build_arena`](crate::TraceSpec::build_arena)), each uop
+//! validated as it is pushed, so it never exists as a [`Trace`] and is
+//! decoded exactly once. [`TraceArena::from_trace`] decodes a [`Trace`]
+//! built some other way.
 
+use crate::error::TraceError;
+use crate::synth::UopSink;
 use crate::uop::{Reg, Trace, Uop, UopKind};
 
 /// What the issue stage reads of one uop: 16 bytes.
@@ -32,6 +39,19 @@ pub struct IssueRecord {
     pub size: u8,
 }
 
+impl From<&Uop> for IssueRecord {
+    fn from(u: &Uop) -> Self {
+        Self {
+            addr: u.addr.unwrap_or(0),
+            kind: u.kind,
+            dst: u.dst,
+            src1: u.src1,
+            src2: u.src2,
+            size: u.size,
+        }
+    }
+}
+
 /// What the fetch stage reads of one uop: 24 bytes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FetchRecord {
@@ -45,7 +65,18 @@ pub struct FetchRecord {
     pub taken: bool,
 }
 
-/// A [`Trace`] decoded into packed per-stage records.
+impl From<&Uop> for FetchRecord {
+    fn from(u: &Uop) -> Self {
+        Self {
+            pc: u.pc,
+            target: u.target,
+            kind: u.kind,
+            taken: u.taken,
+        }
+    }
+}
+
+/// A trace as packed per-stage records.
 ///
 /// Construction is the only copy; afterwards the arena is read-only and
 /// freely shareable across threads (`&TraceArena` is `Sync`).
@@ -67,35 +98,14 @@ pub struct TraceArena {
 }
 
 impl TraceArena {
-    /// Decodes `trace` into records. O(len); done once per sweep batch.
+    /// Decodes `trace` into records. O(len). Infallible: it does not
+    /// validate (see [`Uop::validate`]).
     #[must_use]
     pub fn from_trace(trace: &Trace) -> Self {
-        let issue = trace
-            .uops
-            .iter()
-            .map(|u| IssueRecord {
-                addr: u.addr.unwrap_or(0),
-                kind: u.kind,
-                dst: u.dst,
-                src1: u.src1,
-                src2: u.src2,
-                size: u.size,
-            })
-            .collect();
-        let fetch = trace
-            .uops
-            .iter()
-            .map(|u| FetchRecord {
-                pc: u.pc,
-                target: u.target,
-                kind: u.kind,
-                taken: u.taken,
-            })
-            .collect();
         Self {
             name: trace.name.clone(),
-            issue,
-            fetch,
+            issue: trace.uops.iter().map(IssueRecord::from).collect(),
+            fetch: trace.uops.iter().map(FetchRecord::from).collect(),
         }
     }
 
@@ -117,6 +127,12 @@ impl TraceArena {
     #[must_use]
     pub fn is_empty(&self) -> bool {
         self.issue.is_empty()
+    }
+
+    /// Bytes of packed records held (40 per uop; the name aside).
+    #[must_use]
+    pub fn record_bytes(&self) -> usize {
+        std::mem::size_of_val(self.issue.as_slice()) + std::mem::size_of_val(self.fetch.as_slice())
     }
 
     /// The issue record of uop `i`.
@@ -154,6 +170,52 @@ impl TraceArena {
     }
 }
 
+/// The synthesis sink: fills an arena sized for its final length and
+/// validates each uop as it is pushed, remembering the first invalid
+/// one (later uops still land, so indices stay those of the stream).
+pub(crate) struct ArenaSink {
+    arena: TraceArena,
+    invalid: Option<TraceError>,
+}
+
+impl ArenaSink {
+    /// An empty arena named `name` with room for exactly `len` uops.
+    pub(crate) fn new(name: String, len: usize) -> Self {
+        Self {
+            arena: TraceArena {
+                name,
+                issue: Vec::with_capacity(len),
+                fetch: Vec::with_capacity(len),
+            },
+            invalid: None,
+        }
+    }
+
+    /// The filled arena.
+    ///
+    /// # Errors
+    ///
+    /// [`TraceError::Uop`] for the first uop that failed validation.
+    pub(crate) fn finish(self) -> Result<TraceArena, TraceError> {
+        self.invalid.map_or(Ok(self.arena), Err)
+    }
+}
+
+impl UopSink for ArenaSink {
+    fn push(&mut self, uop: Uop) {
+        if self.invalid.is_none() {
+            if let Err(source) = uop.validate() {
+                self.invalid = Some(TraceError::Uop {
+                    index: self.arena.len(),
+                    source,
+                });
+            }
+        }
+        self.arena.issue.push(IssueRecord::from(&uop));
+        self.arena.fetch.push(FetchRecord::from(&uop));
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -177,6 +239,40 @@ mod tests {
                 assert_eq!(arena.uop(i), *u, "{}: uop {i} must round-trip", trace.name);
             }
         }
+    }
+
+    #[test]
+    fn synthesis_into_an_arena_equals_decoding_the_built_trace() {
+        // Lengths 1 and 999 end inside a basic block, so the walk
+        // overshoots and the surplus is dropped; 10 000 spans many
+        // blocks of every family.
+        for len in [1, 999, 10_000] {
+            for spec in suite(1, len) {
+                let arena = spec.build_arena().unwrap();
+                let decoded = TraceArena::from_trace(&spec.build().unwrap());
+                assert_eq!(arena, decoded, "{} at length {len}", spec.name());
+                assert_eq!(arena.record_bytes(), 40 * len);
+            }
+        }
+    }
+
+    #[test]
+    fn the_sink_reports_the_first_invalid_uop_by_index() {
+        let mut bad = Uop::load(0x44, Reg::new(1).unwrap(), None, 0x40, 8);
+        bad.addr = None;
+        let mut worse = Uop::nop(0x48);
+        worse.addr = Some(0x80);
+        let uops = [Uop::nop(0x40), bad, worse];
+        let mut sink = ArenaSink::new("bad".to_string(), uops.len());
+        for u in uops {
+            sink.push(u);
+        }
+        let err = sink.finish().expect_err("a load without an address");
+        assert_eq!(
+            err,
+            Trace::new("bad", uops.to_vec()).validate().unwrap_err()
+        );
+        assert!(matches!(err, TraceError::Uop { index: 1, .. }), "{err:?}");
     }
 
     #[test]

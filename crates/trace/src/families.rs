@@ -7,6 +7,7 @@
 //! mix, code footprint, memory locality, branch predictability) are set to
 //! the behaviour class the paper's suite names imply.
 
+use crate::arena::{ArenaSink, TraceArena};
 use crate::error::TraceError;
 use crate::synth::{Generator, MemMix, MixWeights, SynthParams};
 use crate::uop::Trace;
@@ -350,6 +351,22 @@ impl TraceSpec {
     pub fn build(&self) -> Result<Trace, TraceError> {
         let mut generator = Generator::new(&self.family.params(), self.seed)?;
         Ok(generator.generate(self.name(), self.len))
+    }
+
+    /// Synthesizes the trace straight into a [`TraceArena`], validating
+    /// each uop as it is pushed: the same records as
+    /// `TraceArena::from_trace(&self.build()?)`, without ever holding
+    /// the 48-byte-per-uop [`Trace`].
+    ///
+    /// # Errors
+    ///
+    /// Propagates parameter-validation errors (family presets never
+    /// fail), and [`TraceError::Uop`] for the first invalid uop.
+    pub fn build_arena(&self) -> Result<TraceArena, TraceError> {
+        let mut generator = Generator::new(&self.family.params(), self.seed)?;
+        let mut sink = ArenaSink::new(self.name(), self.len);
+        generator.walk(&mut sink, self.len);
+        sink.finish()
     }
 }
 

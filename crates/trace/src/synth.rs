@@ -264,7 +264,7 @@ struct Block {
     term_pc: u64,
 }
 
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 struct Function {
     first_block: usize,
     num_blocks: usize,
@@ -488,7 +488,7 @@ impl Generator {
         model.next_addr(&mut self.rng)
     }
 
-    fn emit_body(&mut self, out: &mut Vec<Uop>, inst: StaticInst, pc: u64) {
+    fn emit_body(&mut self, out: &mut impl UopSink, inst: StaticInst, pc: u64) {
         match inst.kind {
             UopKind::Load => {
                 let region = inst.region.expect("memory inst has region");
@@ -528,27 +528,39 @@ impl Generator {
     /// Emits `len` dynamic uops by walking the program.
     #[must_use]
     pub fn generate(&mut self, name: impl Into<String>, len: usize) -> Trace {
-        let mut out = Vec::with_capacity(len);
-        while out.len() < len {
+        let mut uops = Vec::with_capacity(len);
+        self.walk(&mut uops, len);
+        Trace::new(name, uops)
+    }
+
+    /// Walks the program until `len` uops have gone into `sink`. The
+    /// block that reaches `len` still runs to its end, so the walk state
+    /// left behind does not depend on the sink; its surplus uops are
+    /// dropped rather than stored.
+    pub(crate) fn walk(&mut self, sink: &mut impl UopSink, len: usize) {
+        let mut out = Capped { sink, left: len };
+        while out.left > 0 {
             self.step_block(&mut out);
         }
-        out.truncate(len);
-        Trace::new(name, out)
     }
 
     /// Executes one basic block (body + terminator), appending uops.
-    fn step_block(&mut self, out: &mut Vec<Uop>) {
-        let fun = self.program.functions[self.func].clone();
-        let block_idx = fun.first_block + self.block;
-        let (insts, term, term_pc, entry_pc) = {
+    fn step_block(&mut self, out: &mut impl UopSink) {
+        let Function {
+            first_block,
+            num_blocks,
+        } = self.program.functions[self.func];
+        let block_idx = first_block + self.block;
+        let (body_len, term, term_pc, entry_pc) = {
             let b = &self.program.blocks[block_idx];
-            (b.insts.clone(), b.term, b.term_pc, b.entry_pc)
+            (b.insts.len(), b.term, b.term_pc, b.entry_pc)
         };
-        for (i, inst) in insts.iter().enumerate() {
-            self.emit_body(out, *inst, entry_pc + 4 * i as u64);
+        for i in 0..body_len {
+            let inst = self.program.blocks[block_idx].insts[i];
+            self.emit_body(out, inst, entry_pc + 4 * i as u64);
         }
 
-        let last_local = fun.num_blocks - 1;
+        let last_local = num_blocks - 1;
         match term {
             Terminator::Loop { mean_trips } => {
                 if self.loop_trips_left.is_none() {
@@ -572,7 +584,7 @@ impl Generator {
                 let taken = self.rng.chance(bias);
                 let cond = Some(self.pick_src());
                 let target_local = (self.block + 2).min(last_local);
-                let target_pc = self.program.blocks[fun.first_block + target_local].entry_pc;
+                let target_pc = self.program.blocks[first_block + target_local].entry_pc;
                 if taken {
                     out.push(Uop::branch(term_pc, cond, true, target_pc));
                     self.block = target_local;
@@ -621,6 +633,35 @@ impl Generator {
                     self.block = 0;
                 }
             }
+        }
+    }
+}
+
+/// Where a [`Generator`]'s walk puts the uops it emits: a `Vec<Uop>`
+/// for [`Generator::generate`], or an arena's packed records for
+/// [`TraceSpec::build_arena`](crate::TraceSpec::build_arena).
+pub(crate) trait UopSink {
+    /// Appends one uop.
+    fn push(&mut self, uop: Uop);
+}
+
+impl UopSink for Vec<Uop> {
+    fn push(&mut self, uop: Uop) {
+        Vec::push(self, uop);
+    }
+}
+
+/// Passes the first `left` uops on to `sink` and drops the rest.
+struct Capped<'a, S> {
+    sink: &'a mut S,
+    left: usize,
+}
+
+impl<S: UopSink> UopSink for Capped<'_, S> {
+    fn push(&mut self, uop: Uop) {
+        if self.left > 0 {
+            self.left -= 1;
+            self.sink.push(uop);
         }
     }
 }

@@ -17,7 +17,7 @@ fn main() -> Result<(), lowvcc::Error> {
         (WorkloadFamily::Multimedia, 2),
     ]
     .iter()
-    .map(|&(f, s)| TraceSpec::new(f, s, 60_000).build())
+    .map(|&(f, s)| TraceSpec::new(f, s, 60_000).build_arena())
     .collect::<Result<_, _>>()?;
 
     let fb = FaultyBitsDesign::four_sigma(FaultyBitsScope::AllBlocksHypothetical);
@@ -30,8 +30,8 @@ fn main() -> Result<(), lowvcc::Error> {
     );
     let sweep = VccRange::new(575, 400, 25)?;
     for vcc in sweep.iter() {
-        // One batch per voltage: each trace is decoded once for all four
-        // designs.
+        // One batch per voltage: all four designs replay each trace back
+        // to back.
         let cfgs = [
             SimConfig::at_vcc(core, &timing, vcc, Mechanism::Baseline),
             SimConfig::at_vcc(core, &timing, vcc, Mechanism::Iraw),

@@ -21,9 +21,9 @@ fn main() -> Result<(), lowvcc::Error> {
     );
     for family in WorkloadFamily::all() {
         let traces: Vec<_> = (0..3)
-            .map(|seed| TraceSpec::new(family, seed, 100_000).build())
+            .map(|seed| TraceSpec::new(family, seed, 100_000).build_arena())
             .collect::<Result<_, _>>()?;
-        let tstats = TraceStats::analyze(&traces[0]);
+        let tstats = TraceStats::analyze(&TraceSpec::new(family, 0, 100_000).build()?);
         let cmp = compare_mechanisms(core, &timing, vcc, &traces, Parallelism::sequential())?;
         let mut rf = 0.0;
         let mut dl0 = 0.0;

@@ -10,25 +10,25 @@ use lowvcc_core::{
 };
 use lowvcc_sram::voltage::mv;
 use lowvcc_sram::CycleTimeModel;
-use lowvcc_trace::{Trace, TraceSpec, WorkloadFamily};
+use lowvcc_trace::{TraceArena, TraceSpec, WorkloadFamily};
 
 fn timing() -> CycleTimeModel {
     CycleTimeModel::silverthorne_45nm()
 }
 
-fn traces(len: usize) -> Vec<Trace> {
+fn traces(len: usize) -> Vec<TraceArena> {
     [
         (WorkloadFamily::SpecInt, 3u64),
         (WorkloadFamily::Office, 4),
         (WorkloadFamily::Kernel, 5),
     ]
     .iter()
-    .map(|&(f, s)| TraceSpec::new(f, s, len).build().unwrap())
+    .map(|&(f, s)| TraceSpec::new(f, s, len).build_arena().unwrap())
     .collect()
 }
 
 /// One suite result per config, through the batched grid executor.
-fn run_grid<const N: usize>(cfgs: [SimConfig; N], ts: &[Trace]) -> [SuiteResult; N] {
+fn run_grid<const N: usize>(cfgs: [SimConfig; N], ts: &[TraceArena]) -> [SuiteResult; N] {
     run_suite_batch(&cfgs, ts, Parallelism::sequential())
         .unwrap()
         .try_into()
