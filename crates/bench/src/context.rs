@@ -108,18 +108,13 @@ impl SuiteChoice {
     ///
     /// Propagates trace-generation failures.
     pub fn build(self) -> Result<ExperimentContext, ExperimentError> {
-        match self {
-            Self::Quick => ExperimentContext::quick(),
-            Self::Standard => ExperimentContext::standard(),
-            Self::Paper => ExperimentContext::paper(),
-            Self::Sized { per_family, len } => ExperimentContext::sized(per_family, len),
-        }
+        ExperimentContext::from_specs(&self.specs(), &self.label())
     }
 
-    /// The trace specs [`build`](Self::build) would construct its suite
+    /// The trace specs [`build`](Self::build) constructs its suite
     /// from, *without* generating any trace — specs are a few bytes of
-    /// identity (family, seed, length) and are all a request router
-    /// needs to compute content-addressed keys.
+    /// identity (family, seed, length). The one statement of each
+    /// suite's size.
     #[must_use]
     pub fn specs(self) -> Vec<TraceSpec> {
         match self {
@@ -127,6 +122,16 @@ impl SuiteChoice {
             Self::Standard => suite(7, 200_000),
             Self::Paper => suite(76, 200_000),
             Self::Sized { per_family, len } => suite(per_family, len),
+        }
+    }
+
+    /// The suite label reports print.
+    fn label(self) -> String {
+        match self {
+            Self::Quick => "quick (7×10k)".to_string(),
+            Self::Standard => "standard (49×200k)".to_string(),
+            Self::Paper => "paper (532×200k)".to_string(),
+            Self::Sized { per_family, len } => format!("custom ({}×{len})", per_family * 7),
         }
     }
 }
@@ -204,7 +209,7 @@ impl ExperimentContext {
     ///
     /// Propagates trace-generation failures.
     pub fn quick() -> Result<Self, ExperimentError> {
-        Self::from_specs(&suite(1, 10_000), "quick (7×10k)")
+        SuiteChoice::Quick.build()
     }
 
     /// Standard suite (49 traces × 200k uops) — the default for the
@@ -215,7 +220,7 @@ impl ExperimentContext {
     ///
     /// Propagates trace-generation failures.
     pub fn standard() -> Result<Self, ExperimentError> {
-        Self::from_specs(&suite(7, 200_000), "standard (49×200k)")
+        SuiteChoice::Standard.build()
     }
 
     /// Paper-scale suite (532 traces × 200k uops — the closest
@@ -226,7 +231,7 @@ impl ExperimentContext {
     ///
     /// Propagates trace-generation failures.
     pub fn paper() -> Result<Self, ExperimentError> {
-        Self::from_specs(&suite(76, 200_000), "paper (532×200k)")
+        SuiteChoice::Paper.build()
     }
 
     /// Custom suite size.
@@ -235,10 +240,7 @@ impl ExperimentContext {
     ///
     /// Propagates trace-generation failures.
     pub fn sized(per_family: u32, len: usize) -> Result<Self, ExperimentError> {
-        Self::from_specs(
-            &suite(per_family, len),
-            &format!("custom ({}×{len})", per_family * 7),
-        )
+        SuiteChoice::Sized { per_family, len }.build()
     }
 
     /// Total dynamic uops in the suite.
@@ -455,16 +457,33 @@ mod tests {
 
     #[test]
     fn suite_choice_specs_match_built_contexts() {
-        // `specs()` must never drift from what `build()` constructs —
-        // the router computes keys from the former, the shards from the
-        // latter.
-        let ctx = SuiteChoice::Quick.build().unwrap();
-        assert_eq!(ctx.specs, SuiteChoice::Quick.specs());
-        let choice = SuiteChoice::Sized {
+        // Each suite's size and label are stated once, in `SuiteChoice`,
+        // and the named constructors build exactly that.
+        let sized = SuiteChoice::Sized {
             per_family: 2,
             len: 5_000,
         };
-        assert_eq!(choice.build().unwrap().specs, choice.specs());
+        for (choice, label, traces, len) in [
+            (SuiteChoice::Quick, "quick (7×10k)", 7, 10_000),
+            (SuiteChoice::Standard, "standard (49×200k)", 49, 200_000),
+            (SuiteChoice::Paper, "paper (532×200k)", 532, 200_000),
+            (sized, "custom (14×5000)", 14, 5_000),
+        ] {
+            assert_eq!(choice.label(), label);
+            let specs = choice.specs();
+            assert_eq!(specs.len(), traces, "{label}");
+            assert!(specs.iter().all(|s| s.len == len), "{label}");
+        }
+        // Building synthesizes the suite, so only the small ones are
+        // built here; `standard` and `paper` go through the same
+        // `build()`.
+        for (choice, ctx) in [
+            (SuiteChoice::Quick, ExperimentContext::quick().unwrap()),
+            (sized, ExperimentContext::sized(2, 5_000).unwrap()),
+        ] {
+            assert_eq!(ctx.specs, choice.specs());
+            assert_eq!(ctx.suite_label, choice.label());
+        }
     }
 
     #[test]

@@ -72,10 +72,11 @@
 //! ## Sharding
 //!
 //! `--shards N` runs N such daemons, each owning a deterministic slice
-//! of the operating points via the [`shard`] consistent-hash ring,
-//! behind a [`router`] that forwards each request to the owning shard
-//! and merges full-grid sweeps byte-identically with the single-process
-//! daemon. Each shard persists exactly what it computes.
+//! of the operating points via the [`shard`] consistent-hash ring over
+//! millivolts, behind a [`router`] that needs only the shards'
+//! addresses: it forwards each request to the shard owning its voltage
+//! and merges full-grid sweeps byte-identically with the
+//! single-process daemon. Each shard persists exactly what it computes.
 
 use std::io;
 use std::net::TcpListener;
@@ -384,9 +385,9 @@ impl Daemon {
 
     /// Pre-fills the store: the sweep grid, plus Table 1 and the stall
     /// study at their protocol-default voltages (500 / 575 mV) — every
-    /// operating point on a single daemon, only the points whose
-    /// routing anchor the ring assigns to this shard on a shard (the
-    /// shards of a cluster together cover what one daemon covers).
+    /// operating point on a single daemon, only the voltages the ring
+    /// assigns to this shard on a shard (the shards of a cluster
+    /// together cover what one daemon covers).
     /// `sweep` queries are then hits at every grid point; a `table1` or
     /// `stalls` query at a *non-default* voltage still simulates its
     /// extra configurations once on first request.
@@ -401,12 +402,8 @@ impl Daemon {
         const STALLS_DEFAULT: Millivolts = Millivolts::literal(575);
         let ctx = &self.ctx;
         let mine = |vcc| {
-            self.slice.map_or(true, |(ring, index)| {
-                ring.owns(
-                    index,
-                    shard::voltage_anchor(ctx.core, &ctx.timing, &ctx.specs[0], vcc),
-                )
-            })
+            self.slice
+                .map_or(true, |(ring, index)| ring.owner(vcc) == index)
         };
         // One batch over the owned grid points, as `sweep::run_sweep`
         // runs the whole grid.

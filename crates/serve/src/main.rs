@@ -42,10 +42,12 @@
 //!
 //! `--shard-index I --shard-count N` runs one such shard standalone
 //! (for multi-process clusters; `--warm` pre-fills its slice); `--route
-//! a,b,c` runs the router alone over already-running shards, which must
-//! have been started with the same suite and shard count.
-//! The router is stateless — no simulator, no store: a request no shard
-//! can answer gets `{"ok": false, "error": "no shard reachable: …"}`.
+//! a,b,c` runs the router alone over already-running shards, listed in
+//! shard-index order. The shards share a suite and a shard count; the
+//! router needs only their addresses, since the ring is keyed by the
+//! voltage alone. It is stateless — no suite, no simulator, no store: a
+//! request no shard can answer gets `{"ok": false, "error": "no shard
+//! reachable: …"}`.
 //!
 //! ## Warm bundles
 //!
@@ -53,7 +55,8 @@
 //! `lowvcc-store export`) into the store before serving — every shard
 //! of a cluster imports it, so a freshly provisioned fleet answers
 //! warm from the first request. It does not apply to `--route`, and
-//! neither do `--cache` and `--warm`: the router owns no store.
+//! neither do `--suite`, `--cache` and `--warm`: the router owns no
+//! store and no suite.
 
 use std::net::TcpListener;
 use std::path::PathBuf;
@@ -61,11 +64,10 @@ use std::process::ExitCode;
 use std::sync::Arc;
 
 use lowvcc_bench::{ExperimentContext, ResultStore, SuiteChoice};
-use lowvcc_core::{CoreConfig, Parallelism};
+use lowvcc_core::Parallelism;
 use lowvcc_serve::router::{start_cluster, ClusterOptions, Router};
 use lowvcc_serve::shard::Ring;
 use lowvcc_serve::{Daemon, ServeOptions};
-use lowvcc_sram::CycleTimeModel;
 
 const USAGE: &str = "usage: lowvcc-serve [--suite quick|standard|paper|NxLEN] [--cache DIR] \
                      [--jobs N] [--threads N] [--max-connections N] [--addr HOST:PORT] [--warm] \
@@ -74,7 +76,8 @@ const USAGE: &str = "usage: lowvcc-serve [--suite quick|standard|paper|NxLEN] [-
                      [--route HOST:PORT,...]";
 
 struct Options {
-    suite: String,
+    /// `None` = the quick suite; kept apart so `--route` can refuse it.
+    suite: Option<String>,
     cache: Option<PathBuf>,
     jobs: usize,
     serve: ServeOptions,
@@ -88,9 +91,16 @@ struct Options {
     help: bool,
 }
 
+impl Options {
+    /// The `--suite` choice, the quick suite when none was given.
+    fn suite_choice(&self) -> Result<SuiteChoice, String> {
+        SuiteChoice::parse(self.suite.as_deref().unwrap_or("quick")).map_err(|e| e.to_string())
+    }
+}
+
 fn parse_args(args: impl IntoIterator<Item = String>) -> Result<Options, String> {
     let mut o = Options {
-        suite: "quick".to_string(),
+        suite: None,
         cache: None,
         jobs: Parallelism::available().count(),
         serve: ServeOptions::default(),
@@ -107,7 +117,7 @@ fn parse_args(args: impl IntoIterator<Item = String>) -> Result<Options, String>
     while let Some(a) = args.next() {
         match a.as_str() {
             "--suite" => match args.next() {
-                Some(v) => o.suite = v,
+                Some(v) => o.suite = Some(v),
                 None => return Err("--suite needs a value".into()),
             },
             "--cache" => match args.next() {
@@ -182,14 +192,15 @@ fn parse_args(args: impl IntoIterator<Item = String>) -> Result<Options, String>
         }
     }
     if o.route.is_some() {
-        let store_flags = [
+        let daemon_flags = [
+            ("--suite", o.suite.is_some()),
             ("--cache", o.cache.is_some()),
             ("--warm", o.warm),
             ("--warm-bundle", o.warm_bundle.is_some()),
         ];
-        if let Some((flag, _)) = store_flags.iter().find(|(_, given)| *given) {
+        if let Some((flag, _)) = daemon_flags.iter().find(|(_, given)| *given) {
             return Err(format!(
-                "{flag} does not apply to --route (the router owns no store)"
+                "{flag} does not apply to --route (the router owns no store and no suite)"
             ));
         }
     }
@@ -211,7 +222,7 @@ fn suite_line(ctx: &ExperimentContext, shards: usize) -> String {
 
 /// `--shards N`: in-process cluster — N shard daemons plus the router.
 fn run_cluster(opts: &Options, shards: u32) -> Result<(), String> {
-    let choice = SuiteChoice::parse(&opts.suite).map_err(|e| e.to_string())?;
+    let choice = opts.suite_choice()?;
     let cluster = start_cluster(
         choice,
         &ClusterOptions {
@@ -261,19 +272,8 @@ fn run_router(opts: &Options, route: &str) -> Result<(), String> {
     if shards.is_empty() {
         return Err("--route needs at least one shard address".into());
     }
-    // Only the spec identities are needed — no traces are generated.
-    let specs = SuiteChoice::parse(&opts.suite)
-        .map_err(|e| e.to_string())?
-        .specs();
-    let ring = Ring::new(shards.len() as u32);
     let shard_count = shards.len();
-    let router = Router::new(
-        shards,
-        ring,
-        CoreConfig::silverthorne(),
-        CycleTimeModel::silverthorne_45nm(),
-        specs[0],
-    );
+    let router = Router::new(shards);
     let listener =
         TcpListener::bind(&opts.addr).map_err(|e| format!("cannot bind {}: {e}", opts.addr))?;
     let local = listener
@@ -294,8 +294,8 @@ fn run_router(opts: &Options, route: &str) -> Result<(), String> {
 /// Default mode (and `--shard-index I --shard-count N`): one daemon.
 fn run_daemon(opts: &Options) -> Result<(), String> {
     // Same grammar and degenerate-input rejections as `experiments`.
-    let ctx = SuiteChoice::parse(&opts.suite)
-        .map_err(|e| e.to_string())?
+    let ctx = opts
+        .suite_choice()?
         .build()
         .map_err(|e| e.to_string())?
         .with_parallelism(Parallelism::threads(opts.jobs));
@@ -424,6 +424,7 @@ mod tests {
             &["--warm-bundle", "b.lvcb"][..],
             &["--cache", "dir"],
             &["--warm"],
+            &["--suite", "quick"],
         ] {
             let msg = usage_of(&[&["--route", "127.0.0.1:1"][..], flag].concat());
             assert!(

@@ -2,15 +2,17 @@
 //!
 //! A [`Router`] speaks the same NDJSON protocol as a single
 //! [`Daemon`] and is served by the same readiness-driven loop
-//! ([`crate::conn::run`]). It owns no simulator and no store — it
-//! classifies each request, forwards it **verbatim** to the shard the
-//! consistent-hash [`Ring`] assigns, and relays the shard's response
-//! bytes unchanged. Full-grid sweeps are the one request that spans
-//! shards: the router fans the 13 voltages out to their owners in
-//! parallel, then merges the returned points back into grid order
-//! through the canonical JSON renderer — producing a response
-//! **byte-identical** to a single-process daemon's (`json::render` is
-//! the emitters' own canonical form, and `f64` round-trips exactly).
+//! ([`crate::conn::run`]). Its only state is the shard addresses: it
+//! owns no suite, no models, no simulator and no store — it classifies
+//! each request, forwards it **verbatim** to the shard the
+//! consistent-hash [`Ring`] assigns the request's voltage, and relays
+//! the shard's response bytes unchanged. Full-grid sweeps are the one
+//! request that spans shards: the router fans the 13 voltages out to
+//! their owners in parallel, then merges the returned points back into
+//! grid order through the canonical JSON renderer — producing a
+//! response **byte-identical** to a single-process daemon's
+//! (`json::render` is the emitters' own canonical form, and `f64`
+//! round-trips exactly).
 //!
 //! ## Resilience
 //!
@@ -57,13 +59,12 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use lowvcc_bench::{json, ResultStore, RetryPolicy, StoreStats, SuiteChoice};
-use lowvcc_core::{CoreConfig, Parallelism};
-use lowvcc_sram::{CycleTimeModel, Millivolts, PAPER_SWEEP};
-use lowvcc_trace::TraceSpec;
+use lowvcc_core::Parallelism;
+use lowvcc_sram::{Millivolts, PAPER_SWEEP};
 
 use crate::conn;
 use crate::metrics::{op_json, store_json, HistogramSnapshot, Metrics, Op, LATENCY_BUCKETS};
-use crate::shard::{voltage_anchor, Ring};
+use crate::shard::Ring;
 use crate::{op_of, parse_request, Daemon, Request, ServeOptions};
 
 /// How long the router waits on a shard for one relayed response.
@@ -115,15 +116,11 @@ enum Admission {
 }
 
 /// The cluster front door. Stateless and cheap to construct (no
-/// traces, no store): everything it needs is the shard addresses, the
-/// ring, and the anchor identity (core + timing + first trace spec)
-/// that maps a voltage to its owning shard.
+/// traces, no models, no store): everything it needs is the shard
+/// addresses, and the ring over them maps a voltage to its owner.
 pub struct Router {
     shards: Vec<String>,
     ring: Ring,
-    core: CoreConfig,
-    timing: CycleTimeModel,
-    spec: TraceSpec,
     relay_timeout: Duration,
     retry: RetryPolicy,
     probe_after: Duration,
@@ -134,25 +131,16 @@ pub struct Router {
 }
 
 impl Router {
-    /// A router over `shards` (host:port strings, index-aligned with
-    /// the ring). `core`, `timing` and `spec` must match the shards'
-    /// own context so the routing anchors agree — [`start_cluster`]
-    /// guarantees this; manual wiring must use the same suite.
+    /// A router over `shards` (host:port strings): shard `i` of the
+    /// ring is `shards[i]`, so the shards must have been started with
+    /// the same count, in this order.
     #[must_use]
-    pub fn new(
-        shards: Vec<String>,
-        ring: Ring,
-        core: CoreConfig,
-        timing: CycleTimeModel,
-        spec: TraceSpec,
-    ) -> Self {
+    pub fn new(shards: Vec<String>) -> Self {
+        let ring = Ring::new(u32::try_from(shards.len()).unwrap_or(u32::MAX));
         let health = shards.iter().map(|_| ShardHealth::default()).collect();
         Self {
             shards,
             ring,
-            core,
-            timing,
-            spec,
             relay_timeout: DEFAULT_RELAY_TIMEOUT,
             retry: RetryPolicy::default(),
             probe_after: DEFAULT_PROBE_AFTER,
@@ -163,28 +151,6 @@ impl Router {
         }
     }
 
-    /// Returns the router with a different per-response relay timeout.
-    #[must_use]
-    pub fn with_relay_timeout(mut self, timeout: Duration) -> Self {
-        self.relay_timeout = timeout;
-        self
-    }
-
-    /// Returns the router with a different relay retry schedule
-    /// (`RetryPolicy::none()` disables retries for tests).
-    #[must_use]
-    pub fn with_retry_policy(mut self, retry: RetryPolicy) -> Self {
-        self.retry = retry;
-        self
-    }
-
-    /// Returns the router with a different open-breaker cooldown.
-    #[must_use]
-    pub fn with_probe_after(mut self, probe_after: Duration) -> Self {
-        self.probe_after = probe_after;
-        self
-    }
-
     /// The router's own metrics registry (its serve loop records into
     /// it; the `metrics` request additionally aggregates the shards').
     #[must_use]
@@ -192,17 +158,10 @@ impl Router {
         &self.metrics
     }
 
-    /// The ring this router partitions by.
-    #[must_use]
-    pub fn ring(&self) -> Ring {
-        self.ring
-    }
-
     /// The shard a request at `vcc` routes to.
     #[must_use]
     pub fn owner_of(&self, vcc: Millivolts) -> u32 {
-        self.ring
-            .owner(voltage_anchor(self.core, &self.timing, &self.spec, vcc))
+        self.ring.owner(vcc)
     }
 
     /// Serves the cluster protocol with default options until a
@@ -424,6 +383,9 @@ impl Router {
     /// emitter that produced it, and `cached` is the conjunction over
     /// shards.
     fn full_sweep(&self) -> String {
+        if self.shards.is_empty() {
+            return error_body("no shard reachable: the router has no shards");
+        }
         let shards = self.ring.shards() as usize;
         let mut owners: Vec<usize> = Vec::new();
         let mut per_shard: Vec<Vec<String>> = vec![Vec::new(); shards];
@@ -919,13 +881,8 @@ pub fn start_cluster(choice: SuiteChoice, opts: &ClusterOptions) -> Result<Clust
         }
         built.push((listener, daemon));
     }
-    if built.is_empty() {
-        return Err(ClusterError::Start(
-            "cluster needs at least one shard".to_string(),
-        ));
-    }
     let addrs = shard_addrs.iter().map(ToString::to_string).collect();
-    let router = Router::new(addrs, ring, ctx.core, ctx.timing, ctx.specs[0]);
+    let router = Router::new(addrs);
     let shards = built.iter().map(|(_, d)| Arc::clone(d)).collect();
     let listener = TcpListener::bind(&opts.router_addr).map_err(|e| {
         ClusterError::Start(format!("router: cannot bind {}: {e}", opts.router_addr))
@@ -961,20 +918,15 @@ mod tests {
     use super::*;
     use std::net::TcpListener;
 
-    fn test_router(shards: Vec<String>) -> Router {
-        let spec = SuiteChoice::parse("quick")
-            .expect("quick suite parses")
-            .specs()[0];
-        let ring = Ring::new(shards.len() as u32);
-        Router::new(
-            shards,
-            ring,
-            CoreConfig::silverthorne(),
-            CycleTimeModel::silverthorne_45nm(),
-            spec,
-        )
-        .with_retry_policy(RetryPolicy::none())
-        .with_relay_timeout(Duration::from_secs(2))
+    /// A router that fails fast: no retries, short relay timeouts, and
+    /// an open breaker that admits its probe after `probe_after`.
+    fn test_router(shards: Vec<String>, probe_after: Duration) -> Router {
+        Router {
+            retry: RetryPolicy::none(),
+            relay_timeout: Duration::from_secs(2),
+            probe_after,
+            ..Router::new(shards)
+        }
     }
 
     /// A one-shot shard stand-in: accepts one connection, reads one
@@ -1010,7 +962,7 @@ mod tests {
     #[test]
     fn breaker_opens_after_strikes_refuses_then_probes_and_recovers() {
         let addr = parked_addrs(1).remove(0);
-        let router = test_router(vec![addr.clone()]).with_probe_after(Duration::from_millis(30));
+        let router = test_router(vec![addr.clone()], Duration::from_millis(30));
         let line = ["{\"experiment\": \"ping\"}".to_string()];
 
         // Three consecutive failures open the breaker…
@@ -1045,7 +997,7 @@ mod tests {
 
     #[test]
     fn failed_probes_reopen_the_breaker() {
-        let router = test_router(parked_addrs(1)).with_probe_after(Duration::from_millis(10));
+        let router = test_router(parked_addrs(1), Duration::from_millis(10));
         let line = ["{\"experiment\": \"ping\"}".to_string()];
         for _ in 0..BREAKER_STRIKES {
             assert!(router.relay_guarded(0, &line).is_err());
@@ -1063,7 +1015,7 @@ mod tests {
 
     #[test]
     fn with_every_shard_down_routed_requests_fail_and_aggregates_answer() {
-        let router = test_router(parked_addrs(2));
+        let router = test_router(parked_addrs(2), DEFAULT_PROBE_AFTER);
         for line in [
             r#"{"experiment": "sweep", "vcc": 575}"#,
             r#"{"experiment": "sweep"}"#,
@@ -1097,8 +1049,20 @@ mod tests {
     }
 
     #[test]
+    fn a_router_without_shards_answers_instead_of_panicking() {
+        let router = Router::new(Vec::new());
+        for line in [
+            r#"{"experiment": "sweep"}"#,
+            r#"{"experiment": "sweep", "vcc": 575}"#,
+        ] {
+            let body = conn::Service::call(&router, line).body;
+            assert!(body.contains("no shard reachable"), "{line}: {body}");
+        }
+    }
+
+    #[test]
     fn peer_get_is_an_unknown_experiment() {
-        let reply = conn::Service::call(&test_router(Vec::new()), r#"{"experiment":"peer_get"}"#);
+        let reply = conn::Service::call(&Router::new(Vec::new()), r#"{"experiment":"peer_get"}"#);
         assert!(!reply.stop);
         assert_eq!(
             reply.body,

@@ -1,5 +1,5 @@
-//! Sharding guarantees, end to end: the ring partition of the paper
-//! grid is a pure function of the shard count, and a router
+//! Sharding guarantees, end to end: the ring partition of the model's
+//! voltage range is a pure function of the shard count, and a router
 //! fronting N shard daemons answers every request type byte-identically
 //! to the single-process daemon.
 
@@ -10,48 +10,39 @@ use std::time::{Duration, Instant};
 
 use lowvcc_bench::bundle::decode_bundle;
 use lowvcc_bench::{json, ExperimentContext, ResultStore, SuiteChoice, SEGMENTS_DIR};
-use lowvcc_core::CoreConfig;
 use lowvcc_serve::router::{start_cluster, ClusterOptions};
-use lowvcc_serve::shard::{voltage_anchor, Ring};
+use lowvcc_serve::shard::Ring;
 use lowvcc_serve::Daemon;
-use lowvcc_sram::{CycleTimeModel, Millivolts, PAPER_SWEEP};
-use lowvcc_trace::suite;
+use lowvcc_sram::voltage::{MAX_MODEL_MV, MIN_MODEL_MV};
+use lowvcc_sram::{Millivolts, PAPER_SWEEP};
 
-/// The paper grid partitions identically on every independently
-/// constructed ring: 13 sweep voltages × 3 trace specs, anchored
-/// exactly as the router does it.
+/// Every voltage in the model range partitions identically on every
+/// independently constructed ring, to exactly one shard in range, and
+/// the paper sweep spreads over more than one shard.
 #[test]
 fn paper_grid_partition_is_deterministic() {
-    let core = CoreConfig::silverthorne();
-    let timing = CycleTimeModel::silverthorne_45nm();
-    let specs = suite(1, 1_000);
-    let specs = &specs[..3];
-
     for shards in [2u32, 3, 5] {
         let a = Ring::new(shards);
         let b = Ring::new(shards);
+        for vcc in (MIN_MODEL_MV..=MAX_MODEL_MV).map(Millivolts::literal) {
+            let owner = a.owner(vcc);
+            assert_eq!(
+                owner,
+                b.owner(vcc),
+                "two rings over {shards} shards disagree on {vcc:?}"
+            );
+            assert!(owner < shards, "owner out of range");
+            // Each shard's slice test (`Daemon::warm`'s filter) claims
+            // the voltage on exactly one shard.
+            let claims = (0..shards).filter(|&i| a.owner(vcc) == i).count();
+            assert_eq!(claims, 1, "ownership of {vcc:?} must be exclusive");
+        }
         let mut per_shard = vec![0usize; shards as usize];
         for vcc in PAPER_SWEEP.iter() {
-            for spec in specs {
-                let key = voltage_anchor(core, &timing, spec, vcc);
-                let owner = a.owner(key);
-                assert_eq!(
-                    owner,
-                    b.owner(key),
-                    "two rings with identical config disagree on {vcc:?}"
-                );
-                assert!(owner < shards, "owner out of range");
-                assert!(a.owns(owner, key));
-                assert!(
-                    !a.owns((owner + 1) % shards, key),
-                    "ownership must be exclusive"
-                );
-                per_shard[owner as usize] += 1;
-            }
+            per_shard[a.owner(vcc) as usize] += 1;
         }
-        assert_eq!(per_shard.iter().sum::<usize>(), 13 * 3);
-        // The jump hash spreads 39 keys over >=2 shards; a fully
-        // lopsided partition would mean the seed or hash regressed.
+        // A fully lopsided partition of the 13 sweep voltages would
+        // mean the seed or hash regressed.
         assert!(
             per_shard.iter().filter(|&&n| n > 0).count() >= 2,
             "partition over {shards} shards collapsed to one: {per_shard:?}"
@@ -216,16 +207,10 @@ fn cluster_fails_over_around_a_dead_shard_and_recovers() {
     .expect("cluster starts");
     let shard_addrs = cluster.shard_addrs().to_vec();
 
-    // The victim is the shard owning the 575 mV anchor, so every
-    // single-point request above crosses the hole it leaves.
+    // The victim is the shard owning 575 mV, so every single-point
+    // request above crosses the hole it leaves.
     let ring = Ring::new(3);
-    let ctx = single.context();
-    let victim = ring.owner(voltage_anchor(
-        ctx.core,
-        &ctx.timing,
-        &ctx.specs[0],
-        Millivolts::literal(575),
-    )) as usize;
+    let victim = ring.owner(Millivolts::literal(575)) as usize;
 
     // Kill it with a direct shutdown and wait for its port to close.
     {
@@ -508,12 +493,27 @@ fn restarted_cluster_resimulates_nothing() {
         assert!(resp.contains("\"shutdown\": true"), "got: {resp}");
     };
 
+    // Reference: the distinct keys the same lines make one daemon
+    // simulate.
+    let single = Daemon::new(choice.build().expect("suite builds"));
+    for line in LINES {
+        let _ = single.handle_line(line);
+    }
+    let (stats, _) = single.handle_line("{\"experiment\": \"stats\"}");
+    let distinct = json::parse(&stats)
+        .expect("stats parse")
+        .get("misses")
+        .and_then(json::Value::as_u64)
+        .expect("misses");
+
     let cluster = start_cluster(choice, &opts).expect("cold cluster starts");
     let cold = answers(cluster.router_addr(), &LINES);
     let counts = shard_store_counts(cluster.router_addr());
-    assert!(
-        counts.iter().map(|c| c.0).sum::<u64>() > 0,
-        "the cold pass simulates"
+    assert!(distinct > 0, "the cold pass simulates");
+    assert_eq!(
+        counts.iter().map(|c| c.0).sum::<u64>(),
+        distinct,
+        "no key is simulated on two shards: {counts:?}"
     );
     for (i, &(_, stores, disk_entries)) in counts.iter().enumerate() {
         assert_eq!(stores, disk_entries, "shard {i} persists what it computes");
