@@ -191,9 +191,10 @@ fn main() -> ExitCode {
         }
     };
     eprintln!(
-        "running all experiments on suite {} ({} uops, {} jobs)…",
+        "running all experiments on suite {} ({} uops, {} decoded bytes, {} jobs)…",
         cli.ctx.suite_label,
         cli.ctx.total_uops(),
+        cli.ctx.decoded_bytes(),
         cli.jobs
     );
     match run_all(&cli.ctx, &cli.out) {

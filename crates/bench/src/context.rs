@@ -249,7 +249,7 @@ impl ExperimentContext {
         self.suite.iter().map(TraceArena::len).sum()
     }
 
-    /// Bytes of decoded trace records the suite holds (40 per uop).
+    /// Bytes of decoded trace records the suite holds (24 per uop).
     #[must_use]
     pub fn decoded_bytes(&self) -> usize {
         self.suite.iter().map(TraceArena::record_bytes).sum()
@@ -443,7 +443,7 @@ mod tests {
         for (spec, trace) in ctx.specs.iter().zip(ctx.suite.iter()) {
             assert_eq!(spec.name(), trace.name(), "specs track traces");
         }
-        assert_eq!(ctx.decoded_bytes(), 40 * 70_000);
+        assert_eq!(ctx.decoded_bytes(), 24 * 70_000);
     }
 
     #[test]

@@ -247,7 +247,7 @@ mod tests {
 
     #[test]
     fn decoding_reports_a_malformed_uop_by_its_index() {
-        use lowvcc_trace::{Reg, Uop};
+        use lowvcc_trace::{Reg, Uop, UopError, UopKind};
         let mut trace = TraceSpec::new(WorkloadFamily::SpecFp, 1, 20_000)
             .build()
             .unwrap();
@@ -261,6 +261,24 @@ mod tests {
         );
         trace.uops[10].addr = Some(0x40);
         assert_eq!(decode_trace(&trace), Ok(TraceArena::from_trace(&trace)));
+        // A memory uop with a target: its record word holds the address,
+        // so the target would be lost.
+        let store = trace
+            .uops
+            .iter()
+            .position(|u| u.kind == UopKind::Store)
+            .unwrap();
+        trace.uops[store].target = 0x40;
+        assert_eq!(
+            decode_trace(&trace),
+            Err(SimError::InvalidTrace {
+                index: store,
+                source: UopError::UnexpectedTarget {
+                    kind: UopKind::Store,
+                    pc: trace.uops[store].pc
+                }
+            })
+        );
     }
 
     #[test]

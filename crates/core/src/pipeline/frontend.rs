@@ -7,7 +7,7 @@
 //! tracks the frequency of such windows ([`CorruptionTracker`]) instead
 //! of stalling anything.
 
-use lowvcc_trace::{FetchRecord, TraceArena, UopKind};
+use lowvcc_trace::{TraceArena, UopKind};
 use lowvcc_uarch::bpred::{Bimodal, Btb, CorruptionTracker};
 use lowvcc_uarch::rsb::ReturnStack;
 
@@ -171,12 +171,8 @@ impl FrontEnd {
             if self.cursor >= trace.len() || self.queue_full() {
                 return;
             }
-            let &FetchRecord {
-                pc,
-                target,
-                kind,
-                taken,
-            } = trace.fetch(self.cursor);
+            let record = trace.record(self.cursor);
+            let (pc, kind, taken) = (record.pc, record.kind, record.taken);
             // Instruction-cache access on line change.
             let line = pc >> 6;
             if self.last_line != line {
@@ -192,7 +188,7 @@ impl FrontEnd {
             self.cursor += 1;
 
             if kind.is_control() {
-                let mispredicted = self.predict_and_train(pc, kind, taken, target, now);
+                let mispredicted = self.predict_and_train(pc, kind, taken, record.target(), now);
                 if mispredicted {
                     self.stalled_until = now + self.mispredict_penalty;
                     return;

@@ -19,7 +19,7 @@ pub mod memory;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-use lowvcc_trace::{IssueRecord, Reg, TraceArena, UopKind};
+use lowvcc_trace::{Reg, TraceArena, UopKind, UopRecord};
 use lowvcc_uarch::iq::issue_allowed;
 use lowvcc_uarch::ports::PortSet;
 use lowvcc_uarch::scoreboard::{IrawWindow, Scoreboard};
@@ -33,14 +33,7 @@ use crate::stats::SimStats;
 
 /// The paper's drain NOOP (§4.2): no operands, no destination, no
 /// memory access — it never blocks and its execution changes nothing.
-static DRAIN_NOOP: IssueRecord = IssueRecord {
-    addr: 0,
-    kind: UopKind::Nop,
-    dst: None,
-    src1: None,
-    src2: None,
-    size: 0,
-};
+static DRAIN_NOOP: UopRecord = UopRecord::nop(0);
 
 /// The IQ as a window over the trace: the real uops `[head,
 /// FrontEnd::allocated())` in program order, then `pad` drain NOOPs.
@@ -327,9 +320,9 @@ impl Engine {
 
     /// The IQ's oldest entry, if any.
     #[inline]
-    fn iq_front<'t>(&self, trace: &'t TraceArena) -> Option<&'t IssueRecord> {
+    fn iq_front<'t>(&self, trace: &'t TraceArena) -> Option<&'t UopRecord> {
         if self.iq.head < self.fe.allocated() {
-            Some(trace.issue(self.iq.head))
+            Some(trace.record(self.iq.head))
         } else if self.iq.pad > 0 {
             Some(&DRAIN_NOOP)
         } else {
@@ -633,7 +626,7 @@ impl Engine {
                 self.head_iraw_delayed = false;
                 continue;
             }
-            let entry = trace.issue(self.iq.head);
+            let entry = trace.record(self.iq.head);
             // Enforce one memory op per cycle across the whole group.
             if entry.kind.is_mem() && mem_issued_this_cycle {
                 break;
@@ -682,7 +675,7 @@ impl Engine {
     /// Decides whether `entry` can issue at `now`; returns the dominant
     /// blocker otherwise.
     #[inline]
-    fn blocker_for(&self, entry: &IssueRecord, now: u64) -> Option<Blocker> {
+    fn blocker_for(&self, entry: &UopRecord, now: u64) -> Option<Blocker> {
         // Source readiness on the real board first; the shadow board is
         // only consulted to classify an actual block (hot-path saving:
         // ready sources never touch the shadow).
@@ -724,7 +717,7 @@ impl Engine {
         None
     }
 
-    fn execute(&mut self, entry: &IssueRecord, now: u64) {
+    fn execute(&mut self, entry: &UopRecord, now: u64) {
         let window = self.window;
         let latency = self.cfg.core.latency_of(entry.kind);
         // Extra Bypass: reserve the write port for the extended write.
@@ -762,8 +755,8 @@ impl Engine {
         }
     }
 
-    fn execute_load(&mut self, entry: &IssueRecord, now: u64) {
-        let addr = entry.addr;
+    fn execute_load(&mut self, entry: &UopRecord, now: u64) {
+        let addr = entry.addr();
         self.mem_port_free_at = now + 1;
         let outcome = self.mem.data_access(addr, false, now);
         let mut ready_at = outcome.ready_at;
@@ -798,8 +791,8 @@ impl Engine {
         }
     }
 
-    fn execute_store(&mut self, entry: &IssueRecord, now: u64) {
-        let addr = entry.addr;
+    fn execute_store(&mut self, entry: &UopRecord, now: u64) {
+        let addr = entry.addr();
         self.mem_port_free_at = now + 1;
         let _ = self.mem.data_access(addr, true, now);
         if self.cfg.iraw_active() {

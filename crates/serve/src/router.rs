@@ -416,6 +416,7 @@ impl Router {
                 .collect()
         });
         let mut replies: Vec<std::vec::IntoIter<String>> = Vec::with_capacity(shards);
+        let mut rerouted = vec![false; shards];
         for (index, r) in fanned.into_iter().enumerate() {
             match r {
                 None => replies.push(Vec::new().into_iter()),
@@ -424,11 +425,12 @@ impl Router {
                     // The batch failed even after retries (the breaker
                     // is open by now): fail each voltage over
                     // one by one.
-                    let rerouted: Vec<String> = per_shard[index]
+                    rerouted[index] = true;
+                    let resps: Vec<String> = per_shard[index]
                         .iter()
                         .map(|line| self.reroute_line(index, line))
                         .collect();
-                    replies.push(rerouted.into_iter());
+                    replies.push(resps.into_iter());
                 }
             }
         }
@@ -452,6 +454,12 @@ impl Router {
                 }
             };
             if v.get("ok").and_then(json::Value::as_bool) != Some(true) {
+                if rerouted[owner] {
+                    // A failed-over answer already names whoever failed
+                    // (every shard, when none is reachable), exactly as
+                    // the single-point request would have answered.
+                    return resp;
+                }
                 let detail = v
                     .get("error")
                     .and_then(json::Value::as_str)
@@ -1026,7 +1034,9 @@ mod tests {
             let v = json::parse(&reply.body).expect("error body parses");
             assert_eq!(v.get("ok").and_then(json::Value::as_bool), Some(false));
             let error = v.get("error").and_then(json::Value::as_str).unwrap_or("");
-            assert!(error.contains("no shard reachable"), "{line}: {error}");
+            // A fleet-wide outage is reported as such, not blamed on the
+            // shard whose voltages happened to be rerouted.
+            assert!(error.starts_with("no shard reachable"), "{line}: {error}");
         }
         let ping = conn::Service::call(&router, r#"{"experiment": "ping"}"#);
         assert_eq!(ping.body, r#"{"ok": true, "pong": true}"#);

@@ -1,12 +1,12 @@
 //! Packed trace layout: the one form a synthesized suite takes.
 //!
 //! A grid re-runs the *same* trace at every (Vcc, mechanism) point.
-//! [`TraceArena`] holds a trace as two packed per-uop records, shared
-//! immutably across every point. Each record holds exactly what one
-//! pipeline stage reads: fetch loads one 24-byte [`FetchRecord`] (`pc`,
-//! `target`, `kind`, `taken`), issue one 16-byte [`IssueRecord`]
-//! (operands, address, size). That is 40 bytes per uop instead of the
-//! 48-byte [`Uop`], and one load per stage instead of one per field.
+//! [`TraceArena`] holds a trace as one vector of 24-byte [`UopRecord`]s,
+//! shared immutably across every point; fetch and issue both read a uop
+//! as one record. The record is the 40-byte [`Uop`] with its address and
+//! next-pc folded into one word (a memory uop has an address and no
+//! target, any other uop a target and no address) and each register
+//! operand in one byte (`Option<Reg>` uses [`Reg`]'s niche).
 //!
 //! A suite is synthesized straight into arenas
 //! ([`TraceSpec::build_arena`](crate::TraceSpec::build_arena)), each uop
@@ -18,65 +18,91 @@ use crate::error::TraceError;
 use crate::synth::UopSink;
 use crate::uop::{Reg, Trace, Uop, UopKind};
 
-/// What the issue stage reads of one uop: 16 bytes.
+/// One uop as the pipeline reads it: 24 bytes.
 ///
-/// `addr` is the effective address of a memory uop and 0 otherwise:
-/// every valid trace gives memory uops an address and no other uop one,
-/// so the `Option` need not be stored.
+/// The effective address of a memory uop and the resolved next-pc of
+/// any other uop share one word, read through [`addr`](Self::addr) and
+/// [`target`](Self::target). [`Uop::validate`] rejects a memory uop
+/// with a target, so nothing a valid uop carries is lost.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct IssueRecord {
-    /// Effective data address (memory uops), else 0.
-    pub addr: u64,
+pub struct UopRecord {
+    /// Program counter.
+    pub pc: u64,
+    /// Effective address (memory uops) or resolved next-pc (others).
+    addr_or_target: u64,
     /// Operation class.
     pub kind: UopKind,
+    /// Resolved direction (control uops).
+    pub taken: bool,
+    /// Access size in bytes (memory uops).
+    pub size: u8,
     /// Destination register.
     pub dst: Option<Reg>,
     /// First source register.
     pub src1: Option<Reg>,
     /// Second source register.
     pub src2: Option<Reg>,
-    /// Access size in bytes (memory uops).
-    pub size: u8,
 }
 
-impl From<&Uop> for IssueRecord {
-    fn from(u: &Uop) -> Self {
+impl UopRecord {
+    /// The record of [`Uop::nop`]`(pc)`.
+    #[must_use]
+    pub const fn nop(pc: u64) -> Self {
         Self {
-            addr: u.addr.unwrap_or(0),
-            kind: u.kind,
-            dst: u.dst,
-            src1: u.src1,
-            src2: u.src2,
-            size: u.size,
+            pc,
+            addr_or_target: 0,
+            kind: UopKind::Nop,
+            taken: false,
+            size: 0,
+            dst: None,
+            src1: None,
+            src2: None,
+        }
+    }
+
+    /// Effective data address of a memory uop, else 0.
+    #[inline]
+    #[must_use]
+    pub fn addr(&self) -> u64 {
+        if self.kind.is_mem() {
+            self.addr_or_target
+        } else {
+            0
+        }
+    }
+
+    /// Resolved next-pc of a non-memory uop (control uops), else 0.
+    #[inline]
+    #[must_use]
+    pub fn target(&self) -> u64 {
+        if self.kind.is_mem() {
+            0
+        } else {
+            self.addr_or_target
         }
     }
 }
 
-/// What the fetch stage reads of one uop: 24 bytes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct FetchRecord {
-    /// Program counter.
-    pub pc: u64,
-    /// Resolved next-pc (control uops).
-    pub target: u64,
-    /// Operation class.
-    pub kind: UopKind,
-    /// Resolved direction (control uops).
-    pub taken: bool,
-}
-
-impl From<&Uop> for FetchRecord {
+impl From<&Uop> for UopRecord {
     fn from(u: &Uop) -> Self {
         Self {
             pc: u.pc,
-            target: u.target,
+            addr_or_target: if u.kind.is_mem() {
+                u.addr.unwrap_or(0)
+            } else {
+                u.target
+            },
             kind: u.kind,
             taken: u.taken,
+            size: u.size,
+            dst: u.dst,
+            src1: u.src1,
+            src2: u.src2,
         }
     }
 }
 
-/// A trace as packed per-stage records.
+/// A trace as one vector of packed [`UopRecord`]s.
 ///
 /// Construction is the only copy; afterwards the arena is read-only and
 /// freely shareable across threads (`&TraceArena` is `Sync`).
@@ -87,14 +113,13 @@ impl From<&Uop> for FetchRecord {
 /// let trace = Trace::new("t", vec![Uop::nop(0x0), Uop::nop(0x4)]);
 /// let arena = TraceArena::from_trace(&trace);
 /// assert_eq!(arena.len(), 2);
-/// assert_eq!(arena.fetch(1).pc, 0x4);
+/// assert_eq!(arena.record(1).pc, 0x4);
 /// assert_eq!(arena.name(), "t");
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct TraceArena {
     name: String,
-    issue: Vec<IssueRecord>,
-    fetch: Vec<FetchRecord>,
+    records: Vec<UopRecord>,
 }
 
 impl TraceArena {
@@ -104,8 +129,7 @@ impl TraceArena {
     pub fn from_trace(trace: &Trace) -> Self {
         Self {
             name: trace.name.clone(),
-            issue: trace.uops.iter().map(IssueRecord::from).collect(),
-            fetch: trace.uops.iter().map(FetchRecord::from).collect(),
+            records: trace.uops.iter().map(UopRecord::from).collect(),
         }
     }
 
@@ -119,53 +143,46 @@ impl TraceArena {
     #[inline]
     #[must_use]
     pub fn len(&self) -> usize {
-        self.issue.len()
+        self.records.len()
     }
 
     /// Whether the trace is empty.
     #[inline]
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.issue.is_empty()
+        self.records.is_empty()
     }
 
-    /// Bytes of packed records held (40 per uop; the name aside).
+    /// Bytes of packed records held (24 per uop; the name aside).
     #[must_use]
     pub fn record_bytes(&self) -> usize {
-        std::mem::size_of_val(self.issue.as_slice()) + std::mem::size_of_val(self.fetch.as_slice())
+        std::mem::size_of_val(self.records.as_slice())
     }
 
-    /// The issue record of uop `i`.
+    /// The record of uop `i`.
     #[inline]
     #[must_use]
-    pub fn issue(&self, i: usize) -> &IssueRecord {
-        &self.issue[i]
-    }
-
-    /// The fetch record of uop `i`.
-    #[inline]
-    #[must_use]
-    pub fn fetch(&self, i: usize) -> &FetchRecord {
-        &self.fetch[i]
+    pub fn record(&self, i: usize) -> &UopRecord {
+        &self.records[i]
     }
 
     /// Reassembles uop `i` (diagnostics and equivalence tests; the hot
     /// paths read the records). Exact for every uop that passes
-    /// [`Uop::validate`]: only memory uops carry an address.
+    /// [`Uop::validate`]: only memory uops carry an address, and they
+    /// carry no target.
     #[must_use]
     pub fn uop(&self, i: usize) -> Uop {
-        let is = &self.issue[i];
-        let f = &self.fetch[i];
+        let r = &self.records[i];
         Uop {
-            pc: f.pc,
-            kind: is.kind,
-            dst: is.dst,
-            src1: is.src1,
-            src2: is.src2,
-            addr: is.kind.is_mem().then_some(is.addr),
-            size: is.size,
-            taken: f.taken,
-            target: f.target,
+            pc: r.pc,
+            kind: r.kind,
+            dst: r.dst,
+            src1: r.src1,
+            src2: r.src2,
+            addr: r.kind.is_mem().then_some(r.addr()),
+            size: r.size,
+            taken: r.taken,
+            target: r.target(),
         }
     }
 }
@@ -184,8 +201,7 @@ impl ArenaSink {
         Self {
             arena: TraceArena {
                 name,
-                issue: Vec::with_capacity(len),
-                fetch: Vec::with_capacity(len),
+                records: Vec::with_capacity(len),
             },
             invalid: None,
         }
@@ -211,25 +227,27 @@ impl UopSink for ArenaSink {
                 });
             }
         }
-        self.arena.issue.push(IssueRecord::from(&uop));
-        self.arena.fetch.push(FetchRecord::from(&uop));
+        self.arena.records.push(UopRecord::from(&uop));
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::error::UopError;
     use crate::families::suite;
 
     #[test]
-    fn records_are_sixteen_and_twenty_four_bytes() {
-        assert_eq!(std::mem::size_of::<IssueRecord>(), 16);
-        assert_eq!(std::mem::size_of::<FetchRecord>(), 24);
+    fn a_record_is_twenty_four_bytes() {
+        assert_eq!(std::mem::size_of::<UopRecord>(), 24);
+        assert_eq!(std::mem::size_of::<Option<Reg>>(), 1);
+        assert_eq!(std::mem::size_of::<Uop>(), 40);
     }
 
     #[test]
     fn round_trips_every_uop() {
-        // Every family, so every uop kind's address rule is exercised.
+        // Every family, so every uop kind's address-or-target word is
+        // exercised.
         for spec in suite(1, 3_000) {
             let trace = spec.build().unwrap();
             let arena = TraceArena::from_trace(&trace);
@@ -251,7 +269,7 @@ mod tests {
                 let arena = spec.build_arena().unwrap();
                 let decoded = TraceArena::from_trace(&spec.build().unwrap());
                 assert_eq!(arena, decoded, "{} at length {len}", spec.name());
-                assert_eq!(arena.record_bytes(), 40 * len);
+                assert_eq!(arena.record_bytes(), 24 * len);
             }
         }
     }
@@ -276,6 +294,26 @@ mod tests {
     }
 
     #[test]
+    fn the_sink_reports_a_memory_uop_with_a_target_by_index() {
+        let mut bad = Uop::store(0x48, None, None, 0x40, 8);
+        bad.target = 0x100;
+        let mut sink = ArenaSink::new("bad".to_string(), 3);
+        for u in [Uop::nop(0x40), Uop::nop(0x44), bad] {
+            sink.push(u);
+        }
+        assert_eq!(
+            sink.finish(),
+            Err(TraceError::Uop {
+                index: 2,
+                source: UopError::UnexpectedTarget {
+                    kind: UopKind::Store,
+                    pc: 0x48
+                }
+            })
+        );
+    }
+
+    #[test]
     fn empty_trace() {
         let trace = Trace::new("empty", vec![]);
         let arena = TraceArena::from_trace(&trace);
@@ -290,28 +328,40 @@ mod tests {
         let trace = Trace::new("two", vec![u, b]);
         let arena = TraceArena::from_trace(&trace);
         assert_eq!(
-            *arena.issue(0),
-            IssueRecord {
-                addr: 0x1000,
+            *arena.record(0),
+            UopRecord {
+                pc: 0x40,
+                addr_or_target: 0x1000,
                 kind: u.kind,
+                taken: false,
+                size: u.size,
                 dst: u.dst,
                 src1: u.src1,
                 src2: u.src2,
-                size: u.size,
             }
         );
         assert_eq!(
-            *arena.fetch(1),
-            FetchRecord {
+            *arena.record(1),
+            UopRecord {
                 pc: 0x44,
-                target: 0x80,
+                addr_or_target: 0x80,
                 kind: UopKind::Branch,
                 taken: true,
+                ..UopRecord::nop(0)
             }
         );
-        // Non-memory uops store address 0 and rebuild `None`.
-        assert_eq!(arena.issue(1).addr, 0);
+        // The shared word reads as the address of a memory uop only...
+        assert_eq!(
+            (arena.record(0).addr(), arena.record(0).target()),
+            (0x1000, 0)
+        );
+        // ...and as the target of any other uop, which rebuilds `None`.
+        assert_eq!(
+            (arena.record(1).addr(), arena.record(1).target()),
+            (0, 0x80)
+        );
         assert_eq!(arena.uop(1).addr, None);
+        assert_eq!(UopRecord::from(&Uop::nop(0x48)), UopRecord::nop(0x48));
     }
 
     #[test]
@@ -321,7 +371,7 @@ mod tests {
         let mut bad = Uop::load(0, Reg::new(1).unwrap(), None, 0x40, 8);
         bad.addr = None;
         let arena = TraceArena::from_trace(&Trace::new("bad", vec![bad]));
-        assert_eq!(arena.issue(0).addr, 0);
+        assert_eq!(arena.record(0).addr(), 0);
         assert_eq!(arena.uop(0).addr, Some(0));
     }
 }

@@ -28,6 +28,14 @@ pub enum UopError {
         /// Program counter of the uop.
         pc: u64,
     },
+    /// A memory uop carries a next-pc target (its record slot holds the
+    /// address instead).
+    UnexpectedTarget {
+        /// Offending uop kind.
+        kind: UopKind,
+        /// Program counter of the uop.
+        pc: u64,
+    },
     /// A taken control uop has no target.
     MissingTarget {
         /// Offending uop kind.
@@ -50,6 +58,9 @@ impl fmt::Display for UopError {
             }
             Self::UnexpectedAddress { kind, pc } => {
                 write!(f, "{kind} at {pc:#x} carries an address")
+            }
+            Self::UnexpectedTarget { kind, pc } => {
+                write!(f, "{kind} at {pc:#x} carries a target")
             }
             Self::MissingTarget { kind, pc } => {
                 write!(f, "{kind} at {pc:#x} lacks a target")

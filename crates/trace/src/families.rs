@@ -356,7 +356,7 @@ impl TraceSpec {
     /// Synthesizes the trace straight into a [`TraceArena`], validating
     /// each uop as it is pushed: the same records as
     /// `TraceArena::from_trace(&self.build()?)`, without ever holding
-    /// the 48-byte-per-uop [`Trace`].
+    /// the 40-byte-per-uop [`Trace`].
     ///
     /// # Errors
     ///

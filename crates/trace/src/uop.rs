@@ -8,6 +8,7 @@
 //! no data values.
 
 use std::fmt;
+use std::num::NonZeroU8;
 
 use crate::error::{TraceError, UopError};
 
@@ -17,6 +18,9 @@ pub const NUM_REGS: u8 = 64;
 
 /// A logical register identifier in `0..NUM_REGS`.
 ///
+/// Stored as index + 1 in a [`NonZeroU8`], so `Option<Reg>` is one byte
+/// (a [`UopRecord`](crate::UopRecord) holds three of them).
+///
 /// ```
 /// use lowvcc_trace::Reg;
 ///
@@ -25,8 +29,8 @@ pub const NUM_REGS: u8 = 64;
 /// assert!(Reg::new(200).is_err());
 /// # Ok::<(), lowvcc_trace::RegError>(())
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct Reg(u8);
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub struct Reg(NonZeroU8);
 
 /// Error constructing a [`Reg`] out of range.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -54,10 +58,9 @@ impl Reg {
     ///
     /// Returns [`RegError`] if `index >= NUM_REGS`.
     pub fn new(index: u8) -> Result<Self, RegError> {
-        if index < NUM_REGS {
-            Ok(Self(index))
-        } else {
-            Err(RegError { index })
+        match NonZeroU8::new(index.wrapping_add(1)) {
+            Some(stored) if index < NUM_REGS => Ok(Self(stored)),
+            _ => Err(RegError { index }),
         }
     }
 
@@ -65,18 +68,24 @@ impl Reg {
     #[inline]
     #[must_use]
     pub fn index(self) -> u8 {
-        self.0
+        self.0.get() - 1
     }
 
     /// Iterator over all architectural registers.
     pub fn all() -> impl Iterator<Item = Reg> {
-        (0..NUM_REGS).map(Reg)
+        (1..=NUM_REGS).filter_map(NonZeroU8::new).map(Reg)
+    }
+}
+
+impl fmt::Debug for Reg {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_tuple("Reg").field(&self.index()).finish()
     }
 }
 
 impl fmt::Display for Reg {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "r{}", self.0)
+        write!(f, "r{}", self.index())
     }
 }
 
@@ -293,8 +302,9 @@ impl Uop {
     /// # Errors
     ///
     /// Returns the first inconsistency found (memory uop without an
-    /// address, control uop without a target, or a non-memory uop carrying
-    /// an address).
+    /// address or with a target, a non-memory uop carrying an address,
+    /// a taken control uop without a target, or a load without a
+    /// destination).
     pub fn validate(&self) -> Result<(), UopError> {
         if self.kind.is_mem() && self.addr.is_none() {
             return Err(UopError::MissingAddress {
@@ -304,6 +314,12 @@ impl Uop {
         }
         if !self.kind.is_mem() && self.addr.is_some() {
             return Err(UopError::UnexpectedAddress {
+                kind: self.kind,
+                pc: self.pc,
+            });
+        }
+        if self.kind.is_mem() && self.target != 0 {
+            return Err(UopError::UnexpectedTarget {
                 kind: self.kind,
                 pc: self.pc,
             });
@@ -380,8 +396,19 @@ mod tests {
         assert!(Reg::new(0).is_ok());
         assert!(Reg::new(NUM_REGS - 1).is_ok());
         assert!(Reg::new(NUM_REGS).is_err());
+        assert_eq!(Reg::new(u8::MAX), Err(RegError { index: u8::MAX }));
         assert_eq!(Reg::all().count(), usize::from(NUM_REGS));
         assert_eq!(r(7).to_string(), "r7");
+    }
+
+    #[test]
+    fn reg_keeps_its_index_text_and_order() {
+        let indices: Vec<u8> = Reg::all().map(Reg::index).collect();
+        assert_eq!(indices, (0..NUM_REGS).collect::<Vec<_>>());
+        assert_eq!(format!("{:?}", r(0)), "Reg(0)");
+        assert_eq!(format!("{:?}", Some(r(63))), "Some(Reg(63))");
+        assert_eq!(r(0).to_string(), "r0");
+        assert!(r(0) < r(1) && r(62) < r(63));
     }
 
     #[test]
@@ -428,6 +455,20 @@ mod tests {
         let mut load_no_dst = Uop::load(0, r(1), None, 0x40, 8);
         load_no_dst.dst = None;
         assert!(load_no_dst.validate().is_err());
+
+        let mut store_with_target = Uop::store(8, None, None, 0x40, 8);
+        store_with_target.target = 0x100;
+        assert_eq!(
+            store_with_target.validate(),
+            Err(UopError::UnexpectedTarget {
+                kind: UopKind::Store,
+                pc: 8
+            })
+        );
+        assert_eq!(
+            store_with_target.validate().unwrap_err().to_string(),
+            "store at 0x8 carries a target"
+        );
     }
 
     #[test]

@@ -428,3 +428,62 @@ fn standard_suite_gap_attribution_stays_in_band() {
         }
     }
 }
+
+/// Inclusive bands on the suite-total speedup of IRAW over the baseline
+/// over uops (200k, 1.2M] of each family's seed-0 trace, at 500 and
+/// 400 mV: today's 1.4765 and 1.8427, within about ±0.015.
+const MARGINAL_SPEEDUP_BANDS: [(u32, [f64; 2]); 2] = [(500, [1.46, 1.49]), (400, [1.83, 1.86])];
+
+/// The steady state beats the cold start: past its first 200k uops a
+/// trace makes far fewer compulsory misses, and each one costs the
+/// faster IRAW clock more cycles, so the speedup over uops
+/// (200k, 1.2M] is higher than over the first 200k. A synthesized trace
+/// of any length is a prefix of every longer one with the same family
+/// and seed, so the marginal time of a trace is
+/// `seconds(1.2M) − seconds(200k)`. Ignored by default, like the scalar
+/// bands; CI's `claims` job runs it.
+#[test]
+#[ignore = "simulates 7 × 1.4M uops per config; CI's claims job runs it in release"]
+fn steady_state_speedup_beats_the_cold_start() {
+    use lowvcc_trace::{TraceSpec, WorkloadFamily};
+    const SHORT: usize = 200_000;
+    const LONG: usize = 1_200_000;
+    let context = |len: usize| {
+        let specs: Vec<TraceSpec> = WorkloadFamily::all()
+            .into_iter()
+            .map(|family| TraceSpec::new(family, 0, len))
+            .collect();
+        ExperimentContext::from_specs(&specs, &format!("7x{len}"))
+            .expect("suite builds")
+            .with_parallelism(Parallelism::threads(2))
+    };
+    let (short, long) = (context(SHORT), context(LONG));
+    for (s, l) in short.suite.iter().zip(long.suite.iter()) {
+        assert_eq!(s.len(), SHORT);
+        assert!(
+            (0..SHORT).all(|i| s.record(i) == l.record(i)),
+            "{}: the short trace must be the long one's prefix",
+            s.name()
+        );
+    }
+    for (mv, [low, high]) in MARGINAL_SPEEDUP_BANDS {
+        let vcc = lowvcc_sram::Millivolts::new(mv).expect("grid voltage");
+        let (base, iraw) = SimConfig::mechanism_pair(short.core, &short.timing, vcc);
+        let cfgs = [base, iraw];
+        let seconds = |ctx: &ExperimentContext| -> [f64; 2] {
+            let suites = ctx.run_suite_batch(&cfgs).expect("suite runs");
+            [suites[0].total_seconds(), suites[1].total_seconds()]
+        };
+        let ([base_short, iraw_short], [base_long, iraw_long]) = (seconds(&short), seconds(&long));
+        let cold = base_short / iraw_short;
+        let marginal = (base_long - base_short) / (iraw_long - iraw_short);
+        assert!(
+            (low..=high).contains(&marginal),
+            "marginal speedup @{mv} mV left its band: {marginal:.4} is outside [{low}, {high}]"
+        );
+        assert!(
+            marginal > cold,
+            "@{mv} mV the steady state ({marginal:.4}) must beat the first {SHORT} uops ({cold:.4})"
+        );
+    }
+}
