@@ -443,7 +443,7 @@ mod tests {
         for (spec, trace) in ctx.specs.iter().zip(ctx.suite.iter()) {
             assert_eq!(spec.name(), trace.name(), "specs track traces");
         }
-        assert_eq!(ctx.decoded_bytes(), 24 * 70_000);
+        assert_eq!(ctx.decoded_bytes(), 16 * 70_000);
     }
 
     #[test]

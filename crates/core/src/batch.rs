@@ -282,6 +282,42 @@ mod tests {
     }
 
     #[test]
+    fn decoding_reports_an_address_past_32_bits_by_its_index() {
+        use lowvcc_trace::{Uop, UopError, UopKind};
+        let mut trace = TraceSpec::new(WorkloadFamily::SpecInt, 1, 20_000)
+            .build()
+            .unwrap();
+        // A record stores pc, address and target in 32 bits each.
+        let load = trace
+            .uops
+            .iter()
+            .rposition(|u| u.kind == UopKind::Load)
+            .unwrap();
+        trace.uops[load].addr = Some(1 << 32);
+        let branch = trace
+            .uops
+            .iter()
+            .position(|u| u.kind == UopKind::Branch)
+            .unwrap();
+        trace.uops[branch].target = 1 << 32;
+        for index in [branch.min(load), load.max(branch)] {
+            let uop = trace.uops[index];
+            assert_eq!(
+                decode_trace(&trace),
+                Err(SimError::InvalidTrace {
+                    index,
+                    source: UopError::AddressOutOfRange {
+                        kind: uop.kind,
+                        pc: uop.pc
+                    }
+                })
+            );
+            trace.uops[index] = Uop::nop(uop.pc);
+        }
+        assert_eq!(decode_trace(&trace), Ok(TraceArena::from_trace(&trace)));
+    }
+
+    #[test]
     fn invalid_config_is_reported() {
         let trace = TraceSpec::new(WorkloadFamily::Kernel, 0, 100)
             .build()

@@ -172,7 +172,7 @@ impl FrontEnd {
                 return;
             }
             let record = trace.record(self.cursor);
-            let (pc, kind, taken) = (record.pc, record.kind, record.taken);
+            let (pc, kind, taken) = (record.pc(), record.kind, record.taken);
             // Instruction-cache access on line change.
             let line = pc >> 6;
             if self.last_line != line {

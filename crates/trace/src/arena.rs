@@ -1,11 +1,12 @@
 //! Packed trace layout: the one form a synthesized suite takes.
 //!
 //! A grid re-runs the *same* trace at every (Vcc, mechanism) point.
-//! [`TraceArena`] holds a trace as one vector of 24-byte [`UopRecord`]s,
+//! [`TraceArena`] holds a trace as one vector of 16-byte [`UopRecord`]s,
 //! shared immutably across every point; fetch and issue both read a uop
-//! as one record. The record is the 40-byte [`Uop`] with its address and
-//! next-pc folded into one word (a memory uop has an address and no
-//! target, any other uop a target and no address) and each register
+//! as one record. The record is the 40-byte [`Uop`] in the modelled
+//! core's 32-bit address space: the pc in 32 bits, the address and
+//! next-pc folded into one 32-bit word (a memory uop has an address and
+//! no target, any other uop a target and no address), and each register
 //! operand in one byte (`Option<Reg>` uses [`Reg`]'s niche).
 //!
 //! A suite is synthesized straight into arenas
@@ -18,18 +19,20 @@ use crate::error::TraceError;
 use crate::synth::UopSink;
 use crate::uop::{Reg, Trace, Uop, UopKind};
 
-/// One uop as the pipeline reads it: 24 bytes.
+/// One uop as the pipeline reads it: 16 bytes.
 ///
-/// The effective address of a memory uop and the resolved next-pc of
-/// any other uop share one word, read through [`addr`](Self::addr) and
+/// The pc and the word shared by the effective address of a memory uop
+/// and the resolved next-pc of any other uop are 32 bits each, read
+/// widened through [`pc`](Self::pc), [`addr`](Self::addr) and
 /// [`target`](Self::target). [`Uop::validate`] rejects a memory uop
-/// with a target, so nothing a valid uop carries is lost.
+/// with a target and any pc, address or target above `u32::MAX`, so
+/// nothing a valid uop carries is lost.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct UopRecord {
     /// Program counter.
-    pub pc: u64,
+    pc: u32,
     /// Effective address (memory uops) or resolved next-pc (others).
-    addr_or_target: u64,
+    addr_or_target: u32,
     /// Operation class.
     pub kind: UopKind,
     /// Resolved direction (control uops).
@@ -47,7 +50,7 @@ pub struct UopRecord {
 impl UopRecord {
     /// The record of [`Uop::nop`]`(pc)`.
     #[must_use]
-    pub const fn nop(pc: u64) -> Self {
+    pub const fn nop(pc: u32) -> Self {
         Self {
             pc,
             addr_or_target: 0,
@@ -60,12 +63,19 @@ impl UopRecord {
         }
     }
 
+    /// Program counter.
+    #[inline]
+    #[must_use]
+    pub fn pc(&self) -> u64 {
+        u64::from(self.pc)
+    }
+
     /// Effective data address of a memory uop, else 0.
     #[inline]
     #[must_use]
     pub fn addr(&self) -> u64 {
         if self.kind.is_mem() {
-            self.addr_or_target
+            u64::from(self.addr_or_target)
         } else {
             0
         }
@@ -78,20 +88,23 @@ impl UopRecord {
         if self.kind.is_mem() {
             0
         } else {
-            self.addr_or_target
+            u64::from(self.addr_or_target)
         }
     }
 }
 
+/// Decodes a uop, keeping the low 32 bits of its pc, address and target:
+/// exact for a valid uop, truncating for one above `u32::MAX`.
 impl From<&Uop> for UopRecord {
     fn from(u: &Uop) -> Self {
+        let addr_or_target = if u.kind.is_mem() {
+            u.addr.unwrap_or(0)
+        } else {
+            u.target
+        };
         Self {
-            pc: u.pc,
-            addr_or_target: if u.kind.is_mem() {
-                u.addr.unwrap_or(0)
-            } else {
-                u.target
-            },
+            pc: u.pc as u32,
+            addr_or_target: addr_or_target as u32,
             kind: u.kind,
             taken: u.taken,
             size: u.size,
@@ -113,7 +126,7 @@ impl From<&Uop> for UopRecord {
 /// let trace = Trace::new("t", vec![Uop::nop(0x0), Uop::nop(0x4)]);
 /// let arena = TraceArena::from_trace(&trace);
 /// assert_eq!(arena.len(), 2);
-/// assert_eq!(arena.record(1).pc, 0x4);
+/// assert_eq!(arena.record(1).pc(), 0x4);
 /// assert_eq!(arena.name(), "t");
 /// ```
 #[derive(Debug, Clone, PartialEq)]
@@ -124,7 +137,9 @@ pub struct TraceArena {
 
 impl TraceArena {
     /// Decodes `trace` into records. O(len). Infallible: it does not
-    /// validate (see [`Uop::validate`]).
+    /// validate (see [`Uop::validate`]), so an invalid uop decodes
+    /// lossily (a load without an address as address 0, a pc, address
+    /// or target above `u32::MAX` truncated to its low 32 bits).
     #[must_use]
     pub fn from_trace(trace: &Trace) -> Self {
         Self {
@@ -153,7 +168,7 @@ impl TraceArena {
         self.records.is_empty()
     }
 
-    /// Bytes of packed records held (24 per uop; the name aside).
+    /// Bytes of packed records held (16 per uop; the name aside).
     #[must_use]
     pub fn record_bytes(&self) -> usize {
         std::mem::size_of_val(self.records.as_slice())
@@ -168,13 +183,13 @@ impl TraceArena {
 
     /// Reassembles uop `i` (diagnostics and equivalence tests; the hot
     /// paths read the records). Exact for every uop that passes
-    /// [`Uop::validate`]: only memory uops carry an address, and they
-    /// carry no target.
+    /// [`Uop::validate`]: only memory uops carry an address, they carry
+    /// no target, and every pc, address and target fits in 32 bits.
     #[must_use]
     pub fn uop(&self, i: usize) -> Uop {
         let r = &self.records[i];
         Uop {
-            pc: r.pc,
+            pc: r.pc(),
             kind: r.kind,
             dst: r.dst,
             src1: r.src1,
@@ -238,8 +253,8 @@ mod tests {
     use crate::families::suite;
 
     #[test]
-    fn a_record_is_twenty_four_bytes() {
-        assert_eq!(std::mem::size_of::<UopRecord>(), 24);
+    fn a_record_is_sixteen_bytes() {
+        assert_eq!(std::mem::size_of::<UopRecord>(), 16);
         assert_eq!(std::mem::size_of::<Option<Reg>>(), 1);
         assert_eq!(std::mem::size_of::<Uop>(), 40);
     }
@@ -269,7 +284,7 @@ mod tests {
                 let arena = spec.build_arena().unwrap();
                 let decoded = TraceArena::from_trace(&spec.build().unwrap());
                 assert_eq!(arena, decoded, "{} at length {len}", spec.name());
-                assert_eq!(arena.record_bytes(), 24 * len);
+                assert_eq!(arena.record_bytes(), 16 * len);
             }
         }
     }
@@ -314,6 +329,25 @@ mod tests {
     }
 
     #[test]
+    fn the_sink_reports_an_address_past_32_bits_by_index() {
+        let wide = Uop::load(0x48, Reg::new(1).unwrap(), None, 1 << 32, 8);
+        let mut sink = ArenaSink::new("wide".to_string(), 3);
+        for u in [Uop::nop(0x40), Uop::nop(0x44), wide] {
+            sink.push(u);
+        }
+        assert_eq!(
+            sink.finish(),
+            Err(TraceError::Uop {
+                index: 2,
+                source: UopError::AddressOutOfRange {
+                    kind: UopKind::Load,
+                    pc: 0x48
+                }
+            })
+        );
+    }
+
+    #[test]
     fn empty_trace() {
         let trace = Trace::new("empty", vec![]);
         let arena = TraceArena::from_trace(&trace);
@@ -327,6 +361,7 @@ mod tests {
         let b = Uop::branch(0x44, None, true, 0x80);
         let trace = Trace::new("two", vec![u, b]);
         let arena = TraceArena::from_trace(&trace);
+        assert_eq!(arena.record(0).pc(), 0x40);
         assert_eq!(
             *arena.record(0),
             UopRecord {
@@ -373,5 +408,37 @@ mod tests {
         let arena = TraceArena::from_trace(&Trace::new("bad", vec![bad]));
         assert_eq!(arena.record(0).addr(), 0);
         assert_eq!(arena.uop(0).addr, Some(0));
+    }
+
+    #[test]
+    fn an_address_past_32_bits_decodes_truncated() {
+        // `from_trace` is infallible: a uop above the 32-bit address
+        // space (which `Uop::validate` rejects) decodes to the low 32
+        // bits of its pc, address and target.
+        const HIGH: u64 = 1 << 32;
+        let load = Uop::load(HIGH | 0x40, Reg::new(1).unwrap(), None, HIGH | 0x1000, 8);
+        let call = Uop {
+            kind: UopKind::Call,
+            taken: true,
+            target: HIGH | 0x80,
+            ..Uop::nop(HIGH | 0x44)
+        };
+        let arena = TraceArena::from_trace(&Trace::new("wide", vec![load, call]));
+        assert_eq!(
+            (arena.record(0).pc(), arena.record(0).addr()),
+            (0x40, 0x1000)
+        );
+        assert_eq!(
+            (arena.record(1).pc(), arena.record(1).target()),
+            (0x44, 0x80)
+        );
+        assert_eq!(
+            arena.uop(1),
+            Uop {
+                pc: 0x44,
+                target: 0x80,
+                ..call
+            }
+        );
     }
 }

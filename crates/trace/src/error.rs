@@ -48,6 +48,14 @@ pub enum UopError {
         /// Program counter of the uop.
         pc: u64,
     },
+    /// The pc, data address or target lies above `u32::MAX`, outside the
+    /// 32-bit address space a trace record stores.
+    AddressOutOfRange {
+        /// Offending uop kind.
+        kind: UopKind,
+        /// Program counter of the uop.
+        pc: u64,
+    },
 }
 
 impl fmt::Display for UopError {
@@ -67,6 +75,9 @@ impl fmt::Display for UopError {
             }
             Self::MissingDestination { pc } => {
                 write!(f, "load at {pc:#x} lacks a destination")
+            }
+            Self::AddressOutOfRange { kind, pc } => {
+                write!(f, "{kind} at {pc:#x} reaches past the 32-bit address space")
             }
         }
     }

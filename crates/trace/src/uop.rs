@@ -6,6 +6,12 @@
 //! needs — operand registers (for the scoreboard), memory address (for the
 //! cache hierarchy), and branch outcome/target (for the predictors) — but
 //! no data values.
+//!
+//! The modelled core (Silverthorne, an IA-32 machine) has a 32-bit
+//! address space: every pc, data address and next-pc fits in 32 bits.
+//! [`Uop`] keeps them as `u64`, and [`Uop::validate`] rejects any above
+//! `u32::MAX`, so a [`UopRecord`](crate::UopRecord) stores each in
+//! 32 bits without loss.
 
 use std::fmt;
 use std::num::NonZeroU8;
@@ -69,6 +75,14 @@ impl Reg {
     #[must_use]
     pub fn index(self) -> u8 {
         self.0.get() - 1
+    }
+
+    /// The stored byte, index + 1 (`1..=NUM_REGS`): a table of
+    /// `NUM_REGS + 1` entries indexed by it needs no subtraction.
+    #[inline]
+    #[must_use]
+    pub fn slot(self) -> u8 {
+        self.0.get()
     }
 
     /// Iterator over all architectural registers.
@@ -182,6 +196,9 @@ impl fmt::Display for UopKind {
 }
 
 /// One dynamic micro-operation of a trace.
+///
+/// Addresses are `u64`, but a valid uop's pc, data address and target
+/// all lie in the 32-bit address space (see [`Uop::validate`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Uop {
     /// Program counter of this uop.
@@ -303,8 +320,8 @@ impl Uop {
     ///
     /// Returns the first inconsistency found (memory uop without an
     /// address or with a target, a non-memory uop carrying an address,
-    /// a taken control uop without a target, or a load without a
-    /// destination).
+    /// a taken control uop without a target, a load without a
+    /// destination, or a pc, address or target above `u32::MAX`).
     pub fn validate(&self) -> Result<(), UopError> {
         if self.kind.is_mem() && self.addr.is_none() {
             return Err(UopError::MissingAddress {
@@ -332,6 +349,13 @@ impl Uop {
         }
         if self.kind == UopKind::Load && self.dst.is_none() {
             return Err(UopError::MissingDestination { pc: self.pc });
+        }
+        let wide = |a: u64| u32::try_from(a).is_err();
+        if wide(self.pc) || self.addr.is_some_and(wide) || wide(self.target) {
+            return Err(UopError::AddressOutOfRange {
+                kind: self.kind,
+                pc: self.pc,
+            });
         }
         Ok(())
     }
@@ -409,6 +433,8 @@ mod tests {
         assert_eq!(format!("{:?}", Some(r(63))), "Some(Reg(63))");
         assert_eq!(r(0).to_string(), "r0");
         assert!(r(0) < r(1) && r(62) < r(63));
+        let slots: Vec<u8> = Reg::all().map(Reg::slot).collect();
+        assert_eq!(slots, (1..=NUM_REGS).collect::<Vec<_>>());
     }
 
     #[test]
@@ -468,6 +494,33 @@ mod tests {
         assert_eq!(
             store_with_target.validate().unwrap_err().to_string(),
             "store at 0x8 carries a target"
+        );
+
+        // The 32-bit address space: a record stores pc, address and
+        // target in 32 bits each.
+        const LIMIT: u64 = 1 << 32;
+        let top = u64::from(u32::MAX);
+        // The highest pc, address and target still fit.
+        Uop::load(top, r(1), None, top, 8).validate().unwrap();
+        Uop::branch(top, None, true, top).validate().unwrap();
+
+        let pc = Uop::nop(LIMIT);
+        let addr = Uop::store(8, None, None, LIMIT, 8);
+        let target = Uop::branch(12, None, true, LIMIT);
+        let untaken = Uop::branch(16, None, false, LIMIT);
+        for u in [pc, addr, target, untaken] {
+            assert_eq!(
+                u.validate(),
+                Err(UopError::AddressOutOfRange {
+                    kind: u.kind,
+                    pc: u.pc
+                }),
+                "{u:?}"
+            );
+        }
+        assert_eq!(
+            addr.validate().unwrap_err().to_string(),
+            "store at 0x8 reaches past the 32-bit address space"
         );
     }
 

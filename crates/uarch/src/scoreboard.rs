@@ -89,6 +89,7 @@ fn shift_by(bits: u32, delta: u64, width: u32, mask: u32) -> u32 {
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Scoreboard {
+    /// Indexed by [`Reg::slot`] (index + 1); slot 0 is never written.
     regs: Vec<ShiftReg>,
     width: u32,
     mask: u32,
@@ -118,7 +119,7 @@ impl Scoreboard {
                     bits: mask,
                     written_at: 0
                 };
-                usize::from(lowvcc_trace::NUM_REGS)
+                usize::from(lowvcc_trace::NUM_REGS) + 1
             ],
             width,
             mask,
@@ -135,7 +136,7 @@ impl Scoreboard {
     /// The pattern of `reg` as seen this cycle.
     #[inline]
     fn current_bits(&self, reg: Reg) -> u32 {
-        let r = self.regs[usize::from(reg.index())];
+        let r = self.regs[usize::from(reg.slot())];
         shift_by(r.bits, self.now - r.written_at, self.width, self.mask)
     }
 
@@ -147,7 +148,7 @@ impl Scoreboard {
     #[inline]
     #[must_use]
     pub fn is_ready(&self, reg: Reg) -> bool {
-        let r = self.regs[usize::from(reg.index())];
+        let r = self.regs[usize::from(reg.slot())];
         let top = self.width - 1;
         let k = (self.now - r.written_at).min(u64::from(top)) as u32;
         (r.bits >> (top - k)) & 1 == 1
@@ -198,7 +199,7 @@ impl Scoreboard {
     #[inline]
     pub fn set_producer(&mut self, reg: Reg, latency: u32, iraw: Option<IrawWindow>) {
         let bits = self.build_pattern(latency, iraw);
-        self.regs[usize::from(reg.index())] = ShiftReg {
+        self.regs[usize::from(reg.slot())] = ShiftReg {
             bits,
             written_at: self.now,
         };
@@ -207,7 +208,7 @@ impl Scoreboard {
     /// Marks `reg` long-latency (all zeros) pending a completion event.
     #[inline]
     pub fn mark_long_latency(&mut self, reg: Reg) {
-        self.regs[usize::from(reg.index())] = ShiftReg {
+        self.regs[usize::from(reg.slot())] = ShiftReg {
             bits: 0,
             written_at: self.now,
         };
@@ -220,7 +221,7 @@ impl Scoreboard {
     #[inline]
     pub fn complete(&mut self, reg: Reg, iraw: Option<IrawWindow>) {
         let bits = self.build_pattern(0, iraw);
-        self.regs[usize::from(reg.index())] = ShiftReg {
+        self.regs[usize::from(reg.slot())] = ShiftReg {
             bits,
             written_at: self.now,
         };
@@ -539,7 +540,7 @@ mod tests {
         for pattern in 0..=mask {
             for delta in 0..3 * u64::from(W) {
                 let mut sb = Scoreboard::new(W);
-                sb.regs[0] = ShiftReg {
+                sb.regs[usize::from(r(0).slot())] = ShiftReg {
                     bits: pattern,
                     written_at: 0,
                 };
