@@ -249,10 +249,11 @@ impl ExperimentContext {
         self.suite.iter().map(TraceArena::len).sum()
     }
 
-    /// Bytes of decoded trace records the suite holds (24 per uop).
+    /// Bytes of decoded trace the suite holds: 8 per uop plus 16 per pc
+    /// break, one break per synthesized trace.
     #[must_use]
     pub fn decoded_bytes(&self) -> usize {
-        self.suite.iter().map(TraceArena::record_bytes).sum()
+        self.suite.iter().map(TraceArena::decoded_bytes).sum()
     }
 
     /// Runs every configuration over the whole suite, batched per trace:
@@ -443,7 +444,7 @@ mod tests {
         for (spec, trace) in ctx.specs.iter().zip(ctx.suite.iter()) {
             assert_eq!(spec.name(), trace.name(), "specs track traces");
         }
-        assert_eq!(ctx.decoded_bytes(), 16 * 70_000);
+        assert_eq!(ctx.decoded_bytes(), 8 * 70_000 + 16 * 7);
     }
 
     #[test]

@@ -318,6 +318,56 @@ mod tests {
     }
 
     #[test]
+    fn decoding_reports_a_size_or_direction_the_tag_cannot_hold_by_its_index() {
+        use lowvcc_trace::{Uop, UopError, UopKind};
+        let mut trace = TraceSpec::new(WorkloadFamily::Office, 1, 20_000)
+            .build()
+            .unwrap();
+        // A record packs kind, direction and log2 of the size in one byte.
+        let first = |kind: UopKind| trace.uops.iter().position(|u| u.kind == kind).unwrap();
+        let (load, alu, store) = (
+            first(UopKind::Load),
+            first(UopKind::IntAlu),
+            first(UopKind::Store),
+        );
+        let (l, a, s) = (trace.uops[load], trace.uops[alu], trace.uops[store]);
+        let mut expect = |index: usize, bad: Uop, source: UopError| {
+            let good = std::mem::replace(&mut trace.uops[index], bad);
+            assert_eq!(
+                decode_trace(&trace),
+                Err(SimError::InvalidTrace { index, source })
+            );
+            trace.uops[index] = good;
+        };
+        expect(
+            load,
+            Uop { size: 16, ..l },
+            UopError::InvalidSize {
+                kind: l.kind,
+                pc: l.pc,
+                size: 16,
+            },
+        );
+        expect(
+            alu,
+            Uop { size: 4, ..a },
+            UopError::UnexpectedSize {
+                kind: a.kind,
+                pc: a.pc,
+            },
+        );
+        expect(
+            store,
+            Uop { taken: true, ..s },
+            UopError::UnexpectedTaken {
+                kind: s.kind,
+                pc: s.pc,
+            },
+        );
+        assert_eq!(decode_trace(&trace), Ok(TraceArena::from_trace(&trace)));
+    }
+
+    #[test]
     fn invalid_config_is_reported() {
         let trace = TraceSpec::new(WorkloadFamily::Kernel, 0, 100)
             .build()

@@ -7,7 +7,7 @@
 //! tracks the frequency of such windows ([`CorruptionTracker`]) instead
 //! of stalling anything.
 
-use lowvcc_trace::{TraceArena, UopKind};
+use lowvcc_trace::{PcWalk, TraceArena, UopKind};
 use lowvcc_uarch::bpred::{Bimodal, Btb, CorruptionTracker};
 use lowvcc_uarch::rsb::ReturnStack;
 
@@ -42,6 +42,8 @@ pub struct FrontEnd {
     alloc: usize,
     /// Next uop to fetch (the decode queue's tail).
     cursor: usize,
+    /// The pc of uop `cursor`, recovered from the control flow.
+    walk: PcWalk,
     stalled_until: u64,
     /// IL0 line of the previous fetch ([`NO_LINE`] before the first).
     last_line: u64,
@@ -64,6 +66,7 @@ impl FrontEnd {
             decode_ready: [0; DECODE_QUEUE_DEPTH],
             alloc: 0,
             cursor: 0,
+            walk: PcWalk::START,
             stalled_until: 0,
             last_line: NO_LINE,
             fetch_width: cfg.core.fetch_width,
@@ -85,6 +88,7 @@ impl FrontEnd {
         self.decode_ready = [0; DECODE_QUEUE_DEPTH];
         self.alloc = 0;
         self.cursor = 0;
+        self.walk = PcWalk::START;
         self.stalled_until = 0;
         self.last_line = NO_LINE;
         self.fetch_width = cfg.core.fetch_width;
@@ -172,7 +176,8 @@ impl FrontEnd {
                 return;
             }
             let record = trace.record(self.cursor);
-            let (pc, kind, taken) = (record.pc(), record.kind, record.taken);
+            let pc = self.walk.pc(trace, self.cursor);
+            let (kind, taken) = (record.kind(), record.taken());
             // Instruction-cache access on line change.
             let line = pc >> 6;
             if self.last_line != line {
@@ -185,6 +190,7 @@ impl FrontEnd {
                 }
             }
             self.decode_ready[self.cursor % DECODE_QUEUE_DEPTH] = now + self.front_end_stages;
+            self.walk.step(trace, self.cursor, pc);
             self.cursor += 1;
 
             if kind.is_control() {

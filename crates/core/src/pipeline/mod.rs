@@ -33,7 +33,7 @@ use crate::stats::SimStats;
 
 /// The paper's drain NOOP (§4.2): no operands, no destination, no
 /// memory access — it never blocks and its execution changes nothing.
-static DRAIN_NOOP: UopRecord = UopRecord::nop(0);
+static DRAIN_NOOP: UopRecord = UopRecord::nop();
 
 /// The IQ as a window over the trace: the real uops `[head,
 /// FrontEnd::allocated())` in program order, then `pad` drain NOOPs.
@@ -252,9 +252,12 @@ impl Engine {
     /// the naive stepper cycle by cycle.
     ///
     /// The arena is not re-validated here (that would cost a pass per
-    /// run): `Simulator` and the grid executor validate each trace once.
-    /// A malformed uop fed in directly simulates as address 0 or without
-    /// a destination; it never panics.
+    /// run): `TraceSpec::build_arena` and
+    /// [`decode_trace`](crate::batch::decode_trace) validate each uop
+    /// once, when the arena is built, and the grid executor takes its
+    /// arenas as already valid. A malformed uop decoded by
+    /// `TraceArena::from_trace` simulates as its lossy record (address
+    /// 0, no destination); it never panics.
     ///
     /// # Errors
     ///
@@ -497,7 +500,7 @@ impl Engine {
                 }
             }
             // Structural inputs consulted for this head's kind.
-            match head.kind {
+            match head.kind() {
                 UopKind::IntDiv => bound(&mut wake, self.div_free_at),
                 UopKind::FpDiv => bound(&mut wake, self.fpdiv_free_at),
                 k if k.is_mem() => {
@@ -510,7 +513,7 @@ impl Engine {
                 _ => {}
             }
             if self.cfg.extra_write_port_cycles > 0 && head.dst.is_some() {
-                let latency = u64::from(self.cfg.core.latency_of(head.kind));
+                let latency = u64::from(self.cfg.core.latency_of(head.kind()));
                 bound(
                     &mut wake,
                     self.write_ports.earliest_free().saturating_sub(latency),
@@ -628,7 +631,7 @@ impl Engine {
             }
             let entry = trace.record(self.iq.head);
             // Enforce one memory op per cycle across the whole group.
-            if entry.kind.is_mem() && mem_issued_this_cycle {
+            if entry.kind().is_mem() && mem_issued_this_cycle {
                 break;
             }
             match self.blocker_for(entry, now) {
@@ -636,7 +639,7 @@ impl Engine {
                     self.iq.head += 1;
                     let delayed = self.head_iraw_delayed;
                     self.head_iraw_delayed = false;
-                    mem_issued_this_cycle |= entry.kind.is_mem();
+                    mem_issued_this_cycle |= entry.kind().is_mem();
                     self.execute(entry, now);
                     self.stats.instructions += 1;
                     if delayed {
@@ -691,7 +694,7 @@ impl Engine {
             });
         }
         // Structural hazards.
-        match entry.kind {
+        match entry.kind() {
             UopKind::IntDiv if now < self.div_free_at => return Some(Blocker::Structural),
             UopKind::FpDiv if now < self.fpdiv_free_at => return Some(Blocker::Structural),
             k if k.is_mem() => {
@@ -709,7 +712,7 @@ impl Engine {
         }
         // Extra Bypass write-port contention.
         if self.cfg.extra_write_port_cycles > 0 && entry.dst.is_some() {
-            let wb = now + u64::from(self.cfg.core.latency_of(entry.kind));
+            let wb = now + u64::from(self.cfg.core.latency_of(entry.kind()));
             if self.write_ports.free_count(wb) == 0 {
                 return Some(Blocker::WritePort);
             }
@@ -719,7 +722,7 @@ impl Engine {
 
     fn execute(&mut self, entry: &UopRecord, now: u64) {
         let window = self.window;
-        let latency = self.cfg.core.latency_of(entry.kind);
+        let latency = self.cfg.core.latency_of(entry.kind());
         // Extra Bypass: reserve the write port for the extended write.
         if self.cfg.extra_write_port_cycles > 0 && entry.dst.is_some() {
             let wb = now + u64::from(latency);
@@ -727,7 +730,7 @@ impl Engine {
                 .write_ports
                 .try_reserve(wb, 1 + u64::from(self.cfg.extra_write_port_cycles));
         }
-        match entry.kind {
+        match entry.kind() {
             UopKind::Load => self.execute_load(entry, now),
             UopKind::Store => self.execute_store(entry, now),
             UopKind::IntDiv => {
@@ -763,7 +766,7 @@ impl Engine {
         // Probe the Store Table in parallel with the DL0 (paper Fig. 10).
         if self.cfg.iraw_active() {
             let set = self.mem.dl0_set_of(addr);
-            match self.stable.probe(addr, entry.size, set) {
+            match self.stable.probe(addr, entry.size(), set) {
                 StableMatch::None => {}
                 StableMatch::Full { replay_stores } => {
                     // STable forwards the data at hit latency; repair
@@ -798,7 +801,7 @@ impl Engine {
         if self.cfg.iraw_active() {
             self.store_this_cycle = Some(TrackedStore {
                 addr,
-                size: entry.size,
+                size: entry.size(),
                 set: self.mem.dl0_set_of(addr),
             });
         }

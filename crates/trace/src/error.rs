@@ -48,6 +48,30 @@ pub enum UopError {
         /// Program counter of the uop.
         pc: u64,
     },
+    /// A memory uop's access size is not 1, 2, 4 or 8 bytes (a trace
+    /// record stores its log2 in two bits).
+    InvalidSize {
+        /// Offending uop kind.
+        kind: UopKind,
+        /// Program counter of the uop.
+        pc: u64,
+        /// The rejected size in bytes.
+        size: u8,
+    },
+    /// A non-memory uop carries an access size.
+    UnexpectedSize {
+        /// Offending uop kind.
+        kind: UopKind,
+        /// Program counter of the uop.
+        pc: u64,
+    },
+    /// A non-control uop is marked taken.
+    UnexpectedTaken {
+        /// Offending uop kind.
+        kind: UopKind,
+        /// Program counter of the uop.
+        pc: u64,
+    },
     /// The pc, data address or target lies above `u32::MAX`, outside the
     /// 32-bit address space a trace record stores.
     AddressOutOfRange {
@@ -75,6 +99,18 @@ impl fmt::Display for UopError {
             }
             Self::MissingDestination { pc } => {
                 write!(f, "load at {pc:#x} lacks a destination")
+            }
+            Self::InvalidSize { kind, pc, size } => {
+                write!(
+                    f,
+                    "{kind} at {pc:#x} accesses {size} bytes, not 1, 2, 4 or 8"
+                )
+            }
+            Self::UnexpectedSize { kind, pc } => {
+                write!(f, "{kind} at {pc:#x} carries an access size")
+            }
+            Self::UnexpectedTaken { kind, pc } => {
+                write!(f, "{kind} at {pc:#x} is marked taken")
             }
             Self::AddressOutOfRange { kind, pc } => {
                 write!(f, "{kind} at {pc:#x} reaches past the 32-bit address space")

@@ -27,7 +27,7 @@ pub mod stats;
 pub mod synth;
 pub mod uop;
 
-pub use arena::{TraceArena, UopRecord};
+pub use arena::{PcWalk, TraceArena, UopRecord};
 pub use error::{TraceError, UopError};
 pub use families::{suite, TraceSpec, WorkloadFamily};
 pub use rng::SimRng;

@@ -10,8 +10,8 @@
 //! The modelled core (Silverthorne, an IA-32 machine) has a 32-bit
 //! address space: every pc, data address and next-pc fits in 32 bits.
 //! [`Uop`] keeps them as `u64`, and [`Uop::validate`] rejects any above
-//! `u32::MAX`, so a [`UopRecord`](crate::UopRecord) stores each in
-//! 32 bits without loss.
+//! `u32::MAX`, and any size or direction a kind cannot have, so a
+//! [`UopRecord`](crate::UopRecord) stores a uop without loss.
 
 use std::fmt;
 use std::num::NonZeroU8;
@@ -104,32 +104,36 @@ impl fmt::Display for Reg {
 }
 
 /// Operation classes, mirroring the execution units of the in-order core.
+///
+/// The discriminants are the four-bit codes a
+/// [`UopRecord`](crate::UopRecord)'s tag stores.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[repr(u8)]
 pub enum UopKind {
     /// Single-cycle integer ALU operation.
-    IntAlu,
+    IntAlu = 0,
     /// Pipelined integer multiply.
-    IntMul,
+    IntMul = 1,
     /// Unpipelined integer divide.
-    IntDiv,
+    IntDiv = 2,
     /// Floating-point add/sub (SIMD lane).
-    FpAdd,
+    FpAdd = 3,
     /// Floating-point multiply.
-    FpMul,
+    FpMul = 4,
     /// Unpipelined floating-point divide.
-    FpDiv,
+    FpDiv = 5,
     /// Memory load.
-    Load,
+    Load = 6,
     /// Memory store.
-    Store,
+    Store = 7,
     /// Conditional branch.
-    Branch,
+    Branch = 8,
     /// Function call (pushes the return address on the RSB).
-    Call,
+    Call = 9,
     /// Function return (predicted via the RSB).
-    Ret,
+    Ret = 10,
     /// No-operation (also injected to drain the IQ, paper §4.2).
-    Nop,
+    Nop = 11,
 }
 
 impl UopKind {
@@ -213,9 +217,10 @@ pub struct Uop {
     pub src2: Option<Reg>,
     /// Effective data address for loads/stores.
     pub addr: Option<u64>,
-    /// Access size in bytes for loads/stores (4 or 8).
+    /// Access size in bytes for loads/stores (1, 2, 4 or 8; the
+    /// generators emit 4 or 8), 0 for any other uop.
     pub size: u8,
-    /// Actual branch outcome for control uops.
+    /// Actual branch outcome for control uops (false for any other uop).
     pub taken: bool,
     /// Actual next-pc for control uops (branch target, callee entry, or
     /// return address).
@@ -321,7 +326,9 @@ impl Uop {
     /// Returns the first inconsistency found (memory uop without an
     /// address or with a target, a non-memory uop carrying an address,
     /// a taken control uop without a target, a load without a
-    /// destination, or a pc, address or target above `u32::MAX`).
+    /// destination, a memory uop whose size is not 1, 2, 4 or 8, a
+    /// non-memory uop with a size, a non-control uop marked taken, or a
+    /// pc, address or target above `u32::MAX`).
     pub fn validate(&self) -> Result<(), UopError> {
         if self.kind.is_mem() && self.addr.is_none() {
             return Err(UopError::MissingAddress {
@@ -349,6 +356,25 @@ impl Uop {
         }
         if self.kind == UopKind::Load && self.dst.is_none() {
             return Err(UopError::MissingDestination { pc: self.pc });
+        }
+        if self.kind.is_mem() && !matches!(self.size, 1 | 2 | 4 | 8) {
+            return Err(UopError::InvalidSize {
+                kind: self.kind,
+                pc: self.pc,
+                size: self.size,
+            });
+        }
+        if !self.kind.is_mem() && self.size != 0 {
+            return Err(UopError::UnexpectedSize {
+                kind: self.kind,
+                pc: self.pc,
+            });
+        }
+        if !self.kind.is_control() && self.taken {
+            return Err(UopError::UnexpectedTaken {
+                kind: self.kind,
+                pc: self.pc,
+            });
         }
         let wide = |a: u64| u32::try_from(a).is_err();
         if wide(self.pc) || self.addr.is_some_and(wide) || wide(self.target) {
@@ -521,6 +547,56 @@ mod tests {
         assert_eq!(
             addr.validate().unwrap_err().to_string(),
             "store at 0x8 reaches past the 32-bit address space"
+        );
+
+        // The record's tag: a size only on memory uops, as a power of two
+        // up to 8, and a direction only on control uops.
+        for size in [1, 2, 4, 8] {
+            Uop::load(0, r(1), None, 0x40, size).validate().unwrap();
+        }
+        for size in [0, 3, 16] {
+            let u = Uop::store(8, None, None, 0x40, size);
+            assert_eq!(
+                u.validate(),
+                Err(UopError::InvalidSize {
+                    kind: UopKind::Store,
+                    pc: 8,
+                    size
+                })
+            );
+        }
+        let mut sized = Uop::nop(12);
+        sized.size = 8;
+        assert_eq!(
+            sized.validate(),
+            Err(UopError::UnexpectedSize {
+                kind: UopKind::Nop,
+                pc: 12
+            })
+        );
+        let mut taken = Uop::load(16, r(1), None, 0x40, 8);
+        taken.taken = true;
+        assert_eq!(
+            taken.validate(),
+            Err(UopError::UnexpectedTaken {
+                kind: UopKind::Load,
+                pc: 16
+            })
+        );
+        assert_eq!(
+            Uop::store(8, None, None, 0x40, 3)
+                .validate()
+                .unwrap_err()
+                .to_string(),
+            "store at 0x8 accesses 3 bytes, not 1, 2, 4 or 8"
+        );
+        assert_eq!(
+            sized.validate().unwrap_err().to_string(),
+            "nop at 0xc carries an access size"
+        );
+        assert_eq!(
+            taken.validate().unwrap_err().to_string(),
+            "load at 0x10 is marked taken"
         );
     }
 
