@@ -216,10 +216,10 @@ mod tests {
         let timing = CycleTimeModel::silverthorne_45nm();
         let traces: Vec<TraceArena> = vec![
             TraceSpec::new(WorkloadFamily::SpecInt, 0, 12_000)
-                .build_arena()
+                .build()
                 .unwrap(),
             TraceSpec::new(WorkloadFamily::Multimedia, 1, 12_000)
-                .build_arena()
+                .build()
                 .unwrap(),
         ];
         let configs = technique_configs(CoreConfig::silverthorne(), &timing, mv(475));

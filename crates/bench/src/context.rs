@@ -147,7 +147,7 @@ pub struct ExperimentContext {
     pub energy: EnergyModel,
     /// Machine configuration.
     pub core: CoreConfig,
-    /// The workload suite, decoded once and shared by every clone.
+    /// The workload suite, built once and shared by every clone.
     pub suite: Arc<[TraceArena]>,
     /// The specs the suite was built from, index-aligned with `suite`.
     /// Content addressing hashes these (family, seed, length) rather
@@ -173,7 +173,7 @@ impl ExperimentContext {
     pub fn from_specs(specs: &[TraceSpec], label: &str) -> Result<Self, ExperimentError> {
         let suite = specs
             .iter()
-            .map(TraceSpec::build_arena)
+            .map(TraceSpec::build)
             .collect::<Result<Vec<_>, _>>()?;
         Ok(Self {
             timing: CycleTimeModel::silverthorne_45nm(),

@@ -37,8 +37,7 @@ fn csv_bytes(table: &TextTable, name: &str) -> Vec<u8> {
 }
 
 /// The reference: `cfg` over the suite, one fresh engine per trace,
-/// each trace built as a `Trace` from its spec (not the context's
-/// arenas).
+/// each trace built afresh from its spec (not the context's arenas).
 fn per_point(ctx: &ExperimentContext, cfg: &SimConfig) -> SuiteResult {
     let sim = Simulator::new(cfg.clone()).expect("valid config");
     SuiteResult {
@@ -48,7 +47,7 @@ fn per_point(ctx: &ExperimentContext, cfg: &SimConfig) -> SuiteResult {
             .map(|spec| {
                 let t = spec.build().expect("preset trace");
                 let r = sim.run(&t).expect("simulation completes");
-                (t.name, r)
+                (t.name().to_string(), r)
             })
             .collect(),
     }

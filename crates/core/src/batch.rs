@@ -1,42 +1,27 @@
-//! Decode-once/simulate-many batch execution.
+//! Build-once/simulate-many batch execution.
 //!
 //! A voltage sweep replays the *same* trace under many configurations
 //! (13 voltage points × up to 3 mechanisms). The grid executor
 //! ([`run_batch_groups`](crate::perf::run_batch_groups)) runs on
-//! [`TraceArena`]s decoded before it is called — a suite is synthesized
+//! [`TraceArena`]s built before it is called — a suite is synthesized
 //! straight into arenas once per process and shared by every grid after
 //! that — and reuses one [`EngineWorkspace`] per worker across all
-//! points, so the steady state of a warmed-up sweep neither decodes nor
+//! points, so the steady state of a warmed-up sweep neither builds nor
 //! allocates (verified by the counting-allocator test in
-//! `tests/zero_alloc.rs`). A [`Trace`] built some other way enters
-//! through [`decode_trace`], the one place its uops are validated.
+//! `tests/zero_alloc.rs`). Every arena is valid when it is built, so
+//! nothing here validates a trace again.
 //!
 //! A reused workspace is byte-identical to a fresh engine per run: every
 //! [`Engine::reset`] restores the exact freshly-constructed state, and
 //! the equivalence suites assert it across traces, mechanisms and worker
 //! counts.
 
-use lowvcc_trace::{Trace, TraceArena};
+use lowvcc_trace::TraceArena;
 
 use crate::config::SimConfig;
 use crate::error::SimError;
 use crate::pipeline::{Engine, EngineProfile};
 use crate::stats::SimResult;
-
-/// Validates `trace` and decodes it into a [`TraceArena`], so a
-/// malformed uop is a typed error instead of a silently wrong (or
-/// panicking) simulation.
-///
-/// # Errors
-///
-/// [`SimError::InvalidTrace`] for the first malformed uop.
-pub fn decode_trace(trace: &Trace) -> Result<TraceArena, SimError> {
-    for (index, uop) in trace.uops.iter().enumerate() {
-        uop.validate()
-            .map_err(|source| SimError::InvalidTrace { index, source })?;
-    }
-    Ok(TraceArena::from_trace(trace))
-}
 
 /// A reusable engine slot: scoreboards, timed buffers, pending heaps and
 /// stall-guard state live across runs and are `reset()` between them
@@ -45,12 +30,11 @@ pub fn decode_trace(trace: &Trace) -> Result<TraceArena, SimError> {
 /// ```
 /// use lowvcc_core::{CoreConfig, EngineWorkspace, Mechanism, SimConfig};
 /// use lowvcc_sram::{CycleTimeModel, Millivolts};
-/// use lowvcc_trace::{TraceArena, TraceSpec, WorkloadFamily};
+/// use lowvcc_trace::{TraceSpec, WorkloadFamily};
 ///
 /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
 /// let timing = CycleTimeModel::silverthorne_45nm();
-/// let trace = TraceSpec::new(WorkloadFamily::Kernel, 0, 2_000).build()?;
-/// let arena = TraceArena::from_trace(&trace);
+/// let arena = TraceSpec::new(WorkloadFamily::Kernel, 0, 2_000).build()?;
 /// let mut ws = EngineWorkspace::new();
 /// for vcc in [500u32, 525, 550] {
 ///     let cfg = SimConfig::at_vcc(
@@ -77,7 +61,7 @@ impl EngineWorkspace {
         Self { engine: None }
     }
 
-    /// Runs `cfg` over an already-decoded trace, reusing the previous
+    /// Runs `cfg` over an already-built trace, reusing the previous
     /// run's engine storage when the core geometry matches (the common
     /// sweep case — only Vcc/mechanism parameters change) and falling
     /// back to a fresh construction otherwise. The engine runs on
@@ -140,25 +124,23 @@ mod tests {
 
     #[test]
     fn batch_matches_fresh_engines_exactly() {
-        let trace = TraceSpec::new(WorkloadFamily::SpecInt, 3, 5_000)
+        let arena = TraceSpec::new(WorkloadFamily::SpecInt, 3, 5_000)
             .build()
             .unwrap();
-        let arena = TraceArena::from_trace(&trace);
         let cfgs = sweep_cfgs();
         let mut ws = EngineWorkspace::new();
         for cfg in &cfgs {
             let batched = ws.run(cfg, &arena).unwrap();
-            let fresh = Simulator::new(cfg.clone()).unwrap().run(&trace).unwrap();
+            let fresh = Simulator::new(cfg.clone()).unwrap().run(&arena).unwrap();
             assert_eq!(batched, fresh, "{:?} at {:?}", cfg.mechanism, cfg.vcc);
         }
     }
 
     #[test]
     fn workspace_reruns_same_config_identically() {
-        let trace = TraceSpec::new(WorkloadFamily::Kernel, 1, 3_000)
+        let arena = TraceSpec::new(WorkloadFamily::Kernel, 1, 3_000)
             .build()
             .unwrap();
-        let arena = TraceArena::from_trace(&trace);
         let timing = CycleTimeModel::silverthorne_45nm();
         let cfg = SimConfig::at_vcc(
             CoreConfig::silverthorne(),
@@ -174,10 +156,9 @@ mod tests {
 
     #[test]
     fn geometry_change_falls_back_to_fresh_engine() {
-        let trace = TraceSpec::new(WorkloadFamily::Kernel, 2, 2_000)
+        let arena = TraceSpec::new(WorkloadFamily::Kernel, 2, 2_000)
             .build()
             .unwrap();
-        let arena = TraceArena::from_trace(&trace);
         let timing = CycleTimeModel::silverthorne_45nm();
         let mut small = CoreConfig::silverthorne();
         small.iq_entries = 16;
@@ -191,7 +172,7 @@ mod tests {
         let mut ws = EngineWorkspace::new();
         let ra = ws.run(&a, &arena).unwrap();
         let rb = ws.run(&b, &arena).unwrap();
-        let fresh_b = Simulator::new(b).unwrap().run(&trace).unwrap();
+        let fresh_b = Simulator::new(b).unwrap().run(&arena).unwrap();
         assert_eq!(rb, fresh_b, "rebuilt engine must match fresh");
         let ra2 = ws.run(&a, &arena).unwrap();
         assert_eq!(ra, ra2, "switching back must also match");
@@ -199,10 +180,9 @@ mod tests {
 
     #[test]
     fn profile_reconciles_with_the_cycle_count() {
-        let trace = TraceSpec::new(WorkloadFamily::SpecInt, 4, 6_000)
+        let arena = TraceSpec::new(WorkloadFamily::SpecInt, 4, 6_000)
             .build()
             .unwrap();
-        let arena = TraceArena::from_trace(&trace);
         let mut ws = EngineWorkspace::new();
         assert_eq!(ws.profile(), EngineProfile::default());
         for cfg in sweep_cfgs() {
@@ -225,10 +205,9 @@ mod tests {
 
     #[test]
     fn naive_runs_never_skip_and_reset_clears_the_profile() {
-        let trace = TraceSpec::new(WorkloadFamily::Office, 5, 3_000)
+        let arena = TraceSpec::new(WorkloadFamily::Office, 5, 3_000)
             .build()
             .unwrap();
-        let arena = TraceArena::from_trace(&trace);
         let cfgs = sweep_cfgs();
         let cfg = cfgs[1].cycle_config();
         let mut engine = Engine::new(cfg.clone()).unwrap();
@@ -246,133 +225,10 @@ mod tests {
     }
 
     #[test]
-    fn decoding_reports_a_malformed_uop_by_its_index() {
-        use lowvcc_trace::{Reg, Uop, UopError, UopKind};
-        let mut trace = TraceSpec::new(WorkloadFamily::SpecFp, 1, 20_000)
-            .build()
-            .unwrap();
-        // An address-less load in the middle of the trace.
-        trace.uops[10] = Uop::load(trace.uops[10].pc, Reg::new(3).unwrap(), None, 0, 8);
-        trace.uops[10].addr = None;
-        let err = decode_trace(&trace).expect_err("a malformed trace must surface");
-        assert!(
-            matches!(err, SimError::InvalidTrace { index: 10, .. }),
-            "unexpected error {err:?}"
-        );
-        trace.uops[10].addr = Some(0x40);
-        assert_eq!(decode_trace(&trace), Ok(TraceArena::from_trace(&trace)));
-        // A memory uop with a target: its record word holds the address,
-        // so the target would be lost.
-        let store = trace
-            .uops
-            .iter()
-            .position(|u| u.kind == UopKind::Store)
-            .unwrap();
-        trace.uops[store].target = 0x40;
-        assert_eq!(
-            decode_trace(&trace),
-            Err(SimError::InvalidTrace {
-                index: store,
-                source: UopError::UnexpectedTarget {
-                    kind: UopKind::Store,
-                    pc: trace.uops[store].pc
-                }
-            })
-        );
-    }
-
-    #[test]
-    fn decoding_reports_an_address_past_32_bits_by_its_index() {
-        use lowvcc_trace::{Uop, UopError, UopKind};
-        let mut trace = TraceSpec::new(WorkloadFamily::SpecInt, 1, 20_000)
-            .build()
-            .unwrap();
-        // A record stores pc, address and target in 32 bits each.
-        let load = trace
-            .uops
-            .iter()
-            .rposition(|u| u.kind == UopKind::Load)
-            .unwrap();
-        trace.uops[load].addr = Some(1 << 32);
-        let branch = trace
-            .uops
-            .iter()
-            .position(|u| u.kind == UopKind::Branch)
-            .unwrap();
-        trace.uops[branch].target = 1 << 32;
-        for index in [branch.min(load), load.max(branch)] {
-            let uop = trace.uops[index];
-            assert_eq!(
-                decode_trace(&trace),
-                Err(SimError::InvalidTrace {
-                    index,
-                    source: UopError::AddressOutOfRange {
-                        kind: uop.kind,
-                        pc: uop.pc
-                    }
-                })
-            );
-            trace.uops[index] = Uop::nop(uop.pc);
-        }
-        assert_eq!(decode_trace(&trace), Ok(TraceArena::from_trace(&trace)));
-    }
-
-    #[test]
-    fn decoding_reports_a_size_or_direction_the_tag_cannot_hold_by_its_index() {
-        use lowvcc_trace::{Uop, UopError, UopKind};
-        let mut trace = TraceSpec::new(WorkloadFamily::Office, 1, 20_000)
-            .build()
-            .unwrap();
-        // A record packs kind, direction and log2 of the size in one byte.
-        let first = |kind: UopKind| trace.uops.iter().position(|u| u.kind == kind).unwrap();
-        let (load, alu, store) = (
-            first(UopKind::Load),
-            first(UopKind::IntAlu),
-            first(UopKind::Store),
-        );
-        let (l, a, s) = (trace.uops[load], trace.uops[alu], trace.uops[store]);
-        let mut expect = |index: usize, bad: Uop, source: UopError| {
-            let good = std::mem::replace(&mut trace.uops[index], bad);
-            assert_eq!(
-                decode_trace(&trace),
-                Err(SimError::InvalidTrace { index, source })
-            );
-            trace.uops[index] = good;
-        };
-        expect(
-            load,
-            Uop { size: 16, ..l },
-            UopError::InvalidSize {
-                kind: l.kind,
-                pc: l.pc,
-                size: 16,
-            },
-        );
-        expect(
-            alu,
-            Uop { size: 4, ..a },
-            UopError::UnexpectedSize {
-                kind: a.kind,
-                pc: a.pc,
-            },
-        );
-        expect(
-            store,
-            Uop { taken: true, ..s },
-            UopError::UnexpectedTaken {
-                kind: s.kind,
-                pc: s.pc,
-            },
-        );
-        assert_eq!(decode_trace(&trace), Ok(TraceArena::from_trace(&trace)));
-    }
-
-    #[test]
     fn invalid_config_is_reported() {
-        let trace = TraceSpec::new(WorkloadFamily::Kernel, 0, 100)
+        let arena = TraceSpec::new(WorkloadFamily::Kernel, 0, 100)
             .build()
             .unwrap();
-        let arena = TraceArena::from_trace(&trace);
         let timing = CycleTimeModel::silverthorne_45nm();
         let mut cfg = SimConfig::at_vcc(
             CoreConfig::silverthorne(),

@@ -11,7 +11,6 @@
 
 use std::fmt;
 
-use lowvcc_trace::UopError;
 use lowvcc_uarch::cache::CacheConfigError;
 
 /// Error validating a [`CoreConfig`](crate::config::CoreConfig) or
@@ -113,14 +112,6 @@ impl std::error::Error for ConfigError {
 pub enum SimError {
     /// The run configuration failed validation.
     Config(ConfigError),
-    /// A trace uop failed validation (e.g. a load without an address or
-    /// destination); nothing was simulated.
-    InvalidTrace {
-        /// Position of the first malformed uop in the trace.
-        index: usize,
-        /// What is wrong with it.
-        source: UopError,
-    },
     /// The pipeline stopped making forward progress — a simulator bug
     /// surfaced rather than a hang.
     NoProgress {
@@ -137,9 +128,6 @@ impl fmt::Display for SimError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             Self::Config(e) => write!(f, "invalid configuration: {e}"),
-            Self::InvalidTrace { index, source } => {
-                write!(f, "invalid trace: uop {index}: {source}")
-            }
             Self::NoProgress {
                 cycles,
                 committed,
@@ -157,7 +145,6 @@ impl std::error::Error for SimError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             Self::Config(e) => Some(e),
-            Self::InvalidTrace { source, .. } => Some(source),
             Self::NoProgress { .. } => None,
         }
     }

@@ -154,10 +154,7 @@ pub fn same_projection_as(cfgs: &[SimConfig]) -> Vec<usize> {
 /// [`same_projection_as`]).
 ///
 /// `groups` pairs an index into `traces` with the configurations to run
-/// on it. The arenas are taken as valid: build them with
-/// [`TraceSpec::build_arena`](lowvcc_trace::TraceSpec::build_arena) or
-/// [`decode_trace`](crate::batch::decode_trace), which validate each uop
-/// ([`TraceArena::from_trace`] does not). Results come back in group
+/// on it (every arena is valid when it is built). Results come back in group
 /// order, each `Vec` in config order. Deterministic for any `par`,
 /// including which error is reported: the lowest group index, then the
 /// lowest config index within it (every config is validated before any
@@ -370,10 +367,7 @@ mod tests {
     }
 
     fn small_suite() -> Vec<TraceArena> {
-        small_specs()
-            .iter()
-            .map(|s| s.build_arena().unwrap())
-            .collect()
+        small_specs().iter().map(|s| s.build().unwrap()).collect()
     }
 
     fn run_one(cfg: &SimConfig, traces: &[TraceArena]) -> SuiteResult {
@@ -459,16 +453,15 @@ mod tests {
             })
             .collect();
         let traces = small_suite();
-        let built: Vec<_> = small_specs().iter().map(|s| s.build().unwrap()).collect();
         // Reference: one fresh engine per (config, trace) pair.
         let per_point: Vec<SuiteResult> = cfgs
             .iter()
             .map(|cfg| {
                 let sim = Simulator::new(cfg.clone()).unwrap();
                 SuiteResult {
-                    per_trace: built
+                    per_trace: traces
                         .iter()
-                        .map(|t| (t.name.clone(), sim.run(t).unwrap()))
+                        .map(|t| (t.name().to_string(), sim.run(t).unwrap()))
                         .collect(),
                 }
             })

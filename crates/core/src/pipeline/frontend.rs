@@ -273,7 +273,11 @@ mod tests {
     use crate::config::{CoreConfig, Mechanism, SimConfig};
     use lowvcc_sram::voltage::mv;
     use lowvcc_sram::CycleTimeModel;
-    use lowvcc_trace::{Trace, Uop};
+    use lowvcc_trace::Uop;
+
+    fn arena(name: &str, uops: Vec<Uop>) -> TraceArena {
+        TraceArena::from_uops(name, uops).unwrap()
+    }
 
     fn setup(mechanism: Mechanism) -> (FrontEnd, MemHierarchy) {
         let cfg = SimConfig::at_vcc(
@@ -288,7 +292,7 @@ mod tests {
 
     fn straight_line_trace(n: usize) -> TraceArena {
         let uops = (0..n).map(|i| Uop::nop(0x40_0000 + 4 * i as u64)).collect();
-        TraceArena::from_trace(&Trace::new("straight", uops))
+        arena("straight", uops)
     }
 
     #[test]
@@ -362,7 +366,7 @@ mod tests {
             uops.push(Uop::branch(0x40_0100, None, true, 0x40_0000));
             uops.push(Uop::nop(0x40_0000));
         }
-        let trace = TraceArena::from_trace(&Trace::new("loop", uops));
+        let trace = arena("loop", uops);
         for now in 0..5000u64 {
             fe.fetch_cycle(&trace, &mut mem, now);
             let _ = fe.allocate(2, now);
@@ -400,7 +404,7 @@ mod tests {
             uops.push(ret);
             uops.push(Uop::nop(call_pc + 4));
         }
-        let trace = TraceArena::from_trace(&Trace::new("callret", uops));
+        let trace = arena("callret", uops);
         for now in 0..5000u64 {
             fe.fetch_cycle(&trace, &mut mem, now);
             let _ = fe.allocate(2, now);
@@ -426,7 +430,7 @@ mod tests {
         for i in 0..40 {
             uops.push(Uop::branch(0x40_0100, None, i % 2 == 0, 0x40_0000));
         }
-        let trace = TraceArena::from_trace(&Trace::new("alt", uops));
+        let trace = arena("alt", uops);
         let mut now = 0;
         while !fe.trace_exhausted(&trace) && now < 10_000 {
             fe.fetch_cycle(&trace, &mut mem, now);

@@ -252,12 +252,8 @@ impl Engine {
     /// the naive stepper cycle by cycle.
     ///
     /// The arena is not re-validated here (that would cost a pass per
-    /// run): `TraceSpec::build_arena` and
-    /// [`decode_trace`](crate::batch::decode_trace) validate each uop
-    /// once, when the arena is built, and the grid executor takes its
-    /// arenas as already valid. A malformed uop decoded by
-    /// `TraceArena::from_trace` simulates as its lossy record (address
-    /// 0, no destination); it never panics.
+    /// run): every arena's uops were validated once, as they were
+    /// pushed, so each record holds its uop exactly.
     ///
     /// # Errors
     ///
@@ -825,13 +821,17 @@ mod tests {
     use crate::stats::SimResult;
     use lowvcc_sram::voltage::mv;
     use lowvcc_sram::CycleTimeModel;
-    use lowvcc_trace::{Trace, Uop};
+    use lowvcc_trace::Uop;
 
-    fn run_on(cfg: SimConfig, trace: &Trace) -> SimResult {
+    fn arena(name: &str, uops: Vec<Uop>) -> TraceArena {
+        TraceArena::from_uops(name, uops).unwrap()
+    }
+
+    fn run_on(cfg: SimConfig, trace: &TraceArena) -> SimResult {
         Simulator::new(cfg).unwrap().run(trace).unwrap()
     }
 
-    fn run_naive_on(cfg: SimConfig, trace: &Trace) -> SimResult {
+    fn run_naive_on(cfg: SimConfig, trace: &TraceArena) -> SimResult {
         Simulator::new(cfg).unwrap().run_naive(trace).unwrap()
     }
 
@@ -855,15 +855,15 @@ mod tests {
         0x40_0000 + (i as u64 % 16) * 4
     }
 
-    fn alu_chain(n: usize) -> Trace {
+    fn alu_chain(n: usize) -> TraceArena {
         // r1 = r1 + r1 repeatedly: every uop depends on its predecessor.
         let uops = (0..n)
             .map(|i| Uop::alu(loop_pc(i), Some(reg(1)), Some(reg(1)), None))
             .collect();
-        Trace::new("chain", uops)
+        arena("chain", uops)
     }
 
-    fn independent_alus(n: usize) -> Trace {
+    fn independent_alus(n: usize) -> TraceArena {
         let uops = (0..n)
             .map(|i| {
                 Uop::alu(
@@ -874,7 +874,7 @@ mod tests {
                 )
             })
             .collect();
-        Trace::new("independent", uops)
+        arena("independent", uops)
     }
 
     #[test]
@@ -930,7 +930,7 @@ mod tests {
             }
             uops.push(Uop::alu(loop_pc(base + 5), Some(reg(15)), Some(d), None));
         }
-        let trace = Trace::new("gap", uops);
+        let trace = arena("gap", uops);
         let base = run_on(cfg(Mechanism::Baseline, 500), &trace);
         let iraw = run_on(cfg(Mechanism::Iraw, 500), &trace);
         assert_eq!(base.stats.stalls.rf_iraw, 0, "baseline has no IRAW stalls");
@@ -983,7 +983,7 @@ mod tests {
                 8,
             ));
         }
-        let trace = Trace::new("stld", uops);
+        let trace = arena("stld", uops);
         let iraw = run_on(cfg(Mechanism::Iraw, 500), &trace);
         assert!(
             iraw.stats.stable.full_matches > 0,
@@ -1045,7 +1045,7 @@ mod tests {
         uops.extend(
             (0..10).map(|i| Uop::alu(loop_pc(2 + i), Some(reg(22 + i as u8)), Some(reg(0)), None)),
         );
-        let arena = TraceArena::from_trace(&Trace::new("div-fill", uops));
+        let arena = arena("div-fill", uops);
         let mut c = cfg(Mechanism::Iraw, 500);
         c.stabilization_cycles = 1;
         c.core.iq_entries = 4;
@@ -1089,7 +1089,7 @@ mod tests {
                 None,
             ));
         }
-        let trace = Trace::new("div", uops);
+        let trace = arena("div", uops);
         let result = run_on(cfg(Mechanism::Baseline, 600), &trace);
         // Divide latency (16) dominates this short trace.
         assert!(result.stats.cycles > 16);
@@ -1113,7 +1113,7 @@ mod tests {
                 None,
             ));
         }
-        let trace = Trace::new("divchain", uops);
+        let trace = arena("divchain", uops);
         for mech in [Mechanism::Baseline, Mechanism::Iraw, Mechanism::IdealLogic] {
             for vcc in [400, 500, 700] {
                 let fast = run_on(cfg(mech, vcc), &trace);
@@ -1144,7 +1144,7 @@ mod tests {
                 8,
             ));
         }
-        let trace = Trace::new("memstream", uops);
+        let trace = arena("memstream", uops);
         for mech in [Mechanism::Baseline, Mechanism::Iraw] {
             let fast = run_on(cfg(mech, 500), &trace);
             let naive = run_naive_on(cfg(mech, 500), &trace);

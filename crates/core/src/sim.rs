@@ -1,8 +1,7 @@
 //! The public simulator facade.
 
-use lowvcc_trace::Trace;
+use lowvcc_trace::TraceArena;
 
-use crate::batch::decode_trace;
 use crate::config::SimConfig;
 use crate::error::{ConfigError, SimError};
 use crate::pipeline::Engine;
@@ -48,16 +47,15 @@ impl Simulator {
         &self.cfg
     }
 
-    /// Replays `trace` to completion.
+    /// Replays `trace` to completion. The arena is valid by
+    /// construction, so nothing is checked before the run.
     ///
     /// # Errors
     ///
-    /// Returns [`SimError::InvalidTrace`] for a malformed uop (checked
-    /// before anything runs), and [`SimError::NoProgress`] if the engine
-    /// detects a live-lock (a simulator bug surfaced rather than a hang).
-    pub fn run(&self, trace: &Trace) -> Result<SimResult, SimError> {
-        let arena = decode_trace(trace)?;
-        let stats = Engine::new(self.cfg.cycle_config())?.run(&arena)?;
+    /// Returns [`SimError::NoProgress`] if the engine detects a
+    /// live-lock (a simulator bug surfaced rather than a hang).
+    pub fn run(&self, trace: &TraceArena) -> Result<SimResult, SimError> {
+        let stats = Engine::new(self.cfg.cycle_config())?.run(trace)?;
         Ok(self.result(stats))
     }
 
@@ -69,9 +67,8 @@ impl Simulator {
     /// # Errors
     ///
     /// Same contract as [`Simulator::run`].
-    pub fn run_naive(&self, trace: &Trace) -> Result<SimResult, SimError> {
-        let arena = decode_trace(trace)?;
-        let stats = Engine::new(self.cfg.cycle_config())?.run_naive(&arena)?;
+    pub fn run_naive(&self, trace: &TraceArena) -> Result<SimResult, SimError> {
+        let stats = Engine::new(self.cfg.cycle_config())?.run_naive(trace)?;
         Ok(self.result(stats))
     }
 
@@ -128,36 +125,23 @@ mod tests {
     }
 
     /// Regression: a load without an address (or destination) used to
-    /// reach an `expect` deep in the engine. Both entry points now reject
-    /// the trace up front with a typed error.
+    /// reach an `expect` deep in the engine. No arena can hold one now:
+    /// `from_uops` refuses it by index, so neither `run` nor
+    /// `run_naive` ever sees it.
     #[test]
     fn malformed_trace_is_an_error_not_a_panic() {
-        use lowvcc_trace::{Reg, Uop, UopError};
-        let timing = CycleTimeModel::silverthorne_45nm();
-        let cfg = SimConfig::at_vcc(
-            CoreConfig::silverthorne(),
-            &timing,
-            mv(500),
-            Mechanism::Iraw,
-        );
-        let sim = Simulator::new(cfg).unwrap();
+        use lowvcc_trace::{Reg, TraceError, Uop, UopError};
         let mut no_addr = Uop::load(0x40, Reg::new(1).unwrap(), None, 0x1000, 8);
         no_addr.addr = None;
         let mut no_dst = Uop::load(0x44, Reg::new(2).unwrap(), None, 0x2000, 8);
         no_dst.dst = None;
-        for (bad, index) in [(no_addr, 1), (no_dst, 1)] {
-            let trace = Trace::new("bad", vec![Uop::nop(0x3c), bad]);
-            for result in [sim.run(&trace), sim.run_naive(&trace)] {
-                match result {
-                    Err(SimError::InvalidTrace { index: i, source }) => {
-                        assert_eq!(i, index);
-                        assert!(matches!(
-                            source,
-                            UopError::MissingAddress { .. } | UopError::MissingDestination { .. }
-                        ));
-                    }
-                    other => panic!("expected InvalidTrace, got {other:?}"),
-                }
+        for bad in [no_addr, no_dst] {
+            match TraceArena::from_uops("bad", [Uop::nop(0x3c), bad]) {
+                Err(TraceError::Uop { index: 1, source }) => assert!(matches!(
+                    source,
+                    UopError::MissingAddress { .. } | UopError::MissingDestination { .. }
+                )),
+                other => panic!("expected a uop error at index 1, got {other:?}"),
             }
         }
     }

@@ -101,7 +101,7 @@ fn parallel_suite_results_are_byte_identical_for_any_worker_count() {
         .enumerate()
         .map(|(seed, family)| {
             TraceSpec::new(family, seed as u64, 3_000)
-                .build_arena()
+                .build()
                 .expect("preset trace params")
         })
         .collect();

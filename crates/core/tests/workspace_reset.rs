@@ -11,7 +11,7 @@
 use lowvcc_core::{CoreConfig, EngineWorkspace, Mechanism, SimConfig, Simulator};
 use lowvcc_sram::voltage::mv;
 use lowvcc_sram::CycleTimeModel;
-use lowvcc_trace::{TraceArena, TraceSpec, WorkloadFamily};
+use lowvcc_trace::{TraceSpec, WorkloadFamily};
 
 #[test]
 fn reset_workspace_matches_fresh_engine_across_families_and_mechanisms() {
@@ -19,8 +19,7 @@ fn reset_workspace_matches_fresh_engine_across_families_and_mechanisms() {
     let core = CoreConfig::silverthorne();
     let mut ws = EngineWorkspace::new();
     for (seed, family) in WorkloadFamily::all().into_iter().enumerate() {
-        let trace = TraceSpec::new(family, seed as u64, 3_000).build().unwrap();
-        let arena = TraceArena::from_trace(&trace);
+        let arena = TraceSpec::new(family, seed as u64, 3_000).build().unwrap();
         for mech in [Mechanism::Baseline, Mechanism::Iraw, Mechanism::IdealLogic] {
             // Two voltages so the stabilization window N (and with it the
             // Store Table / stall-guard reconfiguration) changes between
@@ -28,7 +27,7 @@ fn reset_workspace_matches_fresh_engine_across_families_and_mechanisms() {
             for vcc in [450u32, 500] {
                 let cfg = SimConfig::at_vcc(core, &timing, mv(vcc), mech);
                 let batched = ws.run(&cfg, &arena).unwrap();
-                let fresh = Simulator::new(cfg).unwrap().run(&trace).unwrap();
+                let fresh = Simulator::new(cfg).unwrap().run(&arena).unwrap();
                 assert_eq!(
                     batched.stats, fresh.stats,
                     "{family:?} / {mech:?} at {vcc} mV"
@@ -45,10 +44,9 @@ fn fault_map_survives_reset() {
     // RNG; a reset must re-apply the identical map, not accumulate more
     // disabled lines or drop them.
     let timing = CycleTimeModel::silverthorne_45nm();
-    let trace = TraceSpec::new(WorkloadFamily::Server, 11, 3_000)
+    let arena = TraceSpec::new(WorkloadFamily::Server, 11, 3_000)
         .build()
         .unwrap();
-    let arena = TraceArena::from_trace(&trace);
     let mut cfg = SimConfig::at_vcc(
         CoreConfig::silverthorne(),
         &timing,
@@ -60,7 +58,7 @@ fn fault_map_survives_reset() {
     let mut ws = EngineWorkspace::new();
     let first = ws.run(&cfg, &arena).unwrap();
     let second = ws.run(&cfg, &arena).unwrap();
-    let fresh = Simulator::new(cfg).unwrap().run(&trace).unwrap();
+    let fresh = Simulator::new(cfg).unwrap().run(&arena).unwrap();
     assert_eq!(first.stats, fresh.stats);
     assert_eq!(second.stats, fresh.stats);
 }

@@ -19,7 +19,7 @@ use std::cell::Cell;
 use lowvcc_core::{CoreConfig, EngineWorkspace, Mechanism, SimConfig};
 use lowvcc_sram::voltage::mv;
 use lowvcc_sram::CycleTimeModel;
-use lowvcc_trace::{TraceArena, TraceSpec, WorkloadFamily};
+use lowvcc_trace::{TraceSpec, WorkloadFamily};
 
 thread_local! {
     static ALLOCS: Cell<u64> = const { Cell::new(0) };
@@ -62,10 +62,9 @@ fn steady_state_is_allocation_free_after_warmup() {
     }
     let timing = CycleTimeModel::silverthorne_45nm();
     let core = CoreConfig::silverthorne();
-    let trace = TraceSpec::new(WorkloadFamily::SpecInt, 7, 20_000)
+    let arena = TraceSpec::new(WorkloadFamily::SpecInt, 7, 20_000)
         .build()
         .unwrap();
-    let arena = TraceArena::from_trace(&trace);
     let cfgs: Vec<SimConfig> = [450u32, 500, 550]
         .iter()
         .flat_map(|&vcc| {

@@ -212,7 +212,7 @@ fn worker<S: Service>(
         let next = job_rx.lock().recv();
         let Ok(job) = next else { break };
         let outcome = if draining.load(Ordering::SeqCst) {
-            Outcome::DrainRefused(error_line("daemon is shutting down", false))
+            Outcome::DrainRefused(error_body("daemon is shutting down", false))
         } else {
             match catch_unwind(AssertUnwindSafe(|| svc.call(&job.line))) {
                 Ok(reply) => {
@@ -231,9 +231,10 @@ fn worker<S: Service>(
     }
 }
 
-/// Renders the protocol error line `{"ok": false, "error": …}` (with
-/// `"busy": true` for accept-gate refusals).
-fn error_line(error: &str, busy: bool) -> String {
+/// Renders the protocol error object `{"ok": false, "error": …}` (with
+/// `"busy": true` for accept-gate refusals): the one place every error
+/// response of the daemon and the router is built.
+pub(crate) fn error_body(error: &str, busy: bool) -> String {
     let mut fields = vec![("ok", json::boolean(false)), ("error", json::string(error))];
     if busy {
         fields.push(("busy", json::boolean(true)));
@@ -311,7 +312,7 @@ impl Loop<'_> {
                 self.metrics.refused_busy.fetch_add(1, Ordering::Relaxed);
                 refuse(
                     &stream,
-                    &error_line(
+                    &error_body(
                         &format!(
                             "busy: {} connections already in flight, retry later",
                             self.opts.max_connections
@@ -412,7 +413,7 @@ impl Loop<'_> {
             }
             if draining {
                 refused += 1;
-                queue_response(conn, &error_line("daemon is shutting down", false));
+                queue_response(conn, &error_body("daemon is shutting down", false));
             } else {
                 conn.pending.push_back(line.to_string());
             }
@@ -510,7 +511,7 @@ impl Loop<'_> {
             refused += dropped;
             conn.pending.clear();
             for _ in 0..dropped {
-                queue_response(conn, &error_line("daemon is shutting down", false));
+                queue_response(conn, &error_body("daemon is shutting down", false));
             }
         }
         self.metrics

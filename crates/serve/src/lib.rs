@@ -429,31 +429,15 @@ impl Daemon {
     /// whether the connection should shut the daemon down.
     #[must_use]
     pub fn handle(&self, req: Request) -> (String, bool) {
-        match self.respond(req) {
-            Ok((body, stop)) => (body, stop),
-            Err(e) => (
-                json::object(&[
-                    ("ok", json::boolean(false)),
-                    ("error", json::string(&e.to_string())),
-                ]),
-                false,
-            ),
-        }
+        self.respond(req)
+            .unwrap_or_else(|e| (conn::error_body(&e.to_string(), false), false))
     }
 
     /// Parses and executes one raw request line.
     #[must_use]
     pub fn handle_line(&self, line: &str) -> (String, bool) {
-        match parse_request(line) {
-            Ok(req) => self.handle(req),
-            Err(e) => (
-                json::object(&[
-                    ("ok", json::boolean(false)),
-                    ("error", json::string(&e.to_string())),
-                ]),
-                false,
-            ),
-        }
+        let reply = conn::Service::call(self, line);
+        (reply.body, reply.stop)
     }
 
     fn respond(&self, req: Request) -> Result<(String, bool), ExperimentError> {
@@ -627,13 +611,7 @@ impl conn::Service for Daemon {
         let op = op_of(&parsed);
         let (body, stop) = match parsed {
             Ok(req) => self.handle(req),
-            Err(e) => (
-                json::object(&[
-                    ("ok", json::boolean(false)),
-                    ("error", json::string(&e.to_string())),
-                ]),
-                false,
-            ),
+            Err(e) => (conn::error_body(&e.to_string(), false), false),
         };
         conn::Reply { body, stop, op }
     }

@@ -154,7 +154,7 @@ pub enum Op {
 }
 
 impl Op {
-    /// Every op, in rendering order.
+    /// Every op, in rendering order (the declaration order).
     pub const ALL: [Op; 9] = [
         Op::Ping,
         Op::Stats,
@@ -183,18 +183,10 @@ impl Op {
         }
     }
 
+    /// The op's slot in the per-op tables: its declaration order, which
+    /// is also its position in [`Op::ALL`].
     fn index(self) -> usize {
-        match self {
-            Op::Ping => 0,
-            Op::Stats => 1,
-            Op::Metrics => 2,
-            Op::SweepPoint => 3,
-            Op::SweepFull => 4,
-            Op::Table1 => 5,
-            Op::Stalls => 6,
-            Op::Shutdown => 7,
-            Op::Invalid => 8,
-        }
+        self as usize
     }
 }
 
@@ -389,6 +381,15 @@ pub fn op_json(op: Op, h: &HistogramSnapshot) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn each_op_indexes_its_own_slot_under_a_distinct_label() {
+        for (i, op) in Op::ALL.into_iter().enumerate() {
+            assert_eq!(op.index(), i, "{op:?}");
+        }
+        let labels: std::collections::HashSet<_> = Op::ALL.iter().map(|op| op.label()).collect();
+        assert_eq!(labels.len(), Op::ALL.len());
+    }
 
     #[test]
     fn buckets_are_log2_microseconds() {

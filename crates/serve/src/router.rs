@@ -62,7 +62,7 @@ use lowvcc_bench::{json, ResultStore, RetryPolicy, StoreStats, SuiteChoice};
 use lowvcc_core::Parallelism;
 use lowvcc_sram::{Millivolts, PAPER_SWEEP};
 
-use crate::conn;
+use crate::conn::{self, error_body};
 use crate::metrics::{op_json, store_json, HistogramSnapshot, Metrics, Op, LATENCY_BUCKETS};
 use crate::shard::Ring;
 use crate::{op_of, parse_request, Daemon, Request, ServeOptions};
@@ -356,12 +356,12 @@ impl Router {
                     }
                     return resps
                         .pop()
-                        .unwrap_or_else(|| error_body("empty shard response"));
+                        .unwrap_or_else(|| error_body("empty shard response", false));
                 }
                 Err(e) => errors.push(e),
             }
         }
-        error_body(&format!("no shard reachable: {}", errors.join("; ")))
+        error_body(&format!("no shard reachable: {}", errors.join("; ")), false)
     }
 
     /// Relays one raw request line to the shard owning `vcc` — with
@@ -384,7 +384,7 @@ impl Router {
     /// shards.
     fn full_sweep(&self) -> String {
         if self.shards.is_empty() {
-            return error_body("no shard reachable: the router has no shards");
+            return error_body("no shard reachable: the router has no shards", false);
         }
         let shards = self.ring.shards() as usize;
         let mut owners: Vec<usize> = Vec::new();
@@ -438,19 +438,25 @@ impl Router {
         let mut points = Vec::with_capacity(owners.len());
         for (vcc, owner) in PAPER_SWEEP.iter().zip(owners) {
             let Some(resp) = replies[owner].next() else {
-                return error_body(&format!(
-                    "shard {owner} ({}): missing response for {} mV",
-                    self.shards[owner],
-                    vcc.millivolts()
-                ));
+                return error_body(
+                    &format!(
+                        "shard {owner} ({}): missing response for {} mV",
+                        self.shards[owner],
+                        vcc.millivolts()
+                    ),
+                    false,
+                );
             };
             let v = match json::parse(&resp) {
                 Ok(v) => v,
                 Err(e) => {
-                    return error_body(&format!(
-                        "shard {owner} ({}): unparsable response: {e}",
-                        self.shards[owner]
-                    ))
+                    return error_body(
+                        &format!(
+                            "shard {owner} ({}): unparsable response: {e}",
+                            self.shards[owner]
+                        ),
+                        false,
+                    )
                 }
             };
             if v.get("ok").and_then(json::Value::as_bool) != Some(true) {
@@ -464,14 +470,20 @@ impl Router {
                     .get("error")
                     .and_then(json::Value::as_str)
                     .unwrap_or("unknown shard error");
-                return error_body(&format!("shard {owner} ({}): {detail}", self.shards[owner]));
+                return error_body(
+                    &format!("shard {owner} ({}): {detail}", self.shards[owner]),
+                    false,
+                );
             }
             cached &= v.get("cached").and_then(json::Value::as_bool) == Some(true);
             let Some(point) = v.get("point") else {
-                return error_body(&format!(
-                    "shard {owner} ({}): response has no point",
-                    self.shards[owner]
-                ));
+                return error_body(
+                    &format!(
+                        "shard {owner} ({}): response has no point",
+                        self.shards[owner]
+                    ),
+                    false,
+                );
             };
             points.push(json::render(point));
         }
@@ -492,8 +504,8 @@ impl Router {
             .map(|i| match self.relay_guarded(i, &request) {
                 Ok(mut resps) => resps
                     .pop()
-                    .unwrap_or_else(|| error_body("empty shard response")),
-                Err(e) => error_body(&e),
+                    .unwrap_or_else(|| error_body("empty shard response", false)),
+                Err(e) => error_body(&e, false),
             })
             .collect()
     }
@@ -507,8 +519,8 @@ impl Router {
             .map(|i| match self.relay(i, &request) {
                 Ok(mut resps) => resps
                     .pop()
-                    .unwrap_or_else(|| error_body("empty shard response")),
-                Err(e) => error_body(&e),
+                    .unwrap_or_else(|| error_body("empty shard response", false)),
+                Err(e) => error_body(&e, false),
             })
             .collect()
     }
@@ -675,13 +687,7 @@ impl conn::Service for Router {
         let op = op_of(&parsed);
         let (body, stop) = match parsed {
             Ok(req) => self.route(req, line),
-            Err(e) => (
-                json::object(&[
-                    ("ok", json::boolean(false)),
-                    ("error", json::string(&e.to_string())),
-                ]),
-                false,
-            ),
+            Err(e) => (error_body(&e.to_string(), false), false),
         };
         conn::Reply { body, stop, op }
     }
@@ -728,10 +734,6 @@ fn snapshot_of(o: &json::Value) -> (HistogramSnapshot, u64) {
         None => errors += 1,
     }
     (snap, errors)
-}
-
-fn error_body(error: &str) -> String {
-    json::object(&[("ok", json::boolean(false)), ("error", json::string(error))])
 }
 
 /// Why a cluster failed to start or exited uncleanly.

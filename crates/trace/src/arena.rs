@@ -1,4 +1,4 @@
-//! Packed trace layout: the one form a synthesized suite takes.
+//! Packed trace layout: the one in-memory form of a trace.
 //!
 //! A grid re-runs the *same* trace at every (Vcc, mechanism) point.
 //! [`TraceArena`] holds a trace as one vector of 8-byte [`UopRecord`]s,
@@ -12,17 +12,17 @@
 //! other uop), one tag byte (kind, direction and access size) and each
 //! register operand in one byte (`Option<Reg>` uses [`Reg`]'s niche).
 //!
-//! A suite is synthesized straight into arenas
-//! ([`TraceSpec::build_arena`](crate::TraceSpec::build_arena)), each uop
-//! validated as it is pushed, so it never exists as a [`Trace`] and is
-//! decoded exactly once. [`TraceArena::from_trace`] decodes a [`Trace`]
-//! built some other way. Both fill the arena through one push path.
+//! An arena is made in one of two ways, and both push through one
+//! validating sink: a synthesized trace goes straight into its arena
+//! ([`TraceSpec::build`](crate::TraceSpec::build)), and a hand-written
+//! uop stream through [`TraceArena::from_uops`]. Each uop is checked
+//! with [`Uop::validate`] as it is pushed, so every arena is valid when
+//! it exists and every record holds its uop exactly.
 
 use std::fmt;
 
 use crate::error::TraceError;
-use crate::synth::UopSink;
-use crate::uop::{Reg, Trace, Uop, UopKind};
+use crate::uop::{Reg, Uop, UopKind};
 
 /// Tag bits 0..4: the [`UopKind`] discriminant.
 const KIND_MASK: u8 = 0x0F;
@@ -86,6 +86,24 @@ impl UopRecord {
             dst: None,
             src1: None,
             src2: None,
+        }
+    }
+
+    /// The record of `u`, less its pc. Exact, because only the sink
+    /// calls it, and only for a uop that passed [`Uop::validate`].
+    pub(crate) fn of(u: &Uop) -> Self {
+        let word = if u.kind.is_mem() {
+            u.addr.unwrap_or(0)
+        } else {
+            u.target
+        };
+        let size_log2 = (u.size.trailing_zeros() as u8) & 0b11;
+        Self {
+            word: word as u32,
+            tag: u.kind as u8 | if u.taken { TAKEN } else { 0 } | size_log2 << SIZE_SHIFT,
+            dst: u.dst,
+            src1: u.src1,
+            src2: u.src2,
         }
     }
 
@@ -179,44 +197,25 @@ impl fmt::Debug for UopRecord {
     }
 }
 
-/// Decodes a uop, less its pc: exact for a valid uop, lossy for an
-/// invalid one (a load without an address decodes as address 0, an
-/// address or target above `u32::MAX` to its low 32 bits, a size that is
-/// not a power of two up to 8 to some such size).
-impl From<&Uop> for UopRecord {
-    fn from(u: &Uop) -> Self {
-        let word = if u.kind.is_mem() {
-            u.addr.unwrap_or(0)
-        } else {
-            u.target
-        };
-        let size_log2 = (u.size.trailing_zeros() as u8) & 0b11;
-        Self {
-            word: word as u32,
-            tag: u.kind as u8 | if u.taken { TAKEN } else { 0 } | size_log2 << SIZE_SHIFT,
-            dst: u.dst,
-            src1: u.src1,
-            src2: u.src2,
-        }
-    }
-}
-
 /// A trace as one vector of packed [`UopRecord`]s plus its pc breaks.
 ///
-/// Construction is the only copy; afterwards the arena is read-only and
-/// freely shareable across threads (`&TraceArena` is `Sync`).
+/// Every arena is valid: [`TraceSpec::build`](crate::TraceSpec::build)
+/// and [`from_uops`](Self::from_uops) refuse any uop that fails
+/// [`Uop::validate`]. Afterwards the arena is read-only and freely
+/// shareable across threads (`&TraceArena` is `Sync`).
 ///
 /// ```
-/// use lowvcc_trace::{Trace, TraceArena, Uop};
+/// use lowvcc_trace::{TraceArena, Uop};
 ///
 /// let uops = vec![Uop::nop(0x0), Uop::nop(0x4), Uop::nop(0x40)];
-/// let arena = TraceArena::from_trace(&Trace::new("t", uops.clone()));
+/// let arena = TraceArena::from_uops("t", uops.clone())?;
 /// assert_eq!(arena.len(), 3);
 /// // 0x4 follows 0x0; 0x40 does not follow 0x4, so the arena holds
 /// // two pc breaks (uop 0 is always one) beside its three records.
 /// assert_eq!(arena.decoded_bytes(), 3 * 8 + 2 * 16);
 /// assert!(arena.uops().eq(uops));
 /// assert_eq!(arena.name(), "t");
+/// # Ok::<(), lowvcc_trace::TraceError>(())
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct TraceArena {
@@ -227,19 +226,37 @@ pub struct TraceArena {
     breaks: Vec<(usize, u32)>,
 }
 
+/// The old name of [`TraceArena`], kept only because the repository
+/// benchmark still names it (`Trace::len`); it goes when the benchmark
+/// re-points its trace probes.
+pub type Trace = TraceArena;
+
 impl TraceArena {
-    /// Decodes `trace` into records. O(len). Infallible: it does not
-    /// validate (see [`Uop::validate`]), so an invalid uop decodes
-    /// lossily (see `From<&Uop> for UopRecord`; a pc above `u32::MAX`
-    /// keeps its low 32 bits). Every pc stays exact whatever the
-    /// control flow, since a pc that does not follow becomes a break.
+    /// Packs `uops` into an arena named `name`, validating each one.
+    /// O(len). Every pc stays exact whatever the control flow, since a
+    /// pc that does not follow becomes a break.
+    ///
+    /// # Errors
+    ///
+    /// [`TraceError::Uop`] for the first uop that fails
+    /// [`Uop::validate`], by its index.
+    pub fn from_uops(
+        name: impl Into<String>,
+        uops: impl IntoIterator<Item = Uop>,
+    ) -> Result<Self, TraceError> {
+        let uops = uops.into_iter();
+        let mut sink = ArenaSink::new(name.into(), uops.size_hint().0);
+        for uop in uops {
+            sink.push(uop);
+        }
+        sink.finish()
+    }
+
+    /// A copy of `trace`, kept only because the repository benchmark
+    /// still calls it; it goes with the [`Trace`] alias.
     #[must_use]
     pub fn from_trace(trace: &Trace) -> Self {
-        let mut sink = ArenaSink::new(trace.name.clone(), trace.uops.len());
-        for u in &trace.uops {
-            sink.append(u);
-        }
-        sink.into_arena()
+        trace.clone()
     }
 
     /// Trace name.
@@ -277,9 +294,9 @@ impl TraceArena {
         &self.records[i]
     }
 
-    /// Reassembles every uop in order (diagnostics and equivalence
-    /// tests; the hot paths read the records). Exact for every uop that
-    /// passes [`Uop::validate`].
+    /// Reassembles every uop in order, exactly as it was pushed
+    /// (statistics, diagnostics and equivalence tests; the hot paths
+    /// read the records).
     pub fn uops(&self) -> impl Iterator<Item = Uop> + '_ {
         let mut walk = PcWalk::START;
         self.records.iter().enumerate().map(move |(i, r)| {
@@ -349,10 +366,10 @@ impl PcWalk {
     }
 }
 
-/// The one push path into an arena: sized for its final length, it
-/// records each uop's pc break, if any, and validates each uop pushed
-/// through [`UopSink`], remembering the first invalid one (later uops
-/// still land, so indices stay those of the stream).
+/// The one push path into an arena: sized for the length it expects, it
+/// validates each uop pushed and records its pc break, if any. After
+/// the first invalid uop it keeps only the error, since no arena comes
+/// out.
 pub(crate) struct ArenaSink {
     arena: TraceArena,
     /// Next-pc of the last uop appended (unused before the first).
@@ -361,7 +378,7 @@ pub(crate) struct ArenaSink {
 }
 
 impl ArenaSink {
-    /// An empty arena named `name` with room for exactly `len` uops.
+    /// An empty arena named `name` with room for `len` uops.
     pub(crate) fn new(name: String, len: usize) -> Self {
         Self {
             arena: TraceArena {
@@ -374,9 +391,19 @@ impl ArenaSink {
         }
     }
 
-    /// Appends `uop` without validating it.
-    fn append(&mut self, uop: &Uop) {
-        let record = UopRecord::from(uop);
+    /// Validates `uop` and appends its record.
+    pub(crate) fn push(&mut self, uop: Uop) {
+        if self.invalid.is_some() {
+            return;
+        }
+        if let Err(source) = uop.validate() {
+            self.invalid = Some(TraceError::Uop {
+                index: self.arena.len(),
+                source,
+            });
+            return;
+        }
+        let record = UopRecord::of(&uop);
         let pc = uop.pc as u32;
         if self.arena.records.is_empty() || u64::from(pc) != self.next_pc {
             self.arena.breaks.push((self.arena.records.len(), pc));
@@ -385,37 +412,20 @@ impl ArenaSink {
         self.arena.records.push(record);
     }
 
-    /// The arena, holding no spare capacity.
-    fn into_arena(mut self) -> TraceArena {
-        self.arena.records.shrink_to_fit();
-        self.arena.breaks.shrink_to_fit();
-        self.arena
-    }
-
-    /// The filled arena.
+    /// The filled arena, holding no spare capacity.
     ///
     /// # Errors
     ///
     /// [`TraceError::Uop`] for the first uop that failed validation.
     pub(crate) fn finish(mut self) -> Result<TraceArena, TraceError> {
-        match self.invalid.take() {
+        match self.invalid {
             Some(err) => Err(err),
-            None => Ok(self.into_arena()),
-        }
-    }
-}
-
-impl UopSink for ArenaSink {
-    fn push(&mut self, uop: Uop) {
-        if self.invalid.is_none() {
-            if let Err(source) = uop.validate() {
-                self.invalid = Some(TraceError::Uop {
-                    index: self.arena.len(),
-                    source,
-                });
+            None => {
+                self.arena.records.shrink_to_fit();
+                self.arena.breaks.shrink_to_fit();
+                Ok(self.arena)
             }
         }
-        self.append(&uop);
     }
 }
 
@@ -458,7 +468,7 @@ mod tests {
                         addr: kind.is_mem().then_some(0x1000),
                         ..Uop::nop(0x40)
                     };
-                    let rec = UopRecord::from(&u);
+                    let rec = UopRecord::of(&u);
                     assert_eq!(
                         (rec.kind(), rec.taken(), rec.size()),
                         (kind, taken, size),
@@ -472,18 +482,14 @@ mod tests {
     #[test]
     fn round_trips_every_uop() {
         // Every family, so every uop kind's address-or-target word is
-        // exercised.
+        // exercised; random access agrees with the walk.
         for spec in suite(1, 3_000) {
-            let trace = spec.build().unwrap();
-            let arena = TraceArena::from_trace(&trace);
-            assert_eq!(arena.len(), trace.uops.len());
-            assert_eq!(arena.name(), trace.name);
-            for (i, (got, want)) in arena.uops().zip(&trace.uops).enumerate() {
-                assert_eq!(got, *want, "{}: uop {i} must round-trip", trace.name);
-            }
-            assert_eq!(arena.uops().count(), trace.uops.len());
+            let arena = spec.build().unwrap();
+            let uops: Vec<Uop> = arena.uops().collect();
+            assert_eq!(uops.len(), arena.len());
+            assert_eq!(arena.name(), spec.name());
             for i in [0, 1, 1_499, 2_999] {
-                assert_eq!(arena.uop(i), trace.uops[i], "{}: uop({i})", trace.name);
+                assert_eq!(arena.uop(i), uops[i], "{}: uop({i})", spec.name());
             }
         }
     }
@@ -495,8 +501,8 @@ mod tests {
         // blocks of every family.
         for len in [1, 999, 10_000] {
             for spec in suite(1, len) {
-                let arena = spec.build_arena().unwrap();
-                let decoded = TraceArena::from_trace(&spec.build().unwrap());
+                let arena = spec.build().unwrap();
+                let decoded = TraceArena::from_uops(spec.name(), arena.uops()).unwrap();
                 assert_eq!(arena, decoded, "{} at length {len}", spec.name());
                 assert_eq!(arena.decoded_bytes(), 8 * len + 16);
             }
@@ -505,13 +511,13 @@ mod tests {
 
     #[test]
     fn every_family_builds_with_one_pc_break_and_no_spare_capacity() {
-        // `build_arena` validates each uop, so a pc, address or target
-        // past `u32::MAX`, or a size or direction the tag cannot hold,
-        // would fail here by index.
+        // `build` validates each uop, so a pc, address or target past
+        // `u32::MAX`, or a size or direction the tag cannot hold, would
+        // fail here by index.
         let mut taken_to_the_next_pc = 0;
         for spec in suite(1, 200_000) {
             let arena = spec
-                .build_arena()
+                .build()
                 .unwrap_or_else(|e| panic!("{}: {e}", spec.name()));
             assert_eq!(arena.len(), 200_000);
             assert_eq!(arena.records.capacity(), arena.len(), "{}", spec.name());
@@ -545,10 +551,7 @@ mod tests {
             // The same pc twice: a break.
             Uop::nop(0x904),
         ];
-        for u in &uops {
-            u.validate().unwrap();
-        }
-        let arena = TraceArena::from_trace(&Trace::new("jumps", uops.clone()));
+        let arena = TraceArena::from_uops("jumps", uops.clone()).unwrap();
         assert_eq!(
             arena.breaks,
             [(0, 0x100), (2, 0x400), (6, 0x900), (8, 0x904)]
@@ -568,7 +571,7 @@ mod tests {
             Uop::nop(0x40),
             Uop::nop(0x80),
         ];
-        let arena = TraceArena::from_trace(&Trace::new("walk", uops.to_vec()));
+        let arena = TraceArena::from_uops("walk", uops).unwrap();
         let mut walk = PcWalk::START;
         for (i, u) in uops.iter().enumerate() {
             // Reading a pc does not move the walk.
@@ -579,60 +582,77 @@ mod tests {
     }
 
     #[test]
-    fn the_sink_reports_the_first_invalid_uop_by_index() {
+    fn the_first_invalid_uop_is_reported_by_index() {
         let mut bad = Uop::load(0x44, r(1), None, 0x40, 8);
         bad.addr = None;
         let mut worse = Uop::nop(0x48);
         worse.addr = Some(0x80);
-        let uops = [Uop::nop(0x40), bad, worse];
-        let mut sink = ArenaSink::new("bad".to_string(), uops.len());
-        for u in uops {
-            sink.push(u);
-        }
-        let err = sink.finish().expect_err("a load without an address");
+        let err = TraceArena::from_uops("bad", [Uop::nop(0x40), bad, worse])
+            .expect_err("a load without an address");
         assert_eq!(
             err,
-            Trace::new("bad", uops.to_vec()).validate().unwrap_err()
+            TraceError::Uop {
+                index: 1,
+                source: UopError::MissingAddress {
+                    kind: UopKind::Load,
+                    pc: 0x44
+                }
+            }
         );
-        assert!(matches!(err, TraceError::Uop { index: 1, .. }), "{err:?}");
-    }
-
-    /// Pushes `bad` after two valid uops and returns the sink's verdict.
-    fn sink_verdict(bad: Uop) -> Result<TraceArena, TraceError> {
-        let mut sink = ArenaSink::new("bad".to_string(), 3);
-        for u in [Uop::nop(0x40), Uop::nop(0x44), bad] {
-            sink.push(u);
-        }
-        sink.finish()
+        assert!(err.to_string().starts_with("uop 1:"), "{err}");
     }
 
     #[test]
-    fn the_sink_reports_each_uop_the_record_cannot_hold_by_index() {
-        let mut target = Uop::store(0x48, None, None, 0x40, 8);
-        target.target = 0x100;
-        let wide = Uop::load(0x48, r(1), None, 1 << 32, 8);
-        let odd_size = Uop::load(0x48, r(1), None, 0x40, 3);
-        let mut sized_alu = Uop::alu(0x48, Some(r(1)), None, None);
-        sized_alu.size = 4;
-        let mut taken_alu = Uop::alu(0x48, Some(r(1)), None, None);
-        taken_alu.taken = true;
-        for (bad, source) in [
+    fn every_uop_error_is_reported_by_index() {
+        const HIGH: u64 = 1 << 32;
+        let load = Uop::load(0x48, r(1), None, 0x40, 8);
+        let store = Uop::store(0x48, None, None, 0x40, 8);
+        let alu = Uop::alu(0x48, Some(r(1)), None, None);
+        let branch = Uop::branch(0x48, None, true, 0x100);
+        let cases = [
             (
-                target,
+                Uop { addr: None, ..load },
+                UopError::MissingAddress {
+                    kind: UopKind::Load,
+                    pc: 0x48,
+                },
+            ),
+            (
+                Uop {
+                    addr: Some(0x40),
+                    ..alu
+                },
+                UopError::UnexpectedAddress {
+                    kind: UopKind::IntAlu,
+                    pc: 0x48,
+                },
+            ),
+            (
+                Uop {
+                    target: 0x100,
+                    ..store
+                },
                 UopError::UnexpectedTarget {
                     kind: UopKind::Store,
                     pc: 0x48,
                 },
             ),
             (
-                wide,
-                UopError::AddressOutOfRange {
-                    kind: UopKind::Load,
+                Uop {
+                    target: 0,
+                    ..branch
+                },
+                UopError::MissingTarget {
+                    kind: UopKind::Branch,
                     pc: 0x48,
                 },
             ),
             (
-                odd_size,
+                Uop { dst: None, ..load },
+                UopError::MissingDestination { pc: 0x48 },
+            ),
+            (
+                Uop { size: 3, ..load },
                 UopError::InvalidSize {
                     kind: UopKind::Load,
                     pc: 0x48,
@@ -640,22 +660,68 @@ mod tests {
                 },
             ),
             (
-                sized_alu,
+                Uop { size: 16, ..load },
+                UopError::InvalidSize {
+                    kind: UopKind::Load,
+                    pc: 0x48,
+                    size: 16,
+                },
+            ),
+            (
+                Uop { size: 4, ..alu },
                 UopError::UnexpectedSize {
                     kind: UopKind::IntAlu,
                     pc: 0x48,
                 },
             ),
             (
-                taken_alu,
+                Uop { taken: true, ..alu },
                 UopError::UnexpectedTaken {
                     kind: UopKind::IntAlu,
                     pc: 0x48,
                 },
             ),
-        ] {
+            (
+                Uop {
+                    taken: true,
+                    ..store
+                },
+                UopError::UnexpectedTaken {
+                    kind: UopKind::Store,
+                    pc: 0x48,
+                },
+            ),
+            (
+                Uop {
+                    addr: Some(HIGH),
+                    ..load
+                },
+                UopError::AddressOutOfRange {
+                    kind: UopKind::Load,
+                    pc: 0x48,
+                },
+            ),
+            (
+                Uop {
+                    target: HIGH,
+                    ..branch
+                },
+                UopError::AddressOutOfRange {
+                    kind: UopKind::Branch,
+                    pc: 0x48,
+                },
+            ),
+            (
+                Uop::nop(HIGH | 0x48),
+                UopError::AddressOutOfRange {
+                    kind: UopKind::Nop,
+                    pc: HIGH | 0x48,
+                },
+            ),
+        ];
+        for (bad, source) in cases {
             assert_eq!(
-                sink_verdict(bad),
+                TraceArena::from_uops("bad", [Uop::nop(0x40), Uop::nop(0x44), bad]),
                 Err(TraceError::Uop { index: 2, source }),
                 "{bad:?}"
             );
@@ -664,21 +730,20 @@ mod tests {
 
     #[test]
     fn empty_trace() {
-        let trace = Trace::new("empty", vec![]);
-        let arena = TraceArena::from_trace(&trace);
+        let arena = TraceArena::from_uops("empty", []).unwrap();
         assert!(arena.is_empty());
         assert_eq!(arena.len(), 0);
         assert!(arena.breaks.is_empty());
         assert_eq!(arena.uops().count(), 0);
         assert_eq!(arena.decoded_bytes(), 0);
+        assert_eq!(TraceArena::from_trace(&arena), arena);
     }
 
     #[test]
     fn records_match_fields() {
         let u = Uop::load(0x40, r(1), None, 0x1000, 8);
         let b = Uop::branch(0x44, None, true, 0x80);
-        let trace = Trace::new("two", vec![u, b]);
-        let arena = TraceArena::from_trace(&trace);
+        let arena = TraceArena::from_uops("two", [u, b]).unwrap();
         let (load, branch) = (arena.record(0), arena.record(1));
         assert_eq!(
             (load.kind(), load.taken(), load.size(), load.dst),
@@ -695,43 +760,11 @@ mod tests {
         assert_eq!(arena.uop(1).addr, None);
         // The next pc follows the direction.
         assert_eq!((load.next_pc(0x40), branch.next_pc(0x44)), (0x44, 0x80));
-        assert_eq!(UopRecord::from(&Uop::nop(0x48)), UopRecord::nop());
+        assert_eq!(UopRecord::of(&Uop::nop(0x48)), UopRecord::nop());
         assert_eq!(
             format!("{:?}", UopRecord::nop()),
             "UopRecord { kind: Nop, taken: false, size: 0, word: 0x0, \
              dst: None, src1: None, src2: None }"
-        );
-    }
-
-    #[test]
-    fn a_malformed_load_decodes_to_address_zero() {
-        // `from_trace` is infallible: a load without an address (which
-        // `Uop::validate` rejects) still decodes, as address 0.
-        let mut bad = Uop::load(0, r(1), None, 0x40, 8);
-        bad.addr = None;
-        let arena = TraceArena::from_trace(&Trace::new("bad", vec![bad]));
-        assert_eq!(arena.record(0).addr(), 0);
-        assert_eq!(arena.uop(0).addr, Some(0));
-    }
-
-    #[test]
-    fn an_address_past_32_bits_decodes_truncated() {
-        // `from_trace` is infallible: a uop above the 32-bit address
-        // space (which `Uop::validate` rejects) decodes to the low 32
-        // bits of its pc, address and target.
-        const HIGH: u64 = 1 << 32;
-        let load = Uop::load(HIGH | 0x40, r(1), None, HIGH | 0x1000, 8);
-        let call = call(HIGH | 0x44, HIGH | 0x80);
-        let arena = TraceArena::from_trace(&Trace::new("wide", vec![load, call]));
-        let uops: Vec<Uop> = arena.uops().collect();
-        assert_eq!((uops[0].pc, uops[0].addr), (0x40, Some(0x1000)));
-        assert_eq!(
-            uops[1],
-            Uop {
-                pc: 0x44,
-                target: 0x80,
-                ..call
-            }
         );
     }
 }

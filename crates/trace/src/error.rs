@@ -4,7 +4,7 @@
 //! for raw distribution parameters, [`UopError`] for a single malformed
 //! micro-op, and [`TraceError`] — the crate's boundary type — for anything
 //! that can go wrong validating [`SynthParams`](crate::synth::SynthParams)
-//! or building/validating a [`Trace`](crate::uop::Trace).
+//! or building a [`TraceArena`](crate::TraceArena).
 
 use std::fmt;
 

@@ -10,7 +10,6 @@
 use crate::arena::{ArenaSink, TraceArena};
 use crate::error::TraceError;
 use crate::synth::{Generator, MemMix, MixWeights, SynthParams};
-use crate::uop::Trace;
 
 /// A workload family of the paper's evaluation suite.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -343,26 +342,14 @@ impl TraceSpec {
         format!("{}-{:03}", self.family.name(), self.seed)
     }
 
-    /// Builds the trace.
-    ///
-    /// # Errors
-    ///
-    /// Propagates parameter-validation errors (family presets never fail).
-    pub fn build(&self) -> Result<Trace, TraceError> {
-        let mut generator = Generator::new(&self.family.params(), self.seed)?;
-        Ok(generator.generate(self.name(), self.len))
-    }
-
     /// Synthesizes the trace straight into a [`TraceArena`], validating
-    /// each uop as it is pushed: the same records as
-    /// `TraceArena::from_trace(&self.build()?)`, without ever holding
-    /// the 40-byte-per-uop [`Trace`].
+    /// each uop as it is pushed.
     ///
     /// # Errors
     ///
     /// Propagates parameter-validation errors (family presets never
     /// fail), and [`TraceError::Uop`] for the first invalid uop.
-    pub fn build_arena(&self) -> Result<TraceArena, TraceError> {
+    pub fn build(&self) -> Result<TraceArena, TraceError> {
         let mut generator = Generator::new(&self.family.params(), self.seed)?;
         let mut sink = ArenaSink::new(self.name(), self.len);
         generator.walk(&mut sink, self.len);
@@ -426,7 +413,7 @@ mod tests {
     fn specs_build_named_traces() {
         let spec = TraceSpec::new(WorkloadFamily::Kernel, 2, 500);
         let t = spec.build().unwrap();
-        assert_eq!(t.name, "kernel-002");
+        assert_eq!(t.name(), "kernel-002");
         assert_eq!(t.len(), 500);
     }
 }

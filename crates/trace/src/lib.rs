@@ -27,10 +27,10 @@ pub mod stats;
 pub mod synth;
 pub mod uop;
 
-pub use arena::{PcWalk, TraceArena, UopRecord};
+pub use arena::{PcWalk, Trace, TraceArena, UopRecord};
 pub use error::{TraceError, UopError};
 pub use families::{suite, TraceSpec, WorkloadFamily};
 pub use rng::SimRng;
 pub use stats::TraceStats;
 pub use synth::{Generator, SynthParams};
-pub use uop::{Reg, RegError, Trace, Uop, UopKind, NUM_REGS};
+pub use uop::{Reg, RegError, Uop, UopKind, NUM_REGS};

@@ -6,7 +6,8 @@
 
 use std::collections::{HashMap, HashSet};
 
-use crate::uop::{Reg, Trace, UopKind};
+use crate::arena::TraceArena;
+use crate::uop::{Reg, UopKind};
 
 /// Histogram cap for dependency distances (distances beyond are lumped).
 pub const DEP_HISTOGRAM_MAX: usize = 16;
@@ -35,7 +36,7 @@ pub struct TraceStats {
 impl TraceStats {
     /// Analyzes a trace.
     #[must_use]
-    pub fn analyze(trace: &Trace) -> Self {
+    pub fn analyze(trace: &TraceArena) -> Self {
         let mut kind_counts: HashMap<UopKind, usize> = HashMap::new();
         let mut taken_branches = 0usize;
         let mut dep_histogram = vec![0usize; DEP_HISTOGRAM_MAX];
@@ -45,7 +46,7 @@ impl TraceStats {
         let mut recent_stores: Vec<(usize, u64)> = Vec::new();
         let mut immediate_store_load_pairs = 0usize;
 
-        for (i, u) in trace.uops.iter().enumerate() {
+        for (i, u) in trace.uops().enumerate() {
             *kind_counts.entry(u.kind).or_insert(0) += 1;
             if u.kind == UopKind::Branch && u.taken {
                 taken_branches += 1;
@@ -230,7 +231,7 @@ mod tests {
 
     #[test]
     fn empty_trace_yields_zeroes() {
-        let s = TraceStats::analyze(&Trace::new("empty", vec![]));
+        let s = TraceStats::analyze(&TraceArena::from_uops("empty", []).unwrap());
         assert_eq!(s.total, 0);
         assert_eq!(s.fraction(UopKind::IntAlu), 0.0);
         assert_eq!(s.short_dep_fraction(4), 0.0);

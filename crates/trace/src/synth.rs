@@ -15,10 +15,11 @@
 //!   pairs the Store Table must catch.
 
 use crate::addr::{AddressModel, HEAP_BASE};
+use crate::arena::ArenaSink;
 use crate::dist::{Discrete, Geometric};
 use crate::error::TraceError;
 use crate::rng::SimRng;
-use crate::uop::{Reg, Trace, Uop, UopKind};
+use crate::uop::{Reg, Uop, UopKind};
 
 /// Weights of non-control instruction classes in a block body.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -355,16 +356,15 @@ impl Program {
     }
 }
 
-/// Seeded generator: builds a static program once, then emits traces.
+/// Seeded generator: builds a static program once, then walks it into
+/// a trace's arena ([`TraceSpec::build`](crate::TraceSpec::build)).
 ///
 /// ```
 /// use lowvcc_trace::{families::WorkloadFamily, synth::Generator};
 ///
 /// let params = WorkloadFamily::SpecInt.params();
-/// let mut generator = Generator::new(&params, 42)?;
-/// let trace = generator.generate("demo", 10_000);
-/// assert_eq!(trace.len(), 10_000);
-/// trace.validate().expect("generated traces are well-formed");
+/// let generator = Generator::new(&params, 42)?;
+/// assert!(generator.code_footprint_bytes() > 0);
 /// # Ok::<(), lowvcc_trace::TraceError>(())
 /// ```
 #[derive(Debug, Clone)]
@@ -488,7 +488,7 @@ impl Generator {
         model.next_addr(&mut self.rng)
     }
 
-    fn emit_body(&mut self, out: &mut impl UopSink, inst: StaticInst, pc: u64) {
+    fn emit_body(&mut self, out: &mut Capped<'_>, inst: StaticInst, pc: u64) {
         match inst.kind {
             UopKind::Load => {
                 let region = inst.region.expect("memory inst has region");
@@ -525,19 +525,11 @@ impl Generator {
         }
     }
 
-    /// Emits `len` dynamic uops by walking the program.
-    #[must_use]
-    pub fn generate(&mut self, name: impl Into<String>, len: usize) -> Trace {
-        let mut uops = Vec::with_capacity(len);
-        self.walk(&mut uops, len);
-        Trace::new(name, uops)
-    }
-
     /// Walks the program until `len` uops have gone into `sink`. The
-    /// block that reaches `len` still runs to its end, so the walk state
-    /// left behind does not depend on the sink; its surplus uops are
-    /// dropped rather than stored.
-    pub(crate) fn walk(&mut self, sink: &mut impl UopSink, len: usize) {
+    /// block that reaches `len` still runs to its end, so the walk stops
+    /// on a block boundary; its surplus uops are dropped rather than
+    /// stored.
+    pub(crate) fn walk(&mut self, sink: &mut ArenaSink, len: usize) {
         let mut out = Capped { sink, left: len };
         while out.left > 0 {
             self.step_block(&mut out);
@@ -545,7 +537,7 @@ impl Generator {
     }
 
     /// Executes one basic block (body + terminator), appending uops.
-    fn step_block(&mut self, out: &mut impl UopSink) {
+    fn step_block(&mut self, out: &mut Capped<'_>) {
         let Function {
             first_block,
             num_blocks,
@@ -637,27 +629,13 @@ impl Generator {
     }
 }
 
-/// Where a [`Generator`]'s walk puts the uops it emits: a `Vec<Uop>`
-/// for [`Generator::generate`], or an arena's packed records for
-/// [`TraceSpec::build_arena`](crate::TraceSpec::build_arena).
-pub(crate) trait UopSink {
-    /// Appends one uop.
-    fn push(&mut self, uop: Uop);
-}
-
-impl UopSink for Vec<Uop> {
-    fn push(&mut self, uop: Uop) {
-        Vec::push(self, uop);
-    }
-}
-
 /// Passes the first `left` uops on to `sink` and drops the rest.
-struct Capped<'a, S> {
-    sink: &'a mut S,
+struct Capped<'a> {
+    sink: &'a mut ArenaSink,
     left: usize,
 }
 
-impl<S: UopSink> UopSink for Capped<'_, S> {
+impl Capped<'_> {
     fn push(&mut self, uop: Uop) {
         if self.left > 0 {
             self.left -= 1;
@@ -666,60 +644,42 @@ impl<S: UopSink> UopSink for Capped<'_, S> {
     }
 }
 
-/// One-shot convenience: build a generator and emit a trace.
-///
-/// # Errors
-///
-/// Propagates parameter-validation errors from [`Generator::new`].
-pub fn generate_trace(
-    params: &SynthParams,
-    seed: u64,
-    len: usize,
-    name: impl Into<String>,
-) -> Result<Trace, TraceError> {
-    let mut generator = Generator::new(params, seed)?;
-    Ok(generator.generate(name, len))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::families::WorkloadFamily;
+    use crate::families::{TraceSpec, WorkloadFamily};
 
     fn params() -> SynthParams {
         WorkloadFamily::SpecInt.params()
     }
 
+    /// The uops of the `SpecInt` trace of `seed`, `len` long.
+    fn uops(seed: u64, len: usize) -> Vec<Uop> {
+        TraceSpec::new(WorkloadFamily::SpecInt, seed, len)
+            .build()
+            .unwrap()
+            .uops()
+            .collect()
+    }
+
     #[test]
     fn generates_requested_length() {
-        let t = generate_trace(&params(), 1, 5_000, "t").unwrap();
-        assert_eq!(t.len(), 5_000);
+        assert_eq!(uops(1, 5_000).len(), 5_000);
     }
 
     #[test]
     fn traces_are_deterministic_per_seed() {
-        let a = generate_trace(&params(), 7, 2_000, "a").unwrap();
-        let b = generate_trace(&params(), 7, 2_000, "b").unwrap();
-        assert_eq!(a.uops, b.uops);
-        let c = generate_trace(&params(), 8, 2_000, "c").unwrap();
-        assert_ne!(a.uops, c.uops);
-    }
-
-    #[test]
-    fn all_uops_validate() {
-        for family in WorkloadFamily::all() {
-            let t = generate_trace(&family.params(), 3, 3_000, "v").unwrap();
-            t.validate().unwrap_or_else(|e| panic!("{family:?}: {e}"));
-        }
+        let a = uops(7, 2_000);
+        assert_eq!(a, uops(7, 2_000));
+        assert_ne!(a, uops(8, 2_000));
     }
 
     #[test]
     fn control_flow_targets_are_real_pcs() {
-        let p = params();
-        let mut generator = Generator::new(&p, 11).unwrap();
+        // The spec's generator builds the same static program.
+        let generator = Generator::new(&params(), 11).unwrap();
         let code_end = CODE_BASE + generator.code_footprint_bytes();
-        let t = generator.generate("cf", 5_000);
-        for u in &t.uops {
+        for u in uops(11, 5_000) {
             assert!(u.pc >= CODE_BASE && u.pc < code_end, "pc {:#x}", u.pc);
             if u.kind.is_control() && u.taken {
                 assert!(
@@ -733,9 +693,9 @@ mod tests {
 
     #[test]
     fn calls_and_returns_balance() {
-        let t = generate_trace(&params(), 5, 50_000, "cr").unwrap();
-        let calls = t.uops.iter().filter(|u| u.kind == UopKind::Call).count();
-        let rets = t.uops.iter().filter(|u| u.kind == UopKind::Ret).count();
+        let t = uops(5, 50_000);
+        let calls = t.iter().filter(|u| u.kind == UopKind::Call).count();
+        let rets = t.iter().filter(|u| u.kind == UopKind::Ret).count();
         assert!(calls > 0, "workload should contain calls");
         let diff = calls.abs_diff(rets);
         // Truncation can strand a few open frames; they must roughly match.
@@ -745,9 +705,9 @@ mod tests {
     #[test]
     fn branches_repeat_static_pcs() {
         // The predictor needs recurring static branches.
-        let t = generate_trace(&params(), 13, 20_000, "bp").unwrap();
+        let t = uops(13, 20_000);
         let mut counts = std::collections::HashMap::new();
-        for u in t.uops.iter().filter(|u| u.kind == UopKind::Branch) {
+        for u in t.iter().filter(|u| u.kind == UopKind::Branch) {
             *counts.entry(u.pc).or_insert(0usize) += 1;
         }
         assert!(!counts.is_empty());
@@ -760,12 +720,12 @@ mod tests {
         // Sample the distance from each source to its producing uop; the
         // geometric dep model must concentrate on short distances, since
         // short distances are what create IRAW conflicts.
-        let t = generate_trace(&params(), 17, 30_000, "dep").unwrap();
+        let t = uops(17, 30_000);
         let mut last_writer: std::collections::HashMap<Reg, usize> =
             std::collections::HashMap::new();
         let mut short = 0usize;
         let mut total = 0usize;
-        for (i, u) in t.uops.iter().enumerate() {
+        for (i, u) in t.iter().enumerate() {
             for s in u.sources() {
                 if let Some(&w) = last_writer.get(&s) {
                     total += 1;

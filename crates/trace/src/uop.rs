@@ -11,12 +11,15 @@
 //! address space: every pc, data address and next-pc fits in 32 bits.
 //! [`Uop`] keeps them as `u64`, and [`Uop::validate`] rejects any above
 //! `u32::MAX`, and any size or direction a kind cannot have, so a
-//! [`UopRecord`](crate::UopRecord) stores a uop without loss.
+//! [`UopRecord`](crate::UopRecord) stores a uop without loss. A uop is
+//! the form a trace is written and read in; a trace is held as a
+//! [`TraceArena`](crate::TraceArena), which validates each uop as it is
+//! pushed.
 
 use std::fmt;
 use std::num::NonZeroU8;
 
-use crate::error::{TraceError, UopError};
+use crate::error::UopError;
 
 /// Number of architectural registers tracked by the scoreboard
 /// (integer + floating-point/SIMD logical registers of the in-order core).
@@ -387,52 +390,6 @@ impl Uop {
     }
 }
 
-/// A named instruction trace: the unit of workload the simulator replays.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Trace {
-    /// Human-readable name (family + seed).
-    pub name: String,
-    /// The dynamic uop stream.
-    pub uops: Vec<Uop>,
-}
-
-impl Trace {
-    /// Creates a trace from a uop stream.
-    #[must_use]
-    pub fn new(name: impl Into<String>, uops: Vec<Uop>) -> Self {
-        Self {
-            name: name.into(),
-            uops,
-        }
-    }
-
-    /// Number of dynamic uops.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.uops.len()
-    }
-
-    /// Whether the trace is empty.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.uops.is_empty()
-    }
-
-    /// Validates every uop.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TraceError::Uop`] carrying the first invalid uop's index
-    /// and defect.
-    pub fn validate(&self) -> Result<(), TraceError> {
-        for (i, u) in self.uops.iter().enumerate() {
-            u.validate()
-                .map_err(|source| TraceError::Uop { index: i, source })?;
-        }
-        Ok(())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -614,26 +571,5 @@ mod tests {
         let u = Uop::load(0, r(1), None, 0x1003f, 4);
         assert_eq!(u.line_addr(), Some(0x400));
         assert_eq!(Uop::nop(0).line_addr(), None);
-    }
-
-    #[test]
-    fn trace_validation_reports_index() {
-        let mut bad = Uop::load(4, r(1), None, 0x40, 8);
-        bad.addr = None;
-        let t = Trace::new("t", vec![Uop::nop(0), bad]);
-        let err = t.validate().unwrap_err();
-        assert!(
-            matches!(
-                err,
-                TraceError::Uop {
-                    index: 1,
-                    source: UopError::MissingAddress { .. }
-                }
-            ),
-            "{err}"
-        );
-        assert!(err.to_string().starts_with("uop 1:"), "{err}");
-        assert_eq!(t.len(), 2);
-        assert!(!t.is_empty());
     }
 }

@@ -65,8 +65,8 @@ fn every_familys_seed_zero_stream_is_pinned() {
         let trace = TraceSpec::new(family, 0, LEN).build().unwrap();
         assert_eq!(trace.len(), LEN);
         let mut h = Fnv::new();
-        for u in &trace.uops {
-            h.uop(u);
+        for u in trace.uops() {
+            h.uop(&u);
         }
         got.push((family, h.0));
     }

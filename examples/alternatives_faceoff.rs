@@ -17,7 +17,7 @@ fn main() -> Result<(), lowvcc::Error> {
         (WorkloadFamily::Multimedia, 2),
     ]
     .iter()
-    .map(|&(f, s)| TraceSpec::new(f, s, 60_000).build_arena())
+    .map(|&(f, s)| TraceSpec::new(f, s, 60_000).build())
     .collect::<Result<_, _>>()?;
 
     let fb = FaultyBitsDesign::four_sigma(FaultyBitsScope::AllBlocksHypothetical);

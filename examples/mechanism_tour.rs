@@ -5,7 +5,7 @@
 
 use lowvcc::core::{CoreConfig, Mechanism, SimConfig, Simulator};
 use lowvcc::sram::{CycleTimeModel, Millivolts};
-use lowvcc::trace::{Reg, Trace, Uop};
+use lowvcc::trace::{Reg, TraceArena, Uop};
 use lowvcc::uarch::iq::issue_allowed;
 use lowvcc::uarch::scoreboard::{IrawWindow, Scoreboard};
 use lowvcc::uarch::stable::{StableMatch, StoreTable, TrackedStore};
@@ -52,14 +52,12 @@ fn main() {
     );
     // A 3-uop program never reaches that occupancy by itself: at the end
     // of the trace the core pads the queue with NOOPs (paper §4.2).
-    let uops = (0..3u8)
-        .map(|i| {
-            let dst = Reg::new(16 + i).expect("valid register");
-            let src = Reg::new(0).expect("valid register");
-            Uop::alu(0x40_0000 + 4 * u64::from(i), Some(dst), Some(src), None)
-        })
-        .collect();
-    let tail = Trace::new("tail", uops);
+    let uops = (0..3u8).map(|i| {
+        let dst = Reg::new(16 + i).expect("valid register");
+        let src = Reg::new(0).expect("valid register");
+        Uop::alu(0x40_0000 + 4 * u64::from(i), Some(dst), Some(src), None)
+    });
+    let tail = TraceArena::from_uops("tail", uops).expect("well-formed uops");
     let cfg = SimConfig::at_vcc(CoreConfig::silverthorne(), &timing, vcc, Mechanism::Iraw);
     let result = Simulator::new(cfg)
         .expect("calibrated config is valid")

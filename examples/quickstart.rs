@@ -21,7 +21,7 @@ fn main() -> Result<(), lowvcc::Error> {
     // 2. A synthetic SPEC-integer-like trace (stand-in for the paper's
     //    production traces).
     let trace = TraceSpec::new(WorkloadFamily::SpecInt, 42, 200_000).build()?;
-    println!("workload: {} ({} uops)", trace.name, trace.len());
+    println!("workload: {} ({} uops)", trace.name(), trace.len());
 
     // 3. Simulate the write-limited baseline and the IRAW core.
     let core = CoreConfig::silverthorne();

@@ -21,7 +21,7 @@ fn main() -> Result<(), lowvcc::Error> {
     );
     for family in WorkloadFamily::all() {
         let traces: Vec<_> = (0..3)
-            .map(|seed| TraceSpec::new(family, seed, 100_000).build_arena())
+            .map(|seed| TraceSpec::new(family, seed, 100_000).build())
             .collect::<Result<_, _>>()?;
         let tstats = TraceStats::analyze(&TraceSpec::new(family, 0, 100_000).build()?);
         let cmp = compare_mechanisms(core, &timing, vcc, &traces, Parallelism::sequential())?;

@@ -23,7 +23,7 @@ fn traces(len: usize) -> Vec<TraceArena> {
         (WorkloadFamily::Kernel, 5),
     ]
     .iter()
-    .map(|&(f, s)| TraceSpec::new(f, s, len).build_arena().unwrap())
+    .map(|&(f, s)| TraceSpec::new(f, s, len).build().unwrap())
     .collect()
 }
 
@@ -86,7 +86,7 @@ fn whole_stack_is_deterministic() {
     let t2 = TraceSpec::new(WorkloadFamily::Server, 11, 30_000)
         .build()
         .unwrap();
-    assert_eq!(t.uops, t2.uops);
+    assert_eq!(t, t2);
 }
 
 #[test]
