@@ -21,7 +21,9 @@
 //! content-addressed result store rooted at DIR: a warm re-run answers
 //! every figure from the store (the trailing `cache:` stats line reports
 //! `0 simulated`) yet writes byte-identical CSV artifacts. The same DIR
-//! can back a running `lowvcc-serve` daemon.
+//! can back a running `lowvcc-serve` daemon. Each trace is built on the
+//! first miss that needs it, so the `suite …: B of N traces built` line
+//! reads 0 of N on a warm re-run.
 
 use std::fmt;
 use std::path::PathBuf;
@@ -139,35 +141,18 @@ fn parse_args(args: impl IntoIterator<Item = String>) -> Result<CliOptions, CliE
     })
 }
 
-struct Cli {
-    ctx: ExperimentContext,
-    out: PathBuf,
-    json: Option<PathBuf>,
-    jobs: usize,
-    store: Option<Arc<ResultStore>>,
-}
-
-/// Turns validated options into a runnable context (builds traces, opens
-/// the cache).
-fn build(opts: CliOptions) -> Result<Cli, CliError> {
-    let mut ctx = opts
+/// Turns validated options into a runnable context (opens the cache;
+/// traces are built on first miss).
+fn build(opts: &CliOptions) -> Result<ExperimentContext, CliError> {
+    let ctx = opts
         .suite
         .build()?
         .with_parallelism(Parallelism::threads(opts.jobs));
-    let store = match opts.cache {
-        Some(dir) => {
-            let store = Arc::new(ResultStore::open(dir).map_err(ExperimentError::from)?);
-            ctx = ctx.with_cache(Arc::clone(&store));
-            Some(store)
-        }
-        None => None,
-    };
-    Ok(Cli {
-        ctx,
-        out: opts.out,
-        json: opts.json,
-        jobs: opts.jobs,
-        store,
+    Ok(match &opts.cache {
+        Some(dir) => ctx.with_cache(Arc::new(
+            ResultStore::open(dir).map_err(ExperimentError::from)?,
+        )),
+        None => ctx,
     })
 }
 
@@ -183,7 +168,7 @@ fn main() -> ExitCode {
         println!("{USAGE}");
         return ExitCode::SUCCESS;
     }
-    let cli = match build(opts) {
+    let ctx = match build(&opts) {
         Ok(v) => v,
         Err(e) => {
             eprintln!("{e}");
@@ -191,13 +176,20 @@ fn main() -> ExitCode {
         }
     };
     eprintln!(
-        "running all experiments on suite {} ({} uops, {} decoded bytes, {} jobs)…",
-        cli.ctx.suite_label,
-        cli.ctx.total_uops(),
-        cli.ctx.decoded_bytes(),
-        cli.jobs
+        "running all experiments on suite {} ({} uops, {} jobs)…",
+        ctx.suite_label,
+        ctx.total_uops(),
+        opts.jobs
     );
-    match run_all(&cli.ctx, &cli.out) {
+    let run = run_all(&ctx, &opts.out);
+    eprintln!(
+        "suite {}: {} of {} traces built, {} decoded bytes",
+        ctx.suite_label,
+        ctx.traces_built(),
+        ctx.specs().len(),
+        ctx.decoded_bytes()
+    );
+    match run {
         Ok(summary) => {
             println!("{}", summary.report);
             eprintln!(
@@ -206,8 +198,8 @@ fn main() -> ExitCode {
                 summary.sweep_elapsed,
                 summary.uops_per_second() / 1e6
             );
-            eprintln!("CSV files written under {}", cli.out.display());
-            if let Some(store) = &cli.store {
+            eprintln!("CSV files written under {}", opts.out.display());
+            if let Some(store) = &ctx.cache {
                 let s = store.stats();
                 eprintln!(
                     "cache: {} hits, {} misses ({} simulated), {} records in {} segments on disk",
@@ -234,10 +226,10 @@ fn main() -> ExitCode {
                     );
                 }
             }
-            if let Some(path) = cli.json {
-                let doc = summary.to_json(&cli.ctx.suite_label, cli.ctx.total_uops(), cli.jobs);
-                if let Err(e) = std::fs::write(&path, doc) {
-                    eprintln!("{}", CliError::Run(ExperimentError::io_at(&path)(e)));
+            if let Some(path) = &opts.json {
+                let doc = summary.to_json(&ctx.suite_label, ctx.total_uops(), opts.jobs);
+                if let Err(e) = std::fs::write(path, doc) {
+                    eprintln!("{}", CliError::Run(ExperimentError::io_at(path)(e)));
                     return ExitCode::FAILURE;
                 }
                 eprintln!("sweep JSON written to {}", path.display());

@@ -1,12 +1,14 @@
 //! Shared experiment context: models, machine configuration, the trace
-//! suite, and the optional result cache every experiment runs through.
+//! suite's specs, and the optional result cache every experiment runs
+//! through.
 //!
-//! The suite is synthesized straight into [`TraceArena`]s once, when the
-//! context is built, and held behind an `Arc`: every clone of a context
-//! (each shard of an in-process cluster, say) shares that one decoded
-//! copy, and no grid run decodes or validates a trace again.
+//! The context holds specs. Each trace is built on first miss, straight
+//! into a [`TraceArena`] in a table every clone shares (each shard of an
+//! in-process cluster, say): at most once per process, never by a fully
+//! warm run, and no grid run decodes or validates a trace again.
 
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
+use std::{panic, thread};
 
 use lowvcc_core::{
     run_batch_groups, same_projection_as, sim_key, CoreConfig, MechanismComparison, Parallelism,
@@ -17,7 +19,7 @@ use crate::error::ExperimentError;
 use crate::store::{Flight, FlightGuard, FlightWaiter, ResultStore};
 use lowvcc_energy::EnergyModel;
 use lowvcc_sram::{CycleTimeModel, Millivolts};
-use lowvcc_trace::{suite, TraceArena, TraceSpec};
+use lowvcc_trace::{suite, TraceArena, TraceError, TraceSpec};
 
 /// A parsed suite choice — the one grammar behind the `--suite` flag of
 /// both the `experiments` binary and `lowvcc-serve`.
@@ -27,7 +29,8 @@ pub enum SuiteChoice {
     Quick,
     /// 49 traces × 200k uops.
     Standard,
-    /// 532 traces × 200k uops.
+    /// 532 traces × 200k uops: the closest 7-family multiple of the
+    /// paper's 531 traces, at a length swept in minutes, not days.
     Paper,
     /// `NxLEN`: N traces per family, LEN uops each.
     Sized {
@@ -102,19 +105,18 @@ impl SuiteChoice {
         }
     }
 
-    /// Builds the corresponding context (generates the traces).
+    /// Builds the corresponding context; its traces are built on first
+    /// miss.
     ///
     /// # Errors
     ///
-    /// Propagates trace-generation failures.
+    /// As [`ExperimentContext::from_specs`].
     pub fn build(self) -> Result<ExperimentContext, ExperimentError> {
         ExperimentContext::from_specs(&self.specs(), &self.label())
     }
 
-    /// The trace specs [`build`](Self::build) constructs its suite
-    /// from, *without* generating any trace — specs are a few bytes of
-    /// identity (family, seed, length). The one statement of each
-    /// suite's size.
+    /// The trace specs of the suite — a few bytes of identity (family,
+    /// seed, length) each. The one statement of each suite's size.
     #[must_use]
     pub fn specs(self) -> Vec<TraceSpec> {
         match self {
@@ -137,8 +139,8 @@ impl SuiteChoice {
 }
 
 /// Everything an experiment needs: the calibrated models, the machine,
-/// a built trace suite (plus the specs that generated it, which key the
-/// result cache), and the optional cache itself.
+/// the suite's trace specs (which key the result cache) with the traces
+/// built from them so far, and the optional cache itself.
 #[derive(Debug, Clone)]
 pub struct ExperimentContext {
     /// Calibrated timing model.
@@ -147,12 +149,12 @@ pub struct ExperimentContext {
     pub energy: EnergyModel,
     /// Machine configuration.
     pub core: CoreConfig,
-    /// The workload suite, built once and shared by every clone.
-    pub suite: Arc<[TraceArena]>,
-    /// The specs the suite was built from, index-aligned with `suite`.
-    /// Content addressing hashes these (family, seed, length) rather
-    /// than megabytes of generated uops.
-    pub specs: Vec<TraceSpec>,
+    /// The suite. Content addressing hashes these (family, seed, length)
+    /// rather than megabytes of generated uops.
+    specs: Vec<TraceSpec>,
+    /// `traces[t]` is built from `specs[t]` on first use; every clone
+    /// shares the one table.
+    traces: Arc<[OnceLock<Result<TraceArena, TraceError>>]>,
     /// Human-readable suite label for reports.
     pub suite_label: String,
     /// Worker threads for suite sweeps (sequential by default; every
@@ -165,22 +167,20 @@ pub struct ExperimentContext {
 }
 
 impl ExperimentContext {
-    /// Builds a context from trace specs.
+    /// Builds a context from trace specs. Nothing is synthesized here:
+    /// each trace is built by the first grid that misses on it.
     ///
     /// # Errors
     ///
-    /// Propagates trace-generation failures.
+    /// None today; a spec that cannot be synthesized fails the first
+    /// grid that needs its trace.
     pub fn from_specs(specs: &[TraceSpec], label: &str) -> Result<Self, ExperimentError> {
-        let suite = specs
-            .iter()
-            .map(TraceSpec::build)
-            .collect::<Result<Vec<_>, _>>()?;
         Ok(Self {
             timing: CycleTimeModel::silverthorne_45nm(),
             energy: EnergyModel::silverthorne_45nm(),
             core: CoreConfig::silverthorne(),
-            suite: suite.into(),
             specs: specs.to_vec(),
+            traces: specs.iter().map(|_| OnceLock::new()).collect(),
             suite_label: label.to_string(),
             parallelism: Parallelism::sequential(),
             cache: None,
@@ -207,7 +207,7 @@ impl ExperimentContext {
     ///
     /// # Errors
     ///
-    /// Propagates trace-generation failures.
+    /// As [`from_specs`](Self::from_specs).
     pub fn quick() -> Result<Self, ExperimentError> {
         SuiteChoice::Quick.build()
     }
@@ -218,60 +218,96 @@ impl ExperimentContext {
     ///
     /// # Errors
     ///
-    /// Propagates trace-generation failures.
+    /// As [`from_specs`](Self::from_specs).
     pub fn standard() -> Result<Self, ExperimentError> {
         SuiteChoice::Standard.build()
-    }
-
-    /// Paper-scale suite (532 traces × 200k uops — the closest
-    /// 7-family multiple of the paper's 531 traces, at a trace length
-    /// the parallel runner sweeps in minutes rather than days).
-    ///
-    /// # Errors
-    ///
-    /// Propagates trace-generation failures.
-    pub fn paper() -> Result<Self, ExperimentError> {
-        SuiteChoice::Paper.build()
     }
 
     /// Custom suite size.
     ///
     /// # Errors
     ///
-    /// Propagates trace-generation failures.
+    /// As [`from_specs`](Self::from_specs).
     pub fn sized(per_family: u32, len: usize) -> Result<Self, ExperimentError> {
         SuiteChoice::Sized { per_family, len }.build()
+    }
+
+    /// The suite's trace specs, in suite order.
+    #[must_use]
+    pub fn specs(&self) -> &[TraceSpec] {
+        &self.specs
+    }
+
+    /// Trace `t` of the suite (`t < specs().len()`), synthesized from
+    /// its spec on first use; concurrent callers wait for that one build.
+    ///
+    /// # Errors
+    ///
+    /// Propagates the synthesis failure of `specs()[t]`, on every call.
+    pub fn trace(&self, t: usize) -> Result<&TraceArena, ExperimentError> {
+        let build = || self.specs[t].build();
+        // On a short-lived thread, so the generator's transient memory (up
+        // to 0.4 MB a trace) reuses one allocator arena, not one per caller:
+        // built on the shards' request threads, a cold cluster's peak RSS
+        // read 20% higher.
+        let on_own_thread = || {
+            thread::scope(|s| match thread::Builder::new().spawn_scoped(s, build) {
+                Ok(worker) => worker.join().unwrap_or_else(|p| panic::resume_unwind(p)),
+                Err(_) => build(),
+            })
+        };
+        self.traces[t]
+            .get_or_init(on_own_thread)
+            .as_ref()
+            .map_err(|e| e.clone().into())
+    }
+
+    /// Traces built so far, by this context or any clone sharing its
+    /// table.
+    #[must_use]
+    pub fn traces_built(&self) -> usize {
+        self.traces
+            .iter()
+            .filter(|t| matches!(t.get(), Some(Ok(_))))
+            .count()
+    }
+
+    /// Whether `other` shares this context's trace table: a trace either
+    /// of them builds is built for both.
+    #[must_use]
+    pub fn shares_traces_with(&self, other: &Self) -> bool {
+        Arc::ptr_eq(&self.traces, &other.traces)
     }
 
     /// Total dynamic uops in the suite.
     #[must_use]
     pub fn total_uops(&self) -> usize {
-        self.suite.iter().map(TraceArena::len).sum()
+        self.specs.iter().map(|s| s.len).sum()
     }
 
-    /// Bytes of decoded trace the suite holds: 8 per uop plus 16 per pc
-    /// break, one break per synthesized trace.
+    /// Bytes of decoded trace the built traces hold: 8 per uop plus 16
+    /// per pc break, one break per synthesized trace.
     #[must_use]
     pub fn decoded_bytes(&self) -> usize {
-        self.suite.iter().map(TraceArena::decoded_bytes).sum()
+        let built = self.traces.iter().filter_map(|t| t.get()?.as_ref().ok());
+        built.map(TraceArena::decoded_bytes).sum()
     }
 
-    /// Runs every configuration over the whole suite, batched per trace:
-    /// all of `cfgs` replay one trace's arena back to back through a
-    /// reused engine workspace. Returns one [`SuiteResult`] per
-    /// configuration, in `cfgs` order — byte-identical to one fresh
-    /// simulation per (config, trace) pair (the `batch_vs_perpoint` suite
-    /// asserts it). This is the one cached grid runner every experiment
-    /// goes through.
+    /// Runs every configuration over the whole suite, batched per trace.
+    /// Returns one [`SuiteResult`] per configuration, in `cfgs` order —
+    /// byte-identical to one fresh simulation per (config, trace) pair
+    /// (the `batch_vs_perpoint` suite asserts it). This is the one grid
+    /// runner every experiment goes through.
     ///
-    /// With a cache, the call answers from the store where possible and
-    /// simulates only the misses, which each round publishes as one
-    /// segment ([`ResultStore::put_batch`]); output is
-    /// bit-identical to the uncached run — the determinism guarantee of
-    /// DESIGN.md §6 is what makes keyed reuse sound. Misses are batched
-    /// **per trace**: one round groups every missing configuration of a
-    /// trace into one group of the grid executor, so a worker replays
-    /// that trace for all of them while it is hot in cache.
+    /// The call answers from the store where possible — without a cache,
+    /// a store of its own that lives for the call — and simulates only
+    /// the misses, which each round publishes as one segment
+    /// ([`ResultStore::put_batch`]); the determinism guarantee of
+    /// DESIGN.md §6 is what makes keyed reuse sound. One round groups
+    /// every missing configuration of a trace into one group of the grid
+    /// executor, so a worker replays that trace for all of them while it
+    /// is hot in cache; only those traces are built
+    /// ([`trace`](Self::trace)).
     ///
     /// Configurations with equal cycle-level projections share a key
     /// ([`same_projection_as`]), so each distinct `(trace, key)` is
@@ -280,45 +316,23 @@ impl ExperimentContext {
     /// stored record's (a shared record keeps its first writer's).
     ///
     /// Misses go through the store's **single-flight** layer: this call
-    /// simulates only the keys it claims leadership of (as one parallel
-    /// batch over the grid executor) and *waits* for keys some
-    /// concurrent caller is already simulating — so N identical
-    /// concurrent runs perform each simulation exactly once. Waiting
-    /// happens after our own batch, so concurrent distinct workloads
-    /// overlap instead of serializing.
+    /// simulates the keys it leads (as one parallel batch), then *waits*
+    /// for keys a concurrent caller is simulating — so N identical
+    /// concurrent runs simulate each key once, and distinct ones overlap.
     ///
     /// # Errors
     ///
-    /// Propagates simulation failures. The cache itself never errors a
-    /// run: corrupt or unreadable entries are quarantined and
-    /// re-simulated, and publish failures degrade the store to
+    /// Propagates synthesis and simulation failures. The cache itself
+    /// never errors a run: corrupt or unreadable entries are quarantined
+    /// and re-simulated, and publish failures degrade the store to
     /// memory-only (see `store.rs`) — so output stays byte-identical
     /// even on a failing disk.
-    ///
-    /// # Panics
-    ///
-    /// Panics when a cache is configured and `specs` has drifted out of
-    /// alignment with `suite` (both are public fields; keep them
-    /// index-aligned).
     pub fn run_suite_batch(&self, cfgs: &[SimConfig]) -> Result<Vec<SuiteResult>, ExperimentError> {
-        let Some(store) = &self.cache else {
-            return Ok(lowvcc_core::run_suite_batch(
-                cfgs,
-                &self.suite,
-                self.parallelism,
-            )?);
-        };
-        // Hard assert, not debug: both fields are public, and a silent
-        // zip truncation here would make the cached path drop the tail
-        // of a misaligned suite — cache on/off changing results.
-        assert_eq!(
-            self.specs.len(),
-            self.suite.len(),
-            "ExperimentContext.specs must stay index-aligned with .suite"
-        );
+        let local = ResultStore::ephemeral();
+        let store = self.cache.as_deref().unwrap_or(&local);
         let mut slots: Vec<Vec<Option<(String, SimResult)>>> = cfgs
             .iter()
-            .map(|_| self.suite.iter().map(|_| None).collect())
+            .map(|_| self.specs.iter().map(|_| None).collect())
             .collect();
         // One lookup per distinct projection: `c` stands for every
         // config whose `firsts` entry is `c`, and `fill` hands each of
@@ -330,12 +344,12 @@ impl ExperimentContext {
                     cycle_time: cfgs[i].cycle_time,
                     ..result.clone()
                 };
-                slots[i][t] = Some((self.suite[t].name().to_string(), stamped));
+                slots[i][t] = Some((self.specs[t].name(), stamped));
             }
         };
         // Trace-major order, so one round's leaders arrive grouped by
         // trace and form one executor group per trace below.
-        let mut unresolved: Vec<(usize, usize)> = (0..self.suite.len())
+        let mut unresolved: Vec<(usize, usize)> = (0..self.specs.len())
             .flat_map(|t| {
                 firsts
                     .iter()
@@ -355,26 +369,26 @@ impl ExperimentContext {
                 }
             }
             if !leaders.is_empty() {
-                // Group this round's misses per *trace* (leaders are
-                // trace-major, so consecutive runs share an index):
-                // `run_batch_groups` then replays each trace once per
-                // missing configuration, back to back.
-                let mut groups: Vec<(usize, Vec<SimConfig>)> = Vec::new();
-                for (t, c, _) in &leaders {
-                    match groups.last_mut() {
-                        Some((ti, group)) if ti == t => group.push(cfgs[*c].clone()),
-                        _ => groups.push((*t, vec![cfgs[*c].clone()])),
-                    }
-                }
+                // One executor group per trace (leaders are trace-major,
+                // so each trace's misses are one run): `run_batch_groups`
+                // then replays each trace once per missing
+                // configuration, back to back. On error the guards drop
+                // unpublished, waking every waiter to re-arbitrate; the
+                // error propagates here.
+                let groups = leaders
+                    .chunk_by(|a, b| a.0 == b.0)
+                    .map(|run| {
+                        let group = run.iter().map(|(_, c, _)| cfgs[*c].clone()).collect();
+                        Ok((self.trace(run[0].0)?, group))
+                    })
+                    .collect::<Result<Vec<(&TraceArena, Vec<SimConfig>)>, ExperimentError>>()?;
                 store.note_simulated_uops(
                     leaders
                         .iter()
-                        .map(|(t, _, _)| self.suite[*t].len() as u64)
+                        .map(|(t, _, _)| self.specs[*t].len as u64)
                         .sum(),
                 );
-                // On error the guards drop unpublished, waking every
-                // waiter to re-arbitrate; the error propagates here.
-                let fresh = run_batch_groups(&groups, &self.suite, self.parallelism)?;
+                let fresh = run_batch_groups(&groups, self.parallelism)?;
                 let batch: Vec<(SimKey, SimResult)> = leaders
                     .iter()
                     .zip(fresh.into_iter().flatten())
@@ -435,31 +449,54 @@ mod tests {
     use lowvcc_sram::voltage::mv;
 
     #[test]
-    fn quick_context_builds() {
+    fn quick_context_builds_traces_on_first_use() {
         let ctx = ExperimentContext::quick().unwrap();
-        assert_eq!(ctx.suite.len(), 7);
-        assert_eq!(ctx.specs.len(), 7);
+        assert_eq!(ctx.specs().len(), 7);
         assert_eq!(ctx.total_uops(), 70_000);
         assert!(ctx.suite_label.contains("quick"));
-        for (spec, trace) in ctx.specs.iter().zip(ctx.suite.iter()) {
-            assert_eq!(spec.name(), trace.name(), "specs track traces");
+        assert_eq!((ctx.traces_built(), ctx.decoded_bytes()), (0, 0));
+        for (t, spec) in ctx.specs().iter().enumerate() {
+            assert_eq!(
+                spec.name(),
+                ctx.trace(t).unwrap().name(),
+                "specs track traces"
+            );
         }
+        assert_eq!(ctx.traces_built(), 7);
         assert_eq!(ctx.decoded_bytes(), 8 * 70_000 + 16 * 7);
     }
 
     #[test]
-    fn clones_share_one_decoded_suite() {
+    fn clones_share_one_trace_table() {
         let ctx = ExperimentContext::sized(1, 1_000).unwrap();
         let cached = ctx.clone().with_cache(Arc::new(ResultStore::ephemeral()));
         let threaded = ctx.clone().with_parallelism(Parallelism::threads(2));
-        assert!(Arc::ptr_eq(&ctx.suite, &cached.suite));
-        assert!(Arc::ptr_eq(&ctx.suite, &threaded.suite));
+        assert!(ctx.shares_traces_with(&cached) && ctx.shares_traces_with(&threaded));
+        let other = ExperimentContext::sized(1, 1_000).unwrap();
+        assert!(!ctx.shares_traces_with(&other));
+        // Racing first uses build each trace once, for every clone.
+        let start = std::sync::Barrier::new(2);
+        std::thread::scope(|s| {
+            for c in [&cached, &threaded] {
+                let start = &start;
+                s.spawn(move || {
+                    start.wait();
+                    (0..7).for_each(|t| assert!(c.trace(t).is_ok()));
+                });
+            }
+        });
+        assert_eq!(ctx.traces_built(), 7);
+        assert!(std::ptr::eq(
+            ctx.trace(3).unwrap(),
+            cached.trace(3).unwrap()
+        ));
+        assert_eq!(other.traces_built(), 0);
     }
 
     #[test]
     fn suite_choice_specs_match_built_contexts() {
         // Each suite's size and label are stated once, in `SuiteChoice`,
-        // and the named constructors build exactly that.
+        // and building its context synthesizes nothing, `paper` included.
         let sized = SuiteChoice::Sized {
             per_family: 2,
             len: 5_000,
@@ -474,23 +511,21 @@ mod tests {
             let specs = choice.specs();
             assert_eq!(specs.len(), traces, "{label}");
             assert!(specs.iter().all(|s| s.len == len), "{label}");
-        }
-        // Building synthesizes the suite, so only the small ones are
-        // built here; `standard` and `paper` go through the same
-        // `build()`.
-        for (choice, ctx) in [
-            (SuiteChoice::Quick, ExperimentContext::quick().unwrap()),
-            (sized, ExperimentContext::sized(2, 5_000).unwrap()),
-        ] {
-            assert_eq!(ctx.specs, choice.specs());
-            assert_eq!(ctx.suite_label, choice.label());
+            let ctx = choice.build().unwrap();
+            assert_eq!(ctx.specs(), choice.specs());
+            assert_eq!(ctx.suite_label, label);
+            assert_eq!(
+                ctx.traces_built(),
+                0,
+                "{label}: building a context synthesizes nothing"
+            );
         }
     }
 
     #[test]
     fn sized_context_scales() {
         let ctx = ExperimentContext::sized(2, 5_000).unwrap();
-        assert_eq!(ctx.suite.len(), 14);
+        assert_eq!(ctx.specs().len(), 14);
         assert_eq!(ctx.total_uops(), 70_000);
     }
 
@@ -552,11 +587,12 @@ mod tests {
     #[test]
     fn cached_comparison_matches_uncached() {
         let ctx = ExperimentContext::sized(1, 3_000).unwrap();
+        let suite: Vec<TraceArena> = ctx.specs().iter().map(|s| s.build().unwrap()).collect();
         let direct = lowvcc_core::compare_mechanisms(
             ctx.core,
             &ctx.timing,
             mv(500),
-            &ctx.suite,
+            &suite,
             ctx.parallelism,
         )
         .unwrap();

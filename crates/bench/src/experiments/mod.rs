@@ -8,11 +8,13 @@ pub mod sweep;
 pub mod table1;
 
 use std::path::Path;
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use crate::context::ExperimentContext;
 use crate::error::ExperimentError;
 use crate::report::TextTable;
+use crate::store::ResultStore;
 
 /// Re-exported for Figure 11b / Figure 12 consumers.
 pub use sweep::{point, point_from, point_json, run_sweep, SweepPoint};
@@ -81,13 +83,21 @@ impl RunSummary {
 }
 
 /// Runs every experiment, writing CSVs under `out_dir` and returning the
-/// report plus the raw sweep data.
+/// report plus the raw sweep data. Without a cache on `ctx`, the run
+/// goes through an in-memory store of its own.
 ///
 /// # Errors
 ///
 /// Propagates simulation failures and CSV I/O failures (with the
 /// offending path attached).
 pub fn run_all(ctx: &ExperimentContext, out_dir: &Path) -> Result<RunSummary, ExperimentError> {
+    // One store for every grid: they share keys, and it counts the work.
+    let mut ctx = ctx.clone();
+    let store = Arc::clone(
+        ctx.cache
+            .get_or_insert_with(|| Arc::new(ResultStore::ephemeral())),
+    );
+    let ctx = &ctx;
     let mut report = String::new();
 
     report.push_str(&format!(
@@ -108,22 +118,13 @@ pub fn run_all(ctx: &ExperimentContext, out_dir: &Path) -> Result<RunSummary, Ex
     report.push_str(&t.render());
     report.push('\n');
 
-    let cached_uops_before = ctx.cache.as_ref().map(|s| s.stats().simulated_uops);
+    let uops_before = store.stats().simulated_uops;
     // lint: allow(no-wallclock) -- report metadata only; never feeds a simulated result
     let sweep_started = Instant::now();
     let points = sweep::run_sweep(ctx)?;
     let sweep_elapsed = sweep_started.elapsed();
-    // Throughput numerator: engine work only. With a cache, the store
-    // counted exactly what was simulated; without one, the executor ran
-    // each distinct projection of the grid once over the whole suite.
-    let sweep_uops: u64 = match (&ctx.cache, cached_uops_before) {
-        (Some(store), Some(before)) => store.stats().simulated_uops - before,
-        _ => {
-            let firsts = lowvcc_core::same_projection_as(&sweep::configs(ctx));
-            let distinct = firsts.iter().enumerate().filter(|&(i, &f)| i == f).count();
-            distinct as u64 * ctx.total_uops() as u64
-        }
-    };
+    // Throughput numerator: engine work only, as the store counted it.
+    let sweep_uops = store.stats().simulated_uops - uops_before;
 
     report.push_str("## Figure 11b — frequency increase and performance gains\n");
     let t = sweep::fig11b_table(&points);

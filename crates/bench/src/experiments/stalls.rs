@@ -166,7 +166,7 @@ mod tests {
         let uncached = measure_at(&ctx, VCC).unwrap();
         let store = Arc::new(ResultStore::ephemeral());
         let ctx = ctx.with_cache(Arc::clone(&store));
-        let suite_size = ctx.suite.len() as u64;
+        let suite_size = ctx.specs().len() as u64;
 
         let cold = measure_at(&ctx, VCC).unwrap();
         let s = store.stats();

@@ -240,7 +240,7 @@ mod tests {
         run_sweep(&ctx).unwrap();
         // At ≥600 mV the IRAW run is the baseline run: 26 configs, 21
         // simulations per trace, each looked up once.
-        let traces = ctx.suite.len() as u64;
+        let traces = ctx.specs().len() as u64;
         assert_eq!(store.stats().misses, 21 * traces);
         assert_eq!(store.stats().hits + store.stats().coalesced, 0);
         assert_eq!(store.stats().simulated_uops, 21 * ctx.total_uops() as u64);

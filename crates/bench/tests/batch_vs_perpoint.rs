@@ -19,6 +19,7 @@ use lowvcc_core::{
     SuiteResult,
 };
 use lowvcc_sram::{Millivolts, PAPER_SWEEP};
+use lowvcc_trace::TraceArena;
 
 fn ctx_with(jobs: usize) -> ExperimentContext {
     ExperimentContext::sized(1, 3_000)
@@ -42,7 +43,7 @@ fn per_point(ctx: &ExperimentContext, cfg: &SimConfig) -> SuiteResult {
     let sim = Simulator::new(cfg.clone()).expect("valid config");
     SuiteResult {
         per_trace: ctx
-            .specs
+            .specs()
             .iter()
             .map(|spec| {
                 let t = spec.build().expect("preset trace");
@@ -157,10 +158,10 @@ fn duplicate_projections_match_per_config_runs() {
     let reference: Vec<SuiteResult> = cfgs.iter().map(|c| per_point(&ctx, c)).collect();
     for jobs in [1, 2] {
         let ctx = ctx_with(jobs);
-        let groups: Vec<(usize, Vec<SimConfig>)> =
-            (0..ctx.suite.len()).map(|t| (t, cfgs.clone())).collect();
-        let per_group =
-            run_batch_groups(&groups, &ctx.suite, Parallelism::threads(jobs)).expect("grid");
+        let groups: Vec<(&TraceArena, Vec<SimConfig>)> = (0..ctx.specs().len())
+            .map(|t| (ctx.trace(t).expect("trace builds"), cfgs.clone()))
+            .collect();
+        let per_group = run_batch_groups(&groups, Parallelism::threads(jobs)).expect("grid");
         for (t, results) in per_group.iter().enumerate() {
             for (c, r) in results.iter().enumerate() {
                 assert_eq!(*r, reference[c].per_trace[t].1, "trace {t} config {c}");

@@ -37,7 +37,7 @@ fn store_misses_equal_engine_invocations() {
     let root = std::env::temp_dir().join(format!("lowvcc_reconcile_{}", std::process::id()));
     let _ = fs::remove_dir_all(&root);
     let ctx = ExperimentContext::sized(1, LEN).expect("tiny suite builds");
-    let traces = ctx.suite.len() as u64;
+    let traces = ctx.specs().len() as u64;
     let store = Arc::new(ResultStore::open(root.join("store")).expect("fresh store opens"));
     run_all(&ctx.with_cache(Arc::clone(&store)), &root.join("out")).expect("cold run completes");
 

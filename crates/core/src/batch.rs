@@ -3,12 +3,12 @@
 //! A voltage sweep replays the *same* trace under many configurations
 //! (13 voltage points × up to 3 mechanisms). The grid executor
 //! ([`run_batch_groups`](crate::perf::run_batch_groups)) runs on
-//! [`TraceArena`]s built before it is called — a suite is synthesized
-//! straight into arenas once per process and shared by every grid after
-//! that — and reuses one [`EngineWorkspace`] per worker across all
-//! points, so the steady state of a warmed-up sweep neither builds nor
-//! allocates (verified by the counting-allocator test in
-//! `tests/zero_alloc.rs`). Every arena is valid when it is built, so
+//! [`TraceArena`]s built before it is called — each trace of a suite is
+//! synthesized straight into an arena on first miss and shared by every
+//! clone of its context after that — and reuses one [`EngineWorkspace`]
+//! per worker across all points, so the steady state of a warmed-up
+//! sweep neither builds nor allocates (verified by the counting-allocator
+//! test in `tests/zero_alloc.rs`). Every arena is valid when it is built, so
 //! nothing here validates a trace again.
 //!
 //! A reused workspace is byte-identical to a fresh engine per run: every

@@ -11,9 +11,9 @@
 //! (including errors: the reported error is the first in suite order,
 //! not the first in wall-clock order). Within a group, configurations
 //! with equal cycle-level projections ([`SimConfig::cycle_config`]) are
-//! simulated once. The executor takes the suite as [`TraceArena`]s,
-//! decoded and validated where they were built, and neither validates
-//! nor decodes a trace itself.
+//! simulated once. The executor takes each group's [`TraceArena`],
+//! validated when it was built — on first miss, by whichever grid first
+//! needed it — and neither builds, validates nor decodes a trace itself.
 
 use std::num::NonZeroUsize;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -153,9 +153,9 @@ pub fn same_projection_as(cfgs: &[SimConfig]) -> Vec<usize> {
 /// copy of that result with its own `cycle_time` (see
 /// [`same_projection_as`]).
 ///
-/// `groups` pairs an index into `traces` with the configurations to run
-/// on it (every arena is valid when it is built). Results come back in group
-/// order, each `Vec` in config order. Deterministic for any `par`,
+/// `groups` pairs a trace with the configurations to run on it (every
+/// arena is valid when it is built). Results come back in group order,
+/// each `Vec` in config order. Deterministic for any `par`,
 /// including which error is reported: the lowest group index, then the
 /// lowest config index within it (every config is validated before any
 /// is collapsed into another).
@@ -164,8 +164,7 @@ pub fn same_projection_as(cfgs: &[SimConfig]) -> Vec<usize> {
 ///
 /// Propagates the first (group-order, then config-order) error.
 pub fn run_batch_groups(
-    groups: &[(usize, Vec<SimConfig>)],
-    traces: &[TraceArena],
+    groups: &[(&TraceArena, Vec<SimConfig>)],
     par: Parallelism,
 ) -> Result<Vec<Vec<SimResult>>, SimError> {
     // Work stealing over the group list: each worker claims the next
@@ -183,7 +182,7 @@ pub fn run_batch_groups(
         let mut out = Vec::with_capacity(groups.len());
         loop {
             let i = next.fetch_add(1, Ordering::Relaxed);
-            let Some((ti, cfgs)) = groups.get(i) else {
+            let Some((trace, cfgs)) = groups.get(i) else {
                 break;
             };
             if i > first_err.load(Ordering::Relaxed) {
@@ -202,7 +201,7 @@ pub fn run_batch_groups(
                             cycle_time: cfg.cycle_time,
                             ..done.clone()
                         },
-                        None => ws.run(cfg, &traces[*ti])?,
+                        None => ws.run(cfg, trace)?,
                     };
                     results.push(r);
                 }
@@ -245,9 +244,9 @@ pub fn run_suite_batch(
     traces: &[TraceArena],
     par: Parallelism,
 ) -> Result<Vec<SuiteResult>, SimError> {
-    let groups: Vec<(usize, Vec<SimConfig>)> =
-        (0..traces.len()).map(|i| (i, cfgs.to_vec())).collect();
-    let per_group = run_batch_groups(&groups, traces, par)?;
+    let groups: Vec<(&TraceArena, Vec<SimConfig>)> =
+        traces.iter().map(|t| (t, cfgs.to_vec())).collect();
+    let per_group = run_batch_groups(&groups, par)?;
     let mut suites: Vec<SuiteResult> = cfgs
         .iter()
         .map(|_| SuiteResult {
@@ -485,12 +484,12 @@ mod tests {
         bad.core.iq_entries = 33;
         let traces = small_suite();
         let groups = vec![
-            (0usize, vec![good.clone()]),
-            (1, vec![bad.clone(), good.clone()]),
-            (2, vec![bad.clone()]),
+            (&traces[0], vec![good.clone()]),
+            (&traces[1], vec![bad.clone(), good.clone()]),
+            (&traces[2], vec![bad.clone()]),
         ];
         for workers in [1, 3] {
-            let err = run_batch_groups(&groups, &traces, Parallelism::threads(workers))
+            let err = run_batch_groups(&groups, Parallelism::threads(workers))
                 .expect_err("invalid config must surface");
             assert!(
                 matches!(err, SimError::Config(_)),
@@ -509,20 +508,23 @@ mod tests {
         stopped.cycle_time = lowvcc_sram::Picoseconds::new(0.0);
         assert_eq!(instant.cycle_config(), stopped.cycle_config());
         let groups = vec![
-            (0usize, vec![good.clone()]),
-            (1, vec![good.clone(), instant, stopped.clone(), bad.clone()]),
-            (2, vec![bad.clone()]),
+            (&traces[0], vec![good.clone()]),
+            (
+                &traces[1],
+                vec![good.clone(), instant, stopped.clone(), bad.clone()],
+            ),
+            (&traces[2], vec![bad.clone()]),
         ];
         for workers in [1, 3] {
-            let err = run_batch_groups(&groups, &traces, Parallelism::threads(workers))
+            let err = run_batch_groups(&groups, Parallelism::threads(workers))
                 .expect_err("a zero cycle time must surface");
             assert!(
                 matches!(err, SimError::Config(ConfigError::NonPositiveCycleTime)),
                 "unexpected error {err:?} at {workers} workers"
             );
         }
-        let groups = vec![(0usize, vec![good.clone(), bad, stopped])];
-        let err = run_batch_groups(&groups, &traces, Parallelism::sequential())
+        let groups = vec![(&traces[0], vec![good.clone(), bad, stopped])];
+        let err = run_batch_groups(&groups, Parallelism::sequential())
             .expect_err("invalid config must surface");
         assert!(
             matches!(

@@ -7,6 +7,8 @@
 //! models and a [`ResultStore`] resident, and answering queries over
 //! TCP. Cached operating points come back without simulating; misses are
 //! simulated once through the work-stealing parallel runner and stored.
+//! Each trace is built on first miss, in a table shared by every clone
+//! of the context, so a daemon answering only hits builds none.
 //!
 //! ## Protocol
 //!
@@ -84,8 +86,7 @@ use std::time::Duration;
 
 use lowvcc_bench::experiments::{point, point_json, stalls, sweep, table1};
 use lowvcc_bench::{json, ExperimentContext, ExperimentError, ResultStore};
-use lowvcc_core::SimConfig;
-use lowvcc_sram::{Millivolts, VoltageError, PAPER_SWEEP};
+use lowvcc_sram::{Millivolts, VoltageError};
 
 use std::fmt;
 use std::sync::atomic::Ordering;
@@ -311,16 +312,11 @@ impl Daemon {
     /// Wraps a context. A result cache is what makes the daemon useful:
     /// contexts without one get an in-memory (ephemeral) store attached.
     #[must_use]
-    pub fn new(ctx: ExperimentContext) -> Self {
-        let store = ctx
-            .cache
-            .clone()
-            .unwrap_or_else(|| Arc::new(ResultStore::ephemeral()));
-        let ctx = if ctx.cache.is_some() {
-            ctx
-        } else {
-            ctx.with_cache(Arc::clone(&store))
-        };
+    pub fn new(mut ctx: ExperimentContext) -> Self {
+        let store = Arc::clone(
+            ctx.cache
+                .get_or_insert_with(|| Arc::new(ResultStore::ephemeral())),
+        );
         Self {
             ctx,
             store,
@@ -407,14 +403,8 @@ impl Daemon {
         };
         // One batch over the owned grid points, as `sweep::run_sweep`
         // runs the whole grid.
-        let grid: Vec<SimConfig> = PAPER_SWEEP
-            .iter()
-            .filter(|&vcc| mine(vcc))
-            .flat_map(|vcc| {
-                let (base, iraw) = SimConfig::mechanism_pair(ctx.core, &ctx.timing, vcc);
-                [base, iraw]
-            })
-            .collect();
+        let mut grid = sweep::configs(ctx);
+        grid.retain(|cfg| mine(cfg.vcc));
         ctx.run_suite_batch(&grid)?;
         if mine(TABLE1_DEFAULT) {
             table1::quantitative_rows_at(ctx, TABLE1_DEFAULT)?;

@@ -33,8 +33,9 @@
 //! `lowvcc-serve router listening on HOST:PORT`; each shard binds an
 //! ephemeral port announced on **stderr** (`lowvcc-serve shard I
 //! listening on HOST:PORT`) — harnesses scrape stdout and always get
-//! the front door. The suite is built once and shared by every shard;
-//! stderr's `suite …: … one copy shared by N shards` line says so. All
+//! the front door. Each trace is built on first miss, into one table
+//! shared by every shard; stderr's `suite …: … one copy shared by N
+//! shards` line says so. All
 //! shards share one `--cache DIR`; any number of writers can share a
 //! directory (unique tempfiles, atomic rename), and each shard persists
 //! what it computes in segments named for its index. With `--warm`,
@@ -207,15 +208,14 @@ fn parse_args(args: impl IntoIterator<Item = String>) -> Result<Options, String>
     Ok(o)
 }
 
-/// The startup line a serving process prints about its suite: size,
-/// decoded bytes, and how many shards share that one decoded copy.
+/// The startup line a serving process prints about its suite: size, and
+/// how many shards share its one trace table.
 fn suite_line(ctx: &ExperimentContext, shards: usize) -> String {
     format!(
-        "suite {}: {} traces, {} uops, {} decoded bytes, one copy shared by {shards} shard{}",
+        "suite {}: {} traces, {} uops, built on first miss, one copy shared by {shards} shard{}",
         ctx.suite_label,
-        ctx.suite.len(),
+        ctx.specs().len(),
         ctx.total_uops(),
-        ctx.decoded_bytes(),
         if shards == 1 { "" } else { "s" },
     )
 }
@@ -237,11 +237,10 @@ fn run_cluster(opts: &Options, shards: u32) -> Result<(), String> {
     )
     .map_err(|e| e.to_string())?;
     if let Some(first) = cluster.shards().first() {
-        let suite = &first.context().suite;
         let sharing = cluster
             .shards()
             .iter()
-            .filter(|d| Arc::ptr_eq(&d.context().suite, suite))
+            .filter(|d| d.context().shares_traces_with(first.context()))
             .count();
         eprintln!("{}", suite_line(first.context(), sharing));
     }

@@ -5,7 +5,6 @@
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::{TcpListener, TcpStream};
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use lowvcc_bench::bundle::decode_bundle;
@@ -100,15 +99,6 @@ fn router_matches_single_daemon_byte_for_byte() {
     let router_addr = cluster.router_addr();
     let shard_addrs = cluster.shard_addrs().to_vec();
     assert_eq!(shard_addrs.len(), 2);
-    // The suite is built once per process: both shards hold it.
-    let suite = &cluster.shards()[0].context().suite;
-    assert!(
-        cluster
-            .shards()
-            .iter()
-            .all(|d| Arc::ptr_eq(&d.context().suite, suite)),
-        "every shard shares the one decoded suite"
-    );
 
     let stream = TcpStream::connect(router_addr).expect("connect to router");
     stream
@@ -464,16 +454,36 @@ fn shard_store_counts(router: std::net::SocketAddr) -> Vec<(u64, u64, u64)> {
         .collect()
 }
 
-/// Whatever a cluster computes survives a restart: a cold 3-shard pass
-/// over a fresh cache dir (full sweep, `table1` at 450 mV, `stalls` at
-/// 525 mV), a shutdown, and a new cluster over the same dir answers the
-/// same lines byte-identically (up to the `cached` flag) without
-/// simulating anything.
+/// Traces built across a cluster's shards, each shared table counted
+/// once.
+fn traces_built(cluster: &lowvcc_serve::router::Cluster) -> usize {
+    let shards = cluster.shards();
+    shards
+        .iter()
+        .enumerate()
+        .filter(|&(i, d)| {
+            !shards[..i]
+                .iter()
+                .any(|e| e.context().shares_traces_with(d.context()))
+        })
+        .map(|(_, d)| d.context().traces_built())
+        .sum()
+}
+
+/// Whatever a cluster computes survives a restart, and a restart
+/// builds no trace. A cold 3-shard pass over a fresh cache dir (the
+/// full sweep, `table1` at 500 and 450 mV, `stalls` at 575 and 525 mV)
+/// answers as one cold daemon does and builds each trace once in
+/// total. After a shutdown, a new cluster over the same dir answers the
+/// same lines as that daemon answers them warm, without simulating
+/// anything or building a single trace.
 #[test]
 fn restarted_cluster_resimulates_nothing() {
-    const LINES: [&str; 3] = [
+    const LINES: [&str; 5] = [
         "{\"experiment\": \"sweep\"}",
+        "{\"experiment\": \"table1\", \"vcc\": 500}",
         "{\"experiment\": \"table1\", \"vcc\": 450}",
+        "{\"experiment\": \"stalls\", \"vcc\": 575}",
         "{\"experiment\": \"stalls\", \"vcc\": 525}",
     ];
     let choice = SuiteChoice::Sized {
@@ -493,12 +503,11 @@ fn restarted_cluster_resimulates_nothing() {
         assert!(resp.contains("\"shutdown\": true"), "got: {resp}");
     };
 
-    // Reference: the distinct keys the same lines make one daemon
-    // simulate.
+    // Reference: one daemon's cold and warm answers, and the distinct
+    // keys the lines make it simulate.
     let single = Daemon::new(choice.build().expect("suite builds"));
-    for line in LINES {
-        let _ = single.handle_line(line);
-    }
+    let single_cold = LINES.map(|line| single.handle_line(line).0);
+    let single_warm = LINES.map(|line| single.handle_line(line).0);
     let (stats, _) = single.handle_line("{\"experiment\": \"stats\"}");
     let distinct = json::parse(&stats)
         .expect("stats parse")
@@ -507,6 +516,11 @@ fn restarted_cluster_resimulates_nothing() {
         .expect("misses");
 
     let cluster = start_cluster(choice, &opts).expect("cold cluster starts");
+    assert_eq!(
+        traces_built(&cluster),
+        0,
+        "starting a cluster builds nothing"
+    );
     let cold = answers(cluster.router_addr(), &LINES);
     let counts = shard_store_counts(cluster.router_addr());
     assert!(distinct > 0, "the cold pass simulates");
@@ -514,6 +528,11 @@ fn restarted_cluster_resimulates_nothing() {
         counts.iter().map(|c| c.0).sum::<u64>(),
         distinct,
         "no key is simulated on two shards: {counts:?}"
+    );
+    assert_eq!(
+        traces_built(&cluster),
+        choice.specs().len(),
+        "the cold pass builds each trace once in total"
     );
     for (i, &(_, stores, disk_entries)) in counts.iter().enumerate() {
         assert_eq!(stores, disk_entries, "shard {i} persists what it computes");
@@ -529,17 +548,17 @@ fn restarted_cluster_resimulates_nothing() {
     let cluster = start_cluster(choice, &opts).expect("restarted cluster starts");
     let warm = answers(cluster.router_addr(), &LINES);
     let counts = shard_store_counts(cluster.router_addr());
+    for (i, d) in cluster.shards().iter().enumerate() {
+        assert_eq!(d.context().traces_built(), 0, "shard {i} built a trace");
+    }
     shutdown(cluster.router_addr());
     cluster.join().expect("restarted cluster exits");
     let _ = std::fs::remove_dir_all(&dir);
 
-    for ((line, cold), warm) in LINES.iter().zip(&cold).zip(&warm) {
-        assert!(cold.contains("\"ok\": true"), "{line}: {cold}");
-        assert_eq!(
-            *warm,
-            cold.replace("\"cached\": false", "\"cached\": true"),
-            "{line} after the restart"
-        );
+    for (i, line) in LINES.iter().enumerate() {
+        assert!(cold[i].contains("\"ok\": true"), "{line}: {}", cold[i]);
+        assert_eq!(cold[i], single_cold[i], "{line} on the cold cluster");
+        assert_eq!(warm[i], single_warm[i], "{line} after the restart");
     }
     assert_eq!(
         counts.iter().map(|c| c.0).sum::<u64>(),

@@ -204,32 +204,59 @@ fn json_documents_round_trip_through_the_strict_parser() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// Every CSV `run_all` wrote under `dir`, by file name.
+fn csvs(dir: &std::path::Path) -> Vec<(std::ffi::OsString, Vec<u8>)> {
+    let mut files: Vec<_> = std::fs::read_dir(dir)
+        .expect("output dir lists")
+        .map(|e| {
+            let e = e.expect("entry");
+            (e.file_name(), std::fs::read(e.path()).expect("csv reads"))
+        })
+        .collect();
+    files.sort();
+    assert_eq!(files.len(), 8, "run_all writes 8 CSVs");
+    files
+}
+
 /// The cache contract end to end: a warm `run_all` replay performs zero
 /// simulations yet produces a byte-identical report and bit-identical
 /// sweep measurements (`SweepPoint` is all-`f64` — equality here is
-/// bit-equality of every derived statistic).
+/// bit-equality of every derived statistic). Traces are built on first
+/// miss: a cold run builds each trace once across its three grids
+/// (sweep, Table 1, stalls), and a fully warm one builds none. Cached,
+/// warm and uncached runs write the same CSV bytes.
 #[test]
 fn warm_cached_rerun_is_simulation_free_and_bit_identical() {
     let dir = std::env::temp_dir().join(format!("lowvcc_it_cache_{}", std::process::id()));
-    let out = dir.join("out");
     let _ = std::fs::remove_dir_all(&dir);
-    let base = ExperimentContext::sized(1, 2_000).expect("tiny suite builds");
+    let fresh = || ExperimentContext::sized(1, 2_000).expect("tiny suite builds");
+    let traces = fresh().specs().len();
 
-    let uncached = run_all(&base.clone(), &out).expect("uncached run");
+    let uncached = run_all(&fresh(), &dir.join("uncached")).expect("uncached run");
 
     let store = Arc::new(ResultStore::open(dir.join("store")).expect("store opens"));
-    let cold_ctx = base.clone().with_cache(Arc::clone(&store));
-    let cold = run_all(&cold_ctx, &out).expect("cold cached run");
+    let cold_ctx = fresh().with_cache(Arc::clone(&store));
+    let cold = run_all(&cold_ctx, &dir.join("cold")).expect("cold cached run");
     let cold_misses = store.stats().misses;
     assert!(cold_misses > 0, "cold run must simulate");
+    assert_eq!(
+        cold_ctx.traces_built(),
+        traces,
+        "a cold run builds each trace once"
+    );
     assert_eq!(cold.sweep, uncached.sweep, "cache must not change results");
+    assert_eq!(
+        csvs(&dir.join("cold")),
+        csvs(&dir.join("uncached")),
+        "cached and uncached runs write the same CSV bytes"
+    );
 
     assert_eq!(
         cold.sweep_uops, uncached.sweep_uops,
         "a cold cached sweep simulates exactly what an uncached one does"
     );
 
-    let warm = run_all(&cold_ctx, &out).expect("warm cached run");
+    let warm = run_all(&cold_ctx, &dir.join("warm")).expect("warm cached run");
     assert_eq!(
         store.stats().misses,
         cold_misses,
@@ -242,13 +269,20 @@ fn warm_cached_rerun_is_simulation_free_and_bit_identical() {
         "the throughput numerator counts engine work, not cache hits"
     );
 
-    // A brand-new process (fresh store handle over the same directory)
-    // also replays without simulating: persistence, not just the LRU.
-    let fresh = Arc::new(ResultStore::open(dir.join("store")).expect("store reopens"));
-    let fresh_ctx = base.with_cache(Arc::clone(&fresh));
-    let replay = run_all(&fresh_ctx, &out).expect("replay run");
-    assert_eq!(fresh.stats().misses, 0, "disk replay simulates nothing");
+    // A brand-new process (fresh store handle over the same directory,
+    // fresh context) also replays without simulating or building a
+    // trace: persistence, not just the LRU.
+    let reopened = Arc::new(ResultStore::open(dir.join("store")).expect("store reopens"));
+    let replay_ctx = fresh().with_cache(Arc::clone(&reopened));
+    let replay = run_all(&replay_ctx, &dir.join("replay")).expect("replay run");
+    assert_eq!(reopened.stats().misses, 0, "disk replay simulates nothing");
+    assert_eq!(
+        replay_ctx.traces_built(),
+        0,
+        "a fully warm run builds no trace"
+    );
     assert_eq!(replay.sweep, cold.sweep);
+    assert_eq!(csvs(&dir.join("replay")), csvs(&dir.join("cold")));
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -458,7 +492,11 @@ fn steady_state_speedup_beats_the_cold_start() {
             .with_parallelism(Parallelism::threads(2))
     };
     let (short, long) = (context(SHORT), context(LONG));
-    for (s, l) in short.suite.iter().zip(long.suite.iter()) {
+    for t in 0..short.specs().len() {
+        let (s, l) = (
+            short.trace(t).expect("builds"),
+            long.trace(t).expect("builds"),
+        );
         assert_eq!(s.len(), SHORT);
         assert!(
             s.uops().eq(l.uops().take(SHORT)),
