@@ -246,10 +246,10 @@ impl ExperimentContext {
     /// Propagates the synthesis failure of `specs()[t]`, on every call.
     pub fn trace(&self, t: usize) -> Result<&TraceArena, ExperimentError> {
         let build = || self.specs[t].build();
-        // On a short-lived thread, so the generator's transient memory (up
-        // to 0.4 MB a trace) reuses one allocator arena, not one per caller:
-        // built on the shards' request threads, a cold cluster's peak RSS
-        // read 20% higher.
+        // A mitigation, to delete once synthesis stops allocating per block:
+        // on a short-lived thread the generator's transient memory reuses one
+        // allocator arena, not one per caller (a cold cluster's peak RSS read
+        // +20% built on request threads, +4-5% this way).
         let on_own_thread = || {
             thread::scope(|s| match thread::Builder::new().spawn_scoped(s, build) {
                 Ok(worker) => worker.join().unwrap_or_else(|p| panic::resume_unwind(p)),

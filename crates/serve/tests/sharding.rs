@@ -475,8 +475,9 @@ fn traces_built(cluster: &lowvcc_serve::router::Cluster) -> usize {
 /// full sweep, `table1` at 500 and 450 mV, `stalls` at 575 and 525 mV)
 /// answers as one cold daemon does and builds each trace once in
 /// total. After a shutdown, a new cluster over the same dir answers the
-/// same lines as that daemon answers them warm, without simulating
-/// anything or building a single trace.
+/// same lines as that daemon answers them warm, and as the cold cluster
+/// answered them up to the `cached` flag, without simulating anything
+/// or building a single trace.
 #[test]
 fn restarted_cluster_resimulates_nothing() {
     const LINES: [&str; 5] = [
@@ -559,6 +560,11 @@ fn restarted_cluster_resimulates_nothing() {
         assert!(cold[i].contains("\"ok\": true"), "{line}: {}", cold[i]);
         assert_eq!(cold[i], single_cold[i], "{line} on the cold cluster");
         assert_eq!(warm[i], single_warm[i], "{line} after the restart");
+        assert_eq!(
+            warm[i],
+            cold[i].replace("\"cached\": false", "\"cached\": true"),
+            "{line}: the restart changed more than the cached flag"
+        );
     }
     assert_eq!(
         counts.iter().map(|c| c.0).sum::<u64>(),
