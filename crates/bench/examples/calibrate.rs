@@ -1,19 +1,17 @@
 //! Sweep calibration: suite speedups at the paper's anchor voltages.
-use lowvcc_core::{compare_mechanisms, CoreConfig, Parallelism};
-use lowvcc_sram::{voltage::mv, CycleTimeModel};
+use lowvcc_bench::ExperimentContext;
+use lowvcc_sram::voltage::mv;
 use lowvcc_trace::{TraceSpec, WorkloadFamily};
 
 fn main() {
-    let timing = CycleTimeModel::silverthorne_45nm();
-    let core = CoreConfig::silverthorne();
     let len = 100_000;
-    let traces: Vec<_> = WorkloadFamily::all()
+    let specs: Vec<_> = WorkloadFamily::all()
         .iter()
-        .flat_map(|&f| (0..2).map(move |s| TraceSpec::new(f, s, len).build().unwrap()))
+        .flat_map(|&f| (0..2).map(move |s| TraceSpec::new(f, s, len)))
         .collect();
+    let ctx = ExperimentContext::from_specs(&specs, "calibration").unwrap();
     for v in [575u32, 500, 450, 400] {
-        let cmp =
-            compare_mechanisms(core, &timing, mv(v), &traces, Parallelism::sequential()).unwrap();
+        let cmp = ctx.compare_mechanisms(mv(v)).unwrap();
         let mut stall = (0.0, 0.0, 0.0, 0.0);
         let n = cmp.iraw.per_trace.len() as f64;
         for (_, r) in &cmp.iraw.per_trace {

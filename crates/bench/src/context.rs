@@ -12,7 +12,7 @@ use std::{panic, thread};
 
 use lowvcc_core::{
     run_batch_groups, same_projection_as, sim_key, CoreConfig, MechanismComparison, Parallelism,
-    SimConfig, SimKey, SimResult, SuiteResult,
+    SimConfig, SimError, SimKey, SimResult, SuiteResult,
 };
 
 use crate::error::ExperimentError;
@@ -246,10 +246,11 @@ impl ExperimentContext {
     /// Propagates the synthesis failure of `specs()[t]`, on every call.
     pub fn trace(&self, t: usize) -> Result<&TraceArena, ExperimentError> {
         let build = || self.specs[t].build();
-        // A mitigation, to delete once synthesis stops allocating per block:
-        // on a short-lived thread the generator's transient memory reuses one
-        // allocator arena, not one per caller (a cold cluster's peak RSS read
-        // +20% built on request threads, +4-5% this way).
+        // A mitigation of per-thread allocator arenas: on a short-lived thread
+        // the generator's transient memory (~300 KB a 10k-uop trace, mostly its
+        // `Vec<Block>`) reuses one arena, not one per caller (a cold cluster's
+        // peak RSS: +20% built on request threads, +4-5% here; one flat
+        // instruction vector without the thread still read 16.9 vs 15.7 MB).
         let on_own_thread = || {
             thread::scope(|s| match thread::Builder::new().spawn_scoped(s, build) {
                 Ok(worker) => worker.join().unwrap_or_else(|p| panic::resume_unwind(p)),
@@ -309,11 +310,14 @@ impl ExperimentContext {
     /// is hot in cache; only those traces are built
     /// ([`trace`](Self::trace)).
     ///
-    /// Configurations with equal cycle-level projections share a key
+    /// This is the one place equal projections collapse: configurations
+    /// with equal cycle-level projections share a key
     /// ([`same_projection_as`]), so each distinct `(trace, key)` is
     /// looked up and simulated once per call; every copy handed back
     /// carries its own config's `cycle_time`, which overwrites the
-    /// stored record's (a shared record keeps its first writer's).
+    /// stored record's (a shared record keeps its first writer's). Every
+    /// configuration is validated first, so a collapse never hides an
+    /// invalid one.
     ///
     /// Misses go through the store's **single-flight** layer: this call
     /// simulates the keys it leads (as one parallel batch), then *waits*
@@ -322,12 +326,18 @@ impl ExperimentContext {
     ///
     /// # Errors
     ///
-    /// Propagates synthesis and simulation failures. The cache itself
+    /// Propagates configuration, synthesis and simulation failures (an
+    /// invalid configuration fails the call before any lookup, the first
+    /// in `cfgs` order). The cache itself
     /// never errors a run: corrupt or unreadable entries are quarantined
     /// and re-simulated, and publish failures degrade the store to
     /// memory-only (see `store.rs`) — so output stays byte-identical
     /// even on a failing disk.
     pub fn run_suite_batch(&self, cfgs: &[SimConfig]) -> Result<Vec<SuiteResult>, ExperimentError> {
+        // The projection drops `cycle_time`, which `validate` checks.
+        cfgs.iter()
+            .try_for_each(SimConfig::validate)
+            .map_err(SimError::from)?;
         let local = ResultStore::ephemeral();
         let store = self.cache.as_deref().unwrap_or(&local);
         let mut slots: Vec<Vec<Option<(String, SimResult)>>> = cfgs
@@ -423,9 +433,9 @@ impl ExperimentContext {
             .collect())
     }
 
-    /// Baseline-vs-IRAW comparison at `vcc` over the suite, as one
-    /// two-configuration batch through the cache. The cache-aware
-    /// equivalent of [`lowvcc_core::compare_mechanisms`].
+    /// Baseline-vs-IRAW comparison at `vcc` over the suite
+    /// ([`SimConfig::mechanism_pair`]), as one two-configuration grid
+    /// through [`run_suite_batch`](Self::run_suite_batch).
     ///
     /// # Errors
     ///
@@ -446,6 +456,7 @@ impl ExperimentContext {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use lowvcc_core::ConfigError;
     use lowvcc_sram::voltage::mv;
 
     #[test]
@@ -587,17 +598,77 @@ mod tests {
     #[test]
     fn cached_comparison_matches_uncached() {
         let ctx = ExperimentContext::sized(1, 3_000).unwrap();
-        let suite: Vec<TraceArena> = ctx.specs().iter().map(|s| s.build().unwrap()).collect();
-        let direct = lowvcc_core::compare_mechanisms(
-            ctx.core,
-            &ctx.timing,
-            mv(500),
-            &suite,
-            ctx.parallelism,
-        )
-        .unwrap();
+        // Reference: one fresh simulator per (config, trace) pair, each
+        // trace built afresh from its spec.
+        let direct = |cfg: SimConfig| {
+            let sim = lowvcc_core::Simulator::new(cfg).unwrap();
+            let run = |spec: &TraceSpec| {
+                let t = spec.build().unwrap();
+                (t.name().to_string(), sim.run(&t).unwrap())
+            };
+            SuiteResult {
+                per_trace: ctx.specs().iter().map(run).collect(),
+            }
+        };
+        let (base, iraw) = SimConfig::mechanism_pair(ctx.core, &ctx.timing, mv(500));
+        let direct = MechanismComparison::new(&ctx.timing, mv(500), direct(base), direct(iraw));
+        assert_eq!(direct, ctx.compare_mechanisms(mv(500)).unwrap());
         let cached_ctx = ctx.with_cache(Arc::new(ResultStore::ephemeral()));
         let through_cache = cached_ctx.compare_mechanisms(mv(500)).unwrap();
         assert_eq!(direct, through_cache);
+    }
+
+    #[test]
+    fn collapse_never_hides_an_invalid_config() {
+        // A zero cycle time and a (valid) 1e-300 ps clock both saturate
+        // the memory latency to `u64::MAX` cycles, so the two project
+        // equal and share a key: only validating before collapsing
+        // reports the copy.
+        let ctx = ExperimentContext::sized(1, 1_000).unwrap();
+        let (good, _) = SimConfig::mechanism_pair(ctx.core, &ctx.timing, mv(500));
+        let mut instant = good.clone();
+        instant.cycle_time = lowvcc_sram::Picoseconds::new(1e-300);
+        let mut stopped = good.clone();
+        stopped.cycle_time = lowvcc_sram::Picoseconds::new(0.0);
+        assert_eq!(
+            same_projection_as(&[instant.clone(), stopped.clone()]),
+            [0, 0]
+        );
+        let mut bad = good;
+        bad.core.iq_entries = 33;
+        for jobs in [1, 2] {
+            let ctx = ctx.clone().with_parallelism(Parallelism::threads(jobs));
+            let store = Arc::new(ResultStore::ephemeral());
+            for ctx in [ctx.clone(), ctx.with_cache(Arc::clone(&store))] {
+                let err = ctx
+                    .run_suite_batch(&[instant.clone(), stopped.clone()])
+                    .expect_err("a zero cycle time must surface");
+                assert!(
+                    matches!(
+                        err,
+                        ExperimentError::Sim(SimError::Config(ConfigError::NonPositiveCycleTime))
+                    ),
+                    "unexpected error {err:?} at {jobs} jobs"
+                );
+                // The first invalid config in `cfgs` order is the one reported.
+                let err = ctx
+                    .run_suite_batch(&[instant.clone(), bad.clone(), stopped.clone()])
+                    .expect_err("invalid configs must surface");
+                assert!(
+                    matches!(
+                        err,
+                        ExperimentError::Sim(SimError::Config(ConfigError::IqNotPowerOfTwo {
+                            entries: 33
+                        }))
+                    ),
+                    "unexpected error {err:?} at {jobs} jobs"
+                );
+            }
+            assert_eq!(
+                store.stats().misses,
+                0,
+                "nothing simulated before the error"
+            );
+        }
     }
 }

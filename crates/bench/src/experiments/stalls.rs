@@ -37,20 +37,35 @@ pub struct StallReport {
     pub delayed_fraction: f64,
 }
 
-/// Measures the attribution at 575 mV (the paper's reference point).
+/// The paper's §5.2 reference point: the voltage of the report's stall
+/// attribution, and the default of a `stalls` request to the serve
+/// daemon.
+pub const DEFAULT_VCC: Millivolts = Millivolts::literal(575);
+
+/// Measures the attribution at [`DEFAULT_VCC`].
 ///
 /// # Errors
 ///
 /// Propagates simulation failures.
 pub fn measure(ctx: &ExperimentContext) -> Result<StallReport, ExperimentError> {
-    // Compile-time-validated grid anchor: the paper's 575 mV reference.
-    const STALL_REFERENCE: Millivolts = Millivolts::literal(575);
-    measure_at(ctx, STALL_REFERENCE)
+    measure_at(ctx, DEFAULT_VCC)
+}
+
+/// The attribution's two configurations at `vcc`: the IRAW run and a
+/// stall-free reference at the identical clock with every IRAW
+/// mechanism off. They key differently — `stabilization_cycles` is part
+/// of the canonical SimKey encoding — so the cache serves both.
+#[must_use]
+pub fn configs(ctx: &ExperimentContext, vcc: Millivolts) -> [SimConfig; 2] {
+    let iraw_cfg = SimConfig::at_vcc(ctx.core, &ctx.timing, vcc, Mechanism::Iraw);
+    let mut free_cfg = iraw_cfg.clone();
+    free_cfg.stabilization_cycles = 0;
+    [iraw_cfg, free_cfg]
 }
 
 /// Measures the attribution at an arbitrary voltage. The IRAW and
-/// stall-free configurations run as one two-configuration batch, so
-/// each trace is replayed for both back to back.
+/// stall-free [`configs`] run as one two-configuration batch, so each
+/// trace is replayed for both back to back.
 ///
 /// # Errors
 ///
@@ -59,15 +74,8 @@ pub fn measure_at(
     ctx: &ExperimentContext,
     vcc: Millivolts,
 ) -> Result<StallReport, ExperimentError> {
-    let iraw_cfg = SimConfig::at_vcc(ctx.core, &ctx.timing, vcc, Mechanism::Iraw);
-    // Stall-free reference: identical clock, all IRAW mechanisms off.
-    // Keys differently from the IRAW run — `stabilization_cycles` is
-    // part of the canonical SimKey encoding — so the cache serves both.
-    let mut free_cfg = iraw_cfg.clone();
-    free_cfg.stabilization_cycles = 0;
-
     let [iraw, free]: [SuiteResult; 2] = ctx
-        .run_suite_batch(&[iraw_cfg, free_cfg])?
+        .run_suite_batch(&configs(ctx, vcc))?
         .try_into()
         .expect("two configs in, two suites out");
     let total_degradation = iraw.total_seconds() / free.total_seconds() - 1.0;
@@ -161,20 +169,19 @@ mod tests {
 
     #[test]
     fn cold_measurement_is_one_batch_and_warm_rerun_is_free() {
-        const VCC: Millivolts = Millivolts::literal(575);
         let ctx = ExperimentContext::sized(1, 2_000).unwrap();
-        let uncached = measure_at(&ctx, VCC).unwrap();
+        let uncached = measure(&ctx).unwrap();
         let store = Arc::new(ResultStore::ephemeral());
         let ctx = ctx.with_cache(Arc::clone(&store));
         let suite_size = ctx.specs().len() as u64;
 
-        let cold = measure_at(&ctx, VCC).unwrap();
+        let cold = measure(&ctx).unwrap();
         let s = store.stats();
         assert_eq!(s.misses, 2 * suite_size, "IRAW + stall-free per trace");
         assert_eq!(s.coalesced, 0, "one caller, nothing to wait for");
         assert_eq!(cold, uncached);
 
-        let warm = measure_at(&ctx, VCC).unwrap();
+        let warm = measure(&ctx).unwrap();
         assert_eq!(
             store.stats().misses,
             2 * suite_size,

@@ -36,6 +36,14 @@ pub fn qualitative() -> TextTable {
     t
 }
 
+/// Table 1's technique configurations at `vcc`, in row order; each has
+/// `vcc` as its supply voltage.
+#[must_use]
+pub fn configs(ctx: &ExperimentContext, vcc: Millivolts) -> Vec<SimConfig> {
+    let configs = technique_configs(ctx.core, &ctx.timing, vcc);
+    configs.into_iter().map(|tc| tc.cfg).collect()
+}
+
 /// Measured rows at `vcc` over the context suite, as **one batch**: all
 /// technique configurations replay each trace back to back via
 /// [`ExperimentContext::run_suite_batch`]. Through the result cache each
@@ -84,20 +92,24 @@ pub fn rows_table(rows: &[QuantRow]) -> TextTable {
     t
 }
 
-/// Measured comparison at 500 mV over the context suite.
+/// The voltage of the report's Table 1 companion, and the default of a
+/// `table1` request to the serve daemon.
+pub const DEFAULT_VCC: Millivolts = Millivolts::literal(500);
+
+/// Measured comparison at [`DEFAULT_VCC`] over the context suite.
 ///
 /// # Errors
 ///
 /// Propagates simulation failures.
 pub fn quantitative(ctx: &ExperimentContext) -> Result<TextTable, ExperimentError> {
-    const VCC: Millivolts = Millivolts::literal(500);
-    let vcc = VCC;
-    Ok(rows_table(&quantitative_rows_at(ctx, vcc)?))
+    Ok(rows_table(&quantitative_rows_at(ctx, DEFAULT_VCC)?))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use lowvcc_sram::voltage::mv;
+    use lowvcc_trace::{TraceSpec, WorkloadFamily};
 
     #[test]
     fn qualitative_has_three_techniques() {
@@ -114,5 +126,33 @@ mod tests {
         let ctx = ExperimentContext::quick().unwrap();
         let t = quantitative(&ctx).unwrap();
         assert_eq!(t.len(), 6);
+    }
+
+    #[test]
+    fn quantitative_rows_tell_the_papers_story() {
+        let specs = [
+            TraceSpec::new(WorkloadFamily::SpecInt, 0, 12_000),
+            TraceSpec::new(WorkloadFamily::Multimedia, 1, 12_000),
+        ];
+        let ctx = ExperimentContext::from_specs(&specs, "two traces").unwrap();
+        let rows = quantitative_rows_at(&ctx, mv(475)).unwrap();
+        assert_eq!(rows.len(), 6);
+        let by_name = |s: &str| {
+            rows.iter()
+                .find(|r| r.technique.contains(s))
+                .unwrap_or_else(|| panic!("row {s}"))
+        };
+        // Realistic alternatives cannot speed the core up…
+        assert!((by_name("caches only").speedup - 1.0).abs() < 0.02);
+        assert!(by_name("RF only").speedup <= 1.02);
+        // …IRAW can, and decisively.
+        let iraw = by_name("IRAW");
+        assert!(iraw.speedup > 1.3, "IRAW speedup {:.3}", iraw.speedup);
+        // The hypothetical variants gain frequency but pay IPC.
+        let eb = by_name("extra bypass (all blocks");
+        assert!(eb.frequency_gain > 1.2);
+        assert!(eb.relative_ipc < 1.0, "write-port contention costs IPC");
+        // Overheads ordered as the paper argues: IRAW ≪ fault maps.
+        assert!(iraw.area_fraction < by_name("faulty bits").area_fraction);
     }
 }

@@ -9,7 +9,8 @@
 //! per worker across all points, so the steady state of a warmed-up
 //! sweep neither builds nor allocates (verified by the counting-allocator
 //! test in `tests/zero_alloc.rs`). Every arena is valid when it is built, so
-//! nothing here validates a trace again.
+//! nothing here validates a trace again; each configuration is validated
+//! by the [`EngineWorkspace::run`] that simulates it.
 //!
 //! A reused workspace is byte-identical to a fresh engine per run: every
 //! [`Engine::reset`] restores the exact freshly-constructed state, and

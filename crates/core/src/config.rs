@@ -255,8 +255,9 @@ impl SimConfig {
     /// The cycle-level projection: everything the engine reads of this
     /// configuration. The one rule for "same behaviour" — two configs
     /// with equal projections produce equal [`SimStats`] on any trace,
-    /// so the result key, the grid executor's dedup and the engine
-    /// itself all go through this.
+    /// so the result key, the grid runner's dedup
+    /// ([`same_projection_as`](crate::perf::same_projection_as)) and the
+    /// engine itself all go through this.
     ///
     /// `fault_seed` only places disabled lines, so a config that
     /// disables none projects with seed 0.

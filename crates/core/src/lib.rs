@@ -18,26 +18,26 @@
 //! * **IdealLogic** — the unconstrained 24-FO4 reference.
 //!
 //! ```
-//! use lowvcc_core::{compare_mechanisms, CoreConfig, Parallelism};
+//! use lowvcc_core::{CoreConfig, SimConfig, Simulator};
 //! use lowvcc_sram::{CycleTimeModel, Millivolts};
 //! use lowvcc_trace::{TraceSpec, WorkloadFamily};
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
 //! let timing = CycleTimeModel::silverthorne_45nm();
 //! let vcc = Millivolts::new(500)?;
-//! let traces = vec![TraceSpec::new(WorkloadFamily::SpecInt, 0, 20_000).build()?];
-//! let cmp = compare_mechanisms(
-//!     CoreConfig::silverthorne(),
-//!     &timing,
-//!     vcc,
-//!     &traces,
-//!     Parallelism::sequential(),
-//! )?;
+//! let trace = TraceSpec::new(WorkloadFamily::SpecInt, 0, 20_000).build()?;
+//! let (base, iraw) = SimConfig::mechanism_pair(CoreConfig::silverthorne(), &timing, vcc);
+//! let base = Simulator::new(base)?.run(&trace)?;
+//! let iraw = Simulator::new(iraw)?.run(&trace)?;
 //! // The paper's headline: large speedup at 500 mV from the faster clock.
-//! assert!(cmp.speedup.total_time > 1.2);
+//! assert!(base.seconds() / iraw.seconds() > 1.2);
 //! # Ok(())
 //! # }
 //! ```
+//!
+//! Suites and grids of configurations run through
+//! `ExperimentContext::run_suite_batch` in `lowvcc-bench`, over the
+//! executor [`run_batch_groups`].
 
 pub mod batch;
 pub mod canon;
@@ -55,8 +55,8 @@ pub use canon::{
 pub use config::{CoreConfig, CycleConfig, Mechanism, SimConfig};
 pub use error::{ConfigError, SimError};
 pub use perf::{
-    compare_mechanisms, run_batch_groups, run_suite_batch, same_projection_as, speedup,
-    MechanismComparison, Parallelism, Speedup, SuiteResult,
+    run_batch_groups, same_projection_as, speedup, MechanismComparison, Parallelism, Speedup,
+    SuiteResult,
 };
 pub use pipeline::EngineProfile;
 pub use sim::Simulator;

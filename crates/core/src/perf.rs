@@ -4,16 +4,19 @@
 //! Every grid the paper reports — the voltage sweep, Table 1's technique
 //! rows, the stall split — is a set of configurations over one trace
 //! suite, and every (config, trace) pair is an independent,
-//! deterministic simulation. [`run_batch_groups`] is the single executor
-//! for all of them: it fans per-trace groups out over a
+//! deterministic simulation. [`run_batch_groups`] is the executor under
+//! all of them: it fans per-trace groups out over a
 //! [`Parallelism`]-sized pool of scoped threads and reassembles results
 //! in suite order, making the output byte-identical for any thread count
 //! (including errors: the reported error is the first in suite order,
-//! not the first in wall-clock order). Within a group, configurations
-//! with equal cycle-level projections ([`SimConfig::cycle_config`]) are
-//! simulated once. The executor takes each group's [`TraceArena`],
-//! validated when it was built — on first miss, by whichever grid first
-//! needed it — and neither builds, validates nor decodes a trace itself.
+//! not the first in wall-clock order). It has no policy: each group runs
+//! exactly the configurations it is given. Which of them are worth
+//! simulating — a cache hit, or an equal cycle-level projection
+//! ([`same_projection_as`]) — is decided by the grid runner above it,
+//! `ExperimentContext::run_suite_batch` in `lowvcc-bench`. The executor
+//! takes each group's [`TraceArena`], validated when it was built — on
+//! first miss, by whichever grid first needed it — and neither builds,
+//! validates nor decodes a trace itself.
 
 use std::num::NonZeroUsize;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -22,7 +25,7 @@ use lowvcc_sram::{CycleTimeModel, Millivolts};
 use lowvcc_trace::TraceArena;
 
 use crate::batch::EngineWorkspace;
-use crate::config::{CoreConfig, CycleConfig, SimConfig};
+use crate::config::{CycleConfig, SimConfig};
 use crate::error::SimError;
 use crate::stats::SimResult;
 
@@ -146,19 +149,17 @@ pub fn same_projection_as(cfgs: &[SimConfig]) -> Vec<usize> {
 
 /// Runs each group's configurations over its trace — the one grid
 /// executor every suite API is built on. Each group replays its
-/// distinct configurations over its [`TraceArena`] through the claiming
-/// worker's reused [`EngineWorkspace`], so the arena stays hot in cache
-/// across all of its sweep points. A config whose projection equals an
-/// earlier one's in the same group is not simulated again: it gets a
-/// copy of that result with its own `cycle_time` (see
-/// [`same_projection_as`]).
+/// configurations over its [`TraceArena`] through the claiming worker's
+/// reused [`EngineWorkspace`], which validates each one, so the arena
+/// stays hot in cache across all of its sweep points. Every
+/// configuration is simulated: collapsing equal projections is the
+/// caller's choice (see [`same_projection_as`]).
 ///
 /// `groups` pairs a trace with the configurations to run on it (every
 /// arena is valid when it is built). Results come back in group order,
 /// each `Vec` in config order. Deterministic for any `par`,
 /// including which error is reported: the lowest group index, then the
-/// lowest config index within it (every config is validated before any
-/// is collapsed into another).
+/// lowest config index within it.
 ///
 /// # Errors
 ///
@@ -190,23 +191,12 @@ pub fn run_batch_groups(
                 // would claim next is even later.
                 break;
             }
-            // The projection drops `cycle_time`, which `validate` checks,
-            // so validate every config before collapsing.
-            let valid = cfgs.iter().try_for_each(SimConfig::validate);
-            let r = valid.map_err(SimError::from).and_then(|()| {
-                let mut results: Vec<SimResult> = Vec::with_capacity(cfgs.len());
-                for (cfg, first) in cfgs.iter().zip(same_projection_as(cfgs)) {
-                    let r = match results.get(first) {
-                        Some(done) => SimResult {
-                            cycle_time: cfg.cycle_time,
-                            ..done.clone()
-                        },
-                        None => ws.run(cfg, trace)?,
-                    };
-                    results.push(r);
-                }
-                Ok(results)
-            });
+            let r = cfgs
+                .iter()
+                .try_fold(Vec::with_capacity(cfgs.len()), |mut done, cfg| {
+                    done.push(ws.run(cfg, trace)?);
+                    Ok(done)
+                });
             if r.is_err() {
                 first_err.fetch_min(i, Ordering::Relaxed);
             }
@@ -228,37 +218,6 @@ pub fn run_batch_groups(
     };
     tagged.sort_unstable_by_key(|&(i, _)| i);
     tagged.into_iter().map(|(_, r)| r).collect()
-}
-
-/// Runs every configuration over every trace, batched per trace: all of
-/// `cfgs` replay one trace back to back before the next trace is
-/// touched. Returns one [`SuiteResult`] per configuration, in `cfgs`
-/// order — the per-config transpose of [`run_batch_groups`],
-/// byte-identical for any `par`.
-///
-/// # Errors
-///
-/// Propagates the first (trace-order, then config-order) error.
-pub fn run_suite_batch(
-    cfgs: &[SimConfig],
-    traces: &[TraceArena],
-    par: Parallelism,
-) -> Result<Vec<SuiteResult>, SimError> {
-    let groups: Vec<(&TraceArena, Vec<SimConfig>)> =
-        traces.iter().map(|t| (t, cfgs.to_vec())).collect();
-    let per_group = run_batch_groups(&groups, par)?;
-    let mut suites: Vec<SuiteResult> = cfgs
-        .iter()
-        .map(|_| SuiteResult {
-            per_trace: Vec::with_capacity(traces.len()),
-        })
-        .collect();
-    for (trace, results) in traces.iter().zip(per_group) {
-        for (suite, r) in suites.iter_mut().zip(results) {
-            suite.per_trace.push((trace.name().to_string(), r));
-        }
-    }
-    Ok(suites)
 }
 
 /// Computes the speedup of `new` over `baseline` (paired by suite order).
@@ -326,31 +285,10 @@ impl MechanismComparison {
     }
 }
 
-/// Runs both mechanisms over the suite at `vcc` as one two-configuration
-/// batch fanned out across `par` workers. Output is identical for any
-/// `par`.
-///
-/// # Errors
-///
-/// Propagates simulation errors.
-pub fn compare_mechanisms(
-    core: CoreConfig,
-    timing: &CycleTimeModel,
-    vcc: Millivolts,
-    traces: &[TraceArena],
-    par: Parallelism,
-) -> Result<MechanismComparison, SimError> {
-    let (base_cfg, iraw_cfg) = SimConfig::mechanism_pair(core, timing, vcc);
-    let [baseline, iraw]: [SuiteResult; 2] = run_suite_batch(&[base_cfg, iraw_cfg], traces, par)?
-        .try_into()
-        .expect("two configs in, two suites out");
-    Ok(MechanismComparison::new(timing, vcc, baseline, iraw))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::Mechanism;
+    use crate::config::{CoreConfig, Mechanism};
     use crate::error::ConfigError;
     use crate::sim::Simulator;
     use lowvcc_sram::voltage::mv;
@@ -369,13 +307,37 @@ mod tests {
         small_specs().iter().map(|s| s.build().unwrap()).collect()
     }
 
+    /// One suite per configuration: every config over every trace
+    /// through the executor, transposed to config-major order.
+    fn suites(cfgs: &[SimConfig], traces: &[TraceArena], par: Parallelism) -> Vec<SuiteResult> {
+        let groups: Vec<_> = traces.iter().map(|t| (t, cfgs.to_vec())).collect();
+        let per_group = run_batch_groups(&groups, par).unwrap();
+        (0..cfgs.len())
+            .map(|c| SuiteResult {
+                per_trace: traces
+                    .iter()
+                    .zip(&per_group)
+                    .map(|(t, results)| (t.name().to_string(), results[c].clone()))
+                    .collect(),
+            })
+            .collect()
+    }
+
     fn run_one(cfg: &SimConfig, traces: &[TraceArena]) -> SuiteResult {
         let [suite]: [SuiteResult; 1] =
-            run_suite_batch(std::slice::from_ref(cfg), traces, Parallelism::sequential())
-                .unwrap()
+            suites(std::slice::from_ref(cfg), traces, Parallelism::sequential())
                 .try_into()
                 .unwrap();
         suite
+    }
+
+    fn compare(vcc: Millivolts, par: Parallelism) -> MechanismComparison {
+        let timing = CycleTimeModel::silverthorne_45nm();
+        let (base, iraw) = SimConfig::mechanism_pair(CoreConfig::silverthorne(), &timing, vcc);
+        let [baseline, iraw]: [SuiteResult; 2] = suites(&[base, iraw], &small_suite(), par)
+            .try_into()
+            .unwrap();
+        MechanismComparison::new(&timing, vcc, baseline, iraw)
     }
 
     #[test]
@@ -396,15 +358,7 @@ mod tests {
 
     #[test]
     fn iraw_beats_baseline_at_low_vcc() {
-        let timing = CycleTimeModel::silverthorne_45nm();
-        let cmp = compare_mechanisms(
-            CoreConfig::silverthorne(),
-            &timing,
-            mv(500),
-            &small_suite(),
-            Parallelism::sequential(),
-        )
-        .unwrap();
+        let cmp = compare(mv(500), Parallelism::sequential());
         // The paper's central claim, in miniature: substantial speedup,
         // below the raw frequency gain (stalls + constant-time memory).
         assert!(
@@ -424,15 +378,7 @@ mod tests {
 
     #[test]
     fn geomean_close_to_total_time_for_equal_length_traces() {
-        let timing = CycleTimeModel::silverthorne_45nm();
-        let cmp = compare_mechanisms(
-            CoreConfig::silverthorne(),
-            &timing,
-            mv(475),
-            &small_suite(),
-            Parallelism::threads(2),
-        )
-        .unwrap();
+        let cmp = compare(mv(475), Parallelism::threads(2));
         let diff = (cmp.speedup.total_time - cmp.speedup.geomean).abs();
         assert!(
             diff < 0.3,
@@ -466,7 +412,7 @@ mod tests {
             })
             .collect();
         for workers in [1, 2, 3, 5, 8] {
-            let batched = run_suite_batch(&cfgs, &traces, Parallelism::threads(workers)).unwrap();
+            let batched = suites(&cfgs, &traces, Parallelism::threads(workers));
             assert_eq!(per_point, batched, "{workers} workers");
         }
     }
@@ -497,22 +443,12 @@ mod tests {
             );
         }
 
-        // Dedup never hides an invalid config. A zero cycle time and a
-        // (valid) 1e-300 ps clock both saturate the memory latency to
-        // `u64::MAX` cycles, so the two project equal; only validating
-        // every config before collapsing still reports the copy as the
-        // lowest invalid index of its group.
-        let mut instant = good.clone();
-        instant.cycle_time = lowvcc_sram::Picoseconds::new(1e-300);
+        // Within a group the lowest invalid config index is reported.
         let mut stopped = good.clone();
         stopped.cycle_time = lowvcc_sram::Picoseconds::new(0.0);
-        assert_eq!(instant.cycle_config(), stopped.cycle_config());
         let groups = vec![
             (&traces[0], vec![good.clone()]),
-            (
-                &traces[1],
-                vec![good.clone(), instant, stopped.clone(), bad.clone()],
-            ),
+            (&traces[1], vec![good.clone(), stopped.clone(), bad.clone()]),
             (&traces[2], vec![bad.clone()]),
         ];
         for workers in [1, 3] {

@@ -12,7 +12,7 @@
 //! path additionally replays every skipped stretch against a cloned
 //! naive engine internally, so a divergence fails twice over.
 
-use lowvcc_core::{run_suite_batch, CoreConfig, Mechanism, Parallelism, SimConfig, Simulator};
+use lowvcc_core::{run_batch_groups, CoreConfig, Mechanism, Parallelism, SimConfig, Simulator};
 use lowvcc_sram::voltage::mv;
 use lowvcc_sram::CycleTimeModel;
 use lowvcc_trace::{TraceSpec, WorkloadFamily};
@@ -115,12 +115,12 @@ fn parallel_suite_results_are_byte_identical_for_any_worker_count() {
             )
         })
         .into();
-    let sequential =
-        run_suite_batch(&cfgs, &traces, Parallelism::sequential()).expect("suite runs");
+    let groups: Vec<_> = traces.iter().map(|t| (t, cfgs.clone())).collect();
+    let sequential = run_batch_groups(&groups, Parallelism::sequential()).expect("suite runs");
     for workers in [2usize, 5, 16] {
         let parallel =
-            run_suite_batch(&cfgs, &traces, Parallelism::threads(workers)).expect("suite runs");
-        // Full structural equality: names, order, every statistic.
+            run_batch_groups(&groups, Parallelism::threads(workers)).expect("suite runs");
+        // Full structural equality: order and every statistic.
         assert_eq!(sequential, parallel, "{workers} workers");
     }
 }

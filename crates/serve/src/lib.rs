@@ -111,9 +111,11 @@ pub enum Request {
     Metrics,
     /// The Figure 11b/12 measurement — one voltage, or the full grid.
     Sweep(Option<Millivolts>),
-    /// Quantitative Table 1 rows at a voltage (default 500 mV).
+    /// Quantitative Table 1 rows at a voltage (default
+    /// [`table1::DEFAULT_VCC`]).
     Table1(Millivolts),
-    /// §5.2 stall attribution at a voltage (default 575 mV).
+    /// §5.2 stall attribution at a voltage (default
+    /// [`stalls::DEFAULT_VCC`]).
     Stalls(Millivolts),
     /// Stop accepting and exit the serve loop.
     Shutdown,
@@ -155,14 +157,9 @@ impl fmt::Display for RequestError {
 
 impl std::error::Error for RequestError {}
 
-fn parse_vcc(v: Option<&json::Value>, default_mv: u32) -> Result<Millivolts, RequestError> {
-    let mv = match v {
-        None => default_mv,
-        Some(v) => {
-            let raw = v.as_u64().ok_or(RequestError::VccNotInteger)?;
-            u32::try_from(raw).map_err(|_| RequestError::VccOutOfRange(raw))?
-        }
-    };
+fn parse_vcc(v: &json::Value) -> Result<Millivolts, RequestError> {
+    let raw = v.as_u64().ok_or(RequestError::VccNotInteger)?;
+    let mv = u32::try_from(raw).map_err(|_| RequestError::VccOutOfRange(raw))?;
     Millivolts::new(mv).map_err(RequestError::Voltage)
 }
 
@@ -183,12 +180,13 @@ pub fn parse_request(line: &str) -> Result<Request, RequestError> {
         "ping" => Ok(Request::Ping),
         "stats" => Ok(Request::Stats),
         "metrics" => Ok(Request::Metrics),
-        "sweep" => match v.get("vcc") {
-            None => Ok(Request::Sweep(None)),
-            some => Ok(Request::Sweep(Some(parse_vcc(some, 0)?))),
-        },
-        "table1" => Ok(Request::Table1(parse_vcc(v.get("vcc"), 500)?)),
-        "stalls" => Ok(Request::Stalls(parse_vcc(v.get("vcc"), 575)?)),
+        "sweep" => Ok(Request::Sweep(v.get("vcc").map(parse_vcc).transpose()?)),
+        "table1" => Ok(Request::Table1(
+            v.get("vcc").map_or(Ok(table1::DEFAULT_VCC), parse_vcc)?,
+        )),
+        "stalls" => Ok(Request::Stalls(
+            v.get("vcc").map_or(Ok(stalls::DEFAULT_VCC), parse_vcc)?,
+        )),
         "shutdown" => Ok(Request::Shutdown),
         other => Err(RequestError::UnknownExperiment(other.to_string())),
     }
@@ -379,8 +377,9 @@ impl Daemon {
         &self.store
     }
 
-    /// Pre-fills the store: the sweep grid, plus Table 1 and the stall
-    /// study at their protocol-default voltages (500 / 575 mV) — every
+    /// Pre-fills the store as one grid: the sweep, plus Table 1 and the
+    /// stall study at their protocol-default voltages
+    /// ([`table1::DEFAULT_VCC`], [`stalls::DEFAULT_VCC`]) — every
     /// operating point on a single daemon, only the voltages the ring
     /// assigns to this shard on a shard (the shards of a cluster
     /// together cover what one daemon covers).
@@ -392,26 +391,15 @@ impl Daemon {
     ///
     /// Propagates simulation and cache failures.
     pub fn warm(&self) -> Result<(), ExperimentError> {
-        // Compile-time-validated grid anchors: the protocol defaults
-        // cannot drift out of the model range.
-        const TABLE1_DEFAULT: Millivolts = Millivolts::literal(500);
-        const STALLS_DEFAULT: Millivolts = Millivolts::literal(575);
         let ctx = &self.ctx;
-        let mine = |vcc| {
-            self.slice
-                .map_or(true, |(ring, index)| ring.owner(vcc) == index)
-        };
-        // One batch over the owned grid points, as `sweep::run_sweep`
-        // runs the whole grid.
         let mut grid = sweep::configs(ctx);
-        grid.retain(|cfg| mine(cfg.vcc));
+        grid.extend(table1::configs(ctx, table1::DEFAULT_VCC));
+        grid.extend(stalls::configs(ctx, stalls::DEFAULT_VCC));
+        grid.retain(|cfg| {
+            self.slice
+                .map_or(true, |(ring, index)| ring.owner(cfg.vcc) == index)
+        });
         ctx.run_suite_batch(&grid)?;
-        if mine(TABLE1_DEFAULT) {
-            table1::quantitative_rows_at(ctx, TABLE1_DEFAULT)?;
-        }
-        if mine(STALLS_DEFAULT) {
-            stalls::measure(ctx)?;
-        }
         Ok(())
     }
 

@@ -4,21 +4,20 @@
 //! Run with: `cargo run --release --example alternatives_faceoff`
 
 use lowvcc::baselines::{ExtraBypassDesign, ExtraBypassScope, FaultyBitsDesign, FaultyBitsScope};
-use lowvcc::core::{run_suite_batch, CoreConfig, Mechanism, Parallelism, SimConfig, SuiteResult};
-use lowvcc::sram::{CycleTimeModel, VccRange};
+use lowvcc::core::{Mechanism, SimConfig, SuiteResult};
+use lowvcc::sram::VccRange;
 use lowvcc::trace::{TraceSpec, WorkloadFamily};
+use lowvcc_bench::ExperimentContext;
 
-fn main() -> Result<(), lowvcc::Error> {
-    let timing = CycleTimeModel::silverthorne_45nm();
-    let core = CoreConfig::silverthorne();
-    let traces: Vec<_> = [
+fn main() -> Result<(), Box<dyn std::error::Error>> {
+    let specs = [
         (WorkloadFamily::SpecInt, 0u64),
         (WorkloadFamily::Office, 1),
         (WorkloadFamily::Multimedia, 2),
     ]
-    .iter()
-    .map(|&(f, s)| TraceSpec::new(f, s, 60_000).build())
-    .collect::<Result<_, _>>()?;
+    .map(|(f, s)| TraceSpec::new(f, s, 60_000));
+    let ctx = ExperimentContext::from_specs(&specs, "face-off")?;
+    let (core, timing) = (ctx.core, &ctx.timing);
 
     let fb = FaultyBitsDesign::four_sigma(FaultyBitsScope::AllBlocksHypothetical);
     let eb = ExtraBypassDesign::two_cycle(ExtraBypassScope::AllBlocksHypothetical);
@@ -33,15 +32,15 @@ fn main() -> Result<(), lowvcc::Error> {
         // One batch per voltage: all four designs replay each trace back
         // to back.
         let cfgs = [
-            SimConfig::at_vcc(core, &timing, vcc, Mechanism::Baseline),
-            SimConfig::at_vcc(core, &timing, vcc, Mechanism::Iraw),
-            fb.sim_config(core, &timing, vcc, 1),
-            eb.sim_config(core, &timing, vcc),
+            SimConfig::at_vcc(core, timing, vcc, Mechanism::Baseline),
+            SimConfig::at_vcc(core, timing, vcc, Mechanism::Iraw),
+            fb.sim_config(core, timing, vcc, 1),
+            eb.sim_config(core, timing, vcc),
         ];
-        let [base, iraw, fb_run, eb_run]: [SuiteResult; 4] =
-            run_suite_batch(&cfgs, &traces, Parallelism::sequential())?
-                .try_into()
-                .expect("four configs in, four suites out");
+        let [base, iraw, fb_run, eb_run]: [SuiteResult; 4] = ctx
+            .run_suite_batch(&cfgs)?
+            .try_into()
+            .expect("four configs in, four suites out");
         let t0 = base.total_seconds();
         println!(
             "{:>7} {:>8.3} {:>22.3} {:>24.3}",

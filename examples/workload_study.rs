@@ -6,13 +6,11 @@
 //!
 //! Run with: `cargo run --release --example workload_study`
 
-use lowvcc::core::{compare_mechanisms, CoreConfig, Parallelism};
 use lowvcc::sram::{CycleTimeModel, Millivolts};
 use lowvcc::trace::{TraceSpec, TraceStats, WorkloadFamily};
+use lowvcc_bench::ExperimentContext;
 
-fn main() -> Result<(), lowvcc::Error> {
-    let timing = CycleTimeModel::silverthorne_45nm();
-    let core = CoreConfig::silverthorne();
+fn main() -> Result<(), Box<dyn std::error::Error>> {
     let vcc = Millivolts::new(475)?;
 
     println!(
@@ -20,11 +18,12 @@ fn main() -> Result<(), lowvcc::Error> {
         "family", "speedup", "IPC", "delayed%", "rf-stall%", "dl0%", "code KB", "missrate"
     );
     for family in WorkloadFamily::all() {
-        let traces: Vec<_> = (0..3)
-            .map(|seed| TraceSpec::new(family, seed, 100_000).build())
-            .collect::<Result<_, _>>()?;
-        let tstats = TraceStats::analyze(&TraceSpec::new(family, 0, 100_000).build()?);
-        let cmp = compare_mechanisms(core, &timing, vcc, &traces, Parallelism::sequential())?;
+        let specs: Vec<_> = (0..3)
+            .map(|seed| TraceSpec::new(family, seed, 100_000))
+            .collect();
+        let ctx = ExperimentContext::from_specs(&specs, family.name())?;
+        let cmp = ctx.compare_mechanisms(vcc)?;
+        let tstats = TraceStats::analyze(ctx.trace(0)?);
         let mut rf = 0.0;
         let mut dl0 = 0.0;
         let mut miss = 0.0;
@@ -49,7 +48,7 @@ fn main() -> Result<(), lowvcc::Error> {
     }
     println!(
         "\nFrequency gain available at {vcc}: ×{:.2}",
-        timing.frequency_gain(vcc)
+        CycleTimeModel::silverthorne_45nm().frequency_gain(vcc)
     );
     Ok(())
 }

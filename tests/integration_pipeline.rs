@@ -4,41 +4,35 @@
 //! `integration_experiments.rs`.
 
 use lowvcc_baselines::{ExtraBypassDesign, ExtraBypassScope, FaultyBitsDesign, FaultyBitsScope};
-use lowvcc_core::{
-    compare_mechanisms, run_suite_batch, CoreConfig, Mechanism, Parallelism, SimConfig, Simulator,
-    SuiteResult,
-};
+use lowvcc_bench::ExperimentContext;
+use lowvcc_core::{CoreConfig, Mechanism, SimConfig, Simulator, SuiteResult};
 use lowvcc_sram::voltage::mv;
 use lowvcc_sram::CycleTimeModel;
-use lowvcc_trace::{TraceArena, TraceSpec, WorkloadFamily};
+use lowvcc_trace::{TraceSpec, WorkloadFamily};
 
 fn timing() -> CycleTimeModel {
     CycleTimeModel::silverthorne_45nm()
 }
 
-fn traces(len: usize) -> Vec<TraceArena> {
-    [
+fn suite(len: usize) -> ExperimentContext {
+    let specs = [
         (WorkloadFamily::SpecInt, 3u64),
         (WorkloadFamily::Office, 4),
         (WorkloadFamily::Kernel, 5),
     ]
-    .iter()
-    .map(|&(f, s)| TraceSpec::new(f, s, len).build().unwrap())
-    .collect()
+    .map(|(f, s)| TraceSpec::new(f, s, len));
+    ExperimentContext::from_specs(&specs, "pipeline").unwrap()
 }
 
-/// One suite result per config, through the batched grid executor.
-fn run_grid<const N: usize>(cfgs: [SimConfig; N], ts: &[TraceArena]) -> [SuiteResult; N] {
-    run_suite_batch(&cfgs, ts, Parallelism::sequential())
-        .unwrap()
-        .try_into()
-        .unwrap()
+/// One suite result per config, through the grid runner.
+fn run_grid<const N: usize>(cfgs: [SimConfig; N], ts: &ExperimentContext) -> [SuiteResult; N] {
+    ts.run_suite_batch(&cfgs).unwrap().try_into().unwrap()
 }
 
 #[test]
 fn mechanism_time_ordering_at_every_low_voltage() {
     let core = CoreConfig::silverthorne();
-    let ts = traces(15_000);
+    let ts = suite(15_000);
     for v in [575, 525, 475, 425] {
         let [base, iraw, ideal] = run_grid(
             [Mechanism::Baseline, Mechanism::Iraw, Mechanism::IdealLogic]
@@ -92,7 +86,7 @@ fn whole_stack_is_deterministic() {
 #[test]
 fn faulty_bits_all_blocks_pays_with_misses() {
     let core = CoreConfig::silverthorne();
-    let ts = traces(15_000);
+    let ts = suite(15_000);
     let v = mv(425);
     let design = FaultyBitsDesign::four_sigma(FaultyBitsScope::AllBlocksHypothetical);
     let [faulty, base] = run_grid(
@@ -111,7 +105,7 @@ fn faulty_bits_all_blocks_pays_with_misses() {
 #[test]
 fn extra_bypass_contention_shows_up_in_stats() {
     let core = CoreConfig::silverthorne();
-    let ts = traces(15_000);
+    let ts = suite(15_000);
     let design = ExtraBypassDesign::two_cycle(ExtraBypassScope::AllBlocksHypothetical);
     let cfg = design.sim_config(core, &timing(), mv(475));
     let [suite] = run_grid([cfg], &ts);
@@ -125,15 +119,7 @@ fn extra_bypass_contention_shows_up_in_stats() {
 
 #[test]
 fn iraw_comparison_carries_block_level_evidence() {
-    let core = CoreConfig::silverthorne();
-    let cmp = compare_mechanisms(
-        core,
-        &timing(),
-        mv(475),
-        &traces(20_000),
-        Parallelism::sequential(),
-    )
-    .unwrap();
+    let cmp = suite(20_000).compare_mechanisms(mv(475)).unwrap();
     let mut full_matches = 0;
     let mut bp_reads = 0;
     for (_, r) in &cmp.iraw.per_trace {
