@@ -21,9 +21,10 @@
 //! content-addressed result store rooted at DIR: a warm re-run answers
 //! every figure from the store (the trailing `cache:` stats line reports
 //! `0 simulated`) yet writes byte-identical CSV artifacts. The same DIR
-//! can back a running `lowvcc-serve` daemon. Each trace is built on the
-//! first miss that needs it, so the `suite …: B of N traces built` line
-//! reads 0 of N on a warm re-run.
+//! can back a running `lowvcc-serve` daemon. Each trace is built by the
+//! grid worker that first needs it and dropped when its group is done,
+//! so the `suite …: B trace builds, peak P resident record bytes` line
+//! reads 0 builds on a warm re-run and P stays within `--jobs` traces.
 
 use std::fmt;
 use std::path::PathBuf;
@@ -142,7 +143,7 @@ fn parse_args(args: impl IntoIterator<Item = String>) -> Result<CliOptions, CliE
 }
 
 /// Turns validated options into a runnable context (opens the cache;
-/// traces are built on first miss).
+/// each grid builds the traces it misses on, one group at a time).
 fn build(opts: &CliOptions) -> Result<ExperimentContext, CliError> {
     let ctx = opts
         .suite
@@ -183,11 +184,10 @@ fn main() -> ExitCode {
     );
     let run = run_all(&ctx, &opts.out);
     eprintln!(
-        "suite {}: {} of {} traces built, {} decoded bytes",
+        "suite {}: {} trace builds, peak {} resident record bytes",
         ctx.suite_label,
-        ctx.traces_built(),
-        ctx.specs().len(),
-        ctx.decoded_bytes()
+        ctx.trace_builds(),
+        ctx.peak_resident_record_bytes()
     );
     match run {
         Ok(summary) => {

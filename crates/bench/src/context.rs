@@ -2,11 +2,19 @@
 //! suite's specs, and the optional result cache every experiment runs
 //! through.
 //!
-//! The context holds specs. Each trace is built on first miss, straight
-//! into a [`TraceArena`] in a table every clone shares (each shard of an
-//! in-process cluster, say): at most once per process, never by a fully
-//! warm run, and no grid run decodes or validates a trace again.
+//! The context holds specs, and a trace lives as long as the work that
+//! needs it. In a batch run (`run_all`, the `experiments` binary, the
+//! examples) the grid worker that claims a trace's group builds its
+//! [`TraceArena`], runs the group and drops it, so a cold run holds at
+//! most one arena per worker and a fully warm run builds none. A
+//! serving daemon answers many grids over one suite for its whole life,
+//! so its constructor makes the context keep each trace once built, in
+//! one table every clone shares (each shard of an in-process cluster,
+//! say) — see [`ExperimentContext::with_resident_traces`]. Either way no
+//! grid run decodes or validates a trace again.
 
+use std::ops::Deref;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::{panic, thread};
 
@@ -139,8 +147,8 @@ impl SuiteChoice {
 }
 
 /// Everything an experiment needs: the calibrated models, the machine,
-/// the suite's trace specs (which key the result cache) with the traces
-/// built from them so far, and the optional cache itself.
+/// the suite's trace specs (which key the result cache), the traces kept
+/// so far when the context keeps them, and the optional cache itself.
 #[derive(Debug, Clone)]
 pub struct ExperimentContext {
     /// Calibrated timing model.
@@ -152,9 +160,13 @@ pub struct ExperimentContext {
     /// The suite. Content addressing hashes these (family, seed, length)
     /// rather than megabytes of generated uops.
     specs: Vec<TraceSpec>,
-    /// `traces[t]` is built from `specs[t]` on first use; every clone
-    /// shares the one table.
-    traces: Arc<[OnceLock<Result<TraceArena, TraceError>>]>,
+    /// `Some` when the context keeps its traces (a serving daemon's):
+    /// `traces[t]` is built from `specs[t]` on first use, and every
+    /// clone shares the one table. `None` builds a trace for each use
+    /// and drops it after.
+    traces: Option<Arc<[KeptTrace]>>,
+    /// Synthesis counters every clone shares.
+    residency: Arc<Residency>,
     /// Human-readable suite label for reports.
     pub suite_label: String,
     /// Worker threads for suite sweeps (sequential by default; every
@@ -180,7 +192,8 @@ impl ExperimentContext {
             energy: EnergyModel::silverthorne_45nm(),
             core: CoreConfig::silverthorne(),
             specs: specs.to_vec(),
-            traces: specs.iter().map(|_| OnceLock::new()).collect(),
+            traces: None,
+            residency: Arc::default(),
             suite_label: label.to_string(),
             parallelism: Parallelism::sequential(),
             cache: None,
@@ -192,6 +205,22 @@ impl ExperimentContext {
     #[must_use]
     pub fn with_parallelism(mut self, par: Parallelism) -> Self {
         self.parallelism = par;
+        self
+    }
+
+    /// Returns the context keeping each trace once built, in one table
+    /// every clone made from here on shares; a context that keeps its
+    /// traces already keeps its table. Serving daemons and clusters set
+    /// this in their constructors: they answer grids over one suite for
+    /// their whole life, and a trace built per group on their request
+    /// threads would cost a build per grid and an allocator arena's
+    /// worth of memory per thread. Results are unchanged — only how long
+    /// a trace stays in memory.
+    #[must_use]
+    pub fn with_resident_traces(mut self) -> Self {
+        if self.traces.is_none() {
+            self.traces = Some(self.specs.iter().map(|_| OnceLock::new()).collect());
+        }
         self
     }
 
@@ -238,60 +267,66 @@ impl ExperimentContext {
         &self.specs
     }
 
-    /// Trace `t` of the suite (`t < specs().len()`), synthesized from
-    /// its spec on first use; concurrent callers wait for that one build.
+    /// Trace `t` of the suite (`t < specs().len()`). A context that keeps
+    /// its traces lends the one built on first use (concurrent callers
+    /// wait for that one build); otherwise each call synthesizes the
+    /// trace afresh, and it is freed when the returned handle drops.
     ///
     /// # Errors
     ///
     /// Propagates the synthesis failure of `specs()[t]`, on every call.
-    pub fn trace(&self, t: usize) -> Result<&TraceArena, ExperimentError> {
-        let build = || self.specs[t].build();
+    pub fn trace(&self, t: usize) -> Result<HeldTrace<'_>, ExperimentError> {
+        let build = || self.residency.build(&self.specs[t]);
+        let Some(table) = &self.traces else {
+            return Ok(HeldTrace(Held::Built(build()?, &self.residency)));
+        };
         // A mitigation of per-thread allocator arenas: on a short-lived thread
-        // the generator's transient memory (~300 KB a 10k-uop trace, mostly its
-        // `Vec<Block>`) reuses one arena, not one per caller (a cold cluster's
-        // peak RSS: +20% built on request threads, +4-5% here; one flat
-        // instruction vector without the thread still read 16.9 vs 15.7 MB).
+        // the generator's transient memory reuses one arena, not one per
+        // request thread that first needs a trace (a cold cluster's peak RSS
+        // read +20% with traces built on request threads).
         let on_own_thread = || {
             thread::scope(|s| match thread::Builder::new().spawn_scoped(s, build) {
                 Ok(worker) => worker.join().unwrap_or_else(|p| panic::resume_unwind(p)),
                 Err(_) => build(),
             })
         };
-        self.traces[t]
-            .get_or_init(on_own_thread)
-            .as_ref()
-            .map_err(|e| e.clone().into())
+        match table[t].get_or_init(on_own_thread) {
+            Ok(arena) => Ok(HeldTrace(Held::Resident(arena))),
+            Err(e) => Err(e.clone().into()),
+        }
     }
 
-    /// Traces built so far, by this context or any clone sharing its
-    /// table.
+    /// Trace syntheses so far, by this context or any clone of it: once
+    /// per trace for a context that keeps its traces, once per group that
+    /// needs a trace otherwise.
     #[must_use]
-    pub fn traces_built(&self) -> usize {
-        self.traces
-            .iter()
-            .filter(|t| matches!(t.get(), Some(Ok(_))))
-            .count()
+    pub fn trace_builds(&self) -> usize {
+        self.residency.builds.load(Ordering::Relaxed)
     }
 
-    /// Whether `other` shares this context's trace table: a trace either
+    /// The most bytes of trace records ([`TraceArena::decoded_bytes`])
+    /// this context and its clones held at once so far: at most `jobs` ×
+    /// the largest arena for a batch run, every trace built so far for a
+    /// context that keeps its traces.
+    #[must_use]
+    pub fn peak_resident_record_bytes(&self) -> usize {
+        self.residency.peak.load(Ordering::Relaxed)
+    }
+
+    /// Whether `other` shares this context's kept traces: a trace either
     /// of them builds is built for both.
     #[must_use]
     pub fn shares_traces_with(&self, other: &Self) -> bool {
-        Arc::ptr_eq(&self.traces, &other.traces)
+        match (&self.traces, &other.traces) {
+            (Some(a), Some(b)) => Arc::ptr_eq(a, b),
+            _ => false,
+        }
     }
 
     /// Total dynamic uops in the suite.
     #[must_use]
     pub fn total_uops(&self) -> usize {
         self.specs.iter().map(|s| s.len).sum()
-    }
-
-    /// Bytes of decoded trace the built traces hold: 8 per uop plus 16
-    /// per pc break, one break per synthesized trace.
-    #[must_use]
-    pub fn decoded_bytes(&self) -> usize {
-        let built = self.traces.iter().filter_map(|t| t.get()?.as_ref().ok());
-        built.map(TraceArena::decoded_bytes).sum()
     }
 
     /// Runs every configuration over the whole suite, batched per trace.
@@ -307,8 +342,10 @@ impl ExperimentContext {
     /// DESIGN.md §6 is what makes keyed reuse sound. One round groups
     /// every missing configuration of a trace into one group of the grid
     /// executor, so a worker replays that trace for all of them while it
-    /// is hot in cache; only those traces are built
-    /// ([`trace`](Self::trace)).
+    /// is hot in cache. The worker gets the trace from
+    /// [`trace`](Self::trace) when it claims the group — built there, and
+    /// dropped when the group is done, unless the context keeps its
+    /// traces — so only traces with a miss are built.
     ///
     /// This is the one place equal projections collapse: configurations
     /// with equal cycle-level projections share a key
@@ -381,24 +418,26 @@ impl ExperimentContext {
             if !leaders.is_empty() {
                 // One executor group per trace (leaders are trace-major,
                 // so each trace's misses are one run): `run_batch_groups`
-                // then replays each trace once per missing
+                // then gets the trace and replays it once per missing
                 // configuration, back to back. On error the guards drop
                 // unpublished, waking every waiter to re-arbitrate; the
                 // error propagates here.
-                let groups = leaders
+                let groups: Vec<(usize, Vec<SimConfig>)> = leaders
                     .chunk_by(|a, b| a.0 == b.0)
                     .map(|run| {
-                        let group = run.iter().map(|(_, c, _)| cfgs[*c].clone()).collect();
-                        Ok((self.trace(run[0].0)?, group))
+                        (
+                            run[0].0,
+                            run.iter().map(|(_, c, _)| cfgs[*c].clone()).collect(),
+                        )
                     })
-                    .collect::<Result<Vec<(&TraceArena, Vec<SimConfig>)>, ExperimentError>>()?;
+                    .collect();
                 store.note_simulated_uops(
                     leaders
                         .iter()
                         .map(|(t, _, _)| self.specs[*t].len as u64)
                         .sum(),
                 );
-                let fresh = run_batch_groups(&groups, self.parallelism)?;
+                let fresh = run_batch_groups(&groups, |&t| self.trace(t), self.parallelism)?;
                 let batch: Vec<(SimKey, SimResult)> = leaders
                     .iter()
                     .zip(fresh.into_iter().flatten())
@@ -453,6 +492,65 @@ impl ExperimentContext {
     }
 }
 
+/// One slot of a context's kept traces: empty until first use, then the
+/// built arena or the synthesis failure, for good.
+type KeptTrace = OnceLock<Result<TraceArena, TraceError>>;
+
+/// Synthesis counters every clone of a context shares.
+#[derive(Debug, Default)]
+struct Residency {
+    /// Syntheses started.
+    builds: AtomicUsize,
+    /// Record bytes of the arenas alive now.
+    resident: AtomicUsize,
+    /// The most `resident` has been.
+    peak: AtomicUsize,
+}
+
+impl Residency {
+    fn build(&self, spec: &TraceSpec) -> Result<TraceArena, TraceError> {
+        self.builds.fetch_add(1, Ordering::Relaxed);
+        let arena = spec.build()?;
+        let bytes = arena.decoded_bytes();
+        let now = self.resident.fetch_add(bytes, Ordering::Relaxed) + bytes;
+        self.peak.fetch_max(now, Ordering::Relaxed);
+        Ok(arena)
+    }
+}
+
+/// A trace as [`ExperimentContext::trace`] hands it out: lent from the
+/// context's kept traces, or built for this use and freed when the
+/// handle drops. Dereferences to the [`TraceArena`].
+#[derive(Debug)]
+pub struct HeldTrace<'a>(Held<'a>);
+
+#[derive(Debug)]
+enum Held<'a> {
+    Resident(&'a TraceArena),
+    Built(TraceArena, &'a Residency),
+}
+
+impl Deref for HeldTrace<'_> {
+    type Target = TraceArena;
+
+    fn deref(&self) -> &TraceArena {
+        match &self.0 {
+            Held::Resident(arena) => arena,
+            Held::Built(arena, _) => arena,
+        }
+    }
+}
+
+impl Drop for HeldTrace<'_> {
+    fn drop(&mut self) {
+        if let Held::Built(arena, residency) = &self.0 {
+            residency
+                .resident
+                .fetch_sub(arena.decoded_bytes(), Ordering::Relaxed);
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -460,12 +558,16 @@ mod tests {
     use lowvcc_sram::voltage::mv;
 
     #[test]
-    fn quick_context_builds_traces_on_first_use() {
+    fn a_batch_context_builds_each_use_and_frees_it() {
         let ctx = ExperimentContext::quick().unwrap();
         assert_eq!(ctx.specs().len(), 7);
         assert_eq!(ctx.total_uops(), 70_000);
         assert!(ctx.suite_label.contains("quick"));
-        assert_eq!((ctx.traces_built(), ctx.decoded_bytes()), (0, 0));
+        assert_eq!(
+            (ctx.trace_builds(), ctx.peak_resident_record_bytes()),
+            (0, 0)
+        );
+        let clone = ctx.clone();
         for (t, spec) in ctx.specs().iter().enumerate() {
             assert_eq!(
                 spec.name(),
@@ -473,17 +575,26 @@ mod tests {
                 "specs track traces"
             );
         }
-        assert_eq!(ctx.traces_built(), 7);
-        assert_eq!(ctx.decoded_bytes(), 8 * 70_000 + 16 * 7);
+        let (a, b) = (clone.trace(0).unwrap(), clone.trace(0).unwrap());
+        assert!(!std::ptr::eq(&*a, &*b), "each use builds its own");
+        assert_eq!(ctx.trace_builds(), 9, "clones count together");
+        // One trace at a time until the last two: 10k uops and a pc break.
+        assert_eq!(ctx.peak_resident_record_bytes(), 2 * (8 * 10_000 + 16));
+        assert!(!ctx.shares_traces_with(&clone));
     }
 
     #[test]
-    fn clones_share_one_trace_table() {
-        let ctx = ExperimentContext::sized(1, 1_000).unwrap();
+    fn clones_share_one_kept_trace_table() {
+        let ctx = ExperimentContext::sized(1, 1_000)
+            .unwrap()
+            .with_resident_traces();
         let cached = ctx.clone().with_cache(Arc::new(ResultStore::ephemeral()));
         let threaded = ctx.clone().with_parallelism(Parallelism::threads(2));
         assert!(ctx.shares_traces_with(&cached) && ctx.shares_traces_with(&threaded));
-        let other = ExperimentContext::sized(1, 1_000).unwrap();
+        assert!(ctx.clone().with_resident_traces().shares_traces_with(&ctx));
+        let other = ExperimentContext::sized(1, 1_000)
+            .unwrap()
+            .with_resident_traces();
         assert!(!ctx.shares_traces_with(&other));
         // Racing first uses build each trace once, for every clone.
         let start = std::sync::Barrier::new(2);
@@ -496,12 +607,14 @@ mod tests {
                 });
             }
         });
-        assert_eq!(ctx.traces_built(), 7);
+        assert_eq!(ctx.trace_builds(), 7);
         assert!(std::ptr::eq(
-            ctx.trace(3).unwrap(),
-            cached.trace(3).unwrap()
+            &*ctx.trace(3).unwrap(),
+            &*cached.trace(3).unwrap()
         ));
-        assert_eq!(other.traces_built(), 0);
+        assert_eq!(ctx.trace_builds(), 7, "kept traces are lent, not rebuilt");
+        assert_eq!(ctx.peak_resident_record_bytes(), 7 * (8 * 1_000 + 16));
+        assert_eq!(other.trace_builds(), 0);
     }
 
     #[test]
@@ -526,7 +639,7 @@ mod tests {
             assert_eq!(ctx.specs(), choice.specs());
             assert_eq!(ctx.suite_label, label);
             assert_eq!(
-                ctx.traces_built(),
+                ctx.trace_builds(),
                 0,
                 "{label}: building a context synthesizes nothing"
             );
@@ -620,10 +733,11 @@ mod tests {
 
     #[test]
     fn collapse_never_hides_an_invalid_config() {
-        // A zero cycle time and a (valid) 1e-300 ps clock both saturate
-        // the memory latency to `u64::MAX` cycles, so the two project
-        // equal and share a key: only validating before collapsing
-        // reports the copy.
+        // A zero cycle time and a 1e-300 ps clock both saturate the
+        // memory latency to `u64::MAX` cycles, so the two project equal
+        // and share a key. Each is invalid on its own count, and every
+        // configuration is validated before any collapse, so the first
+        // invalid one in `cfgs` order is the one reported.
         let ctx = ExperimentContext::sized(1, 1_000).unwrap();
         let (good, _) = SimConfig::mechanism_pair(ctx.core, &ctx.timing, mv(500));
         let mut instant = good.clone();
@@ -634,35 +748,33 @@ mod tests {
             same_projection_as(&[instant.clone(), stopped.clone()]),
             [0, 0]
         );
-        let mut bad = good;
+        let mut bad = good.clone();
         bad.core.iq_entries = 33;
+        let too_long = ConfigError::MemoryLatencyTooLong { cycles: u64::MAX };
+        let cases = [
+            (vec![instant.clone(), stopped.clone()], too_long),
+            (
+                vec![stopped.clone(), instant],
+                ConfigError::NonPositiveCycleTime,
+            ),
+            (
+                vec![good, bad, stopped],
+                ConfigError::IqNotPowerOfTwo { entries: 33 },
+            ),
+        ];
         for jobs in [1, 2] {
             let ctx = ctx.clone().with_parallelism(Parallelism::threads(jobs));
             let store = Arc::new(ResultStore::ephemeral());
             for ctx in [ctx.clone(), ctx.with_cache(Arc::clone(&store))] {
-                let err = ctx
-                    .run_suite_batch(&[instant.clone(), stopped.clone()])
-                    .expect_err("a zero cycle time must surface");
-                assert!(
-                    matches!(
-                        err,
-                        ExperimentError::Sim(SimError::Config(ConfigError::NonPositiveCycleTime))
-                    ),
-                    "unexpected error {err:?} at {jobs} jobs"
-                );
-                // The first invalid config in `cfgs` order is the one reported.
-                let err = ctx
-                    .run_suite_batch(&[instant.clone(), bad.clone(), stopped.clone()])
-                    .expect_err("invalid configs must surface");
-                assert!(
-                    matches!(
-                        err,
-                        ExperimentError::Sim(SimError::Config(ConfigError::IqNotPowerOfTwo {
-                            entries: 33
-                        }))
-                    ),
-                    "unexpected error {err:?} at {jobs} jobs"
-                );
+                for (cfgs, want) in &cases {
+                    let err = ctx
+                        .run_suite_batch(cfgs)
+                        .expect_err("an invalid config must surface");
+                    assert!(
+                        matches!(err, ExperimentError::Sim(SimError::Config(e)) if e == *want),
+                        "unexpected error {err:?} at {jobs} jobs, want {want:?}"
+                    );
+                }
             }
             assert_eq!(
                 store.stats().misses,
@@ -670,5 +782,6 @@ mod tests {
                 "nothing simulated before the error"
             );
         }
+        assert_eq!(ctx.trace_builds(), 0, "nothing built before the error");
     }
 }

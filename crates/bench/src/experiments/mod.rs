@@ -11,6 +11,8 @@ use std::path::Path;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use lowvcc_core::SuiteResult;
+
 use crate::context::ExperimentContext;
 use crate::error::ExperimentError;
 use crate::report::TextTable;
@@ -144,14 +146,26 @@ pub fn run_all(ctx: &ExperimentContext, out_dir: &Path) -> Result<RunSummary, Ex
     report.push_str(&t.render());
     report.push('\n');
 
+    // Table 1's measured rows and the stall study run as one grid, so
+    // each trace is built once for both; each reads its slice.
+    let mut grid = table1::configs(ctx, table1::DEFAULT_VCC);
+    let table1_len = grid.len();
+    grid.extend(stalls::configs(ctx, stalls::DEFAULT_VCC));
+    let mut table1_suites = ctx.run_suite_batch(&grid)?;
+    let [iraw, free]: [SuiteResult; 2] = table1_suites
+        .split_off(table1_len)
+        .try_into()
+        .expect("two stall configs in, two suites out");
+
     report.push_str("## Table 1 companion — measured at 500 mV\n");
-    let t = table1::quantitative(ctx)?;
+    let rows = table1::rows_from(ctx, table1::DEFAULT_VCC, &table1_suites);
+    let t = table1::rows_table(&rows);
     save(&t, &out_dir.join("table1_quantitative.csv"))?;
     report.push_str(&t.render());
     report.push('\n');
 
     report.push_str("## §5.2 — stall attribution at 575 mV\n");
-    let (t, _) = stalls::table(ctx)?;
+    let t = stalls::render(&stalls::report(stalls::DEFAULT_VCC, &iraw, &free));
     save(&t, &out_dir.join("stalls_575mv.csv"))?;
     report.push_str(&t.render());
     report.push('\n');

@@ -78,6 +78,14 @@ pub fn measure_at(
         .run_suite_batch(&configs(ctx, vcc))?
         .try_into()
         .expect("two configs in, two suites out");
+    Ok(report(vcc, &iraw, &free))
+}
+
+/// The attribution at `vcc` from the suite results of its two
+/// [`configs`] — so the stall study can ride in a grid beside other
+/// experiments' configurations.
+#[must_use]
+pub fn report(vcc: Millivolts, iraw: &SuiteResult, free: &SuiteResult) -> StallReport {
     let total_degradation = iraw.total_seconds() / free.total_seconds() - 1.0;
 
     let mut rf = 0u64;
@@ -93,7 +101,7 @@ pub fn measure_at(
     let total_cycles = (rf + iq + dl0 + other).max(1) as f64;
     let share = |x: u64| total_degradation * x as f64 / total_cycles;
 
-    Ok(StallReport {
+    StallReport {
         vcc,
         total_degradation,
         rf_share: share(rf),
@@ -101,16 +109,23 @@ pub fn measure_at(
         dl0_share: share(dl0),
         other_share: share(other),
         delayed_fraction: iraw.delayed_instruction_fraction(),
-    })
+    }
 }
 
-/// Formats the report as a table (and returns the raw report too).
+/// Measures the attribution at [`DEFAULT_VCC`] and formats it as a
+/// table (returning the raw report too).
 ///
 /// # Errors
 ///
 /// Propagates simulation failures.
 pub fn table(ctx: &ExperimentContext) -> Result<(TextTable, StallReport), ExperimentError> {
     let r = measure(ctx)?;
+    Ok((render(&r), r))
+}
+
+/// Formats a report as the attribution table.
+#[must_use]
+pub fn render(r: &StallReport) -> TextTable {
     let mut t = TextTable::new(vec!["quantity", "measured", "paper"]);
     t.row(vec![
         "total degradation from IRAW stalls".into(),
@@ -142,7 +157,7 @@ pub fn table(ctx: &ExperimentContext) -> Result<(TextTable, StallReport), Experi
         fnum(r.delayed_fraction * 100.0, 2) + "%",
         "13.2%".into(),
     ]);
-    Ok((t, r))
+    t
 }
 
 #[cfg(test)]

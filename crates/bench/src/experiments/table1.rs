@@ -1,7 +1,7 @@
 //! T1 — the paper's Table 1 and its measured companion.
 
 use lowvcc_baselines::{qualitative_table, rows_from_results, technique_configs, QuantRow};
-use lowvcc_core::SimConfig;
+use lowvcc_core::{SimConfig, SuiteResult};
 use lowvcc_sram::Millivolts;
 
 use crate::context::ExperimentContext;
@@ -44,6 +44,22 @@ pub fn configs(ctx: &ExperimentContext, vcc: Millivolts) -> Vec<SimConfig> {
     configs.into_iter().map(|tc| tc.cfg).collect()
 }
 
+/// Measured rows at `vcc` from the suite results of [`configs`] at
+/// `vcc`, in the same order — so Table 1 can ride in a grid beside
+/// other experiments' configurations.
+///
+/// # Panics
+///
+/// Panics unless `suites` holds one result per configuration.
+#[must_use]
+pub fn rows_from(
+    ctx: &ExperimentContext,
+    vcc: Millivolts,
+    suites: &[SuiteResult],
+) -> Vec<QuantRow> {
+    rows_from_results(&technique_configs(ctx.core, &ctx.timing, vcc), suites)
+}
+
 /// Measured rows at `vcc` over the context suite, as **one batch**: all
 /// technique configurations replay each trace back to back via
 /// [`ExperimentContext::run_suite_batch`]. Through the result cache each
@@ -58,10 +74,8 @@ pub fn quantitative_rows_at(
     ctx: &ExperimentContext,
     vcc: Millivolts,
 ) -> Result<Vec<QuantRow>, ExperimentError> {
-    let configs = technique_configs(ctx.core, &ctx.timing, vcc);
-    let cfgs: Vec<SimConfig> = configs.iter().map(|tc| tc.cfg.clone()).collect();
-    let suites = ctx.run_suite_batch(&cfgs)?;
-    Ok(rows_from_results(&configs, &suites))
+    let suites = ctx.run_suite_batch(&configs(ctx, vcc))?;
+    Ok(rows_from(ctx, vcc, &suites))
 }
 
 /// Formats measured rows as the Table 1 companion — the single rendering

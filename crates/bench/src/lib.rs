@@ -37,7 +37,7 @@ pub use admin::{
     VacuumReport,
 };
 pub use bundle::{BundleRecord, BUNDLE_FORMAT_VERSION, BUNDLE_MAGIC};
-pub use context::{ExperimentContext, SuiteChoice, SuiteSpecError};
+pub use context::{ExperimentContext, HeldTrace, SuiteChoice, SuiteSpecError};
 pub use error::ExperimentError;
 pub use lockdep::{OrderedCondvar, OrderedGuard, OrderedMutex};
 pub use report::TextTable;

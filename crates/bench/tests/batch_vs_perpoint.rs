@@ -19,7 +19,6 @@ use lowvcc_core::{
     SuiteResult,
 };
 use lowvcc_sram::{Millivolts, PAPER_SWEEP};
-use lowvcc_trace::TraceArena;
 
 fn ctx_with(jobs: usize) -> ExperimentContext {
     ExperimentContext::sized(1, 3_000)
@@ -158,10 +157,10 @@ fn duplicate_projections_match_per_config_runs() {
     let reference: Vec<SuiteResult> = cfgs.iter().map(|c| per_point(&ctx, c)).collect();
     for jobs in [1, 2] {
         let ctx = ctx_with(jobs);
-        let groups: Vec<(&TraceArena, Vec<SimConfig>)> = (0..ctx.specs().len())
-            .map(|t| (ctx.trace(t).expect("trace builds"), cfgs.clone()))
-            .collect();
-        let per_group = run_batch_groups(&groups, Parallelism::threads(jobs)).expect("grid");
+        let groups: Vec<(usize, Vec<SimConfig>)> =
+            (0..ctx.specs().len()).map(|t| (t, cfgs.clone())).collect();
+        let per_group =
+            run_batch_groups(&groups, |&t| ctx.trace(t), Parallelism::threads(jobs)).expect("grid");
         for (t, results) in per_group.iter().enumerate() {
             for (c, r) in results.iter().enumerate() {
                 assert_eq!(*r, reference[c].per_trace[t].1, "trace {t} config {c}");

@@ -2,12 +2,13 @@
 //!
 //! A voltage sweep replays the *same* trace under many configurations
 //! (13 voltage points × up to 3 mechanisms). The grid executor
-//! ([`run_batch_groups`](crate::perf::run_batch_groups)) runs on
-//! [`TraceArena`]s built before it is called — each trace of a suite is
-//! synthesized straight into an arena on first miss and shared by every
-//! clone of its context after that — and reuses one [`EngineWorkspace`]
-//! per worker across all points, so the steady state of a warmed-up
-//! sweep neither builds nor allocates (verified by the counting-allocator
+//! ([`run_batch_groups`](crate::perf::run_batch_groups)) gets each
+//! group's [`TraceArena`] when a worker claims the group — synthesized
+//! straight into the arena for that group and dropped after it in a
+//! batch run, lent from a table a serving daemon keeps — replays every
+//! configuration of the group over it, and reuses one [`EngineWorkspace`]
+//! per worker across all points, so the steady state of a sweep over a
+//! built trace allocates nothing (verified by the counting-allocator
 //! test in `tests/zero_alloc.rs`). Every arena is valid when it is built, so
 //! nothing here validates a trace again; each configuration is validated
 //! by the [`EngineWorkspace::run`] that simulates it.
@@ -106,6 +107,7 @@ impl EngineWorkspace {
 mod tests {
     use super::*;
     use crate::config::{CoreConfig, Mechanism};
+    use crate::error::ConfigError;
     use crate::sim::Simulator;
     use lowvcc_sram::voltage::mv;
     use lowvcc_sram::CycleTimeModel;
@@ -177,6 +179,23 @@ mod tests {
         assert_eq!(rb, fresh_b, "rebuilt engine must match fresh");
         let ra2 = ws.run(&a, &arena).unwrap();
         assert_eq!(ra, ra2, "switching back must also match");
+    }
+
+    #[test]
+    fn an_overflowing_memory_latency_fails_the_run() {
+        // specint-000's first off-chip access would add `u64::MAX` cycles.
+        let arena = TraceSpec::new(WorkloadFamily::SpecInt, 0, 1_000)
+            .build()
+            .unwrap();
+        let mut instant = sweep_cfgs().remove(0);
+        instant.cycle_time = lowvcc_sram::Picoseconds::new(1e-300);
+        let mut ws = EngineWorkspace::new();
+        let want = Err(SimError::Config(ConfigError::MemoryLatencyTooLong {
+            cycles: u64::MAX,
+        }));
+        assert_eq!(ws.run(&instant, &arena), want, "fresh workspace");
+        ws.run(&sweep_cfgs()[0], &arena).unwrap();
+        assert_eq!(ws.run(&instant, &arena), want, "reused workspace");
     }
 
     #[test]

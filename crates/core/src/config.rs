@@ -290,6 +290,12 @@ impl SimConfig {
     }
 }
 
+/// The longest off-chip latency, in cycles, a configuration may ask for.
+/// The memory model adds it to a cycle count and the UL1 latency, so the
+/// bound keeps every completion cycle far inside `u64`; a real clock
+/// (90 ns at even 1 ps per cycle is 90,000 cycles) never comes near it.
+pub const MAX_MEMORY_LATENCY_CYCLES: u64 = u32::MAX as u64;
+
 /// What one simulation *is*, in cycles: the projection of a [`SimConfig`]
 /// the engine runs on ([`SimConfig::cycle_config`]). Supply voltage,
 /// mechanism and cycle time are not here — the clock reaches the engine
@@ -319,12 +325,14 @@ impl CycleConfig {
         self.stabilization_cycles > 0
     }
 
-    /// Validates the machine and the stabilization window.
+    /// Validates the machine, the stabilization window and the memory
+    /// latency.
     ///
     /// # Errors
     ///
-    /// Propagates [`CoreConfig::validate`] and checks that every
-    /// short-latency producer pattern fits the scoreboard.
+    /// Propagates [`CoreConfig::validate`], checks that every
+    /// short-latency producer pattern fits the scoreboard, and that the
+    /// memory latency is at most [`MAX_MEMORY_LATENCY_CYCLES`].
     pub fn validate(&self) -> Result<(), ConfigError> {
         self.core.validate()?;
         // Every short-latency producer pattern must fit the shift register
@@ -345,6 +353,11 @@ impl CycleConfig {
                 max_latency: max_short,
                 bypass_levels: self.core.bypass_levels,
                 stabilization_cycles: self.stabilization_cycles,
+            });
+        }
+        if self.memory_latency_cycles > MAX_MEMORY_LATENCY_CYCLES {
+            return Err(ConfigError::MemoryLatencyTooLong {
+                cycles: self.memory_latency_cycles,
             });
         }
         Ok(())
@@ -410,6 +423,29 @@ mod tests {
         let core = CoreConfig::silverthorne();
         let cfg = SimConfig::at_vcc(core, &timing, mv(600), Mechanism::Iraw);
         assert_eq!(cfg.stabilization_cycles, 0, "paper §4.1.3 rule");
+    }
+
+    #[test]
+    fn an_overflowing_memory_latency_is_rejected() {
+        let timing = CycleTimeModel::silverthorne_45nm();
+        let mut cfg = SimConfig::at_vcc(
+            CoreConfig::silverthorne(),
+            &timing,
+            mv(500),
+            Mechanism::Baseline,
+        );
+        // 90 ns at 1e-300 ps per cycle saturates to `u64::MAX` cycles.
+        cfg.cycle_time = Picoseconds::new(1e-300);
+        assert_eq!(
+            cfg.validate(),
+            Err(ConfigError::MemoryLatencyTooLong { cycles: u64::MAX })
+        );
+        // The bound itself is accepted, one cycle past it is not.
+        let mut cycles = cfg.cycle_config();
+        cycles.memory_latency_cycles = MAX_MEMORY_LATENCY_CYCLES;
+        assert_eq!(cycles.validate(), Ok(()));
+        cycles.memory_latency_cycles += 1;
+        assert!(cycles.validate().is_err());
     }
 
     #[test]

@@ -59,6 +59,13 @@ pub enum ConfigError {
     },
     /// The derived cycle time is not positive.
     NonPositiveCycleTime,
+    /// The off-chip latency in cycles exceeds
+    /// [`MAX_MEMORY_LATENCY_CYCLES`](crate::config::MAX_MEMORY_LATENCY_CYCLES),
+    /// so a miss's completion cycle could overflow.
+    MemoryLatencyTooLong {
+        /// The rejected latency in cycles.
+        cycles: u64,
+    },
 }
 
 impl fmt::Display for ConfigError {
@@ -94,6 +101,11 @@ impl fmt::Display for ConfigError {
                 write!(f, "memory latency {latency_ns} ns must be positive")
             }
             Self::NonPositiveCycleTime => f.write_str("cycle time must be positive"),
+            Self::MemoryLatencyTooLong { cycles } => write!(
+                f,
+                "memory latency of {cycles} cycles exceeds {} (cycle time too short)",
+                crate::config::MAX_MEMORY_LATENCY_CYCLES
+            ),
         }
     }
 }

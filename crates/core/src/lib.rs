@@ -52,7 +52,7 @@ pub use batch::EngineWorkspace;
 pub use canon::{
     decode_sim_result, encode_sim_result, sim_key, CanonError, SimKey, ENGINE_SEMANTICS_VERSION,
 };
-pub use config::{CoreConfig, CycleConfig, Mechanism, SimConfig};
+pub use config::{CoreConfig, CycleConfig, Mechanism, SimConfig, MAX_MEMORY_LATENCY_CYCLES};
 pub use error::{ConfigError, SimError};
 pub use perf::{
     run_batch_groups, same_projection_as, speedup, MechanismComparison, Parallelism, Speedup,

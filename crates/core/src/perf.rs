@@ -13,12 +13,16 @@
 //! exactly the configurations it is given. Which of them are worth
 //! simulating — a cache hit, or an equal cycle-level projection
 //! ([`same_projection_as`]) — is decided by the grid runner above it,
-//! `ExperimentContext::run_suite_batch` in `lowvcc-bench`. The executor
-//! takes each group's [`TraceArena`], validated when it was built — on
-//! first miss, by whichever grid first needed it — and neither builds,
-//! validates nor decodes a trace itself.
+//! `ExperimentContext::run_suite_batch` in `lowvcc-bench`. Each group
+//! names its trace, and the worker that claims the group gets the
+//! [`TraceArena`] from a caller-supplied function and drops it when the
+//! group is done: the caller decides whether that builds the trace for
+//! the group (the batch path, which so holds at most one arena per
+//! worker) or lends one it keeps (a serving daemon). Arenas are valid
+//! when built, so the executor neither validates nor decodes a trace.
 
 use std::num::NonZeroUsize;
+use std::ops::Deref;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use lowvcc_sram::{CycleTimeModel, Millivolts};
@@ -148,26 +152,35 @@ pub fn same_projection_as(cfgs: &[SimConfig]) -> Vec<usize> {
 }
 
 /// Runs each group's configurations over its trace — the one grid
-/// executor every suite API is built on. Each group replays its
-/// configurations over its [`TraceArena`] through the claiming worker's
-/// reused [`EngineWorkspace`], which validates each one, so the arena
-/// stays hot in cache across all of its sweep points. Every
-/// configuration is simulated: collapsing equal projections is the
-/// caller's choice (see [`same_projection_as`]).
+/// executor every suite API is built on. Each group names its trace
+/// (`T`); the worker that claims the group gets the arena from `arena`,
+/// replays the group's configurations over it through the worker's
+/// reused [`EngineWorkspace`] (which validates each one), and drops it
+/// before claiming the next group. So the arena stays hot in cache
+/// across all of its sweep points, and a grid whose `arena` builds each
+/// trace holds at most `par` of them at once. Every configuration is
+/// simulated: collapsing equal projections is the caller's choice (see
+/// [`same_projection_as`]).
 ///
-/// `groups` pairs a trace with the configurations to run on it (every
-/// arena is valid when it is built). Results come back in group order,
-/// each `Vec` in config order. Deterministic for any `par`,
-/// including which error is reported: the lowest group index, then the
-/// lowest config index within it.
+/// Results come back in group order, each `Vec` in config order.
+/// Deterministic for any `par`, including which error is reported: the
+/// lowest group index, then within it a failure to get the arena, then
+/// the lowest config index.
 ///
 /// # Errors
 ///
-/// Propagates the first (group-order, then config-order) error.
-pub fn run_batch_groups(
-    groups: &[(&TraceArena, Vec<SimConfig>)],
+/// Propagates the first (group-order, then config-order) error, from
+/// `arena` or from a simulation.
+pub fn run_batch_groups<T, A, E>(
+    groups: &[(T, Vec<SimConfig>)],
+    arena: impl Fn(&T) -> Result<A, E> + Sync,
     par: Parallelism,
-) -> Result<Vec<Vec<SimResult>>, SimError> {
+) -> Result<Vec<Vec<SimResult>>, E>
+where
+    T: Sync,
+    A: Deref<Target = TraceArena>,
+    E: From<SimError> + Send,
+{
     // Work stealing over the group list: each worker claims the next
     // unclaimed index and tags its results with it, so the merged output
     // is reassembled in group order regardless of completion order.
@@ -183,7 +196,7 @@ pub fn run_batch_groups(
         let mut out = Vec::with_capacity(groups.len());
         loop {
             let i = next.fetch_add(1, Ordering::Relaxed);
-            let Some((trace, cfgs)) = groups.get(i) else {
+            let Some((name, cfgs)) = groups.get(i) else {
                 break;
             };
             if i > first_err.load(Ordering::Relaxed) {
@@ -191,12 +204,14 @@ pub fn run_batch_groups(
                 // would claim next is even later.
                 break;
             }
-            let r = cfgs
-                .iter()
-                .try_fold(Vec::with_capacity(cfgs.len()), |mut done, cfg| {
-                    done.push(ws.run(cfg, trace)?);
-                    Ok(done)
-                });
+            // The arena lives for this group only.
+            let r = arena(name).and_then(|trace| {
+                cfgs.iter()
+                    .try_fold(Vec::with_capacity(cfgs.len()), |mut done, cfg| {
+                        done.push(ws.run(cfg, &trace)?);
+                        Ok(done)
+                    })
+            });
             if r.is_err() {
                 first_err.fetch_min(i, Ordering::Relaxed);
             }
@@ -307,11 +322,16 @@ mod tests {
         small_specs().iter().map(|s| s.build().unwrap()).collect()
     }
 
+    /// The executor's arena function for groups that name a built arena.
+    fn lend<'a>(t: &&'a TraceArena) -> Result<&'a TraceArena, SimError> {
+        Ok(*t)
+    }
+
     /// One suite per configuration: every config over every trace
     /// through the executor, transposed to config-major order.
     fn suites(cfgs: &[SimConfig], traces: &[TraceArena], par: Parallelism) -> Vec<SuiteResult> {
         let groups: Vec<_> = traces.iter().map(|t| (t, cfgs.to_vec())).collect();
-        let per_group = run_batch_groups(&groups, par).unwrap();
+        let per_group = run_batch_groups(&groups, lend, par).unwrap();
         (0..cfgs.len())
             .map(|c| SuiteResult {
                 per_trace: traces
@@ -435,7 +455,7 @@ mod tests {
             (&traces[2], vec![bad.clone()]),
         ];
         for workers in [1, 3] {
-            let err = run_batch_groups(&groups, Parallelism::threads(workers))
+            let err = run_batch_groups(&groups, lend, Parallelism::threads(workers))
                 .expect_err("invalid config must surface");
             assert!(
                 matches!(err, SimError::Config(_)),
@@ -452,7 +472,7 @@ mod tests {
             (&traces[2], vec![bad.clone()]),
         ];
         for workers in [1, 3] {
-            let err = run_batch_groups(&groups, Parallelism::threads(workers))
+            let err = run_batch_groups(&groups, lend, Parallelism::threads(workers))
                 .expect_err("a zero cycle time must surface");
             assert!(
                 matches!(err, SimError::Config(ConfigError::NonPositiveCycleTime)),
@@ -460,7 +480,7 @@ mod tests {
             );
         }
         let groups = vec![(&traces[0], vec![good.clone(), bad, stopped])];
-        let err = run_batch_groups(&groups, Parallelism::sequential())
+        let err = run_batch_groups(&groups, lend, Parallelism::sequential())
             .expect_err("invalid config must surface");
         assert!(
             matches!(
@@ -469,6 +489,111 @@ mod tests {
             ),
             "unexpected error {err:?}"
         );
+    }
+
+    #[test]
+    fn arena_failures_report_in_group_order() {
+        #[derive(Debug, PartialEq)]
+        enum Failure {
+            Sim(SimError),
+            Arena(usize),
+        }
+        impl From<SimError> for Failure {
+            fn from(e: SimError) -> Self {
+                Self::Sim(e)
+            }
+        }
+        let timing = CycleTimeModel::silverthorne_45nm();
+        let good = SimConfig::at_vcc(
+            CoreConfig::silverthorne(),
+            &timing,
+            mv(500),
+            Mechanism::Baseline,
+        );
+        let mut bad = good.clone();
+        bad.core.iq_entries = 33;
+        let traces = small_suite();
+        // A group names `Ok(t)` for trace `t`, or `Err(g)` for an arena
+        // that cannot be had.
+        let arena = |g: &Result<usize, usize>| g.map(|t| &traces[t]).map_err(Failure::Arena);
+        let run = |groups: &[(Result<usize, usize>, Vec<SimConfig>)], workers| {
+            run_batch_groups(groups, arena, Parallelism::threads(workers))
+                .expect_err("a failure must surface")
+        };
+        for workers in [1, 3] {
+            let groups = [
+                (Ok(0), vec![good.clone()]),
+                (Err(1), vec![good.clone()]),
+                (Ok(2), vec![bad.clone()]),
+            ];
+            assert_eq!(
+                run(&groups, workers),
+                Failure::Arena(1),
+                "{workers} workers"
+            );
+            let groups = [
+                (Ok(0), vec![good.clone()]),
+                (Ok(1), vec![good.clone(), bad.clone()]),
+                (Err(2), vec![good.clone()]),
+            ];
+            assert!(
+                matches!(run(&groups, workers), Failure::Sim(SimError::Config(_))),
+                "{workers} workers"
+            );
+            // The arena is had before any of its group's configs run.
+            let groups = [(Ok(0), vec![good.clone()]), (Err(1), vec![bad.clone()])];
+            assert_eq!(
+                run(&groups, workers),
+                Failure::Arena(1),
+                "{workers} workers"
+            );
+        }
+    }
+
+    #[test]
+    fn a_group_holds_its_arena_only_while_it_runs() {
+        /// An arena built for one group, counted while it lives.
+        struct Held<'a> {
+            arena: TraceArena,
+            live: &'a AtomicUsize,
+        }
+        impl Deref for Held<'_> {
+            type Target = TraceArena;
+            fn deref(&self) -> &TraceArena {
+                &self.arena
+            }
+        }
+        impl Drop for Held<'_> {
+            fn drop(&mut self) {
+                self.live.fetch_sub(1, Ordering::Relaxed);
+            }
+        }
+        let timing = CycleTimeModel::silverthorne_45nm();
+        let (base, iraw) = SimConfig::mechanism_pair(CoreConfig::silverthorne(), &timing, mv(500));
+        let specs = small_specs();
+        let groups: Vec<_> = specs
+            .iter()
+            .map(|s| (s, vec![base.clone(), iraw.clone()]))
+            .collect();
+        let want = suites(&[base, iraw], &small_suite(), Parallelism::sequential());
+        for workers in [1, 2] {
+            let (live, peak) = (AtomicUsize::new(0), AtomicUsize::new(0));
+            let build = |s: &&TraceSpec| {
+                let arena = s.build().expect("family presets build");
+                let now = live.fetch_add(1, Ordering::Relaxed) + 1;
+                peak.fetch_max(now, Ordering::Relaxed);
+                Ok::<_, SimError>(Held { arena, live: &live })
+            };
+            let per_group =
+                run_batch_groups(&groups, build, Parallelism::threads(workers)).unwrap();
+            assert_eq!(live.load(Ordering::Relaxed), 0, "every arena dropped");
+            assert!(peak.load(Ordering::Relaxed) <= workers, "{workers} workers");
+            for (c, suite) in want.iter().enumerate() {
+                let results: Vec<_> = per_group.iter().map(|g| &g[c]).collect();
+                let reference: Vec<_> = suite.per_trace.iter().map(|(_, r)| r).collect();
+                assert_eq!(results, reference, "{workers} workers");
+            }
+        }
     }
 
     #[test]

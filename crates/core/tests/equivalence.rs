@@ -12,7 +12,9 @@
 //! path additionally replays every skipped stretch against a cloned
 //! naive engine internally, so a divergence fails twice over.
 
-use lowvcc_core::{run_batch_groups, CoreConfig, Mechanism, Parallelism, SimConfig, Simulator};
+use lowvcc_core::{
+    run_batch_groups, CoreConfig, Mechanism, Parallelism, SimConfig, SimError, Simulator,
+};
 use lowvcc_sram::voltage::mv;
 use lowvcc_sram::CycleTimeModel;
 use lowvcc_trace::{TraceSpec, WorkloadFamily};
@@ -115,11 +117,13 @@ fn parallel_suite_results_are_byte_identical_for_any_worker_count() {
             )
         })
         .into();
-    let groups: Vec<_> = traces.iter().map(|t| (t, cfgs.clone())).collect();
-    let sequential = run_batch_groups(&groups, Parallelism::sequential()).expect("suite runs");
+    let groups: Vec<_> = (0..traces.len()).map(|t| (t, cfgs.clone())).collect();
+    let lend = |&t: &usize| Ok::<_, SimError>(&traces[t]);
+    let sequential =
+        run_batch_groups(&groups, lend, Parallelism::sequential()).expect("suite runs");
     for workers in [2usize, 5, 16] {
         let parallel =
-            run_batch_groups(&groups, Parallelism::threads(workers)).expect("suite runs");
+            run_batch_groups(&groups, lend, Parallelism::threads(workers)).expect("suite runs");
         // Full structural equality: order and every statistic.
         assert_eq!(sequential, parallel, "{workers} workers");
     }

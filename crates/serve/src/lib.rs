@@ -309,8 +309,12 @@ pub struct Daemon {
 impl Daemon {
     /// Wraps a context. A result cache is what makes the daemon useful:
     /// contexts without one get an in-memory (ephemeral) store attached.
+    /// The daemon keeps each trace once built
+    /// ([`ExperimentContext::with_resident_traces`]), since it answers
+    /// grids over the one suite for its whole life.
     #[must_use]
-    pub fn new(mut ctx: ExperimentContext) -> Self {
+    pub fn new(ctx: ExperimentContext) -> Self {
+        let mut ctx = ctx.with_resident_traces();
         let store = Arc::clone(
             ctx.cache
                 .get_or_insert_with(|| Arc::new(ResultStore::ephemeral())),

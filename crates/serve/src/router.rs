@@ -852,8 +852,9 @@ impl Cluster {
 /// Builds and starts a full cluster for `choice`: N shard daemons (one
 /// thread each, ephemeral ports, each built by [`Daemon::shard`], with
 /// optional bundle import and slice warm-up) and the stateless router,
-/// bound to [`ClusterOptions::router_addr`]. The suite is built once:
-/// every shard's context is a clone sharing the same arenas. Returns
+/// bound to [`ClusterOptions::router_addr`]. The context keeps its
+/// traces, and every shard's context is a clone sharing that one table,
+/// so the cluster builds each trace at most once. Returns
 /// once every listener is bound — warm-up proceeds on the shard
 /// threads, with early requests queueing in the listen backlog until
 /// their shard is ready.
@@ -866,7 +867,8 @@ pub fn start_cluster(choice: SuiteChoice, opts: &ClusterOptions) -> Result<Clust
     let ctx = choice
         .build()
         .map_err(|e| ClusterError::Start(format!("suite: {e}")))?
-        .with_parallelism(Parallelism::threads(opts.jobs));
+        .with_parallelism(Parallelism::threads(opts.jobs))
+        .with_resident_traces();
     // Every shard is built before any shard thread starts: opening a
     // store on a shared directory sweeps orphaned publish tempfiles,
     // and must not catch another shard's publish in flight.

@@ -454,20 +454,18 @@ fn shard_store_counts(router: std::net::SocketAddr) -> Vec<(u64, u64, u64)> {
         .collect()
 }
 
-/// Traces built across a cluster's shards, each shared table counted
-/// once.
-fn traces_built(cluster: &lowvcc_serve::router::Cluster) -> usize {
+/// Trace syntheses across a cluster's shards, which share one trace
+/// table and one count.
+fn trace_builds(cluster: &lowvcc_serve::router::Cluster) -> usize {
     let shards = cluster.shards();
-    shards
-        .iter()
-        .enumerate()
-        .filter(|&(i, d)| {
-            !shards[..i]
-                .iter()
-                .any(|e| e.context().shares_traces_with(d.context()))
-        })
-        .map(|(_, d)| d.context().traces_built())
-        .sum()
+    let first = shards[0].context();
+    for (i, d) in shards.iter().enumerate() {
+        assert!(
+            d.context().shares_traces_with(first),
+            "shard {i} keeps its own traces"
+        );
+    }
+    first.trace_builds()
 }
 
 /// Whatever a cluster computes survives a restart, and a restart
@@ -518,7 +516,7 @@ fn restarted_cluster_resimulates_nothing() {
 
     let cluster = start_cluster(choice, &opts).expect("cold cluster starts");
     assert_eq!(
-        traces_built(&cluster),
+        trace_builds(&cluster),
         0,
         "starting a cluster builds nothing"
     );
@@ -531,7 +529,7 @@ fn restarted_cluster_resimulates_nothing() {
         "no key is simulated on two shards: {counts:?}"
     );
     assert_eq!(
-        traces_built(&cluster),
+        trace_builds(&cluster),
         choice.specs().len(),
         "the cold pass builds each trace once in total"
     );
@@ -549,9 +547,11 @@ fn restarted_cluster_resimulates_nothing() {
     let cluster = start_cluster(choice, &opts).expect("restarted cluster starts");
     let warm = answers(cluster.router_addr(), &LINES);
     let counts = shard_store_counts(cluster.router_addr());
-    for (i, d) in cluster.shards().iter().enumerate() {
-        assert_eq!(d.context().traces_built(), 0, "shard {i} built a trace");
-    }
+    assert_eq!(
+        trace_builds(&cluster),
+        0,
+        "a restarted cluster builds no trace"
+    );
     shutdown(cluster.router_addr());
     cluster.join().expect("restarted cluster exits");
     let _ = std::fs::remove_dir_all(&dir);

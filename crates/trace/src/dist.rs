@@ -23,6 +23,8 @@ use crate::rng::SimRng;
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Geometric {
     p: f64,
+    /// `ln(1 - p)`, the inversion's denominator, taken once.
+    ln_q: f64,
 }
 
 /// Error constructing a distribution with invalid parameters.
@@ -59,7 +61,10 @@ impl Geometric {
     /// Returns [`DistError::BadProbability`] unless `0 < p <= 1`.
     pub fn new(p: f64) -> Result<Self, DistError> {
         if p > 0.0 && p <= 1.0 {
-            Ok(Self { p })
+            Ok(Self {
+                p,
+                ln_q: (1.0 - p).ln(),
+            })
         } else {
             Err(DistError::BadProbability { p })
         }
@@ -78,8 +83,13 @@ impl Geometric {
         }
         let u = rng.next_f64();
         // Inversion: ceil(ln(1-u) / ln(1-p)); 1-u ∈ (0,1] avoids ln(0).
-        let x = ((1.0 - u).ln() / (1.0 - self.p).ln()).ceil();
-        (x as u64).max(1)
+        let x = (1.0 - u).ln() / self.ln_q;
+        // `ceil` in integers: `x` is non-negative (or NaN, or -inf when
+        // `1 - p` rounds to 1, both of which truncate to 0) and below
+        // 2^59 (|ln(1-u)| ≤ 53 ln 2), so the cast truncates exactly and
+        // the comparison adds the missing unit for a fractional `x`.
+        let t = x as u64;
+        (t + u64::from((t as f64) < x)).max(1)
     }
 }
 

@@ -238,17 +238,20 @@ impl SynthParams {
     }
 }
 
-/// Terminator of a static basic block.
+/// Terminator of a static basic block (8 bytes: the parameters it
+/// shares with other blocks stay in [`SynthParams`]).
 #[derive(Debug, Clone, Copy, PartialEq)]
 enum Terminator {
     /// Return to caller (or restart the program from function 0).
     Ret,
-    /// Backward conditional branch to the block's own entry.
-    Loop { mean_trips: f64 },
-    /// Forward conditional branch skipping the next block when taken.
-    CondSkip { bias: f64 },
+    /// Backward conditional branch to the block's own entry, taken a
+    /// geometric number of trips with mean `mean_loop_trips`.
+    Loop,
+    /// Forward conditional branch skipping the next block when taken,
+    /// biased by `branch_biases[bias]`.
+    CondSkip { bias: u32 },
     /// Call into `callee`, continuing at the next block afterwards.
-    Call { callee: usize },
+    Call { callee: u32 },
 }
 
 #[derive(Debug, Clone, Copy)]
@@ -257,12 +260,12 @@ struct StaticInst {
     region: Option<RegionClass>,
 }
 
-#[derive(Debug, Clone)]
+/// A static basic block: its body is `Program::insts[start..start + len]`.
+#[derive(Debug, Clone, Copy)]
 struct Block {
-    entry_pc: u64,
-    insts: Vec<StaticInst>,
+    start: u32,
+    len: u32,
     term: Terminator,
-    term_pc: u64,
 }
 
 #[derive(Debug, Clone, Copy)]
@@ -271,8 +274,13 @@ struct Function {
     num_blocks: usize,
 }
 
+/// The static program: one instruction vector that every block's body
+/// is a range of (one allocation, not one per block). Blocks are laid
+/// out back to back from [`CODE_BASE`], 4 bytes per body instruction and
+/// one slot for the terminator, so a block's pc follows from its index.
 #[derive(Debug, Clone)]
 struct Program {
+    insts: Vec<StaticInst>,
     blocks: Vec<Block>,
     functions: Vec<Function>,
 }
@@ -296,10 +304,13 @@ impl Program {
             source,
         })?;
 
-        let mut blocks = Vec::new();
-        let mut functions = Vec::new();
-        let mut pc = CODE_BASE;
         let nfuncs = params.functions as usize;
+        // Sized once for the most the parameters allow (at most twice
+        // the expected size), so neither vector grows by reallocation.
+        let max_blocks = nfuncs * params.blocks_per_function.1 as usize;
+        let mut insts = Vec::with_capacity(max_blocks * params.block_len.1 as usize);
+        let mut blocks = Vec::with_capacity(max_blocks);
+        let mut functions = Vec::with_capacity(nfuncs);
 
         for f in 0..nfuncs {
             let (lo, hi) = params.blocks_per_function;
@@ -308,38 +319,33 @@ impl Program {
             for b in 0..nblocks {
                 let (bl, bh) = params.block_len;
                 let body_len = (bl + rng.below(u64::from(bh - bl + 1)) as u32) as usize;
-                let insts: Vec<StaticInst> = (0..body_len)
-                    .map(|_| {
-                        let kind = MixWeights::KINDS[mix.sample(rng)];
-                        let region = kind.is_mem().then(|| MemMix::CLASSES[mem_mix.sample(rng)]);
-                        StaticInst { kind, region }
-                    })
-                    .collect();
+                let start = insts.len();
+                insts.extend((0..body_len).map(|_| {
+                    let kind = MixWeights::KINDS[mix.sample(rng)];
+                    let region = kind.is_mem().then(|| MemMix::CLASSES[mem_mix.sample(rng)]);
+                    StaticInst { kind, region }
+                }));
                 let is_last = b == nblocks - 1;
                 let term = if is_last {
                     Terminator::Ret
                 } else if rng.chance(params.loop_fraction) {
-                    Terminator::Loop {
-                        mean_trips: params.mean_loop_trips,
-                    }
+                    Terminator::Loop
                 } else if f + 1 < nfuncs && rng.chance(params.call_fraction) {
                     // Calls only go "forward" in function index: the static
                     // call graph is a DAG, bounding runtime stack depth.
                     let callee = f + 1 + rng.below((nfuncs - f - 1) as u64) as usize;
-                    Terminator::Call { callee }
+                    Terminator::Call {
+                        callee: callee as u32,
+                    }
                 } else {
                     Terminator::CondSkip {
-                        bias: params.branch_biases[bias_dist.sample(rng)].0,
+                        bias: bias_dist.sample(rng) as u32,
                     }
                 };
-                let entry_pc = pc;
-                let term_pc = entry_pc + 4 * body_len as u64;
-                pc = term_pc + 4;
                 blocks.push(Block {
-                    entry_pc,
-                    insts,
+                    start: u32::try_from(start).expect("programs stay below 2^32 instructions"),
+                    len: body_len as u32,
                     term,
-                    term_pc,
                 });
             }
             functions.push(Function {
@@ -347,12 +353,21 @@ impl Program {
                 num_blocks: nblocks,
             });
         }
-        Ok(Self { blocks, functions })
+        Ok(Self {
+            insts,
+            blocks,
+            functions,
+        })
+    }
+
+    /// The pc of block `b`'s first instruction: every earlier block
+    /// takes its body's slots and one for its terminator.
+    fn entry_pc(&self, b: usize) -> u64 {
+        CODE_BASE + 4 * (u64::from(self.blocks[b].start) + b as u64)
     }
 
     fn code_bytes(&self) -> u64 {
-        let last = self.blocks.last().expect("programs have blocks");
-        last.term_pc + 4 - CODE_BASE
+        4 * (self.insts.len() + self.blocks.len()) as u64
     }
 }
 
@@ -373,6 +388,7 @@ pub struct Generator {
     program: Program,
     rng: SimRng,
     dep: Geometric,
+    loop_trips: Geometric,
     // Walk state.
     func: usize,
     block: usize,
@@ -407,6 +423,8 @@ impl Generator {
             value: params.dep_p,
             expected: "(0, 1]",
         })?;
+        let loop_trips = Geometric::new(1.0 / params.mean_loop_trips.max(1.0))
+            .expect("mean_loop_trips ≥ 1 gives valid p");
         Ok(Self {
             stack_model: AddressModel::stack_frame(params.stack_slots),
             stream_model: AddressModel::strided(
@@ -428,6 +446,7 @@ impl Generator {
             program,
             rng,
             dep,
+            loop_trips,
             func: 0,
             block: 0,
             loop_trips_left: None,
@@ -543,22 +562,19 @@ impl Generator {
             num_blocks,
         } = self.program.functions[self.func];
         let block_idx = first_block + self.block;
-        let (body_len, term, term_pc, entry_pc) = {
-            let b = &self.program.blocks[block_idx];
-            (b.insts.len(), b.term, b.term_pc, b.entry_pc)
-        };
-        for i in 0..body_len {
-            let inst = self.program.blocks[block_idx].insts[i];
+        let Block { start, len, term } = self.program.blocks[block_idx];
+        let entry_pc = self.program.entry_pc(block_idx);
+        let term_pc = entry_pc + 4 * u64::from(len);
+        for i in 0..len as usize {
+            let inst = self.program.insts[start as usize + i];
             self.emit_body(out, inst, entry_pc + 4 * i as u64);
         }
 
         let last_local = num_blocks - 1;
         match term {
-            Terminator::Loop { mean_trips } => {
+            Terminator::Loop => {
                 if self.loop_trips_left.is_none() {
-                    let g = Geometric::new(1.0 / mean_trips.max(1.0))
-                        .expect("mean_trips ≥ 1 gives valid p");
-                    self.loop_trips_left = Some(g.sample(&mut self.rng));
+                    self.loop_trips_left = Some(self.loop_trips.sample(&mut self.rng));
                 }
                 let left = self.loop_trips_left.expect("just initialized");
                 let cond = Some(self.pick_src());
@@ -573,10 +589,10 @@ impl Generator {
                 }
             }
             Terminator::CondSkip { bias } => {
-                let taken = self.rng.chance(bias);
+                let taken = self.rng.chance(self.params.branch_biases[bias as usize].0);
                 let cond = Some(self.pick_src());
                 let target_local = (self.block + 2).min(last_local);
-                let target_pc = self.program.blocks[first_block + target_local].entry_pc;
+                let target_pc = self.program.entry_pc(first_block + target_local);
                 if taken {
                     out.push(Uop::branch(term_pc, cond, true, target_pc));
                     self.block = target_local;
@@ -586,8 +602,10 @@ impl Generator {
                 }
             }
             Terminator::Call { callee } => {
-                let callee_pc =
-                    self.program.blocks[self.program.functions[callee].first_block].entry_pc;
+                let callee = callee as usize;
+                let callee_pc = self
+                    .program
+                    .entry_pc(self.program.functions[callee].first_block);
                 let mut u = Uop::alu(term_pc, None, None, None);
                 u.kind = UopKind::Call;
                 u.taken = true;
@@ -601,9 +619,9 @@ impl Generator {
             }
             Terminator::Ret => {
                 if let Some((func, block)) = self.call_stack.pop() {
-                    let ret_pc = self.program.blocks
-                        [self.program.functions[func].first_block + block]
-                        .entry_pc;
+                    let ret_pc = self
+                        .program
+                        .entry_pc(self.program.functions[func].first_block + block);
                     let mut u = Uop::alu(term_pc, None, None, None);
                     u.kind = UopKind::Ret;
                     u.taken = true;
@@ -618,8 +636,9 @@ impl Generator {
                     // spreads dynamic coverage over the whole static
                     // footprint.
                     let next = self.rng.below(self.program.functions.len() as u64) as usize;
-                    let entry =
-                        self.program.blocks[self.program.functions[next].first_block].entry_pc;
+                    let entry = self
+                        .program
+                        .entry_pc(self.program.functions[next].first_block);
                     out.push(Uop::branch(term_pc, None, true, entry));
                     self.func = next;
                     self.block = 0;

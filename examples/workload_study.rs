@@ -23,7 +23,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             .collect();
         let ctx = ExperimentContext::from_specs(&specs, family.name())?;
         let cmp = ctx.compare_mechanisms(vcc)?;
-        let tstats = TraceStats::analyze(ctx.trace(0)?);
+        let tstats = TraceStats::analyze(&*ctx.trace(0)?);
         let mut rf = 0.0;
         let mut dl0 = 0.0;
         let mut miss = 0.0;

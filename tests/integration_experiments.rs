@@ -221,10 +221,10 @@ fn csvs(dir: &std::path::Path) -> Vec<(std::ffi::OsString, Vec<u8>)> {
 /// The cache contract end to end: a warm `run_all` replay performs zero
 /// simulations yet produces a byte-identical report and bit-identical
 /// sweep measurements (`SweepPoint` is all-`f64` — equality here is
-/// bit-equality of every derived statistic). Traces are built on first
-/// miss: a cold run builds each trace once across its three grids
-/// (sweep, Table 1, stalls), and a fully warm one builds none. Cached,
-/// warm and uncached runs write the same CSV bytes.
+/// bit-equality of every derived statistic). Each grid builds a trace
+/// only for its misses: a cold run builds each trace twice (the sweep,
+/// then Table 1 and the stall study as one grid), and a fully warm one
+/// builds none. Cached, warm and uncached runs write the same CSV bytes.
 #[test]
 fn warm_cached_rerun_is_simulation_free_and_bit_identical() {
     let dir = std::env::temp_dir().join(format!("lowvcc_it_cache_{}", std::process::id()));
@@ -240,9 +240,9 @@ fn warm_cached_rerun_is_simulation_free_and_bit_identical() {
     let cold_misses = store.stats().misses;
     assert!(cold_misses > 0, "cold run must simulate");
     assert_eq!(
-        cold_ctx.traces_built(),
-        traces,
-        "a cold run builds each trace once"
+        cold_ctx.trace_builds(),
+        2 * traces,
+        "a cold run builds each trace once per grid"
     );
     assert_eq!(cold.sweep, uncached.sweep, "cache must not change results");
     assert_eq!(
@@ -262,6 +262,11 @@ fn warm_cached_rerun_is_simulation_free_and_bit_identical() {
         cold_misses,
         "warm run must perform zero simulations"
     );
+    assert_eq!(
+        cold_ctx.trace_builds(),
+        2 * traces,
+        "a warm run builds no trace"
+    );
     assert_eq!(warm.sweep, cold.sweep, "warm sweep bit-identical");
     assert_eq!(warm.report, cold.report, "warm report byte-identical");
     assert_eq!(
@@ -277,12 +282,50 @@ fn warm_cached_rerun_is_simulation_free_and_bit_identical() {
     let replay = run_all(&replay_ctx, &dir.join("replay")).expect("replay run");
     assert_eq!(reopened.stats().misses, 0, "disk replay simulates nothing");
     assert_eq!(
-        replay_ctx.traces_built(),
+        replay_ctx.trace_builds(),
         0,
         "a fully warm run builds no trace"
     );
     assert_eq!(replay.sweep, cold.sweep);
     assert_eq!(csvs(&dir.join("replay")), csvs(&dir.join("cold")));
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A batch run holds a trace only while the group that needs it runs: a
+/// cold quick `run_all` builds each trace once per grid (7 for the
+/// sweep, 7 for Table 1 with the stall study), a warm one builds none,
+/// and no more than `jobs` arenas are alive at once. A daemon-style
+/// context, which keeps each trace once built, writes the same CSVs.
+#[test]
+fn a_cold_batch_run_holds_at_most_jobs_traces() {
+    let dir = std::env::temp_dir().join(format!("lowvcc_it_resident_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    // 10k records of 8 bytes and one 16-byte pc break.
+    let largest = 8 * 10_000 + 16;
+    let kept = ctx().with_resident_traces();
+    run_all(&kept, &dir.join("kept")).expect("resident run");
+    assert_eq!(kept.trace_builds(), 7, "a kept trace is built once");
+    assert_eq!(kept.peak_resident_record_bytes(), 7 * largest);
+    for jobs in [1, 2] {
+        let ctx = ctx()
+            .with_parallelism(Parallelism::threads(jobs))
+            .with_cache(Arc::new(ResultStore::ephemeral()));
+        let out = dir.join(format!("jobs{jobs}"));
+        run_all(&ctx, &out).expect("cold run");
+        assert_eq!(ctx.trace_builds(), 14, "{jobs} jobs: one build per grid");
+        let peak = ctx.peak_resident_record_bytes();
+        assert!(
+            (largest..=jobs * largest).contains(&peak),
+            "{jobs} jobs held {peak} record bytes at once"
+        );
+        assert_eq!(csvs(&out), csvs(&dir.join("kept")), "{jobs} jobs");
+        run_all(&ctx, &out).expect("warm run");
+        assert_eq!(
+            ctx.trace_builds(),
+            14,
+            "{jobs} jobs: a warm run builds none"
+        );
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }
 
