@@ -93,8 +93,9 @@ pub struct BundleExportReport {
 pub struct BundleImportReport {
     /// Records newly landed in this store.
     pub imported: u64,
-    /// Records some segment already held (re-import is idempotent:
-    /// same key, deterministically the same bytes).
+    /// Records a live segment, or an earlier record of the same bundle,
+    /// already held (re-import is idempotent: same key,
+    /// deterministically the same bytes).
     pub already_present: u64,
     /// Records that failed LVCR validation and were parked in
     /// `quarantine/` instead of entering the store.
@@ -110,8 +111,8 @@ pub struct QuarantineEntry {
     pub bytes: u64,
 }
 
-/// A live segment file: path, size, and the recency used for LRU
-/// collection.
+/// A live segment file: path, size, and the recency used for
+/// least-recently-used collection.
 struct SegmentFile {
     path: PathBuf,
     bytes: u64,
@@ -210,9 +211,10 @@ impl ResultStore {
     /// segments exceed the budget, their records are rewritten — newest
     /// first, one copy per key — into a single fresh segment that fits,
     /// and every old segment is removed: the least recently used
-    /// records are the ones dropped. Segments that fail their check on
-    /// the way are quarantined. Quarantined files are not counted
-    /// against the budget — purge them separately.
+    /// records are the ones dropped. Segments that fail to read, check or
+    /// decode on the way are quarantined. The survivors enter this
+    /// handle's memory before their segment is indexed. Quarantined
+    /// files are not counted against the budget — purge them separately.
     ///
     /// # Errors
     ///
@@ -222,7 +224,11 @@ impl ResultStore {
     pub fn vacuum(&self, max_bytes: u64) -> Result<VacuumReport, StoreError> {
         let mut live = Vec::new();
         for file in self.segment_files()? {
-            match self.read_segment(&file.path) {
+            let checked = self.read_segment(&file.path).and_then(|records| {
+                let decoded = decode_records(&records)?;
+                Ok(records.into_iter().zip(decoded).collect::<Vec<_>>())
+            });
+            match checked {
                 Ok(records) => live.push((file, records)),
                 Err(SegmentFault::Missing) => {}
                 Err(SegmentFault::Bad(why)) => {
@@ -242,9 +248,10 @@ impl ResultStore {
         }
         let mut seen = HashSet::new();
         let mut survivors = Vec::new();
+        let mut kept = Vec::new();
         let mut size = ENVELOPE_LEN as u64;
         'fill: for (_, records) in live.iter().rev() {
-            for r in records {
+            for (r, decoded) in records {
                 if !seen.insert(r.key) {
                     continue;
                 }
@@ -254,6 +261,7 @@ impl ResultStore {
                 }
                 size = grown;
                 survivors.push(r.clone());
+                kept.push(decoded.clone());
             }
         }
         let mut report = VacuumReport {
@@ -264,7 +272,8 @@ impl ResultStore {
         if !survivors.is_empty() {
             survivors.sort_by_key(|r| r.key);
             let image = encode_bundle(&survivors);
-            let keys = survivors.iter().map(|r| SimKey::from_value(r.key));
+            self.remember(&kept);
+            let keys = kept.iter().map(|(k, _)| *k);
             self.publish_segment(self.next_segment(), &image, keys)
                 .map_err(|e| io_err(&self.segments_dir().unwrap_or_default(), e))?;
             report.kept = 1;
@@ -364,9 +373,11 @@ impl ResultStore {
             path: file.to_path_buf(),
             source,
         })?;
-        self.refresh_index(None);
+        self.refresh_index();
+        let present = self.indexed_keys();
         let mut report = BundleImportReport::default();
         let mut fresh = Vec::new();
+        let mut decoded = Vec::new();
         let mut seen = HashSet::new();
         for rec in records {
             let key = SimKey::from_value(rec.key);
@@ -385,20 +396,22 @@ impl ResultStore {
                     self.quarantined.fetch_add(1, Ordering::Relaxed);
                     report.quarantined += 1;
                 }
-                Ok(result) if self.dir().is_none() => {
-                    self.insert_memory(key, &result);
-                    report.imported += 1;
+                Ok(_) if present.contains(&key) || !seen.insert(key) => {
+                    report.already_present += 1;
                 }
-                Ok(_) if self.indexed(key) || !seen.insert(key) => report.already_present += 1,
-                Ok(_) => fresh.push(rec),
+                Ok(result) => {
+                    fresh.push(rec);
+                    decoded.push((key, result));
+                }
             }
         }
-        if !fresh.is_empty() {
-            let keys = fresh.iter().map(|r| SimKey::from_value(r.key));
+        self.remember(&decoded);
+        if self.dir().is_some() && !fresh.is_empty() {
+            let keys = decoded.iter().map(|(k, _)| *k);
             self.publish_segment(self.next_segment(), &encode_bundle(&fresh), keys)
                 .map_err(|e| io_err(&self.segments_dir().unwrap_or_default(), e))?;
-            report.imported = fresh.len() as u64;
         }
+        report.imported = fresh.len() as u64;
         Ok(report)
     }
 
@@ -583,7 +596,8 @@ mod tests {
         store.put(key, &result);
         store.vacuum(0).unwrap();
         assert_eq!(store.summary().unwrap().entries, 0);
-        // The LRU may still answer; a cold handle must miss and lead.
+        // Memory still answers on this handle; a cold one must miss and
+        // lead.
         let cold = ResultStore::open(&dir).unwrap();
         assert!(matches!(cold.lookup(key), Flight::Lead(_)));
         let _ = fs::remove_dir_all(&dir);

@@ -282,8 +282,10 @@ impl ExperimentContext {
         };
         // A mitigation of per-thread allocator arenas: on a short-lived thread
         // the generator's transient memory reuses one arena, not one per
-        // request thread that first needs a trace (a cold cluster's peak RSS
-        // read +20% with traces built on request threads).
+        // request thread that first needs a trace. Even with the flat
+        // `Program::build`, building on request threads instead read a cold
+        // 3-shard cluster's peak RSS at 16.7–17.6 MB against 14.0–15.0 MB
+        // here (the benchmark's `fleet_restart`, 6 pairs, 2 vCPUs).
         let on_own_thread = || {
             thread::scope(|s| match thread::Builder::new().spawn_scoped(s, build) {
                 Ok(worker) => worker.join().unwrap_or_else(|p| panic::resume_unwind(p)),
@@ -729,6 +731,43 @@ mod tests {
         let cached_ctx = ctx.with_cache(Arc::new(ResultStore::ephemeral()));
         let through_cache = cached_ctx.compare_mechanisms(mv(500)).unwrap();
         assert_eq!(direct, through_cache);
+    }
+
+    #[test]
+    fn non_finite_clocks_fail_the_grid() {
+        let ctx = ExperimentContext::sized(1, 1_000).unwrap();
+        let (good, _) = SimConfig::mechanism_pair(ctx.core, &ctx.timing, mv(500));
+        let store = Arc::new(ResultStore::ephemeral());
+        let cached = ctx.clone().with_cache(Arc::clone(&store));
+        for value in [f64::NAN, f64::INFINITY] {
+            let mut clock = good.clone();
+            clock.cycle_time = lowvcc_sram::Picoseconds::new(value);
+            let mut memory = good.clone();
+            memory.core.memory_latency_ns = value;
+            for ctx in [&ctx, &cached] {
+                let err = ctx.run_suite_batch(&[good.clone(), clock.clone()]);
+                assert!(
+                    matches!(
+                        err,
+                        Err(ExperimentError::Sim(SimError::Config(
+                            ConfigError::NonPositiveCycleTime
+                        )))
+                    ),
+                    "cycle time {value}: {err:?}"
+                );
+                let err = ctx.run_suite_batch(&[memory.clone()]);
+                assert!(
+                    matches!(
+                        err,
+                        Err(ExperimentError::Sim(SimError::Config(
+                            ConfigError::NonPositiveMemoryLatency { .. }
+                        )))
+                    ),
+                    "memory latency {value}: {err:?}"
+                );
+            }
+        }
+        assert_eq!(store.stats().misses, 0, "nothing simulated");
     }
 
     #[test]

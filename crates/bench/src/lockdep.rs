@@ -6,7 +6,7 @@
 //! lock-acquisition order between named *lock classes*:
 //!
 //! * every mutex is constructed with a `&'static str` class name
-//!   (e.g. `"store.lru"`); distinct instances may share a class;
+//!   (e.g. `"store.memory"`); distinct instances may share a class;
 //! * acquiring class `B` while holding class `A` records the edge
 //!   `A → B`;
 //! * an acquisition whose new edge would close a cycle **panics

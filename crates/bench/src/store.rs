@@ -4,9 +4,14 @@
 //! canonical simulation inputs, see `lowvcc_core::canon`) to canonical
 //! [`SimResult`] records. Layers:
 //!
-//! * an **in-memory LRU** (lock-protected, lazily-compacted recency
-//!   queue) so hot keys — a daemon's popular operating points — never
-//!   touch the filesystem;
+//! * a **memory tier** (one lock): every record this handle has read or
+//!   written, plus the segments it has indexed, each with its key list.
+//!   A segment is indexed only once all its records are in memory, so a
+//!   key any indexed segment holds is a memory hit and a daemon's hot
+//!   operating points never touch the filesystem. Nothing is evicted: a
+//!   record costs about 0.36 KB, so the 13,300 distinct simulations of
+//!   the 532-trace paper suite are about 5 MB, against the 0.85 GB of
+//!   trace records a daemon serving that suite keeps resident;
 //! * an optional **segment log** on disk:
 //!   `root/segments/<writer>-<pid>-<seq>.lvcb`. A segment is one
 //!   immutable LVCB bundle (see [`crate::bundle`]) holding every record
@@ -17,13 +22,11 @@
 //!   writers, crashes and power loss can never give a torn segment its
 //!   final name.
 //!   `<writer>` is the shard index inside a cluster (0 otherwise);
-//!   `<pid>` and `<seq>` make every name unique;
-//! * an in-memory **index** of key → segments, extended whenever a key
-//!   misses it: the segment directory is re-listed, and each segment
-//!   this handle has not seen (another process's publishes, or every
-//!   segment after a restart) is read once — checked, decoded, indexed
-//!   and promoted into the LRU — so stores in several processes can
-//!   share one root.
+//!   `<pid>` and `<seq>` make every name unique. A key that misses
+//!   memory re-lists the segment directory, and each segment this handle
+//!   has not indexed (another process's publishes, or every segment
+//!   after a restart) is read once — checked, decoded and indexed — so
+//!   stores in several processes can share one root.
 //!
 //! Invalidation is by construction: the engine-semantics version is
 //! hashed into every key *and* embedded in every record and segment
@@ -60,9 +63,7 @@
 //! exactly one engine invocation.
 
 use std::cell::Cell;
-use std::collections::hash_map::Entry;
-use std::collections::HashMap;
-use std::collections::VecDeque;
+use std::collections::{HashMap, HashSet};
 use std::fmt;
 use std::fs;
 use std::io;
@@ -232,50 +233,16 @@ pub(crate) enum SegmentFault {
     Bad(String),
 }
 
-/// Key → segment map over the segments this handle has read or written.
+/// The memory tier: every record this handle has read or written, and
+/// the segments it has indexed. **A segment is indexed only once all its
+/// records are in `records`**, so a key any indexed segment holds is a
+/// memory hit. Records are never dropped: forgetting a segment (vacuumed,
+/// quarantined) only stops counting it.
 #[derive(Default)]
-struct Index {
+struct Memory {
+    records: HashMap<SimKey, SimResult>,
     /// Indexed segments and the keys each holds.
     segments: HashMap<SegmentId, Vec<SimKey>>,
-    /// The indexed segments holding each key, in indexing order. A key
-    /// can sit in several (a vacuum's rewrite, a duplicate publish);
-    /// their bytes are identical.
-    keys: HashMap<SimKey, Vec<SegmentId>>,
-}
-
-impl Index {
-    /// Indexes segment `id` holding `keys`; a no-op if it already is.
-    fn add(&mut self, id: SegmentId, keys: impl Iterator<Item = SimKey>) {
-        if self.segments.contains_key(&id) {
-            return;
-        }
-        let keys: Vec<SimKey> = keys.collect();
-        for &key in &keys {
-            self.keys.entry(key).or_default().push(id);
-        }
-        self.segments.insert(id, keys);
-    }
-
-    /// Drops segment `id`. Its keys stay indexed to every other segment
-    /// that holds them.
-    fn forget(&mut self, id: SegmentId) {
-        for key in self.segments.remove(&id).unwrap_or_default() {
-            if let Entry::Occupied(mut holders) = self.keys.entry(key) {
-                holders.get_mut().retain(|&seg| seg != id);
-                if holders.get().is_empty() {
-                    holders.remove();
-                }
-            }
-        }
-    }
-
-    /// The segments holding `key`, most recently indexed first.
-    fn holders(&self, key: SimKey) -> Vec<SegmentId> {
-        self.keys
-            .get(&key)
-            .map(|ids| ids.iter().rev().copied().collect())
-            .unwrap_or_default()
-    }
 }
 
 /// One in-flight simulation. Waiters block on `cv` until the leader
@@ -358,78 +325,6 @@ pub enum Flight<'a> {
     Pending(FlightWaiter),
 }
 
-/// In-memory LRU over decoded results: `HashMap` for lookup plus a
-/// lazily-compacted recency queue (stale queue entries — superseded by a
-/// later touch — are skipped at eviction time).
-struct Lru {
-    map: HashMap<SimKey, (SimResult, u64)>,
-    recency: VecDeque<(SimKey, u64)>,
-    tick: u64,
-    capacity: usize,
-}
-
-impl Lru {
-    fn new(capacity: usize) -> Self {
-        Self {
-            map: HashMap::new(),
-            recency: VecDeque::new(),
-            tick: 0,
-            capacity,
-        }
-    }
-
-    fn touch(&mut self, key: SimKey) {
-        self.tick += 1;
-        let tick = self.tick;
-        if let Some(entry) = self.map.get_mut(&key) {
-            entry.1 = tick;
-            self.recency.push_back((key, tick));
-        }
-        // Hit-only workloads (a warmed daemon's steady state) never
-        // insert, so the queue bound must apply on touches too.
-        self.compact_if_bloated();
-    }
-
-    fn get(&mut self, key: SimKey) -> Option<SimResult> {
-        let found = self.map.get(&key).map(|(r, _)| r.clone());
-        if found.is_some() {
-            self.touch(key);
-        }
-        found
-    }
-
-    fn insert(&mut self, key: SimKey, value: SimResult) {
-        self.tick += 1;
-        let tick = self.tick;
-        self.map.insert(key, (value, tick));
-        self.recency.push_back((key, tick));
-        while self.map.len() > self.capacity {
-            match self.recency.pop_front() {
-                Some((k, t)) => {
-                    // Only evict if this queue entry is the key's most
-                    // recent touch; otherwise it is stale — skip it.
-                    if self.map.get(&k).is_some_and(|&(_, cur)| cur == t) {
-                        self.map.remove(&k);
-                    }
-                }
-                None => break,
-            }
-        }
-        self.compact_if_bloated();
-    }
-
-    /// Bounds queue growth independently of capacity: drop every stale
-    /// entry (superseded by a later touch of the same key) once the
-    /// queue exceeds 4× the live-entry budget.
-    fn compact_if_bloated(&mut self) {
-        if self.recency.len() > self.capacity.saturating_mul(4).max(64) {
-            let map = &self.map;
-            self.recency
-                .retain(|&(k, t)| map.get(&k).is_some_and(|&(_, cur)| cur == t));
-        }
-    }
-}
-
 /// The layered key→result store. Cheap to share behind an `Arc`; all
 /// methods take `&self`.
 pub struct ResultStore {
@@ -438,9 +333,8 @@ pub struct ResultStore {
     retry: RetryPolicy,
     /// The `<writer>` field of the segments this store publishes.
     writer: u32,
-    lru: OrderedMutex<Lru>,
+    memory: OrderedMutex<Memory>,
     inflight: OrderedMutex<HashMap<SimKey, Arc<FlightState>>>,
-    index: OrderedMutex<Index>,
     /// Serializes loading re-listed segments, so two threads never read
     /// (or quarantine) the same new segment twice.
     refresh: OrderedMutex<()>,
@@ -465,12 +359,6 @@ impl fmt::Debug for ResultStore {
             .finish_non_exhaustive()
     }
 }
-
-/// Default in-memory entry budget. A full paper-artefact regeneration on
-/// the standard suite needs 13 voltages × 2 mechanisms × 49 traces plus
-/// the Table 1 / stall-study configurations ≈ 1.6k entries; 4096 keeps
-/// every figure warm with headroom while bounding a daemon's footprint.
-const DEFAULT_LRU_CAPACITY: usize = 4096;
 
 impl ResultStore {
     /// Opens (creating if necessary) an on-disk store rooted at `dir`,
@@ -519,7 +407,7 @@ impl ResultStore {
         Ok(store)
     }
 
-    /// An in-memory-only store (no persistence): the LRU layer alone.
+    /// An in-memory-only store (no persistence): the memory tier alone.
     #[must_use]
     pub fn ephemeral() -> Self {
         Self {
@@ -527,9 +415,8 @@ impl ResultStore {
             io: Arc::new(RealIo),
             retry: RetryPolicy::default(),
             writer: 0,
-            lru: OrderedMutex::new("store.lru", Lru::new(DEFAULT_LRU_CAPACITY)),
+            memory: OrderedMutex::new("store.memory", Memory::default()),
             inflight: OrderedMutex::new("store.inflight", HashMap::new()),
-            index: OrderedMutex::new("store.index", Index::default()),
             refresh: OrderedMutex::new("store.refresh", ()),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
@@ -550,15 +437,6 @@ impl ResultStore {
     #[must_use]
     pub fn with_writer(self, writer: u32) -> Self {
         Self { writer, ..self }
-    }
-
-    /// Replaces the LRU capacity (entries, not bytes).
-    #[must_use]
-    pub fn with_lru_capacity(self, capacity: usize) -> Self {
-        Self {
-            lru: OrderedMutex::new("store.lru", Lru::new(capacity.max(1))),
-            ..self
-        }
     }
 
     /// The on-disk root, if this store persists.
@@ -674,102 +552,77 @@ impl ResultStore {
         eprintln!("lowvcc-store: quarantined {}: {why}", path.display());
     }
 
-    /// Drops the segment at `path` from the index (its keys then miss
-    /// unless another indexed segment holds them).
+    /// Stops counting the segment at `path` as indexed. Its records stay
+    /// in memory: each was checked when this handle read or wrote it.
     pub(crate) fn forget_segment(&self, path: &Path) {
         if let Some(id) = path
             .file_name()
             .and_then(|n| n.to_str())
             .and_then(SegmentId::parse)
         {
-            self.index.lock().forget(id);
+            self.memory.lock().segments.remove(&id);
         }
     }
 
     /// Loads every listed segment this handle has not indexed yet, in
-    /// publish order (see [`load_segment`](Self::load_segment)), and
-    /// returns `want`'s record if one of them — or a segment another
-    /// thread loaded while this one waited for the loader lock — holds
-    /// it.
-    pub(crate) fn refresh_index(&self, want: Option<SimKey>) -> Option<SimResult> {
+    /// publish order (see [`load_segment`](Self::load_segment)), so every
+    /// key a live segment holds is then in memory.
+    pub(crate) fn refresh_index(&self) {
         // Listing costs time linear in the segment count and only reads,
-        // so concurrent misses list in parallel; the lock covers loading.
+        // so concurrent misses list in parallel; the lock covers loading,
+        // and a segment another thread loaded meanwhile is skipped.
         // Best-effort: an unlistable directory indexes nothing new.
         let mut fresh = self.list_segments().unwrap_or_default();
         let _one_loader = self.refresh.lock();
-        if let Some(hit) = want.and_then(|key| self.probe_indexed(key)) {
-            return Some(hit);
-        }
         {
-            let index = self.index.lock();
-            fresh.retain(|(id, _)| !index.segments.contains_key(id));
+            let memory = self.memory.lock();
+            fresh.retain(|(id, _)| !memory.segments.contains_key(id));
         }
-        let mut found = None;
-        for (id, _) in fresh {
-            let hit = self.load_segment(id, want);
-            found = found.or(hit);
+        for (id, path) in fresh {
+            self.load_segment(id, &path);
         }
-        found
     }
 
     /// Reads segment `id` through the I/O seam, checks its envelope and
-    /// digest, decodes every record, indexes the segment and promotes
-    /// its records into the LRU — one read serves the index and the
-    /// lookup. Returns `want`'s record if the segment holds it. A
-    /// segment that fails its check is quarantined and one that has
-    /// vanished is forgotten; both hold nothing.
-    fn load_segment(&self, id: SegmentId, want: Option<SimKey>) -> Option<SimResult> {
-        let path = self.segments_dir()?.join(id.file_name());
-        let records = match self
-            .read_segment(&path)
+    /// digest, decodes every record, and puts the records and the
+    /// segment's key list in memory under one lock. A segment that fails
+    /// its check is quarantined; one that has vanished (vacuumed or
+    /// quarantined by another handle) is skipped.
+    fn load_segment(&self, id: SegmentId, path: &Path) {
+        match self
+            .read_segment(path)
             .and_then(|records| decode_records(&records))
         {
-            Ok(records) => records,
-            Err(SegmentFault::Missing) => {
-                self.index.lock().forget(id);
-                return None;
+            Ok(records) => {
+                let keys = records.iter().map(|(k, _)| *k).collect();
+                let mut memory = self.memory.lock();
+                memory.records.extend(records);
+                memory.segments.insert(id, keys);
             }
-            Err(SegmentFault::Bad(why)) => {
-                self.quarantine(&path, &why);
-                return None;
-            }
-        };
-        self.index.lock().add(id, records.iter().map(|(k, _)| *k));
-        let mut found = None;
-        let mut lru = self.lru.lock();
-        for (key, result) in records {
-            if Some(key) == want {
-                found = Some(result.clone());
-            }
-            lru.insert(key, result);
+            Err(SegmentFault::Missing) => {}
+            Err(SegmentFault::Bad(why)) => self.quarantine(path, &why),
         }
-        found
     }
 
-    /// Counter-free lookup: memory and indexed segments, then segments
-    /// this handle has not indexed yet (another process's publishes).
-    /// Infallible: every failure mode degrades to a miss.
+    /// Counter-free lookup: memory, then, on a persistent store, the
+    /// segments this handle has not indexed yet (another process's
+    /// publishes, or every segment after a restart). Infallible: every
+    /// failure mode degrades to a miss.
     fn probe(&self, key: SimKey) -> Option<SimResult> {
-        self.probe_indexed(key).or_else(|| {
+        self.recall(key).or_else(|| {
             self.dir.as_ref()?;
-            self.refresh_index(Some(key))
+            self.refresh_index();
+            self.recall(key)
         })
     }
 
-    /// The LRU, then every indexed segment holding `key` until one
-    /// loads (one that fails is forgotten or quarantined on the way).
-    fn probe_indexed(&self, key: SimKey) -> Option<SimResult> {
-        if let Some(hit) = self.lru.lock().get(key) {
-            return Some(hit);
-        }
-        let holders = self.index.lock().holders(key);
-        holders
-            .into_iter()
-            .find_map(|id| self.load_segment(id, Some(key)))
+    /// `key`'s record, if memory holds it.
+    fn recall(&self, key: SimKey) -> Option<SimResult> {
+        self.memory.lock().records.get(&key).cloned()
     }
 
-    /// Looks `key` up: LRU first, then disk. Infallible: corrupt or
-    /// unreadable segments are quarantined (see
+    /// Looks `key` up: memory first, then new segments on disk.
+    /// Infallible: corrupt or unreadable segments are quarantined (see
     /// [`StoreStats::quarantined`]) and reported as misses, so the
     /// caller re-simulates — the engine is deterministic, so the healed
     /// record is byte-identical to what was lost.
@@ -815,14 +668,14 @@ impl ResultStore {
             });
         }
         // Re-probe under the in-flight lock: an in-process leader
-        // publishes into the LRU (in `put_batch`) *before* its guard
+        // publishes into memory (in `put_batch`) *before* its guard
         // takes this lock to retire the entry, so any publish that beat
         // us here is visible and we must not claim leadership for a
         // filled key. Memory only — a disk read under this global lock
         // would serialize every cold lookup; the one race it would
         // close (a concurrent *cross-process* publish since the first
         // probe) merely costs one deterministic re-simulation.
-        if let Some(hit) = self.lru.lock().get(key) {
+        if let Some(hit) = self.recall(key) {
             self.hits.fetch_add(1, Ordering::Relaxed);
             return Flight::Hit(Box::new(hit));
         }
@@ -840,21 +693,23 @@ impl ResultStore {
         })
     }
 
-    /// Inserts into the memory tier only — the bundle importer's entry
-    /// point for ephemeral stores, where there is no disk to publish to.
-    pub(crate) fn insert_memory(&self, key: SimKey, result: &SimResult) {
-        self.lru.lock().insert(key, result.clone());
+    /// Puts `records` in memory. A segment holding them may be indexed
+    /// only after this (see [`publish_segment`](Self::publish_segment)).
+    pub(crate) fn remember(&self, records: &[(SimKey, SimResult)]) {
+        self.memory.lock().records.extend(records.iter().cloned());
     }
 
-    /// Whether some indexed segment holds `key` (see
+    /// The keys some indexed segment holds (see
     /// [`refresh_index`](Self::refresh_index)).
-    pub(crate) fn indexed(&self, key: SimKey) -> bool {
-        self.index.lock().keys.contains_key(&key)
+    pub(crate) fn indexed_keys(&self) -> HashSet<SimKey> {
+        let memory = self.memory.lock();
+        memory.segments.values().flatten().copied().collect()
     }
 
     /// One publish attempt of a segment image under a fresh name:
     /// fsynced tempfile, atomic rename, directory fsync — all through
-    /// the [`StoreIo`] seam. On success the segment's keys are indexed.
+    /// the [`StoreIo`] seam. On success the segment is indexed, so the
+    /// caller must have [`remember`](Self::remember)ed its records first.
     pub(crate) fn publish_segment(
         &self,
         id: SegmentId,
@@ -882,7 +737,7 @@ impl ResultStore {
             let _ = self.io.remove_file(&tmp);
         })?;
         self.io.sync_dir(&segdir)?;
-        self.index.lock().add(id, keys);
+        self.memory.lock().segments.insert(id, keys.collect());
         Ok(())
     }
 
@@ -911,12 +766,7 @@ impl ResultStore {
         if batch.is_empty() {
             return;
         }
-        {
-            let mut lru = self.lru.lock();
-            for (key, result) in batch {
-                lru.insert(*key, result.clone());
-            }
-        }
+        self.remember(batch);
         self.stores.fetch_add(batch.len() as u64, Ordering::Relaxed);
         if self.dir.is_none() || self.degraded.load(Ordering::Relaxed) {
             return;
@@ -974,9 +824,9 @@ impl ResultStore {
         if self.dir.is_none() {
             return (0, 0);
         }
-        self.refresh_index(None);
-        let index = self.index.lock();
-        index
+        self.refresh_index();
+        let memory = self.memory.lock();
+        memory
             .segments
             .iter()
             .filter(|(id, _)| id.writer == self.writer)
@@ -1283,8 +1133,7 @@ mod tests {
     fn a_vacuum_keeps_its_survivors_indexed_on_the_same_handle() {
         let dir = tmpdir("vacuum_index");
         let results: Vec<(SimKey, SimResult)> = [450u32, 500, 550].map(run_at).into();
-        // Capacity 1: every get but the last must come from a segment.
-        let store = ResultStore::open(&dir).unwrap().with_lru_capacity(1);
+        let store = ResultStore::open(&dir).unwrap();
         for (key, result) in &results {
             store.put(*key, result);
         }
@@ -1306,6 +1155,13 @@ mod tests {
         let after = store.stats();
         assert_eq!(after.misses, before.misses, "no survivor was lost");
         assert_eq!(after.hits, before.hits + 3);
+        assert_eq!((store.disk_entries(), store.disk_segments()), (3, 1));
+        // A fresh handle reads the one rewritten segment and hits them all.
+        let cold = ResultStore::open(&dir).unwrap();
+        for (key, result) in &results {
+            assert_eq!(cold.get(*key).as_ref(), Some(result));
+        }
+        assert_eq!((cold.stats().hits, cold.stats().misses), (3, 0));
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -1314,11 +1170,12 @@ mod tests {
         let dir = tmpdir("duplicate");
         let (key, result) = run_at(450);
         let (other, other_result) = run_at(500);
-        let store = ResultStore::open(&dir).unwrap().with_lru_capacity(1);
-        store.put(key, &result);
-        store.put(key, &result);
-        // Evict `key` from memory, so the next get reads a segment.
-        store.put(other, &other_result);
+        {
+            let writer = ResultStore::open(&dir).unwrap();
+            writer.put(key, &result);
+            writer.put(key, &result);
+            writer.put(other, &other_result);
+        }
         let newest = segment_files(&dir)
             .into_iter()
             .filter(|p| {
@@ -1333,6 +1190,9 @@ mod tests {
         bytes[30] ^= 0x08;
         fs::write(&newest, &bytes).unwrap();
 
+        // A fresh handle loads the older good copy and quarantines the
+        // damaged newer one.
+        let store = ResultStore::open(&dir).unwrap();
         assert_eq!(store.get(key), Some(result));
         let s = store.stats();
         assert_eq!((s.hits, s.misses, s.quarantined), (1, 0, 1));
@@ -1362,62 +1222,55 @@ mod tests {
     }
 
     #[test]
-    fn lru_evicts_oldest_under_pressure() {
-        let (key, result) = run_one();
-        let store = ResultStore::ephemeral().with_lru_capacity(2);
-        // Three distinct keys from three voltages.
-        let timing = CycleTimeModel::silverthorne_45nm();
-        let keys: Vec<SimKey> = [450u32, 500, 550]
-            .iter()
-            .map(|&v| {
-                let cfg =
-                    SimConfig::at_vcc(CoreConfig::silverthorne(), &timing, mv(v), Mechanism::Iraw);
-                sim_key(&cfg, &TraceSpec::new(WorkloadFamily::Kernel, 0, 3_000))
-            })
+    fn a_batch_past_the_old_memory_bound_is_read_once_and_hits_every_key() {
+        use crate::store_io::{FaultPlan, FaultyIo};
+        let dir = tmpdir("big_batch");
+        let (_, result) = run_one();
+        let batch: Vec<(SimKey, SimResult)> = (0..5_000u128)
+            .map(|i| (SimKey::from_value(i), result.clone()))
             .collect();
-        let _ = key;
-        for &k in &keys {
-            store.put(k, &result);
+        ResultStore::open(&dir).unwrap().put_batch(&batch);
+
+        let io = Arc::new(FaultyIo::new(FaultPlan::none()));
+        let store = ResultStore::open_with(
+            &dir,
+            Arc::clone(&io) as Arc<dyn StoreIo>,
+            RetryPolicy::immediate(),
+        )
+        .unwrap();
+        for (key, result) in &batch {
+            assert_eq!(store.get(*key).as_ref(), Some(result));
         }
-        // Capacity 2: the first key fell out, the last two stayed.
-        assert_eq!(store.get(keys[0]), None);
-        assert!(store.get(keys[1]).is_some());
-        assert!(store.get(keys[2]).is_some());
+        assert_eq!(io.ops(), 1, "one read of the one segment");
+        assert_eq!((store.stats().hits, store.stats().misses), (5_000, 0));
+
+        let memory = ResultStore::ephemeral();
+        memory.put_batch(&batch);
+        for (key, result) in &batch {
+            assert_eq!(memory.get(*key).as_ref(), Some(result));
+        }
+        assert_eq!((memory.stats().hits, memory.stats().misses), (5_000, 0));
+        let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]
-    fn hit_only_traffic_keeps_the_recency_queue_bounded() {
-        // A warmed daemon's steady state is gets with no inserts; the
-        // recency queue must stay bounded anyway.
-        let (key, result) = run_one();
-        let mut lru = Lru::new(2);
-        lru.insert(key, result);
-        for _ in 0..10_000 {
-            assert!(lru.get(key).is_some());
-        }
-        let bound = 2usize.saturating_mul(4).max(64) + 1;
-        assert!(
-            lru.recency.len() <= bound,
-            "queue grew to {} entries on a hit-only workload",
-            lru.recency.len()
-        );
-    }
-
-    #[test]
-    fn poisoned_lru_lock_recovers_instead_of_cascading() {
+    fn poisoned_memory_lock_recovers_instead_of_cascading() {
         let (key, result) = run_one();
         let store = ResultStore::ephemeral();
         store.put(key, &result);
         // Poison the inner mutex: panic while holding the guard (the
         // same poisoning a worker-thread panic mid-operation causes).
         let poisoned = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let _guard = store.lru.raw().lock().unwrap();
+            let _guard = store.memory.raw().lock().unwrap();
             panic!("worker died mid-operation");
         }));
         assert!(poisoned.is_err());
-        assert!(store.lru.raw().lock().is_err(), "lock really is poisoned");
-        // Every path over the lock must keep working: the Lru holds
-        // only cache state, so it is recovered, not propagated.
+        assert!(
+            store.memory.raw().lock().is_err(),
+            "lock really is poisoned"
+        );
+        // Every path over the lock must keep working: memory holds only
+        // cache state, so it is recovered, not propagated.
         assert_eq!(store.get(key), Some(result.clone()));
         store.put(key, &result);
         assert!(matches!(store.lookup(key), Flight::Hit(_)));

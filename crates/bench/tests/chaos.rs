@@ -176,7 +176,7 @@ fn chaos_runs_stay_byte_identical_and_scrub_clean() {
         "cold chaos CSVs identical"
     );
 
-    // Phase 2 — warm run: a fresh handle (cold LRU) over the same mauled
+    // Phase 2 — warm run: a fresh handle (empty memory) over the same mauled
     // directory and the same fault stream.
     let warm_store = Arc::new(
         ResultStore::open_with(

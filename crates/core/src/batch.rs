@@ -199,6 +199,34 @@ mod tests {
     }
 
     #[test]
+    fn non_finite_clocks_fail_the_run() {
+        let arena = TraceSpec::new(WorkloadFamily::SpecInt, 0, 1_000)
+            .build()
+            .unwrap();
+        let mut ws = EngineWorkspace::new();
+        for value in [f64::NAN, f64::INFINITY] {
+            let mut clock = sweep_cfgs().remove(0);
+            clock.cycle_time = lowvcc_sram::Picoseconds::new(value);
+            assert_eq!(
+                ws.run(&clock, &arena),
+                Err(SimError::Config(ConfigError::NonPositiveCycleTime)),
+                "cycle time {value}"
+            );
+            let mut memory = sweep_cfgs().remove(0);
+            memory.core.memory_latency_ns = value;
+            assert!(
+                matches!(
+                    ws.run(&memory, &arena),
+                    Err(SimError::Config(
+                        ConfigError::NonPositiveMemoryLatency { .. }
+                    ))
+                ),
+                "memory latency {value}"
+            );
+        }
+    }
+
+    #[test]
     fn profile_reconciles_with_the_cycle_count() {
         let arena = TraceSpec::new(WorkloadFamily::SpecInt, 4, 6_000)
             .build()

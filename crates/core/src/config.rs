@@ -138,7 +138,7 @@ impl CoreConfig {
         if self.stable_max_entries == 0 {
             return Err(ConfigError::NoStoreTableEntries);
         }
-        if self.memory_latency_ns <= 0.0 {
+        if !(self.memory_latency_ns.is_finite() && self.memory_latency_ns > 0.0) {
             return Err(ConfigError::NonPositiveMemoryLatency {
                 latency_ns: self.memory_latency_ns,
             });
@@ -283,7 +283,8 @@ impl SimConfig {
     ///
     /// Checks the cycle time, then propagates [`CycleConfig::validate`].
     pub fn validate(&self) -> Result<(), ConfigError> {
-        if self.cycle_time.picos() <= 0.0 {
+        let picos = self.cycle_time.picos();
+        if !(picos.is_finite() && picos > 0.0) {
             return Err(ConfigError::NonPositiveCycleTime);
         }
         self.cycle_config().validate()

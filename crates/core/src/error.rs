@@ -52,12 +52,14 @@ pub enum ConfigError {
     },
     /// The Store Table has no physical entries.
     NoStoreTableEntries,
-    /// Off-chip memory latency is not positive.
+    /// Off-chip memory latency is not a positive finite number (zero,
+    /// negative, NaN or infinite).
     NonPositiveMemoryLatency {
         /// The rejected latency in nanoseconds.
         latency_ns: f64,
     },
-    /// The derived cycle time is not positive.
+    /// The derived cycle time is not a positive finite number (zero,
+    /// negative, NaN or infinite).
     NonPositiveCycleTime,
     /// The off-chip latency in cycles exceeds
     /// [`MAX_MEMORY_LATENCY_CYCLES`](crate::config::MAX_MEMORY_LATENCY_CYCLES),
@@ -98,9 +100,12 @@ impl fmt::Display for ConfigError {
                 f.write_str("store table needs at least one physical entry")
             }
             Self::NonPositiveMemoryLatency { latency_ns } => {
-                write!(f, "memory latency {latency_ns} ns must be positive")
+                write!(
+                    f,
+                    "memory latency {latency_ns} ns must be positive and finite"
+                )
             }
-            Self::NonPositiveCycleTime => f.write_str("cycle time must be positive"),
+            Self::NonPositiveCycleTime => f.write_str("cycle time must be positive and finite"),
             Self::MemoryLatencyTooLong { cycles } => write!(
                 f,
                 "memory latency of {cycles} cycles exceeds {} (cycle time too short)",

@@ -276,7 +276,7 @@ fn warm_cached_rerun_is_simulation_free_and_bit_identical() {
 
     // A brand-new process (fresh store handle over the same directory,
     // fresh context) also replays without simulating or building a
-    // trace: persistence, not just the LRU.
+    // trace: persistence, not just the handle's memory.
     let reopened = Arc::new(ResultStore::open(dir.join("store")).expect("store reopens"));
     let replay_ctx = fresh().with_cache(Arc::clone(&reopened));
     let replay = run_all(&replay_ctx, &dir.join("replay")).expect("replay run");
@@ -326,6 +326,28 @@ fn a_cold_batch_run_holds_at_most_jobs_traces() {
             "{jobs} jobs: a warm run builds none"
         );
     }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// One simulation per distinct key on a grid larger than any memory
+/// bound the store once had: 210 traces × 25 distinct cycle-level
+/// projections (the sweep's 21, Table 1's 3 and the stall-free
+/// reference) are 5,250 keys, each simulated and stored exactly once,
+/// although Table 1 and the stall study revisit sweep keys long after
+/// the sweep stored them.
+#[test]
+fn an_uncached_run_simulates_each_distinct_key_once() {
+    let dir = std::env::temp_dir().join(format!("lowvcc_it_distinct_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let store = Arc::new(ResultStore::ephemeral());
+    let ctx = ExperimentContext::sized(30, 200)
+        .expect("suite builds")
+        .with_parallelism(Parallelism::threads(2))
+        .with_cache(Arc::clone(&store));
+    assert_eq!(ctx.specs().len(), 210);
+    run_all(&ctx, &dir).expect("uncached run");
+    let s = store.stats();
+    assert_eq!((s.misses, s.stores), (5_250, 5_250));
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -402,7 +424,7 @@ fn corrupt_store_entries_quarantine_and_self_heal() {
     }
     assert_eq!(flipped, published, "every record corrupted");
 
-    // A fresh handle (cold LRU) hits the corrupt bytes, quarantines
+    // A fresh handle (empty memory) hits the corrupt bytes, quarantines
     // every segment, re-simulates, and still answers identically.
     let fresh = Arc::new(ResultStore::open(&dir).expect("store reopens"));
     let base2 = ExperimentContext::sized(1, 2_000).expect("suite rebuilds");
