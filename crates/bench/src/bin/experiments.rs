@@ -20,7 +20,8 @@
 //! tractable. `--cache DIR` routes every simulation through the
 //! content-addressed result store rooted at DIR: a warm re-run answers
 //! every figure from the store (the trailing `cache:` stats line reports
-//! `0 simulated`) yet writes byte-identical CSV artifacts. The same DIR
+//! `0 simulated`) yet writes byte-identical CSV artifacts. Every run,
+//! cached or not, reports its engine runs as `engine: N simulated`. The same DIR
 //! can back a running `lowvcc-serve` daemon. Each trace is built by the
 //! grid worker that first needs it and dropped when its group is done,
 //! so the `suite …: B trace builds, peak P resident record bytes` line
@@ -198,6 +199,7 @@ fn main() -> ExitCode {
                 summary.sweep_elapsed,
                 summary.uops_per_second() / 1e6
             );
+            eprintln!("engine: {} simulated", summary.simulated);
             eprintln!("CSV files written under {}", opts.out.display());
             if let Some(store) = &ctx.cache {
                 let s = store.stats();

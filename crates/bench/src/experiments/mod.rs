@@ -41,6 +41,9 @@ pub struct RunSummary {
     /// nothing: a fully warm cached sweep reports 0, not a fictitious
     /// engine throughput.
     pub sweep_uops: u64,
+    /// Engine runs over the whole run: the misses of the store it went
+    /// through, one per distinct simulation. A fully warm run reports 0.
+    pub simulated: u64,
 }
 
 impl RunSummary {
@@ -100,6 +103,7 @@ pub fn run_all(ctx: &ExperimentContext, out_dir: &Path) -> Result<RunSummary, Ex
             .get_or_insert_with(|| Arc::new(ResultStore::ephemeral())),
     );
     let ctx = &ctx;
+    let misses_before = store.stats().misses;
     let mut report = String::new();
 
     report.push_str(&format!(
@@ -181,6 +185,7 @@ pub fn run_all(ctx: &ExperimentContext, out_dir: &Path) -> Result<RunSummary, Ex
         sweep: points,
         sweep_elapsed,
         sweep_uops,
+        simulated: store.stats().misses - misses_before,
     })
 }
 
@@ -195,6 +200,7 @@ mod tests {
             sweep: Vec::new(),
             sweep_elapsed: Duration::ZERO,
             sweep_uops: 1_000_000,
+            simulated: 0,
         }
     }
 

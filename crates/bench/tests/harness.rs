@@ -77,3 +77,24 @@ fn csv_failure_surfaces_as_typed_io_error() {
 
     let _ = fs::remove_dir_all(&out);
 }
+
+/// Every run of the `experiments` binary reports its engine runs, not
+/// only a cached one: an uncached quick run simulates 7 traces × 25
+/// distinct cycle-level projections.
+#[test]
+fn an_uncached_quick_run_reports_its_engine_runs() {
+    let out = temp_out("cli_quick");
+    let run = std::process::Command::new(env!("CARGO_BIN_EXE_experiments"))
+        .args(["--suite", "quick", "--jobs", "2", "--out"])
+        .arg(&out)
+        .output()
+        .expect("experiments runs");
+    let stderr = String::from_utf8_lossy(&run.stderr);
+    assert!(run.status.success(), "{stderr}");
+    assert!(
+        stderr.lines().any(|l| l == "engine: 175 simulated"),
+        "{stderr}"
+    );
+    assert!(!stderr.contains("cache:"), "no cache line without --cache");
+    let _ = fs::remove_dir_all(&out);
+}

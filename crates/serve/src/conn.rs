@@ -332,6 +332,13 @@ impl Loop<'_> {
                 self.count_end(id, &End::Error(format!("cannot set nonblocking: {e}")));
                 continue;
             }
+            // Each reply leaves in one write; with Nagle on, the second
+            // reply of a conversation on a reused router link would wait
+            // for the router's delayed ACK (about 40 ms).
+            if let Err(e) = stream.set_nodelay(true) {
+                self.count_end(id, &End::Error(format!("cannot set nodelay: {e}")));
+                continue;
+            }
             if let Err(e) = self
                 .reactor
                 .register(stream.as_raw_fd(), id, Interest::READ)

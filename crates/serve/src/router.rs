@@ -35,6 +35,26 @@
 //! `shutdown` bypasses the breakers: a restarted shard whose breaker
 //! has not yet re-closed must still hear it.
 //!
+//! ## Links
+//!
+//! The router keeps a small stack of idle **links** per shard: a
+//! connected socket plus the reader that buffers its replies. A relay
+//! pops one (or dials a fresh one), and pushes it back only after it has
+//! read every response of its conversation; an I/O error drops it. The
+//! stack's lock is never held across I/O, and its size is bounded by
+//! how many relays run at once. A reused link can be stale — the shard
+//! reaped it at its idle deadline, or restarted — so a failure on a
+//! reused link clears the shard's idle stack and the conversation goes
+//! out once more on a fresh link; only that second outcome counts
+//! against the breaker. Every request is a read-only query or
+//! `shutdown`, so sending it twice is safe.
+//!
+//! Fan-outs (the full sweep, `stats`, `metrics`, `shutdown`) spawn no
+//! thread: the serving worker writes every shard's conversation, then
+//! reads each shard's replies in turn, so the shards still compute in
+//! parallel. A conversation is at most 13 short lines and a shard
+//! buffers its replies, so no write waits on a read.
+//!
 //! `stats` and `metrics` are aggregates, not relays: the router sums
 //! shard histograms element-wise and pools store traffic into a
 //! cluster-wide hit-rate, attaching each shard's verbatim response for
@@ -47,8 +67,8 @@
 //! [`start_cluster`] wires the whole thing up in one process: N shard
 //! daemons on ephemeral ports — each built by [`Daemon::shard`], so its
 //! store names its segments for its shard index — plus the router, each
-//! on its own thread. The CLI's `--shards N` flag and the integration tests
-//! both go through it.
+//! on its own thread (the only threads this module spawns). The CLI's
+//! `--shards N` flag and the integration tests both go through it.
 
 use std::io::{self, BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -58,6 +78,7 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
+use lowvcc_bench::lockdep::OrderedMutex;
 use lowvcc_bench::{json, ResultStore, RetryPolicy, StoreStats, SuiteChoice};
 use lowvcc_core::Parallelism;
 use lowvcc_sram::{Millivolts, PAPER_SWEEP};
@@ -103,6 +124,27 @@ struct ShardHealth {
     recoveries: AtomicU64,
     /// Requests this shard owned that another shard answered.
     failovers: AtomicU64,
+    /// Links dialled to this shard (a stale-link retry dials one more).
+    links_opened: AtomicU64,
+    /// Conversations sent over an idle link instead of a fresh one.
+    links_reused: AtomicU64,
+}
+
+/// One pooled connection to a shard: the socket, inside the reader that
+/// buffers its replies (writes go through [`BufReader::get_ref`]).
+type Link = BufReader<TcpStream>;
+
+/// A conversation written to a link whose replies are not yet read.
+struct Sent {
+    link: Link,
+    reused: bool,
+}
+
+/// One failed relay attempt, and whether it failed on a reused link
+/// (which may be stale, and earns one retry on a fresh link).
+struct Failed {
+    error: String,
+    reused: bool,
 }
 
 /// What the breaker lets a relay do.
@@ -113,6 +155,9 @@ enum Admission {
     Probe,
     /// Open breaker still cooling down (or a probe is in flight).
     Refused,
+    /// Breaker-blind (`shutdown`): one attempt, and the breaker is
+    /// neither asked nor told.
+    Bypass,
 }
 
 /// The cluster front door. Stateless and cheap to construct (no
@@ -126,6 +171,9 @@ pub struct Router {
     probe_after: Duration,
     epoch: Instant,
     health: Vec<ShardHealth>,
+    /// Each shard's idle links (lock class `serve.links`, never held
+    /// across I/O and never nested with another class).
+    links: Vec<OrderedMutex<Vec<Link>>>,
     metrics_parse_errors: AtomicU64,
     metrics: Arc<Metrics>,
 }
@@ -138,6 +186,10 @@ impl Router {
     pub fn new(shards: Vec<String>) -> Self {
         let ring = Ring::new(u32::try_from(shards.len()).unwrap_or(u32::MAX));
         let health = shards.iter().map(|_| ShardHealth::default()).collect();
+        let links = shards
+            .iter()
+            .map(|_| OrderedMutex::new("serve.links", Vec::new()))
+            .collect();
         Self {
             shards,
             ring,
@@ -146,6 +198,7 @@ impl Router {
             probe_after: DEFAULT_PROBE_AFTER,
             epoch: Instant::now(),
             health,
+            links,
             metrics_parse_errors: AtomicU64::new(0),
             metrics: Arc::new(Metrics::new()),
         }
@@ -249,51 +302,166 @@ impl Router {
         }
     }
 
-    /// Sends `lines` to shard `index` over one fresh connection and
-    /// reads one response per line, in order. Transport only — no
-    /// breaker, no retry ([`Self::relay_guarded`] adds both).
-    fn relay(&self, index: usize, lines: &[String]) -> Result<Vec<String>, String> {
+    /// A transport error message naming shard `index` and its address.
+    fn fail(&self, index: usize, what: &str, e: &dyn std::fmt::Display) -> String {
+        format!("shard {index} ({}): {what}: {e}", self.shards[index])
+    }
+
+    /// The refusal of an open breaker.
+    fn refusal(&self, index: usize) -> String {
+        format!(
+            "shard {index} ({}): circuit breaker open",
+            self.shards[index]
+        )
+    }
+
+    /// Dials a fresh link to shard `index`.
+    fn dial(&self, index: usize) -> Result<Link, String> {
         let addr = &self.shards[index];
-        let fail =
-            |what: &str, e: &dyn std::fmt::Display| format!("shard {index} ({addr}): {what}: {e}");
         let stream = match addr.parse::<SocketAddr>() {
             Ok(sock) => TcpStream::connect_timeout(&sock, RELAY_CONNECT_TIMEOUT),
             Err(_) => TcpStream::connect(addr.as_str()),
         }
-        .map_err(|e| fail("connect", &e))?;
+        .map_err(|e| self.fail(index, "connect", &e))?;
         stream
             .set_read_timeout(Some(self.relay_timeout))
-            .map_err(|e| fail("set timeout", &e))?;
+            .map_err(|e| self.fail(index, "set timeout", &e))?;
         stream
             .set_write_timeout(Some(self.relay_timeout))
-            .map_err(|e| fail("set timeout", &e))?;
+            .map_err(|e| self.fail(index, "set timeout", &e))?;
         // The whole conversation leaves in one write on a no-delay
         // socket: a line and its newline sent apart make Nagle hold the
         // newline until the shard's delayed ACK.
         stream
             .set_nodelay(true)
-            .map_err(|e| fail("set nodelay", &e))?;
-        let mut conversation = String::with_capacity(lines.iter().map(|l| l.len() + 1).sum());
-        for line in lines {
-            conversation.push_str(line);
-            conversation.push('\n');
-        }
-        (&stream)
-            .write_all(conversation.as_bytes())
-            .map_err(|e| fail("send", &e))?;
-        let mut reader = BufReader::new(&stream);
-        let mut out = Vec::with_capacity(lines.len());
-        for _ in lines {
+            .map_err(|e| self.fail(index, "set nodelay", &e))?;
+        self.health[index].links_opened.fetch_add(1, Relaxed);
+        Ok(BufReader::new(stream))
+    }
+
+    /// Writes one conversation to shard `index` over an idle link, or
+    /// over a fresh one when none is idle or `fresh` is set.
+    fn send(&self, index: usize, payload: &str, fresh: bool) -> Result<Sent, Failed> {
+        let idle = if fresh {
+            None
+        } else {
+            self.links[index].lock().pop()
+        };
+        let reused = idle.is_some();
+        let link = match idle {
+            Some(link) => {
+                self.health[index].links_reused.fetch_add(1, Relaxed);
+                link
+            }
+            None => self.dial(index).map_err(|error| Failed {
+                error,
+                reused: false,
+            })?,
+        };
+        let mut stream = link.get_ref();
+        stream.write_all(payload.as_bytes()).map_err(|e| Failed {
+            error: self.fail(index, "send", &e),
+            reused,
+        })?;
+        Ok(Sent { link, reused })
+    }
+
+    /// Reads one response per line of the conversation `sent` carries,
+    /// then returns its link to the shard's idle stack.
+    fn receive(&self, index: usize, sent: Sent, lines: usize) -> Result<Vec<String>, Failed> {
+        let Sent { mut link, reused } = sent;
+        let failed = |error| Failed { error, reused };
+        let mut out = Vec::with_capacity(lines);
+        for _ in 0..lines {
             let mut resp = String::new();
-            let n = reader
+            let n = link
                 .read_line(&mut resp)
-                .map_err(|e| fail("receive", &e))?;
+                .map_err(|e| failed(self.fail(index, "receive", &e)))?;
             if n == 0 {
-                return Err(fail("receive", &"connection closed mid-conversation"));
+                return Err(failed(self.fail(
+                    index,
+                    "receive",
+                    &"connection closed mid-conversation",
+                )));
             }
             out.push(resp.trim_end().to_string());
         }
+        self.links[index].lock().push(link);
         Ok(out)
+    }
+
+    /// Finishes one attempt at a conversation begun by [`Self::send`].
+    /// A failure on a reused link is the stale-link case: the shard's
+    /// idle stack is cleared and the conversation goes out once more on
+    /// a fresh link, whose outcome is the attempt's.
+    fn complete(
+        &self,
+        index: usize,
+        payload: &str,
+        lines: usize,
+        sent: Result<Sent, Failed>,
+    ) -> Result<Vec<String>, String> {
+        match sent.and_then(|s| self.receive(index, s, lines)) {
+            Ok(resps) => Ok(resps),
+            Err(Failed { reused: true, .. }) => {
+                // Dropped (closed) outside the lock.
+                let stale = std::mem::take(&mut *self.links[index].lock());
+                drop(stale);
+                self.send(index, payload, true)
+                    .and_then(|s| self.receive(index, s, lines))
+                    .map_err(|f| f.error)
+            }
+            Err(f) => Err(f.error),
+        }
+    }
+
+    /// Sends `lines` to shard `index` as one conversation and reads one
+    /// response per line, in order. Transport only — no breaker, no
+    /// retry beyond the stale-link one ([`Self::settle`] adds both).
+    fn relay(&self, index: usize, lines: &[String]) -> Result<Vec<String>, String> {
+        let payload = conversation(lines);
+        self.complete(
+            index,
+            &payload,
+            lines.len(),
+            self.send(index, &payload, false),
+        )
+    }
+
+    /// Feeds one attempt's `outcome` to shard `index`'s breaker under
+    /// `admission`, retrying a failure per [`RetryPolicy`] while the
+    /// breaker was closed. A probe gets its one attempt; a refusal or a
+    /// bypass is returned as it is.
+    fn settle(
+        &self,
+        index: usize,
+        admission: &Admission,
+        lines: &[String],
+        mut outcome: Result<Vec<String>, String>,
+    ) -> Result<Vec<String>, String> {
+        let attempts = match admission {
+            Admission::Bypass | Admission::Refused => return outcome,
+            Admission::Probe => 1,
+            Admission::Normal => self.retry.attempts.max(1),
+        };
+        let mut attempt = 1;
+        loop {
+            match outcome {
+                Ok(resps) => {
+                    self.note_success(index);
+                    return Ok(resps);
+                }
+                Err(e) => {
+                    self.note_failure(index);
+                    if attempt >= attempts {
+                        return Err(e);
+                    }
+                    std::thread::sleep(self.retry.delay(attempt, index as u64));
+                    attempt += 1;
+                    outcome = self.relay(index, lines);
+                }
+            }
+        }
     }
 
     /// [`Self::relay`] under the shard's circuit breaker: refused
@@ -301,42 +469,57 @@ impl Router {
     /// call claims the half-open probe, retried per [`RetryPolicy`]
     /// otherwise. Every outcome feeds the breaker.
     fn relay_guarded(&self, index: usize, lines: &[String]) -> Result<Vec<String>, String> {
-        match self.admit(index) {
-            Admission::Refused => Err(format!(
-                "shard {index} ({}): circuit breaker open",
-                self.shards[index]
-            )),
-            Admission::Probe => match self.relay(index, lines) {
-                Ok(resps) => {
-                    self.note_success(index);
-                    Ok(resps)
+        let admission = self.admit(index);
+        let first = match admission {
+            Admission::Refused => Err(self.refusal(index)),
+            _ => self.relay(index, lines),
+        };
+        self.settle(index, &admission, lines, first)
+    }
+
+    /// Runs one conversation per shard (`None` for a shard whose list is
+    /// empty) on the calling thread: writes every admitted conversation
+    /// first, then reads each shard's replies in turn, so the shards
+    /// compute in parallel. `guarded` puts each shard behind its
+    /// breaker ([`Self::settle`]); unguarded, each gets one attempt.
+    fn converse(
+        &self,
+        per_shard: &[Vec<String>],
+        guarded: bool,
+    ) -> Vec<Option<Result<Vec<String>, String>>> {
+        let started: Vec<_> = per_shard
+            .iter()
+            .enumerate()
+            .map(|(index, lines)| {
+                if lines.is_empty() {
+                    return None;
                 }
-                Err(e) => {
-                    self.note_failure(index);
-                    Err(e)
-                }
-            },
-            Admission::Normal => {
-                let attempts = self.retry.attempts.max(1);
-                let mut last = String::new();
-                for attempt in 1..=attempts {
-                    match self.relay(index, lines) {
-                        Ok(resps) => {
-                            self.note_success(index);
-                            return Ok(resps);
-                        }
-                        Err(e) => {
-                            self.note_failure(index);
-                            last = e;
-                            if attempt < attempts {
-                                std::thread::sleep(self.retry.delay(attempt, index as u64));
-                            }
-                        }
-                    }
-                }
-                Err(last)
-            }
-        }
+                let admission = if guarded {
+                    self.admit(index)
+                } else {
+                    Admission::Bypass
+                };
+                let payload = conversation(lines);
+                let sent = match admission {
+                    Admission::Refused => None,
+                    _ => Some(self.send(index, &payload, false)),
+                };
+                Some((admission, payload, sent))
+            })
+            .collect();
+        started
+            .into_iter()
+            .zip(per_shard)
+            .enumerate()
+            .map(|(index, (started, lines))| {
+                let (admission, payload, sent) = started?;
+                let first = match sent {
+                    Some(sent) => self.complete(index, &payload, lines.len(), sent),
+                    None => Err(self.refusal(index)),
+                };
+                Some(self.settle(index, &admission, lines, first))
+            })
+            .collect()
     }
 
     /// Relays one line to shard `owner`, failing over around the ring
@@ -373,8 +556,8 @@ impl Router {
     }
 
     /// Full-grid sweep: fan each voltage to its owning shard (one
-    /// connection per shard, all shards in parallel), then merge the
-    /// returned points back into `PAPER_SWEEP` order. A shard whose
+    /// conversation per shard, all shards computing in parallel), then
+    /// merge the returned points back into `PAPER_SWEEP` order. A shard whose
     /// whole batch fails gets each of its voltages rerouted
     /// individually around the ring, so one dead shard degrades to
     /// failover instead of failing the sweep.
@@ -397,24 +580,7 @@ impl Router {
                 vcc.millivolts()
             ));
         }
-        let fanned: Vec<Option<Result<Vec<String>, String>>> = std::thread::scope(|s| {
-            let handles: Vec<_> = per_shard
-                .iter()
-                .enumerate()
-                .map(|(i, lines)| {
-                    (!lines.is_empty()).then(|| s.spawn(move || self.relay_guarded(i, lines)))
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| {
-                    h.map(|h| {
-                        h.join()
-                            .unwrap_or_else(|_| Err("relay thread panicked".to_string()))
-                    })
-                })
-                .collect()
-        });
+        let fanned = self.converse(&per_shard, true);
         let mut replies: Vec<std::vec::IntoIter<String>> = Vec::with_capacity(shards);
         let mut rerouted = vec![false; shards];
         for (index, r) in fanned.into_iter().enumerate() {
@@ -495,28 +661,17 @@ impl Router {
         ])
     }
 
-    /// Fans a request to every shard through the breakers, returning
-    /// each shard's response (or an error body for unreachable
-    /// shards).
-    fn fan_out(&self, line: &str) -> Vec<String> {
-        let request = [line.to_string()];
-        (0..self.shards.len())
-            .map(|i| match self.relay_guarded(i, &request) {
-                Ok(mut resps) => resps
-                    .pop()
-                    .unwrap_or_else(|| error_body("empty shard response", false)),
-                Err(e) => error_body(&e, false),
-            })
-            .collect()
-    }
-
-    /// Breaker-blind fan-out, one attempt per shard — for `shutdown`,
-    /// which must reach a freshly restarted shard even while its
-    /// breaker is still open.
-    fn fan_out_raw(&self, line: &str) -> Vec<String> {
-        let request = [line.to_string()];
-        (0..self.shards.len())
-            .map(|i| match self.relay(i, &request) {
+    /// Fans a request to every shard — through the breakers when
+    /// `guarded`, else one breaker-blind attempt each (`shutdown`, which
+    /// must reach a freshly restarted shard even while its breaker is
+    /// still open) — returning each shard's response, or an error body
+    /// for an unreachable shard.
+    fn fan_out(&self, line: &str, guarded: bool) -> Vec<String> {
+        let per_shard = vec![vec![line.to_string()]; self.shards.len()];
+        self.converse(&per_shard, guarded)
+            .into_iter()
+            .flatten()
+            .map(|r| match r {
                 Ok(mut resps) => resps
                     .pop()
                     .unwrap_or_else(|| error_body("empty shard response", false)),
@@ -546,6 +701,8 @@ impl Router {
                     ("probes", h.probes.load(Relaxed).to_string()),
                     ("recoveries", h.recoveries.load(Relaxed).to_string()),
                     ("failovers", h.failovers.load(Relaxed).to_string()),
+                    ("links_opened", h.links_opened.load(Relaxed).to_string()),
+                    ("links_reused", h.links_reused.load(Relaxed).to_string()),
                 ])
             })
             .collect();
@@ -559,7 +716,7 @@ impl Router {
     /// a downed shard's `ok: false` body is unreachability, not a
     /// parse error, and is skipped.
     fn aggregate_metrics(&self) -> String {
-        let bodies = self.fan_out("{\"experiment\": \"metrics\"}");
+        let bodies = self.fan_out("{\"experiment\": \"metrics\"}", true);
         let mut store = StoreStats::default();
         let mut ops = [HistogramSnapshot::default(); Op::ALL.len()];
         let mut parse_errors: u64 = 0;
@@ -630,7 +787,7 @@ impl Router {
     /// breaker health array, and each shard's verbatim `stats`
     /// response.
     fn aggregate_stats(&self) -> String {
-        let bodies = self.fan_out("{\"experiment\": \"stats\"}");
+        let bodies = self.fan_out("{\"experiment\": \"stats\"}", true);
         let c = {
             let m = &self.metrics;
             json::object(&[
@@ -662,7 +819,7 @@ impl Router {
                 // Best-effort fan-out: a shard that is already gone must
                 // not keep the cluster alive, and an open breaker must
                 // not shield a restarted shard from the order.
-                let _ = self.fan_out_raw("{\"experiment\": \"shutdown\"}");
+                let _ = self.fan_out("{\"experiment\": \"shutdown\"}", false);
                 (
                     json::object(&[
                         ("ok", json::boolean(true)),
@@ -691,6 +848,17 @@ impl conn::Service for Router {
         };
         conn::Reply { body, stop, op }
     }
+}
+
+/// One conversation's bytes: each line newline-terminated, sent in one
+/// write.
+fn conversation(lines: &[String]) -> String {
+    let mut payload = String::with_capacity(lines.iter().map(|l| l.len() + 1).sum());
+    for line in lines {
+        payload.push_str(line);
+        payload.push('\n');
+    }
+    payload
 }
 
 /// `Duration` → whole milliseconds, saturating.
@@ -1005,6 +1173,57 @@ mod tests {
         assert!(health.contains("\"probes\": 1"), "got: {health}");
         assert!(health.contains("\"recoveries\": 1"), "got: {health}");
         assert!(health.contains("\"breaker_opens\": 1"), "got: {health}");
+    }
+
+    /// One breaker row's counter, read from the rendered health array.
+    fn health_counter(router: &Router, index: usize, field: &str) -> u64 {
+        let rows = json::parse(&router.health_json()).expect("health parses");
+        rows.as_array().expect("array")[index]
+            .get(field)
+            .and_then(json::Value::as_u64)
+            .expect("counter")
+    }
+
+    /// Conversations on a reused link answer at loopback speed: with
+    /// Nagle on the shard's socket, each reply after a conversation's
+    /// first would wait out the router's delayed ACK (about 40 ms).
+    #[test]
+    fn a_reused_link_answers_without_the_delayed_ack_stall() {
+        const CONVERSATIONS: usize = 20;
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let addr = listener.local_addr().expect("addr").to_string();
+        let shard = Arc::new(Daemon::new(
+            lowvcc_bench::ExperimentContext::sized(1, 2_000).expect("tiny suite builds"),
+        ));
+        let serving = {
+            let shard = Arc::clone(&shard);
+            std::thread::spawn(move || shard.serve(&listener))
+        };
+        let router = test_router(vec![addr], DEFAULT_PROBE_AFTER);
+        let ping = "{\"experiment\": \"ping\"}".to_string();
+        let lines = [ping.clone(), ping];
+        // The first conversation dials the link; time only reuses.
+        router.relay(0, &lines).expect("first conversation");
+        let started = Instant::now();
+        for _ in 1..CONVERSATIONS {
+            let resps = router.relay(0, &lines).expect("conversation");
+            assert_eq!(resps, vec![r#"{"ok": true, "pong": true}"#; 2]);
+        }
+        let elapsed = started.elapsed();
+        assert_eq!(health_counter(&router, 0, "links_opened"), 1);
+        assert_eq!(
+            health_counter(&router, 0, "links_reused"),
+            CONVERSATIONS as u64 - 1
+        );
+        router
+            .relay(0, &["{\"experiment\": \"shutdown\"}".to_string()])
+            .expect("shutdown");
+        serving.join().expect("shard thread").expect("clean exit");
+        assert!(
+            elapsed < Duration::from_millis(400),
+            "{} conversations on a reused link took {elapsed:?}",
+            CONVERSATIONS - 1
+        );
     }
 
     #[test]

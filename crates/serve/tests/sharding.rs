@@ -572,3 +572,148 @@ fn restarted_cluster_resimulates_nothing() {
         "a restarted cluster re-simulates nothing: {counts:?}"
     );
 }
+
+/// A 3-shard cluster of the tiny suite, the shape the link tests use.
+fn three_shards() -> lowvcc_serve::router::Cluster {
+    start_cluster(
+        SuiteChoice::Sized {
+            per_family: 1,
+            len: 2_000,
+        },
+        &ClusterOptions {
+            shards: 3,
+            jobs: 2,
+            ..ClusterOptions::default()
+        },
+    )
+    .expect("cluster starts")
+}
+
+/// One breaker row's counter from an aggregated `stats` body.
+fn breaker_counter(body: &json::Value, shard: u64, field: &str) -> u64 {
+    breaker_field(body, shard, field)
+        .parse()
+        .expect("numeric breaker counter")
+}
+
+/// The router reuses one link per shard: one client connection's full
+/// sweep, five single-point requests and `stats` dial each shard once,
+/// and every other conversation the router sent a shard went over that
+/// link.
+#[test]
+fn a_sequential_client_dials_each_shard_once() {
+    const POINTS: [&str; 5] = [
+        "{\"experiment\": \"sweep\", \"vcc\": 575}",
+        "{\"experiment\": \"sweep\", \"vcc\": 500}",
+        "{\"experiment\": \"table1\", \"vcc\": 450}",
+        "{\"experiment\": \"stalls\", \"vcc\": 700}",
+        "{\"experiment\": \"table1\", \"vcc\": 575}",
+    ];
+    const VCCS: [u32; 5] = [575, 500, 450, 700, 575];
+    let cluster = three_shards();
+    let ring = Ring::new(3);
+    // Conversations per shard: its slice of the sweep, its points, and
+    // the `stats` fan-out.
+    let mut sent = [1u64; 3];
+    for vcc in PAPER_SWEEP.iter() {
+        sent[ring.owner(vcc) as usize] = 2;
+    }
+    for mv in VCCS {
+        sent[ring.owner(Millivolts::literal(mv)) as usize] += 1;
+    }
+
+    let mut lines = vec!["{\"experiment\": \"sweep\"}"];
+    lines.extend(POINTS);
+    lines.push("{\"experiment\": \"stats\"}");
+    let mut replies = answers(cluster.router_addr(), &lines);
+    let stats = json::parse(&replies.pop().expect("stats")).expect("stats parse");
+    for reply in &replies {
+        assert!(reply.contains("\"ok\": true"), "{reply}");
+    }
+    for (shard, &conversations) in sent.iter().enumerate() {
+        let shard = shard as u64;
+        let opened = breaker_counter(&stats, shard, "links_opened");
+        let reused = breaker_counter(&stats, shard, "links_reused");
+        assert_eq!(opened, 1, "shard {shard}: {stats:?}");
+        assert_eq!(opened + reused, conversations, "shard {shard}");
+    }
+
+    answers(cluster.router_addr(), &["{\"experiment\": \"shutdown\"}"]);
+    cluster.join().expect("clean fan-out shutdown");
+}
+
+/// A pooled link to a shard that restarted is stale: the router retries
+/// the conversation once on a fresh link, answers byte-identically, and
+/// neither counts a relay error nor strikes the breaker.
+#[test]
+fn a_stale_link_to_a_restarted_shard_is_retried_unseen() {
+    const LINE: &str = "{\"experiment\": \"sweep\", \"vcc\": 575}";
+    let single = Daemon::new(ExperimentContext::sized(1, 2_000).expect("suite builds"));
+    let expected = single.handle_line(LINE).0;
+
+    let cluster = three_shards();
+    let shard_addrs = cluster.shard_addrs().to_vec();
+    let ring = Ring::new(3);
+    let victim = ring.owner(Millivolts::literal(575)) as usize;
+
+    // The router uses the victim's link, and keeps it.
+    let stream = TcpStream::connect(cluster.router_addr()).expect("connect router");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(120)))
+        .expect("timeout");
+    let mut reader = BufReader::new(&stream);
+    assert_eq!(roundtrip(&stream, &mut reader, LINE), expected);
+
+    // Shut the victim down directly, then restart it on its address.
+    {
+        let direct = TcpStream::connect(shard_addrs[victim]).expect("connect victim");
+        let mut r = BufReader::new(&direct);
+        let resp = roundtrip(&direct, &mut r, "{\"experiment\": \"shutdown\"}");
+        assert!(resp.contains("\"shutdown\": true"), "got: {resp}");
+    }
+    let listener = {
+        let mut tries = 0;
+        loop {
+            match TcpListener::bind(shard_addrs[victim]) {
+                Ok(l) => break l,
+                Err(e) if tries >= 500 => panic!("cannot rebind victim addr: {e}"),
+                Err(_) => {
+                    tries += 1;
+                    std::thread::sleep(Duration::from_millis(10));
+                }
+            }
+        }
+    };
+    let revived = Daemon::shard(
+        ExperimentContext::sized(1, 2_000).expect("suite builds"),
+        ResultStore::ephemeral(),
+        ring,
+        victim as u32,
+    );
+    let revived_thread = std::thread::spawn(move || revived.serve(&listener));
+
+    assert_eq!(
+        roundtrip(&stream, &mut reader, LINE),
+        expected,
+        "the request after the restart"
+    );
+    let stats = roundtrip(&stream, &mut reader, "{\"experiment\": \"stats\"}");
+    let v = json::parse(&stats).expect("stats parse");
+    let victim = victim as u64;
+    assert_eq!(breaker_counter(&v, victim, "relay_errors"), 0, "{stats}");
+    assert_eq!(breaker_field(&v, victim, "state"), "\"closed\"");
+    assert_eq!(breaker_field(&v, victim, "failovers"), "0");
+    assert_eq!(
+        breaker_counter(&v, victim, "links_opened"),
+        2,
+        "the first link, then one fresh link for the stale retry"
+    );
+
+    let resp = roundtrip(&stream, &mut reader, "{\"experiment\": \"shutdown\"}");
+    assert!(resp.contains("\"shutdown\": true"), "got: {resp}");
+    cluster.join().expect("clean fan-out shutdown");
+    revived_thread
+        .join()
+        .expect("revived thread")
+        .expect("clean serve exit");
+}
