@@ -32,10 +32,10 @@ fn bench_variation_math(c: &mut Criterion) {
 fn bench_cache(c: &mut Criterion) {
     c.bench_function("dl0_access_hit_stream", |b| {
         let mut cache = SetAssocCache::new(CacheConfig::silverthorne_dl0()).unwrap();
-        for line in 0..64u64 {
+        for line in 0..64u32 {
             let _ = cache.fill(line);
         }
-        let mut i = 0u64;
+        let mut i = 0u32;
         b.iter(|| {
             i = (i + 1) % 64;
             black_box(cache.access(i))
@@ -43,9 +43,9 @@ fn bench_cache(c: &mut Criterion) {
     });
     c.bench_function("ul1_fill_evict_churn", |b| {
         let mut cache = SetAssocCache::new(CacheConfig::silverthorne_ul1()).unwrap();
-        let mut line = 0u64;
+        let mut line = 0u32;
         b.iter(|| {
-            line += 8191; // walk sets
+            line = line.wrapping_add(8191); // walk sets
             black_box(cache.fill(line))
         });
     });

@@ -26,6 +26,9 @@
 //! grid worker that first needs it and dropped when its group is done,
 //! so the `suite …: B trace builds, peak P resident record bytes` line
 //! reads 0 builds on a warm re-run and P stays within `--jobs` traces.
+//! The last line, `process: M MB peak RSS, S s CPU`, is the run's own
+//! peak resident set and CPU time, read from `/proc/self` (omitted where
+//! there is none).
 
 use std::fmt;
 use std::path::PathBuf;
@@ -158,6 +161,34 @@ fn build(opts: &CliOptions) -> Result<ExperimentContext, CliError> {
     })
 }
 
+/// Clock ticks per second of the times in `/proc/<pid>/stat`: Linux
+/// reports them in `USER_HZ`, which it fixes at 100.
+const USER_HZ: f64 = 100.0;
+
+/// Peak resident set in MB (`VmHWM`, in kB) from `/proc/self/status`.
+fn peak_rss_mb(status: &str) -> Option<f64> {
+    let kb = status.lines().find_map(|l| l.strip_prefix("VmHWM:"))?;
+    let kb: f64 = kb.trim().strip_suffix("kB")?.trim().parse().ok()?;
+    Some(kb / 1024.0)
+}
+
+/// User plus system CPU seconds (`utime` + `stime`) from
+/// `/proc/self/stat`. The command name is parenthesised and may hold
+/// spaces, so fields count from its closing parenthesis: `state` is the
+/// first there, `utime` the 12th and `stime` the 13th.
+fn cpu_seconds(stat: &str) -> Option<f64> {
+    let fields: Vec<&str> = stat.rsplit_once(')')?.1.split_whitespace().collect();
+    let ticks = |i: usize| fields.get(i)?.parse::<u64>().ok();
+    Some((ticks(11)? + ticks(12)?) as f64 / USER_HZ)
+}
+
+/// The `process:` line, or `None` without a readable `/proc/self`.
+fn process_line() -> Option<String> {
+    let rss = peak_rss_mb(&std::fs::read_to_string("/proc/self/status").ok()?)?;
+    let cpu = cpu_seconds(&std::fs::read_to_string("/proc/self/stat").ok()?)?;
+    Some(format!("process: {rss:.1} MB peak RSS, {cpu:.2} s CPU"))
+}
+
 fn main() -> ExitCode {
     let opts = match parse_args(std::env::args().skip(1)) {
         Ok(v) => v,
@@ -235,6 +266,9 @@ fn main() -> ExitCode {
                     return ExitCode::FAILURE;
                 }
                 eprintln!("sweep JSON written to {}", path.display());
+            }
+            if let Some(line) = process_line() {
+                eprintln!("{line}");
             }
             ExitCode::SUCCESS
         }
@@ -327,6 +361,18 @@ mod tests {
         assert!(usage_of(&["--cache"]).contains("--cache needs a value"));
         assert!(usage_of(&["--jobs"]).contains("--jobs needs a value"));
         assert!(usage_of(&["--frobnicate"]).contains("unknown argument"));
+    }
+
+    #[test]
+    fn process_usage_parses_proc_self() {
+        let status = "Name:\texperiments\nVmPeak:\t  20000 kB\nVmHWM:\t    6144 kB\n";
+        assert_eq!(peak_rss_mb(status), Some(6.0));
+        assert_eq!(peak_rss_mb("Name:\tx\n"), None);
+        // A command name with spaces and a parenthesis; utime 250 and
+        // stime 17 ticks are the 14th and 15th fields.
+        let stat = "4242 (my exp) x) R 1 4242 4242 0 -1 4194304 900 0 0 0 250 17 0 0 20 0 3";
+        assert_eq!(cpu_seconds(stat), Some(2.67));
+        assert_eq!(cpu_seconds("4242 (x) R 1 2"), None);
     }
 
     #[test]

@@ -96,5 +96,12 @@ fn an_uncached_quick_run_reports_its_engine_runs() {
         "{stderr}"
     );
     assert!(!stderr.contains("cache:"), "no cache line without --cache");
+    let process = stderr.lines().last().unwrap_or_default();
+    assert!(
+        process.starts_with("process: ")
+            && process.contains(" MB peak RSS, ")
+            && process.ends_with(" s CPU"),
+        "{stderr}"
+    );
     let _ = fs::remove_dir_all(&out);
 }

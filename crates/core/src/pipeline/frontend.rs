@@ -12,6 +12,7 @@ use lowvcc_uarch::bpred::{Bimodal, Btb, CorruptionTracker};
 use lowvcc_uarch::rsb::ReturnStack;
 
 use crate::config::CycleConfig;
+use crate::pipeline::addr32;
 use crate::pipeline::memory::MemHierarchy;
 use crate::stats::BranchStats;
 
@@ -226,9 +227,10 @@ impl FrontEnd {
                 }
                 let effect = self.bp.update(pc, taken);
                 self.tracker.on_write(effect, now);
-                let target_ok = !taken || self.btb.predict(pc) == Some(target);
+                let (btb_pc, btb_target) = (addr32(pc), addr32(target));
+                let target_ok = !taken || self.btb.predict(btb_pc) == Some(btb_target);
                 if taken {
-                    self.btb.update(pc, target);
+                    self.btb.update(btb_pc, btb_target);
                 }
                 let mispredict = pred_taken != taken || !target_ok;
                 if mispredict {
@@ -241,6 +243,7 @@ impl FrontEnd {
                 // Push the return address; the callee target comes from
                 // the BTB (direct calls train quickly).
                 self.rsb.push(pc + 4, now);
+                let (pc, target) = (addr32(pc), addr32(target));
                 let target_ok = self.btb.predict(pc) == Some(target);
                 self.btb.update(pc, target);
                 !target_ok

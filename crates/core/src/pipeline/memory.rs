@@ -15,6 +15,7 @@ use lowvcc_uarch::tlb::Tlb;
 
 use crate::config::CycleConfig;
 use crate::error::ConfigError;
+use crate::pipeline::addr32;
 
 /// Outcome of a data-side access.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -136,7 +137,7 @@ impl MemHierarchy {
     #[inline]
     #[must_use]
     pub fn dl0_set_of(&self, addr: u64) -> u64 {
-        self.dl0.set_index(addr >> 6)
+        u64::from(self.dl0.set_index(line_of(addr)))
     }
 
     /// Whether the DL0 port is blocked at `cycle` by a post-fill guard.
@@ -188,7 +189,7 @@ impl MemHierarchy {
     /// Requests `line` from the UL1 (and memory beyond), returning its
     /// arrival cycle at the requesting L0. Fills UL1 on miss and arms the
     /// UL1 guard.
-    fn ul1_request(&mut self, line: u64, now: u64) -> u64 {
+    fn ul1_request(&mut self, line: u32, now: u64) -> u64 {
         let start = self.guarded_start(Guard::Ul1, now);
         if self.ul1.access(line) {
             return start + self.lat_ul1;
@@ -199,7 +200,7 @@ impl MemHierarchy {
         if let Ok(evicted) = self.ul1.fill(line) {
             self.ul1_guard.on_fill(arrival);
             if let Some(victim) = evicted {
-                self.spill_to_wcb(victim, arrival);
+                self.spill_to_wcb(u64::from(victim), arrival);
             }
         }
         arrival
@@ -238,18 +239,19 @@ impl MemHierarchy {
             self.itlb_guard.on_fill(start);
         }
         start = self.guarded_start(Guard::Il0, start);
-        let line = pc >> 6;
+        let line = line_of(pc);
+        let fb_line = u64::from(line);
         let ready = if self.il0.access(line) {
             // Tag hit — but the line may still be in flight (prefetched or
             // a merged miss): the FB gates availability.
-            match self.fb.ready_at(line) {
+            match self.fb.ready_at(fb_line) {
                 Some(t) => t.max(start),
                 None => start,
             }
         } else {
-            let start = self.fb_admit(line, start);
+            let start = self.fb_admit(fb_line, start);
             let arrival = self.ul1_request(line, start);
-            let _ = self.fb.allocate(line, arrival);
+            let _ = self.fb.allocate(fb_line, arrival);
             if self.il0.fill(line).is_ok() {
                 self.il0_guard.on_fill(arrival);
             }
@@ -257,9 +259,9 @@ impl MemHierarchy {
         };
         // Next-line instruction prefetch (background; no stall).
         let next = line + 1;
-        if !self.il0.probe(next) && !self.fb.contains(next) && !self.fb.is_full() {
+        if !self.il0.probe(next) && !self.fb.contains(fb_line + 1) && !self.fb.is_full() {
             let arrival = self.ul1_request(next, ready);
-            let _ = self.fb.allocate(next, arrival);
+            let _ = self.fb.allocate(fb_line + 1, arrival);
             if self.il0.fill(next).is_ok() {
                 self.il0_guard.on_fill(arrival);
             }
@@ -277,11 +279,12 @@ impl MemHierarchy {
             self.dtlb.fill(addr);
             self.dtlb_guard.on_fill(start);
         }
-        let line = addr >> 6;
+        let line = line_of(addr);
+        let fb_line = u64::from(line);
         if self.dl0.access(line) {
             // Tag hit; a line still in flight in the FB gates readiness.
             let base_ready = start + self.lat_dl0;
-            let ready_at = match self.fb.ready_at(line) {
+            let ready_at = match self.fb.ready_at(fb_line) {
                 Some(t) => base_ready.max(t + 1),
                 None => base_ready,
             };
@@ -292,18 +295,18 @@ impl MemHierarchy {
             };
         }
         // Miss (write-allocate for stores too): fetch the line.
-        let start = self.fb_admit(line, start);
-        let pending = self.fb.ready_at(line);
+        let start = self.fb_admit(fb_line, start);
+        let pending = self.fb.ready_at(fb_line);
         let arrival = match pending {
             Some(t) => t.max(start),
             None => self.ul1_request(line, start),
         };
-        let _ = self.fb.allocate(line, arrival);
+        let _ = self.fb.allocate(fb_line, arrival);
         if pending.is_none() {
             if let Ok(evicted) = self.dl0.fill(line) {
                 self.dl0_guard.on_fill(arrival);
                 if let Some(victim) = evicted {
-                    self.spill_to_wcb(victim, arrival);
+                    self.spill_to_wcb(u64::from(victim), arrival);
                 }
             }
         }
@@ -355,6 +358,13 @@ impl MemHierarchy {
     pub fn dtlb_stats(&self) -> lowvcc_uarch::tlb::TlbStats {
         self.dtlb.stats()
     }
+}
+
+/// The 64-byte line holding `addr`, below 2^26: a cache tag never
+/// reaches the sentinel keys at the top of the `u32` range.
+#[inline]
+fn line_of(addr: u64) -> u32 {
+    addr32(addr) >> 6
 }
 
 /// Longest a fill-buffer admission waits for a free slot, in cycles.

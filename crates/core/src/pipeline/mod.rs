@@ -804,6 +804,14 @@ impl Engine {
     }
 }
 
+/// A pc, target or data address as the 32-bit structures (caches, BTB)
+/// hold it. [`lowvcc_trace::Uop::validate`] keeps every one a trace
+/// carries at or below `u32::MAX`, so this fails only on an engine bug.
+#[inline]
+fn addr32(addr: u64) -> u32 {
+    u32::try_from(addr).expect("trace addresses lie in the 32-bit address space")
+}
+
 /// Scoreboard latency of a short-latency load producer. A `ready_at` at
 /// or before `now` (reachable only through stale Store-Table forwarding
 /// state) must clamp to a 1-cycle producer — a raw `ready_at - now`

@@ -138,14 +138,16 @@ impl CacheStats {
 }
 
 /// Key of an invalid (empty) way.
-const INVALID: u64 = u64::MAX;
+const INVALID: u32 = u32::MAX;
 /// Key of a way disabled by the fault map (never valid, never filled).
-const DISABLED: u64 = u64::MAX - 1;
+const DISABLED: u32 = u32::MAX - 1;
 /// Keys at or above this are sentinels; real tags
 /// (`line_addr >> log2(sets)`) never reach them.
-const FIRST_SENTINEL: u64 = DISABLED;
+const FIRST_SENTINEL: u32 = DISABLED;
 
-/// The set-associative cache.
+/// The set-associative cache over the 32-bit address space. A line
+/// address is a byte address `>> 6`, below 2^26, so a tag never meets
+/// the sentinel keys at the top of the `u32` range.
 ///
 /// ```
 /// use lowvcc_uarch::cache::{CacheConfig, SetAssocCache};
@@ -162,17 +164,21 @@ const FIRST_SENTINEL: u64 = DISABLED;
 pub struct SetAssocCache {
     cfg: CacheConfig,
     /// Per-way key, sets × ways row-major: the tag of a valid line, or
-    /// [`INVALID`] / [`DISABLED`]. A lookup compares one dense `u64` per
+    /// [`INVALID`] / [`DISABLED`]. A lookup compares one dense `u32` per
     /// way, and validity and the fault map need no separate flags.
-    keys: Vec<u64>,
+    keys: Vec<u32>,
     /// Per-way last-use stamp, parallel to `keys` (bigger = more recent).
-    last_use: Vec<u64>,
+    /// Only the stamps of valid ways are ever compared, and within a set
+    /// they are distinct and at least 1.
+    last_use: Vec<u32>,
     /// `sets - 1`: the set index is `line_addr & set_mask`…
-    set_mask: u64,
+    set_mask: u32,
     /// …and the tag `line_addr >> set_bits` (sets are a power of two).
     set_bits: u32,
     stats: CacheStats,
-    clock: u64,
+    /// The recency clock; `tick` re-ranks every set before it would
+    /// wrap.
+    clock: u32,
     disabled_lines: usize,
 }
 
@@ -182,6 +188,11 @@ impl SetAssocCache {
     /// # Errors
     ///
     /// Propagates [`CacheConfig::validate`] failures.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the set count is 2^32 or more, beyond what a `u32` line
+    /// address can index.
     pub fn new(cfg: CacheConfig) -> Result<Self, CacheConfigError> {
         cfg.validate()?;
         let sets = cfg.sets();
@@ -189,7 +200,7 @@ impl SetAssocCache {
             cfg,
             keys: vec![INVALID; sets * cfg.ways],
             last_use: vec![0; sets * cfg.ways],
-            set_mask: sets as u64 - 1,
+            set_mask: u32::try_from(sets).expect("a u32 line address indexes the sets") - 1,
             set_bits: sets.trailing_zeros(),
             stats: CacheStats::default(),
             clock: 0,
@@ -206,13 +217,18 @@ impl SetAssocCache {
     /// Set index of a line address.
     #[inline]
     #[must_use]
-    pub fn set_index(&self, line_addr: u64) -> u64 {
+    pub fn set_index(&self, line_addr: u32) -> u32 {
         line_addr & self.set_mask
     }
 
     #[inline]
-    fn tag_of(&self, line_addr: u64) -> u64 {
-        line_addr >> self.set_bits
+    fn tag_of(&self, line_addr: u32) -> u32 {
+        let tag = line_addr >> self.set_bits;
+        debug_assert!(
+            tag < FIRST_SENTINEL,
+            "line {line_addr:#x} is no 64-byte line of a 32-bit address"
+        );
+        tag
     }
 
     #[inline]
@@ -223,7 +239,7 @@ impl SetAssocCache {
 
     /// Index into `keys`/`last_use` of the way holding `line_addr`, if any.
     #[inline]
-    fn lookup(&self, line_addr: u64) -> Option<usize> {
+    fn lookup(&self, line_addr: u32) -> Option<usize> {
         let range = self.set_range(self.set_index(line_addr) as usize);
         let base = range.start;
         let tag = self.tag_of(line_addr);
@@ -233,14 +249,50 @@ impl SetAssocCache {
             .map(|w| base + w)
     }
 
+    /// Advances the recency clock and returns the new stamp. Before the
+    /// clock would wrap, every set's valid stamps are rewritten as ranks
+    /// `1..=ways` in the same order, and the clock restarts above them,
+    /// so LRU order stays exact.
+    #[inline]
+    fn tick(&mut self) -> u32 {
+        if self.clock == u32::MAX {
+            self.rerank();
+        }
+        self.clock += 1;
+        self.clock
+    }
+
+    /// Rewrites each set's valid stamps as their ranks, in place and
+    /// without allocating. Rank `r` goes to the way with the `r`-th
+    /// smallest stamp `s_r`; since valid stamps are distinct and at
+    /// least 1, `r <= s_r`, so a way already ranked never exceeds the
+    /// threshold of the next search and is never picked again.
+    #[cold]
+    fn rerank(&mut self) {
+        let ways = self.cfg.ways;
+        for (keys, stamps) in self.keys.chunks(ways).zip(self.last_use.chunks_mut(ways)) {
+            let mut threshold = 0;
+            for rank in 1.. {
+                let next = (0..keys.len())
+                    .filter(|&w| keys[w] < FIRST_SENTINEL && stamps[w] > threshold)
+                    .min_by_key(|&w| stamps[w]);
+                let Some(way) = next else { break };
+                threshold = stamps[way];
+                stamps[way] = rank;
+            }
+        }
+        self.clock =
+            u32::try_from(self.cfg.ways).expect("a set's way count fits the recency clock");
+    }
+
     /// Demand access; returns whether it hit, updating recency and stats.
     #[inline]
-    pub fn access(&mut self, line_addr: u64) -> bool {
-        self.clock += 1;
+    pub fn access(&mut self, line_addr: u32) -> bool {
+        let now = self.tick();
         self.stats.accesses += 1;
         match self.lookup(line_addr) {
             Some(idx) => {
-                self.last_use[idx] = self.clock;
+                self.last_use[idx] = now;
                 self.stats.hits += 1;
                 true
             }
@@ -254,7 +306,7 @@ impl SetAssocCache {
     /// Non-destructive lookup (no stats, no recency update).
     #[inline]
     #[must_use]
-    pub fn probe(&self, line_addr: u64) -> bool {
+    pub fn probe(&self, line_addr: u32) -> bool {
         self.lookup(line_addr).is_some()
     }
 
@@ -262,14 +314,14 @@ impl SetAssocCache {
     /// was displaced. Returns `Err(())` when every way of the set is
     /// disabled (Faulty Bits can render sets uncacheable).
     #[allow(clippy::result_unit_err)]
-    pub fn fill(&mut self, line_addr: u64) -> Result<Option<u64>, ()> {
-        self.clock += 1;
-        let set = self.set_index(line_addr) as usize;
+    pub fn fill(&mut self, line_addr: u32) -> Result<Option<u32>, ()> {
+        let now = self.tick();
+        let set = self.set_index(line_addr);
         let tag = self.tag_of(line_addr);
         // One pass over the set: the first invalid way wins outright;
         // otherwise the first least-recently-used enabled way.
-        let mut victim: Option<(usize, u64)> = None;
-        for idx in self.set_range(set) {
+        let mut victim: Option<(usize, u32)> = None;
+        for idx in self.set_range(set as usize) {
             match self.keys[idx] {
                 INVALID => {
                     victim = Some((idx, 0));
@@ -289,26 +341,14 @@ impl SetAssocCache {
             return Err(());
         };
         let old = self.keys[idx];
-        let evicted = (old < FIRST_SENTINEL).then(|| (old << self.set_bits) | set as u64);
+        let evicted = (old < FIRST_SENTINEL).then(|| (old << self.set_bits) | set);
         if evicted.is_some() {
             self.stats.evictions += 1;
         }
         self.keys[idx] = tag;
-        self.last_use[idx] = self.clock;
+        self.last_use[idx] = now;
         self.stats.fills += 1;
         Ok(evicted)
-    }
-
-    /// Invalidates a line if present.
-    pub fn invalidate(&mut self, line_addr: u64) {
-        let set = self.set_index(line_addr) as usize;
-        let tag = self.tag_of(line_addr);
-        let range = self.set_range(set);
-        for key in &mut self.keys[range] {
-            if *key == tag {
-                *key = INVALID;
-            }
-        }
     }
 
     /// Disables `count` randomly chosen lines (Faulty Bits fault map).
@@ -344,11 +384,6 @@ impl SetAssocCache {
     #[must_use]
     pub fn stats(&self) -> CacheStats {
         self.stats
-    }
-
-    /// Resets the statistics (not the contents).
-    pub fn reset_stats(&mut self) {
-        self.stats = CacheStats::default();
     }
 
     /// Restores the freshly-constructed state in place — contents,
@@ -416,14 +451,6 @@ mod tests {
     }
 
     #[test]
-    fn invalidate_removes_line() {
-        let mut c = tiny();
-        c.fill(9).unwrap();
-        c.invalidate(9);
-        assert!(!c.probe(9));
-    }
-
-    #[test]
     fn silverthorne_geometries_validate() {
         for cfg in [
             CacheConfig::silverthorne_il0(),
@@ -458,29 +485,23 @@ mod tests {
     #[test]
     fn miss_ratio_reflects_working_set() {
         let mut c = tiny(); // 512 B = 8 lines
-                            // Working set of 4 lines: after warmup, all hits.
-        for line in 0..4u64 {
-            c.access(line);
-            c.fill(line).unwrap();
-        }
-        c.reset_stats();
-        for _ in 0..100 {
-            for line in 0..4u64 {
-                assert!(c.access(line));
-            }
-        }
-        assert_eq!(c.stats().miss_ratio(), 0.0);
-        // Working set of 16 lines in 8-line cache: mostly misses.
-        c.reset_stats();
-        for round in 0..50 {
-            for line in 0..16u64 {
-                if !c.access(line) {
-                    c.fill(line).unwrap();
+        let phase = |c: &mut SetAssocCache, lines: u32, rounds: usize| {
+            let before = c.stats();
+            for _ in 0..rounds {
+                for line in 0..lines {
+                    if !c.access(line) {
+                        c.fill(line).unwrap();
+                    }
                 }
-                let _ = round;
             }
-        }
-        assert!(c.stats().miss_ratio() > 0.5);
+            let after = c.stats();
+            (after.misses - before.misses) as f64 / (after.accesses - before.accesses) as f64
+        };
+        // Working set of 4 lines: after warmup, all hits.
+        phase(&mut c, 4, 1);
+        assert_eq!(phase(&mut c, 4, 100), 0.0);
+        // Working set of 16 lines in 8-line cache: mostly misses.
+        assert!(phase(&mut c, 16, 50) > 0.5);
     }
 
     #[test]
@@ -493,9 +514,8 @@ mod tests {
         assert_eq!(faulty.effective_capacity(), 256);
 
         let run = |c: &mut SetAssocCache| {
-            c.reset_stats();
             for _ in 0..200 {
-                for line in 0..6u64 {
+                for line in 0..6u32 {
                     if !c.access(line) {
                         let _ = c.fill(line);
                     }
@@ -525,7 +545,7 @@ mod tests {
         let mut used = tiny();
         let mut rng = SimRng::seed_from(3);
         used.disable_random_lines(2, &mut rng);
-        for line in 0..12u64 {
+        for line in 0..12u32 {
             if !used.access(line) {
                 let _ = used.fill(line);
             }
@@ -537,7 +557,8 @@ mod tests {
     }
 
     /// The pre-rewrite model: per-way records, `%`/`/` indexing, a
-    /// linear tag scan, and the two-pass LRU victim choice.
+    /// linear tag scan, the two-pass LRU victim choice, and a `u64`
+    /// recency clock that never wraps.
     struct ReferenceCache {
         sets: u64,
         ways: usize,
@@ -547,13 +568,13 @@ mod tests {
     }
 
     impl ReferenceCache {
-        fn new(cfg: CacheConfig) -> Self {
+        fn new(cfg: CacheConfig, clock: u64) -> Self {
             let sets = cfg.sets();
             Self {
                 sets: sets as u64,
                 ways: cfg.ways,
                 lines: vec![(0, false, false, 0); sets * cfg.ways],
-                clock: 0,
+                clock,
                 stats: CacheStats::default(),
             }
         }
@@ -563,7 +584,8 @@ mod tests {
             base..base + self.ways
         }
 
-        fn access(&mut self, line: u64) -> bool {
+        fn access(&mut self, line: u32) -> bool {
+            let line = u64::from(line);
             self.clock += 1;
             self.stats.accesses += 1;
             let tag = line / self.sets;
@@ -579,14 +601,16 @@ mod tests {
             false
         }
 
-        fn probe(&self, line: u64) -> bool {
+        fn probe(&self, line: u32) -> bool {
+            let line = u64::from(line);
             let tag = line / self.sets;
             self.lines[self.set_of(line)]
                 .iter()
                 .any(|l| l.1 && !l.2 && l.0 == tag)
         }
 
-        fn fill(&mut self, line: u64) -> Result<Option<u64>, ()> {
+        fn fill(&mut self, line: u32) -> Result<Option<u32>, ()> {
+            let line = u64::from(line);
             self.clock += 1;
             let set = (line % self.sets) as usize;
             let range = self.set_of(line);
@@ -605,17 +629,7 @@ mod tests {
             }
             *l = (line / self.sets, true, l.2, self.clock);
             self.stats.fills += 1;
-            Ok(evicted)
-        }
-
-        fn invalidate(&mut self, line: u64) {
-            let tag = line / self.sets;
-            let range = self.set_of(line);
-            for l in &mut self.lines[range] {
-                if l.1 && l.0 == tag {
-                    l.1 = false;
-                }
-            }
+            Ok(evicted.map(|e| u32::try_from(e).unwrap()))
         }
 
         fn disable_random_lines(&mut self, count: usize, rng: &mut SimRng) {
@@ -643,9 +657,18 @@ mod tests {
                 line_bytes: 64,
             };
             let lines = sets * ways;
-            for seed in 0..10u64 {
+            // Seeds 10 and up start the recency clock just below
+            // `u32::MAX`, so the cache re-ranks its stamps once, with
+            // full sets, part-way through the sequence; the reference
+            // clock runs on past 2^32.
+            for seed in 0..16u64 {
+                let clock = match seed {
+                    0..=9 => 0,
+                    _ => u32::MAX - [3, 500, 1_000, 2_000, 3_000, 4_000][seed as usize - 10],
+                };
                 let mut cache = SetAssocCache::new(cfg).unwrap();
-                let mut reference = ReferenceCache::new(cfg);
+                cache.clock = clock;
+                let mut reference = ReferenceCache::new(cfg, u64::from(clock));
                 // Faulty Bits: from none to most of the cache, whole sets
                 // included, drawn identically for both models.
                 let faults = lines * [0, 3, 9, 20, 28][seed as usize % 5] / 32;
@@ -654,8 +677,8 @@ mod tests {
                 let mut rng = SimRng::seed_from(100 + seed);
                 for step in 0..5_000 {
                     let ctx = format!("{ways} ways seed {seed} step {step}");
-                    let line = rng.below(3 * lines as u64);
-                    match rng.below(10) {
+                    let line = u32::try_from(rng.below(3 * lines as u64)).unwrap();
+                    match rng.below(9) {
                         0..=4 => {
                             let hit = cache.access(line);
                             assert_eq!(hit, reference.access(line), "{ctx}");
@@ -664,13 +687,15 @@ mod tests {
                             }
                         }
                         5 | 6 => assert_eq!(cache.fill(line), reference.fill(line), "{ctx}"),
-                        7 => {
-                            cache.invalidate(line);
-                            reference.invalidate(line);
-                        }
                         _ => assert_eq!(cache.probe(line), reference.probe(line), "{ctx}"),
                     }
                     assert_eq!(cache.stats(), reference.stats, "{ctx}");
+                }
+                if clock > 0 {
+                    assert!(
+                        cache.clock < clock,
+                        "seed {seed}: the clock never re-ranked"
+                    );
                 }
             }
         }

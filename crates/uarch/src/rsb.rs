@@ -84,11 +84,6 @@ impl ReturnStack {
         Some(addr)
     }
 
-    /// Reconfigures the IRAW window at a Vcc change.
-    pub fn set_window(&mut self, n: u32) {
-        self.window = u64::from(n);
-    }
-
     /// Pops that landed within the IRAW stabilization window — i.e.
     /// call→return distances short enough to read a stabilizing entry
     /// (paper §4.5: observed to be zero in practice).
@@ -162,14 +157,19 @@ mod tests {
 
     #[test]
     fn window_reconfiguration() {
+        // A pop two cycles after its push conflicts at N = 2, not at N = 1.
         let mut rsb = ReturnStack::new(8, 2);
         rsb.push(0x1, 10);
         let _ = rsb.pop(12);
         assert_eq!(rsb.potential_corruptions(), 1);
-        rsb.set_window(1);
+        rsb.reset(1);
         rsb.push(0x2, 20);
         let _ = rsb.pop(22);
-        assert_eq!(rsb.potential_corruptions(), 1);
+        assert_eq!(rsb.potential_corruptions(), 0);
+        let mut rsb = ReturnStack::new(8, 1);
+        rsb.push(0x2, 20);
+        let _ = rsb.pop(22);
+        assert_eq!(rsb.potential_corruptions(), 0);
     }
 
     #[test]

@@ -243,17 +243,6 @@ impl Scoreboard {
         self.now += cycles;
     }
 
-    /// Cycles until `reg` becomes ready: the distance of the highest set
-    /// bit from the MSB (`0` when ready now; `width` when all-zero /
-    /// long-latency).
-    #[must_use]
-    pub fn cycles_until_ready(&self, reg: Reg) -> u32 {
-        match self.current_bits(reg) {
-            0 => self.width,
-            bits => bits.leading_zeros() - (32 - self.width),
-        }
-    }
-
     /// Cycles until the *readiness* of `reg` next changes value, in either
     /// direction (a bubble closing counts as much as a producer arriving).
     /// `None` means the register holds its current readiness forever
@@ -273,19 +262,8 @@ impl Scoreboard {
         (differ != 0).then(|| differ.leading_zeros() - (32 - self.width))
     }
 
-    /// Resets every register to ready (pipeline flush).
-    pub fn flush(&mut self) {
-        for r in &mut self.regs {
-            *r = ShiftReg {
-                bits: self.mask,
-                written_at: self.now,
-            };
-        }
-    }
-
     /// Restores the freshly-constructed state in place: all registers
-    /// ready *and* the clock rewound to zero (unlike [`Scoreboard::flush`],
-    /// which keeps the current cycle). No allocation.
+    /// ready and the clock rewound to zero. No allocation.
     pub fn reset(&mut self) {
         for r in &mut self.regs {
             *r = ShiftReg {
@@ -430,34 +408,6 @@ mod tests {
     }
 
     #[test]
-    fn cycles_until_ready_counts_msb_distance() {
-        let mut sb = Scoreboard::new(7);
-        sb.set_producer(
-            r(6),
-            3,
-            Some(IrawWindow {
-                bypass_levels: 1,
-                bubble: 1,
-            }),
-        );
-        assert_eq!(sb.cycles_until_ready(r(6)), 3);
-        sb.tick();
-        assert_eq!(sb.cycles_until_ready(r(6)), 2);
-        sb.mark_long_latency(r(6));
-        assert_eq!(sb.cycles_until_ready(r(6)), 7);
-    }
-
-    #[test]
-    fn flush_makes_everything_ready() {
-        let mut sb = Scoreboard::new(7);
-        sb.set_producer(r(0), 4, None);
-        sb.mark_long_latency(r(1));
-        sb.flush();
-        assert!(sb.is_ready(r(0)));
-        assert!(sb.is_ready(r(1)));
-    }
-
-    #[test]
     fn fresh_scoreboard_all_ready() {
         let sb = Scoreboard::new(7);
         for reg in Reg::all() {
@@ -528,9 +478,8 @@ mod tests {
     }
 
     /// Every 7-bit pattern, every elapsed delta up to well past
-    /// saturation: the closed forms of `is_ready`, `cycles_until_change`
-    /// and `cycles_until_ready` must agree with shifting the pattern one
-    /// cycle at a time.
+    /// saturation: the closed forms of `is_ready` and `cycles_until_change`
+    /// must agree with shifting the pattern one cycle at a time.
     #[test]
     fn closed_forms_match_cycle_by_cycle_shifting_at_width_7() {
         const W: u32 = 7;
@@ -554,22 +503,13 @@ mod tests {
                 assert_eq!(sb.is_ready(r(0)), ready(b), "{ctx}");
                 let mut future = b;
                 let mut change = None;
-                let mut first_ready = if ready(b) { Some(0) } else { None };
                 for k in 1..=2 * W {
                     future = shift1(future);
                     if change.is_none() && ready(future) != ready(b) {
                         change = Some(k);
                     }
-                    if first_ready.is_none() && ready(future) {
-                        first_ready = Some(k);
-                    }
                 }
                 assert_eq!(sb.cycles_until_change(r(0)), change, "{ctx}");
-                assert_eq!(
-                    sb.cycles_until_ready(r(0)),
-                    first_ready.unwrap_or(W),
-                    "{ctx}"
-                );
             }
         }
     }

@@ -148,16 +148,10 @@ impl Tlb {
         };
     }
 
-    /// Flushes all translations.
-    pub fn flush(&mut self) {
-        self.entries.fill(EMPTY);
-    }
-
     /// Restores the freshly-constructed state in place: translations,
-    /// MRU slot, clock and statistics (unlike [`Tlb::flush`], which only
-    /// drops translations). No allocation.
+    /// MRU slot, clock and statistics. No allocation.
     pub fn reset(&mut self) {
-        self.flush();
+        self.entries.fill(EMPTY);
         self.mru = 0;
         self.clock = 0;
         self.stats = TlbStats::default();
@@ -212,14 +206,6 @@ mod tests {
         let s = tlb.stats();
         assert_eq!((s.accesses, s.hits, s.misses), (3, 2, 1));
         assert!((s.miss_ratio() - 1.0 / 3.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn flush_clears_translations() {
-        let mut tlb = Tlb::new(2);
-        tlb.fill(0x1000);
-        tlb.flush();
-        assert!(!tlb.access(0x1000));
     }
 
     /// The pre-flattening model: `Option` slots with an MRU probe and
@@ -297,8 +283,11 @@ mod tests {
                     (rng.below(3 * cap as u64 + 2) << PAGE_SHIFT) | rng.below(1u64 << PAGE_SHIFT);
                 match rng.below(6) {
                     0 => {
-                        tlb.flush();
+                        tlb.reset();
                         reference.entries.fill(None);
+                        reference.mru = 0;
+                        reference.clock = 0;
+                        reference.stats = TlbStats::default();
                     }
                     1 | 2 => {
                         tlb.fill(addr);

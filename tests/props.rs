@@ -112,7 +112,7 @@ fn cache_tag_store_is_truthful() {
         .unwrap();
         let mut resident = std::collections::HashSet::new();
         for _ in 0..accesses {
-            let line = rng.below(64);
+            let line = u32::try_from(rng.below(64)).unwrap();
             let hit = cache.access(line);
             assert_eq!(hit, resident.contains(&line), "line {line}");
             if !hit {
