@@ -23,10 +23,14 @@
 //!   final name.
 //!   `<writer>` is the shard index inside a cluster (0 otherwise);
 //!   `<pid>` and `<seq>` make every name unique. A key that misses
-//!   memory re-lists the segment directory, and each segment this handle
-//!   has not indexed (another process's publishes, or every segment
-//!   after a restart) is read once — checked, decoded and indexed — so
-//!   stores in several processes can share one root.
+//!   memory lists the segment directory once, reads the segments of its
+//!   own `<writer>` this handle has not indexed yet, and only if the key
+//!   is still missing reads the unindexed segments of every other
+//!   writer. Each segment is read once — checked, decoded and indexed —
+//!   so stores in several processes can share one root, and a key any
+//!   writer published is never simulated twice. A cluster routes each
+//!   key to one shard, which finds it in the segments it wrote itself,
+//!   so a restarted shard reads its own segments and no other shard's.
 //!
 //! Invalidation is by construction: the engine-semantics version is
 //! hashed into every key *and* embedded in every record and segment
@@ -179,6 +183,10 @@ pub struct StoreStats {
     pub write_failures: u64,
     /// Stale `*.tmp.*` publish leftovers removed at startup.
     pub orphans_swept: u64,
+    /// Segment files this handle read and checked (index loads, and the
+    /// admin scrub, vacuum and export), quarantined ones included; a
+    /// file gone before its read is not counted.
+    pub segments_read: u64,
     /// Whether the store has latched memory-only (degraded) mode after a
     /// publish exhausted its retries. Sticky until restart.
     pub degraded: bool,
@@ -224,6 +232,9 @@ impl SegmentId {
         format!("{}-{}-{}.lvcb", self.writer, self.pid, self.seq)
     }
 }
+
+/// Live segments and their paths, in publish order.
+pub(crate) type Listing = Vec<(SegmentId, PathBuf)>;
 
 /// Why a segment could not be used.
 pub(crate) enum SegmentFault {
@@ -347,6 +358,7 @@ pub struct ResultStore {
     retries: AtomicU64,
     write_failures: AtomicU64,
     pub(crate) orphans_swept: AtomicU64,
+    segments_read: AtomicU64,
     degraded: AtomicBool,
 }
 
@@ -427,13 +439,15 @@ impl ResultStore {
             retries: AtomicU64::new(0),
             write_failures: AtomicU64::new(0),
             orphans_swept: AtomicU64::new(0),
+            segments_read: AtomicU64::new(0),
             degraded: AtomicBool::new(false),
         }
     }
 
     /// Names this store's segments `<writer>-…` (a cluster passes the
-    /// shard index) and scopes [`disk_entries`](Self::disk_entries) to
-    /// them, so shards sharing one root count disjoint records.
+    /// shard index), reads them ahead of other writers' on a miss, and
+    /// scopes [`disk_entries`](Self::disk_entries) to them, so shards
+    /// sharing one root count disjoint records.
     #[must_use]
     pub fn with_writer(self, writer: u32) -> Self {
         Self { writer, ..self }
@@ -458,6 +472,7 @@ impl ResultStore {
             retries: self.retries.load(Ordering::Relaxed),
             write_failures: self.write_failures.load(Ordering::Relaxed),
             orphans_swept: self.orphans_swept.load(Ordering::Relaxed),
+            segments_read: self.segments_read.load(Ordering::Relaxed),
             degraded: self.degraded.load(Ordering::Relaxed),
         }
     }
@@ -496,7 +511,7 @@ impl ResultStore {
 
     /// The live segments on disk, in publish order. A missing segment
     /// directory (nothing published yet) lists as empty.
-    pub(crate) fn list_segments(&self) -> io::Result<Vec<(SegmentId, PathBuf)>> {
+    pub(crate) fn list_segments(&self) -> io::Result<Listing> {
         let Some(segdir) = self.segments_dir() else {
             return Ok(Vec::new());
         };
@@ -517,13 +532,15 @@ impl ResultStore {
     }
 
     /// Reads a segment through the I/O seam and checks its bundle
-    /// envelope and digest (record bytes are not decoded here).
+    /// envelope and digest (record bytes are not decoded here). Counts
+    /// in [`StoreStats::segments_read`] unless the file is gone.
     pub(crate) fn read_segment(&self, path: &Path) -> Result<Vec<BundleRecord>, SegmentFault> {
-        let bytes = match self.io.read(path) {
-            Ok(b) => b,
+        let read = match self.io.read(path) {
             Err(e) if e.kind() == io::ErrorKind::NotFound => return Err(SegmentFault::Missing),
-            Err(e) => return Err(SegmentFault::Bad(format!("read failed: {e}"))),
+            read => read,
         };
+        self.segments_read.fetch_add(1, Ordering::Relaxed);
+        let bytes = read.map_err(|e| SegmentFault::Bad(format!("read failed: {e}")))?;
         decode_bundle(&bytes).map_err(|e| SegmentFault::Bad(format!("bundle check failed: {e}")))
     }
 
@@ -566,13 +583,31 @@ impl ResultStore {
 
     /// Loads every listed segment this handle has not indexed yet, in
     /// publish order (see [`load_segment`](Self::load_segment)), so every
-    /// key a live segment holds is then in memory.
+    /// key a live segment holds is then in memory. The admin surface's
+    /// view; a lookup loads other writers' segments only on demand (see
+    /// [`probe`](Self::probe)).
     pub(crate) fn refresh_index(&self) {
-        // Listing costs time linear in the segment count and only reads,
-        // so concurrent misses list in parallel; the lock covers loading,
-        // and a segment another thread loaded meanwhile is skipped.
-        // Best-effort: an unlistable directory indexes nothing new.
-        let mut fresh = self.list_segments().unwrap_or_default();
+        self.load_unindexed(self.list_segments().unwrap_or_default());
+    }
+
+    /// The live segments split into this store's `<writer>`'s and every
+    /// other writer's, each in publish order. Listing costs time linear
+    /// in the segment count and only reads, so concurrent misses list in
+    /// parallel. Best-effort: an unlistable directory lists as empty.
+    fn list_by_writer(&self) -> (Listing, Listing) {
+        self.list_segments()
+            .unwrap_or_default()
+            .into_iter()
+            .partition(|(id, _)| id.writer == self.writer)
+    }
+
+    /// Loads the segments of `listed` this handle has not indexed yet,
+    /// in order. The lock covers loading, and a segment another thread
+    /// loaded meanwhile is skipped, so each segment is read once.
+    fn load_unindexed(&self, mut fresh: Listing) {
+        if fresh.is_empty() {
+            return;
+        }
         let _one_loader = self.refresh.lock();
         {
             let memory = self.memory.lock();
@@ -606,13 +641,21 @@ impl ResultStore {
 
     /// Counter-free lookup: memory, then, on a persistent store, the
     /// segments this handle has not indexed yet (another process's
-    /// publishes, or every segment after a restart). Infallible: every
-    /// failure mode degrades to a miss.
+    /// publishes, or every segment after a restart) from one listing:
+    /// this writer's first, and other writers' only if the key is still
+    /// missing. A cluster shard's keys live in the segments it wrote, so
+    /// a restarted shard reads no other shard's results, while a key
+    /// only another writer holds is still found rather than simulated
+    /// again. Infallible: every failure mode degrades to a miss.
     fn probe(&self, key: SimKey) -> Option<SimResult> {
         self.recall(key).or_else(|| {
             self.dir.as_ref()?;
-            self.refresh_index();
-            self.recall(key)
+            let (own, foreign) = self.list_by_writer();
+            self.load_unindexed(own);
+            self.recall(key).or_else(|| {
+                self.load_unindexed(foreign);
+                self.recall(key)
+            })
         })
     }
 
@@ -817,14 +860,15 @@ impl ResultStore {
 
     /// Records and segments on disk under this store's `<writer>` (0 for
     /// ephemeral stores; quarantined segments excluded). Re-lists the
-    /// segment directory first. Shards sharing one root each count
-    /// their own segments, so their sums are the directory's totals.
-    /// Intended for reporting, not hot paths.
+    /// segment directory first and loads only this writer's new
+    /// segments. Shards sharing one root each count their own segments,
+    /// so their sums are the directory's totals. Intended for reporting,
+    /// not hot paths.
     fn own_disk(&self) -> (u64, u64) {
         if self.dir.is_none() {
             return (0, 0);
         }
-        self.refresh_index();
+        self.load_unindexed(self.list_by_writer().0);
         let memory = self.memory.lock();
         memory
             .segments
@@ -979,6 +1023,228 @@ mod tests {
             .iter()
             .map(|p| decode_bundle(&fs::read(p).unwrap()).unwrap().len() as u64)
             .sum()
+    }
+
+    /// A [`StoreIo`] over the real filesystem that logs every path it
+    /// reads.
+    #[derive(Debug, Default)]
+    struct ReadLog {
+        reads: std::sync::Mutex<Vec<PathBuf>>,
+    }
+
+    impl ReadLog {
+        /// The file names read so far, in read order.
+        fn names(&self) -> Vec<String> {
+            let reads = self.reads.lock().unwrap();
+            reads
+                .iter()
+                .map(|p| p.file_name().unwrap().to_str().unwrap().to_owned())
+                .collect()
+        }
+    }
+
+    impl StoreIo for ReadLog {
+        fn read(&self, path: &Path) -> io::Result<Vec<u8>> {
+            self.reads.lock().unwrap().push(path.to_path_buf());
+            RealIo.read(path)
+        }
+        fn write_sync(&self, path: &Path, bytes: &[u8]) -> io::Result<()> {
+            RealIo.write_sync(path, bytes)
+        }
+        fn rename(&self, from: &Path, to: &Path) -> io::Result<()> {
+            RealIo.rename(from, to)
+        }
+        fn sync_dir(&self, dir: &Path) -> io::Result<()> {
+            RealIo.sync_dir(dir)
+        }
+        fn create_dir_all(&self, dir: &Path) -> io::Result<()> {
+            RealIo.create_dir_all(dir)
+        }
+        fn remove_file(&self, path: &Path) -> io::Result<()> {
+            RealIo.remove_file(path)
+        }
+    }
+
+    /// A root shared by three writers: writer 0 publishes keys 0–1 in
+    /// one segment, writer 1 keys 2–4 in two, writer 2 key 5 in one.
+    /// Returns the keys (all over one result) and each writer's segment
+    /// file names, in publish order.
+    fn three_writer_root(dir: &Path) -> (Vec<(SimKey, SimResult)>, [Vec<String>; 3]) {
+        let (base, result) = run_one();
+        let keys: Vec<(SimKey, SimResult)> = (0..6u128)
+            .map(|i| (SimKey::from_value(base.value() ^ i), result.clone()))
+            .collect();
+        for (writer, batch) in [
+            (0, &keys[..2]),
+            (1, &keys[2..4]),
+            (1, &keys[4..5]),
+            (2, &keys[5..]),
+        ] {
+            ResultStore::open(dir)
+                .unwrap()
+                .with_writer(writer)
+                .put_batch(batch);
+        }
+        let names = [0u32, 1, 2].map(|writer| {
+            let mut own: Vec<(SegmentId, String)> = segment_files(dir)
+                .iter()
+                .map(|p| p.file_name().unwrap().to_str().unwrap().to_owned())
+                .filter_map(|n| SegmentId::parse(&n).map(|id| (id, n)))
+                .filter(|(id, _)| id.writer == writer)
+                .collect();
+            own.sort();
+            own.into_iter().map(|(_, n)| n).collect()
+        });
+        assert_eq!(names.iter().map(Vec::len).collect::<Vec<_>>(), [1, 2, 1]);
+        (keys, names)
+    }
+
+    /// A `writer` store over `dir` whose reads `log` records.
+    fn logged(dir: &Path, writer: u32, log: &Arc<ReadLog>) -> ResultStore {
+        ResultStore::open_with(
+            dir,
+            Arc::clone(log) as Arc<dyn StoreIo>,
+            RetryPolicy::immediate(),
+        )
+        .unwrap()
+        .with_writer(writer)
+    }
+
+    #[test]
+    fn a_writer_answers_its_own_keys_from_its_own_segments() {
+        let dir = tmpdir("own_first");
+        let (keys, names) = three_writer_root(&dir);
+        let log = Arc::new(ReadLog::default());
+        let store = logged(&dir, 1, &log);
+        for (key, result) in &keys[2..5] {
+            assert_eq!(store.get(*key).as_ref(), Some(result));
+        }
+        let s = store.stats();
+        assert_eq!((s.hits, s.misses), (3, 0));
+        assert_eq!(s.segments_read, 2, "writer 1's two segments");
+        assert_eq!(log.names(), names[1], "read in publish order, once each");
+        // Counting its own records reads nothing more.
+        assert_eq!((store.disk_entries(), store.disk_segments()), (3, 2));
+        assert_eq!(store.stats().segments_read, 2);
+        assert_eq!(log.names(), names[1]);
+
+        // A fresh handle counts its own records from its own segments.
+        let log = Arc::new(ReadLog::default());
+        let counter = logged(&dir, 1, &log);
+        assert_eq!((counter.disk_entries(), counter.disk_segments()), (3, 2));
+        assert_eq!(counter.stats().segments_read, 2);
+        assert_eq!(log.names(), names[1]);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_foreign_key_hits_after_one_foreign_load() {
+        let dir = tmpdir("foreign_key");
+        let (keys, names) = three_writer_root(&dir);
+        let log = Arc::new(ReadLog::default());
+        let store = logged(&dir, 1, &log);
+        // Writer 2's key: the own segments miss it, the foreign ones
+        // from the same listing hold it — a hit, not a simulation.
+        let (key, result) = &keys[5];
+        let Flight::Hit(hit) = store.lookup(*key) else {
+            panic!("a key another writer published must not re-simulate");
+        };
+        assert_eq!(&*hit, result);
+        assert_eq!(store.stats().segments_read, 4, "every segment, once");
+        let mut expected = names[1].clone();
+        expected.extend(names[0].iter().chain(&names[2]).cloned());
+        assert_eq!(log.names(), expected, "own segments first");
+        // Every other key, own or foreign, is now a memory hit.
+        for (key, result) in &keys {
+            assert_eq!(store.get(*key).as_ref(), Some(result));
+        }
+        let s = store.stats();
+        assert_eq!((s.hits, s.misses, s.segments_read), (7, 0, 4));
+        assert_eq!(log.names(), expected, "no segment read twice");
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_corrupt_foreign_segment_is_quarantined_when_a_foreign_load_reaches_it() {
+        let dir = tmpdir("foreign_corrupt");
+        let (keys, names) = three_writer_root(&dir);
+        let victim = dir.join(SEGMENTS_DIR).join(&names[0][0]);
+        let mut bytes = fs::read(&victim).unwrap();
+        bytes[30] ^= 0x08;
+        fs::write(&victim, &bytes).unwrap();
+
+        let log = Arc::new(ReadLog::default());
+        let store = logged(&dir, 1, &log);
+        // Own keys never reach the damaged foreign segment.
+        assert_eq!(store.get(keys[2].0).as_ref(), Some(&keys[2].1));
+        assert_eq!(store.stats().quarantined, 0);
+        assert!(victim.exists(), "not read, so not judged");
+
+        // A key only the damaged segment held: the foreign load reads
+        // it, quarantines it, and the key leads a re-simulation.
+        let (key, result) = &keys[0];
+        let Flight::Lead(guard) = store.lookup(*key) else {
+            panic!("a quarantined key must degrade to a leading miss");
+        };
+        let s = store.stats();
+        assert_eq!((s.quarantined, s.misses, s.segments_read), (1, 1, 4));
+        assert!(!victim.exists());
+        assert!(dir.join(QUARANTINE_DIR).join(&names[0][0]).exists());
+        assert_eq!(log.names().len(), 4, "the victim counted as read");
+        store.put(*key, result);
+        drop(guard);
+        assert_eq!(store.get(*key).as_ref(), Some(result));
+        // Writer 2's segment was loaded by the same foreign load.
+        assert_eq!(store.get(keys[5].0).as_ref(), Some(&keys[5].1));
+        assert_eq!(store.stats().segments_read, 4);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_key_two_writers_hold_answers_byte_identically_through_run_suite_batch() {
+        use crate::ExperimentContext;
+        let dir = tmpdir("two_holders");
+        let ctx = ExperimentContext::sized(1, 2_000).unwrap();
+        // A clock 0.1% slower keeps the projection: two configurations,
+        // one key per trace, two record images (`cycle_time` differs).
+        let (base, _) = SimConfig::mechanism_pair(ctx.core, &ctx.timing, mv(600));
+        let mut slower = base.clone();
+        slower.cycle_time = lowvcc_sram::Picoseconds::new(base.cycle_time.picos() * 1.001);
+        let cfgs = [base.clone(), slower.clone()];
+        assert_eq!(lowvcc_core::same_projection_as(&cfgs), [0, 0]);
+        let reference = ctx.run_suite_batch(&cfgs).unwrap();
+        assert_ne!(reference[0], reference[1]);
+        // Writer 0 holds every key stamped with one clock, writer 2 the
+        // same keys stamped with the other.
+        for (writer, cfg, stamped) in [(0, &base, &reference[0]), (2, &slower, &reference[1])] {
+            let batch: Vec<(SimKey, SimResult)> = ctx
+                .specs()
+                .iter()
+                .zip(&stamped.per_trace)
+                .map(|(spec, (_, result))| (sim_key(cfg, spec), result.clone()))
+                .collect();
+            ResultStore::open(&dir)
+                .unwrap()
+                .with_writer(writer)
+                .put_batch(&batch);
+        }
+        // Writers 0 and 2 read their own copy, writer 1 both foreign
+        // ones; every answer is the uncached one.
+        for (writer, read) in [(0, 1), (1, 2), (2, 1)] {
+            let log = Arc::new(ReadLog::default());
+            let store = Arc::new(logged(&dir, writer, &log));
+            let cached = ctx.clone().with_cache(Arc::clone(&store));
+            assert_eq!(
+                cached.run_suite_batch(&cfgs).unwrap(),
+                reference,
+                "writer {writer}"
+            );
+            let s = store.stats();
+            assert_eq!(s.misses, 0, "writer {writer}");
+            assert_eq!(s.segments_read, read, "writer {writer}");
+            assert_eq!(log.names().len() as u64, read, "writer {writer}");
+        }
+        let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]

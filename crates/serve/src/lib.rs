@@ -34,7 +34,8 @@
 //! `stats` additionally reports store health: `store_degraded` (the
 //! store latched memory-only mode after a publish exhausted its
 //! retries), `quarantined` (records moved aside after failed reads),
-//! `retries`, `write_failures` and `orphans_swept`. The daemon keeps
+//! `retries`, `write_failures` and `orphans_swept`, and `segments_read`
+//! (segment files the store has read and checked). The daemon keeps
 //! answering queries in degraded mode — the disk is an optimization,
 //! never a dependency (see DESIGN.md §9). `metrics` returns the
 //! [`metrics::Metrics`] registry: fixed-bucket per-op latency
@@ -450,8 +451,10 @@ impl Daemon {
                 false,
             )),
             Request::Stats => {
-                let s = self.store().stats();
+                // Counting reads this shard's new segments first, so the
+                // counters below include them.
                 let disk = self.store().disk_entries();
+                let s = self.store().stats();
                 let c = self.serve_counters();
                 Ok((
                     json::object(&[
@@ -464,6 +467,7 @@ impl Daemon {
                         ("coalesced", s.coalesced.to_string()),
                         ("simulated_uops", s.simulated_uops.to_string()),
                         ("disk_entries", disk.to_string()),
+                        ("segments_read", s.segments_read.to_string()),
                         ("persistent", json::boolean(self.store().dir().is_some())),
                         ("store_degraded", json::boolean(s.degraded)),
                         ("quarantined", s.quarantined.to_string()),

@@ -441,8 +441,9 @@ fn answers(router: std::net::SocketAddr, lines: &[&str]) -> Vec<String> {
         .collect()
 }
 
-/// Per-shard `(misses, stores, disk_entries)` from the router's stats.
-fn shard_store_counts(router: std::net::SocketAddr) -> Vec<(u64, u64, u64)> {
+/// Per-shard `(misses, stores, disk_entries, segments_read)` from the
+/// router's stats.
+fn shard_store_counts(router: std::net::SocketAddr) -> Vec<(u64, u64, u64, u64)> {
     let stats = answers(router, &["{\"experiment\": \"stats\"}"]).remove(0);
     let v = json::parse(&stats).expect("stats parse");
     let n = |s: &json::Value, k: &str| s.get(k).and_then(json::Value::as_u64).expect(k);
@@ -450,8 +451,29 @@ fn shard_store_counts(router: std::net::SocketAddr) -> Vec<(u64, u64, u64)> {
         .and_then(json::Value::as_array)
         .expect("per-shard stats")
         .iter()
-        .map(|s| (n(s, "misses"), n(s, "stores"), n(s, "disk_entries")))
+        .map(|s| {
+            (
+                n(s, "misses"),
+                n(s, "stores"),
+                n(s, "disk_entries"),
+                n(s, "segments_read"),
+            )
+        })
         .collect()
+}
+
+/// Segment files shard `index` wrote under a store directory
+/// (`<index>-<pid>-<seq>.lvcb`).
+fn own_segments(dir: &std::path::Path, index: usize) -> u64 {
+    std::fs::read_dir(dir.join(SEGMENTS_DIR))
+        .expect("segment dir lists")
+        .flatten()
+        .filter(|e| {
+            let name = e.file_name();
+            let name = name.to_str().unwrap_or_default();
+            name.ends_with(".lvcb") && name.split('-').next() == Some(&index.to_string())
+        })
+        .count() as u64
 }
 
 /// Trace syntheses across a cluster's shards, which share one trace
@@ -533,7 +555,7 @@ fn restarted_cluster_resimulates_nothing() {
         choice.specs().len(),
         "the cold pass builds each trace once in total"
     );
-    for (i, &(_, stores, disk_entries)) in counts.iter().enumerate() {
+    for (i, &(_, stores, disk_entries, _)) in counts.iter().enumerate() {
         assert_eq!(stores, disk_entries, "shard {i} persists what it computes");
     }
     assert_eq!(
@@ -547,6 +569,15 @@ fn restarted_cluster_resimulates_nothing() {
     let cluster = start_cluster(choice, &opts).expect("restarted cluster starts");
     let warm = answers(cluster.router_addr(), &LINES);
     let counts = shard_store_counts(cluster.router_addr());
+    // Every key a restarted shard serves is in a segment it wrote, so
+    // it reads its own segments and no other shard's.
+    for (i, &(_, _, _, segments_read)) in counts.iter().enumerate() {
+        assert_eq!(
+            segments_read,
+            own_segments(&dir, i),
+            "restarted shard {i} reads exactly its own segments: {counts:?}"
+        );
+    }
     assert_eq!(
         trace_builds(&cluster),
         0,
