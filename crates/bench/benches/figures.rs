@@ -8,6 +8,7 @@ use std::hint::black_box;
 
 use lowvcc_bench::experiments::{fig1, fig11a, stalls, sweep, table1};
 use lowvcc_bench::ExperimentContext;
+use lowvcc_sram::PAPER_SWEEP;
 
 fn ctx() -> ExperimentContext {
     ExperimentContext::quick().expect("quick suite builds")
@@ -33,7 +34,7 @@ fn bench_fig11b_and_fig12(c: &mut Criterion) {
     g.sample_size(10);
     g.bench_function("fig11b_fig12_full_sweep", |b| {
         b.iter(|| {
-            let points = sweep::run_sweep(&ctx).expect("sweep runs");
+            let points = sweep::run_sweep_at(&ctx, PAPER_SWEEP.iter()).expect("sweep runs");
             black_box((sweep::fig11b_table(&points), sweep::fig12_table(&points)))
         });
     });

@@ -19,8 +19,8 @@ use std::sync::{Arc, OnceLock};
 use std::{panic, thread};
 
 use lowvcc_core::{
-    run_batch_groups, same_projection_as, sim_key, CoreConfig, MechanismComparison, Parallelism,
-    SimConfig, SimError, SimKey, SimResult, SuiteResult,
+    run_batch_groups, same_projection_as, CoreConfig, MechanismComparison, Parallelism, SimConfig,
+    SimError, SimKey, SimKeyPrefix, SimResult, SuiteResult,
 };
 
 use crate::error::ExperimentError;
@@ -385,15 +385,27 @@ impl ExperimentContext {
             .collect();
         // One lookup per distinct projection: `c` stands for every
         // config whose `firsts` entry is `c`, and `fill` hands each of
-        // them the result stamped with its own cycle time.
+        // them the result stamped with its own cycle time. Each such `c`
+        // hashes its key prefix once, for every trace (equal projections
+        // have equal prefixes).
         let firsts = same_projection_as(cfgs);
+        let mut prefixes: Vec<SimKeyPrefix> = Vec::with_capacity(cfgs.len());
+        for (c, &f) in firsts.iter().enumerate() {
+            let prefix = if c == f {
+                SimKeyPrefix::new(&cfgs[c])
+            } else {
+                prefixes[f]
+            };
+            prefixes.push(prefix);
+        }
+        let names: Vec<String> = self.specs.iter().map(TraceSpec::name).collect();
         let mut fill = |t: usize, c: usize, result: &SimResult| {
             for (i, _) in firsts.iter().enumerate().filter(|&(_, &f)| f == c) {
                 let stamped = SimResult {
                     cycle_time: cfgs[i].cycle_time,
                     ..result.clone()
                 };
-                slots[i][t] = Some((self.specs[t].name(), stamped));
+                slots[i][t] = Some((names[t].clone(), stamped));
             }
         };
         // Trace-major order, so one round's leaders arrive grouped by
@@ -408,12 +420,13 @@ impl ExperimentContext {
             })
             .collect();
         while !unresolved.is_empty() {
-            let mut leaders: Vec<(usize, usize, FlightGuard<'_>)> = Vec::new();
+            let mut leaders: Vec<(usize, usize, SimKey, FlightGuard<'_>)> = Vec::new();
             let mut pending: Vec<(usize, usize, FlightWaiter)> = Vec::new();
             for &(t, c) in &unresolved {
-                match store.lookup(sim_key(&cfgs[c], &self.specs[t])) {
+                let k = prefixes[c].key(&self.specs[t]);
+                match store.lookup(k) {
                     Flight::Hit(result) => fill(t, c, &result),
-                    Flight::Lead(guard) => leaders.push((t, c, guard)),
+                    Flight::Lead(guard) => leaders.push((t, c, k, guard)),
                     Flight::Pending(waiter) => pending.push((t, c, waiter)),
                 }
             }
@@ -429,26 +442,26 @@ impl ExperimentContext {
                     .map(|run| {
                         (
                             run[0].0,
-                            run.iter().map(|(_, c, _)| cfgs[*c].clone()).collect(),
+                            run.iter().map(|(_, c, _, _)| cfgs[*c].clone()).collect(),
                         )
                     })
                     .collect();
                 store.note_simulated_uops(
                     leaders
                         .iter()
-                        .map(|(t, _, _)| self.specs[*t].len as u64)
+                        .map(|(t, _, _, _)| self.specs[*t].len as u64)
                         .sum(),
                 );
                 let fresh = run_batch_groups(&groups, |&t| self.trace(t), self.parallelism)?;
                 let batch: Vec<(SimKey, SimResult)> = leaders
                     .iter()
                     .zip(fresh.into_iter().flatten())
-                    .map(|((t, c, _), result)| (sim_key(&cfgs[*c], &self.specs[*t]), result))
+                    .map(|((_, _, k, _), result)| (*k, result))
                     .collect();
                 // The whole round is one segment: one fsync, however
                 // many misses it filled.
                 store.put_batch(&batch);
-                for ((t, c, guard), (_, result)) in leaders.into_iter().zip(&batch) {
+                for ((t, c, _, guard), (_, result)) in leaders.into_iter().zip(&batch) {
                     drop(guard); // published: retires the flight, wakes waiters
                     fill(t, c, result);
                 }
@@ -556,8 +569,44 @@ impl Drop for HeldTrace<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lowvcc_core::ConfigError;
+    use crate::experiments::{stalls, sweep, table1};
+    use lowvcc_core::canon::{encode_cycle_config, encode_trace_spec, fnv1a_128, CanonWriter};
+    use lowvcc_core::{sim_key, ConfigError, ENGINE_SEMANTICS_VERSION};
     use lowvcc_sram::voltage::mv;
+    use lowvcc_sram::PAPER_SWEEP;
+
+    /// The key of `(cfg, spec)` hashed in one pass over its whole
+    /// encoding, as keys were made before prefixes.
+    fn one_pass_key(cfg: &SimConfig, spec: &TraceSpec) -> SimKey {
+        let mut w = CanonWriter::new();
+        w.str("lowvcc-simkey");
+        w.u32(ENGINE_SEMANTICS_VERSION);
+        encode_cycle_config(&mut w, &cfg.cycle_config());
+        encode_trace_spec(&mut w, spec);
+        SimKey::from_value(fnv1a_128(w.bytes()))
+    }
+
+    /// Every key the batch runner makes from a saved prefix is the key
+    /// `sim_key` makes and the one-pass hash, for every config of the
+    /// sweep, Table 1 and stall grids (at every sweep voltage) over the
+    /// quick suite.
+    #[test]
+    fn prefix_keys_match_sim_key_on_every_grid() {
+        let ctx = ExperimentContext::quick().unwrap();
+        let mut grid = sweep::configs(&ctx);
+        for vcc in PAPER_SWEEP.iter() {
+            grid.extend(table1::configs(&ctx, vcc));
+            grid.extend(stalls::configs(&ctx, vcc));
+        }
+        for cfg in &grid {
+            let prefix = SimKeyPrefix::new(cfg);
+            for spec in ctx.specs() {
+                let key = prefix.key(spec);
+                assert_eq!(key, sim_key(cfg, spec), "{cfg:?} {spec:?}");
+                assert_eq!(key, one_pass_key(cfg, spec), "{cfg:?} {spec:?}");
+            }
+        }
+    }
 
     #[test]
     fn a_batch_context_builds_each_use_and_frees_it() {

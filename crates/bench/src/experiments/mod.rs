@@ -12,6 +12,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use lowvcc_core::SuiteResult;
+use lowvcc_sram::PAPER_SWEEP;
 
 use crate::context::ExperimentContext;
 use crate::error::ExperimentError;
@@ -19,7 +20,7 @@ use crate::report::TextTable;
 use crate::store::ResultStore;
 
 /// Re-exported for Figure 11b / Figure 12 consumers.
-pub use sweep::{point, point_from, point_json, run_sweep, SweepPoint};
+pub use sweep::{point_from, point_json, run_sweep_at, SweepPoint};
 
 fn save(table: &TextTable, path: &Path) -> Result<(), ExperimentError> {
     table.write_csv(path).map_err(ExperimentError::io_at(path))
@@ -127,7 +128,7 @@ pub fn run_all(ctx: &ExperimentContext, out_dir: &Path) -> Result<RunSummary, Ex
     let uops_before = store.stats().simulated_uops;
     // lint: allow(no-wallclock) -- report metadata only; never feeds a simulated result
     let sweep_started = Instant::now();
-    let points = sweep::run_sweep(ctx)?;
+    let points = sweep::run_sweep_at(ctx, PAPER_SWEEP.iter())?;
     let sweep_elapsed = sweep_started.elapsed();
     // Throughput numerator: engine work only, as the store counted it.
     let sweep_uops = store.stats().simulated_uops - uops_before;

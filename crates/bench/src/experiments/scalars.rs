@@ -142,12 +142,13 @@ pub fn table(points: &[SweepPoint]) -> Result<TextTable, ExperimentError> {
 mod tests {
     use super::*;
     use crate::context::ExperimentContext;
-    use crate::experiments::sweep::run_sweep;
+    use crate::experiments::sweep::run_sweep_at;
+    use lowvcc_sram::PAPER_SWEEP;
 
     #[test]
     fn scalar_table_builds_from_sweep() {
         let ctx = ExperimentContext::quick().unwrap();
-        let points = run_sweep(&ctx).unwrap();
+        let points = run_sweep_at(&ctx, PAPER_SWEEP.iter()).unwrap();
         let t = table(&points).unwrap();
         assert!(t.len() >= 12);
         let s = t.render();
@@ -158,7 +159,7 @@ mod tests {
     #[test]
     fn every_measured_row_has_a_band() {
         let ctx = ExperimentContext::sized(1, 2_000).unwrap();
-        let rows = measured(&run_sweep(&ctx).unwrap()).unwrap();
+        let rows = measured(&run_sweep_at(&ctx, PAPER_SWEEP.iter()).unwrap()).unwrap();
         for row in &rows {
             let (low, high) =
                 band(row.quantity).unwrap_or_else(|| panic!("{} declares no band", row.quantity));

@@ -55,20 +55,8 @@ fn suite_energy(
         .fold(lowvcc_energy::EnergyBreakdown::default(), |a, b| a + b)
 }
 
-/// Measures the baseline-vs-IRAW point at one supply voltage (through
-/// the context's result cache when configured). The unit of work
-/// `lowvcc-serve` answers per query.
-///
-/// # Errors
-///
-/// Propagates simulation and cache failures.
-pub fn point(ctx: &ExperimentContext, vcc: Millivolts) -> Result<SweepPoint, ExperimentError> {
-    Ok(point_from(ctx, &ctx.compare_mechanisms(vcc)?))
-}
-
 /// Derives one sweep point's measurements from a completed baseline-vs-
-/// IRAW comparison — the single assembly site shared by the single-
-/// voltage [`point`] and the full-grid [`run_sweep`].
+/// IRAW comparison — the single assembly site behind [`run_sweep_at`].
 #[must_use]
 pub fn point_from(ctx: &ExperimentContext, cmp: &MechanismComparison) -> SweepPoint {
     let vcc = cmp.vcc;
@@ -117,35 +105,46 @@ pub fn point_from(ctx: &ExperimentContext, cmp: &MechanismComparison) -> SweepPo
     }
 }
 
-/// The sweep grid: (baseline, IRAW) at every voltage of the paper's
-/// grid, in voltage order — 26 configurations, of which 21 are distinct
-/// simulations (at ≥600 mV the IRAW run is the baseline run).
-#[must_use]
-pub fn configs(ctx: &ExperimentContext) -> Vec<SimConfig> {
-    PAPER_SWEEP
-        .iter()
-        .flat_map(|vcc| {
+/// (baseline, IRAW) at each of `vccs`, in order.
+fn pairs_at(ctx: &ExperimentContext, vccs: &[Millivolts]) -> Vec<SimConfig> {
+    vccs.iter()
+        .flat_map(|&vcc| {
             let (base, iraw) = SimConfig::mechanism_pair(ctx.core, &ctx.timing, vcc);
             [base, iraw]
         })
         .collect()
 }
 
-/// Runs the full baseline-vs-IRAW sweep over the paper's voltage grid in
-/// one batched pass: all of [`configs`] go through
-/// [`ExperimentContext::run_suite_batch`], so each trace is replayed for
-/// the whole grid back to back, each distinct simulation runs once, and each
-/// worker's engine workspace is reused across all sweep points.
-/// Byte-identical to one fresh simulation per (config, trace) pair for
-/// any worker count — the `batch_vs_perpoint` suite asserts it.
+/// The sweep grid: (baseline, IRAW) at every voltage of the paper's
+/// grid, in voltage order — 26 configurations, of which 21 are distinct
+/// simulations (at ≥600 mV the IRAW run is the baseline run).
+#[must_use]
+pub fn configs(ctx: &ExperimentContext) -> Vec<SimConfig> {
+    pairs_at(ctx, &PAPER_SWEEP.iter().collect::<Vec<_>>())
+}
+
+/// Measures the baseline-vs-IRAW point at each of `vccs`, in the order
+/// given, in one batched pass: every (baseline, IRAW) pair goes through
+/// one [`ExperimentContext::run_suite_batch`] call, so each trace is
+/// replayed for all of them back to back, each distinct simulation runs
+/// once, its misses publish as one segment, and each worker's engine
+/// workspace is reused across all of them. The full sweep is
+/// `PAPER_SWEEP.iter()`; one voltage is `[vcc]` — the unit of work
+/// `lowvcc-serve` answers per query. Byte-identical to one fresh
+/// simulation per (config, trace) pair for any worker count and any
+/// slice — the `batch_vs_perpoint` suite asserts it.
 ///
 /// # Errors
 ///
 /// Propagates simulation and cache failures.
-pub fn run_sweep(ctx: &ExperimentContext) -> Result<Vec<SweepPoint>, ExperimentError> {
-    let mut suites = ctx.run_suite_batch(&configs(ctx))?.into_iter();
-    Ok(PAPER_SWEEP
-        .iter()
+pub fn run_sweep_at(
+    ctx: &ExperimentContext,
+    vccs: impl IntoIterator<Item = Millivolts>,
+) -> Result<Vec<SweepPoint>, ExperimentError> {
+    let vccs: Vec<Millivolts> = vccs.into_iter().collect();
+    let mut suites = ctx.run_suite_batch(&pairs_at(ctx, &vccs))?.into_iter();
+    Ok(vccs
+        .into_iter()
         .map(|vcc| {
             let baseline = suites.next().expect("one suite per config");
             let iraw = suites.next().expect("one suite per config");
@@ -237,7 +236,7 @@ mod tests {
             .unwrap()
             .with_cache(Arc::clone(&store));
         assert_eq!(configs(&ctx).len(), 26);
-        run_sweep(&ctx).unwrap();
+        run_sweep_at(&ctx, PAPER_SWEEP.iter()).unwrap();
         // At ≥600 mV the IRAW run is the baseline run: 26 configs, 21
         // simulations per trace, each looked up once.
         let traces = ctx.specs().len() as u64;
@@ -249,7 +248,7 @@ mod tests {
     #[test]
     fn sweep_reproduces_paper_shape_on_quick_suite() {
         let ctx = ExperimentContext::quick().unwrap();
-        let points = run_sweep(&ctx).unwrap();
+        let points = run_sweep_at(&ctx, PAPER_SWEEP.iter()).unwrap();
         assert_eq!(points.len(), 13);
 
         // High Vcc: no gain, EDP slightly above 1 (hardware overhead).

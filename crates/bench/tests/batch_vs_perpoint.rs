@@ -81,8 +81,21 @@ fn batched_sweep_matches_per_point_at_every_worker_count() {
         // after the sweep guard that it does not mutate the context.
         let f11a_before = csv_bytes(&fig11a::table(&ctx), "f11a_before");
 
-        let batched = sweep::run_sweep(&ctx).expect("batched sweep");
+        let batched = sweep::run_sweep_at(&ctx, PAPER_SWEEP.iter()).expect("batched sweep");
         assert_eq!(batched, reference, "sweep points diverged at jobs={jobs}");
+
+        // A slice, in any order, is the same points in that order.
+        let slice = [575, 700, 400].map(Millivolts::literal);
+        let sliced = sweep::run_sweep_at(&ctx, slice).expect("sliced sweep");
+        let picked: Vec<&SweepPoint> = slice
+            .iter()
+            .map(|&v| reference.iter().find(|p| p.vcc == v).expect("on the grid"))
+            .collect();
+        assert_eq!(
+            sliced.iter().collect::<Vec<_>>(),
+            picked,
+            "slice diverged at jobs={jobs}"
+        );
 
         let b11b = csv_bytes(&sweep::fig11b_table(&batched), "f11b_batched");
         assert_eq!(b11b, r11b, "F11b CSV diverged at jobs={jobs}");

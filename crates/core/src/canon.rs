@@ -17,7 +17,10 @@
 //!   one key and one simulation;
 //! * [`SimKey`] — a hand-rolled 128-bit FNV-1a over that encoding,
 //!   further covering [`ENGINE_SEMANTICS_VERSION`] so a change to what
-//!   the engine *means* invalidates every cached result at once;
+//!   the engine *means* invalidates every cached result at once. FNV-1a
+//!   is a left fold, so a [`SimKeyPrefix`] saves the hash state after a
+//!   config's bytes and keys each trace by folding only its spec onto
+//!   that state ([`sim_key`] is the prefix used once);
 //! * [`encode_sim_result`]/[`decode_sim_result`] — a self-describing,
 //!   checksummed byte format for [`SimResult`] suitable for
 //!   atomic-rename persistence. Decoding is strict: bad magic, an
@@ -71,7 +74,14 @@ pub fn fnv1a_64(bytes: &[u8]) -> u64 {
 /// 128-bit FNV-1a over `bytes` (used for content addressing).
 #[must_use]
 pub fn fnv1a_128(bytes: &[u8]) -> u128 {
-    bytes.iter().fold(FNV128_OFFSET, |h, &b| {
+    fnv1a_128_from(FNV128_OFFSET, bytes)
+}
+
+/// Continues a 128-bit FNV-1a from `state` over `bytes`. FNV-1a is a
+/// left fold, so hashing `a ++ b` equals continuing the hash of `a`
+/// over `b` — what lets a [`SimKeyPrefix`] hash its config once.
+fn fnv1a_128_from(state: u128, bytes: &[u8]) -> u128 {
+    bytes.iter().fold(state, |h, &b| {
         (h ^ u128::from(b)).wrapping_mul(FNV128_PRIME)
     })
 }
@@ -90,6 +100,15 @@ impl CanonWriter {
     #[must_use]
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// Creates an empty writer with room for `bytes` bytes, so writing
+    /// that many never reallocates.
+    #[must_use]
+    pub fn with_capacity(bytes: usize) -> Self {
+        Self {
+            buf: Vec::with_capacity(bytes),
+        }
     }
 
     /// The bytes written so far.
@@ -388,17 +407,52 @@ impl fmt::Display for SimKey {
     }
 }
 
+/// Bytes of a [`SimKeyPrefix`]'s encoding: the domain tag, the engine
+/// semantics version and the [`CycleConfig`] projection.
+const SIM_KEY_PREFIX_BYTES: usize = 305;
+
+/// The config half of every [`SimKey`] under one configuration: the
+/// FNV-128 state after the domain tag, [`ENGINE_SEMANTICS_VERSION`] and
+/// the config's [`CycleConfig`] projection. A grid keys many traces
+/// under each config, so it hashes those ~300 bytes once here, and
+/// [`key`](Self::key) folds only a trace spec's few bytes onto the
+/// saved state. [`sim_key`] is this type used once.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct SimKeyPrefix {
+    state: u128,
+}
+
+impl SimKeyPrefix {
+    /// Hashes `cfg`'s key prefix.
+    #[must_use]
+    pub fn new(cfg: &SimConfig) -> Self {
+        let mut w = CanonWriter::with_capacity(SIM_KEY_PREFIX_BYTES);
+        w.str("lowvcc-simkey");
+        w.u32(ENGINE_SEMANTICS_VERSION);
+        encode_cycle_config(&mut w, &cfg.cycle_config());
+        Self {
+            state: fnv1a_128(w.bytes()),
+        }
+    }
+
+    /// The [`SimKey`] of running `spec` under this prefix's config.
+    #[must_use]
+    pub fn key(&self, spec: &TraceSpec) -> SimKey {
+        // `encode_trace_spec`'s exact length: a length-prefixed name and
+        // two 8-byte integers.
+        let mut w = CanonWriter::with_capacity(24 + spec.family.name().len());
+        encode_trace_spec(&mut w, spec);
+        SimKey(fnv1a_128_from(self.state, w.bytes()))
+    }
+}
+
 /// Computes the [`SimKey`] of running `spec` under `cfg`: a function of
 /// `cfg`'s cycle-level projection only, so configs that behave the same
-/// share a key.
+/// share a key. Keying many traces under one config, build its
+/// [`SimKeyPrefix`] once instead.
 #[must_use]
 pub fn sim_key(cfg: &SimConfig, spec: &TraceSpec) -> SimKey {
-    let mut w = CanonWriter::new();
-    w.str("lowvcc-simkey");
-    w.u32(ENGINE_SEMANTICS_VERSION);
-    encode_cycle_config(&mut w, &cfg.cycle_config());
-    encode_trace_spec(&mut w, spec);
-    SimKey(fnv1a_128(w.bytes()))
+    SimKeyPrefix::new(cfg).key(spec)
 }
 
 // --- SimResult codec ------------------------------------------------------
@@ -649,6 +703,22 @@ mod tests {
         ];
         for (config, hex) in golden {
             assert_eq!(sim_key(&config, &spec).to_hex(), hex, "{config:?}");
+        }
+    }
+
+    /// The prefix's writer is sized to its encoding exactly, and the
+    /// trace spec's to `encode_trace_spec`'s, so neither reallocates.
+    #[test]
+    fn key_writers_are_sized_to_their_encodings() {
+        let mut w = CanonWriter::new();
+        w.str("lowvcc-simkey");
+        w.u32(ENGINE_SEMANTICS_VERSION);
+        encode_cycle_config(&mut w, &cfg(500, Mechanism::Iraw).cycle_config());
+        assert_eq!(w.bytes().len(), SIM_KEY_PREFIX_BYTES);
+        for family in WorkloadFamily::all() {
+            let mut w = CanonWriter::new();
+            encode_trace_spec(&mut w, &TraceSpec::new(family, 7, 10_000));
+            assert_eq!(w.bytes().len(), 24 + family.name().len(), "{family:?}");
         }
     }
 

@@ -50,7 +50,8 @@ pub mod stats;
 
 pub use batch::EngineWorkspace;
 pub use canon::{
-    decode_sim_result, encode_sim_result, sim_key, CanonError, SimKey, ENGINE_SEMANTICS_VERSION,
+    decode_sim_result, encode_sim_result, sim_key, CanonError, SimKey, SimKeyPrefix,
+    ENGINE_SEMANTICS_VERSION,
 };
 pub use config::{CoreConfig, CycleConfig, Mechanism, SimConfig, MAX_MEMORY_LATENCY_CYCLES};
 pub use error::{ConfigError, SimError};

@@ -21,6 +21,7 @@
 //! {"experiment": "metrics"}                → latency histograms + counters
 //! {"experiment": "sweep"}                  → all 13 voltages
 //! {"experiment": "sweep", "vcc": 575}      → one operating point
+//! {"experiment": "sweep", "vccs": [575, 500]} → those points, in order
 //! {"experiment": "table1", "vcc": 500}     → quantitative Table 1 rows
 //! {"experiment": "stalls", "vcc": 575}     → §5.2 stall attribution
 //! {"experiment": "shutdown"}
@@ -77,17 +78,18 @@
 //! `--shards N` runs N such daemons, each owning a deterministic slice
 //! of the operating points via the [`shard`] consistent-hash ring over
 //! millivolts, behind a [`router`] that needs only the shards'
-//! addresses: it forwards each request to the shard owning its voltage
-//! and merges full-grid sweeps byte-identically with the
+//! addresses: it forwards each request to the shard owning its voltage,
+//! sends each shard its slice of a multi-point sweep as one `"vccs"`
+//! request, and merges the points byte-identically with the
 //! single-process daemon. Each shard persists exactly what it computes.
 
 use std::io;
 use std::net::TcpListener;
 use std::time::Duration;
 
-use lowvcc_bench::experiments::{point, point_json, stalls, sweep, table1};
+use lowvcc_bench::experiments::{point_json, stalls, sweep, table1};
 use lowvcc_bench::{json, ExperimentContext, ExperimentError, ResultStore};
-use lowvcc_sram::{Millivolts, VoltageError};
+use lowvcc_sram::{Millivolts, VoltageError, PAPER_SWEEP};
 
 use std::fmt;
 use std::sync::atomic::Ordering;
@@ -102,7 +104,7 @@ pub mod shard;
 use metrics::{Metrics, Op};
 
 /// A parsed, validated request.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Request {
     /// Liveness probe.
     Ping,
@@ -112,6 +114,10 @@ pub enum Request {
     Metrics,
     /// The Figure 11b/12 measurement — one voltage, or the full grid.
     Sweep(Option<Millivolts>),
+    /// The Figure 11b/12 measurement at each listed voltage, answered in
+    /// the full grid's shape, in the order given (`"vccs"`; how the
+    /// router sends a shard its slice of the grid).
+    SweepSlice(Vec<Millivolts>),
     /// Quantitative Table 1 rows at a voltage (default
     /// [`table1::DEFAULT_VCC`]).
     Table1(Millivolts),
@@ -141,6 +147,12 @@ pub enum RequestError {
     VccOutOfRange(u64),
     /// The voltage is outside the calibrated model range.
     Voltage(VoltageError),
+    /// The `"vccs"` field is not a non-empty list.
+    VccsNotList,
+    /// The `"vccs"` list names a voltage twice.
+    VccsRepeated(Millivolts),
+    /// The request carries both `"vcc"` and `"vccs"`.
+    VccAndVccs,
 }
 
 impl fmt::Display for RequestError {
@@ -152,6 +164,9 @@ impl fmt::Display for RequestError {
             Self::VccNotInteger => write!(f, "\"vcc\" must be a whole number of millivolts"),
             Self::VccOutOfRange(mv) => write!(f, "\"vcc\" {mv} out of range"),
             Self::Voltage(e) => write!(f, "{e}"),
+            Self::VccsNotList => write!(f, "\"vccs\" must be a non-empty list of millivolts"),
+            Self::VccsRepeated(mv) => write!(f, "\"vccs\" lists {mv} twice"),
+            Self::VccAndVccs => write!(f, "a request takes \"vcc\" or \"vccs\", not both"),
         }
     }
 }
@@ -162,6 +177,30 @@ fn parse_vcc(v: &json::Value) -> Result<Millivolts, RequestError> {
     let raw = v.as_u64().ok_or(RequestError::VccNotInteger)?;
     let mv = u32::try_from(raw).map_err(|_| RequestError::VccOutOfRange(raw))?;
     Millivolts::new(mv).map_err(RequestError::Voltage)
+}
+
+fn parse_vccs(v: &json::Value) -> Result<Vec<Millivolts>, RequestError> {
+    let list = v
+        .as_array()
+        .filter(|list| !list.is_empty())
+        .ok_or(RequestError::VccsNotList)?;
+    let mut vccs = Vec::with_capacity(list.len());
+    for entry in list {
+        let vcc = parse_vcc(entry)?;
+        if vccs.contains(&vcc) {
+            return Err(RequestError::VccsRepeated(vcc));
+        }
+        vccs.push(vcc);
+    }
+    Ok(vccs)
+}
+
+fn parse_sweep(v: &json::Value) -> Result<Request, RequestError> {
+    match (v.get("vcc"), v.get("vccs")) {
+        (Some(_), Some(_)) => Err(RequestError::VccAndVccs),
+        (None, Some(list)) => Ok(Request::SweepSlice(parse_vccs(list)?)),
+        (vcc, None) => Ok(Request::Sweep(vcc.map(parse_vcc).transpose()?)),
+    }
 }
 
 /// Parses one request line.
@@ -181,7 +220,7 @@ pub fn parse_request(line: &str) -> Result<Request, RequestError> {
         "ping" => Ok(Request::Ping),
         "stats" => Ok(Request::Stats),
         "metrics" => Ok(Request::Metrics),
-        "sweep" => Ok(Request::Sweep(v.get("vcc").map(parse_vcc).transpose()?)),
+        "sweep" => parse_sweep(&v),
         "table1" => Ok(Request::Table1(
             v.get("vcc").map_or(Ok(table1::DEFAULT_VCC), parse_vcc)?,
         )),
@@ -203,6 +242,7 @@ pub fn op_of(parsed: &Result<Request, RequestError>) -> Op {
         Ok(Request::Metrics) => Op::Metrics,
         Ok(Request::Sweep(Some(_))) => Op::SweepPoint,
         Ok(Request::Sweep(None)) => Op::SweepFull,
+        Ok(Request::SweepSlice(_)) => Op::SweepSlice,
         Ok(Request::Table1(_)) => Op::Table1,
         Ok(Request::Stalls(_)) => Op::Stalls,
         Ok(Request::Shutdown) => Op::Shutdown,
@@ -488,30 +528,23 @@ impl Daemon {
                 ))
             }
             Request::Sweep(Some(vcc)) => {
-                let p = point(&self.ctx, vcc)?;
+                // One voltage in, one point out.
+                let point: String = sweep::run_sweep_at(&self.ctx, [vcc])?
+                    .iter()
+                    .map(point_json)
+                    .collect();
                 Ok((
                     json::object(&[
                         ("ok", json::boolean(true)),
                         ("experiment", json::string("sweep")),
                         ("cached", json::boolean(cached())),
-                        ("point", point_json(&p)),
+                        ("point", point),
                     ]),
                     false,
                 ))
             }
-            Request::Sweep(None) => {
-                let points = sweep::run_sweep(&self.ctx)?;
-                let rendered: Vec<String> = points.iter().map(point_json).collect();
-                Ok((
-                    json::object(&[
-                        ("ok", json::boolean(true)),
-                        ("experiment", json::string("sweep")),
-                        ("cached", json::boolean(cached())),
-                        ("points", json::array(&rendered)),
-                    ]),
-                    false,
-                ))
-            }
+            Request::Sweep(None) => Ok((self.sweep_points(PAPER_SWEEP.iter(), cached)?, false)),
+            Request::SweepSlice(vccs) => Ok((self.sweep_points(vccs, cached)?, false)),
             Request::Table1(vcc) => {
                 let rows = table1::quantitative_rows_at(&self.ctx, vcc)?;
                 let rendered: Vec<String> = rows
@@ -558,6 +591,25 @@ impl Daemon {
                 ))
             }
         }
+    }
+
+    /// The sweep at `vccs` as one grid, answered in the full sweep's
+    /// shape; `cached` reports whether the request simulated.
+    fn sweep_points(
+        &self,
+        vccs: impl IntoIterator<Item = Millivolts>,
+        cached: impl Fn() -> bool,
+    ) -> Result<String, ExperimentError> {
+        let rendered: Vec<String> = sweep::run_sweep_at(&self.ctx, vccs)?
+            .iter()
+            .map(point_json)
+            .collect();
+        Ok(json::object(&[
+            ("ok", json::boolean(true)),
+            ("experiment", json::string("sweep")),
+            ("cached", json::boolean(cached())),
+            ("points", json::array(&rendered)),
+        ]))
     }
 
     /// Runs the readiness-driven serve loop with
@@ -643,6 +695,13 @@ mod tests {
                 Err(RequestError::UnknownExperiment(name.to_string()))
             );
         }
+        assert_eq!(
+            parse_request(r#"{"experiment":"sweep","vccs":[575,500]}"#),
+            Ok(Request::SweepSlice(vec![
+                Millivolts::new(575).unwrap(),
+                Millivolts::new(500).unwrap()
+            ]))
+        );
         assert!(parse_request(r#"{"experiment":"sweep","vcc":"high"}"#).is_err());
         assert!(parse_request(r#"{"experiment":"sweep","vcc":12345}"#).is_err());
         assert!(parse_request(r#"{"vcc":500}"#).is_err());
@@ -692,6 +751,101 @@ mod tests {
         // Identical payload both times — the determinism the cache
         // relies on, observable at the protocol level.
         assert_eq!(v.get("point"), v2.get("point"));
+    }
+
+    /// The `point` of a response, re-rendered canonically.
+    fn point_of(body: &str) -> String {
+        let v = json::parse(body).unwrap();
+        assert_eq!(v.get("ok").unwrap().as_bool(), Some(true), "{body}");
+        json::render(v.get("point").expect("a point"))
+    }
+
+    /// The `points` of a response, re-rendered canonically.
+    fn points_of(body: &str) -> Vec<String> {
+        let v = json::parse(body).unwrap();
+        assert_eq!(v.get("ok").unwrap().as_bool(), Some(true), "{body}");
+        let points = v.get("points").and_then(json::Value::as_array);
+        points.expect("points").iter().map(json::render).collect()
+    }
+
+    #[test]
+    fn a_slice_answers_each_point_in_the_order_given() {
+        let d = daemon();
+        let want: Vec<String> = [575, 500]
+            .iter()
+            .map(|mv| {
+                point_of(
+                    &d.handle_line(&format!(r#"{{"experiment":"sweep","vcc":{mv}}}"#))
+                        .0,
+                )
+            })
+            .collect();
+        let (slice, stop) = d.handle_line(r#"{"experiment":"sweep","vccs":[575,500]}"#);
+        assert!(!stop);
+        assert!(slice.contains(r#""cached": true"#), "{slice}");
+        assert_eq!(points_of(&slice), want);
+        let (reversed, _) = d.handle_line(r#"{"experiment":"sweep","vccs":[500,575]}"#);
+        assert_eq!(points_of(&reversed), [want[1].clone(), want[0].clone()]);
+        // The serve loop counts a slice under its own op, never as points.
+        let parsed = parse_request(r#"{"experiment":"sweep","vccs":[575,500]}"#);
+        assert_eq!(op_of(&parsed), Op::SweepSlice);
+    }
+
+    #[test]
+    fn a_slice_of_the_whole_grid_is_the_full_sweep() {
+        let d = daemon();
+        let (cold, _) = d.handle_line(r#"{"experiment":"sweep"}"#);
+        assert!(cold.contains(r#""cached": false"#), "{cold}");
+        let all: Vec<String> = PAPER_SWEEP
+            .iter()
+            .map(|v| v.millivolts().to_string())
+            .collect();
+        let line = format!(r#"{{"experiment":"sweep","vccs":[{}]}}"#, all.join(","));
+        let (slice, _) = d.handle_line(&line);
+        let (full, _) = d.handle_line(r#"{"experiment":"sweep"}"#);
+        assert_eq!(slice, full);
+        assert_eq!(
+            full,
+            cold.replace(r#""cached": false"#, r#""cached": true"#)
+        );
+    }
+
+    #[test]
+    fn a_malformed_slice_answers_an_error_object() {
+        let d = daemon();
+        for (line, error) in [
+            (
+                r#"{"experiment":"sweep","vccs":[]}"#,
+                r#""vccs" must be a non-empty list of millivolts"#,
+            ),
+            (
+                r#"{"experiment":"sweep","vccs":575}"#,
+                r#""vccs" must be a non-empty list of millivolts"#,
+            ),
+            (
+                r#"{"experiment":"sweep","vccs":[575,"low"]}"#,
+                r#""vcc" must be a whole number of millivolts"#,
+            ),
+            (
+                r#"{"experiment":"sweep","vccs":[575.5]}"#,
+                r#""vcc" must be a whole number of millivolts"#,
+            ),
+            (r#"{"experiment":"sweep","vccs":[575,5000]}"#, "5000 mV"),
+            (r#"{"experiment":"sweep","vccs":[575,575]}"#, "575 mV twice"),
+            (
+                r#"{"experiment":"sweep","vcc":575,"vccs":[500]}"#,
+                r#"a request takes "vcc" or "vccs", not both"#,
+            ),
+        ] {
+            let (resp, stop) = d.handle_line(line);
+            assert!(!stop, "{line}");
+            let v = json::parse(&resp).unwrap();
+            assert_eq!(v.get("ok").unwrap().as_bool(), Some(false), "{line}");
+            let got = v.get("error").and_then(json::Value::as_str).unwrap();
+            assert!(got.contains(error), "{line}: {got}");
+        }
+        let (stats, _) = d.handle_line(r#"{"experiment":"stats"}"#);
+        assert!(stats.contains(r#""misses": 0"#), "nothing ran: {stats}");
     }
 
     #[test]

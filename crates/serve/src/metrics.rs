@@ -143,6 +143,9 @@ pub enum Op {
     SweepPoint,
     /// `{"experiment": "sweep"}` — the full grid.
     SweepFull,
+    /// `{"experiment": "sweep", "vccs": [..]}` — a list of points (how
+    /// the router sends each shard its slice of a full sweep).
+    SweepSlice,
     /// `{"experiment": "table1"}`.
     Table1,
     /// `{"experiment": "stalls"}`.
@@ -155,12 +158,13 @@ pub enum Op {
 
 impl Op {
     /// Every op, in rendering order (the declaration order).
-    pub const ALL: [Op; 9] = [
+    pub const ALL: [Op; 10] = [
         Op::Ping,
         Op::Stats,
         Op::Metrics,
         Op::SweepPoint,
         Op::SweepFull,
+        Op::SweepSlice,
         Op::Table1,
         Op::Stalls,
         Op::Shutdown,
@@ -176,6 +180,7 @@ impl Op {
             Op::Metrics => "metrics",
             Op::SweepPoint => "sweep_point",
             Op::SweepFull => "sweep_full",
+            Op::SweepSlice => "sweep_slice",
             Op::Table1 => "table1",
             Op::Stalls => "stalls",
             Op::Shutdown => "shutdown",
@@ -389,6 +394,22 @@ mod tests {
         }
         let labels: std::collections::HashSet<_> = Op::ALL.iter().map(|op| op.label()).collect();
         assert_eq!(labels.len(), Op::ALL.len());
+        assert_eq!(
+            Op::ALL.map(Op::label),
+            [
+                "ping",
+                "stats",
+                "metrics",
+                "sweep_point",
+                "sweep_full",
+                "sweep_slice",
+                "table1",
+                "stalls",
+                "shutdown",
+                "invalid"
+            ],
+            "the metrics response renders ops in this order"
+        );
     }
 
     #[test]

@@ -6,11 +6,12 @@
 //! owns no suite, no models, no simulator and no store — it classifies
 //! each request, forwards it **verbatim** to the shard the
 //! consistent-hash [`Ring`] assigns the request's voltage, and relays
-//! the shard's response bytes unchanged. Full-grid sweeps are the one
-//! request that spans shards: the router fans the 13 voltages out to
-//! their owners in parallel, then merges the returned points back into
-//! grid order through the canonical JSON renderer — producing a
-//! response **byte-identical** to a single-process daemon's
+//! the shard's response bytes unchanged. Multi-point sweeps (the full
+//! grid, or a client's `"vccs"` list) are the one request that spans
+//! shards: the router sends each owning shard its slice of the voltages
+//! as one `"vccs"` line, all in parallel, then merges the returned
+//! points back into request order through the canonical JSON renderer —
+//! producing a response **byte-identical** to a single-process daemon's
 //! (`json::render` is the emitters' own canonical form, and `f64`
 //! round-trips exactly).
 //!
@@ -49,10 +50,10 @@
 //! against the breaker. Every request is a read-only query or
 //! `shutdown`, so sending it twice is safe.
 //!
-//! Fan-outs (the full sweep, `stats`, `metrics`, `shutdown`) spawn no
-//! thread: the serving worker writes every shard's conversation, then
+//! Fan-outs (a multi-point sweep, `stats`, `metrics`, `shutdown`) spawn
+//! no thread: the serving worker writes every shard's conversation, then
 //! reads each shard's replies in turn, so the shards still compute in
-//! parallel. A conversation is at most 13 short lines and a shard
+//! parallel. Each fan-out sends a shard one short line and a shard
 //! buffers its replies, so no write waits on a read.
 //!
 //! `stats` and `metrics` are aggregates, not relays: the router sums
@@ -555,103 +556,77 @@ impl Router {
         self.reroute_line(self.owner_of(vcc) as usize, raw)
     }
 
-    /// Full-grid sweep: fan each voltage to its owning shard (one
-    /// conversation per shard, all shards computing in parallel), then
-    /// merge the returned points back into `PAPER_SWEEP` order. A shard whose
-    /// whole batch fails gets each of its voltages rerouted
-    /// individually around the ring, so one dead shard degrades to
-    /// failover instead of failing the sweep.
-    /// The merged response is byte-identical to a single daemon's
-    /// because every point is re-rendered through the same canonical
-    /// emitter that produced it, and `cached` is the conjunction over
-    /// shards.
-    fn full_sweep(&self) -> String {
+    /// A multi-point sweep (the full grid, or a client's `"vccs"`): each
+    /// owning shard gets its slice of `vccs` as one `"vccs"` line (all
+    /// shards computing in parallel), and the returned points merge
+    /// back into `vccs` order. A shard whose slice fails has that one
+    /// line rerouted around the ring, so one dead shard degrades to
+    /// failover instead of failing the sweep. The merged response is
+    /// byte-identical to a single daemon's because every point is
+    /// re-rendered through the same canonical emitter that produced it,
+    /// and `cached` is the conjunction over shards.
+    fn sweep_slices(&self, vccs: &[Millivolts]) -> String {
         if self.shards.is_empty() {
             return error_body("no shard reachable: the router has no shards", false);
         }
-        let shards = self.ring.shards() as usize;
-        let mut owners: Vec<usize> = Vec::new();
-        let mut per_shard: Vec<Vec<String>> = vec![Vec::new(); shards];
-        for vcc in PAPER_SWEEP.iter() {
-            let owner = self.owner_of(vcc) as usize;
-            owners.push(owner);
-            per_shard[owner].push(format!(
-                "{{\"experiment\": \"sweep\", \"vcc\": {}}}",
-                vcc.millivolts()
-            ));
+        let owners: Vec<usize> = vccs.iter().map(|&v| self.owner_of(v) as usize).collect();
+        let mut slices: Vec<Vec<String>> = vec![Vec::new(); self.shards.len()];
+        for (vcc, &owner) in vccs.iter().zip(&owners) {
+            slices[owner].push(vcc.millivolts().to_string());
         }
-        let fanned = self.converse(&per_shard, true);
-        let mut replies: Vec<std::vec::IntoIter<String>> = Vec::with_capacity(shards);
-        let mut rerouted = vec![false; shards];
-        for (index, r) in fanned.into_iter().enumerate() {
-            match r {
-                None => replies.push(Vec::new().into_iter()),
-                Some(Ok(resps)) => replies.push(resps.into_iter()),
-                Some(Err(_)) => {
-                    // The batch failed even after retries (the breaker
-                    // is open by now): fail each voltage over
-                    // one by one.
-                    rerouted[index] = true;
-                    let resps: Vec<String> = per_shard[index]
-                        .iter()
-                        .map(|line| self.reroute_line(index, line))
-                        .collect();
-                    replies.push(resps.into_iter());
-                }
-            }
-        }
+        // One line for each shard that owns a voltage, none for the rest.
+        let per_shard: Vec<Vec<String>> = slices
+            .iter()
+            .map(|slice| {
+                (!slice.is_empty())
+                    .then(|| {
+                        format!(
+                            "{{\"experiment\": \"sweep\", \"vccs\": [{}]}}",
+                            slice.join(", ")
+                        )
+                    })
+                    .into_iter()
+                    .collect()
+            })
+            .collect();
+        // Each shard's answer as its points in slice order, or the body
+        // to answer with if a voltage of the sweep needs one of them.
         let mut cached = true;
-        let mut points = Vec::with_capacity(owners.len());
-        for (vcc, owner) in PAPER_SWEEP.iter().zip(owners) {
-            let Some(resp) = replies[owner].next() else {
-                return error_body(
-                    &format!(
-                        "shard {owner} ({}): missing response for {} mV",
-                        self.shards[owner],
-                        vcc.millivolts()
-                    ),
-                    false,
-                );
-            };
-            let v = match json::parse(&resp) {
-                Ok(v) => v,
-                Err(e) => {
-                    return error_body(
-                        &format!(
-                            "shard {owner} ({}): unparsable response: {e}",
-                            self.shards[owner]
-                        ),
-                        false,
-                    )
-                }
-            };
-            if v.get("ok").and_then(json::Value::as_bool) != Some(true) {
-                if rerouted[owner] {
-                    // A failed-over answer already names whoever failed
-                    // (every shard, when none is reachable), exactly as
-                    // the single-point request would have answered.
-                    return resp;
-                }
-                let detail = v
-                    .get("error")
-                    .and_then(json::Value::as_str)
-                    .unwrap_or("unknown shard error");
-                return error_body(
-                    &format!("shard {owner} ({}): {detail}", self.shards[owner]),
-                    false,
-                );
+        let mut answers: Vec<Result<std::vec::IntoIter<String>, String>> = self
+            .converse(&per_shard, true)
+            .into_iter()
+            .enumerate()
+            .map(|(owner, fanned)| {
+                let (resp, rerouted) = match fanned {
+                    None => return Ok(Vec::new().into_iter()),
+                    Some(Ok(mut resps)) => (resps.pop().unwrap_or_default(), false),
+                    // The slice failed even after retries (the breaker
+                    // is open by now): fail its one line over.
+                    Some(Err(_)) => (self.reroute_line(owner, &per_shard[owner][0]), true),
+                };
+                let (points, slice_cached) = self.slice_points(owner, &resp, rerouted)?;
+                cached &= slice_cached;
+                Ok(points.into_iter())
+            })
+            .collect();
+        let mut points = Vec::with_capacity(vccs.len());
+        for (vcc, owner) in vccs.iter().zip(owners) {
+            match &mut answers[owner] {
+                Ok(slice) => match slice.next() {
+                    Some(point) => points.push(point),
+                    None => {
+                        return error_body(
+                            &format!(
+                                "shard {owner} ({}): missing response for {} mV",
+                                self.shards[owner],
+                                vcc.millivolts()
+                            ),
+                            false,
+                        )
+                    }
+                },
+                Err(body) => return std::mem::take(body),
             }
-            cached &= v.get("cached").and_then(json::Value::as_bool) == Some(true);
-            let Some(point) = v.get("point") else {
-                return error_body(
-                    &format!(
-                        "shard {owner} ({}): response has no point",
-                        self.shards[owner]
-                    ),
-                    false,
-                );
-            };
-            points.push(json::render(point));
         }
         json::object(&[
             ("ok", json::boolean(true)),
@@ -659,6 +634,44 @@ impl Router {
             ("cached", json::boolean(cached)),
             ("points", json::array(&points)),
         ])
+    }
+
+    /// Shard `owner`'s answer to its slice: the re-rendered points and
+    /// its `cached` flag, or the error body the sweep answers with. An
+    /// error from the owner names it; a failed-over answer already names
+    /// whoever failed (every shard, when none is reachable), so it is
+    /// returned as it is.
+    fn slice_points(
+        &self,
+        owner: usize,
+        resp: &str,
+        rerouted: bool,
+    ) -> Result<(Vec<String>, bool), String> {
+        let shard_error = |detail: &str| {
+            error_body(
+                &format!("shard {owner} ({}): {detail}", self.shards[owner]),
+                false,
+            )
+        };
+        let v = json::parse(resp).map_err(|e| shard_error(&format!("unparsable response: {e}")))?;
+        if v.get("ok").and_then(json::Value::as_bool) != Some(true) {
+            if rerouted {
+                return Err(resp.to_string());
+            }
+            return Err(shard_error(
+                v.get("error")
+                    .and_then(json::Value::as_str)
+                    .unwrap_or("unknown shard error"),
+            ));
+        }
+        let points = v
+            .get("points")
+            .and_then(json::Value::as_array)
+            .ok_or_else(|| shard_error("response has no point"))?;
+        Ok((
+            points.iter().map(json::render).collect(),
+            v.get("cached").and_then(json::Value::as_bool) == Some(true),
+        ))
     }
 
     /// Fans a request to every shard — through the breakers when
@@ -830,7 +843,11 @@ impl Router {
             }
             Request::Stats => (self.aggregate_stats(), false),
             Request::Metrics => (self.aggregate_metrics(), false),
-            Request::Sweep(None) => (self.full_sweep(), false),
+            Request::Sweep(None) => (
+                self.sweep_slices(&PAPER_SWEEP.iter().collect::<Vec<_>>()),
+                false,
+            ),
+            Request::SweepSlice(vccs) => (self.sweep_slices(&vccs), false),
             Request::Sweep(Some(vcc)) | Request::Table1(vcc) | Request::Stalls(vcc) => {
                 (self.relay_to_owner(vcc, raw), false)
             }

@@ -604,6 +604,93 @@ fn restarted_cluster_resimulates_nothing() {
     );
 }
 
+/// A cold full sweep sends each shard its slice of the grid as one
+/// request: each shard runs it as one grid, so it publishes exactly one
+/// segment, and the shards count one `sweep_slice` each and no
+/// `sweep_point` (only a client's single-voltage sweep is one).
+#[test]
+fn a_cold_sweep_writes_one_segment_per_shard() {
+    let dir = std::env::temp_dir().join(format!("lowvcc_one_segment_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let cluster = start_cluster(
+        SuiteChoice::Sized {
+            per_family: 1,
+            len: 2_000,
+        },
+        &ClusterOptions {
+            shards: 3,
+            jobs: 2,
+            cache: Some(dir.clone()),
+            ..ClusterOptions::default()
+        },
+    )
+    .expect("cluster starts");
+    let replies = answers(
+        cluster.router_addr(),
+        &[
+            "{\"experiment\": \"sweep\"}",
+            "{\"experiment\": \"metrics\"}",
+        ],
+    );
+    assert!(replies[0].contains("\"cached\": false"), "{}", replies[0]);
+    let segments = std::fs::read_dir(dir.join(SEGMENTS_DIR))
+        .expect("segment dir lists")
+        .count();
+    assert_eq!(segments, 3, "one segment per shard in all");
+    for i in 0..3 {
+        assert_eq!(own_segments(&dir, i), 1, "shard {i} publishes one segment");
+    }
+    let v = json::parse(&replies[1]).expect("metrics parse");
+    let count = |label: &str| {
+        let ops = v.get("ops").and_then(json::Value::as_array).expect("ops");
+        let op = ops
+            .iter()
+            .find(|o| o.get("op").and_then(json::Value::as_str) == Some(label))
+            .expect("every op is rendered");
+        op.get("count")
+            .and_then(json::Value::as_u64)
+            .expect("count")
+    };
+    assert_eq!(count("sweep_slice"), 3, "{}", replies[1]);
+    assert_eq!(count("sweep_point"), 0, "{}", replies[1]);
+    answers(cluster.router_addr(), &["{\"experiment\": \"shutdown\"}"]);
+    cluster.join().expect("clean fan-out shutdown");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A client's `"vccs"` list goes through the same fan-out as the full
+/// sweep and answers byte-identically to a single daemon: cold, warm,
+/// half-warm, and every malformed list.
+#[test]
+fn a_client_slice_through_the_router_matches_a_single_daemon() {
+    const REQUESTS: &[&str] = &[
+        "{\"experiment\": \"sweep\", \"vccs\": [575, 700, 400, 500]}",
+        "{\"experiment\": \"sweep\", \"vccs\": [575, 700, 400, 500]}",
+        "{\"experiment\": \"sweep\", \"vccs\": [450, 575]}",
+        "{\"experiment\": \"sweep\", \"vccs\": [1000]}",
+        "{\"experiment\": \"sweep\", \"vccs\": []}",
+        "{\"experiment\": \"sweep\", \"vccs\": [575, 5000]}",
+        "{\"experiment\": \"sweep\", \"vccs\": [575, 575]}",
+        "{\"experiment\": \"sweep\", \"vcc\": 575, \"vccs\": [500]}",
+    ];
+    let single = Daemon::new(ExperimentContext::sized(1, 2_000).expect("suite builds"));
+    let expected: Vec<String> = REQUESTS
+        .iter()
+        .map(|line| single.handle_line(line).0)
+        .collect();
+    assert!(expected[0].contains("\"cached\": false"));
+    assert!(expected[1].contains("\"cached\": true"));
+    assert!(expected[2].contains("\"cached\": false"));
+
+    let cluster = three_shards();
+    let got = answers(cluster.router_addr(), REQUESTS);
+    for ((line, want), got) in REQUESTS.iter().zip(&expected).zip(&got) {
+        assert_eq!(got, want, "sharded response diverges for {line}");
+    }
+    answers(cluster.router_addr(), &["{\"experiment\": \"shutdown\"}"]);
+    cluster.join().expect("clean fan-out shutdown");
+}
+
 /// A 3-shard cluster of the tiny suite, the shape the link tests use.
 fn three_shards() -> lowvcc_serve::router::Cluster {
     start_cluster(

@@ -9,6 +9,7 @@ use std::sync::Arc;
 use lowvcc_bench::experiments::{fig1, fig11a, run_all, scalars, stalls, sweep, table1};
 use lowvcc_bench::{json, ExperimentContext, ResultStore};
 use lowvcc_core::{Parallelism, SimConfig, SuiteResult};
+use lowvcc_sram::PAPER_SWEEP;
 
 fn ctx() -> ExperimentContext {
     ExperimentContext::quick().expect("quick suite builds")
@@ -28,7 +29,7 @@ fn figure1_crossovers_match_paper() {
 
 #[test]
 fn figure11b_shape_holds() {
-    let points = sweep::run_sweep(&ctx()).expect("sweep runs");
+    let points = sweep::run_sweep_at(&ctx(), PAPER_SWEEP.iter()).expect("sweep runs");
     let at = |mv: u32| sweep::at(&points, mv).expect("grid point");
 
     // Frequency-gain anchors (±4% of the published +57% / +99%).
@@ -68,7 +69,7 @@ fn figure11b_shape_holds() {
 
 #[test]
 fn figure12_shape_holds() {
-    let points = sweep::run_sweep(&ctx()).expect("sweep runs");
+    let points = sweep::run_sweep_at(&ctx(), PAPER_SWEEP.iter()).expect("sweep runs");
     let at = |mv: u32| sweep::at(&points, mv).expect("grid point");
 
     // High Vcc: IRAW hardware costs ~0.5% energy, delay unchanged → EDP
@@ -362,13 +363,13 @@ fn concurrent_shared_store_single_flights_and_stays_bit_identical() {
     let _ = std::fs::remove_dir_all(&dir);
     let base = ExperimentContext::sized(1, 2_000).expect("tiny suite builds");
     let vcc = lowvcc_sram::Millivolts::new(575).unwrap();
-    let sequential = sweep::point(&base, vcc).expect("uncached point");
+    let sequential = sweep::run_sweep_at(&base, [vcc]).expect("uncached point");
 
     let store = Arc::new(ResultStore::open(&dir).expect("store opens"));
     let ctx = base.with_cache(Arc::clone(&store));
     let points: Vec<_> = std::thread::scope(|s| {
         let handles: Vec<_> = (0..4)
-            .map(|_| s.spawn(|| sweep::point(&ctx, vcc).expect("concurrent point")))
+            .map(|_| s.spawn(|| sweep::run_sweep_at(&ctx, [vcc]).expect("concurrent point")))
             .collect();
         handles.into_iter().map(|h| h.join().unwrap()).collect()
     });
@@ -400,7 +401,7 @@ fn corrupt_store_entries_quarantine_and_self_heal() {
     let store = Arc::new(ResultStore::open(&dir).expect("store opens"));
     let ctx = base.with_cache(Arc::clone(&store));
     let vcc = lowvcc_sram::Millivolts::new(575).unwrap();
-    let clean = sweep::point(&ctx, vcc).expect("cold point");
+    let clean = sweep::run_sweep_at(&ctx, [vcc]).expect("cold point");
     let published = store.disk_entries();
     assert_eq!(published, 14, "2 mechanisms × 7 traces persisted");
 
@@ -429,7 +430,7 @@ fn corrupt_store_entries_quarantine_and_self_heal() {
     let fresh = Arc::new(ResultStore::open(&dir).expect("store reopens"));
     let base2 = ExperimentContext::sized(1, 2_000).expect("suite rebuilds");
     let ctx2 = base2.with_cache(Arc::clone(&fresh));
-    let healed = sweep::point(&ctx2, vcc).expect("degraded reads must not error");
+    let healed = sweep::run_sweep_at(&ctx2, [vcc]).expect("degraded reads must not error");
     assert_eq!(healed, clean, "re-simulation is bit-identical");
     let stats = fresh.stats();
     assert_eq!(
@@ -462,7 +463,7 @@ fn standard_suite_scalars_stay_in_band() {
     let ctx = ExperimentContext::standard()
         .expect("standard suite builds")
         .with_parallelism(Parallelism::threads(2));
-    let points = sweep::run_sweep(&ctx).expect("sweep runs");
+    let points = sweep::run_sweep_at(&ctx, PAPER_SWEEP.iter()).expect("sweep runs");
     for row in scalars::measured(&points).expect("anchor voltages swept") {
         let (low, high) = scalars::band(row.quantity).expect("every measured row has a band");
         assert!(

@@ -363,3 +363,58 @@ fn equal_projection_means_equal_stats() {
     }
     assert!(collisions > 0, "no colliding pair was drawn");
 }
+
+/// A key built from a config's saved prefix is the one-pass FNV-128 of
+/// the whole key encoding, for any voltage in the model, any
+/// mechanism and any trace spec, including when one prefix keys
+/// several specs in turn (how `run_suite_batch` uses it).
+#[test]
+fn prefix_keys_equal_one_pass_keys() {
+    use lowvcc_core::canon::{encode_cycle_config, encode_trace_spec, fnv1a_128, CanonWriter};
+    use lowvcc_core::{
+        sim_key, CoreConfig, Mechanism, SimConfig, SimKey, SimKeyPrefix, ENGINE_SEMANTICS_VERSION,
+    };
+    use lowvcc_sram::voltage::{MAX_MODEL_MV, MIN_MODEL_MV};
+    let mut rng = case_rng("prefix_keys_equal_one_pass_keys");
+    let timing = CycleTimeModel::silverthorne_45nm();
+    let families = WorkloadFamily::all();
+    let mechanisms = [Mechanism::Baseline, Mechanism::Iraw, Mechanism::IdealLogic];
+    for _ in 0..CASES {
+        let vcc = mv(draw(
+            &mut rng,
+            u64::from(MIN_MODEL_MV),
+            u64::from(MAX_MODEL_MV) + 1,
+        ) as u32);
+        let mechanism = mechanisms[rng.below(mechanisms.len() as u64) as usize];
+        let mut cfg = SimConfig::at_vcc(CoreConfig::silverthorne(), &timing, vcc, mechanism);
+        if rng.below(2) == 0 {
+            cfg.disabled_lines = (rng.below(4) as usize, rng.below(4) as usize, 0);
+            cfg.fault_seed = rng.below(1 << 20);
+        }
+        let prefix = SimKeyPrefix::new(&cfg);
+        for _ in 0..3 {
+            let family = families[rng.below(families.len() as u64) as usize];
+            let spec = TraceSpec::new(
+                family,
+                rng.below(1 << 32),
+                draw(&mut rng, 1, 1 << 24) as usize,
+            );
+            let mut w = CanonWriter::new();
+            w.str("lowvcc-simkey");
+            w.u32(ENGINE_SEMANTICS_VERSION);
+            encode_cycle_config(&mut w, &cfg.cycle_config());
+            encode_trace_spec(&mut w, &spec);
+            let one_pass = SimKey::from_value(fnv1a_128(w.bytes()));
+            assert_eq!(
+                prefix.key(&spec),
+                one_pass,
+                "{vcc:?} {mechanism:?} {spec:?}"
+            );
+            assert_eq!(
+                sim_key(&cfg, &spec),
+                one_pass,
+                "{vcc:?} {mechanism:?} {spec:?}"
+            );
+        }
+    }
+}
